@@ -47,14 +47,13 @@ from .linalg import (
     RANK_RTOL,
     as_matrix,
     as_square,
-    controllability_margin,
-    determinant,
+    controllability_singular_values,
     eig_general,
     eig_sym,
     gain_kernel,
     is_controllable,
-    spectral_radius,
 )
+from .oracle import verify_gain
 
 MARE_Q_SCALE = 1e-6
 MARE_MAX_ITER = 100_000
@@ -127,11 +126,32 @@ class LimasModel:
     def laplacian_c(self) -> np.ndarray:
         return laplacian(self.gc)
 
+    @cached_property
+    def spectrum_p(self) -> np.ndarray:
+        """Ascending physical Laplacian eigenvalues; entry 0 is the consensus mode."""
+        return _frozen(eig_sym(self.laplacian_p).values)
+
+    @cached_property
+    def spectrum_c(self) -> np.ndarray:
+        """Ascending communication Laplacian eigenvalues."""
+        return _frozen(eig_sym(self.laplacian_c).values)
+
+    @cached_property
+    def modal_ctrb_sv(self) -> np.ndarray:
+        """Controllability singular values of (A - lambda*Ap, B) per non-consensus mode."""
+        modes = self.A - self.spectrum_p[1:, None, None] * self.Ap
+        return _frozen(controllability_singular_values(modes, self.B))
+
     def spectral_pair(self, group_rtol: float = GROUP_RTOL,
                       commute_rtol: float = COMMUTE_RTOL) -> SpectralPair:
         return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c,
                                         group_rtol=group_rtol,
                                         commute_rtol=commute_rtol)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -156,18 +176,14 @@ def check_modal_controllability(model: LimasModel,
     removed; pairing with communication modes is irrelevant here. The
     residual is the smallest controllability-matrix singular value seen.
     """
-    modes = eig_sym(model.laplacian_p).values[1:]
-    margin = np.inf
-    failures = []
-    for lam in modes:
-        M = model.A - lam * model.Ap
-        margin = min(margin, controllability_margin(M, model.B))
-        if not is_controllable(M, model.B, rank_rtol=rank_rtol):
-            failures.append(float(lam))
+    sv = model.modal_ctrb_sv
+    margin = float(sv[:, -1].min())
+    ranks = np.count_nonzero(sv > model.n * sv[:, :1] * rank_rtol, axis=1)
+    failures = [float(lam) for lam in model.spectrum_p[1:][ranks != model.n]]
     if failures:
-        return AssumptionCheck(False, float(margin),
+        return AssumptionCheck(False, margin,
                                f"uncontrollable at physical modes {failures}")
-    return AssumptionCheck(True, float(margin))
+    return AssumptionCheck(True, margin)
 
 
 def check_proportional_coupling(model: LimasModel) -> tuple[AssumptionCheck, float | None]:
@@ -239,18 +255,14 @@ class SufficientResult:
 
 
 def sufficient_check(model: LimasModel, spec: SpectralPair,
-                     rank_rtol: float = RANK_RTOL,
-                     commute_rtol: float = COMMUTE_RTOL) -> SufficientResult:
+                     rank_rtol: float = RANK_RTOL) -> SufficientResult:
     """Evaluate the sufficient condition and the midpoint gain scale.
 
-    Requires commuting Laplacians, per-mode controllability and
-    proportional coupling; raises AssumptionViolated otherwise. The
-    extremes of alpha_i / lambda_cj range over modes i and j independently,
-    while the reported sigma_modes pair modes positionally.
+    ``spec`` exists only for commuting Laplacians; per-mode controllability
+    and proportional coupling are required too (AssumptionViolated if not).
+    The extremes of alpha_i / lambda_cj range over modes i and j
+    independently, while the reported sigma_modes pair modes positionally.
     """
-    a1 = check_laplacians_commute(model, rtol=commute_rtol)
-    if not a1.holds:
-        raise AssumptionViolated(1, f"commutator residual {a1.residual:g}")
     a2 = check_modal_controllability(model, rank_rtol=rank_rtol)
     if not a2.holds:
         raise AssumptionViolated(2, a2.detail)
@@ -351,11 +363,9 @@ def modal_radii(model: LimasModel, spec: SpectralPair, K) -> np.ndarray:
     under commuting Laplacians. All radii below one certifies consensus.
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
-    BK = model.B @ K
-    return np.array([
-        spectral_radius(model.A - lp * model.Ap + lc * BK)
-        for lp, lc in zip(spec.lambda_p[1:], spec.lambda_c[1:])
-    ])
+    modes = (model.A - spec.lambda_p[1:, None, None] * model.Ap
+             + spec.lambda_c[1:, None, None] * (model.B @ K))
+    return np.abs(eig_general(modes)).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -373,8 +383,7 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
                     sufficient: SufficientResult | None = None,
                     mare_q: float = MARE_Q_SCALE,
                     mare_max_iter: int = MARE_MAX_ITER,
-                    rank_rtol: float = RANK_RTOL,
-                    commute_rtol: float = COMMUTE_RTOL) -> SynthesisResult:
+                    rank_rtol: float = RANK_RTOL) -> SynthesisResult:
     """Synthesize the common feedback gain under the sufficient condition.
 
     Solves the modified Riccati recursion for the worst-case scaled state
@@ -384,8 +393,7 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
     never returned silently.
     """
     if sufficient is None:
-        sufficient = sufficient_check(model, spec, rank_rtol=rank_rtol,
-                                      commute_rtol=commute_rtol)
+        sufficient = sufficient_check(model, spec, rank_rtol=rank_rtol)
     if not sufficient.holds:
         raise SynthesisFailed("sufficient condition does not hold")
 
@@ -432,17 +440,13 @@ class NecessaryResult:
 
 
 def necessary_check(model: LimasModel, spec: SpectralPair,
-                    rank_rtol: float = RANK_RTOL,
-                    commute_rtol: float = COMMUTE_RTOL) -> NecessaryResult:
+                    rank_rtol: float = RANK_RTOL) -> NecessaryResult:
     """Evaluate the determinant-based necessary condition.
 
-    Requires commuting Laplacians and per-mode controllability, but not
-    proportional coupling. gamma_c is the communication eigenratio
-    lambda_c_max / lambda_c_min over non-consensus modes.
+    Requires commuting Laplacians (implied by ``spec``) and per-mode
+    controllability, but not proportional coupling. gamma_c is the
+    communication eigenratio lambda_c_max / lambda_c_min over modes.
     """
-    a1 = check_laplacians_commute(model, rtol=commute_rtol)
-    if not a1.holds:
-        raise AssumptionViolated(1, f"commutator residual {a1.residual:g}")
     a2 = check_modal_controllability(model, rank_rtol=rank_rtol)
     if not a2.holds:
         raise AssumptionViolated(2, a2.detail)
@@ -451,8 +455,8 @@ def necessary_check(model: LimasModel, spec: SpectralPair,
     if float(lam_c.min()) <= CONNECTIVITY_FLOOR:
         raise AssumptionViolated(0, "communication graph effectively disconnected")
     gamma_c = float(lam_c.max()) / float(lam_c.min())
-    dets = tuple(abs(determinant(model.A - lp * model.Ap))
-                 for lp in spec.lambda_p[1:])
+    modes = model.A - spec.lambda_p[1:, None, None] * model.Ap
+    dets = tuple(np.abs(np.linalg.det(modes)).tolist())
     det_min, det_max = min(dets), max(dets)
     lhs = abs(gamma_c * det_min - det_max)
     rhs = gamma_c + 1.0
@@ -633,7 +637,6 @@ class AnalysisReport:
 
 def analyze(model: LimasModel,
             commute_rtol: float = COMMUTE_RTOL,
-            group_rtol: float = GROUP_RTOL,
             rank_rtol: float = RANK_RTOL,
             mare_q: float = MARE_Q_SCALE,
             mare_max_iter: int = MARE_MAX_ITER) -> AnalysisReport:
@@ -643,11 +646,9 @@ def analyze(model: LimasModel,
     run when their assumptions hold; failures are recorded in the report
     instead of raised. Scalar models additionally get the interval
     conditions, which need no commuting assumption. Any produced gain is
-    verified mode by mode before the report claims consensusability.
+    verified before the report claims consensusability: mode by mode when
+    the Laplacians commute, otherwise by projecting the stacked closed loop.
     """
-    lambda_p = eig_sym(model.laplacian_p).values
-    lambda_c = eig_sym(model.laplacian_c).values
-
     a1 = check_laplacians_commute(model, rtol=commute_rtol)
     a2 = check_modal_controllability(model, rank_rtol=rank_rtol)
     a3, alpha_eff = check_proportional_coupling(model)
@@ -655,8 +656,8 @@ def analyze(model: LimasModel,
     report = AnalysisReport(
         n=model.n, N=model.N,
         alpha=alpha_eff if alpha_eff is not None else model.alpha,
-        lambda_p=[float(v) for v in lambda_p],
-        lambda_c=[float(v) for v in lambda_c],
+        lambda_p=model.spectrum_p.tolist(),
+        lambda_c=model.spectrum_c.tolist(),
         assumption_commuting=a1,
         assumption_controllability=a2,
         assumption_coupling=a3,
@@ -665,9 +666,9 @@ def analyze(model: LimasModel,
     spec = None
     if a1.holds:
         try:
-            spec = model.spectral_pair(group_rtol=group_rtol, commute_rtol=commute_rtol)
-            report.lambda_p_paired = [float(v) for v in spec.lambda_p]
-            report.lambda_c_paired = [float(v) for v in spec.lambda_c]
+            spec = model.spectral_pair(commute_rtol=commute_rtol)
+            report.lambda_p_paired = spec.lambda_p.tolist()
+            report.lambda_c_paired = spec.lambda_c.tolist()
         except (NotCommuting, DegenerateSpectrum) as exc:
             report.sufficient_error = str(exc)
             report.necessary_error = str(exc)
@@ -678,15 +679,11 @@ def analyze(model: LimasModel,
 
     if spec is not None:
         try:
-            report.sufficient = sufficient_check(model, spec,
-                                                 rank_rtol=rank_rtol,
-                                                 commute_rtol=commute_rtol)
+            report.sufficient = sufficient_check(model, spec, rank_rtol=rank_rtol)
         except AssumptionViolated as exc:
             report.sufficient_error = str(exc)
         try:
-            report.necessary = necessary_check(model, spec,
-                                               rank_rtol=rank_rtol,
-                                               commute_rtol=commute_rtol)
+            report.necessary = necessary_check(model, spec, rank_rtol=rank_rtol)
         except AssumptionViolated as exc:
             report.necessary_error = str(exc)
 
@@ -697,7 +694,8 @@ def analyze(model: LimasModel,
         ap = float(model.Ap.item())
         try:
             report.scalar = scalar_check(float(model.A.item()),
-                                         ap * lambda_p[1:], lambda_c[1:])
+                                         ap * model.spectrum_p[1:],
+                                         model.spectrum_c[1:])
         except (EmptyRange, ValueError) as exc:
             report.synthesis_error = report.synthesis_error or str(exc)
 
@@ -705,13 +703,13 @@ def analyze(model: LimasModel,
         try:
             synth = synthesize_gain(model, spec, sufficient=report.sufficient,
                                     mare_q=mare_q, mare_max_iter=mare_max_iter,
-                                    rank_rtol=rank_rtol, commute_rtol=commute_rtol)
-            report.gain = [float(v) for v in synth.K.ravel()]
+                                    rank_rtol=rank_rtol)
+            report.gain = synth.K.ravel().tolist()
             report.gain_source = "riccati"
             report.mare_sigma = synth.sigma
             if synth.mare is not None:
                 report.mare_iterations = synth.mare.iterations
-            report.modal_radii = [float(v) for v in synth.modal_radii]
+            report.modal_radii = synth.modal_radii.tolist()
             report.certify("modal-radii", float(synth.modal_radii.max()))
         except (SynthesisFailed, Divergence, NotControllable) as exc:
             report.synthesis_error = str(exc)
@@ -722,8 +720,13 @@ def analyze(model: LimasModel,
         report.gain_source = "scalar-interval"
         if spec is not None:
             radii = modal_radii(model, spec, [report.gain])
-            report.modal_radii = [float(v) for v in radii]
+            report.modal_radii = radii.tolist()
             report.certify("modal-radii", float(radii.max()))
+        else:
+            # No modal radii without commuting Laplacians: certify by
+            # direct projection of the stacked closed loop instead.
+            check = verify_gain(model, [report.gain])
+            report.certify("projected-radius", check.max_radius)
 
     refuted = (report.necessary is not None and not report.necessary.holds) \
         or (report.scalar is not None and not report.scalar.necessary)

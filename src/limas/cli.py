@@ -1,5 +1,11 @@
 """Command line front end: analyze, simulate and oracle subcommands.
 
+``analyze`` prints the report of :func:`limas.analysis.analyze` unchanged,
+so the command line and the library always reach the same verdict.
+``simulate`` without ``--gain`` runs that same analysis and uses its gain
+only when the report certifies it; otherwise it fails with the report's
+reason.
+
 Exit codes for ``analyze``: 0 the model is certified consensusable (a gain
 was produced and verified), 2 certified not consensusable (the necessary
 condition fails), 3 inconclusive, 1 input or validation error. The other
@@ -15,16 +21,8 @@ import sys
 from pathlib import Path
 
 from . import analysis, oracle
-from .errors import (
-    AssumptionViolated,
-    Divergence,
-    LimasError,
-    NotCommuting,
-    DegenerateSpectrum,
-    NotControllable,
-    Overflow,
-    SynthesisFailed,
-)
+from .errors import LimasError, Overflow, SynthesisFailed
+from .linalg import as_matrix
 from .model_io import gain_from_file, load_model
 from .simulator import (
     SETTLING_THRESHOLD,
@@ -106,22 +104,14 @@ def render_text(report: analysis.AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(args) -> int:
-    model = load_model(args.model)
-    report = analysis.analyze(
-        model,
-        commute_rtol=args.tol_commute,
-        rank_rtol=args.tol_rank,
-        mare_q=args.mare_q,
-        mare_max_iter=args.mare_max_iter,
-    )
-    if (not report.consensusable_certified and report.gain is not None
-            and report.modal_radii is None):
-        # Scalar gain without commuting Laplacians: certify by direct
-        # projection of the stacked loop instead of modal radii.
-        check = oracle.verify_gain(model, [report.gain])
-        report.certify("projected-radius", check.max_radius)
+def _analyze(model, args) -> analysis.AnalysisReport:
+    return analysis.analyze(model, commute_rtol=args.tol_commute,
+                            rank_rtol=args.tol_rank, mare_q=args.mare_q,
+                            mare_max_iter=args.mare_max_iter)
 
+
+def cmd_analyze(args) -> int:
+    report = _analyze(load_model(args.model), args)
     payload = json.dumps(report.to_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
@@ -129,29 +119,19 @@ def cmd_analyze(args) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
-def _auto_gain(model, args):
-    spec = model.spectral_pair(commute_rtol=args.tol_commute)
-    sufficient = analysis.sufficient_check(model, spec,
-                                           rank_rtol=args.tol_rank,
-                                           commute_rtol=args.tol_commute)
-    synth = analysis.synthesize_gain(model, spec, sufficient=sufficient,
-                                     mare_q=args.mare_q,
-                                     mare_max_iter=args.mare_max_iter,
-                                     rank_rtol=args.tol_rank,
-                                     commute_rtol=args.tol_commute)
-    return synth.K
-
-
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     if args.gain:
         K = gain_from_file(args.gain, model.n)
     else:
-        try:
-            K = _auto_gain(model, args)
-        except (AssumptionViolated, NotCommuting, DegenerateSpectrum,
-                SynthesisFailed, Divergence, NotControllable) as exc:
-            raise SynthesisFailed(f"automatic gain synthesis failed: {exc}") from exc
+        report = _analyze(model, args)
+        if not report.consensusable_certified:
+            reason = (report.synthesis_error or report.sufficient_error
+                      or "sufficient condition does not hold")
+            if report.gain is not None:
+                reason = f"{report.certificate_method} radius {report.certified_radius:g}"
+            raise SynthesisFailed(f"automatic gain synthesis failed: {reason}")
+        K = as_matrix(report.gain, name="K")
 
     x0 = initial_state(model, args.seed)
     try:

@@ -75,14 +75,16 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     """Laplacian (degree minus adjacency) of a weighted graph.
 
     Symmetric by construction; off-diagonal (i, j) is minus the edge weight
-    and each diagonal entry is the sum of incident weights.
+    and each diagonal entry is the sum of incident weights, accumulated in
+    edge order.
     """
-    L = np.zeros((g.node_count, g.node_count))
-    for i, j, w in g.edges:
-        L[i, j] -= w
-        L[j, i] -= w
-        L[i, i] += w
-        L[j, j] += w
+    N = g.node_count
+    L = np.zeros((N, N))
+    if g.edges:
+        i, j, w = map(np.asarray, zip(*g.edges))
+        L[i, j] = L[j, i] = -w
+        ends = np.column_stack((i, j)).ravel()
+        L[np.diag_indices(N)] = np.bincount(ends, weights=np.repeat(w, 2), minlength=N)
     return L
 
 

@@ -1,10 +1,10 @@
 """Dense real linear algebra kernels used throughout the toolkit.
 
-Everything operates on plain float64 numpy arrays. Problem sizes stay
-small (agent dimension n <= ~10, stacked dimension N*n <= ~100), so the
-routines favor accuracy and determinism over scale: symmetric problems
-go through ``eigh``, general spectra through ``eigvals``, ranks through
-singular values.
+Everything operates on plain float64 numpy arrays. Agent dimensions stay
+small (n <= ~10), stacked ones reach N*n ~ 1000, and per-mode quantities
+run on stacks of n x n matrices; the routines favor accuracy and
+determinism: symmetric problems go through ``eigh``, general spectra
+through ``eigvals``, ranks through singular values.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ def eig_sym(M) -> EigenSym:
 def eig_general(M) -> np.ndarray:
     """All eigenvalues of a square matrix as an unordered complex array.
 
+    A stack of shape (..., m, m) yields one row of eigenvalues per matrix.
     Real inputs yield spectra closed under conjugation.
     """
-    M = as_square(M)
+    M = as_square(M) if np.ndim(M) < 3 else np.asarray(M, dtype=float)
     try:
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
@@ -97,6 +98,23 @@ def determinant(M) -> float:
     return float(np.linalg.det(as_square(M)))
 
 
+def controllability_singular_values(M, B) -> np.ndarray:
+    """Descending singular values of the controllability matrix [B, MB, ..., M^(n-1)B].
+
+    ``M`` is one n x n matrix or a stack of shape (..., n, n); the result
+    holds one row of singular values per stacked matrix.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
+    B = as_matrix(B, name="B")
+    if B.shape[0] != n:
+        raise ShapeMismatch(f"B must have {n} rows, got {B.shape[0]}")
+    blocks = [np.broadcast_to(B, M.shape[:-2] + B.shape)]
+    for _ in range(n - 1):
+        blocks.append(M @ blocks[-1])
+    return np.linalg.svd(np.concatenate(blocks, axis=-1), compute_uv=False)
+
+
 def is_controllable(M, B, rank_rtol: float = RANK_RTOL) -> bool:
     """Kalman rank test: [B, MB, ..., M^(n-1)B] must have full row rank.
 
@@ -104,27 +122,15 @@ def is_controllable(M, B, rank_rtol: float = RANK_RTOL) -> bool:
     ``n * sigma_max * rank_rtol``.
     """
     M = as_square(M, name="M")
-    B = as_matrix(B, name="B")
+    sv = controllability_singular_values(M, B)
     n = M.shape[0]
-    if B.shape[0] != n:
-        raise ShapeMismatch(f"B must have {n} rows, got {B.shape[0]}")
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(M @ blocks[-1])
-    ctrb = np.hstack(blocks)
-    sv = np.linalg.svd(ctrb, compute_uv=False)
-    threshold = n * sv[0] * rank_rtol
-    return int(np.count_nonzero(sv > threshold)) == n
+    return int(np.count_nonzero(sv > n * sv[0] * rank_rtol)) == n
 
 
 def controllability_margin(M, B) -> float:
     """Smallest singular value of the controllability matrix (0 when rank falls short)."""
     M = as_square(M, name="M")
-    B = as_matrix(B, name="B")
-    blocks = [B]
-    for _ in range(M.shape[0] - 1):
-        blocks.append(M @ blocks[-1])
-    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    sv = controllability_singular_values(M, B)
     return float(sv[-1]) if sv.size >= M.shape[0] else 0.0
 
 

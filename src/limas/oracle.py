@@ -10,13 +10,16 @@ makes it a fair referee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import LimasModel
 from .errors import NotDeviationInvariant, NotScalar, ShapeMismatch
 from .linalg import as_square, eig_general, ones_completion
 from .simulator import closed_loop_matrix
+
+if TYPE_CHECKING:
+    from .analysis import LimasModel
 
 GRID_LO = -20.0
 GRID_HI = 20.0

@@ -9,12 +9,15 @@ the consensus trajectory itself are available.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import LimasModel
 from .errors import Overflow, ShapeMismatch
 from .linalg import as_matrix
+
+if TYPE_CHECKING:
+    from .analysis import LimasModel
 
 OVERFLOW_GUARD = 1e100
 SETTLING_THRESHOLD = 1e-3

@@ -454,3 +454,41 @@ def test_scalar_gain_respects_input_coefficient():
     from limas import verify_gain
     assert verify_gain(model_unit, [r1.gain]).stable
     assert verify_gain(model_double, [r2.gain]).stable
+
+
+# --- cached per-model quantities -------------------------------------------------
+
+def test_modal_controllability_matches_per_mode_tests():
+    from limas import check_modal_controllability
+    from limas.linalg import controllability_margin, is_controllable
+
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        model = random_coupled_model(rng)
+        check = check_modal_controllability(model)
+        mats = [model.A - lam * model.Ap for lam in model.spectrum_p[1:]]
+        assert check.residual == min(controllability_margin(M, model.B) for M in mats)
+        assert check.holds == all(is_controllable(M, model.B) for M in mats)
+    assert not model.spectrum_p.flags.writeable
+    assert not model.modal_ctrb_sv.flags.writeable
+    # Ap = A at the physical mode 1 zeroes the mode matrix
+    model = LimasModel(A_SHOWCASE, B_SHOWCASE, WeightedGraph(2, [(0, 1, 0.5)]),
+                       WeightedGraph(2, [(0, 1, 1.0)]), alpha=1.0)
+    check = check_modal_controllability(model)
+    assert not check.holds and "[1.0]" in check.detail
+
+
+def test_stacked_mode_quantities_match_per_mode_loops():
+    from limas.linalg import determinant, spectral_radius
+
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        model = random_coupled_model(rng)
+        spec = model.spectral_pair()
+        K = rng.standard_normal((1, model.n))
+        modes = [(model.A - lp * model.Ap, lc * (model.B @ K))
+                 for lp, lc in zip(spec.lambda_p[1:], spec.lambda_c[1:])]
+        radii = modal_radii(model, spec, K)
+        assert radii.tolist() == [spectral_radius(M + BK) for M, BK in modes]
+        dets = necessary_check(model, spec).dets
+        assert dets == tuple(abs(determinant(M)) for M, _ in modes)

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from limas import analyze
 from limas.cli import main
-from limas.model_io import save_model
+from limas.model_io import load_model, save_model
 from conftest import four_agent_model
 
 SHOWCASE_PATH = Path(__file__).resolve().parent.parent / "models" / "four_agent_cycle.json"
@@ -220,3 +221,71 @@ def test_analyze_scalar_non_commuting_oracle_certificate(tmp_path, capsys):
         assert report["certificate"]["method"] == "projected-radius"
         if report["certificate"]["max_radius"] < 1.0:
             assert code == 0
+
+
+def _path_star_scalar(N: int) -> dict:
+    """Scalar agents a = 1.1 on a weight-0.1 path, controlled over a unit star."""
+    return {
+        "schema_version": "1", "n": 1, "N": N,
+        "A": [1.1], "B": [1.0], "alpha": 0.3,
+        "physical_edges": [{"i": i, "j": i + 1, "weight": 0.1} for i in range(1, N)],
+        "communication_edges": [{"i": 1, "j": j, "weight": 1.0} for j in range(2, N + 1)],
+    }
+
+
+@pytest.mark.parametrize("N", [3, 8])
+def test_analyze_cli_and_library_agree_non_commuting(N, tmp_path, capsys):
+    # the Laplacians do not commute, so only the projected radius certifies
+    path = tmp_path / f"path_star_{N}.json"
+    path.write_text(json.dumps(_path_star_scalar(N)))
+    code = main(["analyze", str(path), "--format", "json"])
+    cli_report = json.loads(capsys.readouterr().out)
+    lib_report = analyze(load_model(path))
+    assert cli_report == json.loads(json.dumps(lib_report.to_dict()))
+    assert lib_report.verdict == cli_report["verdict"] == "consensusable"
+    assert code == 0
+    assert lib_report.certificate_method == "projected-radius"
+    assert cli_report["certificate"]["method"] == "projected-radius"
+
+
+def test_simulate_uses_certified_scalar_gain(tmp_path, capsys):
+    # same model as test_analyze_scalar_non_commuting_oracle_certificate
+    data = {
+        "schema_version": "1", "n": 1, "N": 3,
+        "A": [1.2], "B": [1.0], "alpha": 0.1,
+        "physical_edges": [{"i": 1, "j": 2, "weight": 1.0},
+                           {"i": 2, "j": 3, "weight": 1.0}],
+        "communication_edges": [{"i": 1, "j": 2, "weight": 1.0},
+                                {"i": 1, "j": 3, "weight": 3.0}],
+    }
+    path = tmp_path / "scalar_nc.json"
+    path.write_text(json.dumps(data))
+    csv_path = tmp_path / "traj.csv"
+    code = main(["simulate", str(path), "--steps", "100", "--out-csv", str(csv_path)])
+    assert code == 0
+    report = analyze(load_model(path))
+    assert report.consensusable_certified
+    assert f"gain K: [{report.gain[0]:.6g}]" in capsys.readouterr().out
+    last = csv_path.read_text().strip().splitlines()[-1].split(",")
+    assert max(float(v) for v in last[1:4]) < 1e-3
+
+
+def test_simulate_without_certified_gain_reports_reason(tmp_path, capsys):
+    # non-commuting graphs, vector dynamics: analysis certifies no gain
+    data = {
+        "schema_version": "1", "n": 2, "N": 3,
+        "A": [1.0, 2.0, 0.0, 1.5], "B": [0.0, 1.0], "alpha": 0.3,
+        "physical_edges": [{"i": 1, "j": 2, "weight": 1.0},
+                           {"i": 2, "j": 3, "weight": 1.0}],
+        "communication_edges": [{"i": 1, "j": 2, "weight": 1.0},
+                                {"i": 1, "j": 3, "weight": 3.0}],
+    }
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(data))
+    csv_path = tmp_path / "traj.csv"
+    code = main(["simulate", str(path), "--out-csv", str(csv_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "automatic gain synthesis failed" in err
+    assert "Laplacians do not commute" in err
+    assert not csv_path.exists()

@@ -149,3 +149,18 @@ def test_spectral_extremes():
     assert spectral_extremes([1.0, 5.0], skip_first=False) == (1.0, 5.0)
     with pytest.raises(EmptyRange):
         spectral_extremes([0.0])
+
+
+def test_laplacian_matches_edge_loop_bitwise():
+    # diagonal sums accumulate in edge order, exactly as an explicit loop
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = random_connected_graph(rng, int(rng.integers(2, 12)))
+        ref = np.zeros((g.node_count, g.node_count))
+        for i, j, w in g.edges:
+            ref[i, j] -= w
+            ref[j, i] -= w
+            ref[i, i] += w
+            ref[j, j] += w
+        assert laplacian(g).tobytes() == ref.tobytes()
+    assert np.array_equal(laplacian(WeightedGraph(3, [])), np.zeros((3, 3)))

@@ -11,6 +11,8 @@ from limas import laplacian
 from limas.errors import DegenerateInput, NotSymmetric, ShapeMismatch
 from limas.linalg import (
     as_matrix,
+    controllability_margin,
+    controllability_singular_values,
     determinant,
     eig_general,
     eig_sym,
@@ -177,3 +179,15 @@ def test_weyl_eigenvalue_sum_bounds(pair):
     es = eig_sym(X + Y).values
     assert es[-1] <= ex[-1] + ey[-1] + 1e-9
     assert es[0] >= ex[0] + ey[0] - 1e-9
+
+
+def test_controllability_singular_values_stack_matches_single():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4):
+        stack = rng.standard_normal((7, n, n))
+        B = rng.standard_normal((n, 1))
+        sv = controllability_singular_values(stack, B)
+        assert sv.shape == (7, n)
+        for M, row in zip(stack, sv):
+            assert np.array_equal(row, controllability_singular_values(M, B))
+            assert float(row[-1]) == controllability_margin(M, B)
