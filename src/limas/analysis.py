@@ -28,7 +28,6 @@ from .errors import (
     AssumptionViolated,
     Divergence,
     EmptyRange,
-    NotCommuting,
     DegenerateSpectrum,
     NotControllable,
     SynthesisFailed,
@@ -38,6 +37,7 @@ from .graphs import (
     GROUP_RTOL,
     SpectralPair,
     WeightedGraph,
+    _diagonalize_commuting,
     commute_check,
     is_connected,
     laplacian,
@@ -666,10 +666,10 @@ def analyze(model: LimasModel,
     spec = None
     if a1.holds:
         try:
-            spec = model.spectral_pair(commute_rtol=commute_rtol)
+            spec = _diagonalize_commuting(model.laplacian_p, model.laplacian_c)
             report.lambda_p_paired = spec.lambda_p.tolist()
             report.lambda_c_paired = spec.lambda_c.tolist()
-        except (NotCommuting, DegenerateSpectrum) as exc:
+        except DegenerateSpectrum as exc:
             report.sufficient_error = str(exc)
             report.necessary_error = str(exc)
     else:

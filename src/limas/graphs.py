@@ -1,9 +1,9 @@
 """Weighted undirected graphs, their Laplacians and joint spectra.
 
-The central object downstream is the :class:`SpectralPair`: one orthogonal
-basis that diagonalizes both the physical and the communication Laplacian
-at once, with the two eigenvalue lists paired positionally. The pair only
-exists when the Laplacians commute, which is checked up front.
+:class:`WeightedGraph` is the one place that checks the edge rules. The
+central object downstream is the :class:`SpectralPair`: one orthogonal basis
+diagonalizing the physical and the communication Laplacian at once, its two
+eigenvalue lists paired positionally. It exists only for commuting Laplacians.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ GROUP_RTOL = 1e-8
 class WeightedGraph:
     """Undirected graph with strictly positive edge weights.
 
-    Edges are stored as (i, j, weight) with 0-based indices and i < j.
-    Self-loops and duplicate edges are rejected.
+    The one owner of the edge rules: ends are integers in 0..N-1, no self-loop,
+    no unordered pair twice, weight finite and > 0. A ValueError names the first
+    bad edge by its list position. Edges keep input order as (int, int, float), i < j.
     """
 
     node_count: int
@@ -35,25 +36,23 @@ class WeightedGraph:
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]]):
         if node_count < 2:
             raise ValueError(f"graph needs at least 2 nodes, got {node_count}")
-        normalized = []
-        seen = set()
-        for i, j, w in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if i > j:
-                i, j = j, i
-            if not (0 <= i < j < node_count):
-                raise ValueError(f"edge ({i}, {j}) outside node range 0..{node_count - 1}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            w = float(w)
-            if not (w > 0.0) or not np.isfinite(w):
-                raise ValueError(f"edge ({i}, {j}) weight must be finite and > 0, got {w}")
-            seen.add((i, j))
-            normalized.append((i, j, w))
+        edges = list(edges)
+        rows = np.array(edges, dtype=float).reshape(len(edges), 3)
+        ends, w = rows[:, :2], rows[:, 2]
+        valid = ((ends >= 0) & (ends < node_count) & (ends == np.floor(ends))).all(axis=1)
+        lo, hi = np.sort(np.where(valid[:, None], ends, 0), axis=1).astype(np.int64).T
+        first = np.zeros(len(rows), dtype=bool)
+        first[np.unique(lo * node_count + hi, return_index=True)[1]] = True
+        rules = ((~valid, f"has an end that is not an integer in 0..{node_count - 1}"),
+                 (valid & (lo == hi), "is a self-loop"),
+                 (~((w > 0.0) & np.isfinite(w)), "weight must be finite and positive"),
+                 (~first, "duplicates an earlier edge"))
+        bad = np.logical_or.reduce([mask for mask, _ in rules])
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"edge {k} " + next(reason for mask, reason in rules if mask[k]))
         object.__setattr__(self, "node_count", int(node_count))
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist())))
 
     @classmethod
     def complete(cls, node_count: int, weight: float = 1.0) -> "WeightedGraph":
@@ -62,6 +61,8 @@ class WeightedGraph:
 
     @classmethod
     def cycle(cls, node_count: int, weight: float = 1.0) -> "WeightedGraph":
+        if node_count < 3:
+            raise ValueError(f"a cycle needs at least 3 nodes, got {node_count}")
         edges = [(i, (i + 1) % node_count, weight) for i in range(node_count)]
         return cls(node_count, edges)
 
@@ -158,7 +159,11 @@ def simultaneous_diagonalize(Lp, Lc, group_rtol: float = GROUP_RTOL,
     check = commute_check(Lp, Lc, rtol=commute_rtol)
     if not check.ok:
         raise NotCommuting(f"commutator residual {check.residual:g} exceeds tolerance")
+    return _diagonalize_commuting(Lp, Lc, group_rtol)
 
+
+def _diagonalize_commuting(Lp, Lc, group_rtol: float = GROUP_RTOL) -> SpectralPair:
+    """:func:`simultaneous_diagonalize` for square Laplacians already known to commute."""
     N = Lp.shape[0]
     basis = ones_completion(N)
     W = basis[:, 1:]

@@ -1,8 +1,8 @@
 """JSON model files: the on-disk format consumed by the command line.
 
-Schema version "1". Matrices are flat row-major arrays, node indices are
-1-based in files (matching how agents are usually numbered) and converted
-to 0-based internally. Numbers round-trip bit-exactly through JSON.
+Schema version "1". Matrices are flat row-major arrays. Node indices are
+1-based in files and 0-based inside; the edge rules are those of
+:class:`limas.graphs.WeightedGraph`. Numbers round-trip bit-exactly through JSON.
 """
 
 from __future__ import annotations
@@ -37,27 +37,22 @@ def _real_array(raw, length: int, name: str) -> list[float]:
     return values
 
 
-def _edges(raw, N: int, name: str) -> list[tuple[int, int, float]]:
+def _graph(raw, N: int, name: str) -> WeightedGraph:
     _require(isinstance(raw, list), f"'{name}' must be an array")
     edges = []
     for idx, e in enumerate(raw):
-        _require(isinstance(e, dict), f"'{name}[{idx}]' must be an object")
-        for key in ("i", "j", "weight"):
-            _require(key in e, f"'{name}[{idx}]' is missing '{key}'")
+        if not (type(e) is dict and "i" in e and "j" in e and "weight" in e):
+            raise SchemaError(f"'{name}[{idx}]' must be an object with 'i', 'j' and 'weight'")
         i, j, w = e["i"], e["j"], e["weight"]
-        _require(isinstance(i, int) and isinstance(j, int) and not isinstance(i, bool)
-                 and not isinstance(j, bool),
-                 f"'{name}[{idx}]' indices must be integers")
-        _require(1 <= i <= N and 1 <= j <= N,
-                 f"'{name}[{idx}]' indices must lie in 1..{N}")
-        _require(i != j, f"'{name}[{idx}]' is a self-loop on node {i}")
-        _require(isinstance(w, (int, float)) and not isinstance(w, bool),
-                 f"'{name}[{idx}]' weight must be a number")
-        w = float(w)
-        _require(np.isfinite(w) and w > 0.0,
-                 f"'{name}[{idx}]' weight must be finite and positive")
+        if not (type(i) is int and type(j) is int and 1 <= i <= N and 1 <= j <= N):
+            raise SchemaError(f"'{name}[{idx}]' indices must be integers in 1..{N}")
+        if type(w) is not int and type(w) is not float:
+            raise SchemaError(f"'{name}[{idx}]' weight must be a number")
         edges.append((i - 1, j - 1, w))
-    return edges
+    try:
+        return WeightedGraph(N, edges)
+    except ValueError as exc:
+        raise SchemaError(f"'{name}': {exc}") from exc
 
 
 def model_from_dict(data: dict) -> LimasModel:
@@ -92,8 +87,8 @@ def model_from_dict(data: dict) -> LimasModel:
              "either 'Ap' or 'alpha' must be present")
 
     try:
-        gp = WeightedGraph(N, _edges(data["physical_edges"], N, "physical_edges"))
-        gc = WeightedGraph(N, _edges(data["communication_edges"], N, "communication_edges"))
+        gp = _graph(data["physical_edges"], N, "physical_edges")
+        gc = _graph(data["communication_edges"], N, "communication_edges")
         return LimasModel(A, B, gp, gc, Ap=Ap, alpha=alpha)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc

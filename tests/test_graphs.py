@@ -30,6 +30,12 @@ def test_graph_validation():
         WeightedGraph(3, [(0, 3, 1.0)])
     g = WeightedGraph(3, [(2, 0, 0.5)])
     assert g.edges == ((0, 2, 0.5),)
+    # non-integral and non-finite indices are rejected, not truncated
+    for bad in (1.7, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="edge 0"):
+            WeightedGraph(3, [(0, bad, 1.0)])
+    with pytest.raises(ValueError, match="cycle needs at least 3 nodes"):
+        WeightedGraph.cycle(2)
 
 
 def test_laplacian_two_nodes():
@@ -164,3 +170,63 @@ def test_laplacian_matches_edge_loop_bitwise():
             ref[j, j] += w
         assert laplacian(g).tobytes() == ref.tobytes()
     assert np.array_equal(laplacian(WeightedGraph(3, [])), np.zeros((3, 3)))
+
+
+def _loop_edges(node_count, edges):
+    """The per-edge validation loop the array validator replaced, kept as reference."""
+    normalized = []
+    seen = set()
+    for i, j, w in edges:
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValueError(f"self-loop on node {i}")
+        if i > j:
+            i, j = j, i
+        if not (0 <= i < j < node_count):
+            raise ValueError(f"edge ({i}, {j}) outside node range 0..{node_count - 1}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        w = float(w)
+        if not (w > 0.0) or not np.isfinite(w):
+            raise ValueError(f"edge ({i}, {j}) weight must be finite and > 0, got {w}")
+        seen.add((i, j))
+        normalized.append((i, j, w))
+    return tuple(normalized)
+
+
+def _random_edge_list(rng, N):
+    """Distinct pairs in random order, some reversed, with int/float ends and weights."""
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    edges = []
+    for idx in rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))]:
+        i, j = pairs[idx]
+        if rng.random() < 0.5:
+            i, j = j, i
+        if rng.random() < 0.3:
+            i, j = float(i), np.int64(j)
+        w = int(rng.integers(1, 5)) if rng.random() < 0.3 else float(rng.uniform(0.01, 3.0))
+        edges.append((i, j, w))
+    return edges
+
+
+def test_edge_validator_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        N = int(rng.integers(3, 12))
+        edges = _random_edge_list(rng, N)
+        got = WeightedGraph(N, edges).edges
+        ref = _loop_edges(N, edges)
+        assert got == ref
+        assert [tuple(map(type, e)) for e in got] == [tuple(map(type, e)) for e in ref]
+
+        k = int(rng.integers(len(edges)))
+        i, j, w = edges[k]
+        replaced = [(i, i, w), (i, N, w), (-1, j, w), (i, j, 0.0), (i, j, -w),
+                    (i, j, np.nan), (i, j, np.inf), (i, j, -np.inf)]
+        trials = [edges[:k] + [bad] + edges[k + 1:] for bad in replaced]
+        p = int(rng.integers(len(edges) + 1))
+        trials += [edges[:p] + [dup] + edges[p:] for dup in ((i, j, 1.0), (j, i, 2))]
+        for trial in trials:
+            for build in (WeightedGraph, _loop_edges):
+                with pytest.raises(ValueError):
+                    build(N, trial)

@@ -140,6 +140,36 @@ def test_edge_validation():
     data["physical_edges"].append({"i": 1, "j": 2, "weight": 0.2})
     with pytest.raises(SchemaError, match="duplicate"):
         model_from_dict(data)
+    # messages name the field and the edge's position, which files and the library share
+    for literal in ("NaN", "Infinity", "-Infinity"):  # json.loads accepts these
+        raw = json.dumps(showcase_dict()).replace('"weight": 0.1}', f'"weight": {literal}}}', 1)
+        with pytest.raises(SchemaError, match=r"'physical_edges': edge 0 .*positive"):
+            model_from_dict(json.loads(raw))
+    bad_entries = [
+        ({"i": True, "j": 2, "weight": 0.1}, r"'physical_edges\[0\]' indices"),
+        ({"i": 1.0, "j": 2, "weight": 0.1}, r"'physical_edges\[0\]' indices"),
+        ({"i": 2**70, "j": 2, "weight": 0.1}, r"'physical_edges\[0\]' indices"),
+        ({"i": 1, "j": 2}, r"'physical_edges\[0\]' must be an object"),
+        ([1, 2, 0.1], r"'physical_edges\[0\]' must be an object"),
+        ({"i": 1, "j": 2, "weight": "0.1"}, r"'physical_edges\[0\]' weight"),
+    ]
+    for entry, message in bad_entries:
+        data = showcase_dict()
+        data["physical_edges"][0] = entry
+        with pytest.raises(SchemaError, match=message):
+            model_from_dict(data)
+    data = showcase_dict()
+    data["communication_edges"].insert(3, {"i": 2, "j": 1, "weight": 1.0})
+    with pytest.raises(SchemaError, match=r"'communication_edges': edge 3 duplicates"):
+        model_from_dict(data)
+    data = showcase_dict()
+    data["physical_edges"] = {}
+    with pytest.raises(SchemaError, match=r"'physical_edges' must be an array"):
+        model_from_dict(data)
+    # no physical edges at all is a valid, uncoupled model
+    data = showcase_dict()
+    data["physical_edges"] = []
+    assert model_from_dict(data).gp.edges == ()
 
 
 def test_gain_file(tmp_path):
