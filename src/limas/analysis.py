@@ -33,8 +33,6 @@ from .errors import (
     SynthesisFailed,
 )
 from .graphs import (
-    COMMUTE_RTOL,
-    GROUP_RTOL,
     SpectralPair,
     WeightedGraph,
     _diagonalize_commuting,
@@ -55,6 +53,9 @@ from .linalg import (
 )
 from .oracle import verify_gain
 
+# Ap = alpha*A holds when ||Ap - alpha*A||_F <= COUPLING_RTOL * max(1, ||A||_F).
+COUPLING_RTOL = 1e-9
+# Q = MARE_Q_SCALE * I regularizes the Riccati recursion when no Q is given.
 MARE_Q_SCALE = 1e-6
 MARE_MAX_ITER = 100_000
 MARE_CONVERGENCE_RTOL = 1e-10
@@ -96,7 +97,7 @@ class LimasModel:
         Ap = as_matrix(Ap, rows=n, cols=n, name="Ap")
         if alpha is not None:
             drift = float(np.linalg.norm(Ap - alpha * A))
-            if drift > 1e-9 * max(1.0, float(np.linalg.norm(A))):
+            if drift > COUPLING_RTOL * max(1.0, float(np.linalg.norm(A))):
                 raise ValueError(
                     f"Ap and alpha disagree: ||Ap - alpha*A|| = {drift:g}")
         if not isinstance(gp, WeightedGraph) or not isinstance(gc, WeightedGraph):
@@ -142,11 +143,8 @@ class LimasModel:
         modes = self.A - self.spectrum_p[1:, None, None] * self.Ap
         return _frozen(controllability_singular_values(modes, self.B))
 
-    def spectral_pair(self, group_rtol: float = GROUP_RTOL,
-                      commute_rtol: float = COMMUTE_RTOL) -> SpectralPair:
-        return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c,
-                                        group_rtol=group_rtol,
-                                        commute_rtol=commute_rtol)
+    def spectral_pair(self) -> SpectralPair:
+        return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -161,15 +159,13 @@ class AssumptionCheck:
     detail: str = ""
 
 
-def check_laplacians_commute(model: LimasModel,
-                             rtol: float = COMMUTE_RTOL) -> AssumptionCheck:
+def check_laplacians_commute(model: LimasModel) -> AssumptionCheck:
     """Do the two graph Laplacians commute? Residual is the commutator norm."""
-    ok, residual = commute_check(model.laplacian_p, model.laplacian_c, rtol=rtol)
+    ok, residual = commute_check(model.laplacian_p, model.laplacian_c)
     return AssumptionCheck(ok, residual)
 
 
-def check_modal_controllability(model: LimasModel,
-                                rank_rtol: float = RANK_RTOL) -> AssumptionCheck:
+def check_modal_controllability(model: LimasModel) -> AssumptionCheck:
     """Is (A - lambda*Ap, B) controllable for every non-consensus mode lambda?
 
     The mode eigenvalues are the physical Laplacian spectrum with one zero
@@ -178,7 +174,7 @@ def check_modal_controllability(model: LimasModel,
     """
     sv = model.modal_ctrb_sv
     margin = float(sv[:, -1].min())
-    ranks = np.count_nonzero(sv > model.n * sv[:, :1] * rank_rtol, axis=1)
+    ranks = np.count_nonzero(sv > model.n * sv[:, :1] * RANK_RTOL, axis=1)
     failures = [float(lam) for lam in model.spectrum_p[1:][ranks != model.n]]
     if failures:
         return AssumptionCheck(False, margin,
@@ -198,7 +194,7 @@ def check_proportional_coupling(model: LimasModel) -> tuple[AssumptionCheck, flo
         denom = float(np.sum(model.A * model.A))
         alpha = float(np.sum(model.Ap * model.A)) / denom if denom > 0.0 else 0.0
     residual = float(np.linalg.norm(model.Ap - alpha * model.A))
-    holds = residual <= 1e-9 * max(1.0, float(np.linalg.norm(model.A)))
+    holds = residual <= COUPLING_RTOL * max(1.0, float(np.linalg.norm(model.A)))
     return AssumptionCheck(holds, residual), (alpha if holds else None)
 
 
@@ -254,8 +250,7 @@ class SufficientResult:
     sigma_modes: np.ndarray
 
 
-def sufficient_check(model: LimasModel, spec: SpectralPair,
-                     rank_rtol: float = RANK_RTOL) -> SufficientResult:
+def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
     """Evaluate the sufficient condition and the midpoint gain scale.
 
     ``spec`` exists only for commuting Laplacians; per-mode controllability
@@ -263,7 +258,7 @@ def sufficient_check(model: LimasModel, spec: SpectralPair,
     The extremes of alpha_i / lambda_cj range over modes i and j
     independently, while the reported sigma_modes pair modes positionally.
     """
-    a2 = check_modal_controllability(model, rank_rtol=rank_rtol)
+    a2 = check_modal_controllability(model)
     if not a2.holds:
         raise AssumptionViolated(2, a2.detail)
     a3, alpha = check_proportional_coupling(model)
@@ -301,13 +296,12 @@ class MareSolution:
     residual: float
 
 
-def solve_mare(Abar, B, sigma: float, Q=None,
-               max_iter: int = MARE_MAX_ITER,
-               rank_rtol: float = RANK_RTOL) -> MareSolution:
+def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
     """Solve P = Abar'P Abar - sigma * Abar'PB (B'PB)^-1 B'P Abar + Q.
 
-    Plain fixed-point iteration from P = I, stopping when successive
-    iterates agree to 1e-10 relative. The recursion converges exactly when
+    ``Q`` defaults to MARE_Q_SCALE * I. Plain fixed-point iteration from
+    P = I, stopping when successive iterates agree to 1e-10 relative or
+    after MARE_MAX_ITER steps. The recursion converges exactly when
     sigma exceeds the critical margin of Abar, so divergence (norm blow-up
     or iteration cap) is reported as such rather than patched over.
     """
@@ -316,12 +310,12 @@ def solve_mare(Abar, B, sigma: float, Q=None,
     B = as_matrix(B, rows=n, cols=1, name="B")
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
-    if not is_controllable(Abar, B, rank_rtol=rank_rtol):
+    if not is_controllable(Abar, B):
         raise NotControllable("(Abar, B) fails the controllability rank test")
     Q = MARE_Q_SCALE * np.eye(n) if Q is None else as_matrix(Q, rows=n, cols=n, name="Q")
 
     P = np.eye(n)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MARE_MAX_ITER + 1):
         PB = P @ B
         gain_dir = Abar.T @ PB
         P_next = Abar.T @ P @ Abar \
@@ -337,8 +331,8 @@ def solve_mare(Abar, B, sigma: float, Q=None,
             return MareSolution(P_next, sigma, iteration, diff)
         P = P_next
     raise Divergence(
-        f"no fixed point within {max_iter} iterations (sigma = {sigma:g})",
-        iterations=max_iter)
+        f"no fixed point within {MARE_MAX_ITER} iterations (sigma = {sigma:g})",
+        iterations=MARE_MAX_ITER)
 
 
 def mare_inequality_margin(Abar, B, sigma: float, P) -> float:
@@ -380,10 +374,7 @@ class SynthesisResult:
 
 
 def synthesize_gain(model: LimasModel, spec: SpectralPair,
-                    sufficient: SufficientResult | None = None,
-                    mare_q: float = MARE_Q_SCALE,
-                    mare_max_iter: int = MARE_MAX_ITER,
-                    rank_rtol: float = RANK_RTOL) -> SynthesisResult:
+                    sufficient: SufficientResult | None = None) -> SynthesisResult:
     """Synthesize the common feedback gain under the sufficient condition.
 
     Solves the modified Riccati recursion for the worst-case scaled state
@@ -393,7 +384,7 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
     never returned silently.
     """
     if sufficient is None:
-        sufficient = sufficient_check(model, spec, rank_rtol=rank_rtol)
+        sufficient = sufficient_check(model, spec)
     if not sufficient.holds:
         raise SynthesisFailed("sufficient condition does not hold")
 
@@ -410,9 +401,7 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
         raise SynthesisFailed(
             f"worst mode margin {sigma:g} does not exceed critical "
             f"{sufficient.sigma_c:g}")
-    mare = solve_mare(sufficient.alpha.alpha_max * model.A, model.B, sigma,
-                      Q=mare_q * np.eye(model.n), max_iter=mare_max_iter,
-                      rank_rtol=rank_rtol)
+    mare = solve_mare(sufficient.alpha.alpha_max * model.A, model.B, sigma)
     K = -sufficient.k_star * gain_kernel(mare.P, model.B, model.A)
     radii = modal_radii(model, spec, K)
     if float(radii.max()) >= 1.0:
@@ -439,15 +428,14 @@ class NecessaryResult:
     dets: tuple[float, ...]
 
 
-def necessary_check(model: LimasModel, spec: SpectralPair,
-                    rank_rtol: float = RANK_RTOL) -> NecessaryResult:
+def necessary_check(model: LimasModel, spec: SpectralPair) -> NecessaryResult:
     """Evaluate the determinant-based necessary condition.
 
     Requires commuting Laplacians (implied by ``spec``) and per-mode
     controllability, but not proportional coupling. gamma_c is the
     communication eigenratio lambda_c_max / lambda_c_min over modes.
     """
-    a2 = check_modal_controllability(model, rank_rtol=rank_rtol)
+    a2 = check_modal_controllability(model)
     if not a2.holds:
         raise AssumptionViolated(2, a2.detail)
 
@@ -635,11 +623,7 @@ class AnalysisReport:
         return out
 
 
-def analyze(model: LimasModel,
-            commute_rtol: float = COMMUTE_RTOL,
-            rank_rtol: float = RANK_RTOL,
-            mare_q: float = MARE_Q_SCALE,
-            mare_max_iter: int = MARE_MAX_ITER) -> AnalysisReport:
+def analyze(model: LimasModel) -> AnalysisReport:
     """Run the full consensusability workflow on one model.
 
     Assumption checks always run. The sufficient and necessary conditions
@@ -649,8 +633,8 @@ def analyze(model: LimasModel,
     verified before the report claims consensusability: mode by mode when
     the Laplacians commute, otherwise by projecting the stacked closed loop.
     """
-    a1 = check_laplacians_commute(model, rtol=commute_rtol)
-    a2 = check_modal_controllability(model, rank_rtol=rank_rtol)
+    a1 = check_laplacians_commute(model)
+    a2 = check_modal_controllability(model)
     a3, alpha_eff = check_proportional_coupling(model)
 
     report = AnalysisReport(
@@ -679,11 +663,11 @@ def analyze(model: LimasModel,
 
     if spec is not None:
         try:
-            report.sufficient = sufficient_check(model, spec, rank_rtol=rank_rtol)
+            report.sufficient = sufficient_check(model, spec)
         except AssumptionViolated as exc:
             report.sufficient_error = str(exc)
         try:
-            report.necessary = necessary_check(model, spec, rank_rtol=rank_rtol)
+            report.necessary = necessary_check(model, spec)
         except AssumptionViolated as exc:
             report.necessary_error = str(exc)
 
@@ -701,9 +685,7 @@ def analyze(model: LimasModel,
 
     if spec is not None and report.sufficient is not None and report.sufficient.holds:
         try:
-            synth = synthesize_gain(model, spec, sufficient=report.sufficient,
-                                    mare_q=mare_q, mare_max_iter=mare_max_iter,
-                                    rank_rtol=rank_rtol)
+            synth = synthesize_gain(model, spec, sufficient=report.sufficient)
             report.gain = synth.K.ravel().tolist()
             report.gain_source = "riccati"
             report.mare_sigma = synth.sigma

@@ -104,14 +104,8 @@ def render_text(report: analysis.AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-def _analyze(model, args) -> analysis.AnalysisReport:
-    return analysis.analyze(model, commute_rtol=args.tol_commute,
-                            rank_rtol=args.tol_rank, mare_q=args.mare_q,
-                            mare_max_iter=args.mare_max_iter)
-
-
 def cmd_analyze(args) -> int:
-    report = _analyze(load_model(args.model), args)
+    report = analysis.analyze(load_model(args.model))
     payload = json.dumps(report.to_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
@@ -124,7 +118,7 @@ def cmd_simulate(args) -> int:
     if args.gain:
         K = gain_from_file(args.gain, model.n)
     else:
-        report = _analyze(model, args)
+        report = analysis.analyze(model)
         if not report.consensusable_certified:
             reason = (report.synthesis_error or report.sufficient_error
                       or "sufficient condition does not hold")
@@ -199,26 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "for interconnected multi-agent systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tolerances(p):
-        p.add_argument("--tol-commute", type=float, default=analysis.COMMUTE_RTOL,
-                       help="relative tolerance for the Laplacian commutator")
-        p.add_argument("--tol-rank", type=float, default=analysis.RANK_RTOL,
-                       help="relative singular-value threshold for rank tests")
-        p.add_argument("--mare-q", type=float, default=analysis.MARE_Q_SCALE,
-                       help="scale of the identity regularizer in the Riccati recursion")
-        p.add_argument("--mare-max-iter", type=int, default=analysis.MARE_MAX_ITER,
-                       help="iteration cap for the Riccati fixed point")
-
     p = sub.add_parser("analyze", help="run the consensusability analysis")
     p.add_argument("model", help="path to a JSON model file")
-    add_tolerances(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write the JSON report to this path")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="simulate the closed loop and write CSV")
     p.add_argument("model", help="path to a JSON model file")
-    add_tolerances(p)
     p.add_argument("--gain", help="JSON gain file {\"K\": [...]}; omit to synthesize")
     p.add_argument("--seed", type=int, default=42, help="seed for the initial state")
     p.add_argument("--steps", type=int, default=300, help="number of updates")

@@ -16,9 +16,12 @@ import numpy as np
 from .errors import DegenerateSpectrum, EmptyRange, NotCommuting, ShapeMismatch
 from .linalg import as_square, eig_sym, ones_completion
 
+# Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * max(1, ||Lp||_F ||Lc||_F).
 COMMUTE_RTOL = 1e-9
 # Eigenvalue grouping tolerance for joint diagonalization, relative to ||Lc||_F.
 GROUP_RTOL = 1e-8
+# Node pairs are keyed as i*N + j in int64, which stays exact up to this N.
+MAX_NODES = 2**31
 
 
 @dataclass(frozen=True)
@@ -27,7 +30,8 @@ class WeightedGraph:
 
     The one owner of the edge rules: ends are integers in 0..N-1, no self-loop,
     no unordered pair twice, weight finite and > 0. A ValueError names the first
-    bad edge by its list position. Edges keep input order as (int, int, float), i < j.
+    bad edge by its list position; an integer beyond the float range counts as
+    +-inf. Edges keep input order as (int, int, float), i < j.
     """
 
     node_count: int
@@ -36,8 +40,14 @@ class WeightedGraph:
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]]):
         if node_count < 2:
             raise ValueError(f"graph needs at least 2 nodes, got {node_count}")
+        if node_count > MAX_NODES:
+            raise ValueError(f"graph has more than {MAX_NODES} nodes")
         edges = list(edges)
-        rows = np.array(edges, dtype=float).reshape(len(edges), 3)
+        try:
+            rows = np.array(edges, dtype=float)
+        except OverflowError:
+            rows = np.array([[_float_or_inf(x) for x in e] for e in edges])
+        rows = rows.reshape(len(edges), 3)
         ends, w = rows[:, :2], rows[:, 2]
         valid = ((ends >= 0) & (ends < node_count) & (ends == np.floor(ends))).all(axis=1)
         lo, hi = np.sort(np.where(valid[:, None], ends, 0), axis=1).astype(np.int64).T
@@ -70,6 +80,13 @@ class WeightedGraph:
     def path(cls, node_count: int, weight: float = 1.0) -> "WeightedGraph":
         edges = [(i, i + 1, weight) for i in range(node_count - 1)]
         return cls(node_count, edges)
+
+
+def _float_or_inf(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf if x > 0 else -np.inf
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
@@ -113,14 +130,14 @@ class CommuteCheck(NamedTuple):
     residual: float
 
 
-def commute_check(Lp, Lc, rtol: float = COMMUTE_RTOL) -> CommuteCheck:
-    """Frobenius norm of the commutator Lp Lc - Lc Lp against a relative gate."""
+def commute_check(Lp, Lc) -> CommuteCheck:
+    """Frobenius norm of the commutator Lp Lc - Lc Lp against the COMMUTE_RTOL gate."""
     Lp = as_square(Lp, name="Lp")
     Lc = as_square(Lc, name="Lc")
     if Lp.shape != Lc.shape:
         raise ShapeMismatch(f"Laplacians differ in size: {Lp.shape} vs {Lc.shape}")
     residual = float(np.linalg.norm(Lp @ Lc - Lc @ Lp))
-    gate = rtol * max(1.0, float(np.linalg.norm(Lp)) * float(np.linalg.norm(Lc)))
+    gate = COMMUTE_RTOL * max(1.0, float(np.linalg.norm(Lp)) * float(np.linalg.norm(Lc)))
     return CommuteCheck(residual <= gate, residual)
 
 
@@ -143,26 +160,26 @@ class SpectralPair:
         return self.phi.shape[0]
 
 
-def simultaneous_diagonalize(Lp, Lc, group_rtol: float = GROUP_RTOL,
-                             commute_rtol: float = COMMUTE_RTOL) -> SpectralPair:
+def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     """Jointly diagonalize two commuting Laplacians.
 
     The all-ones direction is deflated first (it is a shared kernel vector
     of any Laplacian), then the communication Laplacian is eigendecomposed
     on the complement, its eigenvalues grouped into near-degenerate
-    clusters, and the physical Laplacian is diagonalized inside each
-    cluster. Repeated communication eigenvalues (complete graphs produce
-    them) are therefore handled exactly where naive pairing would fail.
+    clusters (within GROUP_RTOL * ||Lc||_F), and the physical Laplacian is
+    diagonalized inside each cluster. Repeated communication eigenvalues
+    (complete graphs produce them) are therefore handled exactly where naive
+    pairing would fail.
     """
     Lp = as_square(Lp, name="Lp")
     Lc = as_square(Lc, name="Lc")
-    check = commute_check(Lp, Lc, rtol=commute_rtol)
+    check = commute_check(Lp, Lc)
     if not check.ok:
         raise NotCommuting(f"commutator residual {check.residual:g} exceeds tolerance")
-    return _diagonalize_commuting(Lp, Lc, group_rtol)
+    return _diagonalize_commuting(Lp, Lc)
 
 
-def _diagonalize_commuting(Lp, Lc, group_rtol: float = GROUP_RTOL) -> SpectralPair:
+def _diagonalize_commuting(Lp, Lc) -> SpectralPair:
     """:func:`simultaneous_diagonalize` for square Laplacians already known to commute."""
     N = Lp.shape[0]
     basis = ones_completion(N)
@@ -171,7 +188,7 @@ def _diagonalize_commuting(Lp, Lc, group_rtol: float = GROUP_RTOL) -> SpectralPa
     Lp_red = W.T @ Lp @ W
 
     wc, Vc = eig_sym(Lc_red)
-    group_tol = group_rtol * float(np.linalg.norm(Lc))
+    group_tol = GROUP_RTOL * float(np.linalg.norm(Lc))
 
     columns = []
     start = 0

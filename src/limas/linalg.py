@@ -115,16 +115,16 @@ def controllability_singular_values(M, B) -> np.ndarray:
     return np.linalg.svd(np.concatenate(blocks, axis=-1), compute_uv=False)
 
 
-def is_controllable(M, B, rank_rtol: float = RANK_RTOL) -> bool:
+def is_controllable(M, B) -> bool:
     """Kalman rank test: [B, MB, ..., M^(n-1)B] must have full row rank.
 
     Rank is decided from singular values with threshold
-    ``n * sigma_max * rank_rtol``.
+    ``n * sigma_max * RANK_RTOL``.
     """
     M = as_square(M, name="M")
     sv = controllability_singular_values(M, B)
     n = M.shape[0]
-    return int(np.count_nonzero(sv > n * sv[0] * rank_rtol)) == n
+    return int(np.count_nonzero(sv > n * sv[0] * RANK_RTOL)) == n
 
 
 def controllability_margin(M, B) -> float:

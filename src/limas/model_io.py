@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import LimasModel
 from .errors import SchemaError
-from .graphs import WeightedGraph
+from .graphs import MAX_NODES, WeightedGraph
 
 SCHEMA_VERSION = "1"
 
@@ -24,17 +24,21 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _real(v, name: str) -> float:
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+             f"'{name}' must be a number")
+    try:
+        v = float(v)
+    except OverflowError:
+        raise SchemaError(f"'{name}' is too large for a float") from None
+    _require(np.isfinite(v), f"'{name}' must be finite")
+    return v
+
+
 def _real_array(raw, length: int, name: str) -> list[float]:
     _require(isinstance(raw, list), f"'{name}' must be an array")
     _require(len(raw) == length, f"'{name}' must have {length} entries, got {len(raw)}")
-    values = []
-    for idx, v in enumerate(raw):
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 f"'{name}[{idx}]' must be a number")
-        v = float(v)
-        _require(np.isfinite(v), f"'{name}[{idx}]' must be finite")
-        values.append(v)
-    return values
+    return [_real(v, f"{name}[{idx}]") for idx, v in enumerate(raw)]
 
 
 def _graph(raw, N: int, name: str) -> WeightedGraph:
@@ -69,8 +73,8 @@ def model_from_dict(data: dict) -> LimasModel:
     n, N = data["n"], data["N"]
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              "'n' must be an integer >= 1")
-    _require(isinstance(N, int) and not isinstance(N, bool) and N >= 2,
-             "'N' must be an integer >= 2")
+    _require(isinstance(N, int) and not isinstance(N, bool) and 2 <= N <= MAX_NODES,
+             f"'N' must be an integer in 2..{MAX_NODES}")
 
     A = np.array(_real_array(data["A"], n * n, "A")).reshape(n, n)
     B = np.array(_real_array(data["B"], n, "B")).reshape(n, 1)
@@ -79,10 +83,7 @@ def model_from_dict(data: dict) -> LimasModel:
         Ap = np.array(_real_array(data["Ap"], n * n, "Ap")).reshape(n, n)
     alpha = data.get("alpha")
     if alpha is not None:
-        _require(isinstance(alpha, (int, float)) and not isinstance(alpha, bool),
-                 "'alpha' must be a number")
-        alpha = float(alpha)
-        _require(np.isfinite(alpha), "'alpha' must be finite")
+        alpha = _real(alpha, "alpha")
     _require(Ap is not None or alpha is not None,
              "either 'Ap' or 'alpha' must be present")
 

@@ -20,6 +20,8 @@ from conftest import commuting_graph_pair, cycle4_graph, random_connected_graph
 def test_graph_validation():
     with pytest.raises(ValueError):
         WeightedGraph(1, [])
+    with pytest.raises(ValueError, match="more than"):
+        WeightedGraph(10**400, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph(3, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
@@ -30,10 +32,12 @@ def test_graph_validation():
         WeightedGraph(3, [(0, 3, 1.0)])
     g = WeightedGraph(3, [(2, 0, 0.5)])
     assert g.edges == ((0, 2, 0.5),)
-    # non-integral and non-finite indices are rejected, not truncated
-    for bad in (1.7, np.inf, -np.inf, np.nan):
+    # non-integral, non-finite and beyond-float indices are rejected, not truncated
+    for bad in (1.7, np.inf, -np.inf, np.nan, 10**400):
         with pytest.raises(ValueError, match="edge 0"):
             WeightedGraph(3, [(0, bad, 1.0)])
+    with pytest.raises(ValueError, match="edge 1 weight"):
+        WeightedGraph(3, [(0, 1, 1.0), (1, 2, 10**400)])
     with pytest.raises(ValueError, match="cycle needs at least 3 nodes"):
         WeightedGraph.cycle(2)
 

@@ -84,6 +84,14 @@ def test_non_finite_entry_rejected():
     data["A"][1] = float("nan")
     with pytest.raises(SchemaError, match="finite"):
         model_from_dict(data)
+    # a JSON integer beyond the float range is reported, not raised as OverflowError
+    for key, value, message in (("A", [10**400, 2.0, 0.0, 1.5], r"'A\[0\]' is too large"),
+                                ("alpha", 10**400, r"'alpha' is too large"),
+                                ("N", 10**400, r"'N' must be an integer in 2\.\.")):
+        data = showcase_dict()
+        data[key] = value
+        with pytest.raises(SchemaError, match=message):
+            model_from_dict(data)
 
 
 def test_nan_in_file_rejected(tmp_path):
@@ -141,7 +149,8 @@ def test_edge_validation():
     with pytest.raises(SchemaError, match="duplicate"):
         model_from_dict(data)
     # messages name the field and the edge's position, which files and the library share
-    for literal in ("NaN", "Infinity", "-Infinity"):  # json.loads accepts these
+    # json.loads accepts these literals; the last is an integer beyond the float range
+    for literal in ("NaN", "Infinity", "-Infinity", "1" + "0" * 400):
         raw = json.dumps(showcase_dict()).replace('"weight": 0.1}', f'"weight": {literal}}}', 1)
         with pytest.raises(SchemaError, match=r"'physical_edges': edge 0 .*positive"):
             model_from_dict(json.loads(raw))

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-RUN_PY = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
+from limas import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_PY = ROOT / "benchmarks" / "run.py"
 
 
 def test_benchmark_trace_targets_resolve():
@@ -19,3 +24,17 @@ def test_benchmark_trace_targets_resolve():
     for module_name, attr, _, _ in targets:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_readme_flags_match_cli():
+    # the README documents the flags by name; a stale or missing one misleads users
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for sub in subparsers.choices.values() for action in sub._actions
+               for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    flag = re.compile(r"--[a-z][a-z-]*")
+    assert defined
+    assert sorted(defined - set(flag.findall(readme))) == []
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert sorted(set(flag.findall(section)) - defined) == []
