@@ -20,8 +20,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, oracle
-from .errors import LimasError, Overflow, SynthesisFailed
+from .errors import LimasError, SynthesisFailed
 from .linalg import as_matrix
 from .model_io import gain_from_file, load_model
 from .simulator import (
@@ -127,26 +129,18 @@ def cmd_simulate(args) -> int:
             raise SynthesisFailed(f"automatic gain synthesis failed: {reason}")
         K = as_matrix(report.gain, name="K")
 
-    x0 = initial_state(model, args.seed)
-    try:
-        traj = simulate(model, K, x0, args.steps, seed=args.seed)
-    except Overflow as exc:
-        print(f"error: state overflow at step {exc.step} "
-              f"(closed loop is unstable)", file=sys.stderr)
-        return EXIT_ERROR
-
-    header = (["step"]
-              + [f"delta_norm_{i + 1}" for i in range(model.N)]
-              + [f"xbar_{j + 1}" for j in range(model.n)])
-    rows = [",".join(header)]
-    for t in range(traj.step_count + 1):
-        cells = [str(t)]
-        cells += [f"{v:.17g}" for v in traj.delta_norms[t]]
-        cells += [f"{v:.17g}" for v in traj.xbar[t]]
-        rows.append(",".join(cells))
-    Path(args.out_csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
+    traj = simulate(model, K, initial_state(model, args.seed), args.steps)
     metrics = convergence_metrics(traj, threshold=args.threshold)
+
+    header = ",".join(["step"]
+                      + [f"delta_norm_{i + 1}" for i in range(model.N)]
+                      + [f"xbar_{j + 1}" for j in range(model.n)])
+    table = np.column_stack((np.arange(traj.step_count + 1), traj.delta_norms, traj.xbar))
+    # savetxt is handed an open file: given a path ending in .gz it would gzip
+    with open(args.out_csv, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (model.N + model.n),
+                   delimiter=",", header=header, comments="")
+
     settled = ("never" if metrics.settling_step is None
                else f"step {metrics.settling_step}")
     print(f"gain K: {_fmt_list(K.ravel())}")
@@ -224,7 +218,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LimasError, ValueError) as exc:
+    except (LimasError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

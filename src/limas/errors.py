@@ -69,7 +69,8 @@ class Overflow(LimasError):
 
     def __init__(self, step: int, message: str = ""):
         self.step = step
-        super().__init__(message or f"state overflow at step {step}")
+        super().__init__(
+            message or f"state overflow at step {step} (closed loop is unstable)")
 
 
 class NotDeviationInvariant(LimasError):

@@ -20,6 +20,8 @@ from .linalg import as_square, eig_sym, ones_completion
 COMMUTE_RTOL = 1e-9
 # Eigenvalue grouping tolerance for joint diagonalization, relative to ||Lc||_F.
 GROUP_RTOL = 1e-8
+# Joint-diagonalization check: ||phi' L phi - diag||_F <= OFFDIAG_RTOL * ||L||_F.
+OFFDIAG_RTOL = 1e-8
 # Node pairs are keyed as i*N + j in int64, which stays exact up to this N.
 MAX_NODES = 2**31
 
@@ -210,7 +212,7 @@ def _diagonalize_commuting(Lp, Lc) -> SpectralPair:
 
     for L, lam, tag in ((Lp, lambda_p, "physical"), (Lc, lambda_c, "communication")):
         off = phi.T @ L @ phi - np.diag(lam)
-        if float(np.linalg.norm(off)) > 1e-8 * float(np.linalg.norm(L)):
+        if float(np.linalg.norm(off)) > OFFDIAG_RTOL * float(np.linalg.norm(L)):
             raise DegenerateSpectrum(
                 f"off-diagonal residual {np.linalg.norm(off):g} too large "
                 f"for the {tag} Laplacian")

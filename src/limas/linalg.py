@@ -20,6 +20,8 @@ from .errors import DegenerateInput, NoConvergence, NotSymmetric, ShapeMismatch
 SYMMETRY_RTOL = 1e-9
 # Controllability rank threshold is n * sigma_max * RANK_RTOL.
 RANK_RTOL = 1e-12
+# gain_kernel needs B'PB > BTPB_RTOL * ||P||_F.
+BTPB_RTOL = 1e-14
 
 
 def as_matrix(obj, rows: int | None = None, cols: int | None = None,
@@ -145,7 +147,7 @@ def gain_kernel(P, B, A) -> np.ndarray:
     B = as_matrix(B, rows=n, cols=1, name="B")
     A = as_matrix(A, rows=n, cols=n, name="A")
     btpb = float((B.T @ P @ B).item())
-    if btpb <= 1e-14 * float(np.linalg.norm(P)):
+    if btpb <= BTPB_RTOL * float(np.linalg.norm(P)):
         raise DegenerateInput(f"B'PB = {btpb:g} is not safely positive")
     return (B.T @ P @ A) / btpb
 

@@ -24,6 +24,8 @@ if TYPE_CHECKING:
 GRID_LO = -20.0
 GRID_HI = 20.0
 GRID_COUNT = 40_001
+# All-ones invariance gate: ||Atil 1 - mean 1|| <= INVARIANCE_RTOL * max(1, ||Atil||_F).
+INVARIANCE_RTOL = 1e-8
 
 
 def projected_deviation_matrix(Atil, basis: np.ndarray | None = None) -> np.ndarray:
@@ -38,7 +40,8 @@ def projected_deviation_matrix(Atil, basis: np.ndarray | None = None) -> np.ndar
     ones = np.ones(N)
     row_action = Atil @ ones
     mean = float(ones @ row_action) / N
-    if float(np.linalg.norm(row_action - mean * ones)) > 1e-8:
+    gate = INVARIANCE_RTOL * max(1.0, float(np.linalg.norm(Atil)))
+    if float(np.linalg.norm(row_action - mean * ones)) > gate:
         raise NotDeviationInvariant(
             "the all-ones direction is not invariant under this matrix")
     psi = ones_completion(N) if basis is None else basis

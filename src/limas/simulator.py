@@ -1,9 +1,9 @@
 """Closed-loop assembly and trajectory simulation of the stacked system.
 
 The stacked update is x+ = (I_N (x) A - Lp (x) Ap + Lc (x) BK) x. The
-simulator iterates the full state and derives the deviation from the
-running consensus mean at every step, so both the convergence curves and
-the consensus trajectory itself are available.
+simulator iterates the full state, then derives from the stored states the
+consensus mean and each agent's deviation from it, so both the convergence
+curves and the consensus trajectory itself are available.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ OVERFLOW_GUARD = 1e100
 SETTLING_THRESHOLD = 1e-3
 # Deviations this far below the state norm are cancellation noise, not signal.
 DEVIATION_FLOOR_RTOL = 1e-12
+# A fitted log-slope at or above this is fp noise around zero: no decay.
+FLAT_SLOPE = -1e-12
 
 
 def closed_loop_matrix(model: LimasModel, K) -> np.ndarray:
@@ -52,23 +54,19 @@ class Trajectory:
     states: np.ndarray       # (T+1, N*n)
     delta_norms: np.ndarray  # (T+1, N)
     xbar: np.ndarray         # (T+1, n)
-    decay_estimate: float | None = None
-    seed: int | None = None
 
     @property
     def step_count(self) -> int:
         return self.states.shape[0] - 1
 
 
-def initial_state(model: LimasModel, seed: int, low: float = 0.0,
-                  high: float = 10.0) -> np.ndarray:
-    """Seeded uniform initial state; identical seeds give identical states."""
+def initial_state(model: LimasModel, seed: int) -> np.ndarray:
+    """Seeded initial state, uniform on [0, 10); identical seeds give identical states."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, size=model.N * model.n)
+    return rng.uniform(0.0, 10.0, size=model.N * model.n)
 
 
-def simulate(model: LimasModel, K, x0, steps: int,
-             seed: int | None = None) -> Trajectory:
+def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     """Iterate the stacked closed loop for ``steps`` updates.
 
     Raises Overflow (with the offending step) as soon as any state entry
@@ -84,25 +82,18 @@ def simulate(model: LimasModel, K, x0, steps: int,
         raise ValueError("x0 contains non-finite entries")
 
     M = closed_loop_matrix(model, K)
-    N, n = model.N, model.n
-    states = np.empty((steps + 1, N * n))
-    delta_norms = np.empty((steps + 1, N))
-    xbar = np.empty((steps + 1, n))
-
+    states = np.empty((steps + 1, x.size))
     for t in range(steps + 1):
         if float(np.max(np.abs(x))) > OVERFLOW_GUARD:
             raise Overflow(t)
         states[t] = x
-        blocks = x.reshape(N, n)
-        xbar[t] = blocks.mean(axis=0)
-        delta_norms[t] = np.linalg.norm(blocks - xbar[t], axis=1)
         if t < steps:
             x = M @ x
 
-    traj = Trajectory(states, delta_norms, xbar, seed=seed)
-    if steps >= 10:
-        traj.decay_estimate = convergence_metrics(traj).rate
-    return traj
+    blocks = states.reshape(steps + 1, model.N, model.n)
+    xbar = blocks.mean(axis=1)
+    delta_norms = np.linalg.norm(blocks - xbar[:, None, :], axis=2)
+    return Trajectory(states, delta_norms, xbar)
 
 
 @dataclass(frozen=True)
@@ -146,5 +137,4 @@ def convergence_metrics(traj: Trajectory,
         return ConvergenceMetrics(0.0, settling_step, False)
     slope = float(np.polyfit(tail[usable], np.log(total[tail][usable]), 1)[0])
     rate = float(np.exp(slope))
-    # slopes at fp-noise level count as flat, hence non-decaying
-    return ConvergenceMetrics(rate, settling_step, slope >= -1e-12)
+    return ConvergenceMetrics(rate, settling_step, slope >= FLAT_SLOPE)

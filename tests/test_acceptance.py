@@ -59,7 +59,7 @@ def test_A1_showcase_reproduction():
 
     x0 = initial_state(model, seed=42)
     assert np.all((x0 >= 0.0) & (x0 <= 10.0)) and x0.size == 8
-    traj = simulate(model, [report.gain], x0, 300, seed=42)
+    traj = simulate(model, [report.gain], x0, 300)
     metrics = convergence_metrics(traj, threshold=1e-3)
     assert metrics.settling_step is not None and metrics.settling_step <= 300
 

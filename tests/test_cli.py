@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limas import analyze
+from limas import analyze, initial_state, simulate
 from limas.cli import main
 from limas.model_io import load_model, save_model
 from conftest import four_agent_model
@@ -289,3 +289,81 @@ def test_simulate_without_certified_gain_reports_reason(tmp_path, capsys):
     assert "automatic gain synthesis failed" in err
     assert "Laplacians do not commute" in err
     assert not csv_path.exists()
+
+
+def _csv_reference(traj, N: int, n: int) -> bytes:
+    """The trajectory CSV written one cell at a time with f"{v:.17g}"."""
+    header = (["step"] + [f"delta_norm_{i + 1}" for i in range(N)]
+              + [f"xbar_{j + 1}" for j in range(n)])
+    rows = [",".join(header)]
+    for t in range(traj.step_count + 1):
+        cells = [str(t)]
+        cells += [f"{v:.17g}" for v in traj.delta_norms[t]]
+        cells += [f"{v:.17g}" for v in traj.xbar[t]]
+        rows.append(",".join(cells))
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def _scalar_model_with_gain(tmp_path) -> tuple[str, str]:
+    data = {
+        "schema_version": "1", "n": 1, "N": 3,
+        "A": [1.05], "B": [1.0], "alpha": 0.2,
+        "physical_edges": [{"i": 1, "j": 2, "weight": 0.3},
+                           {"i": 2, "j": 3, "weight": 0.3}],
+        "communication_edges": [{"i": 1, "j": 2, "weight": 1.0},
+                                {"i": 2, "j": 3, "weight": 1.0}],
+    }
+    model_path = tmp_path / "scalar.json"
+    model_path.write_text(json.dumps(data))
+    gain_path = tmp_path / "gain.json"
+    gain_path.write_text('{"K": [0.35]}')
+    return str(model_path), str(gain_path)
+
+
+@pytest.mark.parametrize("which", ["showcase", "scalar"])
+def test_simulate_csv_matches_per_cell_reference(which, showcase_file, tmp_path):
+    if which == "showcase":
+        model_path, extra = showcase_file, []
+        K = [analyze(load_model(model_path)).gain]
+    else:
+        model_path, gain_path = _scalar_model_with_gain(tmp_path)
+        extra = ["--gain", gain_path]
+        K = [[0.35]]
+    csv_path = tmp_path / "traj.csv"
+    code = main(["simulate", model_path, *extra, "--seed", "5", "--steps", "120",
+                 "--out-csv", str(csv_path)])
+    assert code == 0
+    model = load_model(model_path)
+    traj = simulate(model, K, initial_state(model, 5), 120)
+    assert csv_path.read_bytes() == _csv_reference(traj, model.N, model.n)
+
+
+def test_simulate_gz_name_writes_plain_text(showcase_file, tmp_path):
+    plain, gz = tmp_path / "traj.csv", tmp_path / "traj.csv.gz"
+    assert main(["simulate", showcase_file, "--steps", "30", "--out-csv", str(plain)]) == 0
+    assert main(["simulate", showcase_file, "--steps", "30", "--out-csv", str(gz)]) == 0
+    assert gz.read_bytes() == plain.read_bytes()
+    assert gz.read_bytes().startswith(b"step,delta_norm_1,")
+
+
+def test_simulate_too_short_to_fit_leaves_no_csv(showcase_file, tmp_path, capsys):
+    csv_path = tmp_path / "traj.csv"
+    code = main(["simulate", showcase_file, "--steps", "5", "--out-csv", str(csv_path)])
+    assert code == 1
+    assert "need at least 10 steps" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_unwritable_output_path_is_an_error(showcase_file, tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    model_path, gain_path = _scalar_model_with_gain(tmp_path)
+    for argv in (["analyze", showcase_file, "--out", str(missing / "r.json")],
+                 ["simulate", showcase_file, "--steps", "20",
+                  "--out-csv", str(missing / "t.csv")],
+                 ["oracle", model_path, "--gain", gain_path,
+                  "--out", str(missing / "o.json")]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(missing) in captured.err
+        assert captured.out == ""

@@ -44,6 +44,15 @@ def test_projected_rejects_non_invariant():
         projected_deviation_matrix(np.diag([1.0, 2.0, 3.0]))
 
 
+def test_projected_gate_scales_with_matrix_norm():
+    # the all-ones direction is exactly invariant; only row-sum rounding
+    # (about 7e-8 at this weight) separates it from zero
+    w = np.pi * 1e6
+    Lc = laplacian(WeightedGraph.complete(40, weight=w))
+    values = np.linalg.eigvalsh(projected_deviation_matrix(1.2 * np.eye(40) - 0.5 * Lc))
+    assert np.allclose(values, 1.2 - 0.5 * 40 * w, rtol=1e-12)
+
+
 def test_projection_is_completion_independent():
     rng = np.random.default_rng(37)
     for _ in range(15):
