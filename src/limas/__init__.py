@@ -38,7 +38,6 @@ from .graphs import (
     is_connected,
     laplacian,
     simultaneous_diagonalize,
-    spectral_extremes,
 )
 from .model_io import load_model, model_from_dict, model_to_dict, save_model
 from .oracle import (
@@ -101,7 +100,6 @@ __all__ = [
     "simulate",
     "simultaneous_diagonalize",
     "solve_mare",
-    "spectral_extremes",
     "sufficient_check",
     "synthesize_gain",
     "verify_gain",

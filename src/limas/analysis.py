@@ -92,6 +92,8 @@ class LimasModel:
         B = as_matrix(B, rows=n, cols=1, name="B")
         if Ap is None and alpha is None:
             raise ValueError("provide Ap, alpha, or both")
+        if alpha is not None and not np.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
         if Ap is None:
             Ap = alpha * A
         Ap = as_matrix(Ap, rows=n, cols=n, name="Ap")

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, EmptyRange, NotCommuting, ShapeMismatch
+from .errors import DegenerateSpectrum, NotCommuting, ShapeMismatch
 from .linalg import as_square, eig_sym, ones_completion
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * max(1, ||Lp||_F ||Lc||_F).
@@ -26,20 +26,26 @@ OFFDIAG_RTOL = 1e-8
 MAX_NODES = 2**31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected graph with strictly positive edge weights.
 
     The one owner of the edge rules: ends are integers in 0..N-1, no self-loop,
     no unordered pair twice, weight finite and > 0. A ValueError names the first
     bad edge by its list position; an integer beyond the float range counts as
-    +-inf. Edges keep input order as (int, int, float), i < j.
+    +-inf. Edges are stored once, in input order, as the read-only arrays
+    ``i``, ``j`` (int64, i < j) and ``w`` (float64).
     """
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]]):
+        if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)):
+            raise ValueError(f"node count must be an integer, got {node_count!r}")
+        node_count = int(node_count)
         if node_count < 2:
             raise ValueError(f"graph needs at least 2 nodes, got {node_count}")
         if node_count > MAX_NODES:
@@ -50,7 +56,7 @@ class WeightedGraph:
         except OverflowError:
             rows = np.array([[_float_or_inf(x) for x in e] for e in edges])
         rows = rows.reshape(len(edges), 3)
-        ends, w = rows[:, :2], rows[:, 2]
+        ends, w = rows[:, :2], rows[:, 2].copy()
         valid = ((ends >= 0) & (ends < node_count) & (ends == np.floor(ends))).all(axis=1)
         lo, hi = np.sort(np.where(valid[:, None], ends, 0), axis=1).astype(np.int64).T
         first = np.zeros(len(rows), dtype=bool)
@@ -63,8 +69,15 @@ class WeightedGraph:
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError(f"edge {k} " + next(reason for mask, reason in rules if mask[k]))
-        object.__setattr__(self, "node_count", int(node_count))
-        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist())))
+        object.__setattr__(self, "node_count", node_count)
+        for name, arr in (("i", lo), ("j", hi), ("w", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as (int, int, float) tuples in input order, built on each access."""
+        return tuple(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
     @classmethod
     def complete(cls, node_count: int, weight: float = 1.0) -> "WeightedGraph":
@@ -100,16 +113,14 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     """
     N = g.node_count
     L = np.zeros((N, N))
-    if g.edges:
-        i, j, w = map(np.asarray, zip(*g.edges))
-        L[i, j] = L[j, i] = -w
-        ends = np.column_stack((i, j)).ravel()
-        L[np.diag_indices(N)] = np.bincount(ends, weights=np.repeat(w, 2), minlength=N)
+    L[g.i, g.j] = L[g.j, g.i] = -g.w
+    ends = np.column_stack((g.i, g.j)).ravel()
+    L[np.diag_indices(N)] = np.bincount(ends, weights=np.repeat(g.w, 2), minlength=N)
     return L
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """Union-find connectivity check; exact, no floating point involved."""
+    """Exact union-find connectivity check; stops at the first edge that connects the graph."""
     parent = list(range(g.node_count))
 
     def find(a: int) -> int:
@@ -119,12 +130,14 @@ def is_connected(g: WeightedGraph) -> bool:
         return a
 
     components = g.node_count
-    for i, j, _ in g.edges:
+    for i, j in zip(g.i.tolist(), g.j.tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
             components -= 1
-    return components == 1
+            if components == 1:
+                return True
+    return False
 
 
 class CommuteCheck(NamedTuple):
@@ -218,16 +231,3 @@ def _diagonalize_commuting(Lp, Lc) -> SpectralPair:
                 f"for the {tag} Laplacian")
 
     return SpectralPair(phi, lambda_p, lambda_c)
-
-
-def spectral_extremes(values, skip_first: bool = True) -> tuple[float, float]:
-    """(min, max) over the non-consensus modes, i.e. excluding the first entry.
-
-    With ``skip_first=False`` the extremes run over the whole list.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    if skip_first:
-        arr = arr[1:]
-    if arr.size == 0:
-        raise EmptyRange("no modes left after excluding the consensus entry")
-    return float(arr.min()), float(arr.max())

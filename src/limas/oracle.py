@@ -94,6 +94,8 @@ def scalar_grid_search(a: float, Lp, Lc, lo: float = GRID_LO,
         raise ShapeMismatch(f"Laplacians differ in size: {Lp.shape} vs {Lc.shape}")
     if count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"grid bounds must be finite with lo < hi, got lo = {lo}, hi = {hi}")
     N = Lp.shape[0]
     psi = ones_completion(N)
     W = psi[:, 1:]

@@ -365,6 +365,16 @@ def test_model_alpha_consistency():
     assert model.alpha == 0.3
 
 
+def test_model_rejects_non_finite_alpha():
+    # with Ap given, NaN would pass the drift check, since nan > tol is False
+    g = WeightedGraph(2, [(0, 1, 1.0)])
+    for alpha in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            LimasModel([[1.1]], [[1.0]], g, g, Ap=[[0.1]], alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            LimasModel([[1.1]], [[1.0]], g, g, alpha=alpha)
+
+
 def test_analyze_showcase_certifies(showcase_model):
     report = analyze(showcase_model)
     assert report.verdict == "consensusable"

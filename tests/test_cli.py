@@ -190,6 +190,24 @@ def test_oracle_grid_rejects_vector_dynamics(showcase_file, capsys):
     assert "n = 1" in capsys.readouterr().err
 
 
+def test_oracle_grid_rejects_bad_bounds(tmp_path, capsys):
+    data = {
+        "schema_version": "1", "n": 1, "N": 3,
+        "A": [1.2], "B": [1.0], "alpha": 0.0,
+        "physical_edges": [],
+        "communication_edges": [{"i": 1, "j": 2, "weight": 1.0},
+                                {"i": 2, "j": 3, "weight": 1.0}],
+    }
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(data))
+    for bounds in (["--lo", "5", "--hi", "-5"], ["--lo", "nan"], ["--hi", "inf"]):
+        code = main(["oracle", str(path), "--count", "201", *bounds])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: grid bounds must be finite with lo < hi" in captured.err
+
+
 def test_oracle_verify_mode(showcase_file, tmp_path, capsys):
     gain_path = tmp_path / "gain.json"
     gain_path.write_text('{"K": [0.0, -0.3412]}')

@@ -11,9 +11,8 @@ from limas import (
     is_connected,
     laplacian,
     simultaneous_diagonalize,
-    spectral_extremes,
 )
-from limas.errors import EmptyRange, NotCommuting
+from limas.errors import NotCommuting
 from conftest import commuting_graph_pair, cycle4_graph, random_connected_graph
 
 
@@ -40,6 +39,39 @@ def test_graph_validation():
         WeightedGraph(3, [(0, 1, 1.0), (1, 2, 10**400)])
     with pytest.raises(ValueError, match="cycle needs at least 3 nodes"):
         WeightedGraph.cycle(2)
+    # a fractional node count would admit an end at node 3 of a 3.5-node graph
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        WeightedGraph(3.5, [(0, 3, 1.0), (0, 1, 1.0), (1, 2, 1.0)])
+    for bad in (3.0, True, "3", None):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            WeightedGraph(bad, [(0, 1, 1.0)])
+    assert WeightedGraph(np.int64(3), [(0, 1, 1.0)]).node_count == 3
+    assert type(WeightedGraph(np.int32(3), []).node_count) is int
+
+
+def test_edge_arrays_are_read_only_and_owned():
+    edges = [(2, 0, 0.5), (1, 2, 3)]
+    g = WeightedGraph(3, edges)
+    assert (g.i.dtype, g.j.dtype, g.w.dtype) == (np.int64, np.int64, np.float64)
+    assert (g.i.tolist(), g.j.tolist(), g.w.tolist()) == ([0, 1], [2, 2], [0.5, 3.0])
+    for arr in (g.i, g.j, g.w):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(AttributeError):
+        g.edges = ()
+    # the graph keeps its own copy of the caller's list or array
+    edges[0] = (0, 1, 9.0)
+    edges.append((0, 1, 1.0))
+    assert g.edges == ((0, 2, 0.5), (1, 2, 3.0))
+    rows = np.array([[0.0, 1.0, 1.0], [1.0, 2.0, 2.0]])
+    g = WeightedGraph(3, rows)
+    rows[:] = 0.0
+    assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
+    empty = WeightedGraph(3, [])
+    assert empty.edges == () and empty.i.dtype == np.int64 and empty.w.shape == (0,)
+    # graphs compare and hash by identity
+    assert g == g and g != WeightedGraph(3, g.edges)
+    assert len({g, g}) == 1
 
 
 def test_laplacian_two_nodes():
@@ -85,6 +117,47 @@ def test_connectivity_matches_second_eigenvalue():
         g = WeightedGraph(N, edges)
         lam2 = np.linalg.eigvalsh(laplacian(g))[1]
         assert is_connected(g) == (lam2 > 1e-10)
+
+
+def _connected_reference(N, edges):
+    """Union-find over every edge, without stopping early."""
+    parent = list(range(N))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j, _ in edges:
+        parent[find(i)] = find(j)
+    return len({find(a) for a in range(N)}) == 1
+
+
+def test_is_connected_matches_full_union_find():
+    rng = np.random.default_rng(23)
+    seen = set()
+    for trial in range(210):
+        N = int(rng.integers(2, 65))
+        form = trial % 3
+        if form == 0:
+            # random subset of the pairs, from empty to dense
+            p = float(rng.uniform(0.0, 0.4))
+            edges = [(i, j, 1.0) for i in range(N) for j in range(i + 1, N) if rng.random() < p]
+        else:
+            # two complete parts on shuffled nodes: disconnected with many edges,
+            # or (form 2) joined by one bridge listed last
+            nodes = rng.permutation(N).tolist()
+            cut = int(rng.integers(1, N))
+            parts = nodes[:cut], nodes[cut:]
+            edges = [(a, b, 1.0) for part in parts
+                     for x, a in enumerate(part) for b in part[x + 1:]]
+            edges = [edges[k] for k in rng.permutation(len(edges))]
+            if form == 2:
+                edges.append((parts[1][0], parts[0][0], 1.0))
+        expected = _connected_reference(N, edges)
+        assert is_connected(WeightedGraph(N, edges)) == expected
+        seen.add((form, expected))
+    assert seen == {(0, False), (0, True), (1, False), (2, True)}
 
 
 def test_commute_scaled_and_complete():
@@ -150,15 +223,6 @@ def test_joint_pairing_on_random_commuting_pairs():
             off = pair.phi.T @ L @ pair.phi - np.diag(lam)
             assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(L)
         assert np.all(pair.lambda_c[1:] > 0.0)
-
-
-def test_spectral_extremes():
-    assert spectral_extremes([0.0, 0.2, 0.2, 0.4]) == (0.2, 0.4)
-    assert spectral_extremes([0.0, 4.0, 4.0, 4.0]) == (4.0, 4.0)
-    assert spectral_extremes([0.0, 5.0]) == (5.0, 5.0)
-    assert spectral_extremes([1.0, 5.0], skip_first=False) == (1.0, 5.0)
-    with pytest.raises(EmptyRange):
-        spectral_extremes([0.0])
 
 
 def test_laplacian_matches_edge_loop_bitwise():

@@ -97,6 +97,14 @@ def test_grid_search_respects_grid_order():
     assert np.all(np.diff(res.stabilizing_k) > 0)
 
 
+@pytest.mark.parametrize("lo, hi", [(5.0, -5.0), (1.0, 1.0), (np.nan, 1.0), (-1.0, np.nan),
+                                    (-np.inf, 1.0), (-1.0, np.inf)])
+def test_grid_search_rejects_bad_bounds(lo, hi):
+    with pytest.raises(ValueError, match="grid bounds must be finite with lo < hi"):
+        scalar_grid_search(1.2, np.zeros((3, 3)), laplacian(WeightedGraph.path(3)),
+                           lo=lo, hi=hi, count=201)
+
+
 def test_verify_gain_agrees_with_modal_radii(showcase_model):
     from limas import synthesize_gain
     spec = showcase_model.spectral_pair()
