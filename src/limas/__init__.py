@@ -52,7 +52,6 @@ from .simulator import (
     Trajectory,
     closed_loop_matrix,
     convergence_metrics,
-    deviation,
     initial_state,
     simulate,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "closed_loop_matrix",
     "commute_check",
     "convergence_metrics",
-    "deviation",
     "initial_state",
     "is_connected",
     "laplacian",

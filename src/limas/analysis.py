@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     AssumptionViolated,
+    DegenerateInput,
     Divergence,
     EmptyRange,
     DegenerateSpectrum,
@@ -42,13 +43,13 @@ from .graphs import (
     simultaneous_diagonalize,
 )
 from .linalg import (
-    RANK_RTOL,
     as_matrix,
     as_square,
     controllability_singular_values,
     eig_general,
     eig_sym,
     gain_kernel,
+    has_rank,
     is_controllable,
 )
 from .oracle import verify_gain
@@ -98,8 +99,8 @@ class LimasModel:
             Ap = alpha * A
         Ap = as_matrix(Ap, rows=n, cols=n, name="Ap")
         if alpha is not None:
-            drift = float(np.linalg.norm(Ap - alpha * A))
-            if drift > COUPLING_RTOL * max(1.0, float(np.linalg.norm(A))):
+            drift, agrees = _coupling_residual(A, Ap, alpha)
+            if not agrees:
                 raise ValueError(
                     f"Ap and alpha disagree: ||Ap - alpha*A|| = {drift:g}")
         if not isinstance(gp, WeightedGraph) or not isinstance(gc, WeightedGraph):
@@ -154,6 +155,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _coupling_residual(A, Ap, alpha: float) -> tuple[float, bool]:
+    """||Ap - alpha*A||_F and whether it is within COUPLING_RTOL * max(1, ||A||_F)."""
+    residual = float(np.linalg.norm(Ap - alpha * A))
+    return residual, residual <= COUPLING_RTOL * max(1.0, float(np.linalg.norm(A)))
+
+
 @dataclass(frozen=True)
 class AssumptionCheck:
     holds: bool
@@ -176,8 +183,7 @@ def check_modal_controllability(model: LimasModel) -> AssumptionCheck:
     """
     sv = model.modal_ctrb_sv
     margin = float(sv[:, -1].min())
-    ranks = np.count_nonzero(sv > model.n * sv[:, :1] * RANK_RTOL, axis=1)
-    failures = [float(lam) for lam in model.spectrum_p[1:][ranks != model.n]]
+    failures = [float(lam) for lam in model.spectrum_p[1:][~has_rank(sv, model.n)]]
     if failures:
         return AssumptionCheck(False, margin,
                                f"uncontrollable at physical modes {failures}")
@@ -195,8 +201,7 @@ def check_proportional_coupling(model: LimasModel) -> tuple[AssumptionCheck, flo
     else:
         denom = float(np.sum(model.A * model.A))
         alpha = float(np.sum(model.Ap * model.A)) / denom if denom > 0.0 else 0.0
-    residual = float(np.linalg.norm(model.Ap - alpha * model.A))
-    holds = residual <= COUPLING_RTOL * max(1.0, float(np.linalg.norm(model.A)))
+    residual, holds = _coupling_residual(model.A, model.Ap, alpha)
     return AssumptionCheck(holds, residual), (alpha if holds else None)
 
 
@@ -252,6 +257,22 @@ class SufficientResult:
     sigma_modes: np.ndarray
 
 
+def _communication_modes(model: LimasModel, spec: SpectralPair) -> np.ndarray:
+    """Paired non-consensus lambda_c, after the checks both conditions share.
+
+    Raises AssumptionViolated(2) without per-mode controllability, then
+    AssumptionViolated(0) when a communication mode is at or below
+    CONNECTIVITY_FLOOR.
+    """
+    a2 = check_modal_controllability(model)
+    if not a2.holds:
+        raise AssumptionViolated(2, a2.detail)
+    lam_c = np.asarray(spec.lambda_c[1:], dtype=float)
+    if float(lam_c.min()) <= CONNECTIVITY_FLOOR:
+        raise AssumptionViolated(0, "communication graph effectively disconnected")
+    return lam_c
+
+
 def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
     """Evaluate the sufficient condition and the midpoint gain scale.
 
@@ -260,16 +281,10 @@ def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
     The extremes of alpha_i / lambda_cj range over modes i and j
     independently, while the reported sigma_modes pair modes positionally.
     """
-    a2 = check_modal_controllability(model)
-    if not a2.holds:
-        raise AssumptionViolated(2, a2.detail)
+    lam_c = _communication_modes(model, spec)
     a3, alpha = check_proportional_coupling(model)
     if not a3.holds:
         raise AssumptionViolated(3, f"coupling residual {a3.residual:g}")
-
-    lam_c = np.asarray(spec.lambda_c[1:], dtype=float)
-    if float(lam_c.min()) <= CONNECTIVITY_FLOOR:
-        raise AssumptionViolated(0, "communication graph effectively disconnected")
     asp = alpha_spectrum(alpha, spec.lambda_p[1:])
 
     if asp.alpha_max == 0.0:
@@ -302,8 +317,8 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
     """Solve P = Abar'P Abar - sigma * Abar'PB (B'PB)^-1 B'P Abar + Q.
 
     ``Q`` defaults to MARE_Q_SCALE * I. Plain fixed-point iteration from
-    P = I, stopping when successive iterates agree to 1e-10 relative or
-    after MARE_MAX_ITER steps. The recursion converges exactly when
+    P = I, stopping when successive iterates agree to MARE_CONVERGENCE_RTOL
+    relative or after MARE_MAX_ITER steps. The recursion converges exactly when
     sigma exceeds the critical margin of Abar, so divergence (norm blow-up
     or iteration cap) is reported as such rather than patched over.
     """
@@ -335,21 +350,6 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
     raise Divergence(
         f"no fixed point within {MARE_MAX_ITER} iterations (sigma = {sigma:g})",
         iterations=MARE_MAX_ITER)
-
-
-def mare_inequality_margin(Abar, B, sigma: float, P) -> float:
-    """Largest eigenvalue of Abar'P Abar - sigma*Abar'PB(B'PB)^-1 B'P Abar - P.
-
-    Negative means P strictly satisfies the Riccati inequality at this sigma.
-    """
-    Abar = as_square(Abar, name="Abar")
-    P = as_square(P, name="P")
-    B = as_matrix(B, rows=Abar.shape[0], cols=1, name="B")
-    PB = P @ B
-    gain_dir = Abar.T @ PB
-    residual = Abar.T @ P @ Abar \
-        - sigma * (gain_dir @ gain_dir.T) / float((B.T @ PB).item()) - P
-    return float(eig_sym((residual + residual.T) / 2.0).values[-1])
 
 
 def modal_radii(model: LimasModel, spec: SpectralPair, K) -> np.ndarray:
@@ -437,13 +437,7 @@ def necessary_check(model: LimasModel, spec: SpectralPair) -> NecessaryResult:
     controllability, but not proportional coupling. gamma_c is the
     communication eigenratio lambda_c_max / lambda_c_min over modes.
     """
-    a2 = check_modal_controllability(model)
-    if not a2.holds:
-        raise AssumptionViolated(2, a2.detail)
-
-    lam_c = np.asarray(spec.lambda_c[1:], dtype=float)
-    if float(lam_c.min()) <= CONNECTIVITY_FLOOR:
-        raise AssumptionViolated(0, "communication graph effectively disconnected")
+    lam_c = _communication_modes(model, spec)
     gamma_c = float(lam_c.max()) / float(lam_c.min())
     modes = model.A - spec.lambda_p[1:, None, None] * model.Ap
     dets = tuple(np.abs(np.linalg.det(modes)).tolist())
@@ -695,7 +689,7 @@ def analyze(model: LimasModel) -> AnalysisReport:
                 report.mare_iterations = synth.mare.iterations
             report.modal_radii = synth.modal_radii.tolist()
             report.certify("modal-radii", float(synth.modal_radii.max()))
-        except (SynthesisFailed, Divergence, NotControllable) as exc:
+        except (SynthesisFailed, Divergence, NotControllable, DegenerateInput) as exc:
             report.synthesis_error = str(exc)
 
     if report.gain is None and report.scalar is not None \

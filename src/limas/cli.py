@@ -130,7 +130,7 @@ def cmd_simulate(args) -> int:
         K = as_matrix(report.gain, name="K")
 
     traj = simulate(model, K, initial_state(model, args.seed), args.steps)
-    metrics = convergence_metrics(traj, threshold=args.threshold)
+    metrics = convergence_metrics(traj)
 
     header = ",".join(["step"]
                       + [f"delta_norm_{i + 1}" for i in range(model.N)]
@@ -146,7 +146,7 @@ def cmd_simulate(args) -> int:
     print(f"gain K: {_fmt_list(K.ravel())}")
     print(f"seed {args.seed}, {args.steps} steps -> {args.out_csv}")
     print(f"decay rate {metrics.rate:.6g}, settled below "
-          f"{args.threshold:g}: {settled}"
+          f"{SETTLING_THRESHOLD:g}: {settled}"
           + (" [no decay]" if metrics.no_decay else ""))
     return 0
 
@@ -198,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gain", help="JSON gain file {\"K\": [...]}; omit to synthesize")
     p.add_argument("--seed", type=int, default=42, help="seed for the initial state")
     p.add_argument("--steps", type=int, default=300, help="number of updates")
-    p.add_argument("--threshold", type=float, default=SETTLING_THRESHOLD,
-                   help="settling threshold on the worst agent deviation")
     p.add_argument("--out-csv", required=True, help="trajectory CSV output path")
     p.set_defaults(func=cmd_simulate)
 

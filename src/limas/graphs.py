@@ -170,10 +170,6 @@ class SpectralPair:
     lambda_p: np.ndarray
     lambda_c: np.ndarray
 
-    @property
-    def node_count(self) -> int:
-        return self.phi.shape[0]
-
 
 def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     """Jointly diagonalize two commuting Laplacians.

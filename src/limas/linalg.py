@@ -20,7 +20,7 @@ from .errors import DegenerateInput, NoConvergence, NotSymmetric, ShapeMismatch
 SYMMETRY_RTOL = 1e-9
 # Controllability rank threshold is n * sigma_max * RANK_RTOL.
 RANK_RTOL = 1e-12
-# gain_kernel needs B'PB > BTPB_RTOL * ||P||_F.
+# gain_kernel needs B'PB > BTPB_RTOL * ||P||_F * B'B, a floor free of B's scale.
 BTPB_RTOL = 1e-14
 
 
@@ -87,14 +87,6 @@ def eig_general(M) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
-def spectral_radius(M) -> float:
-    """Largest eigenvalue magnitude of a square matrix."""
-    values = eig_general(M)
-    if values.size == 0:
-        return 0.0
-    return float(np.max(np.abs(values)))
-
-
 def determinant(M) -> float:
     """Determinant via LU factorization; singular inputs simply return 0."""
     return float(np.linalg.det(as_square(M)))
@@ -117,16 +109,23 @@ def controllability_singular_values(M, B) -> np.ndarray:
     return np.linalg.svd(np.concatenate(blocks, axis=-1), compute_uv=False)
 
 
+def has_rank(sv: np.ndarray, n: int) -> np.bool_ | np.ndarray:
+    """Do the descending singular values ``sv`` show rank ``n``?
+
+    A singular value counts when it exceeds ``n * sigma_max * RANK_RTOL``.
+    ``sv`` is one row (the result is a bool) or a stack of rows, as
+    :func:`controllability_singular_values` returns them (one bool per row).
+    """
+    return np.count_nonzero(sv > n * sv[..., :1] * RANK_RTOL, axis=-1) == n
+
+
 def is_controllable(M, B) -> bool:
     """Kalman rank test: [B, MB, ..., M^(n-1)B] must have full row rank.
 
-    Rank is decided from singular values with threshold
-    ``n * sigma_max * RANK_RTOL``.
+    Rank is decided by :func:`has_rank` on the controllability singular values.
     """
     M = as_square(M, name="M")
-    sv = controllability_singular_values(M, B)
-    n = M.shape[0]
-    return int(np.count_nonzero(sv > n * sv[0] * RANK_RTOL)) == n
+    return bool(has_rank(controllability_singular_values(M, B), M.shape[0]))
 
 
 def controllability_margin(M, B) -> float:
@@ -139,15 +138,16 @@ def controllability_margin(M, B) -> float:
 def gain_kernel(P, B, A) -> np.ndarray:
     """Feedback direction ``(B'PB)^{-1} B'PA`` induced by a Riccati solution P.
 
-    B must be a single column; raises DegenerateInput when B'PB is not
-    safely positive relative to the size of P.
+    B must be a single column; raises DegenerateInput unless B'PB exceeds
+    ``BTPB_RTOL * ||P||_F * B'B``. The floor scales with B as B'PB does, so
+    rescaling B only rescales the result.
     """
     P = as_square(P, name="P")
     n = P.shape[0]
     B = as_matrix(B, rows=n, cols=1, name="B")
     A = as_matrix(A, rows=n, cols=n, name="A")
     btpb = float((B.T @ P @ B).item())
-    if btpb <= BTPB_RTOL * float(np.linalg.norm(P)):
+    if btpb <= BTPB_RTOL * float(np.linalg.norm(P)) * float((B.T @ B).item()):
         raise DegenerateInput(f"B'PB = {btpb:g} is not safely positive")
     return (B.T @ P @ A) / btpb
 

@@ -35,18 +35,6 @@ def closed_loop_matrix(model: LimasModel, K) -> np.ndarray:
             + np.kron(model.laplacian_c, model.B @ K))
 
 
-def deviation(x, N: int, n: int) -> np.ndarray:
-    """Deviation of each agent block from the mean of all blocks.
-
-    Equals the centering projection ((I_N - ones/N) (x) I_n) applied to x.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != N * n:
-        raise ShapeMismatch(f"state length {x.size} does not match N*n = {N * n}")
-    blocks = x.reshape(N, n)
-    return (blocks - blocks.mean(axis=0)).ravel()
-
-
 @dataclass
 class Trajectory:
     """A simulated run: states, per-agent deviation norms, consensus trace."""
@@ -70,7 +58,7 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     """Iterate the stacked closed loop for ``steps`` updates.
 
     Raises Overflow (with the offending step) as soon as any state entry
-    exceeds 1e100 in magnitude, which signals an unstable loop.
+    exceeds OVERFLOW_GUARD in magnitude, which signals an unstable loop.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -98,7 +86,7 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
 
 @dataclass(frozen=True)
 class ConvergenceMetrics:
-    """Fitted geometric decay rate and the first step under the threshold.
+    """Fitted geometric decay rate and the first step under SETTLING_THRESHOLD.
 
     ``no_decay`` flags a non-shrinking deviation (fitted rate >= 1).
     ``settling_step`` is None when the threshold is never reached.
@@ -109,14 +97,14 @@ class ConvergenceMetrics:
     no_decay: bool
 
 
-def convergence_metrics(traj: Trajectory,
-                        threshold: float = SETTLING_THRESHOLD) -> ConvergenceMetrics:
+def convergence_metrics(traj: Trajectory) -> ConvergenceMetrics:
     """Summarize a trajectory's convergence behaviour.
 
     The rate is exp of the least-squares slope of log total deviation norm
-    over the tail half of the run; settling is judged on the worst agent.
-    Steps whose deviation sits below 1e-12 of the state norm are treated as
-    numerically settled and excluded from the fit (a loop whose consensus
+    over the tail half of the run. The settling step is the first whose
+    worst agent deviation is below SETTLING_THRESHOLD. Steps whose
+    deviation sits below DEVIATION_FLOOR_RTOL of the state norm are treated
+    as numerically settled and excluded from the fit (a loop whose consensus
     trajectory grows leaves only cancellation noise there).
     """
     total = np.linalg.norm(traj.delta_norms, axis=1)
@@ -125,7 +113,7 @@ def convergence_metrics(traj: Trajectory,
         raise ValueError("need at least 10 steps to fit a decay rate")
 
     settling_step = None
-    below = np.nonzero(traj.delta_norms.max(axis=1) < threshold)[0]
+    below = np.nonzero(traj.delta_norms.max(axis=1) < SETTLING_THRESHOLD)[0]
     if below.size:
         settling_step = int(below[0])
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from limas import LimasModel, WeightedGraph, laplacian
+from limas.errors import ShapeMismatch
+from limas.linalg import as_matrix, as_square, eig_general, eig_sym
 
 A_SHOWCASE = np.array([[1.0, 2.0], [0.0, 1.5]])
 B_SHOWCASE = np.array([[0.0], [1.0]])
@@ -105,3 +107,38 @@ def nonzero_modes(L: np.ndarray) -> np.ndarray:
 
 def graph_modes(g: WeightedGraph) -> np.ndarray:
     return nonzero_modes(laplacian(g))
+
+
+def spectral_radius(M) -> float:
+    """Largest eigenvalue magnitude of a square matrix."""
+    values = eig_general(M)
+    if values.size == 0:
+        return 0.0
+    return float(np.max(np.abs(values)))
+
+
+def deviation(x, N: int, n: int) -> np.ndarray:
+    """Deviation of each agent block from the mean of all blocks.
+
+    Equals the centering projection ((I_N - ones/N) (x) I_n) applied to x.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != N * n:
+        raise ShapeMismatch(f"state length {x.size} does not match N*n = {N * n}")
+    blocks = x.reshape(N, n)
+    return (blocks - blocks.mean(axis=0)).ravel()
+
+
+def mare_inequality_margin(Abar, B, sigma: float, P) -> float:
+    """Largest eigenvalue of Abar'P Abar - sigma*Abar'PB(B'PB)^-1 B'P Abar - P.
+
+    Negative means P strictly satisfies the Riccati inequality at this sigma.
+    """
+    Abar = as_square(Abar, name="Abar")
+    P = as_square(P, name="P")
+    B = as_matrix(B, rows=Abar.shape[0], cols=1, name="B")
+    PB = P @ B
+    gain_dir = Abar.T @ PB
+    residual = Abar.T @ P @ Abar \
+        - sigma * (gain_dir @ gain_dir.T) / float((B.T @ PB).item()) - P
+    return float(eig_sym((residual + residual.T) / 2.0).values[-1])

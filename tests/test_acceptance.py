@@ -31,6 +31,7 @@ from limas.oracle import scalar_grid_search
 from conftest import (
     A_SHOWCASE,
     commuting_graph_pair,
+    deviation,
     four_agent_model,
     graph_modes,
     random_scalar_instance,
@@ -60,7 +61,7 @@ def test_A1_showcase_reproduction():
     x0 = initial_state(model, seed=42)
     assert np.all((x0 >= 0.0) & (x0 <= 10.0)) and x0.size == 8
     traj = simulate(model, [report.gain], x0, 300)
-    metrics = convergence_metrics(traj, threshold=1e-3)
+    metrics = convergence_metrics(traj)
     assert metrics.settling_step is not None and metrics.settling_step <= 300
 
     elapsed = time.perf_counter() - start
@@ -173,7 +174,7 @@ def test_A6_block_diagonalization_equivalence():
 
 def test_A7_simulator_identities():
     rng = np.random.default_rng(99)
-    from limas import closed_loop_matrix, deviation
+    from limas import closed_loop_matrix
 
     for _ in range(10):
         N = int(rng.integers(2, 6))

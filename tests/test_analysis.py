@@ -7,9 +7,11 @@ import pytest
 
 from limas import (
     LimasModel,
+    SpectralPair,
     WeightedGraph,
     alpha_spectrum,
     analyze,
+    check_proportional_coupling,
     modal_radii,
     necessary_check,
     scalar_check,
@@ -18,9 +20,11 @@ from limas import (
     sufficient_check,
     synthesize_gain,
 )
-from limas.analysis import mare_inequality_margin
+from limas import analysis
+from limas.analysis import CONNECTIVITY_FLOOR, COUPLING_RTOL
 from limas.errors import (
     AssumptionViolated,
+    DegenerateInput,
     Divergence,
     NotControllable,
     SynthesisFailed,
@@ -30,7 +34,9 @@ from conftest import (
     B_SHOWCASE,
     cycle4_graph,
     four_agent_model,
+    mare_inequality_margin,
     random_coupled_model,
+    spectral_radius,
 )
 
 
@@ -148,6 +154,25 @@ def test_sufficient_check_nonproportional_coupling():
     with pytest.raises(AssumptionViolated) as err:
         sufficient_check(model, spec)
     assert err.value.which == 3
+
+
+def test_conditions_share_the_connectivity_floor(showcase_model):
+    spec = showcase_model.spectral_pair()
+    lam_c = spec.lambda_c.copy()
+    lam_c[1] = CONNECTIVITY_FLOOR
+    weak = SpectralPair(spec.phi, spec.lambda_p, lam_c)
+    raised = []
+    for check in (sufficient_check, necessary_check):
+        with pytest.raises(AssumptionViolated) as err:
+            check(showcase_model, weak)
+        raised.append((err.value.which, str(err.value)))
+    assert raised[0] == raised[1] and raised[0][0] == 0
+    # the floor is checked before proportional coupling
+    model = LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(),
+                       WeightedGraph.complete(4), Ap=[[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(AssumptionViolated) as err:
+        sufficient_check(model, weak)
+    assert err.value.which == 0
 
 
 # --- modified Riccati recursion ----------------------------------------------
@@ -365,6 +390,24 @@ def test_model_alpha_consistency():
     assert model.alpha == 0.3
 
 
+def test_coupling_gate_is_one_rule():
+    # the model's Ap/alpha agreement and assumption 3 decide with one gate
+    gate = COUPLING_RTOL * max(1.0, float(np.linalg.norm(A_SHOWCASE)))
+    drift = np.array([[0.0, 0.0], [1.0, 0.0]])  # unit norm, orthogonal to A
+    gp, gc = cycle4_graph(), WeightedGraph.complete(4)
+    for scale, holds in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+        Ap = 0.3 * A_SHOWCASE + scale * gate * drift
+        fitted, _ = check_proportional_coupling(LimasModel(A_SHOWCASE, B_SHOWCASE,
+                                                           gp, gc, Ap=Ap))
+        assert fitted.holds == holds
+        if holds:
+            model = LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
+            assert check_proportional_coupling(model)[0].holds
+        else:
+            with pytest.raises(ValueError, match="disagree"):
+                LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
+
+
 def test_model_rejects_non_finite_alpha():
     # with Ap given, NaN would pass the drift check, since nan > tol is False
     g = WeightedGraph(2, [(0, 1, 1.0)])
@@ -382,6 +425,28 @@ def test_analyze_showcase_certifies(showcase_model):
     assert report.sufficient.holds and report.necessary.holds
     assert max(report.modal_radii) < 1.0
     assert report.alpha == pytest.approx(0.3)
+
+
+def test_analyze_is_free_of_b_scale(showcase_model):
+    # P and the rank tests ignore the scale of B; only the gain rescales
+    ref = analyze(showcase_model)
+    for c in (1e-10, 1e-7, 1e7):
+        model = LimasModel(A_SHOWCASE, c * B_SHOWCASE, cycle4_graph(),
+                           WeightedGraph.complete(4), alpha=0.3)
+        report = analyze(model)
+        assert report.verdict == "consensusable"
+        assert max(report.modal_radii) == pytest.approx(max(ref.modal_radii), rel=1e-9)
+        assert np.allclose(c * np.array(report.gain), ref.gain, rtol=1e-9, atol=0.0)
+
+
+def test_analyze_records_degenerate_gain_kernel(showcase_model, monkeypatch):
+    def degenerate(P, B, A):
+        raise DegenerateInput("B'PB = 0 is not safely positive")
+
+    monkeypatch.setattr(analysis, "gain_kernel", degenerate)
+    report = analyze(showcase_model)
+    assert report.synthesis_error == "B'PB = 0 is not safely positive"
+    assert report.gain is None and report.verdict == "inconclusive"
 
 
 def test_analyze_showcase_with_projector_style_communication():
@@ -489,7 +554,7 @@ def test_modal_controllability_matches_per_mode_tests():
 
 
 def test_stacked_mode_quantities_match_per_mode_loops():
-    from limas.linalg import determinant, spectral_radius
+    from limas.linalg import determinant
 
     rng = np.random.default_rng(29)
     for _ in range(10):

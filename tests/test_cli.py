@@ -121,6 +121,16 @@ def test_simulate_writes_csv(showcase_file, tmp_path, capsys):
     assert f"step {settled[0]}" in summary
 
 
+def test_simulate_has_no_threshold_flag(showcase_file, tmp_path, capsys):
+    # the settling threshold is simulator.SETTLING_THRESHOLD, not an option
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", showcase_file, "--threshold", "1e-3",
+              "--out-csv", str(tmp_path / "traj.csv")])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --threshold" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_simulate_deterministic_csv(showcase_file, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["simulate", showcase_file, "--seed", "7", "--steps", "50",

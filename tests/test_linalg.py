@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from limas import laplacian
 from limas.errors import DegenerateInput, NotSymmetric, ShapeMismatch
 from limas.linalg import (
+    RANK_RTOL,
     as_matrix,
     controllability_margin,
     controllability_singular_values,
@@ -17,11 +18,11 @@ from limas.linalg import (
     eig_general,
     eig_sym,
     gain_kernel,
+    has_rank,
     is_controllable,
     ones_completion,
-    spectral_radius,
 )
-from conftest import A_SHOWCASE, B_SHOWCASE, cycle4_graph
+from conftest import A_SHOWCASE, B_SHOWCASE, cycle4_graph, spectral_radius
 
 
 def test_as_matrix_rejects_non_finite():
@@ -143,6 +144,35 @@ def test_gain_kernel_examples():
     out = gain_kernel(np.eye(2), [[1.0], [0.0]], np.eye(2))
     assert np.allclose(out, [[1.0, 0.0]], atol=1e-12)
     assert gain_kernel(2.0, 1.0, 0.7).item() == pytest.approx(0.7, rel=1e-12)
+
+
+def test_has_rank_matches_inline_rule():
+    # one rule for single rows and stacks: count(sv > n * sv_max * RANK_RTOL) == n
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4, 6):
+        stack = -np.sort(-rng.uniform(0.1, 10.0, (60, n)), axis=1)
+        stack *= 10.0 ** rng.integers(-8, 9, (60, 1))
+        edge = n * stack[:, 0] * RANK_RTOL
+        stack[0::4, -1] = edge[0::4] * (1.0 - 1e-3)
+        stack[1::4, -1] = edge[1::4] * (1.0 + 1e-3)
+        stack[2::8, 1:] = 0.0
+        expected = [int(np.count_nonzero(row > n * row[0] * RANK_RTOL)) == n
+                    for row in stack]
+        assert any(expected) and not all(expected)
+        assert has_rank(stack, n).tolist() == expected
+        assert has_rank(stack.reshape(3, 20, n), n).ravel().tolist() == expected
+        for row, want in zip(stack, expected):
+            got = has_rank(row, n)
+            assert np.ndim(got) == 0 and bool(got) == want
+
+
+def test_gain_kernel_is_free_of_b_scale():
+    # B'PB scales with B'B and so does its floor: rescaling B rescales the kernel
+    P = np.array([[2.0, 0.3], [0.3, 1.0]])
+    ref = gain_kernel(P, B_SHOWCASE, A_SHOWCASE)
+    for c in (1e-10, 1e-7, 1e7):
+        assert np.allclose(c * gain_kernel(P, c * B_SHOWCASE, A_SHOWCASE), ref,
+                           rtol=1e-12, atol=0.0)
 
 
 def test_gain_kernel_degenerate():

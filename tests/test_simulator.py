@@ -11,14 +11,13 @@ from limas import (
     WeightedGraph,
     closed_loop_matrix,
     convergence_metrics,
-    deviation,
     initial_state,
     modal_radii,
     simulate,
     synthesize_gain,
 )
 from limas.errors import Overflow, ShapeMismatch
-from conftest import four_agent_model, random_coupled_model
+from conftest import deviation, four_agent_model, random_coupled_model
 
 
 def pair_graph(w: float) -> WeightedGraph:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -26,15 +27,37 @@ def test_benchmark_trace_targets_resolve():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-def test_readme_flags_match_cli():
-    # the README documents the flags by name; a stale or missing one misleads users
+def _subcommand_flags() -> dict[str, list[str]]:
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    defined = {flag for sub in subparsers.choices.values() for action in sub._actions
-               for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    return {command: [flag for action in sub._actions for flag in action.option_strings]
+            for command, sub in subparsers.choices.items()}
+
+
+def test_readme_flags_match_cli():
+    # the README documents the flags by name; a stale or missing one misleads users
+    defined = {flag for flags in _subcommand_flags().values() for flag in flags
+               if flag.startswith("--")} - {"--help"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     flag = re.compile(r"--[a-z][a-z-]*")
     assert defined
     assert sorted(defined - set(flag.findall(readme))) == []
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     assert sorted(set(flag.findall(section)) - defined) == []
+
+
+def test_no_parameter_or_flag_carries_a_tolerance():
+    # each tolerance is one module constant read where it is used
+    tolerance = re.compile(r"rtol|atol|tol|threshold|max_iter|floor", re.IGNORECASE)
+    found = []
+    for name in ("analysis", "graphs", "linalg", "model_io", "oracle", "simulator", "cli"):
+        module = importlib.import_module(f"limas.{name}")
+        for attr, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    or obj.__module__ != module.__name__:
+                continue
+            found += [f"{name}.{attr}({param})" for param in inspect.signature(obj).parameters
+                      if tolerance.search(param)]
+    for command, flags in _subcommand_flags().items():
+        found += [f"{command} {flag}" for flag in flags if tolerance.search(flag)]
+    assert found == []
