@@ -10,8 +10,10 @@ consensus, and synthesizes that gain when its sufficient condition holds:
 * assumption checks (commuting Laplacians, per-mode controllability,
   proportional physical coupling),
 * a sufficient condition comparing the spread of per-mode gain targets
-  against a critical Riccati margin, with gain synthesis through a
-  modified Riccati fixed point,
+  against a critical Riccati margin, with gain synthesis through the
+  stabilizing solution of a modified algebraic Riccati equation (MARE),
+  found by Newton (policy iteration) steps along a continuation in the
+  margin sigma,
 * a necessary (refutation) condition built from per-mode determinants,
 * sharper interval conditions for scalar agent dynamics,
 * direct per-mode spectral-radius verification of any candidate gain.
@@ -56,11 +58,15 @@ from .oracle import verify_gain
 
 # Ap = alpha*A holds when ||Ap - alpha*A||_F <= COUPLING_RTOL * max(1, ||A||_F).
 COUPLING_RTOL = 1e-9
-# Q = MARE_Q_SCALE * I regularizes the Riccati recursion when no Q is given.
+# Q = MARE_Q_SCALE * I regularizes the Riccati equation when no Q is given.
 MARE_Q_SCALE = 1e-6
-MARE_MAX_ITER = 100_000
-MARE_CONVERGENCE_RTOL = 1e-10
-MARE_DIVERGENCE_NORM = 1e12
+# Newton at an intermediate sigma stops once its relative step is at most
+# this; at the target sigma, once it is at most this and no longer shrinks.
+MARE_STEP_RTOL = 1e-6
+# The sigma continuation raises Divergence once its step falls below this.
+MARE_SIGMA_STEP_FLOOR = 1e-12
+# Stein solves allowed at one sigma; using them all up rejects that sigma.
+MARE_SOLVES_PER_SIGMA = 50
 # Below this, the smallest communication mode counts as a disconnected graph.
 CONNECTIVITY_FLOOR = 1e-12
 
@@ -305,7 +311,12 @@ def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
 
 @dataclass(frozen=True)
 class MareSolution:
-    """Fixed point of the modified Riccati recursion and how it was reached."""
+    """Stabilizing solution of the modified Riccati equation at ``sigma``.
+
+    ``iterations`` counts the Stein solves spent, those of rejected
+    continuation steps included. ``residual`` is the relative Riccati
+    residual ||MARE(P) - P||_F / ||P||_F.
+    """
 
     P: np.ndarray
     sigma: float
@@ -316,11 +327,23 @@ class MareSolution:
 def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
     """Solve P = Abar'P Abar - sigma * Abar'PB (B'PB)^-1 B'P Abar + Q.
 
-    ``Q`` defaults to MARE_Q_SCALE * I. Plain fixed-point iteration from
-    P = I, stopping when successive iterates agree to MARE_CONVERGENCE_RTOL
-    relative or after MARE_MAX_ITER steps. The recursion converges exactly when
-    sigma exceeds the critical margin of Abar, so divergence (norm blow-up
-    or iteration cap) is reported as such rather than patched over.
+    ``Q`` defaults to MARE_Q_SCALE * I. For single-input B a solution exists
+    exactly when sigma exceeds the critical margin of Abar (any sigma when
+    Abar is Schur stable); below it, Divergence is raised up front.
+
+    Otherwise P is found by Newton's method (Hewer's policy iteration): for
+    a gain K, solve the linear Stein equation
+    P = sigma (Abar+BK)'P(Abar+BK) + (1-sigma) Abar'P Abar + Q, then set
+    K = -(B'PB)^-1 B'P Abar; each step is solved for its increment over the
+    last P. A stabilizing start is carried along a continuation in sigma: at
+    sigma = 1 the deadbeat gain makes the Stein operator nilpotent. The
+    first trial sigma is the target itself. A trial is accepted only when
+    the current gain's operator has spectral radius below one there and
+    Newton then converges within MARE_SOLVES_PER_SIGMA solves; the step
+    doubles after an accepted trial and halves after a rejected one.
+    Intermediate sigma values stop at relative step MARE_STEP_RTOL; the
+    target continues until its step also stops shrinking. A step below
+    MARE_SIGMA_STEP_FLOOR raises Divergence.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -330,26 +353,113 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
     if not is_controllable(Abar, B):
         raise NotControllable("(Abar, B) fails the controllability rank test")
     Q = MARE_Q_SCALE * np.eye(n) if Q is None else as_matrix(Q, rows=n, cols=n, name="Q")
+    critical = sigma_critical(Abar, 1.0)
+    if critical > 0.0 and sigma <= critical:
+        raise Divergence(
+            f"sigma = {sigma:g} is at or below the critical margin {critical:g}",
+            iterations=0)
 
-    P = np.eye(n)
-    for iteration in range(1, MARE_MAX_ITER + 1):
-        PB = P @ B
-        gain_dir = Abar.T @ PB
-        P_next = Abar.T @ P @ Abar \
-            - sigma * (gain_dir @ gain_dir.T) / float((B.T @ PB).item()) + Q
-        P_next = (P_next + P_next.T) / 2.0
-        if float(np.linalg.norm(P_next)) > MARE_DIVERGENCE_NORM:
-            raise Divergence(
-                f"iterate norm exceeded {MARE_DIVERGENCE_NORM:g} at step "
-                f"{iteration} (sigma = {sigma:g} is at or below critical)",
-                iterations=iteration)
-        diff = float(np.linalg.norm(P_next - P))
-        if diff <= MARE_CONVERGENCE_RTOL * float(np.linalg.norm(P)):
-            return MareSolution(P_next, sigma, iteration, diff)
-        P = P_next
-    raise Divergence(
-        f"no fixed point within {MARE_MAX_ITER} iterations (sigma = {sigma:g})",
-        iterations=MARE_MAX_ITER)
+    kron_a = _kron_transposed(Abar)
+    P, K = None, _deadbeat_gain(Abar, B)
+    current, step, solves = 1.0, 1.0 - sigma, 0
+    while True:
+        step = min(step, current - sigma)
+        trial = max(sigma, current - step)
+        operator = _stein_operator(Abar, B, K, trial, kron_a)
+        newton = None
+        if _schur_stable(operator):
+            newton, used = _newton(Abar, B, Q, trial, P, operator, kron_a,
+                                   tight=trial == sigma)
+            solves += used
+        if newton is not None:
+            P, K, residual = newton
+            if trial == sigma:
+                return MareSolution(P, sigma, solves, residual)
+            current = trial
+            step *= 2.0
+        else:
+            step /= 2.0
+            if step < MARE_SIGMA_STEP_FLOOR:
+                raise Divergence(
+                    f"sigma continuation stalled {current - sigma:.3g} above "
+                    f"sigma = {sigma:.12g} after {solves} Stein solves",
+                    iterations=solves)
+
+
+def _deadbeat_gain(Abar: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Ackermann gain K with (Abar + BK)^n = 0, for controllable single-input B."""
+    n = Abar.shape[0]
+    ctrb = [B]
+    for _ in range(n - 1):
+        ctrb.append(Abar @ ctrb[-1])
+    last_row = np.linalg.solve(np.hstack(ctrb).T, np.eye(n)[:, -1])
+    return -(last_row @ np.linalg.matrix_power(Abar, n))[None, :]
+
+
+def _kron_transposed(X: np.ndarray) -> np.ndarray:
+    """kron(X', X'), the map P -> X'PX on row-major vec(P), by one broadcast product."""
+    n = X.shape[0]
+    return (X.T[:, None, :, None] * X.T[None, :, None, :]).reshape(n * n, n * n)
+
+
+def _stein_operator(Abar, B, K, sigma: float, kron_a) -> np.ndarray:
+    """The map P -> sigma F'PF + (1-sigma) Abar'P Abar, F = Abar + BK, on row-major vec(P)."""
+    return sigma * _kron_transposed(Abar + B @ K) + (1.0 - sigma) * kron_a
+
+
+def _schur_stable(operator) -> bool:
+    """Spectral radius below one; an eigenvalue solver failure counts as unstable."""
+    try:
+        return float(np.abs(np.linalg.eigvals(operator)).max()) < 1.0
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
+    """Newton steps at one sigma; returns ((P, K, residual) or None, solves).
+
+    ``operator`` is the Schur-stable Stein operator of the gain K that is
+    optimal for ``P``, or of the start gain when ``P`` is None. Each step
+    solves for the increment D = operator(D) + MARE(P) - P, which equals
+    Hewer's step P_next = operator(P_next) + Q but keeps the rounding of the
+    solve relative to the shrinking increment rather than to P. The result
+    is None when a Stein solve is singular, B'PB is not positive, or
+    MARE_SOLVES_PER_SIGMA solves pass without convergence.
+    """
+    n = Abar.shape[0]
+    identity = np.eye(n * n)
+    if P is None:
+        P, defect = np.zeros((n, n)), Q
+    else:
+        defect, _ = _riccati_defect(Abar, B, Q, sigma, P)
+    prev_step = np.inf
+    for solves in range(1, MARE_SOLVES_PER_SIGMA + 1):
+        try:
+            increment = np.linalg.solve(identity - operator, defect.ravel()).reshape(n, n)
+        except np.linalg.LinAlgError:
+            return None, solves
+        P = P + (increment + increment.T) / 2.0
+        defect, K = _riccati_defect(Abar, B, Q, sigma, P)
+        if K is None:
+            return None, solves
+        norm_P = float(np.linalg.norm(P))
+        rel_step = float(np.linalg.norm(increment)) / norm_P
+        if rel_step <= MARE_STEP_RTOL and (not tight or rel_step >= prev_step):
+            return (P, K, float(np.linalg.norm(defect)) / norm_P), solves
+        prev_step = rel_step
+        operator = _stein_operator(Abar, B, K, sigma, kron_a)
+    return None, MARE_SOLVES_PER_SIGMA
+
+
+def _riccati_defect(Abar, B, Q, sigma: float, P):
+    """MARE(P) - P and the gain K = -(B'PB)^-1 B'P Abar; K is None unless B'PB > 0."""
+    PB = P @ B
+    btpb = float((B.T @ PB).item())
+    if not btpb > 0.0:
+        return None, None
+    gain_dir = Abar.T @ PB
+    defect = Abar.T @ P @ Abar - sigma * (gain_dir @ gain_dir.T) / btpb + Q - P
+    return (defect + defect.T) / 2.0, -gain_dir.T / btpb
 
 
 def modal_radii(model: LimasModel, spec: SpectralPair, K) -> np.ndarray:
@@ -379,7 +489,7 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
                     sufficient: SufficientResult | None = None) -> SynthesisResult:
     """Synthesize the common feedback gain under the sufficient condition.
 
-    Solves the modified Riccati recursion for the worst-case scaled state
+    Solves the modified Riccati equation for the worst-case scaled state
     matrix at the smallest per-mode margin achieved by the midpoint gain
     scale, forms K = -k* (B'PB)^-1 B'PA, and verifies every modal radius.
     A gain that leaves any mode unstable is reported as SynthesisFailed,
@@ -396,9 +506,9 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
         return SynthesisResult(K, 0.0, 0.0, None, radii)
 
     sigma = min(float(np.min(sufficient.sigma_modes)), 1.0)
-    # sigma = sigma_c = 0 is the plain Lyapunov recursion for a stable
-    # scaled state matrix and converges; anything else at or below the
-    # critical margin cannot.
+    # sigma = sigma_c = 0 is the plain Lyapunov equation for a stable
+    # scaled state matrix and has a solution; anything else at or below the
+    # critical margin has none.
     if sigma < 0.0 or (sigma <= sufficient.sigma_c and sufficient.sigma_c > 0.0):
         raise SynthesisFailed(
             f"worst mode margin {sigma:g} does not exceed critical "

@@ -53,7 +53,13 @@ class NotControllable(LimasError):
 
 
 class Divergence(LimasError):
-    """The Riccati fixed-point iteration diverged (sigma at or below critical)."""
+    """The modified Riccati equation has no stabilizing solution at this sigma.
+
+    Raised up front when sigma is at or below the critical margin, and by the
+    sigma continuation when its step falls below its floor, which only
+    rounding right at that margin should cause. ``iterations`` counts the
+    Stein solves spent (0 for the up-front refusal).
+    """
 
     def __init__(self, message: str, iterations: int = 0):
         self.iterations = iterations

@@ -129,10 +129,13 @@ def is_controllable(M, B) -> bool:
 
 
 def controllability_margin(M, B) -> float:
-    """Smallest singular value of the controllability matrix (0 when rank falls short)."""
+    """Smallest singular value of the controllability matrix, whatever the rank.
+
+    For an uncontrollable pair it is small but rarely exactly 0;
+    :func:`has_rank` decides the rank.
+    """
     M = as_square(M, name="M")
-    sv = controllability_singular_values(M, B)
-    return float(sv[-1]) if sv.size >= M.shape[0] else 0.0
+    return float(controllability_singular_values(M, B)[-1])
 
 
 def gain_kernel(P, B, A) -> np.ndarray:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from limas import LimasModel, WeightedGraph, laplacian
-from limas.errors import ShapeMismatch
-from limas.linalg import as_matrix, as_square, eig_general, eig_sym
+from limas.analysis import MARE_Q_SCALE, MareSolution
+from limas.errors import Divergence, NotControllable, ShapeMismatch
+from limas.linalg import as_matrix, as_square, eig_general, eig_sym, is_controllable
 
 A_SHOWCASE = np.array([[1.0, 2.0], [0.0, 1.5]])
 B_SHOWCASE = np.array([[0.0], [1.0]])
@@ -142,3 +143,49 @@ def mare_inequality_margin(Abar, B, sigma: float, P) -> float:
     residual = Abar.T @ P @ Abar \
         - sigma * (gain_dir @ gain_dir.T) / float((B.T @ PB).item()) - P
     return float(eig_sym((residual + residual.T) / 2.0).values[-1])
+
+
+# Stopping rules of the reference fixed point below.
+MARE_MAX_ITER = 100_000
+MARE_CONVERGENCE_RTOL = 1e-10
+MARE_DIVERGENCE_NORM = 1e12
+
+
+def fixed_point_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
+    """Reference MARE solver: the plain fixed-point iteration of the Riccati map.
+
+    ``Q`` defaults to MARE_Q_SCALE * I. Plain fixed-point iteration from
+    P = I, stopping when successive iterates agree to MARE_CONVERGENCE_RTOL
+    relative or after MARE_MAX_ITER steps. The recursion converges exactly when
+    sigma exceeds the critical margin of Abar, so divergence (norm blow-up
+    or iteration cap) is reported as such rather than patched over.
+    ``residual`` is the last absolute step.
+    """
+    Abar = as_square(Abar, name="Abar")
+    n = Abar.shape[0]
+    B = as_matrix(B, rows=n, cols=1, name="B")
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
+    if not is_controllable(Abar, B):
+        raise NotControllable("(Abar, B) fails the controllability rank test")
+    Q = MARE_Q_SCALE * np.eye(n) if Q is None else as_matrix(Q, rows=n, cols=n, name="Q")
+
+    P = np.eye(n)
+    for iteration in range(1, MARE_MAX_ITER + 1):
+        PB = P @ B
+        gain_dir = Abar.T @ PB
+        P_next = Abar.T @ P @ Abar \
+            - sigma * (gain_dir @ gain_dir.T) / float((B.T @ PB).item()) + Q
+        P_next = (P_next + P_next.T) / 2.0
+        if float(np.linalg.norm(P_next)) > MARE_DIVERGENCE_NORM:
+            raise Divergence(
+                f"iterate norm exceeded {MARE_DIVERGENCE_NORM:g} at step "
+                f"{iteration} (sigma = {sigma:g} is at or below critical)",
+                iterations=iteration)
+        diff = float(np.linalg.norm(P_next - P))
+        if diff <= MARE_CONVERGENCE_RTOL * float(np.linalg.norm(P)):
+            return MareSolution(P_next, sigma, iteration, diff)
+        P = P_next
+    raise Divergence(
+        f"no fixed point within {MARE_MAX_ITER} iterations (sigma = {sigma:g})",
+        iterations=MARE_MAX_ITER)

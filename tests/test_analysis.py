@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,7 @@ from limas import (
     sufficient_check,
     synthesize_gain,
 )
-from limas import analysis
+from limas import analysis, verify_gain
 from limas.analysis import CONNECTIVITY_FLOOR, COUPLING_RTOL
 from limas.errors import (
     AssumptionViolated,
@@ -29,10 +33,12 @@ from limas.errors import (
     NotControllable,
     SynthesisFailed,
 )
+from limas.model_io import model_from_dict
 from conftest import (
     A_SHOWCASE,
     B_SHOWCASE,
     cycle4_graph,
+    fixed_point_mare,
     four_agent_model,
     mare_inequality_margin,
     random_coupled_model,
@@ -175,7 +181,7 @@ def test_conditions_share_the_connectivity_floor(showcase_model):
     assert err.value.which == 0
 
 
-# --- modified Riccati recursion ----------------------------------------------
+# --- modified Riccati equation -----------------------------------------------
 
 def test_solve_mare_scalar_closed_form():
     # for a = 2, sigma = 0.8: P (1 - a^2 + sigma a^2) = q, so P = 5 q
@@ -209,6 +215,111 @@ def test_solve_mare_input_validation():
         solve_mare([[2.0]], [[1.0]], 1.2)
     with pytest.raises(NotControllable):
         solve_mare(A_SHOWCASE, np.zeros((2, 1)), 0.9)
+
+
+def _random_mare_instances(seed: int, count: int, above: bool):
+    """(Abar, B, sigma): n <= 4, A Gaussian x U(0.3, 1.5), B Gaussian.
+
+    ``above`` draws sigma in (sigma_c + 1e-3, 1); otherwise in (0, sigma_c),
+    from the instances whose sigma_c exceeds 1e-3.
+    """
+    rng = np.random.default_rng(seed)
+    found = 0
+    while found < count:
+        n = int(rng.integers(1, 5))
+        A = rng.standard_normal((n, n)) * rng.uniform(0.3, 1.5)
+        B = rng.standard_normal((n, 1))
+        sc = sigma_critical(A, 1.0)
+        if above and sc < 1.0 - 1e-3:
+            found += 1
+            yield A, B, float(rng.uniform(sc + 1e-3, 1.0))
+        elif not above and sc > 1e-3:
+            found += 1
+            yield A, B, float(rng.uniform(0.0, sc))
+
+
+def _relative_riccati_residual(Abar, B, sigma, P) -> float:
+    PB = P @ B
+    gain_dir = Abar.T @ PB
+    image = Abar.T @ P @ Abar - sigma * (gain_dir @ gain_dir.T) / float((B.T @ PB).item()) \
+        + analysis.MARE_Q_SCALE * np.eye(len(P))
+    return float(np.linalg.norm(image - P) / np.linalg.norm(P))
+
+
+def test_solve_mare_matches_fixed_point_property():
+    # Newton along the sigma continuation solves the MARE to rounding and
+    # agrees with the plain fixed point wherever that one converges
+    compared = 0
+    for Abar, B, sigma in _random_mare_instances(5, 200, above=True):
+        sol = solve_mare(Abar, B, sigma)
+        residual = _relative_riccati_residual(Abar, B, sigma, sol.P)
+        assert residual <= 1e-10
+        assert sol.residual == pytest.approx(residual, rel=1e-3, abs=1e-15)
+        try:
+            ref = fixed_point_mare(Abar, B, sigma)
+        except Divergence:
+            continue
+        compared += 1
+        assert np.linalg.norm(sol.P - ref.P) <= 1e-6 * np.linalg.norm(ref.P)
+    assert compared >= 150
+
+
+def test_solve_mare_below_critical_property(monkeypatch):
+    # the exact early exit refuses every below-critical sigma, and with the
+    # exit bypassed the continuation's step floor still ends in Divergence
+    instances = list(_random_mare_instances(6, 152, above=False))
+    for Abar, B, sigma in instances:
+        with pytest.raises(Divergence) as err:
+            solve_mare(Abar, B, sigma)
+        assert err.value.iterations == 0
+    monkeypatch.setattr(analysis, "sigma_critical", lambda A, alpha_max: 0.0)
+    for Abar, B, sigma in instances[:30]:
+        with pytest.raises(Divergence) as err:
+            solve_mare(Abar, B, sigma)
+        assert err.value.iterations > 0
+
+
+@pytest.mark.parametrize("Abar, B", [(A_SHOWCASE, B_SHOWCASE), ([[2.0]], [[1.0]])])
+def test_solve_mare_just_above_critical_terminates(Abar, B):
+    # right at the boundary rounding decides; either outcome is fine, a hang is not
+    sigma = sigma_critical(Abar, 1.0) * (1.0 + 1e-13)
+    try:
+        sol = solve_mare(Abar, B, sigma)
+    except Divergence as exc:
+        assert 0 < exc.iterations < 10_000
+    else:
+        assert sol.iterations < 10_000
+        assert _relative_riccati_residual(np.asarray(Abar), np.asarray(B), sigma, sol.P) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # registered while loaded: its dataclasses look their module up by name
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("limas_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_near_critical_benchmark_model_is_certified(workloads, n):
+    # the benchmark's N = 8 cycle/complete model at sigma_c + 1e-4, which the
+    # 100 000-step fixed point could not solve
+    poles = workloads.UNSTABLE_POLES + workloads.STABLE_POLES[: n - 2]
+    w_p = workloads.physical_weight_at_gap(1e-4, poles, 8)
+    model = model_from_dict(workloads._model(
+        workloads._companion(poles), workloads._unit_input(n), 8,
+        ("cycle", w_p), ("complete", 1.0)))
+    report = analyze(model)
+    assert report.verdict == "consensusable"
+    assert report.gain_source == "riccati"
+    assert verify_gain(model, [report.gain]).stable
+    assert report.mare_iterations <= 200
 
 
 # --- gain synthesis -----------------------------------------------------------
