@@ -60,12 +60,13 @@ from .oracle import verify_gain
 COUPLING_RTOL = 1e-9
 # Q = MARE_Q_SCALE * I regularizes the Riccati equation when no Q is given.
 MARE_Q_SCALE = 1e-6
-# Newton at an intermediate sigma stops once its relative step is at most
-# this; at the target sigma, once it is at most this and no longer shrinks.
+# Newton at the target sigma stops once its relative step is at most this
+# and no longer shrinks; an intermediate sigma takes one step regardless.
 MARE_STEP_RTOL = 1e-6
 # The sigma continuation raises Divergence once its step falls below this.
 MARE_SIGMA_STEP_FLOOR = 1e-12
-# Stein solves allowed at one sigma; using them all up rejects that sigma.
+# Stein solves allowed at the target sigma; using them all up rejects that
+# trial. An intermediate sigma takes exactly one.
 MARE_SOLVES_PER_SIGMA = 50
 # Below this, the smallest communication mode counts as a disconnected graph.
 CONNECTIVITY_FLOOR = 1e-12
@@ -338,12 +339,14 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
     last P. A stabilizing start is carried along a continuation in sigma: at
     sigma = 1 the deadbeat gain makes the Stein operator nilpotent. The
     first trial sigma is the target itself. A trial is accepted only when
-    the current gain's operator has spectral radius below one there and
-    Newton then converges within MARE_SOLVES_PER_SIGMA solves; the step
-    doubles after an accepted trial and halves after a rejected one.
-    Intermediate sigma values stop at relative step MARE_STEP_RTOL; the
-    target continues until its step also stops shrinking. A step below
-    MARE_SIGMA_STEP_FLOOR raises Divergence.
+    the current gain's operator has spectral radius below one there and its
+    Newton steps succeed; the step doubles after an accepted trial and
+    halves after a rejected one. An intermediate sigma takes one Newton
+    step, whose gain stabilizes at that sigma by Hewer's theorem and is
+    all the next trial needs. Only the target iterates: until its relative
+    step is at most MARE_STEP_RTOL and no longer shrinks, within
+    MARE_SOLVES_PER_SIGMA solves. A step below MARE_SIGMA_STEP_FLOOR raises
+    Divergence.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -422,9 +425,12 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
     optimal for ``P``, or of the start gain when ``P`` is None. Each step
     solves for the increment D = operator(D) + MARE(P) - P, which equals
     Hewer's step P_next = operator(P_next) + Q but keeps the rounding of the
-    solve relative to the shrinking increment rather than to P. The result
-    is None when a Stein solve is singular, B'PB is not positive, or
-    MARE_SOLVES_PER_SIGMA solves pass without convergence.
+    solve relative to the shrinking increment rather than to P. Without
+    ``tight`` (an intermediate sigma) one step is taken; with it (the
+    target), steps go on until the relative step is at most MARE_STEP_RTOL
+    and no longer shrinks. The result is None when a Stein solve is
+    singular, B'PB is not positive, or MARE_SOLVES_PER_SIGMA solves pass
+    without convergence.
     """
     n = Abar.shape[0]
     identity = np.eye(n * n)
@@ -444,7 +450,7 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
             return None, solves
         norm_P = float(np.linalg.norm(P))
         rel_step = float(np.linalg.norm(increment)) / norm_P
-        if rel_step <= MARE_STEP_RTOL and (not tight or rel_step >= prev_step):
+        if not tight or prev_step <= rel_step <= MARE_STEP_RTOL:
             return (P, K, float(np.linalg.norm(defect)) / norm_P), solves
         prev_step = rel_step
         operator = _stein_operator(Abar, B, K, sigma, kron_a)

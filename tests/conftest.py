@@ -8,7 +8,14 @@ import pytest
 from limas import LimasModel, WeightedGraph, laplacian
 from limas.analysis import MARE_Q_SCALE, MareSolution
 from limas.errors import Divergence, NotControllable, ShapeMismatch
-from limas.linalg import as_matrix, as_square, eig_general, eig_sym, is_controllable
+from limas.linalg import (
+    as_matrix,
+    as_square,
+    eig_general,
+    eig_sym,
+    is_controllable,
+    ones_completion,
+)
 
 A_SHOWCASE = np.array([[1.0, 2.0], [0.0, 1.5]])
 B_SHOWCASE = np.array([[0.0], [1.0]])
@@ -128,6 +135,29 @@ def deviation(x, N: int, n: int) -> np.ndarray:
         raise ShapeMismatch(f"state length {x.size} does not match N*n = {N * n}")
     blocks = x.reshape(N, n)
     return (blocks - blocks.mean(axis=0)).ravel()
+
+
+def exact_stabilizing_interval(a: float, Lp, Lc) -> tuple[float, float]:
+    """Ends of the open gain interval where a*I - Lp + k*Lc is stable on the deviations.
+
+    On the deviation subspace the loop is base + k*S with base = W'(aI - Lp)W
+    and S = W'LcW, definite for a connected ``Lc``. By Loewner monotonicity
+    -I < base + k*S < I is one interval (k_lo, k_hi): k_lo is the largest
+    generalized eigenvalue of (-I - base, S) and k_hi the smallest of
+    (I - base, S), both read after one Cholesky factorization S = LL'. The
+    interval is empty when k_lo >= k_hi.
+    """
+    Lp = as_square(Lp, name="Lp")
+    N = Lp.shape[0]
+    W = ones_completion(N)[:, 1:]
+    base = W.T @ (a * np.eye(N) - Lp) @ W
+    S = W.T @ as_square(Lc, name="Lc") @ W
+    identity = np.eye(N - 1)
+    L_inv = np.linalg.solve(np.linalg.cholesky((S + S.T) / 2.0), identity)
+    base = (base + base.T) / 2.0
+    k_lo = np.linalg.eigvalsh(L_inv @ (-identity - base) @ L_inv.T)[-1]
+    k_hi = np.linalg.eigvalsh(L_inv @ (identity - base) @ L_inv.T)[0]
+    return float(k_lo), float(k_hi)
 
 
 def mare_inequality_margin(Abar, B, sigma: float, P) -> float:

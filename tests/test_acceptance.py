@@ -27,11 +27,11 @@ from limas import (
 )
 from limas.errors import Divergence
 from limas.linalg import eig_sym, ones_completion
-from limas.oracle import scalar_grid_search
 from conftest import (
     A_SHOWCASE,
     commuting_graph_pair,
     deviation,
+    exact_stabilizing_interval,
     four_agent_model,
     graph_modes,
     random_scalar_instance,
@@ -145,8 +145,8 @@ def test_A5_scalar_necessity_property():
 
     checked = 0
     for a, Lp, Lc, lp, lc in instances:
-        result = scalar_grid_search(a, Lp, Lc)
-        if result.stabilizing_k.size == 0:
+        k_lo, k_hi = exact_stabilizing_interval(a, Lp, Lc)
+        if k_lo >= k_hi:
             continue
         checked += 1
         assert scalar_check(a, lp, lc).necessary

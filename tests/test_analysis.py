@@ -217,11 +217,13 @@ def test_solve_mare_input_validation():
         solve_mare(A_SHOWCASE, np.zeros((2, 1)), 0.9)
 
 
-def _random_mare_instances(seed: int, count: int, above: bool):
+def _random_mare_instances(seed: int, count: int, where: str):
     """(Abar, B, sigma): n <= 4, A Gaussian x U(0.3, 1.5), B Gaussian.
 
-    ``above`` draws sigma in (sigma_c + 1e-3, 1); otherwise in (0, sigma_c),
-    from the instances whose sigma_c exceeds 1e-3.
+    ``where`` is "above" for sigma in (sigma_c + 1e-3, 1); "below" for sigma
+    in (0, sigma_c), from the instances whose sigma_c exceeds 1e-3; "near"
+    for sigma = sigma_c + 10^U(-4, -1) below 1, from the instances whose
+    sigma_c is positive.
     """
     rng = np.random.default_rng(seed)
     found = 0
@@ -230,12 +232,17 @@ def _random_mare_instances(seed: int, count: int, above: bool):
         A = rng.standard_normal((n, n)) * rng.uniform(0.3, 1.5)
         B = rng.standard_normal((n, 1))
         sc = sigma_critical(A, 1.0)
-        if above and sc < 1.0 - 1e-3:
+        if where == "above" and sc < 1.0 - 1e-3:
             found += 1
             yield A, B, float(rng.uniform(sc + 1e-3, 1.0))
-        elif not above and sc > 1e-3:
+        elif where == "below" and sc > 1e-3:
             found += 1
             yield A, B, float(rng.uniform(0.0, sc))
+        elif where == "near" and sc > 0.0:
+            sigma = sc + 10.0 ** float(rng.uniform(-4.0, -1.0))
+            if sigma < 1.0:
+                found += 1
+                yield A, B, sigma
 
 
 def _relative_riccati_residual(Abar, B, sigma, P) -> float:
@@ -250,7 +257,7 @@ def test_solve_mare_matches_fixed_point_property():
     # Newton along the sigma continuation solves the MARE to rounding and
     # agrees with the plain fixed point wherever that one converges
     compared = 0
-    for Abar, B, sigma in _random_mare_instances(5, 200, above=True):
+    for Abar, B, sigma in _random_mare_instances(5, 200, "above"):
         sol = solve_mare(Abar, B, sigma)
         residual = _relative_riccati_residual(Abar, B, sigma, sol.P)
         assert residual <= 1e-10
@@ -264,10 +271,23 @@ def test_solve_mare_matches_fixed_point_property():
     assert compared >= 150
 
 
+def test_solve_mare_near_critical_property():
+    # just above sigma_c the continuation makes more than one intermediate
+    # stop on about half of these instances, each with one Newton step; the
+    # target must still get the stabilizing solution
+    for Abar, B, sigma in _random_mare_instances(7, 200, "near"):
+        sol = solve_mare(Abar, B, sigma)
+        assert _relative_riccati_residual(Abar, B, sigma, sol.P) <= 1e-10
+        PB = sol.P @ B
+        F = Abar - B @ (PB.T @ Abar) / float((B.T @ PB).item())
+        stein = sigma * np.kron(F.T, F.T) + (1.0 - sigma) * np.kron(Abar.T, Abar.T)
+        assert spectral_radius(stein) < 1.0
+
+
 def test_solve_mare_below_critical_property(monkeypatch):
     # the exact early exit refuses every below-critical sigma, and with the
     # exit bypassed the continuation's step floor still ends in Divergence
-    instances = list(_random_mare_instances(6, 152, above=False))
+    instances = list(_random_mare_instances(6, 152, "below"))
     for Abar, B, sigma in instances:
         with pytest.raises(Divergence) as err:
             solve_mare(Abar, B, sigma)
@@ -307,11 +327,13 @@ def workloads():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_near_critical_benchmark_model_is_certified(workloads, n):
-    # the benchmark's N = 8 cycle/complete model at sigma_c + 1e-4, which the
-    # 100 000-step fixed point could not solve
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
+def test_near_critical_benchmark_model_is_certified(workloads, d, n):
+    # the benchmark's N = 8 cycle/complete model at sigma_c + d, which the
+    # 100 000-step fixed point could not solve at d = 1e-4; one Newton step
+    # per intermediate sigma keeps the Stein solves within 25
     poles = workloads.UNSTABLE_POLES + workloads.STABLE_POLES[: n - 2]
-    w_p = workloads.physical_weight_at_gap(1e-4, poles, 8)
+    w_p = workloads.physical_weight_at_gap(d, poles, 8)
     model = model_from_dict(workloads._model(
         workloads._companion(poles), workloads._unit_input(n), 8,
         ("cycle", w_p), ("complete", 1.0)))
@@ -319,7 +341,7 @@ def test_near_critical_benchmark_model_is_certified(workloads, n):
     assert report.verdict == "consensusable"
     assert report.gain_source == "riccati"
     assert verify_gain(model, [report.gain]).stable
-    assert report.mare_iterations <= 200
+    assert report.mare_iterations <= 25
 
 
 # --- gain synthesis -----------------------------------------------------------

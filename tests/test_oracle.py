@@ -16,7 +16,13 @@ from limas import (
 )
 from limas.errors import NotDeviationInvariant, NotScalar
 from limas.oracle import scalar_model_grid_search
-from conftest import cycle4_graph, four_agent_model, random_coupled_model
+from conftest import (
+    cycle4_graph,
+    exact_stabilizing_interval,
+    four_agent_model,
+    random_coupled_model,
+    random_scalar_instance,
+)
 
 
 def test_projected_identity_scaling():
@@ -95,6 +101,28 @@ def test_grid_search_respects_grid_order():
                              laplacian(WeightedGraph.path(3)),
                              lo=-1.0, hi=1.0, count=201)
     assert np.all(np.diff(res.stabilizing_k) > 0)
+
+
+def test_grid_search_matches_exact_stabilizing_interval():
+    # on random, mostly non-commuting scalar instances the grid's stabilizing
+    # run ends within one spacing of the exact interval's ends
+    rng = np.random.default_rng(2024)
+    non_empty = 0
+    for _ in range(12):
+        a, gp, gc = random_scalar_instance(rng)
+        Lp, Lc = laplacian(gp), laplacian(gc)
+        k_lo, k_hi = exact_stabilizing_interval(a, Lp, Lc)
+        result = scalar_grid_search(a, Lp, Lc)
+        runs = result.stabilizing_intervals()
+        if k_lo >= k_hi:
+            assert runs == []
+            continue
+        non_empty += 1
+        spacing = (result.hi - result.lo) / (result.count - 1)
+        assert len(runs) == 1
+        assert runs[0][0] == pytest.approx(k_lo, abs=spacing)
+        assert runs[0][1] == pytest.approx(k_hi, abs=spacing)
+    assert non_empty >= 8
 
 
 @pytest.mark.parametrize("lo, hi", [(5.0, -5.0), (1.0, 1.0), (np.nan, 1.0), (-1.0, np.nan),
