@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateSpectrum, NotCommuting, ShapeMismatch
 from .linalg import as_square, eig_sym, ones_completion
 
-# Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * max(1, ||Lp||_F ||Lc||_F).
+# Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
 COMMUTE_RTOL = 1e-9
 # Eigenvalue grouping tolerance for joint diagonalization, relative to ||Lc||_F.
 GROUP_RTOL = 1e-8
@@ -152,7 +152,7 @@ def commute_check(Lp, Lc) -> CommuteCheck:
     if Lp.shape != Lc.shape:
         raise ShapeMismatch(f"Laplacians differ in size: {Lp.shape} vs {Lc.shape}")
     residual = float(np.linalg.norm(Lp @ Lc - Lc @ Lp))
-    gate = COMMUTE_RTOL * max(1.0, float(np.linalg.norm(Lp)) * float(np.linalg.norm(Lc)))
+    gate = COMMUTE_RTOL * float(np.linalg.norm(Lp)) * float(np.linalg.norm(Lc))
     return CommuteCheck(residual <= gate, residual)
 
 

@@ -4,7 +4,8 @@ Nothing here reuses the condition logic from :mod:`limas.analysis`: gains
 are judged by projecting the stacked closed loop onto the orthogonal
 complement of the consensus subspace and reading off the spectral radius
 directly. That projection needs no commuting assumption, which is what
-makes it a fair referee.
+makes it a fair referee. Every verdict goes through the one projection,
+:func:`projected_deviation_matrix`, and so through its invariance gate.
 """
 
 from __future__ import annotations
@@ -24,28 +25,30 @@ if TYPE_CHECKING:
 GRID_LO = -20.0
 GRID_HI = 20.0
 GRID_COUNT = 40_001
-# All-ones invariance gate: ||Atil 1 - mean 1|| <= INVARIANCE_RTOL * max(1, ||Atil||_F).
+# Invariance gate: sqrt(N) times the block of Atil moving the consensus subspace
+# out of itself is <= INVARIANCE_RTOL * ||Atil||_F (n = 1: ||Atil 1 - mean 1||).
 INVARIANCE_RTOL = 1e-8
 
 
-def projected_deviation_matrix(Atil, basis: np.ndarray | None = None) -> np.ndarray:
-    """Restrict a matrix with the all-ones direction invariant to its complement.
+def projected_deviation_matrix(Atil, n: int = 1) -> np.ndarray:
+    """Restrict a stacked matrix of N blocks of size n to the deviations.
 
-    ``basis`` may supply an alternative orthonormal completion (first column
-    must be the normalized all-ones vector); the restricted spectrum does
-    not depend on that choice.
+    With psi = ones_completion(N) (x) I_n, returns the block of psi' Atil psi
+    that acts on the complement of the consensus subspace span{1 (x) e_j}.
+    Raises NotDeviationInvariant when Atil moves that subspace out of itself
+    by more than the INVARIANCE_RTOL gate, and ShapeMismatch when the size
+    of Atil is not a multiple of n.
     """
     Atil = as_square(Atil, name="Atil")
-    N = Atil.shape[0]
-    ones = np.ones(N)
-    row_action = Atil @ ones
-    mean = float(ones @ row_action) / N
-    gate = INVARIANCE_RTOL * max(1.0, float(np.linalg.norm(Atil)))
-    if float(np.linalg.norm(row_action - mean * ones)) > gate:
+    if n < 1 or Atil.shape[0] % n:
+        raise ShapeMismatch(f"Atil of size {Atil.shape[0]} is not made of {n} x {n} blocks")
+    N = Atil.shape[0] // n
+    psi = np.kron(ones_completion(N), np.eye(n))
+    moved = psi.T @ Atil @ psi
+    if np.sqrt(N) * np.linalg.norm(moved[n:, :n]) > INVARIANCE_RTOL * np.linalg.norm(Atil):
         raise NotDeviationInvariant(
-            "the all-ones direction is not invariant under this matrix")
-    psi = ones_completion(N) if basis is None else basis
-    return (psi.T @ Atil @ psi)[1:, 1:]
+            "the consensus subspace is not invariant under this matrix")
+    return moved[n:, n:]
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,9 @@ def scalar_grid_search(a: float, Lp, Lc, lo: float = GRID_LO,
                        hi: float = GRID_HI, count: int = GRID_COUNT) -> GridSearchResult:
     """Scan scalar gains k, testing a*I - Lp + k*Lc on the deviation subspace.
 
-    The projected matrices are symmetric, so the whole grid is evaluated as
-    one batched symmetric eigenproblem. Results are assembled in grid
-    order regardless of how the batch is computed.
+    Raises NotDeviationInvariant unless a*I - Lp and Lc keep the all-ones
+    vector invariant. The projected matrices are symmetric, so the whole
+    grid is one batched symmetric eigenproblem, evaluated in grid order.
     """
     Lp = as_square(Lp, name="Lp")
     Lc = as_square(Lc, name="Lc")
@@ -96,16 +99,14 @@ def scalar_grid_search(a: float, Lp, Lc, lo: float = GRID_LO,
         raise ValueError(f"grid needs at least 2 points, got {count}")
     if not -np.inf < lo < hi < np.inf:
         raise ValueError(f"grid bounds must be finite with lo < hi, got lo = {lo}, hi = {hi}")
-    N = Lp.shape[0]
-    psi = ones_completion(N)
-    W = psi[:, 1:]
-    base = W.T @ (float(a) * np.eye(N) - Lp) @ W
-    step = W.T @ Lc @ W
+    base = projected_deviation_matrix(float(a) * np.eye(Lp.shape[0]) - Lp)
+    step = projected_deviation_matrix(Lc)
     base = (base + base.T) / 2.0
     step = (step + step.T) / 2.0
 
     ks = np.linspace(lo, hi, count)
-    stacked = base[None, :, :] + ks[:, None, None] * step[None, :, :]
+    stacked = ks[:, None, None] * step
+    stacked += base
     radii = np.max(np.abs(np.linalg.eigvalsh(stacked)), axis=1)
 
     best = int(np.argmin(radii))
@@ -128,9 +129,7 @@ def verify_gain(model: LimasModel, K) -> GainVerification:
     closed-loop matrix and checks the restricted spectral radius. Works for
     any model; commuting Laplacians are not required.
     """
-    M = closed_loop_matrix(model, K)
-    psi = np.kron(ones_completion(model.N), np.eye(model.n))
-    restricted = (psi.T @ M @ psi)[model.n:, model.n:]
+    restricted = projected_deviation_matrix(closed_loop_matrix(model, K), model.n)
     radius = float(np.max(np.abs(eig_general(restricted))))
     return GainVerification(radius < 1.0, radius)
 

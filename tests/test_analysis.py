@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -179,6 +180,16 @@ def test_conditions_share_the_connectivity_floor(showcase_model):
     with pytest.raises(AssumptionViolated) as err:
         sufficient_check(model, weak)
     assert err.value.which == 0
+
+
+@pytest.mark.parametrize("weight", [1e-13, 1e-16])
+def test_connectivity_floor_is_free_of_weight_scale(showcase_model, weight):
+    # the same plant on a rescaled communication graph: the gain scales by
+    # 1/weight and the certified radius stays put
+    ref = analyze(showcase_model)
+    report = analyze(four_agent_model(gc=WeightedGraph.complete(4, weight)))
+    assert report.verdict == "consensusable"
+    assert report.certified_radius == pytest.approx(ref.certified_radius, rel=1e-9)
 
 
 # --- modified Riccati equation -----------------------------------------------
@@ -368,6 +379,18 @@ def test_synthesize_gain_requires_sufficient():
         synthesize_gain(model, spec)
 
 
+def test_synthesis_margin_at_or_below_critical_is_divergence(showcase_model):
+    # the margin is clipped into [0, 1]; solve_mare refuses it up front
+    spec = showcase_model.spectral_pair()
+    suff = sufficient_check(showcase_model, spec)
+    assert suff.sigma_c > 0.0
+    for margin in (suff.sigma_c, 0.5 * suff.sigma_c, -1e-17):
+        forged = dataclasses.replace(suff, sigma_modes=np.full_like(suff.sigma_modes, margin))
+        with pytest.raises(Divergence) as err:
+            synthesize_gain(showcase_model, spec, sufficient=forged)
+        assert err.value.iterations == 0
+
+
 def test_synthesis_soundness_randomized():
     # whenever synthesis returns, every mode is verified stable; and the
     # sufficient verdict always leads to a successful synthesis
@@ -539,6 +562,19 @@ def test_coupling_gate_is_one_rule():
         else:
             with pytest.raises(ValueError, match="disagree"):
                 LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
+
+
+def test_coupling_gate_is_free_of_scale():
+    # a relative drift of 37 fails at every scale of A, also far below unit
+    drift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    gp, gc = cycle4_graph(), WeightedGraph.complete(4)
+    for c in (1.0, 1e-6, 1e-12):
+        A = c * A_SHOWCASE
+        Ap = 0.3 * A + 100.0 * c * drift
+        check, fitted = check_proportional_coupling(LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap))
+        assert not check.holds and fitted is None
+        with pytest.raises(ValueError, match="disagree"):
+            LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
 
 
 def test_model_rejects_non_finite_alpha():

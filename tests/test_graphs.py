@@ -176,6 +176,15 @@ def test_commute_check_negative():
     assert residual > 1e-3
 
 
+def test_commute_gate_is_free_of_weight_scale():
+    # path and star on 8 nodes: the relative commutator is 0.185 at any common
+    # weight, so the gate must fail below unit scale too
+    for w in (1.0, 1e-3, 1e-5, 1e-9):
+        path = laplacian(WeightedGraph.path(8, w))
+        star = laplacian(WeightedGraph(8, [(0, k, w) for k in range(1, 8)]))
+        assert not commute_check(path, star).ok
+
+
 def test_simultaneous_diagonalize_two_nodes():
     Lp = laplacian(WeightedGraph(2, [(0, 1, 0.4)]))
     Lc = laplacian(WeightedGraph(2, [(0, 1, 1.3)]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from limas import (
     scalar_grid_search,
     verify_gain,
 )
-from limas.errors import NotDeviationInvariant, NotScalar
+from limas.errors import NotDeviationInvariant, NotScalar, ShapeMismatch
+from limas.linalg import ones_completion
 from limas.oracle import scalar_model_grid_search
+from limas.simulator import closed_loop_matrix
 from conftest import (
     cycle4_graph,
     exact_stabilizing_interval,
@@ -50,6 +54,41 @@ def test_projected_rejects_non_invariant():
         projected_deviation_matrix(np.diag([1.0, 2.0, 3.0]))
 
 
+def test_projected_gate_is_free_of_scale():
+    # non-invariance is rejected far below unit norm too
+    for c in (1e-9, 1e-15):
+        with pytest.raises(NotDeviationInvariant):
+            projected_deviation_matrix(c * np.diag([1.0, 2.0, 3.0]))
+    assert not projected_deviation_matrix(np.zeros((3, 3))).any()
+
+
+def test_projected_blocks_match_inline_projection():
+    # the one projection is the full completion product the referee formed inline
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 4):
+        for _ in range(5):
+            model = random_coupled_model(rng, N=int(rng.integers(2, 9)), n=n)
+            M = closed_loop_matrix(model, rng.uniform(-1.0, 1.0, (1, n)))
+            psi = np.kron(ones_completion(model.N), np.eye(n))
+            expected = (psi.T @ M @ psi)[n:, n:]
+            out = projected_deviation_matrix(M, n)
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+
+
+def test_projected_rejects_a_leaking_block_row():
+    rng = np.random.default_rng(59)
+    model = random_coupled_model(rng, N=5, n=2)
+    M = closed_loop_matrix(model, [[0.3, -0.2]])
+    projected_deviation_matrix(M, 2)
+    leaking = M.copy()
+    leaking[2:4, :2] += 1e-3 * np.linalg.norm(M)  # block row 1 now moves consensus
+    with pytest.raises(NotDeviationInvariant):
+        projected_deviation_matrix(leaking, 2)
+    with pytest.raises(ShapeMismatch):
+        projected_deviation_matrix(M, 3)
+
+
 def test_projected_gate_scales_with_matrix_norm():
     # the all-ones direction is exactly invariant; only row-sum rounding
     # (about 7e-8 at this weight) separates it from zero
@@ -70,7 +109,7 @@ def test_projection_is_completion_independent():
         M = np.column_stack([np.ones(N) / np.sqrt(N), rng.standard_normal((N, N - 1))])
         Q, _ = np.linalg.qr(M)
         Q[:, 0] = np.ones(N) / np.sqrt(N)
-        spectrum_other = np.sort(np.linalg.eigvals(projected_deviation_matrix(Atil, basis=Q)))
+        spectrum_other = np.sort(np.linalg.eigvals((Q.T @ Atil @ Q)[1:, 1:]))
         assert np.allclose(spectrum_default, spectrum_other, atol=1e-9)
 
 
@@ -123,6 +162,64 @@ def test_grid_search_matches_exact_stabilizing_interval():
         assert runs[0][0] == pytest.approx(k_lo, abs=spacing)
         assert runs[0][1] == pytest.approx(k_hi, abs=spacing)
     assert non_empty >= 8
+
+
+def _two_array_grid(base, step, ks):
+    """Radii of base + k*step over the grid, with the stack held twice."""
+    stacked = base[None, :, :] + ks[:, None, None] * step[None, :, :]
+    return np.max(np.abs(np.linalg.eigvalsh(stacked)), axis=1)
+
+
+def _two_array_grid_search(a, Lp, Lc, ks):
+    """Projection by the completion's deviation columns, then the two-array stack."""
+    W = ones_completion(Lp.shape[0])[:, 1:]
+    base = W.T @ (a * np.eye(Lp.shape[0]) - Lp) @ W
+    step = W.T @ Lc @ W
+    return _two_array_grid((base + base.T) / 2.0, (step + step.T) / 2.0, ks)
+
+
+@pytest.mark.parametrize("N", [3, 8, 16, 24])
+def test_grid_search_matches_two_array_formula(N):
+    rng = np.random.default_rng(61 + N)
+    for _ in range(3):
+        a, gp, gc = random_scalar_instance(rng, N=N)
+        Lp, Lc = laplacian(gp), laplacian(gc)
+        result = scalar_grid_search(a, Lp, Lc, lo=-3.0, hi=3.0, count=601)
+        ks = np.linspace(-3.0, 3.0, 601)
+        # same projections: the one-stack build is the same arithmetic, bit for bit
+        base = projected_deviation_matrix(a * np.eye(N) - Lp)
+        step = projected_deviation_matrix(Lc)
+        radii = _two_array_grid((base + base.T) / 2.0, (step + step.T) / 2.0, ks)
+        assert result.stabilizing_k.tobytes() == ks[radii < 1.0].tobytes()
+        best = int(np.argmin(radii))
+        assert (result.best_k, result.best_radius) == (ks[best], radii[best])
+        # projecting by the deviation columns alone may round differently
+        reference = _two_array_grid_search(a, Lp, Lc, ks)
+        assert np.allclose(radii, reference, rtol=0.0, atol=64 * N * np.finfo(float).eps
+                           * (abs(a) + np.linalg.norm(Lp) + 3.0 * np.linalg.norm(Lc)))
+
+
+def test_grid_search_rejects_non_invariant_input():
+    Lc = laplacian(WeightedGraph.path(3))
+    with pytest.raises(NotDeviationInvariant):
+        scalar_grid_search(1.2, np.zeros((3, 3)), Lc + np.diag([0.0, 0.0, 0.1]), count=11)
+    with pytest.raises(NotDeviationInvariant):
+        scalar_grid_search(1.2, np.diag([0.0, 0.0, 0.1]), Lc, count=11)
+
+
+def test_grid_search_holds_one_stack():
+    # the N = 16 grid of 4001 points peaks below 1.5 stacks of 15 x 15 matrices
+    rng = np.random.default_rng(67)
+    a, gp, gc = random_scalar_instance(rng, N=16)
+    Lp, Lc = laplacian(gp), laplacian(gc)
+    one_stack = 4001 * 15 * 15 * 8
+    tracemalloc.start()
+    try:
+        scalar_grid_search(a, Lp, Lc, count=4001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * one_stack
 
 
 @pytest.mark.parametrize("lo, hi", [(5.0, -5.0), (1.0, 1.0), (np.nan, 1.0), (-1.0, np.nan),

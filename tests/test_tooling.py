@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -44,6 +45,27 @@ def test_readme_flags_match_cli():
     assert sorted(defined - set(flag.findall(readme))) == []
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     assert sorted(set(flag.findall(section)) - defined) == []
+
+
+def test_readme_names_every_tolerance_constant():
+    # the "Command line" section lists each fixed tolerance by module and name
+    section = (ROOT / "README.md").read_text(encoding="utf-8") \
+        .split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([a-z_]+\.[A-Z][A-Z0-9_]*)`", section))
+    assert named
+    for dotted in named:
+        module, attr = dotted.split(".")
+        assert hasattr(importlib.import_module(f"limas.{module}"), attr), dotted
+    tolerance = re.compile(r"RTOL|FLOOR|THRESHOLD|GUARD|SLOPE|SCALE|SOLVES")
+    assigned = set()
+    for path in sorted((ROOT / "src" / "limas").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            assigned |= {f"{path.stem}.{t.id}" for t in targets
+                         if isinstance(t, ast.Name) and tolerance.search(t.id)}
+    assert assigned
+    assert sorted(assigned - named) == []
 
 
 def test_no_parameter_or_flag_carries_a_tolerance():
