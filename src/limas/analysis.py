@@ -42,7 +42,6 @@ from .graphs import (
     commute_check,
     is_connected,
     laplacian,
-    simultaneous_diagonalize,
 )
 from .linalg import (
     as_matrix,
@@ -153,9 +152,6 @@ class LimasModel:
         """Controllability singular values of (A - lambda*Ap, B) per non-consensus mode."""
         modes = self.A - self.spectrum_p[1:, None, None] * self.Ap
         return _frozen(controllability_singular_values(modes, self.B))
-
-    def spectral_pair(self) -> SpectralPair:
-        return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

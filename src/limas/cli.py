@@ -79,7 +79,8 @@ def render_text(report: analysis.AnalysisReport) -> str:
         c = report.necessary
         lines.append(
             f"necessary condition: {'holds' if c.holds else 'FAILS'} "
-            f"(gamma_c {c.gamma_c:.6g}, lhs {c.lhs:.6g} < rhs {c.rhs:.6g})")
+            f"(gamma_c {c.gamma_c:.6g}, lhs {c.lhs:.6g} {'<' if c.holds else '>='} "
+            f"rhs {c.rhs:.6g})")
     else:
         lines.append(f"necessary condition: unavailable ({report.necessary_error})")
     if report.scalar is not None:

@@ -1,9 +1,14 @@
 """Closed-loop assembly and trajectory simulation of the stacked system.
 
 The stacked update is x+ = (I_N (x) A - Lp (x) Ap + Lc (x) BK) x. The
-simulator iterates the full state, then derives from the stored states the
-consensus mean and each agent's deviation from it, so both the convergence
-curves and the consensus trajectory itself are available.
+simulator carries the two quantities a run reports, each by its own exact
+recurrence, and never forms the stacked state. Laplacian columns sum to
+zero, so the consensus mean follows xbar+ = A xbar. The stacked deviation
+d = x - 1 (x) xbar follows d+ = (M - (11'/N) (x) A) d with M the stacked
+matrix. That update maps every vector into the deviation subspace, so the
+rounding of one step that leaks into the consensus direction is removed by
+the next step instead of growing with the mean. The deviations therefore
+stay accurate while the mean grows or decays.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ if TYPE_CHECKING:
 
 OVERFLOW_GUARD = 1e100
 SETTLING_THRESHOLD = 1e-3
-# Deviations this far below the state norm are cancellation noise, not signal.
-DEVIATION_FLOOR_RTOL = 1e-12
 # A fitted log-slope at or above this is fp noise around zero: no decay.
 FLAT_SLOPE = -1e-12
 
@@ -37,15 +40,14 @@ def closed_loop_matrix(model: LimasModel, K) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """A simulated run: states, per-agent deviation norms, consensus trace."""
+    """A simulated run: per-agent deviation norms and the consensus trace."""
 
-    states: np.ndarray       # (T+1, N*n)
     delta_norms: np.ndarray  # (T+1, N)
     xbar: np.ndarray         # (T+1, n)
 
     @property
     def step_count(self) -> int:
-        return self.states.shape[0] - 1
+        return self.xbar.shape[0] - 1
 
 
 def initial_state(model: LimasModel, seed: int) -> np.ndarray:
@@ -55,33 +57,40 @@ def initial_state(model: LimasModel, seed: int) -> np.ndarray:
 
 
 def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
-    """Iterate the stacked closed loop for ``steps`` updates.
+    """Iterate the consensus mean and the stacked deviation for ``steps`` updates.
 
-    Raises Overflow (with the offending step) as soon as any state entry
-    exceeds OVERFLOW_GUARD in magnitude, which signals an unstable loop.
+    Raises Overflow (with the offending step) as soon as an entry of the
+    mean or of the deviation exceeds OVERFLOW_GUARD in magnitude, which
+    signals an unstable loop.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     x = np.asarray(x0, dtype=float).ravel()
-    if x.size != model.N * model.n:
-        raise ShapeMismatch(
-            f"x0 length {x.size} does not match N*n = {model.N * model.n}")
+    N, n = model.N, model.n
+    if x.size != N * n:
+        raise ShapeMismatch(f"x0 length {x.size} does not match N*n = {N * n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
 
-    M = closed_loop_matrix(model, K)
-    states = np.empty((steps + 1, x.size))
+    A = model.A
+    D = closed_loop_matrix(model, K)
+    # D = M - (11'/N) (x) A: every (i, j) block of M loses A/N, in place
+    D.reshape(N, n, N, n)[...] -= A[None, :, None, :] / N
+    mean = x.reshape(N, n).mean(axis=0)
+    d = (x.reshape(N, n) - mean).ravel()
+    xbar = np.empty((steps + 1, n))
+    deviations = np.empty((steps + 1, N * n))
     for t in range(steps + 1):
-        if float(np.max(np.abs(x))) > OVERFLOW_GUARD:
+        if max(float(np.max(np.abs(d))), float(np.max(np.abs(mean)))) > OVERFLOW_GUARD:
             raise Overflow(t)
-        states[t] = x
+        xbar[t] = mean
+        deviations[t] = d
         if t < steps:
-            x = M @ x
+            d = D @ d
+            mean = A @ mean
 
-    blocks = states.reshape(steps + 1, model.N, model.n)
-    xbar = blocks.mean(axis=1)
-    delta_norms = np.linalg.norm(blocks - xbar[:, None, :], axis=2)
-    return Trajectory(states, delta_norms, xbar)
+    delta_norms = np.linalg.norm(deviations.reshape(steps + 1, N, n), axis=2)
+    return Trajectory(delta_norms, xbar)
 
 
 @dataclass(frozen=True)
@@ -101,11 +110,12 @@ def convergence_metrics(traj: Trajectory) -> ConvergenceMetrics:
     """Summarize a trajectory's convergence behaviour.
 
     The rate is exp of the least-squares slope of log total deviation norm
-    over the tail half of the run. The settling step is the first whose
-    worst agent deviation is below SETTLING_THRESHOLD. Steps whose
-    deviation sits below DEVIATION_FLOOR_RTOL of the state norm are treated
-    as numerically settled and excluded from the fit (a loop whose consensus
-    trajectory grows leaves only cancellation noise there).
+    over the tail half of the run. The fit reads only the tail steps whose
+    total deviation is a positive normal float: a deviation that decayed to
+    zero or into the subnormal range has no usable logarithm, and a run
+    with fewer than two such steps counts as settled (rate 0). The
+    settling step is the first whose worst agent deviation is below
+    SETTLING_THRESHOLD.
     """
     total = np.linalg.norm(traj.delta_norms, axis=1)
     T = total.size - 1
@@ -118,11 +128,9 @@ def convergence_metrics(traj: Trajectory) -> ConvergenceMetrics:
         settling_step = int(below[0])
 
     tail = np.arange(T // 2, T + 1)
-    floor = DEVIATION_FLOOR_RTOL * np.linalg.norm(traj.states[tail], axis=1)
-    usable = total[tail] > floor
-    if int(np.count_nonzero(usable)) < 2:
-        # Deviation at or below the numerical floor throughout: settled.
+    tail = tail[total[tail] >= np.finfo(float).tiny]
+    if tail.size < 2:
         return ConvergenceMetrics(0.0, settling_step, False)
-    slope = float(np.polyfit(tail[usable], np.log(total[tail][usable]), 1)[0])
+    slope = float(np.polyfit(tail, np.log(total[tail]), 1)[0])
     rate = float(np.exp(slope))
     return ConvergenceMetrics(rate, settling_step, slope >= FLAT_SLOPE)

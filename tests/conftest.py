@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from limas import LimasModel, WeightedGraph, laplacian
+from limas import (
+    LimasModel,
+    SpectralPair,
+    WeightedGraph,
+    laplacian,
+    simultaneous_diagonalize,
+)
 from limas.analysis import MARE_Q_SCALE, MareSolution
 from limas.errors import Divergence, NotControllable, ShapeMismatch
 from limas.linalg import (
@@ -123,6 +129,33 @@ def spectral_radius(M) -> float:
     if values.size == 0:
         return 0.0
     return float(np.max(np.abs(values)))
+
+
+def spectral_pair(model: LimasModel) -> SpectralPair:
+    """Joint eigenstructure of the model's two Laplacians."""
+    return simultaneous_diagonalize(model.laplacian_p, model.laplacian_c)
+
+
+def modal_deviation_norms(model: LimasModel, spec: SpectralPair, K, x0,
+                          steps: int) -> np.ndarray:
+    """Per-agent deviation norms of a run, iterated mode by mode in the joint basis.
+
+    With X the (N, n) agent states, Z = phi' X holds one row per joint mode;
+    row 0 is the consensus mode and rows 1.. follow their own blocks
+    A - lp*Ap + lc*BK. The consensus mode never enters the iteration, so
+    each step's deviations phi[:, 1:] Z[1:] keep their relative accuracy
+    whatever the mean does. Returns a (steps + 1, N) array.
+    """
+    K = as_matrix(K, rows=1, cols=model.n, name="K")
+    modes = (model.A - spec.lambda_p[1:, None, None] * model.Ap
+             + spec.lambda_c[1:, None, None] * (model.B @ K))
+    W = spec.phi[:, 1:]
+    z = W.T @ np.asarray(x0, dtype=float).reshape(model.N, model.n)
+    norms = np.empty((steps + 1, model.N))
+    for t in range(steps + 1):
+        norms[t] = np.linalg.norm(W @ z, axis=1)
+        z = np.einsum("ijk,ik->ij", modes, z)
+    return norms
 
 
 def deviation(x, N: int, n: int) -> np.ndarray:

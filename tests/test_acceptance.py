@@ -34,7 +34,9 @@ from conftest import (
     exact_stabilizing_interval,
     four_agent_model,
     graph_modes,
+    modal_deviation_norms,
     random_scalar_instance,
+    spectral_pair,
 )
 
 
@@ -164,7 +166,7 @@ def test_A6_block_diagonalization_equivalence():
         Ap = rng.uniform(-0.5, 0.5, (n, n))
         B = rng.uniform(-1.0, 1.0, (n, 1))
         model = LimasModel(A, B, gp, gc, Ap=Ap)
-        spec = model.spectral_pair()
+        spec = spectral_pair(model)
         K = rng.uniform(-1.0, 1.0, (1, n))
         full = verify_gain(model, K).max_radius
         per_mode = float(modal_radii(model, spec, K).max())
@@ -197,16 +199,20 @@ def test_A7_simulator_identities():
         shift = np.tile(rng.standard_normal(n), N)
         assert np.allclose(deviation(x0 + shift, N, n), d0, atol=1e-12)
 
-        # first transformed block vanishes for every step
-        spec = model.spectral_pair()
-        T = np.kron(spec.phi.T, np.eye(n))
+        # the mean follows the stacked iteration and the deviations the
+        # centred one, both built here
         M = closed_loop_matrix(model, K)
-        delta = d0
+        x, delta = x0, d0
         for t in range(201):
-            recorded = deviation(traj.states[t], N, n)
-            assert np.linalg.norm(recorded - delta) <= 1e-9
-            assert np.linalg.norm((T @ recorded)[:n]) <= 1e-10
-            delta = M @ delta
+            assert np.abs(traj.xbar[t] - x.reshape(N, n).mean(axis=0)).max() <= 1e-9
+            assert np.abs(traj.delta_norms[t]
+                          - np.linalg.norm(delta.reshape(N, n), axis=1)).max() <= 1e-9
+            x, delta = M @ x, M @ delta
+
+        # the consensus block of the joint basis never enters the deviations
+        reference = modal_deviation_norms(model, spectral_pair(model), K, x0, 200)
+        assert np.all(np.abs(traj.delta_norms - reference).max(axis=1)
+                      <= 1e-10 * reference.max(axis=1))
     _report("A7")
 
 

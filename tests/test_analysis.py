@@ -43,6 +43,7 @@ from conftest import (
     four_agent_model,
     mare_inequality_margin,
     random_coupled_model,
+    spectral_pair,
     spectral_radius,
 )
 
@@ -95,7 +96,7 @@ def test_sigma_critical_monotone_in_scale():
 # --- sufficient condition ----------------------------------------------------
 
 def test_sufficient_check_showcase_numbers(showcase_model):
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     res = sufficient_check(showcase_model, spec)
     assert res.holds
     assert res.lhs == pytest.approx(5.625e-05, rel=1e-6)
@@ -110,7 +111,7 @@ def test_sufficient_check_decoupled_complete():
     A[0, 1] = 0.3
     model = LimasModel(A, [[1.0], [1.0]], cycle4_graph(),
                        WeightedGraph.complete(4), alpha=0.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     res = sufficient_check(model, spec)
     assert res.holds
     assert res.lhs == pytest.approx(0.0, abs=1e-15)
@@ -123,7 +124,7 @@ def test_sufficient_check_negative_rhs_fails():
     A = np.array([[3.0, 1.0], [0.0, 0.3]])
     model = LimasModel(A, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), alpha=3.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     res = sufficient_check(model, spec)
     assert res.rhs <= 0.0
     assert not res.holds
@@ -135,7 +136,7 @@ def test_sufficient_check_degenerate_coupling():
     model = LimasModel([[2.0]], [[1.0]],
                        WeightedGraph(2, [(0, 1, 0.1)]),
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=5.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     res = sufficient_check(model, spec)
     assert res.holds and res.k_star == 0.0
     synth = synthesize_gain(model, spec, sufficient=res)
@@ -148,7 +149,7 @@ def test_sufficient_check_uncontrollable_mode():
     model = LimasModel(A_SHOWCASE, B_SHOWCASE,
                        WeightedGraph(2, [(0, 1, 0.5)]),
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=1.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     with pytest.raises(AssumptionViolated) as err:
         sufficient_check(model, spec)
     assert err.value.which == 2
@@ -157,14 +158,14 @@ def test_sufficient_check_uncontrollable_mode():
 def test_sufficient_check_nonproportional_coupling():
     model = LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), Ap=[[0.0, 1.0], [0.0, 0.0]])
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     with pytest.raises(AssumptionViolated) as err:
         sufficient_check(model, spec)
     assert err.value.which == 3
 
 
 def test_conditions_share_the_connectivity_floor(showcase_model):
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     lam_c = spec.lambda_c.copy()
     lam_c[1] = CONNECTIVITY_FLOOR
     weak = SpectralPair(spec.phi, spec.lambda_p, lam_c)
@@ -358,7 +359,7 @@ def test_near_critical_benchmark_model_is_certified(workloads, d, n):
 # --- gain synthesis -----------------------------------------------------------
 
 def test_synthesize_gain_showcase(showcase_model):
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
     assert float(synth.modal_radii.max()) < 1.0
     # returned P solves the strict inequality for every reported mode margin
@@ -374,14 +375,14 @@ def test_synthesize_gain_requires_sufficient():
     A = np.array([[3.0, 1.0], [0.0, 0.3]])
     model = LimasModel(A, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), alpha=3.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     with pytest.raises(SynthesisFailed):
         synthesize_gain(model, spec)
 
 
 def test_synthesis_margin_at_or_below_critical_is_divergence(showcase_model):
     # the margin is clipped into [0, 1]; solve_mare refuses it up front
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     suff = sufficient_check(showcase_model, spec)
     assert suff.sigma_c > 0.0
     for margin in (suff.sigma_c, 0.5 * suff.sigma_c, -1e-17):
@@ -398,7 +399,7 @@ def test_synthesis_soundness_randomized():
     positives = 0
     for _ in range(120):
         model = random_coupled_model(rng, n=int(rng.integers(1, 5)))
-        spec = model.spectral_pair()
+        spec = spectral_pair(model)
         try:
             res = sufficient_check(model, spec)
         except AssumptionViolated:
@@ -414,7 +415,7 @@ def test_synthesis_soundness_randomized():
 # --- necessary condition -------------------------------------------------------
 
 def test_necessary_check_showcase(showcase_model):
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     res = necessary_check(showcase_model, spec)
     assert res.holds
     assert res.gamma_c == pytest.approx(1.0, abs=1e-12)
@@ -428,7 +429,7 @@ def test_necessary_check_zero_state_matrix():
     Ap = np.array([[0.5, 0.2], [0.1, 0.4]])
     model = LimasModel(np.zeros((2, 2)), B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), Ap=Ap)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     res = necessary_check(model, spec)
     lp = np.sort(spec.lambda_p[1:])
     expected = abs(np.linalg.det(Ap)) * abs(res.gamma_c * lp[0]**2 - lp[-1]**2)
@@ -439,7 +440,7 @@ def test_necessary_check_decoupled_equal_dets():
     gp = cycle4_graph()
     gc = WeightedGraph.complete(4, 0.7)
     model = LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, alpha=0.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     res = necessary_check(model, spec)
     det_a = abs(np.linalg.det(A_SHOWCASE))
     assert res.det_min == pytest.approx(det_a, rel=1e-12)
@@ -451,7 +452,7 @@ def test_necessary_check_skips_coupling_assumption():
     # non-proportional Ap must not block the necessary condition
     model = LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), Ap=[[0.1, 0.2], [0.05, 0.3]])
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     res = necessary_check(model, spec)
     assert isinstance(res.holds, bool)
 
@@ -460,7 +461,7 @@ def test_necessary_check_uncontrollable_mode():
     model = LimasModel(A_SHOWCASE, B_SHOWCASE,
                        WeightedGraph(2, [(0, 1, 0.5)]),
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=1.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     with pytest.raises(AssumptionViolated) as err:
         necessary_check(model, spec)
     assert err.value.which == 2
@@ -505,7 +506,7 @@ def test_scalar_check_necessary_failure():
 
 def test_modal_radii_decoupled_zero_gain():
     model = four_agent_model(alpha=0.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     radii = modal_radii(model, spec, np.zeros((1, 2)))
     assert np.allclose(radii, 1.5, atol=1e-12)  # spectral radius of A
 
@@ -513,7 +514,7 @@ def test_modal_radii_decoupled_zero_gain():
 def test_modal_radii_scalar_formula():
     model = LimasModel([[0.9]], [[1.0]], cycle4_graph(),
                        WeightedGraph.complete(4), alpha=1.0)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     k = -0.1
     radii = modal_radii(model, spec, [[k]])
     expected = [abs(0.9 - lp * 0.9 + lc * k)
@@ -522,7 +523,7 @@ def test_modal_radii_scalar_formula():
 
 
 def test_modal_radii_showcase_certificate(showcase_model):
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
     radii = modal_radii(showcase_model, spec, synth.K)
     assert np.allclose(radii, synth.modal_radii, atol=1e-12)
@@ -547,21 +548,22 @@ def test_model_alpha_consistency():
 
 
 def test_coupling_gate_is_one_rule():
-    # the model's Ap/alpha agreement and assumption 3 decide with one gate
-    gate = COUPLING_RTOL * max(1.0, float(np.linalg.norm(A_SHOWCASE)))
+    # the model's Ap/alpha agreement and assumption 3 decide with one gate,
+    # COUPLING_RTOL * ||A||_F, also for an A below unit norm
     drift = np.array([[0.0, 0.0], [1.0, 0.0]])  # unit norm, orthogonal to A
     gp, gc = cycle4_graph(), WeightedGraph.complete(4)
-    for scale, holds in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
-        Ap = 0.3 * A_SHOWCASE + scale * gate * drift
-        fitted, _ = check_proportional_coupling(LimasModel(A_SHOWCASE, B_SHOWCASE,
-                                                           gp, gc, Ap=Ap))
-        assert fitted.holds == holds
-        if holds:
-            model = LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
-            assert check_proportional_coupling(model)[0].holds
-        else:
-            with pytest.raises(ValueError, match="disagree"):
-                LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
+    for A in (A_SHOWCASE, 1e-3 * A_SHOWCASE):
+        gate = COUPLING_RTOL * float(np.linalg.norm(A))
+        for scale, holds in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+            Ap = 0.3 * A + scale * gate * drift
+            fitted, _ = check_proportional_coupling(LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap))
+            assert fitted.holds == holds
+            if holds:
+                model = LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
+                assert check_proportional_coupling(model)[0].holds
+            else:
+                with pytest.raises(ValueError, match="disagree"):
+                    LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
 
 
 def test_coupling_gate_is_free_of_scale():
@@ -632,7 +634,7 @@ def test_synthesize_gain_single_mode_midpoint_placement():
     # one deviation mode: the midpoint gain scale cancels it exactly
     model = LimasModel([[1.3]], [[2.0]], WeightedGraph(2, [(0, 1, 0.3)]),
                        WeightedGraph(2, [(0, 1, 0.8)]), alpha=0.5)
-    spec = model.spectral_pair()
+    spec = spectral_pair(model)
     res = sufficient_check(model, spec)
     assert res.holds
     assert res.k_star == pytest.approx(0.7 / 1.6, rel=1e-12)
@@ -728,7 +730,7 @@ def test_stacked_mode_quantities_match_per_mode_loops():
     rng = np.random.default_rng(29)
     for _ in range(10):
         model = random_coupled_model(rng)
-        spec = model.spectral_pair()
+        spec = spectral_pair(model)
         K = rng.standard_normal((1, model.n))
         modes = [(model.A - lp * model.Ap, lc * (model.B @ K))
                  for lp, lc in zip(spec.lambda_p[1:], spec.lambda_c[1:])]

@@ -16,6 +16,18 @@ from conftest import four_agent_model
 SHOWCASE_PATH = Path(__file__).resolve().parent.parent / "models" / "four_agent_cycle.json"
 
 
+# n = 1 with no stabilizing gain: the modes -5 + 3k and -15 + 3k need
+# k in (4/3, 2) and in (14/3, 16/3)
+SCALAR_REFUTED = {
+    "schema_version": "1", "n": 1, "N": 3,
+    "A": [0.0], "B": [1.0], "Ap": [1.0],
+    "physical_edges": [{"i": 1, "j": 2, "weight": 5.0},
+                       {"i": 2, "j": 3, "weight": 5.0}],
+    "communication_edges": [{"i": a, "j": b, "weight": 1.0}
+                            for a in range(1, 4) for b in range(a + 1, 4)],
+}
+
+
 @pytest.fixture
 def showcase_file(tmp_path) -> str:
     if SHOWCASE_PATH.exists():
@@ -63,21 +75,25 @@ def test_analyze_disconnected_communication_graph(tmp_path, capsys):
 
 
 def test_analyze_scalar_refuted_exits_two(tmp_path, capsys):
-    data = {
-        "schema_version": "1", "n": 1, "N": 3,
-        "A": [0.0], "B": [1.0], "Ap": [1.0],
-        "physical_edges": [{"i": 1, "j": 2, "weight": 5.0},
-                           {"i": 2, "j": 3, "weight": 5.0}],
-        "communication_edges": [{"i": a, "j": b, "weight": 1.0}
-                                for a in range(1, 4) for b in range(a + 1, 4)],
-    }
     path = tmp_path / "refuted.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(SCALAR_REFUTED))
     code = main(["analyze", str(path), "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["verdict"] == "not-consensusable"
     assert report["necessary"]["holds"] is False
+
+
+def test_analyze_text_shows_failed_necessary_inequality(tmp_path, capsys):
+    # n = 1: the necessary condition is the exact modal test, so its failure
+    # is a sound refutation, and the text states the inequality that failed
+    path = tmp_path / "refuted.json"
+    path.write_text(json.dumps(SCALAR_REFUTED))
+    assert main(["analyze", str(path)]) == 2
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("necessary condition:"))
+    assert line.startswith("necessary condition: FAILS (")
+    assert " >= rhs " in line and " < rhs " not in line
 
 
 def test_analyze_inconclusive_exits_three(tmp_path, capsys):

@@ -26,6 +26,7 @@ from conftest import (
     four_agent_model,
     random_coupled_model,
     random_scalar_instance,
+    spectral_pair,
 )
 
 
@@ -232,7 +233,7 @@ def test_grid_search_rejects_bad_bounds(lo, hi):
 
 def test_verify_gain_agrees_with_modal_radii(showcase_model):
     from limas import synthesize_gain
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
     check = verify_gain(showcase_model, synth.K)
     assert check.stable
@@ -259,7 +260,7 @@ def test_verify_gain_matches_modal_radii_on_random_models():
     rng = np.random.default_rng(41)
     for _ in range(20):
         model = random_coupled_model(rng, n=int(rng.integers(1, 4)))
-        spec = model.spectral_pair()
+        spec = spectral_pair(model)
         K = rng.uniform(-1.0, 1.0, (1, model.n))
         radii = modal_radii(model, spec, K)
         check = verify_gain(model, K)

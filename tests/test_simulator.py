@@ -17,7 +17,13 @@ from limas import (
     synthesize_gain,
 )
 from limas.errors import Overflow, ShapeMismatch
-from conftest import deviation, four_agent_model, random_coupled_model
+from conftest import (
+    deviation,
+    four_agent_model,
+    modal_deviation_norms,
+    random_coupled_model,
+    spectral_pair,
+)
 
 
 def pair_graph(w: float) -> WeightedGraph:
@@ -41,7 +47,7 @@ def test_closed_loop_decoupled_zero_gain_is_block_diagonal():
 
 def test_closed_loop_congruence_with_modal_radii(showcase_model):
     # rotating by the joint basis block-diagonalizes the deviation dynamics
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
     M = closed_loop_matrix(showcase_model, synth.K)
     T = np.kron(spec.phi, np.eye(showcase_model.n))
@@ -88,7 +94,7 @@ def test_simulate_stable_decoupled_converges():
 
 
 def test_simulate_showcase_settles(showcase_model):
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
     x0 = initial_state(showcase_model, 42)
     assert x0.min() >= 0.0 and x0.max() <= 10.0
@@ -106,8 +112,19 @@ def test_simulate_consensus_initial_state_stays_at_zero_deviation():
     model = four_agent_model()
     x0 = np.tile([4.0, -2.0], 4)  # every agent starts at the same state
     traj = simulate(model, [[0.0, -0.3412]], x0, 30)
-    assert np.array_equal(traj.delta_norms[0], np.zeros(4))
-    assert np.max(traj.delta_norms) <= 1e-9 * np.max(np.abs(traj.states))
+    assert np.array_equal(traj.delta_norms, np.zeros((31, 4)))
+    # the mean alone follows A
+    expected = np.linalg.matrix_power(model.A, 30) @ [4.0, -2.0]
+    assert np.allclose(traj.xbar[-1], expected, rtol=1e-12, atol=0.0)
+
+
+def test_overflow_guard_judges_mean_and_deviation():
+    # powers of two are exact, so each run stops at the first step past the guard
+    model = LimasModel([[2.0]], [[1.0]], pair_graph(0.1), pair_graph(1.0), alpha=0.0)
+    for x0, step in (([5.0, 5.0], 330), ([1.0, -1.0], 333)):
+        with pytest.raises(Overflow) as err:
+            simulate(model, [[0.0]], x0, 500)
+        assert err.value.step == step
 
 
 def test_simulate_unstable_overflows():
@@ -118,15 +135,38 @@ def test_simulate_unstable_overflows():
     assert 0 < err.value.step <= 500
 
 
-def test_simulate_first_transformed_block_stays_zero(showcase_model):
-    spec = showcase_model.spectral_pair()
+def _relative_step_error(delta_norms: np.ndarray, reference: np.ndarray) -> float:
+    """Largest per-step error relative to the step's largest reference norm."""
+    return float((np.abs(delta_norms - reference).max(axis=1)
+                  / reference.max(axis=1)).max())
+
+
+def test_simulate_first_transformed_block_stays_zero():
+    # the modal reference keeps the consensus block at zero and iterates the
+    # other blocks alone; the simulated deviations follow it at every step,
+    # also where A, the gain or both leave the loop unstable
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        model = random_coupled_model(rng)
+        K = rng.uniform(-0.5, 0.5, (1, model.n))
+        x0 = rng.uniform(0.0, 10.0, model.N * model.n)
+        traj = simulate(model, K, x0, 80)
+        reference = modal_deviation_norms(model, spectral_pair(model), K, x0, 80)
+        assert _relative_step_error(traj.delta_norms, reference) <= 1e-10
+
+
+def test_simulate_showcase_tracks_modal_reference(showcase_model):
+    # eig A = {1, 1.5}: the mean grows like 1.5^t while the deviations decay at
+    # the certified radius, and neither is lost in the other
+    spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
-    x0 = initial_state(showcase_model, 3)
-    traj = simulate(showcase_model, synth.K, x0, 50)
-    T = np.kron(spec.phi.T, np.eye(showcase_model.n))
-    for t in range(0, 51, 10):
-        delta = deviation(traj.states[t], 4, 2)
-        assert np.linalg.norm((T @ delta)[:2]) <= 1e-10 * max(1.0, np.linalg.norm(traj.states[t]))
+    x0 = initial_state(showcase_model, 42)
+    traj = simulate(showcase_model, synth.K, x0, 300)
+    reference = modal_deviation_norms(showcase_model, spec, synth.K, x0, 300)
+    assert _relative_step_error(traj.delta_norms, reference) <= 1e-10
+    rate = convergence_metrics(traj).rate
+    assert rate == pytest.approx(float(synth.modal_radii.max()), abs=1e-6)
+    assert traj.delta_norms[100].max() < 1e-30
 
 
 def test_simulate_matches_direct_deviation_iteration():
@@ -140,17 +180,17 @@ def test_simulate_matches_direct_deviation_iteration():
         x0 = rng.uniform(0.0, 10.0, 8)
         traj = simulate(model, K, x0, 200)
         M = closed_loop_matrix(model, K)
-        delta = deviation(x0, 4, 2)
+        x, delta = x0, deviation(x0, 4, 2)
         for t in range(201):
-            recorded = deviation(traj.states[t], 4, 2)
-            assert np.linalg.norm(recorded - delta) <= 1e-9
-            delta = M @ delta
+            assert np.abs(traj.delta_norms[t]
+                          - np.linalg.norm(delta.reshape(4, 2), axis=1)).max() <= 1e-9
+            assert np.abs(traj.xbar[t] - x.reshape(4, 2).mean(axis=0)).max() <= 1e-9
+            x, delta = M @ x, M @ delta
 
 
 def test_convergence_metrics_pure_geometric():
     norms = 0.5 ** np.arange(41.0)
-    traj = Trajectory(states=np.zeros((41, 4)),
-                      delta_norms=np.outer(norms, np.ones(2)),
+    traj = Trajectory(delta_norms=np.outer(norms, np.ones(2)),
                       xbar=np.zeros((41, 2)))
     metrics = convergence_metrics(traj)
     assert metrics.rate == pytest.approx(0.5, abs=1e-6)
@@ -159,7 +199,7 @@ def test_convergence_metrics_pure_geometric():
 
 
 def test_convergence_metrics_showcase_rate(showcase_model):
-    spec = showcase_model.spectral_pair()
+    spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
     x0 = initial_state(showcase_model, 42)
     traj = simulate(showcase_model, synth.K, x0, 20)
@@ -168,8 +208,7 @@ def test_convergence_metrics_showcase_rate(showcase_model):
 
 
 def test_convergence_metrics_constant_deviation_flags_no_decay():
-    traj = Trajectory(states=np.zeros((31, 4)),
-                      delta_norms=np.full((31, 2), 0.7),
+    traj = Trajectory(delta_norms=np.full((31, 2), 0.7),
                       xbar=np.zeros((31, 2)))
     metrics = convergence_metrics(traj)
     assert metrics.no_decay
@@ -177,8 +216,7 @@ def test_convergence_metrics_constant_deviation_flags_no_decay():
 
 
 def test_convergence_metrics_needs_ten_steps():
-    traj = Trajectory(states=np.zeros((5, 2)),
-                      delta_norms=np.ones((5, 2)),
+    traj = Trajectory(delta_norms=np.ones((5, 2)),
                       xbar=np.zeros((5, 1)))
     with pytest.raises(ValueError):
         convergence_metrics(traj)
@@ -191,15 +229,20 @@ def test_initial_state_reproducible(showcase_model):
     assert not np.array_equal(a, initial_state(showcase_model, 124))
 
 
-def _summaries_loop_reference(states: np.ndarray, N: int, n: int):
-    """The per-step consensus mean and deviation norms, one state at a time."""
-    xbar = np.empty((states.shape[0], n))
-    delta_norms = np.empty((states.shape[0], N))
-    for t, x in enumerate(states):
-        blocks = x.reshape(N, n)
-        xbar[t] = blocks.mean(axis=0)
-        delta_norms[t] = np.linalg.norm(blocks - xbar[t], axis=1)
-    return xbar, delta_norms
+def _summaries_loop_reference(model: LimasModel, K, x0, steps: int):
+    """Per-step mean of the stacked iteration x+ = Mx and its size max|x|, and
+    the deviation norms of the centred iteration d+ = M d - mean(M d)."""
+    N, n = model.N, model.n
+    M = closed_loop_matrix(model, K)
+    xbar, scale = np.empty((steps + 1, n)), np.empty(steps + 1)
+    delta_norms = np.empty((steps + 1, N))
+    x, d = x0, deviation(x0, N, n)
+    for t in range(steps + 1):
+        xbar[t] = x.reshape(N, n).mean(axis=0)
+        scale[t] = np.abs(x).max()
+        delta_norms[t] = np.linalg.norm(d.reshape(N, n), axis=1)
+        x, d = M @ x, deviation(M @ d, N, n)
+    return xbar, scale, delta_norms
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -211,6 +254,7 @@ def test_simulate_summaries_match_loop_reference(N, n):
         K = rng.uniform(-0.5, 0.5, (1, n))
         x0 = rng.uniform(-10.0, 10.0, N * n)
         traj = simulate(model, K, x0, 60)
-        xbar, delta_norms = _summaries_loop_reference(traj.states, N, n)
-        assert np.array_equal(traj.xbar, xbar)
-        assert np.array_equal(traj.delta_norms, delta_norms)
+        xbar, scale, delta_norms = _summaries_loop_reference(model, K, x0, 60)
+        # the stacked mean is exact up to rounding on the state's scale
+        assert np.all(np.abs(traj.xbar - xbar).max(axis=1) <= 1e-12 * scale)
+        assert _relative_step_error(traj.delta_norms, delta_norms) <= 1e-10

@@ -47,6 +47,18 @@ def test_readme_flags_match_cli():
     assert sorted(set(flag.findall(section)) - defined) == []
 
 
+def test_readme_library_example_runs(monkeypatch):
+    # the example names library functions and fields; a removed one must fail here
+    section = (ROOT / "README.md").read_text(encoding="utf-8") \
+        .split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 1
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["traj"].step_count == 300
+
+
 def test_readme_names_every_tolerance_constant():
     # the "Command line" section lists each fixed tolerance by module and name
     section = (ROOT / "README.md").read_text(encoding="utf-8") \
