@@ -46,12 +46,13 @@ from .graphs import (
 from .linalg import (
     as_matrix,
     as_square,
+    controllability_matrix,
     controllability_singular_values,
     eig_general,
     eig_sym,
     gain_kernel,
+    has_full_row_rank,
     has_rank,
-    is_controllable,
 )
 from .oracle import verify_gain
 
@@ -67,6 +68,10 @@ MARE_SIGMA_STEP_FLOOR = 1e-12
 # Stein solves allowed at the target sigma; using them all up rejects that
 # trial. An intermediate sigma takes exactly one.
 MARE_SOLVES_PER_SIGMA = 50
+# A refutation needs the per-mode intervals of the gain coordinate to miss
+# each other by more than REFUTATION_RTOL times their largest end: Ap may
+# differ from alpha*A by the coupling gate, and the determinants round.
+REFUTATION_RTOL = 1e-6
 # A paired communication mode at or below this times the largest one counts
 # as a disconnected graph.
 CONNECTIVITY_FLOOR = 1e-12
@@ -327,7 +332,9 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
 
     ``Q`` defaults to MARE_Q_SCALE * I. For single-input B a solution exists
     exactly when sigma exceeds the critical margin of Abar (any sigma when
-    Abar is Schur stable); below it, Divergence is raised up front.
+    Abar is Schur stable); below it, Divergence is raised up front. The
+    controllability matrix of (Abar, B) is built once: its rank test raises
+    NotControllable, and it gives the deadbeat start.
 
     Otherwise P is found by Newton's method (Hewer's policy iteration): for
     a gain K, solve the linear Stein equation
@@ -350,7 +357,8 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
     B = as_matrix(B, rows=n, cols=1, name="B")
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
-    if not is_controllable(Abar, B):
+    ctrb = controllability_matrix(Abar, B)
+    if not has_full_row_rank(ctrb):
         raise NotControllable("(Abar, B) fails the controllability rank test")
     Q = MARE_Q_SCALE * np.eye(n) if Q is None else as_matrix(Q, rows=n, cols=n, name="Q")
     critical = sigma_critical(Abar, 1.0)
@@ -360,7 +368,7 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
             iterations=0)
 
     kron_a = _kron_transposed(Abar)
-    P, K = None, _deadbeat_gain(Abar, B)
+    P, K = None, _deadbeat_gain(Abar, ctrb)
     current, step, solves = 1.0, 1.0 - sigma, 0
     while True:
         step = min(step, current - sigma)
@@ -386,13 +394,14 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
                     iterations=solves)
 
 
-def _deadbeat_gain(Abar: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Ackermann gain K with (Abar + BK)^n = 0, for controllable single-input B."""
+def _deadbeat_gain(Abar: np.ndarray, ctrb: np.ndarray) -> np.ndarray:
+    """Ackermann gain K with (Abar + BK)^n = 0 for a single-input B.
+
+    ``ctrb`` is the invertible controllability matrix [B, Abar B, ...,
+    Abar^(n-1)B]; the caller builds it once, for its rank test too.
+    """
     n = Abar.shape[0]
-    ctrb = [B]
-    for _ in range(n - 1):
-        ctrb.append(Abar @ ctrb[-1])
-    last_row = np.linalg.solve(np.hstack(ctrb).T, np.eye(n)[:, -1])
+    last_row = np.linalg.solve(ctrb.T, np.eye(n)[:, -1])
     return -(last_row @ np.linalg.matrix_power(Abar, n))[None, :]
 
 
@@ -524,8 +533,10 @@ class NecessaryResult:
     """Outcome of the necessary (refutation) condition.
 
     ``holds=False`` certifies that no common static gain can reach
-    consensus. ``lhs`` is |gamma_c * det_min - det_max| and ``rhs`` is
-    gamma_c + 1.
+    consensus; it is decided by the exact per-mode determinant intervals of
+    :func:`necessary_check`. The paper's quantities are reported alongside:
+    ``lhs`` is |gamma_c * det_min - det_max| and ``rhs`` is gamma_c + 1, and
+    ``lhs < rhs`` need not agree with ``holds``.
     """
 
     holds: bool
@@ -542,16 +553,37 @@ def necessary_check(model: LimasModel, spec: SpectralPair) -> NecessaryResult:
 
     Requires commuting Laplacians (implied by ``spec``) and per-mode
     controllability, but not proportional coupling. gamma_c is the
-    communication eigenratio lambda_c_max / lambda_c_min over modes.
+    communication eigenratio lambda_c_max / lambda_c_min over modes, and
+    ``dets`` are the |det M_i| of the mode matrices M_i = A - lp_i*Ap.
+
+    ``holds`` is False only when no gain can make every mode's determinant
+    smaller than one in magnitude. By the matrix determinant lemma,
+    det(M_i + lc_i*BK) = h_i + lc_i*K adj(M_i)B with h_i = det M_i. For
+    n = 1, and for Ap = alpha*A where adj(M_i)B = alpha_i^(n-1) adj(A)B with
+    alpha_i = 1 - alpha*lp_i, that is h_i + s_i*c in the one scalar
+    c = K adj(A)B, with s_i = lc_i (n = 1) or lc_i*alpha_i^(n-1). The check
+    fails when the intervals {c : |h_i + s_i*c| < 1} have an empty
+    intersection with room to spare: the lowest upper end must lie below
+    the highest lower end by more than REFUTATION_RTOL times the largest
+    end's magnitude. For n >= 2 without proportional coupling it always
+    holds.
     """
     lam_c = _communication_modes(model, spec)
     gamma_c = float(lam_c.max()) / float(lam_c.min())
     modes = model.A - spec.lambda_p[1:, None, None] * model.Ap
-    dets = tuple(np.abs(np.linalg.det(modes)).tolist())
+    signed = np.linalg.det(modes)
+    dets = tuple(np.abs(signed).tolist())
     det_min, det_max = min(dets), max(dets)
     lhs = abs(gamma_c * det_min - det_max)
     rhs = gamma_c + 1.0
-    return NecessaryResult(lhs < rhs, gamma_c, det_min, det_max, lhs, rhs, dets)
+    holds = True
+    alpha = 0.0 if model.n == 1 else check_proportional_coupling(model)[1]
+    if alpha is not None:
+        slopes = lam_c * (1.0 - alpha * spec.lambda_p[1:]) ** (model.n - 1)
+        ends = (np.array([[-1.0], [1.0]]) - signed) / slopes
+        gap = ends.min(axis=0).max() - ends.max(axis=0).min()
+        holds = bool(gap <= REFUTATION_RTOL * np.abs(ends).max())
+    return NecessaryResult(holds, gamma_c, det_min, det_max, lhs, rhs, dets)
 
 
 @dataclass(frozen=True)

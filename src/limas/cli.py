@@ -79,7 +79,7 @@ def render_text(report: analysis.AnalysisReport) -> str:
         c = report.necessary
         lines.append(
             f"necessary condition: {'holds' if c.holds else 'FAILS'} "
-            f"(gamma_c {c.gamma_c:.6g}, lhs {c.lhs:.6g} {'<' if c.holds else '>='} "
+            f"(gamma_c {c.gamma_c:.6g}, lhs {c.lhs:.6g} {'<' if c.lhs < c.rhs else '>='} "
             f"rhs {c.rhs:.6g})")
     else:
         lines.append(f"necessary condition: unavailable ({report.necessary_error})")

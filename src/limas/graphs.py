@@ -214,16 +214,16 @@ def _diagonalize_commuting(Lp, Lc) -> SpectralPair:
         start = stop + 1
 
     phi = np.column_stack([basis[:, :1]] + columns)
-    lambda_p = np.einsum("ij,ij->j", phi, Lp @ phi)
-    lambda_c = np.einsum("ij,ij->j", phi, Lc @ phi)
-    lambda_p[0] = 0.0
-    lambda_c[0] = 0.0
-
-    for L, lam, tag in ((Lp, lambda_p, "physical"), (Lc, lambda_c, "communication")):
-        off = phi.T @ L @ phi - np.diag(lam)
+    paired = []
+    for L, tag in ((Lp, "physical"), (Lc, "communication")):
+        L_phi = L @ phi
+        lam = np.einsum("ij,ij->j", phi, L_phi)
+        lam[0] = 0.0
+        off = phi.T @ L_phi - np.diag(lam)
         if float(np.linalg.norm(off)) > OFFDIAG_RTOL * float(np.linalg.norm(L)):
             raise DegenerateSpectrum(
                 f"off-diagonal residual {np.linalg.norm(off):g} too large "
                 f"for the {tag} Laplacian")
+        paired.append(lam)
 
-    return SpectralPair(phi, lambda_p, lambda_c)
+    return SpectralPair(phi, *paired)

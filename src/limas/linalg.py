@@ -92,12 +92,8 @@ def determinant(M) -> float:
     return float(np.linalg.det(as_square(M)))
 
 
-def controllability_singular_values(M, B) -> np.ndarray:
-    """Descending singular values of the controllability matrix [B, MB, ..., M^(n-1)B].
-
-    ``M`` is one n x n matrix or a stack of shape (..., n, n); the result
-    holds one row of singular values per stacked matrix.
-    """
+def controllability_matrix(M, B) -> np.ndarray:
+    """[B, MB, ..., M^(n-1)B] for one n x n ``M``, or one per matrix of a stack (..., n, n)."""
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     B = as_matrix(B, name="B")
@@ -106,7 +102,12 @@ def controllability_singular_values(M, B) -> np.ndarray:
     blocks = [np.broadcast_to(B, M.shape[:-2] + B.shape)]
     for _ in range(n - 1):
         blocks.append(M @ blocks[-1])
-    return np.linalg.svd(np.concatenate(blocks, axis=-1), compute_uv=False)
+    return np.concatenate(blocks, axis=-1)
+
+
+def controllability_singular_values(M, B) -> np.ndarray:
+    """Descending singular values of :func:`controllability_matrix`, one row per stacked matrix."""
+    return np.linalg.svd(controllability_matrix(M, B), compute_uv=False)
 
 
 def has_rank(sv: np.ndarray, n: int) -> np.bool_ | np.ndarray:
@@ -119,13 +120,14 @@ def has_rank(sv: np.ndarray, n: int) -> np.bool_ | np.ndarray:
     return np.count_nonzero(sv > n * sv[..., :1] * RANK_RTOL, axis=-1) == n
 
 
-def is_controllable(M, B) -> bool:
-    """Kalman rank test: [B, MB, ..., M^(n-1)B] must have full row rank.
+def has_full_row_rank(C) -> bool:
+    """Does the n x m matrix ``C`` have rank n, by :func:`has_rank` on its singular values?"""
+    return bool(has_rank(np.linalg.svd(C, compute_uv=False), C.shape[0]))
 
-    Rank is decided by :func:`has_rank` on the controllability singular values.
-    """
-    M = as_square(M, name="M")
-    return bool(has_rank(controllability_singular_values(M, B), M.shape[0]))
+
+def is_controllable(M, B) -> bool:
+    """Kalman rank test: [B, MB, ..., M^(n-1)B] must have full row rank."""
+    return has_full_row_rank(controllability_matrix(as_square(M, name="M"), B))
 
 
 def controllability_margin(M, B) -> float:

@@ -25,6 +25,10 @@ if TYPE_CHECKING:
 GRID_LO = -20.0
 GRID_HI = 20.0
 GRID_COUNT = 40_001
+# The grid is evaluated in blocks of this many floats (8 MiB), or of one
+# matrix when a matrix is larger, so its memory does not grow with the
+# number of grid points.
+GRID_BLOCK_FLOATS = 2**20
 # Invariance gate: sqrt(N) times the block of Atil moving the consensus subspace
 # out of itself is <= INVARIANCE_RTOL * ||Atil||_F (n = 1: ||Atil 1 - mean 1||).
 INVARIANCE_RTOL = 1e-8
@@ -88,8 +92,9 @@ def scalar_grid_search(a: float, Lp, Lc, lo: float = GRID_LO,
     """Scan scalar gains k, testing a*I - Lp + k*Lc on the deviation subspace.
 
     Raises NotDeviationInvariant unless a*I - Lp and Lc keep the all-ones
-    vector invariant. The projected matrices are symmetric, so the whole
-    grid is one batched symmetric eigenproblem, evaluated in grid order.
+    vector invariant. The projected matrices are symmetric, so each block of
+    GRID_BLOCK_FLOATS floats (or one matrix, if larger) is one batched
+    symmetric eigenproblem, the blocks taken in grid order.
     """
     Lp = as_square(Lp, name="Lp")
     Lc = as_square(Lc, name="Lc")
@@ -105,9 +110,13 @@ def scalar_grid_search(a: float, Lp, Lc, lo: float = GRID_LO,
     step = (step + step.T) / 2.0
 
     ks = np.linspace(lo, hi, count)
-    stacked = ks[:, None, None] * step
-    stacked += base
-    radii = np.max(np.abs(np.linalg.eigvalsh(stacked)), axis=1)
+    radii = np.empty(count)
+    block = np.empty((min(count, max(1, GRID_BLOCK_FLOATS // step.size)),) + step.shape)
+    for start in range(0, count, len(block)):
+        part = block[:count - start]
+        np.multiply(ks[start:start + len(part), None, None], step, out=part)
+        part += base
+        radii[start:start + len(part)] = np.max(np.abs(np.linalg.eigvalsh(part)), axis=1)
 
     best = int(np.argmin(radii))
     return GridSearchResult(

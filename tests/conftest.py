@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,45 @@ def exact_stabilizing_interval(a: float, Lp, Lc) -> tuple[float, float]:
     k_lo = np.linalg.eigvalsh(L_inv @ (-identity - base) @ L_inv.T)[-1]
     k_hi = np.linalg.eigvalsh(L_inv @ (identity - base) @ L_inv.T)[0]
     return float(k_lo), float(k_hi)
+
+
+def jury_lp_margin(model: LimasModel, spec: SpectralPair) -> float:
+    """Largest t such that some gain K keeps every Jury inequality of every mode >= t (n = 2).
+
+    Mode i closes as F_i = M_i + lc_i*BK with M_i = A - lp_i*Ap. Its
+    characteristic polynomial z^2 - tr(F_i) z + det(F_i) is Schur stable
+    exactly when 1 - tr + det, 1 + tr + det, 1 - det and 1 + det are all
+    positive. Each is affine in K, as tr(F_i) = tr(M_i) + lc_i*KB and
+    det(F_i) = det(M_i) + lc_i*K adj(M_i)B. With each row g + hK scaled so
+    that ||(g, h)|| = 1, the LP maximizes t subject to g + hK >= t and t <= 1
+    over (K, t), by enumerating its vertices: every triple of constraints
+    taken as equalities. Some gain makes every mode stable exactly when the
+    result is positive. Raises ValueError when no vertex is feasible.
+    """
+    if model.n != 2:
+        raise ShapeMismatch(f"the Jury LP here is written for n = 2, got n = {model.n}")
+    lc = spec.lambda_c[1:]
+    M = model.A - spec.lambda_p[1:, None, None] * model.Ap
+    B = model.B.ravel()
+    adj_b = np.column_stack((M[:, 1, 1] * B[0] - M[:, 0, 1] * B[1],
+                             M[:, 0, 0] * B[1] - M[:, 1, 0] * B[0]))
+    tr0, det0 = np.trace(M, axis1=1, axis2=2), np.linalg.det(M)
+    tr1, det1 = lc[:, None] * B, lc[:, None] * adj_b
+    g = np.concatenate([1.0 - tr0 + det0, 1.0 + tr0 + det0, 1.0 - det0, 1.0 + det0])
+    h = np.concatenate([det1 - tr1, det1 + tr1, -det1, det1])
+    scale = np.hypot(g, np.linalg.norm(h, axis=1))
+    # constraints rows @ (K1, K2, t) >= rhs
+    rows = np.vstack([np.column_stack((h / scale[:, None], -np.ones(g.size))), [0.0, 0.0, -1.0]])
+    rhs = np.append(-g / scale, -1.0)
+    triples = np.array(list(itertools.combinations(range(rows.shape[0]), 3)))
+    mats, vecs = rows[triples], rhs[triples]
+    regular = np.abs(np.linalg.det(mats)) > 1e-12
+    x = np.linalg.solve(mats[regular], vecs[regular][..., None])[..., 0]
+    slack = 1e-9 * (1.0 + np.abs(x).max(axis=1))
+    feasible = (x @ rows.T >= rhs - slack[:, None]).all(axis=1)
+    if not feasible.any():
+        raise ValueError("the Jury LP has no feasible vertex")
+    return float(x[feasible, 2].max())
 
 
 def mare_inequality_margin(Abar, B, sigma: float, P) -> float:

@@ -17,6 +17,7 @@ from limas import (
     alpha_spectrum,
     analyze,
     check_proportional_coupling,
+    laplacian,
     modal_radii,
     necessary_check,
     scalar_check,
@@ -40,7 +41,9 @@ from conftest import (
     B_SHOWCASE,
     cycle4_graph,
     fixed_point_mare,
+    exact_stabilizing_interval,
     four_agent_model,
+    jury_lp_margin,
     mare_inequality_margin,
     random_coupled_model,
     spectral_pair,
@@ -467,6 +470,89 @@ def test_necessary_check_uncontrollable_mode():
     assert err.value.which == 2
 
 
+def test_necessary_check_keeps_a_stabilizable_coupled_model():
+    # n = 2, Ap = 0.3*A: the paper's inequality fails (lhs >= rhs), but the
+    # modes' determinant coefficients lc_i*alpha_i*K adj(A)B leave the common
+    # interval of c = K adj(A)B nonempty, and K = [1.7, -0.1] stabilizes
+    model = LimasModel([[-2.2, -0.5], [-1.3, 1.7]], [[0.0], [1.0]],
+                       WeightedGraph.path(3), WeightedGraph.complete(3), alpha=0.3)
+    spec = spectral_pair(model)
+    res = necessary_check(model, spec)
+    assert res.lhs >= res.rhs
+    assert res.holds
+    assert max(modal_radii(model, spec, [[1.7, -0.1]])) < 1.0
+    assert jury_lp_margin(model, spec) > 0.0
+    assert analyze(model).verdict == "inconclusive"
+
+
+def test_necessary_check_refutes_by_exact_scalar_interval():
+    # n = 1, a = 3 on two unit 5-cycles: mode i needs k in
+    # (1 - 4/lp_i, 1 - 2/lp_i), and lp = 1.38 and 3.62 give disjoint
+    # intervals, while the paper's inequality alone reads lhs 0 < rhs
+    gp = gc = WeightedGraph.cycle(5)
+    model = LimasModel([[3.0]], [[1.0]], gp, gc, Ap=[[1.0]])
+    res = necessary_check(model, spectral_pair(model))
+    assert res.lhs < res.rhs
+    assert not res.holds
+    k_lo, k_hi = exact_stabilizing_interval(3.0, laplacian(gp), laplacian(gc))
+    assert k_lo >= k_hi
+    assert analyze(model).verdict == "not-consensusable"
+
+
+def test_necessary_check_without_proportional_coupling_never_refutes():
+    # n = 2 and Ap not a multiple of A: the modes share no scalar gain
+    # coordinate, so however far apart the determinants are, nothing is refuted
+    model = LimasModel([[3.0, 1.0], [0.0, 2.5]], B_SHOWCASE, WeightedGraph.path(4, 5.0),
+                       WeightedGraph.complete(4), Ap=[[0.1, 0.2], [0.05, 0.3]])
+    res = necessary_check(model, spectral_pair(model))
+    assert res.lhs >= res.rhs
+    assert res.holds
+
+
+@pytest.mark.parametrize("miss, refuted", [(0.0, False), (1e-10, False), (1e-3, True)])
+def test_necessary_check_refutes_only_with_room_to_spare(miss, refuted):
+    # A = [[0, 1], [-d, 0]], Ap = 0.1*A + 1e-10 off the diagonal (inside the
+    # coupling gate) on path(3) / complete(3): alpha_i = 0.9, 0.7 and lc_i = 3.
+    # At d = d0 the two determinant intervals of c touch, and past it they
+    # miss each other by about 0.07*(d/d0 - 1). A miss of the order of the
+    # coupling residual is no refutation; a clear one is, and no gain exists
+    d = (1 / 0.9 + 1 / 0.7) / 0.2 * (1.0 + miss)
+    A = np.array([[0.0, 1.0], [-d, 0.0]])
+    model = LimasModel(A, [[0.0], [1.0]], WeightedGraph.path(3), WeightedGraph.complete(3),
+                       Ap=0.1 * A + 1e-10 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    spec = spectral_pair(model)
+    assert check_proportional_coupling(model)[0].residual > 0.0
+    assert necessary_check(model, spec).holds is not refuted
+    if refuted:
+        assert jury_lp_margin(model, spec) < 0.0
+
+
+def test_refutations_are_infeasible_for_the_jury_lp():
+    # coupled n = 2 models on commuting path / complete graphs. With n = 2 a
+    # gain exists exactly when the reference Jury LP has a positive margin, so
+    # a "not-consensusable" verdict must come with a margin of at most zero
+    rng = np.random.default_rng(0)
+    refuted = certified = 0
+    for _ in range(200):
+        N = int(rng.integers(3, 6))
+        gp = WeightedGraph.path(N, float(rng.uniform(0.2, 1.5)))
+        gc = (WeightedGraph.complete(N, float(rng.uniform(0.2, 1.0))) if rng.random() < 0.5
+              else WeightedGraph.path(N, float(rng.uniform(0.2, 1.5))))
+        model = LimasModel(rng.uniform(-2.5, 2.5, (2, 2)), rng.uniform(-1.0, 1.0, (2, 1)),
+                           gp, gc, alpha=float(rng.uniform(-0.6, 0.6)))
+        report = analyze(model)
+        if report.verdict == "inconclusive":
+            continue
+        margin = jury_lp_margin(model, spectral_pair(model))
+        if report.verdict == "not-consensusable":
+            refuted += 1
+            assert margin <= 1e-9
+        else:
+            certified += 1
+            assert margin > 0.0
+    assert refuted >= 40 and certified >= 5
+
+
 # --- scalar conditions ----------------------------------------------------------
 
 def test_scalar_check_path_example():
@@ -700,6 +786,36 @@ def test_scalar_gain_respects_input_coefficient():
     from limas import verify_gain
     assert verify_gain(model_unit, [r1.gain]).stable
     assert verify_gain(model_double, [r2.gain]).stable
+
+
+def test_analyze_scalar_interval_gain_certified_by_modal_radii():
+    # commuting Laplacians, but the sufficient condition fails: the scalar
+    # interval gain is certified mode by mode, and the referee agrees
+    model = LimasModel([[0.9]], [[2.0]], WeightedGraph.cycle(4, 0.5),
+                       WeightedGraph.complete(4), alpha=0.8)
+    report = analyze(model)
+    assert report.sufficient is not None and not report.sufficient.holds
+    assert report.gain_source == "scalar-interval"
+    assert report.certificate_method == "modal-radii"
+    radii = modal_radii(model, spectral_pair(model), [report.gain])
+    assert report.modal_radii == radii.tolist()
+    assert report.certified_radius == float(radii.max())
+    assert report.verdict == "consensusable"
+    assert verify_gain(model, [report.gain]).max_radius == \
+        pytest.approx(report.certified_radius, abs=1e-9)
+
+
+def test_report_dict_names_the_failed_assumption():
+    # Ap = A at the physical mode 1 zeroes the mode matrix
+    model = LimasModel(A_SHOWCASE, B_SHOWCASE, WeightedGraph(2, [(0, 1, 0.5)]),
+                       WeightedGraph(2, [(0, 1, 1.0)]), alpha=1.0)
+    assumptions = analyze(model).to_dict()["assumptions"]
+    assert assumptions["modal_controllability"] == {
+        "holds": False,
+        "residual": analysis.check_modal_controllability(model).residual,
+        "detail": "uncontrollable at physical modes [1.0]",
+    }
+    assert "detail" not in assumptions["commuting_laplacians"]
 
 
 # --- cached per-model quantities -------------------------------------------------

@@ -96,6 +96,34 @@ def test_analyze_text_shows_failed_necessary_inequality(tmp_path, capsys):
     assert " >= rhs " in line and " < rhs " not in line
 
 
+def test_analyze_does_not_refute_a_stabilizable_coupled_model(tmp_path, capsys):
+    # n = 2, Ap = 0.3*A: the paper's determinant inequality fails, yet the
+    # gain K = [1.7, -0.1] passes the referee, so the verdict is inconclusive
+    data = {
+        "schema_version": "1", "n": 2, "N": 3,
+        "A": [-2.2, -0.5, -1.3, 1.7], "B": [0.0, 1.0], "alpha": 0.3,
+        "physical_edges": [{"i": 1, "j": 2, "weight": 1.0},
+                           {"i": 2, "j": 3, "weight": 1.0}],
+        "communication_edges": [{"i": a, "j": b, "weight": 1.0}
+                                for a in range(1, 4) for b in range(a + 1, 4)],
+    }
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(data))
+    gain = tmp_path / "gain.json"
+    gain.write_text(json.dumps({"K": [1.7, -0.1]}))
+    assert main(["analyze", str(path), "--format", "json"]) == 3
+    necessary = json.loads(capsys.readouterr().out)["necessary"]
+    assert necessary["holds"] is True and necessary["lhs"] >= necessary["rhs"]
+    assert main(["analyze", str(path)]) == 3
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("necessary condition:"))
+    assert line.startswith("necessary condition: holds (") and " >= rhs " in line
+    assert main(["oracle", str(path), "--gain", str(gain)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["stable"] is True
+    assert result["max_radius"] == pytest.approx(0.5264, abs=1e-4)
+
+
 def test_analyze_inconclusive_exits_three(tmp_path, capsys):
     # non-commuting graphs, vector dynamics: nothing can be decided
     data = {

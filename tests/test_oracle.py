@@ -17,8 +17,9 @@ from limas import (
     verify_gain,
 )
 from limas.errors import NotDeviationInvariant, NotScalar, ShapeMismatch
+from limas import oracle
 from limas.linalg import ones_completion
-from limas.oracle import scalar_model_grid_search
+from limas.oracle import GRID_BLOCK_FLOATS, scalar_model_grid_search
 from limas.simulator import closed_loop_matrix
 from conftest import (
     cycle4_graph,
@@ -221,6 +222,33 @@ def test_grid_search_holds_one_stack():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * one_stack
+
+
+def test_grid_search_memory_is_bounded_by_the_block():
+    # the N = 16 grid of 40 001 points would be a 72 MB stack; it holds one
+    # block of GRID_BLOCK_FLOATS floats plus a few floats per grid point
+    rng = np.random.default_rng(67)
+    a, gp, gc = random_scalar_instance(rng, N=16)
+    Lp, Lc = laplacian(gp), laplacian(gc)
+    tracemalloc.start()
+    try:
+        scalar_grid_search(a, Lp, Lc, count=40_001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * GRID_BLOCK_FLOATS * 8
+
+
+def test_grid_search_blocks_do_not_change_the_result(monkeypatch):
+    # blocks of 7 points, the last one short, match one block for the whole grid
+    rng = np.random.default_rng(71)
+    a, gp, gc = random_scalar_instance(rng, N=6)
+    Lp, Lc = laplacian(gp), laplacian(gc)
+    whole = scalar_grid_search(a, Lp, Lc, lo=-3.0, hi=3.0, count=601)
+    monkeypatch.setattr(oracle, "GRID_BLOCK_FLOATS", 7 * 5 * 5)
+    blocked = scalar_grid_search(a, Lp, Lc, lo=-3.0, hi=3.0, count=601)
+    assert np.array_equal(blocked.stabilizing_k, whole.stabilizing_k)
+    assert (blocked.best_k, blocked.best_radius) == (whole.best_k, whole.best_radius)
 
 
 @pytest.mark.parametrize("lo, hi", [(5.0, -5.0), (1.0, 1.0), (np.nan, 1.0), (-1.0, np.nan),

@@ -95,3 +95,19 @@ def test_no_parameter_or_flag_carries_a_tolerance():
     for command, flags in _subcommand_flags().items():
         found += [f"{command} {flag}" for flag in flags if tolerance.search(flag)]
     assert found == []
+
+
+def test_numpy_is_the_only_numeric_dependency():
+    # scipy may be installed, but neither the package nor its tests may lean on it
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno}" for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert found == []
