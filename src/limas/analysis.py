@@ -158,6 +158,16 @@ class LimasModel:
         modes = self.A - self.spectrum_p[1:, None, None] * self.Ap
         return _frozen(controllability_singular_values(modes, self.B))
 
+    @cached_property
+    def controllability_check(self) -> AssumptionCheck:
+        """check_modal_controllability of this model, computed once."""
+        return check_modal_controllability(self)
+
+    @cached_property
+    def coupling_check(self) -> tuple[AssumptionCheck, float | None]:
+        """check_proportional_coupling of this model, computed once."""
+        return check_proportional_coupling(self)
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -273,7 +283,7 @@ def _communication_modes(model: LimasModel, spec: SpectralPair) -> np.ndarray:
     AssumptionViolated(0) when a communication mode is at or below
     CONNECTIVITY_FLOOR times the largest one.
     """
-    a2 = check_modal_controllability(model)
+    a2 = model.controllability_check
     if not a2.holds:
         raise AssumptionViolated(2, a2.detail)
     lam_c = np.asarray(spec.lambda_c[1:], dtype=float)
@@ -291,7 +301,7 @@ def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
     independently, while the reported sigma_modes pair modes positionally.
     """
     lam_c = _communication_modes(model, spec)
-    a3, alpha = check_proportional_coupling(model)
+    a3, alpha = model.coupling_check
     if not a3.holds:
         raise AssumptionViolated(3, f"coupling residual {a3.residual:g}")
     asp = alpha_spectrum(alpha, spec.lambda_p[1:])
@@ -577,7 +587,7 @@ def necessary_check(model: LimasModel, spec: SpectralPair) -> NecessaryResult:
     lhs = abs(gamma_c * det_min - det_max)
     rhs = gamma_c + 1.0
     holds = True
-    alpha = 0.0 if model.n == 1 else check_proportional_coupling(model)[1]
+    alpha = 0.0 if model.n == 1 else model.coupling_check[1]
     if alpha is not None:
         slopes = lam_c * (1.0 - alpha * spec.lambda_p[1:]) ** (model.n - 1)
         ends = (np.array([[-1.0], [1.0]]) - signed) / slopes
@@ -769,8 +779,8 @@ def analyze(model: LimasModel) -> AnalysisReport:
     the Laplacians commute, otherwise by projecting the stacked closed loop.
     """
     a1 = check_laplacians_commute(model)
-    a2 = check_modal_controllability(model)
-    a3, alpha_eff = check_proportional_coupling(model)
+    a2 = model.controllability_check
+    a3, alpha_eff = model.coupling_check
 
     report = AnalysisReport(
         n=model.n, N=model.N,

@@ -16,6 +16,7 @@ produce byte-identical JSON and CSV outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -192,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="path to a JSON model file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write the JSON report to this path")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="simulate the closed loop and write CSV")
     p.add_argument("model", help="path to a JSON model file")
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="seed for the initial state")
     p.add_argument("--steps", type=int, default=300, help="number of updates")
     p.add_argument("--out-csv", required=True, help="trajectory CSV output path")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="brute-force gain search / verification")
     p.add_argument("model", help="path to a JSON model file")
@@ -209,14 +208,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=oracle.GRID_HI)
     p.add_argument("--count", type=int, default=oracle.GRID_COUNT)
     p.add_argument("--out", help="also write the JSON result to this path")
-    p.set_defaults(func=cmd_oracle)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler is looked up by name at each call, so a rebound
+    # cmd_* attribute of this module is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (LimasError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

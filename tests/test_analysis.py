@@ -854,3 +854,22 @@ def test_stacked_mode_quantities_match_per_mode_loops():
         assert radii.tolist() == [spectral_radius(M + BK) for M, BK in modes]
         dets = necessary_check(model, spec).dets
         assert dets == tuple(abs(determinant(M)) for M, _ in modes)
+
+
+def test_analyze_runs_each_assumption_check_once(monkeypatch):
+    # analyze, sufficient_check and necessary_check share the model's cached checks
+    calls = {"check_modal_controllability": 0, "check_proportional_coupling": 0}
+    for name in calls:
+        def counted(model, _check=getattr(analysis, name), _name=name):
+            calls[_name] += 1
+            return _check(model)
+        monkeypatch.setattr(analysis, name, counted)
+    model = four_agent_model()
+    report = analyze(model)
+    assert report.sufficient is not None and report.necessary is not None
+    sufficient_check(model, spectral_pair(model))
+    necessary_check(model, spectral_pair(model))
+    assert calls == {"check_modal_controllability": 1, "check_proportional_coupling": 1}
+    assert report.assumption_controllability == model.controllability_check
+    assert (report.assumption_coupling, report.alpha) == model.coupling_check
+    assert model.coupling_check == check_proportional_coupling(model)

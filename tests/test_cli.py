@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limas import analyze, initial_state, simulate
+from limas import analyze, cli, initial_state, simulate
 from limas.cli import main
 from limas.model_io import load_model, save_model
 from conftest import four_agent_model
@@ -49,6 +49,15 @@ def test_analyze_showcase_exits_zero(showcase_file, tmp_path, capsys):
     assert report["verdict"] == "consensusable"
     assert np.allclose(sorted(report["spectra"]["lambda_p"]), [0, 0.2, 0.2, 0.4], atol=1e-9)
     assert np.allclose(sorted(report["spectra"]["lambda_c"]), [0, 4, 4, 4], atol=1e-9)
+
+
+def test_main_runs_the_handler_bound_at_call_time(showcase_file, monkeypatch):
+    # main reuses one parser, yet a rebound cmd_* attribute is what it calls
+    main(["analyze", showcase_file, "--format", "json"])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.model) or 7)
+    assert main(["analyze", showcase_file]) == 7
+    assert seen == [showcase_file]
 
 
 def test_analyze_text_format(showcase_file, capsys):

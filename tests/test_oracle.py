@@ -251,6 +251,84 @@ def test_grid_search_blocks_do_not_change_the_result(monkeypatch):
     assert (blocked.best_k, blocked.best_radius) == (whole.best_k, whole.best_radius)
 
 
+def _exhaustive_grid_search(a, Lp, Lc, count):
+    """(stabilizing_k, best_k, best_radius) with an eigensolve at every grid point."""
+    base = projected_deviation_matrix(a * np.eye(Lp.shape[0]) - Lp)
+    step = projected_deviation_matrix(Lc)
+    base, step = (base + base.T) / 2.0, (step + step.T) / 2.0
+    ks = np.linspace(oracle.GRID_LO, oracle.GRID_HI, count)
+    radii = np.concatenate([_two_array_grid(base, step, ks[i:i + 4096])
+                            for i in range(0, count, 4096)])
+    best = int(np.argmin(radii))
+    return ks[radii < 1.0], ks[best], radii[best]
+
+
+def _assert_matches_exhaustive(a, Lp, Lc, count):
+    result = scalar_grid_search(a, Lp, Lc, count=count)
+    stabilizing_k, best_k, best_radius = _exhaustive_grid_search(a, Lp, Lc, count)
+    assert result.stabilizing_k.tobytes() == stabilizing_k.tobytes()
+    assert (result.best_k, result.best_radius) == (best_k, best_radius)
+
+
+def test_pruned_grid_matches_exhaustive_scan():
+    # random non-commuting instances, gains scaled from about 1e-9 to 14 of
+    # either sign: the excluded points change no output bit
+    rng = np.random.default_rng(83)
+    for _ in range(150):
+        a, gp, gc = random_scalar_instance(rng)
+        b = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, 1.15))
+        count = int(rng.choice([2, 3, 101, 4001, 40_001]))
+        _assert_matches_exhaustive(a, laplacian(gp), b * laplacian(gc), count)
+
+
+def test_pruned_grid_matches_exhaustive_scan_where_the_bound_is_tight():
+    # N = 2 leaves one deviation mode, r(k) = |base + k*step| with
+    # ||step||_F = ||step||_2, so the bound is attained on each linear piece
+    # and coarse points land near the ends of the stabilizing interval
+    rng = np.random.default_rng(97)
+    for _ in range(30):
+        Lp = laplacian(WeightedGraph(2, [(0, 1, float(rng.uniform(0.05, 0.5)))]))
+        Lc = laplacian(WeightedGraph(2, [(0, 1, float(rng.uniform(0.1, 1.0)))]))
+        _assert_matches_exhaustive(float(rng.uniform(-2.0, 2.0)), Lp, Lc, 40_001)
+
+
+@pytest.mark.parametrize("case", ["zero step", "zero Lp", "tiny step", "huge scale", "flat"])
+def test_pruned_grid_matches_exhaustive_scan_on_degenerate_input(case):
+    rng = np.random.default_rng(89)
+    for _ in range(3):
+        a, gp, gc = random_scalar_instance(rng)
+        Lp, Lc = laplacian(gp), laplacian(gc)
+        if case == "zero step":
+            Lc = np.zeros_like(Lc)
+        elif case == "zero Lp":
+            Lp = np.zeros_like(Lp)
+        elif case == "tiny step":
+            Lc = 1e-12 * Lc
+        elif case == "huge scale":
+            a, Lp, Lc = 1e9 * a, 1e9 * Lp, 1e9 * Lc
+        else:  # every radius is zero: the whole grid stabilizes
+            a, Lp, Lc = 0.0, np.zeros_like(Lp), np.zeros_like(Lc)
+        _assert_matches_exhaustive(a, Lp, Lc, 4001)
+
+
+def test_pruned_grid_evaluates_few_points(monkeypatch):
+    # the default 40 001-point grid of an N = 16 cycle + complete model
+    # needs under 2 000 eigensolves
+    model = LimasModel([[1.1]], [[1.0]], WeightedGraph.cycle(16, 0.1),
+                       WeightedGraph.complete(16, 1.0), alpha=0.3)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(stack):
+        solved.append(len(stack))
+        return eigvalsh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    result = scalar_model_grid_search(model)
+    assert result.stabilizing_k.size > 0
+    assert 0 < sum(solved) <= 2000
+
+
 @pytest.mark.parametrize("lo, hi", [(5.0, -5.0), (1.0, 1.0), (np.nan, 1.0), (-1.0, np.nan),
                                     (-np.inf, 1.0), (-1.0, np.inf)])
 def test_grid_search_rejects_bad_bounds(lo, hi):

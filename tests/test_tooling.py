@@ -111,3 +111,38 @@ def test_numpy_is_the_only_numeric_dependency():
             found += [f"{path.relative_to(ROOT)}:{node.lineno}" for module in modules
                       if module.split(".")[0] == "scipy"]
     assert found == []
+
+
+def _runtime_imports(nodes):
+    """Absolute names of the modules that limas code imports at run time.
+
+    Imports under ``if TYPE_CHECKING:`` are left out; those in functions count.
+    """
+    for node in nodes:
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            yield from _runtime_imports(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["limas" if node.level else "", node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+        yield from _runtime_imports(ast.iter_child_nodes(node))
+
+
+def _imports_analysis(source: str) -> bool:
+    return any(name == "limas.analysis" or name.startswith("limas.analysis.")
+               for name in _runtime_imports(ast.parse(source).body))
+
+
+def test_referee_modules_do_not_import_the_condition_logic():
+    # the oracle judges analyze's verdicts, so neither it nor what it builds
+    # on may run code from limas.analysis
+    assert _imports_analysis("def f():\n    from .analysis import analyze\n")
+    assert _imports_analysis("from limas import analysis\n")
+    assert not _imports_analysis("if TYPE_CHECKING:\n    from .analysis import LimasModel\n")
+    found = [name for name in ("oracle", "simulator", "linalg")
+             if _imports_analysis((ROOT / "src" / "limas" / f"{name}.py").read_text(
+                 encoding="utf-8"))]
+    assert found == []
