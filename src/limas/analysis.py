@@ -145,18 +145,12 @@ class LimasModel:
     @cached_property
     def spectrum_p(self) -> np.ndarray:
         """Ascending physical Laplacian eigenvalues; entry 0 is the consensus mode."""
-        return _frozen(eig_sym(self.laplacian_p).values)
+        return _laplacian_spectrum(self.laplacian_p)
 
     @cached_property
     def spectrum_c(self) -> np.ndarray:
-        """Ascending communication Laplacian eigenvalues."""
-        return _frozen(eig_sym(self.laplacian_c).values)
-
-    @cached_property
-    def modal_ctrb_sv(self) -> np.ndarray:
-        """Controllability singular values of (A - lambda*Ap, B) per non-consensus mode."""
-        modes = self.A - self.spectrum_p[1:, None, None] * self.Ap
-        return _frozen(controllability_singular_values(modes, self.B))
+        """Ascending communication Laplacian eigenvalues; entry 0 is the consensus mode."""
+        return _laplacian_spectrum(self.laplacian_c)
 
     @cached_property
     def controllability_check(self) -> AssumptionCheck:
@@ -169,9 +163,17 @@ class LimasModel:
         return check_proportional_coupling(self)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _laplacian_spectrum(L: np.ndarray) -> np.ndarray:
+    """Read-only ascending Laplacian eigenvalues; entry 0, the consensus mode, is exactly 0.
+
+    A Laplacian has no negative eigenvalue, so a negative one is a rounded
+    zero (a disconnected graph has several) and is read as 0; this keeps
+    the list ascending after entry 0 is set.
+    """
+    values = np.maximum(eig_sym(L), 0.0)
+    values[0] = 0.0
+    values.setflags(write=False)
+    return values
 
 
 def _coupling_residual(A, Ap, alpha: float) -> tuple[float, bool]:
@@ -200,7 +202,8 @@ def check_modal_controllability(model: LimasModel) -> AssumptionCheck:
     removed; pairing with communication modes is irrelevant here. The
     residual is the smallest controllability-matrix singular value seen.
     """
-    sv = model.modal_ctrb_sv
+    modes = model.A - model.spectrum_p[1:, None, None] * model.Ap
+    sv = controllability_singular_values(modes, model.B)
     margin = float(sv[:, -1].min())
     failures = [float(lam) for lam in model.spectrum_p[1:][~has_rank(sv, model.n)]]
     if failures:
@@ -784,7 +787,7 @@ def analyze(model: LimasModel) -> AnalysisReport:
 
     report = AnalysisReport(
         n=model.n, N=model.N,
-        alpha=alpha_eff if alpha_eff is not None else model.alpha,
+        alpha=alpha_eff,
         lambda_p=model.spectrum_p.tolist(),
         lambda_c=model.spectrum_c.tolist(),
         assumption_commuting=a1,
@@ -825,7 +828,7 @@ def analyze(model: LimasModel) -> AnalysisReport:
             report.scalar = scalar_check(float(model.A.item()),
                                          ap * model.spectrum_p[1:],
                                          model.spectrum_c[1:])
-        except (EmptyRange, ValueError) as exc:
+        except ValueError as exc:
             report.synthesis_error = report.synthesis_error or str(exc)
 
     if spec is not None and report.sufficient is not None and report.sufficient.holds:

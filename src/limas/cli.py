@@ -110,9 +110,10 @@ def render_text(report: analysis.AnalysisReport) -> str:
 
 def cmd_analyze(args) -> int:
     report = analysis.analyze(load_model(args.model))
-    payload = json.dumps(report.to_dict(), indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+    if args.format == "json" or args.out:
+        payload = json.dumps(report.to_dict(), indent=2)
+        if args.out:
+            Path(args.out).write_text(payload + "\n", encoding="utf-8")
     print(payload if args.format == "json" else render_text(report))
     return _VERDICT_EXIT[report.verdict]
 

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotCommuting, ShapeMismatch
-from .linalg import as_square, eig_sym, ones_completion
+from .linalg import as_square, ones_completion
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
 COMMUTE_RTOL = 1e-9
@@ -198,7 +198,7 @@ def _diagonalize_commuting(Lp, Lc) -> SpectralPair:
     Lc_red = W.T @ Lc @ W
     Lp_red = W.T @ Lp @ W
 
-    wc, Vc = eig_sym(Lc_red)
+    wc, Vc = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
     group_tol = GROUP_RTOL * float(np.linalg.norm(Lc))
 
     columns = []

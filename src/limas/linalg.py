@@ -3,14 +3,14 @@
 Everything operates on plain float64 numpy arrays. Agent dimensions stay
 small (n <= ~10), stacked ones reach N*n ~ 1000, and per-mode quantities
 run on stacks of n x n matrices; the routines favor accuracy and
-determinism: symmetric problems go through ``eigh``, general spectra
-through ``eigvals``, ranks through singular values.
+determinism: symmetric spectra go through ``eigvalsh``, general spectra
+through ``eigvals``, ranks through singular values. Eigenvectors are solved
+only in the joint diagonalization of :mod:`limas.graphs`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,28 +50,16 @@ def as_square(obj, name: str = "matrix") -> np.ndarray:
     return M
 
 
-class EigenSym(NamedTuple):
-    """Eigen-decomposition of a symmetric matrix.
-
-    ``values`` are ascending; ``vectors`` holds the matching orthonormal
-    eigenvectors as columns.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_sym(M) -> EigenSym:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
+def eig_sym(M) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix."""
     M = as_square(M)
     scale = float(np.linalg.norm(M))
     if float(np.linalg.norm(M - M.T)) > SYMMETRY_RTOL * scale:
         raise NotSymmetric(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative")
     try:
-        values, vectors = np.linalg.eigh((M + M.T) / 2.0)
+        return np.linalg.eigvalsh((M + M.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return EigenSym(values, vectors)
 
 
 def eig_general(M) -> np.ndarray:

@@ -246,7 +246,7 @@ def mare_inequality_margin(Abar, B, sigma: float, P) -> float:
     gain_dir = Abar.T @ PB
     residual = Abar.T @ P @ Abar \
         - sigma * (gain_dir @ gain_dir.T) / float((B.T @ PB).item()) - P
-    return float(eig_sym((residual + residual.T) / 2.0).values[-1])
+    return float(eig_sym((residual + residual.T) / 2.0)[-1])
 
 
 # Stopping rules of the reference fixed point below.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -26,12 +27,13 @@ from limas import (
     sufficient_check,
     synthesize_gain,
 )
-from limas import analysis, verify_gain
+from limas import analysis, graphs, verify_gain
 from limas.analysis import CONNECTIVITY_FLOOR, COUPLING_RTOL
 from limas.errors import (
     AssumptionViolated,
     DegenerateInput,
     Divergence,
+    EmptyRange,
     NotControllable,
     SynthesisFailed,
 )
@@ -45,7 +47,9 @@ from conftest import (
     four_agent_model,
     jury_lp_margin,
     mare_inequality_margin,
+    random_connected_graph,
     random_coupled_model,
+    random_state_matrix,
     spectral_pair,
     spectral_radius,
 )
@@ -70,6 +74,11 @@ def test_alpha_spectrum_exact_cancellation():
     asp = alpha_spectrum(5.0, [0.2])
     assert asp.alpha_i[0] == 0.0
     assert asp.alpha_min == asp.alpha_max == 0.0
+
+
+def test_alpha_spectrum_rejects_no_modes():
+    with pytest.raises(EmptyRange, match="^no physical modes supplied$"):
+        alpha_spectrum(0.3, [])
 
 
 # --- critical Riccati margin ------------------------------------------------
@@ -588,6 +597,15 @@ def test_scalar_check_necessary_failure():
     assert not res.necessary
 
 
+def test_scalar_check_input_checks():
+    with pytest.raises(EmptyRange, match="^scalar conditions need at least one mode per graph$"):
+        scalar_check(1.0, [0.2], [])
+    with pytest.raises(EmptyRange, match="^scalar conditions need at least one mode per graph$"):
+        scalar_check(1.0, [], [0.5])
+    with pytest.raises(ValueError, match="^communication modes must be strictly positive$"):
+        scalar_check(1.0, [0.2], [0.0, 0.5])
+
+
 # --- modal radii -----------------------------------------------------------------
 
 def test_modal_radii_decoupled_zero_gain():
@@ -622,6 +640,19 @@ def test_model_requires_connected_communication_graph():
     with pytest.raises(ValueError, match="communication graph must be connected"):
         LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(),
                    WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)]), alpha=0.3)
+
+
+def test_model_input_checks():
+    gp, gc = cycle4_graph(), WeightedGraph.complete(4)
+    with pytest.raises(ValueError, match="^provide Ap, alpha, or both$"):
+        LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc)
+    with pytest.raises(ValueError, match="^gp and gc must be WeightedGraph instances$"):
+        LimasModel(A_SHOWCASE, B_SHOWCASE, laplacian(gp), gc, alpha=0.3)
+    with pytest.raises(ValueError, match="^gp and gc must be WeightedGraph instances$"):
+        LimasModel(A_SHOWCASE, B_SHOWCASE, gp, None, alpha=0.3)
+    with pytest.raises(ValueError,
+                       match="^physical and communication graphs disagree on node count$"):
+        LimasModel(A_SHOWCASE, B_SHOWCASE, gp, WeightedGraph.complete(5), alpha=0.3)
 
 
 def test_model_alpha_consistency():
@@ -703,6 +734,19 @@ def test_analyze_records_degenerate_gain_kernel(showcase_model, monkeypatch):
     monkeypatch.setattr(analysis, "gain_kernel", degenerate)
     report = analyze(showcase_model)
     assert report.synthesis_error == "B'PB = 0 is not safely positive"
+    assert report.gain is None and report.verdict == "inconclusive"
+
+
+def test_analyze_records_degenerate_spectrum(showcase_model, monkeypatch):
+    # with no room for rounding, the joint diagonalization fails its residual gate
+    monkeypatch.setattr(graphs, "OFFDIAG_RTOL", 0.0)
+    report = analyze(showcase_model)
+    assert report.assumption_commuting.holds
+    assert re.fullmatch(r"off-diagonal residual \S+ too large for the physical Laplacian",
+                        report.sufficient_error)
+    assert report.necessary_error == report.sufficient_error
+    assert report.lambda_p_paired is None and report.lambda_c_paired is None
+    assert report.sufficient is None and report.necessary is None
     assert report.gain is None and report.verdict == "inconclusive"
 
 
@@ -832,12 +876,53 @@ def test_modal_controllability_matches_per_mode_tests():
         assert check.residual == min(controllability_margin(M, model.B) for M in mats)
         assert check.holds == all(is_controllable(M, model.B) for M in mats)
     assert not model.spectrum_p.flags.writeable
-    assert not model.modal_ctrb_sv.flags.writeable
+    assert not model.spectrum_c.flags.writeable
     # Ap = A at the physical mode 1 zeroes the mode matrix
     model = LimasModel(A_SHOWCASE, B_SHOWCASE, WeightedGraph(2, [(0, 1, 0.5)]),
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=1.0)
     check = check_modal_controllability(model)
     assert not check.holds and "[1.0]" in check.detail
+
+
+# Entries i >= 1 of the model spectra lie within this many eps * ||L||_2 of
+# eigh's eigenvalues; the benchmark inputs (N up to 256) reach 10.8.
+SPECTRUM_EPS_BOUND = 32.0
+
+
+def test_model_spectra_are_eigenvalues_with_an_exact_consensus_mode():
+    from limas import check_modal_controllability
+
+    rng = np.random.default_rng(43)
+    eps = np.finfo(float).eps
+    for _ in range(60):
+        N, n = int(rng.integers(2, 41)), int(rng.integers(1, 4))
+        model = LimasModel(random_state_matrix(rng, n), rng.uniform(-1.0, 1.0, (n, 1)),
+                           random_connected_graph(rng, N),
+                           random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0),
+                           alpha=float(rng.uniform(-0.5, 0.5)))
+        assert model.spectrum_p[0] == model.spectrum_c[0] == 0.0
+        for spectrum, L in ((model.spectrum_p, model.laplacian_p),
+                            (model.spectrum_c, model.laplacian_c)):
+            assert spectrum.shape == (N,) and np.all(np.diff(spectrum) >= 0.0)
+            reference = np.linalg.eigh(L)[0]
+            bound = SPECTRUM_EPS_BOUND * eps * np.linalg.norm(L, 2)
+            assert np.abs(spectrum[1:] - reference[1:]).max(initial=0.0) <= bound
+        assert check_modal_controllability(model) == model.controllability_check
+
+
+def test_disconnected_physical_spectrum_stays_ascending():
+    # two path components: the second zero eigenvalue may round below the exact first
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        N = int(rng.integers(4, 30))
+        edges = [(i, i + 1, float(rng.uniform(0.05, 0.5)))
+                 for i in range(N - 1) if i != N // 2 - 1]
+        model = LimasModel([[1.1]], [[1.0]], WeightedGraph(N, edges),
+                           WeightedGraph.complete(N), alpha=0.3)
+        spectrum = model.spectrum_p
+        assert spectrum[0] == 0.0 and np.all(np.diff(spectrum) >= 0.0)
+        bound = SPECTRUM_EPS_BOUND * np.finfo(float).eps * np.linalg.norm(model.laplacian_p, 2)
+        assert 0.0 <= spectrum[1] <= bound
 
 
 def test_stacked_mode_quantities_match_per_mode_loops():

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from limas import analyze, cli, initial_state, simulate
+from limas import LimasModel, analysis, analyze, cli, graphs, initial_state, simulate
+from limas.errors import DegenerateInput
 from limas.cli import main
 from limas.model_io import load_model, save_model
-from conftest import four_agent_model
+from conftest import (
+    commuting_graph_pair,
+    four_agent_model,
+    random_connected_graph,
+    random_state_matrix,
+)
 
 SHOWCASE_PATH = Path(__file__).resolve().parent.parent / "models" / "four_agent_cycle.json"
 
@@ -66,6 +73,94 @@ def test_analyze_text_format(showcase_file, capsys):
     text = capsys.readouterr().out
     assert "verdict: CONSENSUSABLE" in text
     assert "sufficient condition: holds" in text
+
+
+def test_analyze_text_serializes_the_report_only_for_out(showcase_file, tmp_path, capsys,
+                                                         monkeypatch):
+    assert main(["analyze", showcase_file, "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["analyze", showcase_file, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    text = capsys.readouterr().out
+    monkeypatch.setattr(analysis.AnalysisReport, "to_dict", lambda self: pytest.fail("serialized"))
+    assert main(["analyze", showcase_file]) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_analyze_text_without_joint_spectrum(showcase_file, capsys, monkeypatch):
+    # the joint diagonalization fails its residual gate: both conditions are unavailable
+    monkeypatch.setattr(graphs, "OFFDIAG_RTOL", 0.0)
+    assert main(["analyze", showcase_file]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    for condition in ("sufficient", "necessary"):
+        line = next(line for line in lines if line.startswith(f"{condition} condition:"))
+        assert re.fullmatch(rf"{condition} condition: unavailable \(off-diagonal residual "
+                            r"\S+ too large for the physical Laplacian\)", line)
+    assert lines[-1] == "verdict: INCONCLUSIVE"
+
+
+def test_analyze_text_names_the_synthesis_failure(showcase_file, capsys, monkeypatch):
+    def degenerate(P, B, A):
+        raise DegenerateInput("B'PB = 0 is not safely positive")
+
+    monkeypatch.setattr(analysis, "gain_kernel", degenerate)
+    assert main(["analyze", showcase_file]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "gain: none (B'PB = 0 is not safely positive)" in lines
+    assert lines[-1] == "verdict: INCONCLUSIVE"
+
+
+def test_analyze_unreadable_model_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    for path, message in ((missing, f"error: cannot read model file {missing}: "),
+                          (broken, f"error: invalid JSON in {broken}: line 1: ")):
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+
+
+def _soundness_model(rng, k: int) -> LimasModel:
+    """Model k of the soundness sweep.
+
+    n cycles through 1, 2, 3 and every other model has commuting Laplacians.
+    The state matrix's spectral radius reaches 3, so that refutations occur.
+    """
+    n, N = 1 + k % 3, int(rng.integers(3, 7))
+    if k % 2 == 0:
+        gp, gc = commuting_graph_pair(rng, N)
+    else:
+        gp = random_connected_graph(rng, N)
+        gc = random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0)
+    return LimasModel(random_state_matrix(rng, n, rho_lo=0.5, rho_hi=3.0),
+                      rng.uniform(-1.0, 1.0, (n, 1)), gp, gc,
+                      alpha=float(rng.uniform(-0.5, 0.5)))
+
+
+def test_no_verdict_is_both_certified_and_refuted(tmp_path, capsys):
+    # a certificate and a refutation contradict each other; the command line
+    # exits with the code of the library's verdict
+    exit_code = {"consensusable": cli.EXIT_CONSENSUSABLE,
+                 "not-consensusable": cli.EXIT_NOT_CONSENSUSABLE,
+                 "inconclusive": cli.EXIT_INCONCLUSIVE}
+    rng = np.random.default_rng(2024)
+    certified = refuted = 0
+    path = tmp_path / "model.json"
+    for k in range(300):
+        model = _soundness_model(rng, k)
+        report = analyze(model)
+        refutes = (report.necessary is not None and not report.necessary.holds) \
+            or (report.scalar is not None and not report.scalar.necessary)
+        assert not (report.consensusable_certified and refutes), k
+        certified += report.consensusable_certified
+        refuted += refutes
+        save_model(model, path)
+        assert main(["analyze", str(path)]) == exit_code[report.verdict], k
+        capsys.readouterr()
+    assert certified >= 50 and refuted >= 20, (certified, refuted)
 
 
 def test_analyze_disconnected_communication_graph(tmp_path, capsys):

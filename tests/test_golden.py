@@ -10,7 +10,7 @@ byte with the files under ``tests/golden/``:
   path physical graph and a star communication graph on 8 nodes.
 
 The files hold the rounding of numpy 2.4.6 on x86-64 Linux: for example the
-text report prints ``lambda_p`` entry 0 as ``-6.312e-18``. Another numpy
+JSON report prints ``lambda_c`` entry 1 as ``3.9999999999999982``. Another numpy
 build or BLAS may differ in the last digits, and then the files must be
 regenerated there before they can guard a change. Regenerate them all with
 

@@ -12,7 +12,7 @@ from limas import (
     laplacian,
     simultaneous_diagonalize,
 )
-from limas.errors import NotCommuting
+from limas.errors import NotCommuting, ShapeMismatch
 from conftest import commuting_graph_pair, cycle4_graph, random_connected_graph
 
 
@@ -158,6 +158,11 @@ def test_is_connected_matches_full_union_find():
         assert is_connected(WeightedGraph(N, edges)) == expected
         seen.add((form, expected))
     assert seen == {(0, False), (0, True), (1, False), (2, True)}
+
+
+def test_commute_check_rejects_size_mismatch():
+    with pytest.raises(ShapeMismatch, match=r"^Laplacians differ in size: \(2, 2\) vs \(3, 3\)$"):
+        commute_check(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 def test_commute_scaled_and_complete():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ def test_nan_in_file_rejected(tmp_path):
         load_model(path)
 
 
+def test_unreadable_or_malformed_model_file(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SchemaError, match="^" + re.escape(f"cannot read model file {missing}: ")):
+        load_model(missing)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"n": 1,\n  "N": }')
+    with pytest.raises(SchemaError,
+                       match="^" + re.escape(f"invalid JSON in {broken}: line 2: Expecting value") + "$"):
+        load_model(broken)
+
+
 def test_requires_ap_or_alpha():
     data = showcase_dict()
     del data["alpha"]
@@ -190,3 +202,8 @@ def test_gain_file(tmp_path):
     path.write_text('{"K": [1.0]}')
     with pytest.raises(SchemaError):
         gain_from_file(path, 2)
+    for bad, text in ((tmp_path / "missing-gain.json", None), (path, '{"K": ')):
+        if text is not None:
+            bad.write_text(text)
+        with pytest.raises(SchemaError, match="^" + re.escape(f"cannot read gain file {bad}: ")):
+            gain_from_file(bad, 2)

@@ -337,6 +337,14 @@ def test_grid_search_rejects_bad_bounds(lo, hi):
                            lo=lo, hi=hi, count=201)
 
 
+def test_grid_search_input_checks():
+    path = laplacian(WeightedGraph.path(3))
+    with pytest.raises(ShapeMismatch, match=r"^Laplacians differ in size: \(3, 3\) vs \(4, 4\)$"):
+        scalar_grid_search(1.2, path, laplacian(WeightedGraph.path(4)))
+    with pytest.raises(ValueError, match="^grid needs at least 2 points, got 1$"):
+        scalar_grid_search(1.2, path, path, count=1)
+
+
 def test_verify_gain_agrees_with_modal_radii(showcase_model):
     from limas import synthesize_gain
     spec = spectral_pair(showcase_model)

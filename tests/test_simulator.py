@@ -17,6 +17,7 @@ from limas import (
     synthesize_gain,
 )
 from limas.errors import Overflow, ShapeMismatch
+from limas.simulator import ConvergenceMetrics
 from conftest import (
     deviation,
     four_agent_model,
@@ -220,6 +221,26 @@ def test_convergence_metrics_needs_ten_steps():
                       xbar=np.zeros((5, 1)))
     with pytest.raises(ValueError):
         convergence_metrics(traj)
+
+
+def test_convergence_metrics_from_a_consensus_state(showcase_model):
+    # every agent starts at the same state: the deviation is exactly zero throughout
+    x0 = np.tile([1.0, 2.0], showcase_model.N)
+    traj = simulate(showcase_model, [[0.1, 0.2]], x0, 20)
+    assert not traj.delta_norms.any()
+    assert convergence_metrics(traj) == ConvergenceMetrics(0.0, 0, False)
+
+
+def test_simulate_input_checks(showcase_model):
+    K = [[0.1, 0.2]]
+    x0 = initial_state(showcase_model, 1)
+    with pytest.raises(ValueError, match="^steps must be >= 1, got 0$"):
+        simulate(showcase_model, K, x0, 0)
+    with pytest.raises(ShapeMismatch, match="^x0 length 3 does not match N\\*n = 8$"):
+        simulate(showcase_model, K, x0[:3], 10)
+    x0[5] = np.nan
+    with pytest.raises(ValueError, match="^x0 contains non-finite entries$"):
+        simulate(showcase_model, K, x0, 10)
 
 
 def test_initial_state_reproducible(showcase_model):

@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from limas import cli
@@ -26,6 +28,25 @@ def test_benchmark_trace_targets_resolve():
     for module_name, attr, _, _ in targets:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_failing_property_test_does_not_abort_the_run(tmp_path):
+    # hypothesis reports a failure through an import that warns; under the
+    # ini's "error" filter that must not stop pytest before the other tests
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", str(tmp_path / "test_probe.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = run.stdout + run.stderr
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in output
 
 
 def _subcommand_flags() -> dict[str, list[str]]:
