@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     AssumptionViolated,
-    DegenerateInput,
     Divergence,
     EmptyRange,
     DegenerateSpectrum,
@@ -50,7 +49,6 @@ from .linalg import (
     controllability_singular_values,
     eig_general,
     eig_sym,
-    gain_kernel,
     has_full_row_rank,
     has_rank,
 )
@@ -58,7 +56,7 @@ from .oracle import verify_gain
 
 # Ap = alpha*A holds when ||Ap - alpha*A||_F <= COUPLING_RTOL * ||A||_F.
 COUPLING_RTOL = 1e-9
-# Q = MARE_Q_SCALE * I regularizes the Riccati equation when no Q is given.
+# Q = MARE_Q_SCALE * I, the one Q of every Riccati solve, regularizes the equation.
 MARE_Q_SCALE = 1e-6
 # Newton at the target sigma stops once its relative step is at most this
 # and no longer shrinks; an intermediate sigma takes one step regardless.
@@ -331,19 +329,21 @@ class MareSolution:
 
     ``iterations`` counts the Stein solves spent, those of rejected
     continuation steps included. ``residual`` is the relative Riccati
-    residual ||MARE(P) - P||_F / ||P||_F.
+    residual ||MARE(P) - P||_F / ||P||_F. ``K`` is the gain
+    -(B'PB)^-1 B'P Abar of this ``P``, the one the last Newton step formed.
     """
 
     P: np.ndarray
     sigma: float
     iterations: int
     residual: float
+    K: np.ndarray
 
 
-def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
+def solve_mare(Abar, B, sigma: float) -> MareSolution:
     """Solve P = Abar'P Abar - sigma * Abar'PB (B'PB)^-1 B'P Abar + Q.
 
-    ``Q`` defaults to MARE_Q_SCALE * I. For single-input B a solution exists
+    ``Q`` is MARE_Q_SCALE * I. For single-input B a solution exists
     exactly when sigma exceeds the critical margin of Abar (any sigma when
     Abar is Schur stable); below it, Divergence is raised up front. The
     controllability matrix of (Abar, B) is built once: its rank test raises
@@ -373,7 +373,7 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
     ctrb = controllability_matrix(Abar, B)
     if not has_full_row_rank(ctrb):
         raise NotControllable("(Abar, B) fails the controllability rank test")
-    Q = MARE_Q_SCALE * np.eye(n) if Q is None else as_matrix(Q, rows=n, cols=n, name="Q")
+    Q = MARE_Q_SCALE * np.eye(n)
     critical = sigma_critical(Abar, 1.0)
     if critical > 0.0 and sigma <= critical:
         raise Divergence(
@@ -395,7 +395,7 @@ def solve_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
         if newton is not None:
             P, K, residual = newton
             if trial == sigma:
-                return MareSolution(P, sigma, solves, residual)
+                return MareSolution(P, sigma, solves, residual, K)
             current = trial
             step *= 2.0
         else:
@@ -504,7 +504,6 @@ class SynthesisResult:
     """A synthesized gain with the diagnostics that produced and verified it."""
 
     K: np.ndarray
-    k_star: float
     sigma: float
     mare: MareSolution | None
     modal_radii: np.ndarray
@@ -517,6 +516,8 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
     Solves the modified Riccati equation for the worst-case scaled state
     matrix at the smallest per-mode margin achieved by the midpoint gain
     scale, forms K = -k* (B'PB)^-1 B'PA, and verifies every modal radius.
+    With Abar = alpha_max * A that gain is (k* / alpha_max) times the gain
+    -(B'PB)^-1 B'P Abar that solve_mare returns, so it is not formed again.
     The margin is clipped into [0, 1]; one at or below the critical margin
     surfaces as solve_mare's Divergence. A gain that leaves any mode
     unstable is reported as SynthesisFailed, never returned silently.
@@ -526,19 +527,20 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
     if not sufficient.holds:
         raise SynthesisFailed("sufficient condition does not hold")
 
-    if sufficient.alpha.alpha_max == 0.0:
+    alpha_max = sufficient.alpha.alpha_max
+    if alpha_max == 0.0:
         K = np.zeros((1, model.n))
         radii = modal_radii(model, spec, K)
-        return SynthesisResult(K, 0.0, 0.0, None, radii)
+        return SynthesisResult(K, 0.0, None, radii)
 
     sigma = float(np.clip(np.min(sufficient.sigma_modes), 0.0, 1.0))
-    mare = solve_mare(sufficient.alpha.alpha_max * model.A, model.B, sigma)
-    K = -sufficient.k_star * gain_kernel(mare.P, model.B, model.A)
+    mare = solve_mare(alpha_max * model.A, model.B, sigma)
+    K = (sufficient.k_star / alpha_max) * mare.K
     radii = modal_radii(model, spec, K)
     if float(radii.max()) >= 1.0:
         raise SynthesisFailed(
             f"synthesized gain leaves a modal radius at {float(radii.max()):g}")
-    return SynthesisResult(K, sufficient.k_star, sigma, mare, radii)
+    return SynthesisResult(K, sigma, mare, radii)
 
 
 @dataclass(frozen=True)
@@ -841,7 +843,7 @@ def analyze(model: LimasModel) -> AnalysisReport:
                 report.mare_iterations = synth.mare.iterations
             report.modal_radii = synth.modal_radii.tolist()
             report.certify("modal-radii", float(synth.modal_radii.max()))
-        except (SynthesisFailed, Divergence, NotControllable, DegenerateInput) as exc:
+        except (SynthesisFailed, Divergence, NotControllable) as exc:
             report.synthesis_error = str(exc)
 
     if report.gain is None and report.scalar is not None \

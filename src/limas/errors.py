@@ -17,10 +17,6 @@ class NoConvergence(LimasError):
     """An eigenvalue iteration failed to converge."""
 
 
-class DegenerateInput(LimasError):
-    """Input is numerically degenerate for the requested operation."""
-
-
 class NotCommuting(LimasError):
     """The two Laplacians do not commute within tolerance."""
 

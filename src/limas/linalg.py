@@ -14,14 +14,12 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInput, NoConvergence, NotSymmetric, ShapeMismatch
+from .errors import NoConvergence, NotSymmetric, ShapeMismatch
 
 # Symmetry tolerance, relative to the Frobenius norm of the input.
 SYMMETRY_RTOL = 1e-9
 # Controllability rank threshold is n * sigma_max * RANK_RTOL.
 RANK_RTOL = 1e-12
-# gain_kernel needs B'PB > BTPB_RTOL * ||P||_F * B'B, a floor free of B's scale.
-BTPB_RTOL = 1e-14
 
 
 def as_matrix(obj, rows: int | None = None, cols: int | None = None,
@@ -126,23 +124,6 @@ def controllability_margin(M, B) -> float:
     """
     M = as_square(M, name="M")
     return float(controllability_singular_values(M, B)[-1])
-
-
-def gain_kernel(P, B, A) -> np.ndarray:
-    """Feedback direction ``(B'PB)^{-1} B'PA`` induced by a Riccati solution P.
-
-    B must be a single column; raises DegenerateInput unless B'PB exceeds
-    ``BTPB_RTOL * ||P||_F * B'B``. The floor scales with B as B'PB does, so
-    rescaling B only rescales the result.
-    """
-    P = as_square(P, name="P")
-    n = P.shape[0]
-    B = as_matrix(B, rows=n, cols=1, name="B")
-    A = as_matrix(A, rows=n, cols=n, name="A")
-    btpb = float((B.T @ P @ B).item())
-    if btpb <= BTPB_RTOL * float(np.linalg.norm(P)) * float((B.T @ B).item()):
-        raise DegenerateInput(f"B'PB = {btpb:g} is not safely positive")
-    return (B.T @ P @ A) / btpb
 
 
 def ones_completion(n: int) -> np.ndarray:

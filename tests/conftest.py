@@ -255,15 +255,16 @@ MARE_CONVERGENCE_RTOL = 1e-10
 MARE_DIVERGENCE_NORM = 1e12
 
 
-def fixed_point_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
+def fixed_point_mare(Abar, B, sigma: float) -> MareSolution:
     """Reference MARE solver: the plain fixed-point iteration of the Riccati map.
 
-    ``Q`` defaults to MARE_Q_SCALE * I. Plain fixed-point iteration from
+    ``Q`` is MARE_Q_SCALE * I. Plain fixed-point iteration from
     P = I, stopping when successive iterates agree to MARE_CONVERGENCE_RTOL
     relative or after MARE_MAX_ITER steps. The recursion converges exactly when
     sigma exceeds the critical margin of Abar, so divergence (norm blow-up
     or iteration cap) is reported as such rather than patched over.
-    ``residual`` is the last absolute step.
+    ``residual`` is the last absolute step and ``K`` the gain
+    -(B'PB)^-1 B'P Abar of the returned P.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -272,7 +273,7 @@ def fixed_point_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
     if not is_controllable(Abar, B):
         raise NotControllable("(Abar, B) fails the controllability rank test")
-    Q = MARE_Q_SCALE * np.eye(n) if Q is None else as_matrix(Q, rows=n, cols=n, name="Q")
+    Q = MARE_Q_SCALE * np.eye(n)
 
     P = np.eye(n)
     for iteration in range(1, MARE_MAX_ITER + 1):
@@ -288,7 +289,9 @@ def fixed_point_mare(Abar, B, sigma: float, Q=None) -> MareSolution:
                 iterations=iteration)
         diff = float(np.linalg.norm(P_next - P))
         if diff <= MARE_CONVERGENCE_RTOL * float(np.linalg.norm(P)):
-            return MareSolution(P_next, sigma, iteration, diff)
+            PB = P_next @ B
+            K = -(Abar.T @ PB).T / float((B.T @ PB).item())
+            return MareSolution(P_next, sigma, iteration, diff, K)
         P = P_next
     raise Divergence(
         f"no fixed point within {MARE_MAX_ITER} iterations (sigma = {sigma:g})",

@@ -31,7 +31,6 @@ from limas import analysis, graphs, verify_gain
 from limas.analysis import CONNECTIVITY_FLOOR, COUPLING_RTOL
 from limas.errors import (
     AssumptionViolated,
-    DegenerateInput,
     Divergence,
     EmptyRange,
     NotControllable,
@@ -208,11 +207,11 @@ def test_connectivity_floor_is_free_of_weight_scale(showcase_model, weight):
 # --- modified Riccati equation -----------------------------------------------
 
 def test_solve_mare_scalar_closed_form():
-    # for a = 2, sigma = 0.8: P (1 - a^2 + sigma a^2) = q, so P = 5 q
+    # for a = 2, b = 1, sigma = 0.8: P (1 - a^2 + sigma a^2) = q, so P = 5 q,
+    # and the gain -(bPa) / (bPb) = -a / b whatever P is
     sol = solve_mare([[2.0]], [[1.0]], 0.8)
     assert sol.P[0, 0] == pytest.approx(5e-6, rel=1e-7)
-    sol = solve_mare([[2.0]], [[1.0]], 0.8, Q=[[3.0]])
-    assert sol.P[0, 0] == pytest.approx(15.0, rel=1e-7)
+    assert sol.K.tolist() == [[-2.0]]
 
 
 @pytest.mark.parametrize("sigma", [0.76, 0.8, 0.9])
@@ -279,19 +278,26 @@ def _relative_riccati_residual(Abar, B, sigma, P) -> float:
 
 def test_solve_mare_matches_fixed_point_property():
     # Newton along the sigma continuation solves the MARE to rounding and
-    # agrees with the plain fixed point wherever that one converges
+    # agrees with the plain fixed point wherever that one converges; its
+    # gain is -(B'PB)^-1 B'P Abar of its own P
+    eps = np.finfo(float).eps
     compared = 0
     for Abar, B, sigma in _random_mare_instances(5, 200, "above"):
         sol = solve_mare(Abar, B, sigma)
         residual = _relative_riccati_residual(Abar, B, sigma, sol.P)
         assert residual <= 1e-10
         assert sol.residual == pytest.approx(residual, rel=1e-3, abs=1e-15)
+        btpb = float((B.T @ sol.P @ B).item())
+        gain = -(B.T @ sol.P @ Abar) / btpb
+        assert np.linalg.norm(sol.K - gain, 2) <= 4.0 * eps * np.linalg.norm(B, 2) \
+            * np.linalg.norm(sol.P, 2) * np.linalg.norm(Abar, 2) / btpb
         try:
             ref = fixed_point_mare(Abar, B, sigma)
         except Divergence:
             continue
         compared += 1
         assert np.linalg.norm(sol.P - ref.P) <= 1e-6 * np.linalg.norm(ref.P)
+        assert np.linalg.norm(sol.K - ref.K) <= 1e-6 * np.linalg.norm(ref.K)
     assert compared >= 150
 
 
@@ -321,6 +327,23 @@ def test_solve_mare_below_critical_property(monkeypatch):
         with pytest.raises(Divergence) as err:
             solve_mare(Abar, B, sigma)
         assert err.value.iterations > 0
+
+
+def test_solve_mare_counts_a_failed_stein_spectrum_as_unstable(monkeypatch):
+    # the eigenvalue solver fails on every 4 x 4 Stein operator (n = 2), so no
+    # trial sigma is accepted and the continuation stalls before any solve
+    eigvals = np.linalg.eigvals
+
+    def failing_on_stein(M):
+        if np.shape(M) == (4, 4):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_on_stein)
+    with pytest.raises(Divergence, match=r"^sigma continuation stalled 0\.1 above "
+                                         r"sigma = 0\.9 after 0 Stein solves$") as err:
+        solve_mare(A_SHOWCASE, B_SHOWCASE, 0.9)
+    assert err.value.iterations == 0
 
 
 @pytest.mark.parametrize("Abar, B", [(A_SHOWCASE, B_SHOWCASE), ([[2.0]], [[1.0]])])
@@ -728,13 +751,22 @@ def test_analyze_is_free_of_b_scale(showcase_model):
 
 
 def test_analyze_records_degenerate_gain_kernel(showcase_model, monkeypatch):
-    def degenerate(P, B, A):
-        raise DegenerateInput("B'PB = 0 is not safely positive")
+    # a Riccati solve that fails leaves the report without a gain and names why
+    def stalled(Abar, B, sigma):
+        raise Divergence("sigma continuation stalled 1e-12 above sigma = 0.5")
 
-    monkeypatch.setattr(analysis, "gain_kernel", degenerate)
+    monkeypatch.setattr(analysis, "solve_mare", stalled)
     report = analyze(showcase_model)
-    assert report.synthesis_error == "B'PB = 0 is not safely positive"
+    assert report.synthesis_error == "sigma continuation stalled 1e-12 above sigma = 0.5"
     assert report.gain is None and report.verdict == "inconclusive"
+
+
+def test_synthesize_gain_refuses_a_gain_its_radii_do_not_certify(showcase_model, monkeypatch):
+    spec = spectral_pair(showcase_model)
+    monkeypatch.setattr(analysis, "modal_radii",
+                        lambda model, spec, K: np.array([0.5, 1.5, 0.5]))
+    with pytest.raises(SynthesisFailed, match="^synthesized gain leaves a modal radius at 1.5$"):
+        synthesize_gain(showcase_model, spec)
 
 
 def test_analyze_records_degenerate_spectrum(showcase_model, monkeypatch):
@@ -770,6 +802,30 @@ def test_synthesize_gain_single_mode_midpoint_placement():
     assert res.k_star == pytest.approx(0.7 / 1.6, rel=1e-12)
     synth = synthesize_gain(model, spec, sufficient=res)
     assert float(synth.modal_radii.max()) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_synthesized_gain_matches_the_kernel_formula_property():
+    # K = (k* / alpha_max) * mare.K equals -k* (B'PB)^-1 B'PA of the same P up
+    # to rounding: both round B'PA and B'PB, and the rounding of B'PB weighs
+    # ||P|| B'B / B'PB more
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    synthesized = 0
+    while synthesized < 300:
+        model = random_coupled_model(rng)
+        spec = spectral_pair(model)
+        suff = sufficient_check(model, spec)
+        if not suff.holds or suff.alpha.alpha_max == 0.0:
+            continue
+        synth = synthesize_gain(model, spec, sufficient=suff)
+        synthesized += 1
+        P, B, A = synth.mare.P, model.B, model.A
+        btpb = float((B.T @ P @ B).item())
+        reference = -suff.k_star * (B.T @ P @ A) / btpb
+        norm_b, norm_p = np.linalg.norm(B, 2), np.linalg.norm(P, 2)
+        bound = 4.0 * eps * abs(suff.k_star) * norm_b * norm_p * np.linalg.norm(A, 2) \
+            / btpb * (1.0 + norm_p * norm_b ** 2 / btpb)
+        assert np.linalg.norm(synth.K - reference, 2) <= bound
 
 
 def test_analyze_fitted_alpha_without_declaration():

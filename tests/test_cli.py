@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from limas import LimasModel, analysis, analyze, cli, graphs, initial_state, simulate
-from limas.errors import DegenerateInput
+from limas.errors import Divergence
 from limas.cli import main
 from limas.model_io import load_model, save_model
 from conftest import (
@@ -20,7 +23,8 @@ from conftest import (
     random_state_matrix,
 )
 
-SHOWCASE_PATH = Path(__file__).resolve().parent.parent / "models" / "four_agent_cycle.json"
+ROOT = Path(__file__).resolve().parent.parent
+SHOWCASE_PATH = ROOT / "models" / "four_agent_cycle.json"
 
 
 # n = 1 with no stabilizing gain: the modes -5 + 3k and -15 + 3k need
@@ -101,14 +105,43 @@ def test_analyze_text_without_joint_spectrum(showcase_file, capsys, monkeypatch)
 
 
 def test_analyze_text_names_the_synthesis_failure(showcase_file, capsys, monkeypatch):
-    def degenerate(P, B, A):
-        raise DegenerateInput("B'PB = 0 is not safely positive")
+    def stalled(Abar, B, sigma):
+        raise Divergence("sigma continuation stalled 1e-12 above sigma = 0.5")
 
-    monkeypatch.setattr(analysis, "gain_kernel", degenerate)
+    monkeypatch.setattr(analysis, "solve_mare", stalled)
     assert main(["analyze", showcase_file]) == 3
     lines = capsys.readouterr().out.splitlines()
-    assert "gain: none (B'PB = 0 is not safely positive)" in lines
+    assert "gain: none (sigma continuation stalled 1e-12 above sigma = 0.5)" in lines
     assert lines[-1] == "verdict: INCONCLUSIVE"
+
+
+def test_analyze_text_names_a_rounded_zero_communication_mode(tmp_path, capsys):
+    # the 1e-16 middle edge of the path rounds lambda_c[1] to exactly 0,
+    # which the scalar conditions refuse
+    data = {
+        "schema_version": "1", "n": 1, "N": 4,
+        "A": [0.5], "B": [1.0], "Ap": [0.1],
+        "physical_edges": [{"i": i, "j": i + 1, "weight": 1.0} for i in range(1, 4)],
+        "communication_edges": [{"i": 1, "j": 2, "weight": 1.0},
+                                {"i": 2, "j": 3, "weight": 1e-16},
+                                {"i": 3, "j": 4, "weight": 1.0}],
+    }
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "gain: none (communication modes must be strictly positive)" in lines
+    assert lines[-1] == "verdict: INCONCLUSIVE"
+
+
+def test_module_entry_point_runs_analyze():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "limas.cli", "analyze", str(SHOWCASE_PATH)],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "verdict: CONSENSUSABLE"
 
 
 def test_analyze_unreadable_model_file(tmp_path, capsys):
@@ -464,6 +497,26 @@ def test_simulate_without_certified_gain_reports_reason(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "automatic gain synthesis failed" in err
     assert "Laplacians do not commute" in err
+    assert not csv_path.exists()
+
+
+def test_simulate_names_the_radius_of_an_uncertified_gain(tmp_path, capsys, monkeypatch):
+    # the report holds the scalar-interval gain, but its radii do not certify it
+    data = {
+        "schema_version": "1", "n": 1, "N": 4, "A": [1.1], "B": [1.0], "alpha": 0.3,
+        "physical_edges": [{"i": i, "j": j, "weight": 0.1}
+                           for i, j in ((1, 2), (2, 4), (4, 3), (3, 1))],
+        "communication_edges": [{"i": i, "j": j, "weight": 1.0}
+                                for i in range(1, 5) for j in range(i + 1, 5)],
+    }
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(analysis, "modal_radii", lambda model, spec, K: np.array([1.5]))
+    csv_path = tmp_path / "traj.csv"
+    assert main(["simulate", str(path), "--out-csv", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: automatic gain synthesis failed: modal-radii radius 1.5\n"
+    assert captured.out == ""
     assert not csv_path.exists()
 
 

@@ -130,6 +130,13 @@ def test_grid_search_interval_example():
     assert lo <= result.best_k <= hi
 
 
+def test_stabilizing_intervals_split_at_a_gap():
+    # grid spacing 0.5: a step of more than 1.5 spacings starts a new run
+    result = oracle.GridSearchResult(-2.0, 2.0, 9, np.array([-2.0, -1.5, -1.0, 0.5, 1.0, 2.0]),
+                                     -1.5, 0.2)
+    assert result.stabilizing_intervals() == [(-2.0, -1.0), (0.5, 1.0), (2.0, 2.0)]
+
+
 def test_grid_search_stable_origin():
     result = scalar_grid_search(0.5, np.zeros((4, 4)),
                                 laplacian(WeightedGraph.complete(4, 0.3)),
