@@ -9,6 +9,7 @@ eigenvalue lists paired positionally. It exists only for commuting Laplacians.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -52,9 +53,16 @@ class WeightedGraph:
             raise ValueError(f"graph has more than {MAX_NODES} nodes")
         edges = list(edges)
         try:
-            rows = np.array(edges, dtype=float)
+            triples = set(map(len, edges)) <= {3}
+        except TypeError:
+            triples = False
+        if not triples:
+            raise ValueError("edges must be (i, j, weight) triples")
+        try:
+            # one pass in C over the entries, with no array of Python objects
+            rows = np.fromiter(chain.from_iterable(edges), float, 3 * len(edges))
         except OverflowError:
-            rows = np.array([[_float_or_inf(x) for x in e] for e in edges])
+            rows = np.array([_float_or_inf(x) for e in edges for x in e])
         rows = rows.reshape(len(edges), 3)
         ends, w = rows[:, :2], rows[:, 2].copy()
         valid = ((ends >= 0) & (ends < node_count) & (ends == np.floor(ends))).all(axis=1)

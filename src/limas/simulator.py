@@ -59,9 +59,9 @@ def initial_state(model: LimasModel, seed: int) -> np.ndarray:
 def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     """Iterate the consensus mean and the stacked deviation for ``steps`` updates.
 
-    Raises Overflow (with the offending step) as soon as an entry of the
-    mean or of the deviation exceeds OVERFLOW_GUARD in magnitude, which
-    signals an unstable loop.
+    Raises Overflow with the first step at which an entry of the mean or of
+    the deviation is not within OVERFLOW_GUARD in magnitude (nan included),
+    which signals an unstable loop. The steps are judged after the run.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -80,14 +80,19 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     d = (x.reshape(N, n) - mean).ravel()
     xbar = np.empty((steps + 1, n))
     deviations = np.empty((steps + 1, N * n))
-    for t in range(steps + 1):
-        if max(float(np.max(np.abs(d))), float(np.max(np.abs(mean)))) > OVERFLOW_GUARD:
-            raise Overflow(t)
-        xbar[t] = mean
-        deviations[t] = d
-        if t < steps:
+    xbar[0], deviations[0] = mean, d
+    # an unstable run may overflow to inf and nan; the rows are judged below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
             d = D @ d
             mean = A @ mean
+            xbar[t], deviations[t] = mean, d
+    # a nan propagates through max and min and fails the comparisons
+    within = np.ones(steps + 1, dtype=bool)
+    for part in (deviations, xbar):
+        within &= (part.max(axis=1) <= OVERFLOW_GUARD) & (part.min(axis=1) >= -OVERFLOW_GUARD)
+    if not within.all():
+        raise Overflow(int(np.argmin(within)))
 
     delta_norms = np.linalg.norm(deviations.reshape(steps + 1, N, n), axis=2)
     return Trajectory(delta_norms, xbar)

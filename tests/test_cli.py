@@ -549,22 +549,51 @@ def _scalar_model_with_gain(tmp_path) -> tuple[str, str]:
     return str(model_path), str(gain_path)
 
 
-@pytest.mark.parametrize("which", ["showcase", "scalar"])
+def _every_layout_model_with_gain(tmp_path) -> tuple[str, str, float]:
+    # the mean grows as 1.2^t past 1e17; the deviations shrink as 0.05^t
+    # until their squares, and so the printed norms, underflow to exact zeros
+    data = {
+        "schema_version": "1", "n": 1, "N": 3, "A": [1.2], "B": [1.0], "alpha": 0.3,
+        "physical_edges": [],
+        "communication_edges": [{"i": i, "j": j, "weight": 1.0}
+                                for i in range(1, 4) for j in range(i + 1, 4)],
+    }
+    model_path = tmp_path / "layouts.json"
+    model_path.write_text(json.dumps(data))
+    k = (0.05 - 1.2) / 3
+    gain_path = tmp_path / "layouts-gain.json"
+    gain_path.write_text(json.dumps({"K": [k]}))
+    return str(model_path), str(gain_path), k
+
+
+@pytest.mark.parametrize("which", ["showcase", "scalar", "layouts"])
 def test_simulate_csv_matches_per_cell_reference(which, showcase_file, tmp_path):
+    steps = 120
     if which == "showcase":
         model_path, extra = showcase_file, []
         K = [analyze(load_model(model_path)).gain]
-    else:
+    elif which == "scalar":
         model_path, gain_path = _scalar_model_with_gain(tmp_path)
         extra = ["--gain", gain_path]
         K = [[0.35]]
+    else:
+        model_path, gain_path, k = _every_layout_model_with_gain(tmp_path)
+        extra = ["--gain", gain_path]
+        K = [[k]]
+        steps = 300
     csv_path = tmp_path / "traj.csv"
-    code = main(["simulate", model_path, *extra, "--seed", "5", "--steps", "120",
+    code = main(["simulate", model_path, *extra, "--seed", "5", "--steps", str(steps),
                  "--out-csv", str(csv_path)])
     assert code == 0
     model = load_model(model_path)
-    traj = simulate(model, K, initial_state(model, 5), 120)
+    traj = simulate(model, K, initial_state(model, 5), steps)
     assert csv_path.read_bytes() == _csv_reference(traj, model.N, model.n)
+    if which == "layouts":
+        cells = set(csv_path.read_text().replace("\n", ",").split(","))
+        assert "0" in cells
+        assert any(re.fullmatch(r"\d\.\d+e\+(1[7-9]|2\d)", c) for c in cells)
+        assert any(re.fullmatch(r"0\.000\d+", c) for c in cells)
+        assert any(re.fullmatch(r"\d(\.\d+)?e-1\d\d", c) for c in cells)
 
 
 def test_simulate_gz_name_writes_plain_text(showcase_file, tmp_path):

@@ -37,6 +37,9 @@ def test_graph_validation():
             WeightedGraph(3, [(0, bad, 1.0)])
     with pytest.raises(ValueError, match="edge 1 weight"):
         WeightedGraph(3, [(0, 1, 1.0), (1, 2, 10**400)])
+    for bad in ([(0, 1)], [(0, 1, 1.0), (1, 2, 1.0, 0)], [(0, 1, 1.0), 5]):
+        with pytest.raises(ValueError, match=r"\(i, j, weight\) triples"):
+            WeightedGraph(3, bad)
     with pytest.raises(ValueError, match="cycle needs at least 3 nodes"):
         WeightedGraph.cycle(2)
     # a fractional node count would admit an end at node 3 of a 3.5-node graph

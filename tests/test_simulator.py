@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,19 @@ def test_overflow_guard_judges_mean_and_deviation():
         with pytest.raises(Overflow) as err:
             simulate(model, [[0.0]], x0, 500)
         assert err.value.step == step
+
+
+def test_overflow_past_the_guard_names_its_first_step_without_warnings():
+    # the run goes on past the guard to inf (step 6) and nan (step 7); the
+    # first row beyond OVERFLOW_GUARD is still the one reported, and the
+    # overflow inside the loop raises no RuntimeWarning
+    model = LimasModel([[1e60, 1e60], [1e60, -1e60]], [[0.0], [1.0]],
+                       pair_graph(0.1), pair_graph(1.0), alpha=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow) as err:
+            simulate(model, [[0.0, 0.0]], [1.0, 1.0, 3.0, 3.0], 10)
+    assert err.value.step == 2
 
 
 def test_simulate_unstable_overflows():
