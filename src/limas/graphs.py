@@ -32,10 +32,11 @@ class WeightedGraph:
     """Undirected graph with strictly positive edge weights.
 
     The one owner of the edge rules: ends are integers in 0..N-1, no self-loop,
-    no unordered pair twice, weight finite and > 0. A ValueError names the first
-    bad edge by its list position; an integer beyond the float range counts as
-    +-inf. Edges are stored once, in input order, as the read-only arrays
-    ``i``, ``j`` (int64, i < j) and ``w`` (float64).
+    no unordered pair twice, weight finite and > 0. ``edges`` holds (i, j,
+    weight) triples, or is an (E, 3) array, which is read in one pass. A
+    ValueError names the first bad edge by its position; an integer beyond
+    the float range counts as +-inf. Edges are stored once, in input order,
+    as the read-only arrays ``i``, ``j`` (int64, i < j) and ``w`` (float64).
     """
 
     node_count: int
@@ -43,7 +44,8 @@ class WeightedGraph:
     j: np.ndarray
     w: np.ndarray
 
-    def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]]):
+    def __init__(self, node_count: int,
+                 edges: Iterable[tuple[int, int, float]] | np.ndarray):
         if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)):
             raise ValueError(f"node count must be an integer, got {node_count!r}")
         node_count = int(node_count)
@@ -51,31 +53,40 @@ class WeightedGraph:
             raise ValueError(f"graph needs at least 2 nodes, got {node_count}")
         if node_count > MAX_NODES:
             raise ValueError(f"graph has more than {MAX_NODES} nodes")
-        edges = list(edges)
-        try:
-            triples = set(map(len, edges)) <= {3}
-        except TypeError:
-            triples = False
-        if not triples:
+        if isinstance(edges, np.ndarray) and edges.dtype != object:
+            rows = np.asarray(edges, dtype=float)
+            if rows.size == 0:
+                rows = rows.reshape(0, 3)
+        else:
+            edges = list(edges)
+            try:
+                triples = set(map(len, edges)) <= {3}
+            except TypeError:
+                triples = False
+            rows = _floats(edges, 3 * len(edges)).reshape(len(edges), 3) if triples else None
+        if rows is None or rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError("edges must be (i, j, weight) triples")
-        try:
-            # one pass in C over the entries, with no array of Python objects
-            rows = np.fromiter(chain.from_iterable(edges), float, 3 * len(edges))
-        except OverflowError:
-            rows = np.array([_float_or_inf(x) for e in edges for x in e])
-        rows = rows.reshape(len(edges), 3)
-        ends, w = rows[:, :2], rows[:, 2].copy()
-        valid = ((ends >= 0) & (ends < node_count) & (ends == np.floor(ends))).all(axis=1)
-        lo, hi = np.sort(np.where(valid[:, None], ends, 0), axis=1).astype(np.int64).T
-        first = np.zeros(len(rows), dtype=bool)
-        first[np.unique(lo * node_count + hi, return_index=True)[1]] = True
-        rules = ((~valid, f"has an end that is not an integer in 0..{node_count - 1}"),
-                 (valid & (lo == hi), "is a self-loop"),
-                 (~((w > 0.0) & np.isfinite(w)), "weight must be finite and positive"),
-                 (~first, "duplicates an earlier edge"))
-        bad = np.logical_or.reduce([mask for mask, _ in rules])
-        if bad.any():
-            k = int(np.argmax(bad))
+        ends = rows[:, :2]
+        # a nan, infinite or huge end casts to some integer that the comparison with
+        # the float end or the range rejects; a later edge that such an edge's key
+        # happens to match is then never the first bad edge
+        with np.errstate(invalid="ignore"):
+            ij = ends.astype(np.int64)
+        lo, hi = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
+        valid = (ij == ends).all(axis=1) & (lo >= 0) & (hi < node_count)
+        w = rows[:, 2].copy()
+        keys = lo * node_count + hi
+        self_loop = lo == hi
+        bad_weight = ~((w > 0.0) & (w < np.inf))
+        ordered = np.sort(keys)
+        if (~valid | self_loop | bad_weight).any() or (ordered[1:] == ordered[:-1]).any():
+            first = np.zeros(len(keys), dtype=bool)
+            first[np.unique(keys, return_index=True)[1]] = True
+            rules = ((~valid, f"has an end that is not an integer in 0..{node_count - 1}"),
+                     (self_loop, "is a self-loop"),
+                     (bad_weight, "weight must be finite and positive"),
+                     (~first, "duplicates an earlier edge"))
+            k = int(np.argmax(np.logical_or.reduce([mask for mask, _ in rules])))
             raise ValueError(f"edge {k} " + next(reason for mask, reason in rules if mask[k]))
         object.__setattr__(self, "node_count", node_count)
         for name, arr in (("i", lo), ("j", hi), ("w", w)):
@@ -103,6 +114,15 @@ class WeightedGraph:
     def path(cls, node_count: int, weight: float = 1.0) -> "WeightedGraph":
         edges = [(i, i + 1, weight) for i in range(node_count - 1)]
         return cls(node_count, edges)
+
+
+def _floats(parts, count: int) -> np.ndarray:
+    """The ``count`` numbers of the sequences in ``parts``, in order, as one float64
+    array made in one C pass; an integer beyond the float range reads as +-inf."""
+    try:
+        return np.fromiter(chain.from_iterable(parts), float, count)
+    except OverflowError:
+        return np.array([_float_or_inf(x) for part in parts for x in part], dtype=float)
 
 
 def _float_or_inf(x) -> float:

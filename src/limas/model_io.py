@@ -8,13 +8,15 @@ Schema version "1". Matrices are flat row-major arrays. Node indices are
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import LimasModel
 from .errors import SchemaError
-from .graphs import MAX_NODES, WeightedGraph
+from .graphs import MAX_NODES, WeightedGraph, _floats
 
 SCHEMA_VERSION = "1"
 
@@ -41,22 +43,63 @@ def _real_array(raw, length: int, name: str) -> list[float]:
     return [_real(v, f"{name}[{idx}]") for idx, v in enumerate(raw)]
 
 
+_EDGE_KEYS = ("i", "j", "weight")
+
+
 def _graph(raw, N: int, name: str) -> WeightedGraph:
+    """Validate an edge list and build its graph.
+
+    The format rules are checked a whole column at a time; only once one of
+    those checks has failed are the entries read one at a time, to name the
+    first bad entry and the first rule it breaks.
+    """
     _require(isinstance(raw, list), f"'{name}' must be an array")
-    edges = []
-    for idx, e in enumerate(raw):
-        if not (type(e) is dict and "i" in e and "j" in e and "weight" in e):
-            raise SchemaError(f"'{name}[{idx}]' must be an object with 'i', 'j' and 'weight'")
-        i, j, w = e["i"], e["j"], e["weight"]
-        if not (type(i) is int and type(j) is int and 1 <= i <= N and 1 <= j <= N):
-            raise SchemaError(f"'{name}[{idx}]' indices must be integers in 1..{N}")
-        if type(w) is not int and type(w) is not float:
-            raise SchemaError(f"'{name}[{idx}]' weight must be a number")
-        edges.append((i - 1, j - 1, w))
+    rows = _edge_rows(raw, N)
+    if rows is None:
+        k, fault = next((k, fault) for k, fault in enumerate(map(_edge_fault, raw, repeat(N)))
+                        if fault)
+        raise SchemaError(f"'{name}[{k}]' {fault}")
     try:
-        return WeightedGraph(N, edges)
+        return WeightedGraph(N, rows.T)
     except ValueError as exc:
         raise SchemaError(f"'{name}': {exc}") from exc
+
+
+def _edge_rows(raw: list, N: int) -> np.ndarray | None:
+    """The rows i - 1, j - 1 and weight of an edge list as one (3, E) float
+    array, or None when some entry breaks a format rule.
+
+    An index beyond int64 fails the range rule; a weight beyond the float
+    range reads as +-inf, which WeightedGraph rejects.
+    """
+    if not set(map(type, raw)) <= {dict}:
+        return None
+    try:
+        i, j, w = (list(map(itemgetter(key), raw)) for key in _EDGE_KEYS)
+    except KeyError:
+        return None
+    if not (set(map(type, i)) | set(map(type, j)) <= {int}
+            and set(map(type, w)) <= {int, float}):
+        return None
+    try:
+        ends = np.fromiter(chain(i, j), np.int64, 2 * len(raw))
+    except OverflowError:
+        return None
+    if not ((ends >= 1) & (ends <= N)).all():
+        return None
+    return np.vstack((ends.reshape(2, len(raw)) - 1, _floats((w,), len(raw))))
+
+
+def _edge_fault(e, N: int) -> str | None:
+    """The first rule that one edge entry breaks, in the order every entry is checked."""
+    if not (type(e) is dict and all(key in e for key in _EDGE_KEYS)):
+        return "must be an object with 'i', 'j' and 'weight'"
+    i, j, w = e["i"], e["j"], e["weight"]
+    if not (type(i) is int and type(j) is int and 1 <= i <= N and 1 <= j <= N):
+        return f"indices must be integers in 1..{N}"
+    if type(w) is not int and type(w) is not float:
+        return "weight must be a number"
+    return None
 
 
 def model_from_dict(data: dict) -> LimasModel:

@@ -94,7 +94,12 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     if not within.all():
         raise Overflow(int(np.argmin(within)))
 
-    delta_norms = np.linalg.norm(deviations.reshape(steps + 1, N, n), axis=2)
+    # each agent's block is scaled by the power of two of its largest entry, an
+    # exact operation, so squaring a deviation below 1e-154 cannot underflow
+    blocks = deviations.reshape(steps + 1, N, n)
+    exponent = np.frexp(np.abs(blocks).max(axis=2))[1]
+    delta_norms = np.ldexp(np.linalg.norm(np.ldexp(blocks, -exponent[..., None]), axis=2),
+                           exponent)
     return Trajectory(delta_norms, xbar)
 
 

@@ -551,7 +551,7 @@ def _scalar_model_with_gain(tmp_path) -> tuple[str, str]:
 
 def _every_layout_model_with_gain(tmp_path) -> tuple[str, str, float]:
     # the mean grows as 1.2^t past 1e17; the deviations shrink as 0.05^t
-    # until their squares, and so the printed norms, underflow to exact zeros
+    # through the subnormal range until they, and so the norms, are exact zeros
     data = {
         "schema_version": "1", "n": 1, "N": 3, "A": [1.2], "B": [1.0], "alpha": 0.3,
         "physical_edges": [],
@@ -594,6 +594,23 @@ def test_simulate_csv_matches_per_cell_reference(which, showcase_file, tmp_path)
         assert any(re.fullmatch(r"\d\.\d+e\+(1[7-9]|2\d)", c) for c in cells)
         assert any(re.fullmatch(r"0\.000\d+", c) for c in cells)
         assert any(re.fullmatch(r"\d(\.\d+)?e-1\d\d", c) for c in cells)
+
+
+def test_simulate_norms_track_deviations_below_the_square_underflow(tmp_path):
+    # squaring a deviation below about 1.5e-154 underflows; the norm must not
+    model_path, gain_path, _ = _every_layout_model_with_gain(tmp_path)
+    csv_path = tmp_path / "traj.csv"
+    assert main(["simulate", model_path, "--gain", gain_path, "--seed", "5", "--steps", "300",
+                 "--out-csv", str(csv_path)]) == 0
+    norms = np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, 1:4]
+    # every step shrinks each agent's norm by the mode factor 0.05 while it is a normal float
+    normal = norms[1:].min(axis=1) >= np.finfo(float).tiny
+    assert normal[:236].all()
+    ratios = norms[1:][normal] / norms[:-1][normal]
+    assert np.abs(ratios / 0.05 - 1).max() < 1e-13
+    # through the subnormal range the norms keep falling, then stay at exact zero
+    assert (np.diff(norms, axis=0) <= 0).all()
+    assert (norms[-1] == 0).all() and (norms[:240] > 0).all()
 
 
 def test_simulate_gz_name_writes_plain_text(showcase_file, tmp_path):

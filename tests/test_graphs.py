@@ -37,7 +37,8 @@ def test_graph_validation():
             WeightedGraph(3, [(0, bad, 1.0)])
     with pytest.raises(ValueError, match="edge 1 weight"):
         WeightedGraph(3, [(0, 1, 1.0), (1, 2, 10**400)])
-    for bad in ([(0, 1)], [(0, 1, 1.0), (1, 2, 1.0, 0)], [(0, 1, 1.0), 5]):
+    for bad in ([(0, 1)], [(0, 1, 1.0), (1, 2, 1.0, 0)], [(0, 1, 1.0), 5],
+                np.ones((2, 2)), np.ones(3), np.ones((1, 3, 1))):
         with pytest.raises(ValueError, match=r"\(i, j, weight\) triples"):
             WeightedGraph(3, bad)
     with pytest.raises(ValueError, match="cycle needs at least 3 nodes"):
@@ -70,8 +71,15 @@ def test_edge_arrays_are_read_only_and_owned():
     g = WeightedGraph(3, rows)
     rows[:] = 0.0
     assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
+    # also when the array is a transposed view, as model files hand it over
+    cols = np.array([[0.0, 1.0], [1.0, 2.0], [1.0, 2.0]])
+    g = WeightedGraph(3, cols.T)
+    cols[:] = 0.0
+    assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
     empty = WeightedGraph(3, [])
     assert empty.edges == () and empty.i.dtype == np.int64 and empty.w.shape == (0,)
+    for rows in (np.array([]), np.empty((0, 3))):
+        assert WeightedGraph(3, rows).edges == ()
     # graphs compare and hash by identity
     assert g == g and g != WeightedGraph(3, g.edges)
     assert len({g, g}) == 1
@@ -299,19 +307,29 @@ def test_edge_validator_matches_loop_reference():
     for _ in range(60):
         N = int(rng.integers(3, 12))
         edges = _random_edge_list(rng, N)
-        got = WeightedGraph(N, edges).edges
+        g = WeightedGraph(N, edges)
         ref = _loop_edges(N, edges)
-        assert got == ref
-        assert [tuple(map(type, e)) for e in got] == [tuple(map(type, e)) for e in ref]
+        assert g.edges == ref
+        assert [tuple(map(type, e)) for e in g.edges] == [tuple(map(type, e)) for e in ref]
+        # the same triples as one (E, 3) float64 array give the same arrays
+        from_rows = WeightedGraph(N, np.array(edges, dtype=float))
+        for name in ("i", "j", "w"):
+            assert np.array_equal(getattr(from_rows, name), getattr(g, name))
+            assert getattr(from_rows, name).dtype == getattr(g, name).dtype
 
         k = int(rng.integers(len(edges)))
         i, j, w = edges[k]
         replaced = [(i, i, w), (i, N, w), (-1, j, w), (i, j, 0.0), (i, j, -w),
-                    (i, j, np.nan), (i, j, np.inf), (i, j, -np.inf)]
+                    (i, j, np.nan), (i, j, np.inf), (i, j, -np.inf),
+                    (i, 2.0**63, w), (-2.0**63, j, w), (np.nan, j, w)]
         trials = [edges[:k] + [bad] + edges[k + 1:] for bad in replaced]
         p = int(rng.integers(len(edges) + 1))
         trials += [edges[:p] + [dup] + edges[p:] for dup in ((i, j, 1.0), (j, i, 2))]
         for trial in trials:
-            for build in (WeightedGraph, _loop_edges):
-                with pytest.raises(ValueError):
-                    build(N, trial)
+            with pytest.raises(ValueError):
+                _loop_edges(N, trial)
+            with pytest.raises(ValueError) as from_list:
+                WeightedGraph(N, trial)
+            with pytest.raises(ValueError) as from_array:
+                WeightedGraph(N, np.array(trial, dtype=float))
+            assert str(from_array.value) == str(from_list.value)

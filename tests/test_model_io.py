@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from limas import model_from_dict, model_to_dict
+from limas import WeightedGraph
 from limas.errors import SchemaError
-from limas.model_io import gain_from_file, load_model, save_model
+from limas.model_io import _graph, gain_from_file, load_model, save_model
 
 
 def showcase_dict() -> dict:
@@ -207,3 +208,93 @@ def test_gain_file(tmp_path):
             bad.write_text(text)
         with pytest.raises(SchemaError, match="^" + re.escape(f"cannot read gain file {bad}: ")):
             gain_from_file(bad, 2)
+
+
+def _reference_graph(raw, N: int, name: str) -> WeightedGraph:
+    """The per-entry loop that validated edge lists before the column checks, kept as reference."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"'{name}' must be an array")
+    edges = []
+    for idx, e in enumerate(raw):
+        if not (type(e) is dict and "i" in e and "j" in e and "weight" in e):
+            raise SchemaError(f"'{name}[{idx}]' must be an object with 'i', 'j' and 'weight'")
+        i, j, w = e["i"], e["j"], e["weight"]
+        if not (type(i) is int and type(j) is int and 1 <= i <= N and 1 <= j <= N):
+            raise SchemaError(f"'{name}[{idx}]' indices must be integers in 1..{N}")
+        if type(w) is not int and type(w) is not float:
+            raise SchemaError(f"'{name}[{idx}]' weight must be a number")
+        edges.append((i - 1, j - 1, w))
+    try:
+        return WeightedGraph(N, edges)
+    except ValueError as exc:
+        raise SchemaError(f"'{name}': {exc}") from exc
+
+
+def _corrupt(rng, raw: list, N: int) -> None:
+    """Break one intact entry of ``raw`` in place by a rule drawn at random."""
+    intact = [k for k, e in enumerate(raw) if type(e) is dict and len(e) == 3]
+    if not intact:
+        return
+    k = intact[rng.integers(len(intact))]
+    e = dict(raw[k])
+    rule = rng.integers(5)
+    if rule == 0:
+        raw[k] = [[e["i"], e["j"], e["weight"]], "edge", None][rng.integers(3)]
+        return
+    if rule == 1:
+        del e[("i", "j", "weight")[rng.integers(3)]]
+    elif rule == 2:
+        bad = [True, 1.0, 0, N + 1, -2**70, 2**70, 10**400][rng.integers(7)]
+        e["i" if rng.random() < 0.5 else "j"] = bad
+    elif rule == 3:
+        e["weight"] = [True, "0.5", None, 0, -0.5, float("nan"), float("inf"),
+                       float("-inf"), 10**400][rng.integers(9)]
+    elif rng.random() < 0.5:
+        e["j"] = e["i"]
+    else:
+        dup = dict(e, weight=2.0)
+        if rng.random() < 0.5:
+            dup["i"], dup["j"] = e["j"], e["i"]
+        raw.insert(int(rng.integers(len(raw) + 1)), dup)
+        return
+    raw[k] = e
+
+
+def test_column_checks_match_the_per_entry_loop():
+    rng = np.random.default_rng(17)
+    node_pairs = {N: np.column_stack(np.triu_indices(N, 1)) + 1 for N in range(2, 41)}
+    messages = set()
+    for _ in range(2000):
+        N = int(rng.integers(2, 41))
+        pairs = node_pairs[N]
+        count = int(rng.integers(1, min(len(pairs), 40) + 1))
+        ends = pairs[rng.permutation(len(pairs))[:count]]
+        flip = rng.random(count) < 0.5
+        ends[flip] = ends[flip, ::-1]
+        # distinct pairs in random order and orientation, with int and float weights
+        weights = [k if as_int else x for k, x, as_int in zip(
+            rng.integers(1, 5, count).tolist(), rng.uniform(0.01, 3.0, count).tolist(),
+            (rng.random(count) < 0.3).tolist())]
+        raw = [{"i": i, "j": j, "weight": w}
+               for (i, j), w in zip(ends.tolist(), weights)]
+        got, ref = _graph(raw, N, "edges"), _reference_graph(raw, N, "edges")
+        for name in ("i", "j", "w"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert getattr(got, name).dtype == getattr(ref, name).dtype
+        for _ in range(int(rng.integers(1, 3))):
+            _corrupt(rng, raw, N)
+        with pytest.raises(SchemaError) as expected:
+            _reference_graph(raw, N, "edges")
+        with pytest.raises(SchemaError) as actual:
+            _graph(raw, N, "edges")
+        assert str(actual.value) == str(expected.value)
+        messages.add(re.sub(r"[\d.]+", "#", str(expected.value)))
+    # the corpus reaches every message an edge list can produce
+    assert messages == {
+        "'edges[#]' must be an object with 'i', 'j' and 'weight'",
+        "'edges[#]' indices must be integers in #",
+        "'edges[#]' weight must be a number",
+        "'edges': edge # is a self-loop",
+        "'edges': edge # weight must be finite and positive",
+        "'edges': edge # duplicates an earlier edge",
+    }

@@ -7,10 +7,15 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
+import pytest
+
 from limas import cli
+from limas.errors import SchemaError
+from limas.model_io import load_model
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_PY = ROOT / "benchmarks" / "run.py"
@@ -72,6 +77,22 @@ def test_readme_library_example_runs(monkeypatch):
     namespace = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["traj"].step_count == 300
+
+
+def test_readme_edge_error_example_is_verbatim(tmp_path):
+    # the "Model files" section quotes an edge error; the code must still print it
+    section = (ROOT / "README.md").read_text(encoding="utf-8") \
+        .split("\n## Model files\n", 1)[1].split("\n## ", 1)[0]
+    quoted = re.search(r"for example\s+`([^`]+)`", section).group(1)
+    assert quoted == "'physical_edges': edge 3 is a self-loop"
+    data = json.loads(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+    data["physical_edges"] = [{"i": i, "j": j, "weight": 0.1}
+                              for i, j in ((1, 2), (2, 3), (3, 4), (2, 2))]
+    path = tmp_path / "self-loop.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SchemaError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == quoted
 
 
 def test_readme_names_every_tolerance_constant():
