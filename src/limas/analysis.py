@@ -31,16 +31,17 @@ from .errors import (
     Divergence,
     EmptyRange,
     DegenerateSpectrum,
+    NotCommuting,
     NotControllable,
     SynthesisFailed,
 )
 from .graphs import (
     SpectralPair,
     WeightedGraph,
-    _diagonalize_commuting,
     commute_check,
     is_connected,
     laplacian,
+    simultaneous_diagonalize,
 )
 from .linalg import (
     as_matrix,
@@ -783,7 +784,16 @@ def analyze(model: LimasModel) -> AnalysisReport:
     verified before the report claims consensusability: mode by mode when
     the Laplacians commute, otherwise by projecting the stacked closed loop.
     """
-    a1 = check_laplacians_commute(model)
+    spec, diagonalize_error = None, None
+    try:
+        spec = simultaneous_diagonalize(model.laplacian_p, model.laplacian_c)
+        commute = spec.commute
+    except NotCommuting as exc:
+        commute = exc.commute
+        diagonalize_error = f"Laplacians do not commute (residual {commute.residual:g})"
+    except DegenerateSpectrum as exc:
+        commute, diagonalize_error = exc.commute, str(exc)
+    a1 = AssumptionCheck(commute.ok, commute.residual)
     a2 = model.controllability_check
     a3, alpha_eff = model.coupling_check
 
@@ -797,21 +807,11 @@ def analyze(model: LimasModel) -> AnalysisReport:
         assumption_coupling=a3,
     )
 
-    spec = None
-    if a1.holds:
-        try:
-            spec = _diagonalize_commuting(model.laplacian_p, model.laplacian_c)
-            report.lambda_p_paired = spec.lambda_p.tolist()
-            report.lambda_c_paired = spec.lambda_c.tolist()
-        except DegenerateSpectrum as exc:
-            report.sufficient_error = str(exc)
-            report.necessary_error = str(exc)
+    if spec is None:
+        report.sufficient_error = report.necessary_error = diagonalize_error
     else:
-        reason = f"Laplacians do not commute (residual {a1.residual:g})"
-        report.sufficient_error = reason
-        report.necessary_error = reason
-
-    if spec is not None:
+        report.lambda_p_paired = spec.lambda_p.tolist()
+        report.lambda_c_paired = spec.lambda_c.tolist()
         try:
             report.sufficient = sufficient_check(model, spec)
         except AssumptionViolated as exc:

@@ -18,11 +18,25 @@ class NoConvergence(LimasError):
 
 
 class NotCommuting(LimasError):
-    """The two Laplacians do not commute within tolerance."""
+    """The two Laplacians do not commute within tolerance.
+
+    ``commute`` is the failed commutator check, with its residual.
+    """
+
+    def __init__(self, commute):
+        self.commute = commute
+        super().__init__(f"commutator residual {commute.residual:g} exceeds tolerance")
 
 
 class DegenerateSpectrum(LimasError):
-    """Joint diagonalization failed its residual check."""
+    """Joint diagonalization failed its residual check.
+
+    ``commute`` is the commutator check the Laplacians passed before it.
+    """
+
+    def __init__(self, message: str, commute):
+        self.commute = commute
+        super().__init__(message)
 
 
 class EmptyRange(LimasError):

@@ -3,7 +3,11 @@
 :class:`WeightedGraph` is the one place that checks the edge rules. The
 central object downstream is the :class:`SpectralPair`: one orthogonal basis
 diagonalizing the physical and the communication Laplacian at once, its two
-eigenvalue lists paired positionally. It exists only for commuting Laplacians.
+eigenvalue lists paired positionally. It exists only for commuting Laplacians,
+and :func:`simultaneous_diagonalize`, which forms it, checks the commutator
+once and hands that check on with the pair or with its refusal. Its first
+column is 1/sqrt(N) and the others lie in the deviation basis of
+:func:`limas.linalg.ones_completion`, one Householder reflector.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotCommuting, ShapeMismatch
-from .linalg import as_square, ones_completion
+from .linalg import as_square, in_completion_basis, ones_completion
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
 COMMUTE_RTOL = 1e-9
@@ -73,7 +77,8 @@ class WeightedGraph:
         with np.errstate(invalid="ignore"):
             ij = ends.astype(np.int64)
         lo, hi = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
-        valid = (ij == ends).all(axis=1) & (lo >= 0) & (hi < node_count)
+        valid = (ij[:, 0] == ends[:, 0]) & (ij[:, 1] == ends[:, 1]) \
+            & (lo >= 0) & (hi < node_count)
         w = rows[:, 2].copy()
         keys = lo * node_count + hi
         self_loop = lo == hi
@@ -191,57 +196,58 @@ class SpectralPair:
     ``phi`` is orthogonal with first column 1/sqrt(N); column i is a shared
     eigenvector with eigenvalue ``lambda_p[i]`` for the physical Laplacian
     and ``lambda_c[i]`` for the communication Laplacian. Beyond the leading
-    zeros the lists carry no magnitude ordering.
+    zeros the lists carry no magnitude ordering. ``commute`` is the
+    commutator check the pair passed in :func:`simultaneous_diagonalize`; a
+    pair built by hand has none.
     """
 
     phi: np.ndarray
     lambda_p: np.ndarray
     lambda_c: np.ndarray
+    commute: CommuteCheck | None = None
 
 
 def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     """Jointly diagonalize two commuting Laplacians.
 
-    The all-ones direction is deflated first (it is a shared kernel vector
-    of any Laplacian), then the communication Laplacian is eigendecomposed
-    on the complement, its eigenvalues grouped into near-degenerate
-    clusters (within GROUP_RTOL * ||Lc||_F), and the physical Laplacian is
-    diagonalized inside each cluster. Repeated communication eigenvalues
-    (complete graphs produce them) are therefore handled exactly where naive
-    pairing would fail.
+    Raises NotCommuting when the commutator fails the COMMUTE_RTOL gate.
+    Both Laplacians are reduced to the complement of the all-ones direction
+    (a shared kernel vector of any Laplacian) in the basis W of
+    :func:`ones_completion`, as one rank-two update each. The reduced
+    communication Laplacian is eigendecomposed, its eigenvalues grouped into
+    near-degenerate clusters (within GROUP_RTOL * ||Lc||_F), and the reduced
+    physical Laplacian is diagonalized inside each cluster of more than one
+    eigenvalue. Repeated communication eigenvalues (complete graphs produce
+    them) are therefore handled exactly where naive pairing would fail. The
+    rotated reduced basis V is lifted once, phi = [1/sqrt(N), W V], and the
+    full-space Rayleigh quotients of phi are the paired eigenvalues; raises
+    DegenerateSpectrum when phi leaves an off-diagonal residual above
+    OFFDIAG_RTOL * ||L||_F for either Laplacian.
     """
     Lp = as_square(Lp, name="Lp")
     Lc = as_square(Lc, name="Lc")
-    check = commute_check(Lp, Lc)
-    if not check.ok:
-        raise NotCommuting(f"commutator residual {check.residual:g} exceeds tolerance")
-    return _diagonalize_commuting(Lp, Lc)
-
-
-def _diagonalize_commuting(Lp, Lc) -> SpectralPair:
-    """:func:`simultaneous_diagonalize` for square Laplacians already known to commute."""
+    commute = commute_check(Lp, Lc)
+    if not commute.ok:
+        raise NotCommuting(commute)
     N = Lp.shape[0]
-    basis = ones_completion(N)
-    W = basis[:, 1:]
-    Lc_red = W.T @ Lc @ W
-    Lp_red = W.T @ Lp @ W
-
-    wc, Vc = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
+    Lp_red, Lc_red = (in_completion_basis(L)[1:, 1:] for L in (Lp, Lc))
+    wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
     group_tol = GROUP_RTOL * float(np.linalg.norm(Lc))
 
-    columns = []
+    wc = wc.tolist()
     start = 0
     while start < N - 1:
         stop = start
         while stop + 1 < N - 1 and abs(wc[stop + 1] - wc[start]) <= group_tol:
             stop += 1
-        Vg = Vc[:, start:stop + 1]
-        proj = Vg.T @ Lp_red @ Vg
-        _, rot = np.linalg.eigh((proj + proj.T) / 2.0)
-        columns.append(W @ (Vg @ rot))
+        if stop > start:
+            Vg = V[:, start:stop + 1]
+            proj = Vg.T @ Lp_red @ Vg
+            V[:, start:stop + 1] = Vg @ np.linalg.eigh((proj + proj.T) / 2.0)[1]
         start = stop + 1
 
-    phi = np.column_stack([basis[:, :1]] + columns)
+    phi = ones_completion(N)
+    phi[:, 1:] = phi[:, 1:] @ V
     paired = []
     for L, tag in ((Lp, "physical"), (Lc, "communication")):
         L_phi = L @ phi
@@ -251,7 +257,7 @@ def _diagonalize_commuting(Lp, Lc) -> SpectralPair:
         if float(np.linalg.norm(off)) > OFFDIAG_RTOL * float(np.linalg.norm(L)):
             raise DegenerateSpectrum(
                 f"off-diagonal residual {np.linalg.norm(off):g} too large "
-                f"for the {tag} Laplacian")
+                f"for the {tag} Laplacian", commute)
         paired.append(lam)
 
-    return SpectralPair(phi, *paired)
+    return SpectralPair(phi, *paired, commute)

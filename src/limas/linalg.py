@@ -5,7 +5,10 @@ small (n <= ~10), stacked ones reach N*n ~ 1000, and per-mode quantities
 run on stacks of n x n matrices; the routines favor accuracy and
 determinism: symmetric spectra go through ``eigvalsh``, general spectra
 through ``eigvals``, ranks through singular values. Eigenvectors are solved
-only in the joint diagonalization of :mod:`limas.graphs`.
+only in the joint diagonalization of :mod:`limas.graphs`. The basis of the
+deviations from consensus is one Householder reflector, owned by
+:func:`ones_completion`, which forms it in O(N^2); :func:`in_completion_basis`
+applies it to a matrix from both sides as a rank-n update, without forming it.
 """
 
 from __future__ import annotations
@@ -129,16 +132,42 @@ def controllability_margin(M, B) -> float:
 def ones_completion(n: int) -> np.ndarray:
     """Orthogonal basis whose first column is the normalized all-ones vector.
 
-    The remaining columns come from a QR factorization of
-    [1/sqrt(n), e_1, ..., e_{n-1}] with signs pinned, so the completion is
-    deterministic and reproducible.
+    The basis is the Householder reflector H = I - 2vv'/v'v with
+    v = e_1 + 1/sqrt(n) 1, formed in O(n^2). H maps e_1 to -1/sqrt(n) 1, so
+    its first column is negated, and set to exactly 1/sqrt(n). With this sign
+    v_1 = 1 + 1/sqrt(n) is a sum of two positive numbers and loses no digits
+    to cancellation. The same ``n`` gives the same bits on every call.
     """
     if n < 1:
         raise ShapeMismatch("completion needs n >= 1")
-    M = np.empty((n, n))
-    M[:, 0] = 1.0 / math.sqrt(n)
-    M[:, 1:] = np.eye(n)[:, : n - 1]
-    Q, R = np.linalg.qr(M)
-    Q = Q * np.sign(np.diag(R))
+    v, beta = _reflector(n)
+    Q = np.eye(n) - np.outer(v, beta * v)
     Q[:, 0] = 1.0 / math.sqrt(n)
     return Q
+
+
+def _reflector(n: int) -> tuple[np.ndarray, float]:
+    """The vector v = e_1 + 1/sqrt(n) 1 of :func:`ones_completion` and 2/v'v = 1/(1 + 1/sqrt(n))."""
+    s = 1.0 / math.sqrt(n)
+    v = np.full(n, s)
+    v[0] += 1.0
+    return v, 1.0 / (1.0 + s)
+
+
+def in_completion_basis(M, n: int = 1) -> np.ndarray:
+    """H' M H for the reflector H = (I - 2vv'/v'v) (x) I_n of :func:`ones_completion`.
+
+    ``M`` is a square matrix of N x N blocks of size n. With
+    psi = ones_completion(N) (x) I_n the result equals psi' M psi except for
+    the sign of its first block row and column, since psi negates the first
+    column of H; the deviation block [n:, n:] is the same. With V = v (x) I_n
+    it is the two-sided rank-n update M - V X - Y V', O((Nn)^2 n) instead of
+    the O((Nn)^3) of two products with psi. The term of V'MV is split evenly
+    between X and Y, which keeps a symmetric M symmetric to rounding.
+    """
+    N = M.shape[0] // n
+    v, beta = _reflector(N)
+    V = (v[:, None, None] * np.eye(n)).reshape(N * n, n)
+    MV = beta * (M @ V)
+    G = (0.5 * beta) * (V.T @ MV)
+    return M - V @ (beta * (V.T @ M) - G @ V.T) - (MV - V @ G) @ V.T

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NotDeviationInvariant, NotScalar, ShapeMismatch
-from .linalg import as_square, eig_general, ones_completion
+from .linalg import as_square, eig_general, in_completion_basis
 from .simulator import closed_loop_matrix
 
 if TYPE_CHECKING:
@@ -47,7 +47,8 @@ def projected_deviation_matrix(Atil, n: int = 1) -> np.ndarray:
     """Restrict a stacked matrix of N blocks of size n to the deviations.
 
     With psi = ones_completion(N) (x) I_n, returns the block of psi' Atil psi
-    that acts on the complement of the consensus subspace span{1 (x) e_j}.
+    (formed by :func:`in_completion_basis`, without psi) that acts on the
+    complement of the consensus subspace span{1 (x) e_j}.
     Raises NotDeviationInvariant when Atil moves that subspace out of itself
     by more than the INVARIANCE_RTOL gate, and ShapeMismatch when the size
     of Atil is not a multiple of n.
@@ -56,8 +57,7 @@ def projected_deviation_matrix(Atil, n: int = 1) -> np.ndarray:
     if n < 1 or Atil.shape[0] % n:
         raise ShapeMismatch(f"Atil of size {Atil.shape[0]} is not made of {n} x {n} blocks")
     N = Atil.shape[0] // n
-    psi = np.kron(ones_completion(N), np.eye(n))
-    moved = psi.T @ Atil @ psi
+    moved = in_completion_basis(Atil, n)
     if np.sqrt(N) * np.linalg.norm(moved[n:, :n]) > INVARIANCE_RTOL * np.linalg.norm(Atil):
         raise NotDeviationInvariant(
             "the consensus subspace is not invariant under this matrix")

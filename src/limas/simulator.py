@@ -127,7 +127,11 @@ def convergence_metrics(traj: Trajectory) -> ConvergenceMetrics:
     settling step is the first whose worst agent deviation is below
     SETTLING_THRESHOLD.
     """
-    total = np.linalg.norm(traj.delta_norms, axis=1)
+    # each step is scaled by the power of two of its largest agent norm, as
+    # simulate scales each agent, so the squares of small norms cannot underflow
+    exponent = np.frexp(traj.delta_norms.max(axis=1))[1]
+    total = np.ldexp(np.linalg.norm(np.ldexp(traj.delta_norms, -exponent[:, None]), axis=1),
+                     exponent)
     T = total.size - 1
     if T < 10:
         raise ValueError("need at least 10 steps to fit a decay rate")

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limas import LimasModel, analysis, analyze, cli, graphs, initial_state, simulate
+from limas import (LimasModel, analysis, analyze, cli, convergence_metrics, graphs,
+                   initial_state, simulate)
 from limas.errors import Divergence
 from limas.cli import main
 from limas.model_io import load_model, save_model
@@ -611,6 +612,16 @@ def test_simulate_norms_track_deviations_below_the_square_underflow(tmp_path):
     # through the subnormal range the norms keep falling, then stay at exact zero
     assert (np.diff(norms, axis=0) <= 0).all()
     assert (norms[-1] == 0).all() and (norms[:240] > 0).all()
+
+
+def test_convergence_rate_fits_norms_below_the_square_underflow(tmp_path):
+    # the total deviation of a step is as accurate as its agents' norms, so the
+    # fit over the tail reads the mode factor 0.05 while the norms are normal floats
+    model_path, _, k = _every_layout_model_with_gain(tmp_path)
+    model = load_model(model_path)
+    for steps in (200, 240, 250):
+        traj = simulate(model, [[k]], initial_state(model, 5), steps)
+        assert abs(convergence_metrics(traj).rate - 0.05) <= 1e-12, steps
 
 
 def test_simulate_gz_name_writes_plain_text(showcase_file, tmp_path):

@@ -250,6 +250,48 @@ def test_joint_pairing_on_random_commuting_pairs():
         assert np.all(pair.lambda_c[1:] > 0.0)
 
 
+def _circulant(rng, N: int) -> WeightedGraph:
+    """Seeded circulant graph: offset 1 and some longer offsets, one weight per offset."""
+    offsets = [1] + [d for d in range(2, N // 2 + 1) if rng.random() < 0.3]
+    edges = []
+    for d in offsets:
+        w = float(rng.uniform(0.1, 2.0))
+        edges += [(i, (i + d) % N, w) for i in range(N) if d < N - d or i < (i + d) % N]
+    return WeightedGraph(N, edges)
+
+
+def test_paired_spectra_match_eigvalsh_on_commuting_pairs():
+    # circulants commute with each other and complete graphs with every graph;
+    # each paired list is its Laplacian's spectrum within 64 eps ||L||_2
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    makers = (_circulant,
+              lambda rng, N: WeightedGraph.complete(N, float(rng.uniform(0.1, 3.0))),
+              lambda rng, N: WeightedGraph.cycle(N, float(rng.uniform(0.1, 3.0))))
+    for N in (3, 4, 5, 8, 13, 31, 64, 100, 256):
+        for _ in range(2 if N > 64 else 4):
+            gp, gc = (makers[int(rng.integers(0, 3))](rng, N) for _ in range(2))
+            Lp, Lc = laplacian(gp), laplacian(gc)
+            pair = simultaneous_diagonalize(Lp, Lc)
+            for L, lam in ((Lp, pair.lambda_p), (Lc, pair.lambda_c)):
+                assert lam[0] == 0.0
+                spectrum = np.linalg.eigvalsh(L)
+                assert np.abs(np.sort(lam) - spectrum).max() <= 64 * eps * spectrum[-1], N
+
+
+def test_simultaneous_diagonalize_carries_its_commute_check():
+    # the one commutator check travels with the pair and with the refusals
+    Lp = laplacian(cycle4_graph(0.1))
+    Lc = laplacian(WeightedGraph.complete(4))
+    assert simultaneous_diagonalize(Lp, Lc).commute == commute_check(Lp, Lc)
+    path = laplacian(WeightedGraph.path(3))
+    star = laplacian(WeightedGraph(3, [(0, 1, 1.0), (0, 2, 3.0)]))
+    with pytest.raises(NotCommuting) as err:
+        simultaneous_diagonalize(path, star)
+    assert err.value.commute == commute_check(path, star)
+    assert str(err.value) == f"commutator residual {err.value.commute.residual:g} exceeds tolerance"
+
+
 def test_laplacian_matches_edge_loop_bitwise():
     # diagonal sums accumulate in edge order, exactly as an explicit loop
     rng = np.random.default_rng(5)

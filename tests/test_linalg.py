@@ -17,6 +17,7 @@ from limas.linalg import (
     eig_general,
     eig_sym,
     has_rank,
+    in_completion_basis,
     is_controllable,
     ones_completion,
 )
@@ -185,6 +186,38 @@ def test_ones_completion_is_orthogonal():
         Q = ones_completion(n)
         assert np.allclose(Q.T @ Q, np.eye(n), atol=1e-12)
         assert np.allclose(Q[:, 0], np.ones(n) / np.sqrt(n), atol=0.0)
+
+
+def test_ones_completion_is_the_pinned_reflector():
+    eps = np.finfo(float).eps
+    for n in range(1, 301):
+        Q = ones_completion(n)
+        assert np.abs(Q.T @ Q - np.eye(n)).max() <= eps * n, n
+        assert (Q[:, 0] == 1.0 / np.sqrt(n)).all(), n
+        assert ones_completion(n).tobytes() == Q.tobytes(), n
+        # the columns after the first are those of I - 2vv'/v'v, v = e_1 + 1/sqrt(n)
+        v = np.full(n, 1.0 / np.sqrt(n))
+        v[0] += 1.0
+        H = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+        assert np.abs(Q[:, 1:] - H[:, 1:]).max(initial=0.0) <= 2 * eps, n
+
+
+def test_in_completion_basis_matches_the_dense_product():
+    # the rank-n update equals psi' M psi but for the sign of the first block
+    # row and column, and keeps a symmetric M symmetric to rounding
+    rng = np.random.default_rng(71)
+    eps = np.finfo(float).eps
+    for N, n in ((1, 1), (2, 1), (2, 3), (5, 2), (9, 1), (16, 4), (40, 2)):
+        sign = np.ones(N * n)
+        sign[:n] = -1.0
+        psi = np.kron(ones_completion(N), np.eye(n)) * sign
+        for _ in range(3):
+            M = rng.uniform(-1.0, 1.0, (N * n, N * n))
+            out = in_completion_basis(M, n)
+            assert np.abs(out - psi.T @ M @ psi).max() <= 4 * N * n * eps * np.linalg.norm(M, 2)
+            S = M + M.T
+            out = in_completion_basis(S, n)
+            assert np.abs(out - out.T).max() <= 4 * eps * np.linalg.norm(S, 2)
 
 
 def _symmetric_pairs(seed: int, count: int):

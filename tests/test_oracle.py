@@ -18,7 +18,7 @@ from limas import (
 )
 from limas.errors import NotDeviationInvariant, NotScalar, ShapeMismatch
 from limas import oracle
-from limas.linalg import ones_completion
+from limas.linalg import in_completion_basis, ones_completion
 from limas.oracle import GRID_BLOCK_FLOATS, scalar_model_grid_search
 from limas.simulator import closed_loop_matrix
 from conftest import (
@@ -65,8 +65,10 @@ def test_projected_gate_is_free_of_scale():
 
 
 def test_projected_blocks_match_inline_projection():
-    # the one projection is the full completion product the referee formed inline
+    # the one projection is the completion's rank-n update, bit for bit, and
+    # the full completion product the referee formed inline, to rounding
     rng = np.random.default_rng(53)
+    eps = np.finfo(float).eps
     for n in (1, 2, 4):
         for _ in range(5):
             model = random_coupled_model(rng, N=int(rng.integers(2, 9)), n=n)
@@ -75,7 +77,25 @@ def test_projected_blocks_match_inline_projection():
             expected = (psi.T @ M @ psi)[n:, n:]
             out = projected_deviation_matrix(M, n)
             assert out.shape == expected.shape
-            assert out.tobytes() == expected.tobytes()
+            assert out.tobytes() == in_completion_basis(M, n)[n:, n:].tobytes()
+            assert np.abs(out - expected).max() <= 4 * model.N * n * eps * np.linalg.norm(M, 2)
+
+
+def test_verify_gain_radius_matches_the_dense_projection():
+    # the radius read from the rank-n update against psi = ones_completion(N) (x) I_n
+    rng = np.random.default_rng(83)
+    models = [random_coupled_model(rng, N=int(rng.integers(2, 13)), n=n)
+              for n in (1, 2, 3) for _ in range(8)]
+    models.append(LimasModel([[1.0, 2.0], [0.0, 1.5]], [[0.0], [1.0]],
+                             WeightedGraph.cycle(64, 0.1), WeightedGraph.complete(64), alpha=0.3))
+    for model in models:
+        K = rng.uniform(-1.0, 1.0, (1, model.n)) / model.N
+        psi = np.kron(ones_completion(model.N), np.eye(model.n))
+        dense = (psi.T @ closed_loop_matrix(model, K) @ psi)[model.n:, model.n:]
+        expected = float(np.max(np.abs(np.linalg.eigvals(dense))))
+        check = verify_gain(model, K)
+        assert abs(check.max_radius - expected) <= 1e-13 * max(expected, 1.0)
+        assert check.stable == (check.max_radius < 1.0)
 
 
 def test_projected_rejects_a_leaking_block_row():

@@ -7,8 +7,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -36,16 +38,41 @@ def _tolerance_constants() -> dict[str, str]:
     return assigned
 
 
+def _load_benchmark_module(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_trace_targets_resolve():
     # ``run.py --trace 1`` wraps each target by name; a missing one crashes it
-    spec = importlib.util.spec_from_file_location("limas_bench_run", RUN_PY)
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    run = _load_benchmark_module(RUN_PY, "limas_bench_run")
     targets, _ = run.traced_targets()
     assert targets
     for module_name, attr, _, _ in targets:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_traced_analyze_sees_one_joint_diagonalization():
+    # the benchmark's per-layer rows read the public stage; analyze must call
+    # it, and form the commutator once, for them to see the stage at all
+    run = _load_benchmark_module(RUN_PY, "limas_bench_run")
+    tracing = _load_benchmark_module(ROOT / "benchmarks" / "tracing.py", "limas_bench_tracing")
+    tracer = tracing.Tracer()
+    targets, _ = run.traced_targets()
+    tracer.install("limas", targets)
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["analyze", str(ROOT / "models" / "four_agent_cycle.json")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    calls = {name: count for name, (count, _) in tracer.self_times().items()}
+    assert calls.get("graphs.simultaneous_diagonalize", 0) == 1
+    assert calls.get("graphs.commute_check", 0) == 1
+    assert calls.get("cli.cmd_analyze", 0) == 1
 
 
 def _subcommand_flags() -> dict[str, list[str]]:
