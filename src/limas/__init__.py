@@ -20,7 +20,6 @@ from .analysis import (
     SynthesisResult,
     alpha_spectrum,
     analyze,
-    check_laplacians_commute,
     check_modal_controllability,
     check_proportional_coupling,
     modal_radii,
@@ -76,7 +75,6 @@ __all__ = [
     "WeightedGraph",
     "alpha_spectrum",
     "analyze",
-    "check_laplacians_commute",
     "check_modal_controllability",
     "check_proportional_coupling",
     "closed_loop_matrix",

@@ -38,7 +38,6 @@ from .errors import (
 from .graphs import (
     SpectralPair,
     WeightedGraph,
-    commute_check,
     is_connected,
     laplacian,
     simultaneous_diagonalize,
@@ -186,12 +185,6 @@ class AssumptionCheck:
     holds: bool
     residual: float
     detail: str = ""
-
-
-def check_laplacians_commute(model: LimasModel) -> AssumptionCheck:
-    """Do the two graph Laplacians commute? Residual is the commutator norm."""
-    ok, residual = commute_check(model.laplacian_p, model.laplacian_c)
-    return AssumptionCheck(ok, residual)
 
 
 def check_modal_controllability(model: LimasModel) -> AssumptionCheck:

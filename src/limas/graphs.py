@@ -19,13 +19,15 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotCommuting, ShapeMismatch
-from .linalg import as_square, in_completion_basis, ones_completion
+from .linalg import as_square, in_completion_basis, lift_deviation_basis
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
 COMMUTE_RTOL = 1e-9
-# Eigenvalue grouping tolerance for joint diagonalization, relative to ||Lc||_F.
+# Eigenvalue grouping tolerance for joint diagonalization, relative to ||Lc||_F;
+# within it of a multiple of the identity the reduced Lc counts as scalar.
 GROUP_RTOL = 1e-8
-# Joint-diagonalization check: ||phi' L phi - diag||_F <= OFFDIAG_RTOL * ||L||_F.
+# Joint-diagonalization check: ||L phi - phi diag||_F <= OFFDIAG_RTOL * ||L||_F,
+# which for an orthogonal phi is ||phi' L phi - diag||_F.
 OFFDIAG_RTOL = 1e-8
 # Node pairs are keyed as i*N + j in int64, which stays exact up to this N.
 MAX_NODES = 2**31
@@ -179,12 +181,19 @@ class CommuteCheck(NamedTuple):
 
 
 def commute_check(Lp, Lc) -> CommuteCheck:
-    """Frobenius norm of the commutator Lp Lc - Lc Lp against the COMMUTE_RTOL gate."""
+    """Frobenius norm of the commutator Lp Lc - Lc Lp against the COMMUTE_RTOL gate.
+
+    Checks that both are finite square matrices of one size. For symmetric
+    inputs (every Laplacian) Lc Lp is the transpose of C = Lp Lc, so one
+    product gives the commutator C - C'; other inputs take the second product.
+    """
     Lp = as_square(Lp, name="Lp")
     Lc = as_square(Lc, name="Lc")
     if Lp.shape != Lc.shape:
         raise ShapeMismatch(f"Laplacians differ in size: {Lp.shape} vs {Lc.shape}")
-    residual = float(np.linalg.norm(Lp @ Lc - Lc @ Lp))
+    C = Lp @ Lc
+    symmetric = np.array_equal(Lp, Lp.T) and np.array_equal(Lc, Lc.T)
+    residual = float(np.linalg.norm(C - (C.T if symmetric else Lc @ Lp)))
     gate = COMMUTE_RTOL * float(np.linalg.norm(Lp)) * float(np.linalg.norm(Lc))
     return CommuteCheck(residual <= gate, residual)
 
@@ -210,54 +219,83 @@ class SpectralPair:
 def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     """Jointly diagonalize two commuting Laplacians.
 
-    Raises NotCommuting when the commutator fails the COMMUTE_RTOL gate.
-    Both Laplacians are reduced to the complement of the all-ones direction
-    (a shared kernel vector of any Laplacian) in the basis W of
-    :func:`ones_completion`, as one rank-two update each. The reduced
-    communication Laplacian is eigendecomposed, its eigenvalues grouped into
-    near-degenerate clusters (within GROUP_RTOL * ||Lc||_F), and the reduced
-    physical Laplacian is diagonalized inside each cluster of more than one
-    eigenvalue. Repeated communication eigenvalues (complete graphs produce
-    them) are therefore handled exactly where naive pairing would fail. The
-    rotated reduced basis V is lifted once, phi = [1/sqrt(N), W V], and the
-    full-space Rayleigh quotients of phi are the paired eigenvalues; raises
-    DegenerateSpectrum when phi leaves an off-diagonal residual above
+    Raises NotCommuting when the commutator fails the COMMUTE_RTOL gate;
+    :func:`commute_check` is also the one validation of both inputs. Both
+    Laplacians are reduced to the complement of the all-ones direction (a
+    shared kernel vector of any Laplacian) in the basis W of
+    :func:`ones_completion`, as one rank-two update each. When the reduced
+    communication Laplacian is scalar, ||Lc_red - c I||_F <= GROUP_RTOL *
+    ||Lc||_F with c its mean diagonal (a complete graph), every basis
+    diagonalizes it and one eigensolve of the reduced physical Laplacian
+    gives the basis V. Otherwise the reduced communication Laplacian is
+    eigendecomposed, its eigenvalues grouped into near-degenerate clusters
+    (within GROUP_RTOL * ||Lc||_F), and the reduced physical Laplacian is
+    diagonalized inside each cluster of more than one eigenvalue, all
+    clusters of one size in one stacked product and one batched eigensolve.
+    Repeated communication eigenvalues are therefore handled exactly where
+    naive pairing would fail. V is lifted once, phi = [1/sqrt(N), W V], as a
+    rank-one update (:func:`lift_deviation_basis`), and the full-space
+    Rayleigh quotients of phi are the paired eigenvalues; raises
+    DegenerateSpectrum when the eigen-residual ||L phi - phi diag||_F, which
+    for an orthogonal phi is the off-diagonal residual of phi' L phi, exceeds
     OFFDIAG_RTOL * ||L||_F for either Laplacian.
     """
-    Lp = as_square(Lp, name="Lp")
-    Lc = as_square(Lc, name="Lc")
     commute = commute_check(Lp, Lc)
     if not commute.ok:
         raise NotCommuting(commute)
+    # read as commute_check validated them: finite, square, of one size
+    Lp, Lc = (np.atleast_2d(np.asarray(L, dtype=float)) for L in (Lp, Lc))
     N = Lp.shape[0]
     Lp_red, Lc_red = (in_completion_basis(L)[1:, 1:] for L in (Lp, Lc))
-    wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
     group_tol = GROUP_RTOL * float(np.linalg.norm(Lc))
+    scalar = Lc_red - np.trace(Lc_red) / max(N - 1, 1) * np.eye(N - 1)
+    if float(np.linalg.norm(scalar)) <= group_tol:
+        V = np.linalg.eigh((Lp_red + Lp_red.T) / 2.0)[1]
+    else:
+        wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
+        # a cluster runs from an eigenvalue to the last one within group_tol of it
+        wc = wc.tolist()
+        starts: dict[int, list[int]] = {}
+        start = 0
+        while start < N - 1:
+            stop = start + 1
+            while stop < N - 1 and abs(wc[stop] - wc[start]) <= group_tol:
+                stop += 1
+            if stop - start > 1:
+                starts.setdefault(stop - start, []).append(start)
+            start = stop
+        if starts:
+            _rotate_clusters(V, Lp_red, starts)
 
-    wc = wc.tolist()
-    start = 0
-    while start < N - 1:
-        stop = start
-        while stop + 1 < N - 1 and abs(wc[stop + 1] - wc[start]) <= group_tol:
-            stop += 1
-        if stop > start:
-            Vg = V[:, start:stop + 1]
-            proj = Vg.T @ Lp_red @ Vg
-            V[:, start:stop + 1] = Vg @ np.linalg.eigh((proj + proj.T) / 2.0)[1]
-        start = stop + 1
-
-    phi = ones_completion(N)
-    phi[:, 1:] = phi[:, 1:] @ V
+    phi = lift_deviation_basis(V)
     paired = []
     for L, tag in ((Lp, "physical"), (Lc, "communication")):
-        L_phi = L @ phi
-        lam = np.einsum("ij,ij->j", phi, L_phi)
+        residual = L @ phi
+        lam = np.einsum("ij,ij->j", phi, residual)
         lam[0] = 0.0
-        off = phi.T @ L_phi - np.diag(lam)
-        if float(np.linalg.norm(off)) > OFFDIAG_RTOL * float(np.linalg.norm(L)):
+        residual -= phi * lam
+        norm = float(np.linalg.norm(residual))
+        if norm > OFFDIAG_RTOL * float(np.linalg.norm(L)):
             raise DegenerateSpectrum(
-                f"off-diagonal residual {np.linalg.norm(off):g} too large "
+                f"off-diagonal residual {norm:g} too large "
                 f"for the {tag} Laplacian", commute)
         paired.append(lam)
 
     return SpectralPair(phi, *paired, commute)
+
+
+def _rotate_clusters(V: np.ndarray, Lp_red: np.ndarray, starts: dict[int, list[int]]) -> None:
+    """Diagonalize ``Lp_red`` inside clusters of columns of ``V``, in place.
+
+    ``starts`` maps a cluster size m > 1 to the first columns of the clusters
+    of that size. ``Lp_red @ V`` is formed once, and the clusters of one size
+    are rotated together: their m x m projections and rotations are stacked
+    products and one batched eigensolve.
+    """
+    P = Lp_red @ V
+    for m, first in starts.items():
+        cols = np.add.outer(first, np.arange(m))
+        Vg = V[:, cols].transpose(1, 0, 2)
+        proj = Vg.transpose(0, 2, 1) @ P[:, cols].transpose(1, 0, 2)
+        rot = np.linalg.eigh((proj + proj.transpose(0, 2, 1)) / 2.0)[1]
+        V[:, cols] = (Vg @ rot).transpose(1, 0, 2)

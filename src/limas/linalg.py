@@ -8,7 +8,9 @@ through ``eigvals``, ranks through singular values. Eigenvectors are solved
 only in the joint diagonalization of :mod:`limas.graphs`. The basis of the
 deviations from consensus is one Householder reflector, owned by
 :func:`ones_completion`, which forms it in O(N^2); :func:`in_completion_basis`
-applies it to a matrix from both sides as a rank-n update, without forming it.
+applies it to a matrix from both sides as a rank-n update, without forming it,
+and :func:`lift_deviation_basis` lifts a basis of the deviations back to the
+full space as a rank-one update.
 """
 
 from __future__ import annotations
@@ -171,3 +173,22 @@ def in_completion_basis(M, n: int = 1) -> np.ndarray:
     MV = beta * (M @ V)
     G = (0.5 * beta) * (V.T @ MV)
     return M - V @ (beta * (V.T @ M) - G @ V.T) - (MV - V @ G) @ V.T
+
+
+def lift_deviation_basis(V) -> np.ndarray:
+    """[1/sqrt(N), W V] for the deviation basis W of :func:`ones_completion`.
+
+    ``V`` is (N-1) x (N-1), a basis in the coordinates of W = H[:, 1:]. Since
+    v[1:] = s 1 with s = 1/sqrt(N), W V = [0; V] - beta v (s 1'V) is a rank-one
+    update, O(N^2) instead of the O(N^3) product with W. Column 0 is exactly
+    1/sqrt(N); for an orthogonal V the result is orthogonal.
+    """
+    N = V.shape[0] + 1
+    v, beta = _reflector(N)
+    s = 1.0 / math.sqrt(N)
+    phi = np.empty((N, N))
+    phi[:, 0] = s
+    phi[0, 1:] = 0.0
+    phi[1:, 1:] = V
+    phi[:, 1:] -= np.outer(v, (beta * s) * V.sum(axis=0))
+    return phi

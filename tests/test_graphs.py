@@ -13,6 +13,8 @@ from limas import (
     simultaneous_diagonalize,
 )
 from limas.errors import NotCommuting, ShapeMismatch
+from limas.graphs import GROUP_RTOL, OFFDIAG_RTOL
+from limas.linalg import ones_completion
 from conftest import commuting_graph_pair, cycle4_graph, random_connected_graph
 
 
@@ -290,6 +292,114 @@ def test_simultaneous_diagonalize_carries_its_commute_check():
         simultaneous_diagonalize(path, star)
     assert err.value.commute == commute_check(path, star)
     assert str(err.value) == f"commutator residual {err.value.commute.residual:g} exceeds tolerance"
+
+
+def _count_eigh(monkeypatch) -> list[int]:
+    """Count the calls of np.linalg.eigh from here on; the list holds one entry per call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _assert_joint_basis(pair, Lp, Lc, exact: bool = True):
+    # phi is orthogonal, its column 0 exactly 1/sqrt(N), and it passes the
+    # gate for both Laplacians; for an exact joint eigenbasis each paired
+    # list is its Laplacian's spectrum within 64 eps ||L||_2
+    N = Lp.shape[0]
+    eps = np.finfo(float).eps
+    assert np.abs(pair.phi.T @ pair.phi - np.eye(N)).max() <= 64 * eps * N
+    assert np.array_equal(pair.phi[:, 0], np.full(N, 1.0 / np.sqrt(N)))
+    for L, lam in ((Lp, pair.lambda_p), (Lc, pair.lambda_c)):
+        assert lam[0] == 0.0
+        residual = np.linalg.norm(L @ pair.phi - pair.phi * lam)
+        assert residual <= OFFDIAG_RTOL * np.linalg.norm(L), N
+        if exact:
+            spectrum = np.linalg.eigvalsh(L)
+            assert np.abs(np.sort(lam) - spectrum).max() <= 64 * eps * spectrum[-1], N
+
+
+def test_complete_communication_graph_takes_one_eigensolve(monkeypatch):
+    # a complete communication graph is scalar on the deviations: every basis
+    # diagonalizes it, so the reduced physical Laplacian's eigensolve is the only one
+    rng = np.random.default_rng(41)
+    makers = (_circulant,
+              lambda rng, N: WeightedGraph.cycle(N, float(rng.uniform(0.1, 3.0))),
+              lambda rng, N: WeightedGraph.path(N, float(rng.uniform(0.1, 3.0))))
+    calls = _count_eigh(monkeypatch)
+    for N in (3, 8, 64, 256):
+        Lc = laplacian(WeightedGraph.complete(N, float(rng.uniform(0.1, 3.0))))
+        for make in makers:
+            Lp = laplacian(make(rng, N))
+            calls.clear()
+            pair = simultaneous_diagonalize(Lp, Lc)
+            assert len(calls) == 1, N
+            _assert_joint_basis(pair, Lp, Lc)
+
+
+def _kron_sum(La, Lb):
+    """Laplacian of the Cartesian product of two graphs, from their Laplacians."""
+    return np.kron(La, np.eye(len(Lb))) + np.kron(np.eye(len(La)), Lb)
+
+
+def test_clusters_of_several_sizes_rotate_in_one_call(monkeypatch):
+    # K3 x C5 has the communication eigenvalues 3, 2 - 2cos(2pi/5) and
+    # 2 - 2cos(4pi/5) twice each and their sums with 3 four times each: three
+    # clusters of size 2 and two of size 4, which the physical P3 x C5 splits.
+    # K4,4, the circulant on 8 nodes with offsets 1 and 3, has 4 six times.
+    # The clusters of one size share one batched eigensolve after the
+    # communication Laplacian's own
+    k3 = laplacian(WeightedGraph.complete(3))
+    p3 = laplacian(WeightedGraph.path(3, 0.4))
+    c5, c5_p = (laplacian(WeightedGraph.cycle(5, w)) for w in (1.0, 0.3))
+    bipartite = WeightedGraph(8, [(i, (i + d) % 8, 1.0) for i in range(8) for d in (1, 3)
+                                  if i < (i + d) % 8 or (i + d) % 8 < i - 4])
+    cases = ((_kron_sum(p3, c5_p), _kron_sum(k3, c5), 1 + 2),
+             (laplacian(WeightedGraph.cycle(8, 0.2)), laplacian(bipartite), 1 + 1))
+    calls = _count_eigh(monkeypatch)
+    for Lp, Lc, eigensolves in cases:
+        assert commute_check(Lp, Lc).ok
+        calls.clear()
+        pair = simultaneous_diagonalize(Lp, Lc)
+        assert len(calls) == eigensolves
+        _assert_joint_basis(pair, Lp, Lc)
+
+
+def test_scalar_test_either_side_gives_a_certified_pair(monkeypatch):
+    # a complete graph plus a small star: ||Lc_red - c I||_F is just inside or
+    # just outside GROUP_RTOL ||Lc||_F; inside, one eigensolve; outside, the
+    # communication Laplacian's own and the cluster rotation. Lp complete
+    # commutes with both, and both pairs pass the gate
+    N = 16
+    Lp = laplacian(WeightedGraph.complete(N, 0.7))
+    base = laplacian(WeightedGraph.complete(N))
+    star = laplacian(WeightedGraph(N, [(0, k, 1.0) for k in range(1, N)]))
+    W = ones_completion(N)[:, 1:]
+    reduced = W.T @ star @ W
+    spread = np.linalg.norm(reduced - np.trace(reduced) / (N - 1) * np.eye(N - 1))
+    calls = _count_eigh(monkeypatch)
+    for ratio, eigensolves in ((0.9, 1), (1.1, 2)):
+        Lc = base + ratio * GROUP_RTOL * np.linalg.norm(base) / spread * star
+        calls.clear()
+        pair = simultaneous_diagonalize(Lp, Lc)
+        assert len(calls) == eigensolves, ratio
+        _assert_joint_basis(pair, Lp, Lc, exact=False)
+
+
+def test_commute_check_reads_one_product_only_for_symmetric_inputs():
+    # (Lp Lc)' = Lc Lp needs symmetric inputs: for these two the product Lp Lc
+    # is symmetric, but they do not commute
+    Lp = np.array([[1.0, 1.0], [0.0, 1.0]])
+    ok, residual = commute_check(Lp, Lp.T)
+    assert not ok
+    assert residual == np.sqrt(2.0)
+    # and a non-symmetric pair that commutes, whose product is not symmetric
+    assert commute_check(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)) == (True, 0.0)
 
 
 def test_laplacian_matches_edge_loop_bitwise():

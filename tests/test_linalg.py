@@ -19,6 +19,7 @@ from limas.linalg import (
     has_rank,
     in_completion_basis,
     is_controllable,
+    lift_deviation_basis,
     ones_completion,
 )
 from conftest import A_SHOWCASE, B_SHOWCASE, cycle4_graph, spectral_radius
@@ -218,6 +219,21 @@ def test_in_completion_basis_matches_the_dense_product():
             S = M + M.T
             out = in_completion_basis(S, n)
             assert np.abs(out - out.T).max() <= 4 * eps * np.linalg.norm(S, 2)
+
+
+def test_lift_deviation_basis_matches_the_dense_product():
+    # the rank-one lift equals [1/sqrt(N), W V] with W = ones_completion(N)[:, 1:],
+    # column 0 bit for bit, and keeps an orthogonal V orthogonal
+    rng = np.random.default_rng(73)
+    eps = np.finfo(float).eps
+    for N in (1, 2, 3, 8, 33, 100):
+        V = np.linalg.qr(rng.standard_normal((N - 1, N - 1)))[0]
+        phi = lift_deviation_basis(V)
+        dense = ones_completion(N)
+        dense[:, 1:] = dense[:, 1:] @ V
+        assert np.array_equal(phi[:, 0], dense[:, 0])
+        assert np.abs(phi - dense).max() <= 4 * N * eps, N
+        assert np.abs(phi.T @ phi - np.eye(N)).max() <= 4 * N * eps, N
 
 
 def _symmetric_pairs(seed: int, count: int):
