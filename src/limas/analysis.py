@@ -13,7 +13,10 @@ consensus, and synthesizes that gain when its sufficient condition holds:
   against a critical Riccati margin, with gain synthesis through the
   stabilizing solution of a modified algebraic Riccati equation (MARE),
   found by Newton (policy iteration) steps along a continuation in the
-  margin sigma,
+  margin sigma: each step goes to just above the sigma where the current
+  gain stops being stabilizing (exact, by Krein-Rutman, from one
+  eigenvalue problem), and Newton at the target stops once its quadratic
+  convergence has reached rounding,
 * a necessary (refutation) condition built from per-mode determinants,
 * sharper interval conditions for scalar agent dynamics,
 * direct per-mode spectral-radius verification of any candidate gain.
@@ -59,8 +62,12 @@ COUPLING_RTOL = 1e-9
 # Q = MARE_Q_SCALE * I, the one Q of every Riccati solve, regularizes the equation.
 MARE_Q_SCALE = 1e-6
 # Newton at the target sigma stops once its relative step is at most this
-# and no longer shrinks; an intermediate sigma takes one step regardless.
+# and either no longer shrinks or predicts a next step at rounding; an
+# intermediate sigma takes one step regardless.
 MARE_STEP_RTOL = 1e-6
+# A continuation trial sits this fraction of the way back from the current
+# gain's stability front to the current sigma.
+MARE_FRONT_RTOL = 0.03
 # The sigma continuation raises Divergence once its step falls below this.
 MARE_SIGMA_STEP_FLOOR = 1e-12
 # Stein solves allowed at the target sigma; using them all up rejects that
@@ -348,16 +355,17 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     P = sigma (Abar+BK)'P(Abar+BK) + (1-sigma) Abar'P Abar + Q, then set
     K = -(B'PB)^-1 B'P Abar; each step is solved for its increment over the
     last P. A stabilizing start is carried along a continuation in sigma: at
-    sigma = 1 the deadbeat gain makes the Stein operator nilpotent. The
-    first trial sigma is the target itself. A trial is accepted only when
-    the current gain's operator has spectral radius below one there and its
-    Newton steps succeed; the step doubles after an accepted trial and
-    halves after a rejected one. An intermediate sigma takes one Newton
-    step, whose gain stabilizes at that sigma by Hewer's theorem and is
-    all the next trial needs. Only the target iterates: until its relative
-    step is at most MARE_STEP_RTOL and no longer shrinks, within
-    MARE_SOLVES_PER_SIGMA solves. A step below MARE_SIGMA_STEP_FLOOR raises
-    Divergence.
+    sigma = 1 the deadbeat gain makes the Stein operator nilpotent. Each
+    trial sigma comes from the frontier of the current gain (see
+    _frontier_step): the target itself when the gain stabilizes all the way
+    down to it, else just above the sigma where the gain stops being
+    stabilizing. A trial is accepted only when the current gain's operator
+    has spectral radius below one there and its Newton steps succeed; a
+    rejected trial halves the step toward the current sigma. An
+    intermediate sigma takes one Newton step, whose gain stabilizes at that
+    sigma by Hewer's theorem and is all the next frontier needs. Only the
+    target iterates (see _newton), within MARE_SOLVES_PER_SIGMA solves. A
+    step below MARE_SIGMA_STEP_FLOOR short of the target raises Divergence.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -376,29 +384,61 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
 
     kron_a = _kron_transposed(Abar)
     P, K = None, _deadbeat_gain(Abar, ctrb)
-    current, step, solves = 1.0, 1.0 - sigma, 0
+    kron_f = _kron_transposed(Abar + B @ K)
+    current, solves = 1.0, 0
+    step = _frontier_step(kron_f, kron_a, current, sigma, 1.0 - sigma)
     while True:
-        step = min(step, current - sigma)
         trial = max(sigma, current - step)
-        operator = _stein_operator(Abar, B, K, trial, kron_a)
+        if trial > sigma and step < MARE_SIGMA_STEP_FLOOR:
+            raise Divergence(
+                f"sigma continuation stalled {current - sigma:.3g} above "
+                f"sigma = {sigma:.12g} after {solves} Stein solves",
+                iterations=solves)
+        operator = _stein_operator(kron_f, kron_a, trial)
         newton = None
         if _schur_stable(operator):
             newton, used = _newton(Abar, B, Q, trial, P, operator, kron_a,
                                    tight=trial == sigma)
             solves += used
-        if newton is not None:
-            P, K, residual = newton
-            if trial == sigma:
-                return MareSolution(P, sigma, solves, residual, K)
-            current = trial
-            step *= 2.0
-        else:
+        if newton is None:
             step /= 2.0
-            if step < MARE_SIGMA_STEP_FLOOR:
-                raise Divergence(
-                    f"sigma continuation stalled {current - sigma:.3g} above "
-                    f"sigma = {sigma:.12g} after {solves} Stein solves",
-                    iterations=solves)
+            continue
+        P, K, residual = newton
+        if trial == sigma:
+            return MareSolution(P, sigma, solves, residual, K)
+        current = trial
+        kron_f = _kron_transposed(Abar + B @ K)
+        step = _frontier_step(kron_f, kron_a, current, sigma, step)
+
+
+def _frontier_step(kron_f, kron_a, current: float, sigma: float, step: float) -> float:
+    """Distance from ``current`` down to the next trial sigma of the continuation.
+
+    The Stein operator T(s) = s kron_f + (1-s) kron_a of the current gain
+    maps PSD matrices to PSD matrices, so by Krein-Rutman its spectral
+    radius is one of its eigenvalues. T(current) is Schur stable (Hewer's
+    step keeps it so), hence as s falls stability is first lost at the
+    largest s < current where 1 is an eigenvalue of T(s): s = current + 1/mu
+    for the real negative eigenvalues mu of (I - T(current))^-1 (kron_f -
+    kron_a), the front being that of the least mu. I - T(current) is
+    invertible because T(current) is stable, while I - kron_a is singular
+    whenever two eigenvalues of Abar multiply to one. When the front lies
+    below ``sigma`` (or no such mu exists) the step reaches ``sigma``;
+    otherwise it stops MARE_FRONT_RTOL of the way back from the front to
+    ``current``. A failed solve or eigenvalue computation leaves the front
+    unknown, and ``step`` is halved instead.
+    """
+    stein = _stein_operator(kron_f, kron_a, current)
+    try:
+        mu = np.linalg.eigvals(np.linalg.solve(np.eye(len(stein)) - stein,
+                                               kron_f - kron_a))
+    except np.linalg.LinAlgError:
+        return step / 2.0
+    mu = mu.real[(mu.imag == 0.0) & (mu.real < 0.0)]
+    reach = -1.0 / float(mu.min()) if mu.size else np.inf
+    if reach > current - sigma:
+        return current - sigma
+    return (1.0 - MARE_FRONT_RTOL) * reach
 
 
 def _deadbeat_gain(Abar: np.ndarray, ctrb: np.ndarray) -> np.ndarray:
@@ -418,9 +458,10 @@ def _kron_transposed(X: np.ndarray) -> np.ndarray:
     return (X.T[:, None, :, None] * X.T[None, :, None, :]).reshape(n * n, n * n)
 
 
-def _stein_operator(Abar, B, K, sigma: float, kron_a) -> np.ndarray:
-    """The map P -> sigma F'PF + (1-sigma) Abar'P Abar, F = Abar + BK, on row-major vec(P)."""
-    return sigma * _kron_transposed(Abar + B @ K) + (1.0 - sigma) * kron_a
+def _stein_operator(kron_f, kron_a, sigma: float) -> np.ndarray:
+    """The map P -> sigma F'PF + (1-sigma) Abar'P Abar on row-major vec(P), from
+    kron_f = kron(F', F') of the closed loop F = Abar + BK and kron_a = kron(Abar', Abar')."""
+    return sigma * kron_f + (1.0 - sigma) * kron_a
 
 
 def _schur_stable(operator) -> bool:
@@ -441,17 +482,19 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
     solve relative to the shrinking increment rather than to P. Without
     ``tight`` (an intermediate sigma) one step is taken; with it (the
     target), steps go on until the relative step is at most MARE_STEP_RTOL
-    and no longer shrinks. The result is None when a Stein solve is
-    singular, B'PB is not positive, or MARE_SOLVES_PER_SIGMA solves pass
-    without convergence.
+    and either no longer shrinks or, converging quadratically, predicts a
+    next step rel_step^3 / prev_step^2 at most machine epsilon. The result
+    is None when a Stein solve is singular, B'PB is not positive, or
+    MARE_SOLVES_PER_SIGMA solves pass without convergence.
     """
     n = Abar.shape[0]
     identity = np.eye(n * n)
+    eps = np.finfo(float).eps
     if P is None:
         P, defect = np.zeros((n, n)), Q
     else:
         defect, _ = _riccati_defect(Abar, B, Q, sigma, P)
-    prev_step = np.inf
+    prev_step = None
     for solves in range(1, MARE_SOLVES_PER_SIGMA + 1):
         try:
             increment = np.linalg.solve(identity - operator, defect.ravel()).reshape(n, n)
@@ -463,10 +506,12 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
             return None, solves
         norm_P = float(np.linalg.norm(P))
         rel_step = float(np.linalg.norm(increment)) / norm_P
-        if not tight or prev_step <= rel_step <= MARE_STEP_RTOL:
+        converged = prev_step is not None and rel_step <= MARE_STEP_RTOL and (
+            prev_step <= rel_step or rel_step ** 3 <= eps * prev_step ** 2)
+        if not tight or converged:
             return (P, K, float(np.linalg.norm(defect)) / norm_P), solves
         prev_step = rel_step
-        operator = _stein_operator(Abar, B, K, sigma, kron_a)
+        operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
     return None, MARE_SOLVES_PER_SIGMA
 
 

@@ -302,9 +302,9 @@ def test_solve_mare_matches_fixed_point_property():
 
 
 def test_solve_mare_near_critical_property():
-    # just above sigma_c the continuation makes more than one intermediate
-    # stop on about half of these instances, each with one Newton step; the
-    # target must still get the stabilizing solution
+    # just above sigma_c the continuation stops below each gain's stability
+    # front on the way down, each stop with one Newton step; the target must
+    # still get the stabilizing solution
     for Abar, B, sigma in _random_mare_instances(7, 200, "near"):
         sol = solve_mare(Abar, B, sigma)
         assert _relative_riccati_residual(Abar, B, sigma, sol.P) <= 1e-10
@@ -312,6 +312,61 @@ def test_solve_mare_near_critical_property():
         F = Abar - B @ (PB.T @ Abar) / float((B.T @ PB).item())
         stein = sigma * np.kron(F.T, F.T) + (1.0 - sigma) * np.kron(Abar.T, Abar.T)
         assert spectral_radius(stein) < 1.0
+
+
+def test_solve_mare_frontier_never_overshoots(monkeypatch, showcase_model):
+    # each trial sigma sits above the exact point where the current gain
+    # stops being stabilizing, so no trial is refused by the spectral gate
+    gated = []
+    schur_stable = analysis._schur_stable
+
+    def recording(operator):
+        gated.append(schur_stable(operator))
+        return gated[-1]
+
+    monkeypatch.setattr(analysis, "_schur_stable", recording)
+    for where, seed in (("above", 5), ("near", 7)):
+        for Abar, B, sigma in _random_mare_instances(seed, 100, where):
+            solve_mare(Abar, B, sigma)
+    synthesize_gain(showcase_model, spectral_pair(showcase_model))
+    for sigma in (0.56, 0.6, 0.9):
+        solve_mare(A_SHOWCASE, B_SHOWCASE, sigma)
+    assert len(gated) > 300
+    assert all(gated)
+
+
+def _near_critical_sweep(count: int):
+    """(Abar, B, sigma): n 2-6, A Gaussian x U(0.5, 2), B Gaussian, and
+    sigma = sigma_c + (1 - sigma_c) 10^U(-6, 0), drawn in that order."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        A = rng.standard_normal((n, n)) * rng.uniform(0.5, 2.0)
+        B = rng.standard_normal((n, 1))
+        sc = sigma_critical(A, 1.0)
+        yield A, B, sc + (1.0 - sc) * 10.0 ** float(rng.uniform(-6.0, 0.0))
+
+
+# Divergences of solve_mare on the first 300 sweep plants: n = 5 or 6 with
+# sigma - sigma_c between 8e-13 and 2e-8.
+SWEEP_DIVERGENCE_COUNT = 7
+
+
+def test_solve_mare_near_critical_sweep():
+    # a stabilizing solution exists for every sigma above sigma_c, so each
+    # Divergence here is a solver failure; their number may only fall
+    diverged = 0
+    for Abar, B, sigma in _near_critical_sweep(300):
+        try:
+            sol = solve_mare(Abar, B, sigma)
+        except Divergence:
+            diverged += 1
+            continue
+        assert _relative_riccati_residual(Abar, B, sigma, sol.P) <= 1e-10
+        F = Abar + B @ sol.K
+        stein = sigma * np.kron(F.T, F.T) + (1.0 - sigma) * np.kron(Abar.T, Abar.T)
+        assert spectral_radius(stein) < 1.0
+    assert diverged <= SWEEP_DIVERGENCE_COUNT
 
 
 def test_solve_mare_below_critical_property(monkeypatch):
