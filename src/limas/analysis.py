@@ -16,7 +16,7 @@ consensus, and synthesizes that gain when its sufficient condition holds:
   margin sigma: each step goes to just above the sigma where the current
   gain stops being stabilizing (exact, by Krein-Rutman, from one
   eigenvalue problem), and Newton at the target stops once its quadratic
-  convergence has reached rounding,
+  convergence, or its Riccati residual, has reached rounding,
 * a necessary (refutation) condition built from per-mode determinants,
 * sharper interval conditions for scalar agent dynamics,
 * direct per-mode spectral-radius verification of any candidate gain.
@@ -62,8 +62,9 @@ COUPLING_RTOL = 1e-9
 # Q = MARE_Q_SCALE * I, the one Q of every Riccati solve, regularizes the equation.
 MARE_Q_SCALE = 1e-6
 # Newton at the target sigma stops once its relative step is at most this
-# and either no longer shrinks or predicts a next step at rounding; an
-# intermediate sigma takes one step regardless.
+# and either no longer shrinks or predicts a next step at rounding, or once
+# its relative residual stays at rounding; an intermediate sigma takes one
+# step regardless.
 MARE_STEP_RTOL = 1e-6
 # A continuation trial sits this fraction of the way back from the current
 # gain's stability front to the current sigma.
@@ -420,13 +421,16 @@ def _frontier_step(kron_f, kron_a, current: float, sigma: float, step: float) ->
     step keeps it so), hence as s falls stability is first lost at the
     largest s < current where 1 is an eigenvalue of T(s): s = current + 1/mu
     for the real negative eigenvalues mu of (I - T(current))^-1 (kron_f -
-    kron_a), the front being that of the least mu. I - T(current) is
-    invertible because T(current) is stable, while I - kron_a is singular
-    whenever two eigenvalues of Abar multiply to one. When the front lies
-    below ``sigma`` (or no such mu exists) the step reaches ``sigma``;
-    otherwise it stops MARE_FRONT_RTOL of the way back from the front to
-    ``current``. A failed solve or eigenvalue computation leaves the front
-    unknown, and ``step`` is halved instead.
+    kron_a), the front being that of the least mu. Every computed mu with a
+    negative real part counts by that real part: rounding may return the
+    front's mu as a near-real complex pair (a repeated eigenvalue), and a
+    complex mu only moves the front toward ``current``, never past the
+    exact one. I - T(current) is invertible because T(current) is stable,
+    while I - kron_a is singular whenever two eigenvalues of Abar multiply
+    to one. When the front lies below ``sigma`` (or no such mu exists) the
+    step reaches ``sigma``; otherwise it stops MARE_FRONT_RTOL of the way
+    back from the front to ``current``. A failed solve or eigenvalue
+    computation leaves the front unknown, and ``step`` is halved instead.
     """
     stein = _stein_operator(kron_f, kron_a, current)
     try:
@@ -434,7 +438,7 @@ def _frontier_step(kron_f, kron_a, current: float, sigma: float, step: float) ->
                                                kron_f - kron_a))
     except np.linalg.LinAlgError:
         return step / 2.0
-    mu = mu.real[(mu.imag == 0.0) & (mu.real < 0.0)]
+    mu = mu.real[mu.real < 0.0]  # a near-real pair keeps its real part
     reach = -1.0 / float(mu.min()) if mu.size else np.inf
     if reach > current - sigma:
         return current - sigma
@@ -483,18 +487,24 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
     ``tight`` (an intermediate sigma) one step is taken; with it (the
     target), steps go on until the relative step is at most MARE_STEP_RTOL
     and either no longer shrinks or, converging quadratically, predicts a
-    next step rel_step^3 / prev_step^2 at most machine epsilon. The result
-    is None when a Stein solve is singular, B'PB is not positive, or
-    MARE_SOLVES_PER_SIGMA solves pass without convergence.
+    next step rel_step^3 / prev_step^2 at most machine epsilon. They also
+    stop once two relative Riccati residuals in a row are at rounding, at
+    most n eps (1 + ||Abar||_F^2), and the gain's operator is Schur stable:
+    the last step then started from a solution exact to rounding. Near
+    sigma_c the Stein equation is so badly conditioned that the step itself
+    can stay at a rounding noise of 1e-6 to 1e-4, above MARE_STEP_RTOL.
+    The result is None when a Stein solve is singular, B'PB is not
+    positive, or MARE_SOLVES_PER_SIGMA solves pass without convergence.
     """
     n = Abar.shape[0]
     identity = np.eye(n * n)
     eps = np.finfo(float).eps
+    rounding = n * eps * (1.0 + float(np.linalg.norm(Abar)) ** 2)
     if P is None:
         P, defect = np.zeros((n, n)), Q
     else:
         defect, _ = _riccati_defect(Abar, B, Q, sigma, P)
-    prev_step = None
+    prev_step, prev_residual = None, np.inf
     for solves in range(1, MARE_SOLVES_PER_SIGMA + 1):
         try:
             increment = np.linalg.solve(identity - operator, defect.ravel()).reshape(n, n)
@@ -506,12 +516,14 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
             return None, solves
         norm_P = float(np.linalg.norm(P))
         rel_step = float(np.linalg.norm(increment)) / norm_P
-        converged = prev_step is not None and rel_step <= MARE_STEP_RTOL and (
-            prev_step <= rel_step or rel_step ** 3 <= eps * prev_step ** 2)
-        if not tight or converged:
-            return (P, K, float(np.linalg.norm(defect)) / norm_P), solves
-        prev_step = rel_step
+        residual = float(np.linalg.norm(defect)) / norm_P
+        if not tight or prev_step is not None and rel_step <= MARE_STEP_RTOL and (
+                prev_step <= rel_step or rel_step ** 3 <= eps * prev_step ** 2):
+            return (P, K, residual), solves
         operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
+        if max(prev_residual, residual) <= rounding and _schur_stable(operator):
+            return (P, K, residual), solves
+        prev_step, prev_residual = rel_step, residual
     return None, MARE_SOLVES_PER_SIGMA
 
 

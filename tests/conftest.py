@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +48,21 @@ def four_agent_model(alpha: float = 0.3, gc: WeightedGraph | None = None) -> Lim
 @pytest.fixture
 def showcase_model() -> LimasModel:
     return four_agent_model()
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """benchmarks/workloads.py, loaded from the source tree."""
+    # registered while loaded: its dataclasses look their module up by name
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("limas_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 def random_connected_graph(rng, N: int, w_lo: float = 0.05, w_hi: float = 0.5,

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +332,22 @@ def test_solve_mare_frontier_never_overshoots(monkeypatch, showcase_model):
     assert all(gated)
 
 
+@pytest.mark.parametrize("n, a, f", [(2, 2.0, 0.1), (2, 1.2, 0.3), (3, 1.5, 0.5)])
+def test_frontier_step_with_a_repeated_closed_loop_eigenvalue(n, a, f):
+    # Abar = aI + J and F = fI + J share one defective eigenvalue each, so every
+    # eigenvalue of T(s) is s f^2 + (1-s) a^2 and the front is exact; rounding
+    # splits the defective mu into near-real complex pairs, which must not
+    # carry the trial past the front
+    J = np.diag(np.ones(n - 1), 1)
+    kron_f = analysis._kron_transposed(f * np.eye(n) + J)
+    kron_a = analysis._kron_transposed(a * np.eye(n) + J)
+    front = (a * a - 1.0) / (a * a - f * f)
+    trial = 1.0 - analysis._frontier_step(kron_f, kron_a, 1.0, 0.0, 1.0)
+    assert trial > front
+    assert trial == pytest.approx(front + analysis.MARE_FRONT_RTOL * (1.0 - front), rel=1e-4)
+    assert analysis._schur_stable(analysis._stein_operator(kron_f, kron_a, trial))
+
+
 def _near_critical_sweep(count: int):
     """(Abar, B, sigma): n 2-6, A Gaussian x U(0.5, 2), B Gaussian, and
     sigma = sigma_c + (1 - sigma_c) 10^U(-6, 0), drawn in that order."""
@@ -347,19 +360,26 @@ def _near_critical_sweep(count: int):
         yield A, B, sc + (1.0 - sc) * 10.0 ** float(rng.uniform(-6.0, 0.0))
 
 
-# Divergences of solve_mare on the first 300 sweep plants: n = 5 or 6 with
-# sigma - sigma_c between 8e-13 and 2e-8.
-SWEEP_DIVERGENCE_COUNT = 7
+# Divergences of solve_mare on the first 300 sweep plants.
+SWEEP_DIVERGENCE_COUNT = 0
+# Later sweep plants (by draw index, n = 5 or 6, sigma - sigma_c from 8e-11 to
+# 2e-7) whose relative Newton step at the solution is rounding noise of 1e-6
+# to 1e-4 while the relative Riccati residual is at rounding; each must
+# converge.
+SWEEP_NOISY_STEP_PLANTS = (362, 563, 1353, 1432)
 
 
 def test_solve_mare_near_critical_sweep():
     # a stabilizing solution exists for every sigma above sigma_c, so each
     # Divergence here is a solver failure; their number may only fall
     diverged = 0
-    for Abar, B, sigma in _near_critical_sweep(300):
+    for index, (Abar, B, sigma) in enumerate(_near_critical_sweep(SWEEP_NOISY_STEP_PLANTS[-1] + 1)):
+        if index >= 300 and index not in SWEEP_NOISY_STEP_PLANTS:
+            continue
         try:
             sol = solve_mare(Abar, B, sigma)
         except Divergence:
+            assert index < 300, f"sweep plant {index} raised Divergence"
             diverged += 1
             continue
         assert _relative_riccati_residual(Abar, B, sigma, sol.P) <= 1e-10
@@ -412,20 +432,6 @@ def test_solve_mare_just_above_critical_terminates(Abar, B):
     else:
         assert sol.iterations < 10_000
         assert _relative_riccati_residual(np.asarray(Abar), np.asarray(B), sigma, sol.P) <= 1e-10
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    # registered while loaded: its dataclasses look their module up by name
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("limas_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

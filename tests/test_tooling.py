@@ -10,7 +10,6 @@ import inspect
 import io
 import json
 import re
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -76,16 +75,10 @@ def test_traced_analyze_sees_one_joint_diagonalization():
     assert calls.get("cli.cmd_analyze", 0) == 1
 
 
-def test_near_critical_round_solves_ignore_rounding(tmp_path, monkeypatch):
+def test_near_critical_round_solves_ignore_rounding(tmp_path, workloads):
     # seeds 1 and 57 jitter the poles and weights of the same models; once
     # Newton stops where its quadratic convergence reaches rounding, the
     # Stein solves of a benchmark round no longer follow those last digits
-    path = ROOT / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("limas_bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # registered while loaded: its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
     solves = []
     for seed in (1, 57):
         workdir = tmp_path / str(seed)
