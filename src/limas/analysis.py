@@ -59,8 +59,6 @@ from .oracle import verify_gain
 
 # Ap = alpha*A holds when ||Ap - alpha*A||_F <= COUPLING_RTOL * ||A||_F.
 COUPLING_RTOL = 1e-9
-# Q = MARE_Q_SCALE * I, the one Q of every Riccati solve, regularizes the equation.
-MARE_Q_SCALE = 1e-6
 # Newton at the target sigma stops once its relative step is at most this
 # and either no longer shrinks or predicts a next step at rounding, or once
 # its relative residual stays at rounding; an intermediate sigma takes one
@@ -69,8 +67,6 @@ MARE_STEP_RTOL = 1e-6
 # A continuation trial sits this fraction of the way back from the current
 # gain's stability front to the current sigma.
 MARE_FRONT_RTOL = 0.03
-# The sigma continuation raises Divergence once its step falls below this.
-MARE_SIGMA_STEP_FLOOR = 1e-12
 # Stein solves allowed at the target sigma; using them all up rejects that
 # trial. An intermediate sigma takes exactly one.
 MARE_SOLVES_PER_SIGMA = 50
@@ -343,17 +339,19 @@ class MareSolution:
 
 
 def solve_mare(Abar, B, sigma: float) -> MareSolution:
-    """Solve P = Abar'P Abar - sigma * Abar'PB (B'PB)^-1 B'P Abar + Q.
+    """Solve P = Abar'P Abar - sigma * Abar'PB (B'PB)^-1 B'P Abar + I.
 
-    ``Q`` is MARE_Q_SCALE * I. For single-input B a solution exists
-    exactly when sigma exceeds the critical margin of Abar (any sigma when
-    Abar is Schur stable); below it, Divergence is raised up front. The
+    The equation is homogeneous of degree one in (P, Q), so the gain
+    K = -(B'PB)^-1 B'P Abar does not depend on the scale of Q = q I, and
+    Q = I is taken. For single-input B a solution exists exactly when sigma
+    exceeds the critical margin of Abar (any sigma when Abar is Schur
+    stable); below it, Divergence is raised up front. The
     controllability matrix of (Abar, B) is built once: its rank test raises
     NotControllable, and it gives the deadbeat start.
 
     Otherwise P is found by Newton's method (Hewer's policy iteration): for
     a gain K, solve the linear Stein equation
-    P = sigma (Abar+BK)'P(Abar+BK) + (1-sigma) Abar'P Abar + Q, then set
+    P = sigma (Abar+BK)'P(Abar+BK) + (1-sigma) Abar'P Abar + I, then set
     K = -(B'PB)^-1 B'P Abar; each step is solved for its increment over the
     last P. A stabilizing start is carried along a continuation in sigma: at
     sigma = 1 the deadbeat gain makes the Stein operator nilpotent. Each
@@ -366,7 +364,8 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     intermediate sigma takes one Newton step, whose gain stabilizes at that
     sigma by Hewer's theorem and is all the next frontier needs. Only the
     target iterates (see _newton), within MARE_SOLVES_PER_SIGMA solves. A
-    step below MARE_SIGMA_STEP_FLOOR short of the target raises Divergence.
+    trial short of the target that the step no longer moves off the current
+    sigma in floating point raises Divergence.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -376,7 +375,6 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     ctrb = controllability_matrix(Abar, B)
     if not has_full_row_rank(ctrb):
         raise NotControllable("(Abar, B) fails the controllability rank test")
-    Q = MARE_Q_SCALE * np.eye(n)
     critical = sigma_critical(Abar, 1.0)
     if critical > 0.0 and sigma <= critical:
         raise Divergence(
@@ -390,7 +388,7 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     step = _frontier_step(kron_f, kron_a, current, sigma, 1.0 - sigma)
     while True:
         trial = max(sigma, current - step)
-        if trial > sigma and step < MARE_SIGMA_STEP_FLOOR:
+        if sigma < trial == current:
             raise Divergence(
                 f"sigma continuation stalled {current - sigma:.3g} above "
                 f"sigma = {sigma:.12g} after {solves} Stein solves",
@@ -398,7 +396,7 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
         operator = _stein_operator(kron_f, kron_a, trial)
         newton = None
         if _schur_stable(operator):
-            newton, used = _newton(Abar, B, Q, trial, P, operator, kron_a,
+            newton, used = _newton(Abar, B, trial, P, operator, kron_a,
                                    tight=trial == sigma)
             solves += used
         if newton is None:
@@ -476,13 +474,13 @@ def _schur_stable(operator) -> bool:
         return False
 
 
-def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
+def _newton(Abar, B, sigma: float, P, operator, kron_a, tight: bool):
     """Newton steps at one sigma; returns ((P, K, residual) or None, solves).
 
     ``operator`` is the Schur-stable Stein operator of the gain K that is
     optimal for ``P``, or of the start gain when ``P`` is None. Each step
     solves for the increment D = operator(D) + MARE(P) - P, which equals
-    Hewer's step P_next = operator(P_next) + Q but keeps the rounding of the
+    Hewer's step P_next = operator(P_next) + I but keeps the rounding of the
     solve relative to the shrinking increment rather than to P. Without
     ``tight`` (an intermediate sigma) one step is taken; with it (the
     target), steps go on until the relative step is at most MARE_STEP_RTOL
@@ -501,9 +499,9 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
     eps = np.finfo(float).eps
     rounding = n * eps * (1.0 + float(np.linalg.norm(Abar)) ** 2)
     if P is None:
-        P, defect = np.zeros((n, n)), Q
+        P, defect = np.zeros((n, n)), np.eye(n)
     else:
-        defect, _ = _riccati_defect(Abar, B, Q, sigma, P)
+        defect, _ = _riccati_defect(Abar, B, sigma, P)
     prev_step, prev_residual = None, np.inf
     for solves in range(1, MARE_SOLVES_PER_SIGMA + 1):
         try:
@@ -511,7 +509,7 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
         except np.linalg.LinAlgError:
             return None, solves
         P = P + (increment + increment.T) / 2.0
-        defect, K = _riccati_defect(Abar, B, Q, sigma, P)
+        defect, K = _riccati_defect(Abar, B, sigma, P)
         if K is None:
             return None, solves
         norm_P = float(np.linalg.norm(P))
@@ -527,14 +525,14 @@ def _newton(Abar, B, Q, sigma: float, P, operator, kron_a, tight: bool):
     return None, MARE_SOLVES_PER_SIGMA
 
 
-def _riccati_defect(Abar, B, Q, sigma: float, P):
+def _riccati_defect(Abar, B, sigma: float, P):
     """MARE(P) - P and the gain K = -(B'PB)^-1 B'P Abar; K is None unless B'PB > 0."""
     PB = P @ B
     btpb = float((B.T @ PB).item())
     if not btpb > 0.0:
         return None, None
     gain_dir = Abar.T @ PB
-    defect = Abar.T @ P @ Abar - sigma * (gain_dir @ gain_dir.T) / btpb + Q - P
+    defect = Abar.T @ P @ Abar - sigma * (gain_dir @ gain_dir.T) / btpb + np.eye(len(P)) - P
     return (defect + defect.T) / 2.0, -gain_dir.T / btpb
 
 

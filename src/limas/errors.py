@@ -63,12 +63,14 @@ class NotControllable(LimasError):
 
 
 class Divergence(LimasError):
-    """The modified Riccati equation has no stabilizing solution at this sigma.
+    """The modified Riccati solve found no stabilizing solution at this sigma.
 
     Raised up front when sigma is at or below the critical margin, and by the
-    sigma continuation when its step falls below its floor, which only
-    rounding right at that margin should cause. ``iterations`` counts the
-    Stein solves spent (0 for the up-front refusal).
+    sigma continuation once a halved step no longer moves sigma in floating
+    point. For single-input B a stabilizing solution exists at every sigma
+    above the critical margin, so a Divergence raised there is a failure of
+    the solver, not a property of the plant. ``iterations`` counts the Stein
+    solves spent (0 for the up-front refusal).
     """
 
     def __init__(self, message: str, iterations: int = 0):

@@ -17,7 +17,7 @@ from limas import (
     laplacian,
     simultaneous_diagonalize,
 )
-from limas.analysis import MARE_Q_SCALE, MareSolution
+from limas.analysis import MareSolution
 from limas.errors import Divergence, NotControllable, ShapeMismatch
 from limas.linalg import (
     as_matrix,
@@ -276,7 +276,7 @@ MARE_DIVERGENCE_NORM = 1e12
 def fixed_point_mare(Abar, B, sigma: float) -> MareSolution:
     """Reference MARE solver: the plain fixed-point iteration of the Riccati map.
 
-    ``Q`` is MARE_Q_SCALE * I. Plain fixed-point iteration from
+    ``Q`` is I, as in analysis.solve_mare. Plain fixed-point iteration from
     P = I, stopping when successive iterates agree to MARE_CONVERGENCE_RTOL
     relative or after MARE_MAX_ITER steps. The recursion converges exactly when
     sigma exceeds the critical margin of Abar, so divergence (norm blow-up
@@ -291,7 +291,7 @@ def fixed_point_mare(Abar, B, sigma: float) -> MareSolution:
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
     if not is_controllable(Abar, B):
         raise NotControllable("(Abar, B) fails the controllability rank test")
-    Q = MARE_Q_SCALE * np.eye(n)
+    Q = np.eye(n)
 
     P = np.eye(n)
     for iteration in range(1, MARE_MAX_ITER + 1):

@@ -125,6 +125,11 @@ def test_sufficient_check_decoupled_complete():
     assert res.lhs == pytest.approx(0.0, abs=1e-15)
     assert res.sigma_c == 0.0
     assert res.rhs > 0.0
+    # every mode margin clips to 1, so the Riccati solve runs at sigma = 1,
+    # where the first trial of the continuation is the target itself
+    report = analyze(model)
+    assert report.verdict == "consensusable"
+    assert report.mare_sigma == 1.0
 
 
 def test_sufficient_check_negative_rhs_fails():
@@ -204,14 +209,15 @@ def test_connectivity_floor_is_free_of_weight_scale(showcase_model, weight):
 # --- modified Riccati equation -----------------------------------------------
 
 def test_solve_mare_scalar_closed_form():
-    # for a = 2, b = 1, sigma = 0.8: P (1 - a^2 + sigma a^2) = q, so P = 5 q,
-    # and the gain -(bPa) / (bPb) = -a / b whatever P is
-    sol = solve_mare([[2.0]], [[1.0]], 0.8)
-    assert sol.P[0, 0] == pytest.approx(5e-6, rel=1e-7)
-    assert sol.K.tolist() == [[-2.0]]
+    # for a = 2, b = 1: P (1 - a^2 + sigma a^2) = 1, so P = 5 at sigma = 0.8
+    # and P = 1 at sigma = 1, and the gain -(bPa) / (bPb) = -a / b whatever P is
+    for sigma, p in ((0.8, 5.0), (1.0, 1.0)):
+        sol = solve_mare([[2.0]], [[1.0]], sigma)
+        assert sol.P[0, 0] == pytest.approx(p, rel=1e-7)
+        assert sol.K.tolist() == [[-2.0]]
 
 
-@pytest.mark.parametrize("sigma", [0.76, 0.8, 0.9])
+@pytest.mark.parametrize("sigma", [0.76, 0.8, 0.9, 1.0])
 def test_solve_mare_converges_above_threshold(sigma):
     sol = solve_mare([[2.0]], [[1.0]], sigma)
     assert sol.P[0, 0] > 0.0
@@ -269,7 +275,7 @@ def _relative_riccati_residual(Abar, B, sigma, P) -> float:
     PB = P @ B
     gain_dir = Abar.T @ PB
     image = Abar.T @ P @ Abar - sigma * (gain_dir @ gain_dir.T) / float((B.T @ PB).item()) \
-        + analysis.MARE_Q_SCALE * np.eye(len(P))
+        + np.eye(len(P))
     return float(np.linalg.norm(image - P) / np.linalg.norm(P))
 
 
@@ -369,6 +375,13 @@ SWEEP_DIVERGENCE_COUNT = 0
 SWEEP_NOISY_STEP_PLANTS = (362, 563, 1353, 1432)
 
 
+def _assert_stabilizing_solution(Abar, B, sigma, sol):
+    assert _relative_riccati_residual(Abar, B, sigma, sol.P) <= 1e-10
+    F = Abar + B @ sol.K
+    stein = sigma * np.kron(F.T, F.T) + (1.0 - sigma) * np.kron(Abar.T, Abar.T)
+    assert spectral_radius(stein) < 1.0
+
+
 def test_solve_mare_near_critical_sweep():
     # a stabilizing solution exists for every sigma above sigma_c, so each
     # Divergence here is a solver failure; their number may only fall
@@ -382,16 +395,33 @@ def test_solve_mare_near_critical_sweep():
             assert index < 300, f"sweep plant {index} raised Divergence"
             diverged += 1
             continue
-        assert _relative_riccati_residual(Abar, B, sigma, sol.P) <= 1e-10
-        F = Abar + B @ sol.K
-        stein = sigma * np.kron(F.T, F.T) + (1.0 - sigma) * np.kron(Abar.T, Abar.T)
-        assert spectral_radius(stein) < 1.0
+        _assert_stabilizing_solution(Abar, B, sigma, sol)
     assert diverged <= SWEEP_DIVERGENCE_COUNT
+
+
+# Sweep plants whose target Newton fails: the continuation halves its step
+# until it no longer moves sigma, so their Divergence reports a gap at rounding.
+SWEEP_STALLED_PLANTS = (1251, 1404)
+
+
+def test_solve_mare_stalls_only_at_rounding():
+    # a stall is declared once the halved step no longer moves sigma off the
+    # last accepted value, not at an absolute step size
+    for index, (Abar, B, sigma) in enumerate(_near_critical_sweep(SWEEP_STALLED_PLANTS[-1] + 1)):
+        if index not in SWEEP_STALLED_PLANTS:
+            continue
+        try:
+            sol = solve_mare(Abar, B, sigma)
+        except Divergence as exc:
+            gap = float(re.match(r"sigma continuation stalled (\S+) above", str(exc)).group(1))
+            assert gap < 1e-14, f"sweep plant {index} stalled {gap:g} above sigma"
+            continue
+        _assert_stabilizing_solution(Abar, B, sigma, sol)
 
 
 def test_solve_mare_below_critical_property(monkeypatch):
     # the exact early exit refuses every below-critical sigma, and with the
-    # exit bypassed the continuation's step floor still ends in Divergence
+    # exit bypassed the continuation's stall test still ends in Divergence
     instances = list(_random_mare_instances(6, 152, "below"))
     for Abar, B, sigma in instances:
         with pytest.raises(Divergence) as err:
