@@ -275,8 +275,8 @@ class SufficientResult:
     sigma_modes: np.ndarray
 
 
-def _communication_modes(model: LimasModel, spec: SpectralPair) -> np.ndarray:
-    """Paired non-consensus lambda_c, after the checks both conditions share.
+def _communication_modes(model: LimasModel, lam_c) -> np.ndarray:
+    """Non-consensus lambda_c, after the checks every condition shares.
 
     Raises AssumptionViolated(2) without per-mode controllability, then
     AssumptionViolated(0) when a communication mode is at or below
@@ -285,7 +285,7 @@ def _communication_modes(model: LimasModel, spec: SpectralPair) -> np.ndarray:
     a2 = model.controllability_check
     if not a2.holds:
         raise AssumptionViolated(2, a2.detail)
-    lam_c = np.asarray(spec.lambda_c[1:], dtype=float)
+    lam_c = np.asarray(lam_c, dtype=float)
     if float(lam_c.min()) <= CONNECTIVITY_FLOOR * float(lam_c.max()):
         raise AssumptionViolated(0, "communication graph effectively disconnected")
     return lam_c
@@ -299,7 +299,7 @@ def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
     The extremes of alpha_i / lambda_cj range over modes i and j
     independently, while the reported sigma_modes pair modes positionally.
     """
-    lam_c = _communication_modes(model, spec)
+    lam_c = _communication_modes(model, spec.lambda_c[1:])
     a3, alpha = model.coupling_check
     if not a3.holds:
         raise AssumptionViolated(3, f"coupling residual {a3.residual:g}")
@@ -632,7 +632,7 @@ def necessary_check(model: LimasModel, spec: SpectralPair) -> NecessaryResult:
     end's magnitude. For n >= 2 without proportional coupling it always
     holds.
     """
-    lam_c = _communication_modes(model, spec)
+    lam_c = _communication_modes(model, spec.lambda_c[1:])
     gamma_c = float(lam_c.max()) / float(lam_c.min())
     modes = model.A - spec.lambda_p[1:, None, None] * model.Ap
     signed = np.linalg.det(modes)
@@ -746,13 +746,21 @@ class AnalysisReport:
     consensusable_certified: bool = False
     verdict: str = "inconclusive"
 
-    def certify(self, method: str, max_radius: float) -> None:
-        """Record a verified stability certificate for the reported gain."""
-        self.certificate_method = method
-        self.certified_radius = float(max_radius)
-        self.consensusable_certified = max_radius < 1.0
-        if self.consensusable_certified:
-            self.verdict = "consensusable"
+    def certify(self, source: str, K, model: LimasModel, spec: SpectralPair | None,
+                radii: np.ndarray | None = None) -> None:
+        """Record gain K from source, checked by its modal radii or, without spec, verify_gain."""
+        self.gain = np.ravel(K).tolist()
+        self.gain_source = source
+        if spec is None:
+            self.certificate_method = "projected-radius"
+            self.certified_radius = float(verify_gain(model, K).max_radius)
+        else:
+            if radii is None:
+                radii = modal_radii(model, spec, K)
+            self.modal_radii = radii.tolist()
+            self.certificate_method = "modal-radii"
+            self.certified_radius = float(radii.max())
+        self.consensusable_certified = self.certified_radius < 1.0
 
     def to_dict(self) -> dict:
         def check(c: AssumptionCheck) -> dict:
@@ -828,36 +836,36 @@ def analyze(model: LimasModel) -> AnalysisReport:
     Assumption checks always run. The sufficient and necessary conditions
     run when their assumptions hold; failures are recorded in the report
     instead of raised. Scalar models additionally get the interval
-    conditions, which need no commuting assumption. Any produced gain is
-    verified before the report claims consensusability: mode by mode when
-    the Laplacians commute, otherwise by projecting the stacked closed loop.
+    conditions, which need no commuting assumption. The verdict follows:
+
+    1. The Riccati gain, then the scalar-interval gain. The first gain
+       produced is the one verified: by modal_radii when a SpectralPair
+       exists, by verify_gain otherwise; a radius below one certifies it.
+    2. A refutation decides only when no gain was certified.
     """
-    spec, diagonalize_error = None, None
+    spec, error = None, None
     try:
         spec = simultaneous_diagonalize(model.laplacian_p, model.laplacian_c)
         commute = spec.commute
     except NotCommuting as exc:
         commute = exc.commute
-        diagonalize_error = f"Laplacians do not commute (residual {commute.residual:g})"
+        error = f"Laplacians do not commute (residual {commute.residual:g})"
     except DegenerateSpectrum as exc:
-        commute, diagonalize_error = exc.commute, str(exc)
-    a1 = AssumptionCheck(commute.ok, commute.residual)
-    a2 = model.controllability_check
-    a3, alpha_eff = model.coupling_check
-
+        commute, error = exc.commute, str(exc)
+    coupling, alpha = model.coupling_check
     report = AnalysisReport(
         n=model.n, N=model.N,
-        alpha=alpha_eff,
+        alpha=alpha,
         lambda_p=model.spectrum_p.tolist(),
         lambda_c=model.spectrum_c.tolist(),
-        assumption_commuting=a1,
-        assumption_controllability=a2,
-        assumption_coupling=a3,
+        assumption_commuting=AssumptionCheck(commute.ok, commute.residual),
+        assumption_controllability=model.controllability_check,
+        assumption_coupling=coupling,
+        sufficient_error=error,
+        necessary_error=error,
     )
 
-    if spec is None:
-        report.sufficient_error = report.necessary_error = diagonalize_error
-    else:
+    if spec is not None:
         report.lambda_p_paired = spec.lambda_p.tolist()
         report.lambda_c_paired = spec.lambda_c.tolist()
         try:
@@ -869,47 +877,35 @@ def analyze(model: LimasModel) -> AnalysisReport:
         except AssumptionViolated as exc:
             report.necessary_error = str(exc)
 
-    b_scalar = float(model.B.item()) if model.n == 1 else None
-    if model.n == 1 and b_scalar != 0.0:
+    if model.n == 1 and model.B.item() != 0.0:
         # Scalar normal form: coupling strength folds into the physical
-        # modes and b into the gain, leaving a unit input coefficient.
-        ap = float(model.Ap.item())
+        # modes and b into the gain, leaving a unit input coefficient. With
+        # b != 0 every mode is controllable, so only the connectivity floor refuses.
         try:
-            report.scalar = scalar_check(float(model.A.item()),
-                                         ap * model.spectrum_p[1:],
-                                         model.spectrum_c[1:])
-        except ValueError as exc:
-            report.synthesis_error = report.synthesis_error or str(exc)
+            report.scalar = scalar_check(model.A.item(),
+                                         model.Ap.item() * model.spectrum_p[1:],
+                                         _communication_modes(model, model.spectrum_c[1:]))
+        except AssumptionViolated as exc:
+            report.synthesis_error = str(exc)
 
-    if spec is not None and report.sufficient is not None and report.sufficient.holds:
+    if report.sufficient is not None and report.sufficient.holds:
         try:
             synth = synthesize_gain(model, spec, sufficient=report.sufficient)
-            report.gain = synth.K.ravel().tolist()
-            report.gain_source = "riccati"
+        except (SynthesisFailed, Divergence, NotControllable) as exc:
+            report.synthesis_error = str(exc)
+        else:
             report.mare_sigma = synth.sigma
             if synth.mare is not None:
                 report.mare_iterations = synth.mare.iterations
-            report.modal_radii = synth.modal_radii.tolist()
-            report.certify("modal-radii", float(synth.modal_radii.max()))
-        except (SynthesisFailed, Divergence, NotControllable) as exc:
-            report.synthesis_error = str(exc)
-
+            report.certify("riccati", synth.K, model, spec, synth.modal_radii)
     if report.gain is None and report.scalar is not None \
             and report.scalar.k_recommended is not None:
-        report.gain = [report.scalar.k_recommended / b_scalar]
-        report.gain_source = "scalar-interval"
-        if spec is not None:
-            radii = modal_radii(model, spec, [report.gain])
-            report.modal_radii = radii.tolist()
-            report.certify("modal-radii", float(radii.max()))
-        else:
-            # No modal radii without commuting Laplacians: certify by
-            # direct projection of the stacked closed loop instead.
-            check = verify_gain(model, [report.gain])
-            report.certify("projected-radius", check.max_radius)
+        report.certify("scalar-interval", [[report.scalar.k_recommended / model.B.item()]],
+                       model, spec)
 
-    refuted = (report.necessary is not None and not report.necessary.holds) \
-        or (report.scalar is not None and not report.scalar.necessary)
-    if not report.consensusable_certified and refuted:
+    if report.consensusable_certified:
+        report.verdict = "consensusable"
+    elif (report.necessary is not None and not report.necessary.holds) \
+            or (report.scalar is not None and not report.scalar.necessary):
         report.verdict = "not-consensusable"
     return report

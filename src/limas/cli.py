@@ -313,10 +313,13 @@ def cmd_simulate(args) -> int:
     else:
         report = analysis.analyze(model)
         if not report.consensusable_certified:
-            reason = (report.synthesis_error or report.sufficient_error
-                      or "sufficient condition does not hold")
-            if report.gain is not None:
+            if report.verdict == "not-consensusable":
+                reason = "a necessary condition fails, so no gain reaches consensus"
+            elif report.gain is not None:
                 reason = f"{report.certificate_method} radius {report.certified_radius:g}"
+            else:
+                reason = (report.synthesis_error or report.sufficient_error
+                          or "sufficient condition does not hold")
             raise SynthesisFailed(f"automatic gain synthesis failed: {reason}")
         K = as_matrix(report.gain, name="K")
 

@@ -45,6 +45,7 @@ from conftest import (
     mare_inequality_margin,
     random_connected_graph,
     random_coupled_model,
+    random_scalar_instance,
     random_state_matrix,
     spectral_pair,
     spectral_radius,
@@ -944,10 +945,74 @@ def test_analyze_scalar_non_commuting_uses_interval_gain():
     model = LimasModel([[0.9]], [[1.0]], gp, gc, alpha=0.1)
     report = analyze(model)
     assert not report.assumption_commuting.holds
-    assert report.scalar is not None
-    if report.scalar.k_recommended is not None:
-        assert report.gain is not None
-        assert report.gain_source == "scalar-interval"
+    assert report.scalar.k_recommended == pytest.approx(0.0142948, rel=1e-5)
+    assert report.gain == [report.scalar.k_recommended]
+    assert report.gain_source == "scalar-interval"
+    assert report.certificate_method == "projected-radius"
+    assert verify_gain(model, [report.gain]).stable
+    assert report.verdict == "consensusable"
+
+
+def two_agent_scalar_model() -> LimasModel:
+    """Scalar agents on one edge: both gain sources produce a stabilizing gain."""
+    return LimasModel([[1.3]], [[2.0]], WeightedGraph(2, [(0, 1, 0.3)]),
+                      WeightedGraph(2, [(0, 1, 0.8)]), alpha=0.5)
+
+
+def test_analyze_verifies_the_riccati_gain_before_the_scalar_interval_gain():
+    report = analyze(two_agent_scalar_model())
+    assert report.scalar.k_recommended is not None
+    assert report.gain_source == "riccati"
+    assert report.gain == pytest.approx([-0.284375], rel=1e-12)
+    assert report.certificate_method == "modal-radii"
+    assert report.verdict == "consensusable"
+
+
+def test_analyze_falls_back_to_the_scalar_interval_gain(monkeypatch):
+    def stalled(Abar, B, sigma):
+        raise Divergence("sigma continuation stalled 1e-12 above sigma = 0.5")
+
+    monkeypatch.setattr(analysis, "solve_mare", stalled)
+    report = analyze(two_agent_scalar_model())
+    assert report.synthesis_error == "sigma continuation stalled 1e-12 above sigma = 0.5"
+    assert report.gain_source == "scalar-interval"
+    assert report.gain == pytest.approx([0.0140625], rel=1e-12)
+    assert report.mare_sigma is None and report.mare_iterations is None
+    assert report.certificate_method == "modal-radii"
+    assert report.verdict == "consensusable"
+
+
+@pytest.mark.parametrize("weight", [1e-16, 1e-14])
+def test_scalar_conditions_share_the_connectivity_floor(weight):
+    # lambda_c[1] rounds to 0 (1e-16) or to 9.9e-15, inside the spectrum's own
+    # rounding; the scalar necessary condition would read gamma_c ~ 2e14 there
+    model = LimasModel([[1.2]], [[1.0]], WeightedGraph.path(4, 0.1),
+                       WeightedGraph(4, [(0, 1, 1.0), (1, 2, weight), (2, 3, 1.0)]),
+                       alpha=0.1)
+    bound = SPECTRUM_EPS_BOUND * np.finfo(float).eps * np.linalg.norm(model.laplacian_c, 2)
+    assert model.spectrum_c[1] <= bound
+    report = analyze(model)
+    assert report.scalar is None and report.gain is None
+    assert report.synthesis_error == \
+        "assumption 0 violated: communication graph effectively disconnected"
+    assert report.verdict == "inconclusive"
+
+
+def test_no_report_is_both_certified_and_refuted():
+    # a certified gain decides the verdict first, so the verdict alone would
+    # hide a refutation that contradicts it
+    rng = np.random.default_rng(11)
+    reports = [analyze(random_coupled_model(rng, alpha_scale=(0.25, 0.6)[k % 2]))
+               for k in range(200)]
+    for _ in range(100):
+        a, gp, gc = random_scalar_instance(rng)
+        reports.append(analyze(LimasModel([[a]], [[float(rng.uniform(0.2, 2.0))]], gp, gc,
+                                          Ap=[[float(rng.uniform(-0.5, 0.5))]])))
+    certified = [r.consensusable_certified for r in reports]
+    refuted = [(r.necessary is not None and not r.necessary.holds)
+               or (r.scalar is not None and not r.scalar.necessary) for r in reports]
+    assert not any(c and f for c, f in zip(certified, refuted))
+    assert sum(certified) >= 150 and sum(refuted) >= 10
 
 
 def test_analyze_scalar_refutation():

@@ -118,7 +118,7 @@ def test_analyze_text_names_the_synthesis_failure(showcase_file, capsys, monkeyp
 
 def test_analyze_text_names_a_rounded_zero_communication_mode(tmp_path, capsys):
     # the 1e-16 middle edge of the path rounds lambda_c[1] to exactly 0,
-    # which the scalar conditions refuse
+    # which the scalar conditions refuse by the connectivity floor
     data = {
         "schema_version": "1", "n": 1, "N": 4,
         "A": [0.5], "B": [1.0], "Ap": [0.1],
@@ -131,7 +131,8 @@ def test_analyze_text_names_a_rounded_zero_communication_mode(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["analyze", str(path)]) == 3
     lines = capsys.readouterr().out.splitlines()
-    assert "gain: none (communication modes must be strictly positive)" in lines
+    assert ("gain: none (assumption 0 violated: communication graph effectively disconnected)"
+            in lines)
     assert lines[-1] == "verdict: INCONCLUSIVE"
 
 
@@ -498,6 +499,27 @@ def test_simulate_without_certified_gain_reports_reason(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "automatic gain synthesis failed" in err
     assert "Laplacians do not commute" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("communication", [
+    [(1, 2, 1.0), (1, 3, 3.0)],            # non-commuting: the scalar condition refutes
+    [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],  # complete: both conditions refute
+])
+def test_simulate_names_the_refutation(tmp_path, capsys, communication):
+    data = {
+        "schema_version": "1", "n": 1, "N": 3, "A": [0.0], "B": [1.0], "Ap": [1.0],
+        "physical_edges": [{"i": 1, "j": 2, "weight": 5.0}, {"i": 2, "j": 3, "weight": 5.0}],
+        "communication_edges": [{"i": i, "j": j, "weight": w} for i, j, w in communication],
+    }
+    path = tmp_path / "refuted.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 2
+    capsys.readouterr()
+    csv_path = tmp_path / "traj.csv"
+    assert main(["simulate", str(path), "--out-csv", str(csv_path)]) == 1
+    assert capsys.readouterr().err == ("error: automatic gain synthesis failed: a necessary "
+                                       "condition fails, so no gain reaches consensus\n")
     assert not csv_path.exists()
 
 

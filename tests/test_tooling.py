@@ -73,6 +73,11 @@ def test_traced_analyze_sees_one_joint_diagonalization():
     assert calls.get("graphs.simultaneous_diagonalize", 0) == 1
     assert calls.get("graphs.commute_check", 0) == 1
     assert calls.get("cli.cmd_analyze", 0) == 1
+    # each condition runs once, and the Riccati gain is verified once, by modal radii
+    for layer in ("check_modal_controllability", "sufficient_check", "necessary_check",
+                  "solve_mare", "modal_radii"):
+        assert calls.get(f"analysis.{layer}", 0) == 1, layer
+    assert calls.get("oracle.verify_gain", 0) == 0
 
 
 def test_near_critical_round_solves_ignore_rounding(tmp_path, workloads):
