@@ -1,13 +1,16 @@
 """Weighted undirected graphs, their Laplacians and joint spectra.
 
 :class:`WeightedGraph` is the one place that checks the edge rules. The
-central object downstream is the :class:`SpectralPair`: one orthogonal basis
-diagonalizing the physical and the communication Laplacian at once, its two
-eigenvalue lists paired positionally. It exists only for commuting Laplacians,
-and :func:`simultaneous_diagonalize`, which forms it, checks the commutator
-once and hands that check on with the pair or with its refusal. Its first
-column is 1/sqrt(N) and the others lie in the deviation basis of
-:func:`limas.linalg.ones_completion`, one Householder reflector.
+central object downstream is the :class:`SpectralPair`: the eigenvalues of the
+physical and the communication Laplacian, paired positionally by one
+orthogonal basis that diagonalizes both at once. It exists only for commuting
+Laplacians, and :func:`simultaneous_diagonalize`, which forms it, checks the
+commutator once and hands that check on with the pair or with its refusal.
+The basis has first column 1/sqrt(N) and the others in the deviation basis
+of :func:`limas.linalg.ones_completion`, one Householder reflector. It is
+formed only where the pairing needs it: when the communication Laplacian is
+scalar on the deviations (a complete graph) every such basis pairs the two
+lists, and the pair carries only the eigenvalues.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .linalg import as_square, in_completion_basis, lift_deviation_basis
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
 COMMUTE_RTOL = 1e-9
 # Eigenvalue grouping tolerance for joint diagonalization, relative to ||Lc||_F;
-# within it of a multiple of the identity the reduced Lc counts as scalar.
+# within it of a multiple of the identity the reduced Lc counts as scalar, and
+# (relative to ||Lp_red||_F) the reduced Lp on a cluster of Lc's eigenvalues.
 GROUP_RTOL = 1e-8
 # Joint-diagonalization check: ||L phi - phi diag||_F <= OFFDIAG_RTOL * ||L||_F,
 # which for an orthogonal phi is ||phi' L phi - diag||_F.
@@ -202,36 +206,60 @@ def commute_check(Lp, Lc) -> CommuteCheck:
 class SpectralPair:
     """Joint eigenstructure of two commuting Laplacians.
 
-    ``phi`` is orthogonal with first column 1/sqrt(N); column i is a shared
-    eigenvector with eigenvalue ``lambda_p[i]`` for the physical Laplacian
-    and ``lambda_c[i]`` for the communication Laplacian. Beyond the leading
-    zeros the lists carry no magnitude ordering. ``commute`` is the
-    commutator check the pair passed in :func:`simultaneous_diagonalize`; a
-    pair built by hand has none.
+    Entry i of ``lambda_p`` and of ``lambda_c`` are the eigenvalues of the
+    physical and of the communication Laplacian on one shared eigenvector,
+    entry 0 on the consensus direction 1/sqrt(N). Beyond the leading zeros
+    the lists carry no magnitude ordering. ``phi`` is that orthogonal basis,
+    column i the eigenvector of entry i, or None when
+    :func:`simultaneous_diagonalize` paired a scalar communication Laplacian
+    without forming one. ``commute`` is the commutator check the pair passed
+    in :func:`simultaneous_diagonalize`; a pair built by hand has none. The
+    pair holds read-only copies of its arrays.
     """
 
-    phi: np.ndarray
+    phi: np.ndarray | None
     lambda_p: np.ndarray
     lambda_c: np.ndarray
     commute: CommuteCheck | None = None
+
+    def __post_init__(self):
+        for name in ("phi", "lambda_p", "lambda_c"):
+            value = getattr(self, name)
+            if value is not None:
+                arr = np.array(value, dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
 
 def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     """Jointly diagonalize two commuting Laplacians.
 
     Raises NotCommuting when the commutator fails the COMMUTE_RTOL gate;
-    :func:`commute_check` is also the one validation of both inputs. Both
-    Laplacians are reduced to the complement of the all-ones direction (a
-    shared kernel vector of any Laplacian) in the basis W of
-    :func:`ones_completion`, as one rank-two update each. When the reduced
-    communication Laplacian is scalar, ||Lc_red - c I||_F <= GROUP_RTOL *
-    ||Lc||_F with c its mean diagonal (a complete graph), every basis
-    diagonalizes it and one eigensolve of the reduced physical Laplacian
-    gives the basis V. Otherwise the reduced communication Laplacian is
-    eigendecomposed, its eigenvalues grouped into near-degenerate clusters
-    (within GROUP_RTOL * ||Lc||_F), and the reduced physical Laplacian is
-    diagonalized inside each cluster of more than one eigenvalue, all
-    clusters of one size in one stacked product and one batched eigensolve.
+    :func:`commute_check` is also the one validation of both inputs. The
+    communication Laplacian is reduced to the complement of the all-ones
+    direction (a shared kernel vector of any Laplacian) in the basis W of
+    :func:`ones_completion`, as one rank-two update.
+
+    When the reduced communication Laplacian is scalar, ||Lc_red - c I||_F <=
+    GROUP_RTOL * ||Lc||_F with c = trace(Lc) / (N - 1) its mean eigenvalue on
+    the deviations (a complete graph), every orthonormal basis of the
+    deviations diagonalizes it. The pair is then lambda_p, the ascending
+    eigvalsh of the physical Laplacian with entry 0 (the consensus mode) set
+    to 0, and lambda_c = [0, c, ..., c]; ``phi`` is None, as no eigenvector is
+    formed. The full-space spectrum skips the reduction's rounding, which
+    reads a two-node graph's 0.2 as 0.19999999999999998. The joint-basis gate
+    holds by construction and is not computed: over the lifted eigenbasis of
+    the reduced physical Laplacian its residual is that eigensolve's backward
+    error, and over any orthonormal deviation basis the communication
+    residual is ||Lc_red - c I||_F up to the rounding of the consensus
+    column, which the scalar test bounds by GROUP_RTOL * ||Lc||_F <=
+    OFFDIAG_RTOL * ||Lc||_F.
+
+    Otherwise the physical Laplacian is reduced too, the reduced
+    communication Laplacian is eigendecomposed, its eigenvalues grouped into
+    near-degenerate clusters (within GROUP_RTOL * ||Lc||_F), and the reduced
+    physical Laplacian is diagonalized inside each cluster of more than one
+    eigenvalue on which it is not already scalar (:func:`_rotate_clusters`).
     Repeated communication eigenvalues are therefore handled exactly where
     naive pairing would fail. V is lifted once, phi = [1/sqrt(N), W V], as a
     rank-one update (:func:`lift_deviation_basis`), and the full-space
@@ -246,26 +274,31 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     # read as commute_check validated them: finite, square, of one size
     Lp, Lc = (np.atleast_2d(np.asarray(L, dtype=float)) for L in (Lp, Lc))
     N = Lp.shape[0]
-    Lp_red, Lc_red = (in_completion_basis(L)[1:, 1:] for L in (Lp, Lc))
+    Lc_red = in_completion_basis(Lc)[1:, 1:]
     group_tol = GROUP_RTOL * float(np.linalg.norm(Lc))
-    scalar = Lc_red - np.trace(Lc_red) / max(N - 1, 1) * np.eye(N - 1)
-    if float(np.linalg.norm(scalar)) <= group_tol:
-        V = np.linalg.eigh((Lp_red + Lp_red.T) / 2.0)[1]
-    else:
-        wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
-        # a cluster runs from an eigenvalue to the last one within group_tol of it
-        wc = wc.tolist()
-        starts: dict[int, list[int]] = {}
-        start = 0
-        while start < N - 1:
-            stop = start + 1
-            while stop < N - 1 and abs(wc[stop] - wc[start]) <= group_tol:
-                stop += 1
-            if stop - start > 1:
-                starts.setdefault(stop - start, []).append(start)
-            start = stop
-        if starts:
-            _rotate_clusters(V, Lp_red, starts)
+    c = np.trace(Lc) / max(N - 1, 1)
+    if float(np.linalg.norm(Lc_red - c * np.eye(N - 1))) <= group_tol:
+        lambda_p = np.linalg.eigvalsh((Lp + Lp.T) / 2.0)
+        lambda_p[0] = 0.0
+        lambda_c = np.full(N, c)
+        lambda_c[0] = 0.0
+        return SpectralPair(None, lambda_p, lambda_c, commute)
+
+    Lp_red = in_completion_basis(Lp)[1:, 1:]
+    wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
+    # a cluster runs from an eigenvalue to the last one within group_tol of it
+    wc = wc.tolist()
+    starts: dict[int, list[int]] = {}
+    start = 0
+    while start < N - 1:
+        stop = start + 1
+        while stop < N - 1 and abs(wc[stop] - wc[start]) <= group_tol:
+            stop += 1
+        if stop - start > 1:
+            starts.setdefault(stop - start, []).append(start)
+        start = stop
+    if starts:
+        _rotate_clusters(V, Lp_red, starts)
 
     phi = lift_deviation_basis(V)
     paired = []
@@ -290,12 +323,20 @@ def _rotate_clusters(V: np.ndarray, Lp_red: np.ndarray, starts: dict[int, list[i
     ``starts`` maps a cluster size m > 1 to the first columns of the clusters
     of that size. ``Lp_red @ V`` is formed once, and the clusters of one size
     are rotated together: their m x m projections and rotations are stacked
-    products and one batched eigensolve.
+    products and one batched eigensolve. A cluster whose projection lies
+    within GROUP_RTOL * ||Lp_red||_F of its mean diagonal keeps its columns:
+    ``Lp_red`` is scalar there, and a rotation would be set by rounding noise
+    and mix communication eigenvectors that the cluster tolerance let differ.
     """
     P = Lp_red @ V
+    tol = GROUP_RTOL * float(np.linalg.norm(Lp_red))
     for m, first in starts.items():
         cols = np.add.outer(first, np.arange(m))
         Vg = V[:, cols].transpose(1, 0, 2)
         proj = Vg.transpose(0, 2, 1) @ P[:, cols].transpose(1, 0, 2)
-        rot = np.linalg.eigh((proj + proj.transpose(0, 2, 1)) / 2.0)[1]
-        V[:, cols] = (Vg @ rot).transpose(1, 0, 2)
+        proj = (proj + proj.transpose(0, 2, 1)) / 2.0
+        mean = np.trace(proj, axis1=1, axis2=2) / m
+        mixed = np.linalg.norm(proj - mean[:, None, None] * np.eye(m), axis=(1, 2)) > tol
+        if mixed.any():
+            rot = np.linalg.eigh(proj[mixed])[1]
+            V[:, cols[mixed]] = (Vg[mixed] @ rot).transpose(1, 0, 2)

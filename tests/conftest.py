@@ -24,7 +24,9 @@ from limas.linalg import (
     as_square,
     eig_general,
     eig_sym,
+    in_completion_basis,
     is_controllable,
+    lift_deviation_basis,
     ones_completion,
 )
 
@@ -151,25 +153,52 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(values)))
 
 
+def count_calls(monkeypatch, name: str = "eigh") -> list[int]:
+    """Count the calls of np.linalg.<name> from here on; the list holds one entry per call."""
+    calls = []
+    solve = getattr(np.linalg, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def spectral_pair(model: LimasModel) -> SpectralPair:
     """Joint eigenstructure of the model's two Laplacians."""
     return simultaneous_diagonalize(model.laplacian_p, model.laplacian_c)
+
+
+def joint_basis(spec: SpectralPair, Lp) -> np.ndarray:
+    """An orthogonal basis that diagonalizes both Laplacians of ``spec`` in its order.
+
+    ``spec.phi`` when the pair has one. A pair of a scalar communication
+    Laplacian has none; every orthonormal deviation basis diagonalizes that
+    Laplacian, and the lifted ``eigh`` basis of the reduced ``Lp`` also
+    diagonalizes ``Lp``, its columns ascending as ``spec.lambda_p``.
+    """
+    if spec.phi is not None:
+        return spec.phi
+    Lp_red = in_completion_basis(as_square(Lp, name="Lp"))[1:, 1:]
+    return lift_deviation_basis(np.linalg.eigh((Lp_red + Lp_red.T) / 2.0)[1])
 
 
 def modal_deviation_norms(model: LimasModel, spec: SpectralPair, K, x0,
                           steps: int) -> np.ndarray:
     """Per-agent deviation norms of a run, iterated mode by mode in the joint basis.
 
-    With X the (N, n) agent states, Z = phi' X holds one row per joint mode;
-    row 0 is the consensus mode and rows 1.. follow their own blocks
-    A - lp*Ap + lc*BK. The consensus mode never enters the iteration, so
+    With X the (N, n) agent states and phi the :func:`joint_basis` of
+    ``spec``, Z = phi' X holds one row per joint mode; row 0 is the consensus
+    mode and rows 1.. follow their own blocks A - lp*Ap + lc*BK. The consensus mode never enters the iteration, so
     each step's deviations phi[:, 1:] Z[1:] keep their relative accuracy
     whatever the mean does. Returns a (steps + 1, N) array.
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
     modes = (model.A - spec.lambda_p[1:, None, None] * model.Ap
              + spec.lambda_c[1:, None, None] * (model.B @ K))
-    W = spec.phi[:, 1:]
+    W = joint_basis(spec, model.laplacian_p)[:, 1:]
     z = W.T @ np.asarray(x0, dtype=float).reshape(model.N, model.n)
     norms = np.empty((steps + 1, model.N))
     for t in range(steps + 1):

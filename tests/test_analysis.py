@@ -861,10 +861,11 @@ def test_synthesize_gain_refuses_a_gain_its_radii_do_not_certify(showcase_model,
         synthesize_gain(showcase_model, spec)
 
 
-def test_analyze_records_degenerate_spectrum(showcase_model, monkeypatch):
-    # with no room for rounding, the joint diagonalization fails its residual gate
+def test_analyze_records_degenerate_spectrum(monkeypatch):
+    # with no room for rounding, the joint diagonalization fails its residual
+    # gate; a cycle communication graph is not scalar, so the gate is computed
     monkeypatch.setattr(graphs, "OFFDIAG_RTOL", 0.0)
-    report = analyze(showcase_model)
+    report = analyze(four_agent_model(gc=cycle4_graph(1.0)))
     assert report.assumption_commuting.holds
     assert re.fullmatch(r"off-diagonal residual \S+ too large for the physical Laplacian",
                         report.sufficient_error)

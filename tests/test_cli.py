@@ -19,6 +19,7 @@ from limas.cli import main
 from limas.model_io import load_model, save_model
 from conftest import (
     commuting_graph_pair,
+    cycle4_graph,
     four_agent_model,
     random_connected_graph,
     random_state_matrix,
@@ -93,10 +94,13 @@ def test_analyze_text_serializes_the_report_only_for_out(showcase_file, tmp_path
     assert capsys.readouterr().out == text
 
 
-def test_analyze_text_without_joint_spectrum(showcase_file, capsys, monkeypatch):
-    # the joint diagonalization fails its residual gate: both conditions are unavailable
+def test_analyze_text_without_joint_spectrum(tmp_path, capsys, monkeypatch):
+    # the joint diagonalization fails its residual gate, computed since the
+    # cycle communication graph is not scalar: both conditions are unavailable
+    path = tmp_path / "model.json"
+    save_model(four_agent_model(gc=cycle4_graph(1.0)), path)
     monkeypatch.setattr(graphs, "OFFDIAG_RTOL", 0.0)
-    assert main(["analyze", showcase_file]) == 3
+    assert main(["analyze", str(path)]) == 3
     lines = capsys.readouterr().out.splitlines()
     for condition in ("sufficient", "necessary"):
         line = next(line for line in lines if line.startswith(f"{condition} condition:"))

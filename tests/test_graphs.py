@@ -6,16 +6,27 @@ import numpy as np
 import pytest
 
 from limas import (
+    LimasModel,
+    SpectralPair,
     WeightedGraph,
     commute_check,
     is_connected,
     laplacian,
+    modal_radii,
     simultaneous_diagonalize,
+    synthesize_gain,
 )
-from limas.errors import NotCommuting, ShapeMismatch
+from limas.errors import NotCommuting, ShapeMismatch, SynthesisFailed
 from limas.graphs import GROUP_RTOL, OFFDIAG_RTOL
 from limas.linalg import ones_completion
-from conftest import commuting_graph_pair, cycle4_graph, random_connected_graph
+from conftest import (
+    commuting_graph_pair,
+    count_calls,
+    cycle4_graph,
+    joint_basis,
+    random_connected_graph,
+    random_state_matrix,
+)
 
 
 def test_graph_validation():
@@ -207,8 +218,9 @@ def test_simultaneous_diagonalize_two_nodes():
     Lp = laplacian(WeightedGraph(2, [(0, 1, 0.4)]))
     Lc = laplacian(WeightedGraph(2, [(0, 1, 1.3)]))
     pair = simultaneous_diagonalize(Lp, Lc)
-    assert np.allclose(pair.phi[:, 0], [1 / np.sqrt(2)] * 2, atol=0.0)
-    assert np.allclose(np.abs(pair.phi[:, 1]), [1 / np.sqrt(2)] * 2, atol=1e-12)
+    phi = joint_basis(pair, Lp)
+    assert np.allclose(phi[:, 0], [1 / np.sqrt(2)] * 2, atol=0.0)
+    assert np.allclose(np.abs(phi[:, 1]), [1 / np.sqrt(2)] * 2, atol=1e-12)
     assert np.allclose(pair.lambda_p, [0.0, 0.8], atol=1e-12)
     assert np.allclose(pair.lambda_c, [0.0, 2.6], atol=1e-12)
 
@@ -294,30 +306,18 @@ def test_simultaneous_diagonalize_carries_its_commute_check():
     assert str(err.value) == f"commutator residual {err.value.commute.residual:g} exceeds tolerance"
 
 
-def _count_eigh(monkeypatch) -> list[int]:
-    """Count the calls of np.linalg.eigh from here on; the list holds one entry per call."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
-
-
 def _assert_joint_basis(pair, Lp, Lc, exact: bool = True):
-    # phi is orthogonal, its column 0 exactly 1/sqrt(N), and it passes the
-    # gate for both Laplacians; for an exact joint eigenbasis each paired
-    # list is its Laplacian's spectrum within 64 eps ||L||_2
+    # the joint basis is orthogonal, its column 0 exactly 1/sqrt(N), and it
+    # passes the gate for both Laplacians; for an exact joint eigenbasis each
+    # paired list is its Laplacian's spectrum within 64 eps ||L||_2
     N = Lp.shape[0]
     eps = np.finfo(float).eps
-    assert np.abs(pair.phi.T @ pair.phi - np.eye(N)).max() <= 64 * eps * N
-    assert np.array_equal(pair.phi[:, 0], np.full(N, 1.0 / np.sqrt(N)))
+    phi = joint_basis(pair, Lp)
+    assert np.abs(phi.T @ phi - np.eye(N)).max() <= 64 * eps * N
+    assert np.array_equal(phi[:, 0], np.full(N, 1.0 / np.sqrt(N)))
     for L, lam in ((Lp, pair.lambda_p), (Lc, pair.lambda_c)):
         assert lam[0] == 0.0
-        residual = np.linalg.norm(L @ pair.phi - pair.phi * lam)
+        residual = np.linalg.norm(L @ phi - phi * lam)
         assert residual <= OFFDIAG_RTOL * np.linalg.norm(L), N
         if exact:
             spectrum = np.linalg.eigvalsh(L)
@@ -326,19 +326,22 @@ def _assert_joint_basis(pair, Lp, Lc, exact: bool = True):
 
 def test_complete_communication_graph_takes_one_eigensolve(monkeypatch):
     # a complete communication graph is scalar on the deviations: every basis
-    # diagonalizes it, so the reduced physical Laplacian's eigensolve is the only one
+    # diagonalizes it, so the physical Laplacian's eigenvalues are the only
+    # solve, and no eigenvector is formed
     rng = np.random.default_rng(41)
     makers = (_circulant,
               lambda rng, N: WeightedGraph.cycle(N, float(rng.uniform(0.1, 3.0))),
               lambda rng, N: WeightedGraph.path(N, float(rng.uniform(0.1, 3.0))))
-    calls = _count_eigh(monkeypatch)
+    vectors, values = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
     for N in (3, 8, 64, 256):
         Lc = laplacian(WeightedGraph.complete(N, float(rng.uniform(0.1, 3.0))))
         for make in makers:
             Lp = laplacian(make(rng, N))
-            calls.clear()
+            vectors.clear()
+            values.clear()
             pair = simultaneous_diagonalize(Lp, Lc)
-            assert len(calls) == 1, N
+            assert (len(vectors), len(values)) == (0, 1), N
+            assert pair.phi is None
             _assert_joint_basis(pair, Lp, Lc)
 
 
@@ -361,7 +364,7 @@ def test_clusters_of_several_sizes_rotate_in_one_call(monkeypatch):
                                   if i < (i + d) % 8 or (i + d) % 8 < i - 4])
     cases = ((_kron_sum(p3, c5_p), _kron_sum(k3, c5), 1 + 2),
              (laplacian(WeightedGraph.cycle(8, 0.2)), laplacian(bipartite), 1 + 1))
-    calls = _count_eigh(monkeypatch)
+    calls = count_calls(monkeypatch)
     for Lp, Lc, eigensolves in cases:
         assert commute_check(Lp, Lc).ok
         calls.clear()
@@ -370,25 +373,155 @@ def test_clusters_of_several_sizes_rotate_in_one_call(monkeypatch):
         _assert_joint_basis(pair, Lp, Lc)
 
 
+def _just_scalar(N: int, bump: WeightedGraph, ratio: float) -> np.ndarray:
+    """Unit complete Laplacian plus ``bump``'s, scaled so that ||Lc_red - c I||_F
+    is ``ratio`` times the scalar test's bound GROUP_RTOL ||Lc||_F (to first order)."""
+    base = laplacian(WeightedGraph.complete(N))
+    L = laplacian(bump)
+    W = ones_completion(N)[:, 1:]
+    reduced = W.T @ L @ W
+    spread = np.linalg.norm(reduced - np.trace(reduced) / (N - 1) * np.eye(N - 1))
+    return base + ratio * GROUP_RTOL * np.linalg.norm(base) / spread * L
+
+
+def _star(N: int, weight: float = 1.0) -> WeightedGraph:
+    return WeightedGraph(N, [(0, k, weight) for k in range(1, N)])
+
+
 def test_scalar_test_either_side_gives_a_certified_pair(monkeypatch):
     # a complete graph plus a small star: ||Lc_red - c I||_F is just inside or
-    # just outside GROUP_RTOL ||Lc||_F; inside, one eigensolve; outside, the
-    # communication Laplacian's own and the cluster rotation. Lp complete
-    # commutes with both, and both pairs pass the gate
+    # just outside GROUP_RTOL ||Lc||_F; inside, one eigenvalue solve and no
+    # eigenvector; outside, the communication Laplacian's own eigensolve, and
+    # no rotation, since Lp complete is scalar on every cluster. Lp commutes
+    # with both, and both pairs pass the gate
     N = 16
     Lp = laplacian(WeightedGraph.complete(N, 0.7))
-    base = laplacian(WeightedGraph.complete(N))
-    star = laplacian(WeightedGraph(N, [(0, k, 1.0) for k in range(1, N)]))
-    W = ones_completion(N)[:, 1:]
-    reduced = W.T @ star @ W
-    spread = np.linalg.norm(reduced - np.trace(reduced) / (N - 1) * np.eye(N - 1))
-    calls = _count_eigh(monkeypatch)
-    for ratio, eigensolves in ((0.9, 1), (1.1, 2)):
-        Lc = base + ratio * GROUP_RTOL * np.linalg.norm(base) / spread * star
+    vectors, values = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
+    for ratio, solves in ((0.9, (0, 1)), (1.1, (1, 0))):
+        Lc = _just_scalar(N, _star(N), ratio)
+        vectors.clear()
+        values.clear()
+        pair = simultaneous_diagonalize(Lp, Lc)
+        assert (len(vectors), len(values)) == solves, ratio
+        assert (pair.phi is None) == (ratio < 1.0)
+        _assert_joint_basis(pair, Lp, Lc, exact=False)
+
+
+@pytest.mark.parametrize("N", [16, 40])
+def test_cluster_on_which_the_physical_laplacian_is_scalar_keeps_its_basis(N, monkeypatch):
+    # a complete graph plus a small cycle, just outside the scalar test: the
+    # communication eigenvalues chain into one cluster though they differ by
+    # more than rounding. Lp complete is scalar there, so the cluster keeps the
+    # communication eigenvectors; a rotation by the rounding noise of its
+    # projection would mix them and fail the gate for Lc
+    Lp = laplacian(WeightedGraph.complete(N, 0.7))
+    calls = count_calls(monkeypatch)
+    for ratio in (1.1, 1.2, 1.3, 1.5, 3.0, 10.0):
+        Lc = _just_scalar(N, WeightedGraph.cycle(N), ratio)
         calls.clear()
         pair = simultaneous_diagonalize(Lp, Lc)
-        assert len(calls) == eigensolves, ratio
-        _assert_joint_basis(pair, Lp, Lc, exact=False)
+        assert len(calls) == 1, ratio
+        assert pair.phi is not None
+        _assert_joint_basis(pair, Lp, Lc)
+
+
+def test_pair_arrays_are_read_only_copies():
+    # both branches hand out frozen arrays, and a pair built by hand copies
+    # its inputs instead of freezing the caller's
+    Lp = laplacian(cycle4_graph(0.1))
+    for gc, has_phi in ((WeightedGraph.complete(4), False), (cycle4_graph(1.0), True)):
+        pair = simultaneous_diagonalize(Lp, laplacian(gc))
+        assert (pair.phi is not None) == has_phi
+        for arr in [pair.lambda_p, pair.lambda_c] + ([pair.phi] if has_phi else []):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+    mine = np.array([0.0, 1.0, 2.0])
+    pair = SpectralPair(None, mine, [0.0, 3.0, 3.0])
+    assert mine.flags.writeable and not pair.lambda_p.flags.writeable
+    assert not np.shares_memory(mine, pair.lambda_p)
+    assert pair.lambda_c.dtype == float and not pair.lambda_c.flags.writeable
+
+
+def _scalar_branch_models(rng):
+    """Seeded (model, just_inside) whose communication graph passes the scalar test.
+
+    A complete graph of random weight under a random physical graph, and
+    (``just_inside``) a complete graph plus a star just inside the test under
+    a physical complete-plus-star graph, which commutes with it.
+    """
+    for N in (3, 5, 8, 17, 33, 64):
+        for just_inside in (False, True):
+            if just_inside:
+                w, v = (float(x) for x in rng.uniform(0.1, 2.0, 2))
+                gp = WeightedGraph(N, [(i, j, w + (v if i == 0 else 0.0))
+                                       for i in range(N) for j in range(i + 1, N)])
+                Lc = _just_scalar(N, _star(N), float(rng.uniform(0.5, 0.95)))
+                gc = WeightedGraph(N, [(i, j, -Lc[i, j])
+                                       for i in range(N) for j in range(i + 1, N)])
+            else:
+                gp = random_connected_graph(rng, N)
+                gc = WeightedGraph.complete(N, float(rng.uniform(0.1, 3.0)))
+            n = int(rng.integers(1, 4))
+            B = rng.uniform(-1.0, 1.0, (n, 1)) + 0.2
+            alpha = float(rng.uniform(-0.5, 0.5)) / float(laplacian(gp).diagonal().max())
+            yield LimasModel(random_state_matrix(rng, n, 0.3, 1.2), B, gp, gc, alpha=alpha), \
+                just_inside
+
+
+def _radius_shift_bound(model, pairs, K) -> np.ndarray:
+    """Bauer-Fike bound on how far each modal radius moves between two pairs.
+
+    The mode matrices of the two pairs differ by (lc - lc') BK; an eigenvalue
+    of one lies within cond(X) ||(lc - lc') BK||_2 of one of the other, with X
+    the eigenvectors of the other, so each radius moves by at most the larger
+    condition number of the two times that norm.
+    """
+    modes = [model.A - spec.lambda_p[1:, None, None] * model.Ap
+             + spec.lambda_c[1:, None, None] * (model.B @ K) for spec in pairs]
+    cond = np.maximum(*(np.linalg.cond(np.linalg.eig(M)[1]) for M in modes))
+    shift = np.abs(pairs[0].lambda_c - pairs[1].lambda_c)[1:]
+    return cond * shift * np.linalg.norm(model.B @ K, 2)
+
+
+def test_scalar_branch_matches_an_eigh_reference_pair():
+    # the pair without eigenvectors against the pair the scalar branch used to
+    # form: the lifted eigh basis of the reduced Lp and the Rayleigh quotients
+    # of both Laplacians over it. The gate holds by construction only while
+    # the scalar test is no wider than the gate. With a complete graph the
+    # radii of the synthesized gain agree to 1e-12; just inside the test the
+    # pair's lambda_c is the mean of quotients that spread up to
+    # GROUP_RTOL ||Lc||_F, and the radii move within the Bauer-Fike bound of that
+    assert GROUP_RTOL <= OFFDIAG_RTOL
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(53)
+    synthesized = 0
+    for model, just_inside in _scalar_branch_models(rng):
+        Lp, Lc = model.laplacian_p, model.laplacian_c
+        pair = simultaneous_diagonalize(Lp, Lc)
+        assert pair.phi is None
+        phi = joint_basis(pair, Lp)
+        quotients = [np.einsum("ij,ij->j", phi, L @ phi) for L in (Lp, Lc)]
+        for q in quotients:
+            q[0] = 0.0
+        reference = SpectralPair(phi, *quotients)
+        spectrum = np.linalg.eigvalsh(Lp)
+        assert np.abs(np.sort(pair.lambda_p) - spectrum).max() <= 64 * eps * spectrum[-1]
+        assert np.abs(pair.lambda_c - reference.lambda_c).max() \
+            <= GROUP_RTOL * np.linalg.norm(Lc)
+        for L, lam in ((Lp, pair.lambda_p), (Lc, pair.lambda_c)):
+            assert np.linalg.norm(L @ phi - phi * lam) <= OFFDIAG_RTOL * np.linalg.norm(L)
+        try:
+            K = synthesize_gain(model, pair).K
+        except SynthesisFailed:
+            continue
+        synthesized += 1
+        moved = np.abs(modal_radii(model, pair, K) - modal_radii(model, reference, K))
+        if just_inside:
+            assert (moved <= 1e-12 + _radius_shift_bound(model, (pair, reference), K)).all()
+        else:
+            assert moved.max() <= 1e-12
+    assert synthesized >= 8
 
 
 def test_commute_check_reads_one_product_only_for_symmetric_inputs():

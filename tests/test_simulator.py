@@ -23,6 +23,7 @@ from limas.simulator import ConvergenceMetrics
 from conftest import (
     deviation,
     four_agent_model,
+    joint_basis,
     modal_deviation_norms,
     random_coupled_model,
     spectral_pair,
@@ -53,7 +54,8 @@ def test_closed_loop_congruence_with_modal_radii(showcase_model):
     spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
     M = closed_loop_matrix(showcase_model, synth.K)
-    T = np.kron(spec.phi, np.eye(showcase_model.n))
+    phi = joint_basis(spec, showcase_model.laplacian_p)
+    T = np.kron(phi, np.eye(showcase_model.n))
     rotated = T.T @ M @ T
     block = rotated[showcase_model.n:, showcase_model.n:]
     rho = np.max(np.abs(np.linalg.eigvals(block)))

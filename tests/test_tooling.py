@@ -18,6 +18,7 @@ import pytest
 from limas import analyze, cli
 from limas.errors import SchemaError
 from limas.model_io import load_model
+from conftest import count_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_PY = ROOT / "benchmarks" / "run.py"
@@ -78,6 +79,16 @@ def test_traced_analyze_sees_one_joint_diagonalization():
                   "solve_mare", "modal_radii"):
         assert calls.get(f"analysis.{layer}", 0) == 1, layer
     assert calls.get("oracle.verify_gain", 0) == 0
+
+
+def test_analyze_of_a_complete_communication_graph_forms_no_eigenvectors(monkeypatch):
+    # the showcase model communicates all-to-all: its joint pairing needs
+    # eigenvalues only, and no other stage of analyze solves for eigenvectors
+    calls = count_calls(monkeypatch, "eigh")
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["analyze", str(ROOT / "models" / "four_agent_cycle.json")])
+    assert code == 0
+    assert calls == []
 
 
 def test_near_critical_round_solves_ignore_rounding(tmp_path, workloads):
