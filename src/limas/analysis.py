@@ -12,10 +12,12 @@ consensus, and synthesizes that gain when its sufficient condition holds:
 * a sufficient condition comparing the spread of per-mode gain targets
   against a critical Riccati margin, with gain synthesis through the
   stabilizing solution of a modified algebraic Riccati equation (MARE),
-  found by Newton (policy iteration) steps along a continuation in the
-  margin sigma: each step goes to just above the sigma where the current
-  gain stops being stabilizing (exact, by Krein-Rutman, from one
-  eigenvalue problem), and Newton at the target stops once its quadratic
+  found by Newton (policy iteration) steps at the target margin sigma from
+  the mirrored-pole gain, which stabilizes there exactly when sigma exceeds
+  its critical value; when rounding defeats that start, a continuation in
+  sigma takes over, each step going to just above the sigma where the
+  current gain stops being stabilizing (exact, by Krein-Rutman, from one
+  eigenvalue problem). Newton at the target stops once its quadratic
   convergence, or its Riccati residual, has reached rounding,
 * a necessary (refutation) condition built from per-mode determinants,
 * sharper interval conditions for scalar agent dynamics,
@@ -61,13 +63,14 @@ from .oracle import verify_gain
 COUPLING_RTOL = 1e-9
 # Newton at the target sigma stops once its relative step is at most this
 # and either no longer shrinks or predicts a next step at rounding, or once
-# its relative residual stays at rounding; an intermediate sigma takes one
-# step regardless.
+# its relative residual stays at rounding; an intermediate sigma of the
+# continuation takes one step regardless.
 MARE_STEP_RTOL = 1e-6
 # A continuation trial sits this fraction of the way back from the current
 # gain's stability front to the current sigma.
 MARE_FRONT_RTOL = 0.03
-# Stein solves allowed at the target sigma; using them all up rejects that
+# Stein solves allowed at the target sigma, from the mirrored-pole start and
+# from each continuation trial; using them all up rejects that start or
 # trial. An intermediate sigma takes exactly one.
 MARE_SOLVES_PER_SIGMA = 50
 # A refutation needs the per-mode intervals of the gain coordinate to miss
@@ -325,8 +328,8 @@ def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
 class MareSolution:
     """Stabilizing solution of the modified Riccati equation at ``sigma``.
 
-    ``iterations`` counts the Stein solves spent, those of rejected
-    continuation steps included. ``residual`` is the relative Riccati
+    ``iterations`` counts the Stein solves spent, those of a failed start at
+    the target and of rejected continuation steps included. ``residual`` is the relative Riccati
     residual ||MARE(P) - P||_F / ||P||_F. ``K`` is the gain
     -(B'PB)^-1 B'P Abar of this ``P``, the one the last Newton step formed.
     """
@@ -347,13 +350,28 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     exceeds the critical margin of Abar (any sigma when Abar is Schur
     stable); below it, Divergence is raised up front. The
     controllability matrix of (Abar, B) is built once: its rank test raises
-    NotControllable, and it gives the deadbeat start.
+    NotControllable, and it places the poles of both start gains (see
+    _ackermann_gain).
 
     Otherwise P is found by Newton's method (Hewer's policy iteration): for
     a gain K, solve the linear Stein equation
     P = sigma (Abar+BK)'P(Abar+BK) + (1-sigma) Abar'P Abar + I, then set
     K = -(B'PB)^-1 B'P Abar; each step is solved for its increment over the
-    last P. A stabilizing start is carried along a continuation in sigma: at
+    last P. Newton needs a start gain whose Stein operator is Schur stable.
+
+    The first start is at the target itself: K = K_mirror / sigma, where
+    K_mirror keeps the poles of Abar inside the unit circle and mirrors each
+    other pole lam to 1 / conj(lam) (K = 0 when no pole lies outside it, so
+    sigma = 0 needs no division). Writing the random input gain of the MARE as
+    sigma (1 + delta), with delta of mean 0 and variance (1-sigma)/sigma,
+    the Stein operator of K is Schur stable exactly when
+    ||T||_2^2 (1-sigma)/sigma < 1 for T(z) = K_mirror (zI - Abar -
+    B K_mirror)^-1 B. K_mirror attains the least H2 norm over stabilizing
+    gains, ||T||_2^2 = prod |lam_u|^2 - 1 over the poles lam_u on or outside
+    the unit circle, so this start is stabilizing exactly when sigma exceeds
+    the critical margin. Near that margin rounding can still make the
+    spectral gate refuse it, or Newton fail from it; then a continuation in
+    sigma runs instead, its solves counted on top of the start's: at
     sigma = 1 the deadbeat gain makes the Stein operator nilpotent. Each
     trial sigma comes from the frontier of the current gain (see
     _frontier_step): the target itself when the gain stabilizes all the way
@@ -382,9 +400,22 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
             iterations=0)
 
     kron_a = _kron_transposed(Abar)
-    P, K = None, _deadbeat_gain(Abar, ctrb)
+    K = np.zeros((1, n))
+    if critical > 0.0:  # hence sigma > 0; a pole on the unit circle is its own mirror
+        values = np.linalg.eigvals(Abar)
+        mirrored = np.where(np.abs(values) >= 1.0, 1.0 / values.conj(), values)
+        K = _ackermann_gain(Abar, ctrb, np.poly(mirrored).real) / sigma
+    operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
+    solves = 0
+    if _schur_stable(operator):
+        newton, solves = _newton(Abar, B, sigma, None, operator, kron_a, tight=True)
+        if newton is not None:
+            P, K, residual = newton
+            return MareSolution(P, sigma, solves, residual, K)
+
+    P, K = None, _ackermann_gain(Abar, ctrb, np.poly(np.zeros(n)))
     kron_f = _kron_transposed(Abar + B @ K)
-    current, solves = 1.0, 0
+    current = 1.0
     step = _frontier_step(kron_f, kron_a, current, sigma, 1.0 - sigma)
     while True:
         trial = max(sigma, current - step)
@@ -443,15 +474,20 @@ def _frontier_step(kron_f, kron_a, current: float, sigma: float, step: float) ->
     return (1.0 - MARE_FRONT_RTOL) * reach
 
 
-def _deadbeat_gain(Abar: np.ndarray, ctrb: np.ndarray) -> np.ndarray:
-    """Ackermann gain K with (Abar + BK)^n = 0 for a single-input B.
+def _ackermann_gain(Abar: np.ndarray, ctrb: np.ndarray, poly) -> np.ndarray:
+    """Ackermann gain K giving Abar + BK the characteristic polynomial ``poly``.
 
-    ``ctrb`` is the invertible controllability matrix [B, Abar B, ...,
-    Abar^(n-1)B]; the caller builds it once, for its rank test too.
+    For a single-input B, K = -e_n' ctrb^-1 poly(Abar), with poly(Abar)
+    evaluated by Horner's rule. ``poly`` holds the monic coefficients,
+    highest power first, as np.poly returns them; ``ctrb`` is the invertible
+    controllability matrix [B, Abar B, ..., Abar^(n-1)B], which the caller
+    builds once, for its rank test too.
     """
-    n = Abar.shape[0]
-    last_row = np.linalg.solve(ctrb.T, np.eye(n)[:, -1])
-    return -(last_row @ np.linalg.matrix_power(Abar, n))[None, :]
+    identity = np.eye(len(Abar))
+    value = identity
+    for coefficient in poly[1:]:
+        value = value @ Abar + coefficient * identity
+    return -(np.linalg.solve(ctrb.T, identity[:, -1]) @ value)[None, :]
 
 
 def _kron_transposed(X: np.ndarray) -> np.ndarray:

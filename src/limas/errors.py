@@ -67,10 +67,12 @@ class Divergence(LimasError):
 
     Raised up front when sigma is at or below the critical margin, and by the
     sigma continuation once a halved step no longer moves sigma in floating
-    point. For single-input B a stabilizing solution exists at every sigma
-    above the critical margin, so a Divergence raised there is a failure of
-    the solver, not a property of the plant. ``iterations`` counts the Stein
-    solves spent (0 for the up-front refusal).
+    point; the continuation runs only after the start at the target sigma,
+    from the mirrored-pole gain, was refused or failed. For single-input B a
+    stabilizing solution exists at every sigma above the critical margin, so
+    a Divergence raised there is a failure of the solver, not a property of
+    the plant. ``iterations`` counts the Stein solves spent, the failed
+    start's included (0 for the up-front refusal).
     """
 
     def __init__(self, message: str, iterations: int = 0):

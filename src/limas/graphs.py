@@ -202,7 +202,7 @@ def commute_check(Lp, Lc) -> CommuteCheck:
     return CommuteCheck(residual <= gate, residual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPair:
     """Joint eigenstructure of two commuting Laplacians.
 
@@ -214,7 +214,8 @@ class SpectralPair:
     :func:`simultaneous_diagonalize` paired a scalar communication Laplacian
     without forming one. ``commute`` is the commutator check the pair passed
     in :func:`simultaneous_diagonalize`; a pair built by hand has none. The
-    pair holds read-only copies of its arrays.
+    pair holds read-only copies of its arrays, and compares and hashes by
+    identity.
     """
 
     phi: np.ndarray | None

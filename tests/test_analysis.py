@@ -33,7 +33,7 @@ from limas.errors import (
     NotControllable,
     SynthesisFailed,
 )
-from limas.model_io import model_from_dict
+from limas.model_io import load_model, model_from_dict
 from conftest import (
     A_SHOWCASE,
     B_SHOWCASE,
@@ -218,6 +218,36 @@ def test_solve_mare_scalar_closed_form():
         assert sol.K.tolist() == [[-2.0]]
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (-1.5, 0.5), (1.1, -3.0)])
+def test_mirrored_start_scalar_closed_form(monkeypatch, a, b):
+    # for n = 1 the start K = (1/a - a) / (b sigma) puts the start's Stein
+    # operator at 2 - a^2 + (1 - a^2)^2 / (a^2 sigma), below one iff sigma
+    # exceeds sigma_c = 1 - 1/a^2; with the early exit bypassed, solve_mare
+    # gates exactly that operator first on both sides of sigma_c
+    critical = 1.0 - 1.0 / a ** 2
+    starts = []
+    schur_stable = analysis._schur_stable
+
+    def recording(operator):
+        starts.append(operator.item())
+        return schur_stable(operator)
+
+    monkeypatch.setattr(analysis, "sigma_critical", lambda A, alpha_max: np.finfo(float).tiny)
+    monkeypatch.setattr(analysis, "_schur_stable", recording)
+    for sigma in (0.5 * critical, 0.99 * critical, critical + 1e-6, 0.5 + 0.5 * critical, 1.0):
+        radius = 2.0 - a * a + (1.0 - a * a) ** 2 / (a * a * sigma)
+        starts.clear()
+        if sigma < critical:
+            with pytest.raises(Divergence):
+                solve_mare([[a]], [[b]], sigma)
+            assert radius > 1.0
+        else:
+            sol = solve_mare([[a]], [[b]], sigma)
+            assert sol.K.item() == pytest.approx(-a / b, rel=1e-12)
+            assert radius < 1.0
+        assert starts[0] == pytest.approx(radius, rel=1e-12)
+
+
 @pytest.mark.parametrize("sigma", [0.76, 0.8, 0.9, 1.0])
 def test_solve_mare_converges_above_threshold(sigma):
     sol = solve_mare([[2.0]], [[1.0]], sigma)
@@ -319,22 +349,32 @@ def test_solve_mare_near_critical_property():
 
 
 def test_solve_mare_frontier_never_overshoots(monkeypatch, showcase_model):
-    # each trial sigma sits above the exact point where the current gain
-    # stops being stabilizing, so no trial is refused by the spectral gate
-    gated = []
-    schur_stable = analysis._schur_stable
+    # with the start at the target refused, each trial sigma of the
+    # continuation sits above the exact point where the current gain stops
+    # being stabilizing, so no trial is refused by the spectral gate
+    gated, starting = [], []
+    schur_stable, solve = analysis._schur_stable, analysis.solve_mare
+
+    def continuation_only(Abar, B, sigma):
+        starting.append(True)
+        return solve(Abar, B, sigma)
 
     def recording(operator):
+        if starting:  # the first gate of a solve is the start's: refuse it
+            starting.pop()
+            return False
         gated.append(schur_stable(operator))
         return gated[-1]
 
+    monkeypatch.setattr(analysis, "solve_mare", continuation_only)
     monkeypatch.setattr(analysis, "_schur_stable", recording)
     for where, seed in (("above", 5), ("near", 7)):
         for Abar, B, sigma in _random_mare_instances(seed, 100, where):
-            solve_mare(Abar, B, sigma)
+            analysis.solve_mare(Abar, B, sigma)
     synthesize_gain(showcase_model, spectral_pair(showcase_model))
     for sigma in (0.56, 0.6, 0.9):
-        solve_mare(A_SHOWCASE, B_SHOWCASE, sigma)
+        analysis.solve_mare(A_SHOWCASE, B_SHOWCASE, sigma)
+    assert not starting
     assert len(gated) > 300
     assert all(gated)
 
@@ -374,6 +414,23 @@ SWEEP_DIVERGENCE_COUNT = 0
 # to 1e-4 while the relative Riccati residual is at rounding; each must
 # converge.
 SWEEP_NOISY_STEP_PLANTS = (362, 563, 1353, 1432)
+# Later sweep plants (n = 5 or 6, sigma - sigma_c from 2e-9 to 3e-7) where
+# rounding makes the spectral gate refuse the start at the target, or Newton
+# fail from it; each must converge by the continuation.
+SWEEP_FALLBACK_PLANTS = (1003, 1066, 1418, 1469)
+
+
+def _count_fronts(monkeypatch) -> list[int]:
+    """Count the calls of analysis._frontier_step, one per continuation step, from here on."""
+    calls = []
+    frontier_step = analysis._frontier_step
+
+    def counting(*args):
+        calls.append(1)
+        return frontier_step(*args)
+
+    monkeypatch.setattr(analysis, "_frontier_step", counting)
+    return calls
 
 
 def _assert_stabilizing_solution(Abar, B, sigma, sol):
@@ -383,13 +440,18 @@ def _assert_stabilizing_solution(Abar, B, sigma, sol):
     assert spectral_radius(stein) < 1.0
 
 
-def test_solve_mare_near_critical_sweep():
+def test_solve_mare_near_critical_sweep(monkeypatch):
     # a stabilizing solution exists for every sigma above sigma_c, so each
-    # Divergence here is a solver failure; their number may only fall
+    # Divergence here is a solver failure; their number may only fall. The
+    # first 300 plants converge from the start at the target, without a
+    # continuation step, and the fallback plants by the continuation
+    fronts = _count_fronts(monkeypatch)
+    later = SWEEP_NOISY_STEP_PLANTS + SWEEP_FALLBACK_PLANTS
     diverged = 0
-    for index, (Abar, B, sigma) in enumerate(_near_critical_sweep(SWEEP_NOISY_STEP_PLANTS[-1] + 1)):
-        if index >= 300 and index not in SWEEP_NOISY_STEP_PLANTS:
+    for index, (Abar, B, sigma) in enumerate(_near_critical_sweep(max(later) + 1)):
+        if index >= 300 and index not in later:
             continue
+        fronts.clear()
         try:
             sol = solve_mare(Abar, B, sigma)
         except Divergence:
@@ -397,6 +459,10 @@ def test_solve_mare_near_critical_sweep():
             diverged += 1
             continue
         _assert_stabilizing_solution(Abar, B, sigma, sol)
+        if index < 300:
+            assert not fronts, f"sweep plant {index} needed the continuation"
+        elif index in SWEEP_FALLBACK_PLANTS:
+            assert fronts, f"sweep plant {index} converged from the start"
     assert diverged <= SWEEP_DIVERGENCE_COUNT
 
 
@@ -465,12 +531,27 @@ def test_solve_mare_just_above_critical_terminates(Abar, B):
         assert _relative_riccati_residual(np.asarray(Abar), np.asarray(B), sigma, sol.P) <= 1e-10
 
 
+def test_near_critical_benchmark_models_take_the_start(monkeypatch, tmp_path, workloads):
+    # the 12 near-critical benchmark models of seeds 1-3 get their Riccati
+    # gain from the start at the target, without a continuation step
+    fronts = _count_fronts(monkeypatch)
+    certified = 0
+    for seed in (1, 2, 3):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        cases, _, _ = workloads.build("riccati-near-critical", seed, workdir)
+        for case in cases:
+            certified += analyze(load_model(case.model)).gain_source == "riccati"
+    assert certified == 36
+    assert fronts == []
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
 def test_near_critical_benchmark_model_is_certified(workloads, d, n):
     # the benchmark's N = 8 cycle/complete model at sigma_c + d, which the
-    # 100 000-step fixed point could not solve at d = 1e-4; one Newton step
-    # per intermediate sigma keeps the Stein solves within 25
+    # 100 000-step fixed point could not solve at d = 1e-4; Newton from the
+    # start at the target keeps the Stein solves within 25
     poles = workloads.UNSTABLE_POLES + workloads.STABLE_POLES[: n - 2]
     w_p = workloads.physical_weight_at_gap(d, poles, 8)
     model = model_from_dict(workloads._model(

@@ -443,6 +443,15 @@ def test_pair_arrays_are_read_only_copies():
     assert pair.lambda_c.dtype == float and not pair.lambda_c.flags.writeable
 
 
+def test_pairs_compare_and_hash_by_identity():
+    # the arrays of a pair have no truth value, so two pairs of the same
+    # Laplacians are distinct objects rather than an error to compare
+    Lp, Lc = laplacian(cycle4_graph(0.1)), laplacian(cycle4_graph(1.0))
+    first, second = simultaneous_diagonalize(Lp, Lc), simultaneous_diagonalize(Lp, Lc)
+    assert first == first and first != second
+    assert len({first, first, second}) == 2
+
+
 def _scalar_branch_models(rng):
     """Seeded (model, just_inside) whose communication graph passes the scalar test.
 
