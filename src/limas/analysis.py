@@ -14,11 +14,10 @@ consensus, and synthesizes that gain when its sufficient condition holds:
   stabilizing solution of a modified algebraic Riccati equation (MARE),
   found by Newton (policy iteration) steps at the target margin sigma from
   the mirrored-pole gain, which stabilizes there exactly when sigma exceeds
-  its critical value; when rounding defeats that start, a continuation in
-  sigma takes over, each step going to just above the sigma where the
-  current gain stops being stabilizing (exact, by Krein-Rutman, from one
-  eigenvalue problem). Newton at the target stops once its quadratic
-  convergence, or its Riccati residual, has reached rounding,
+  its critical value, or, when a pole on or near the unit circle defeats
+  that start, from the same poles pulled inside by a margin. Newton stops
+  once its quadratic convergence, or its Riccati residual, has reached
+  rounding, and the gain it returns must pass a spectral gate,
 * a necessary (refutation) condition built from per-mode determinants,
 * sharper interval conditions for scalar agent dynamics,
 * direct per-mode spectral-radius verification of any candidate gain.
@@ -61,17 +60,8 @@ from .oracle import verify_gain
 
 # Ap = alpha*A holds when ||Ap - alpha*A||_F <= COUPLING_RTOL * ||A||_F.
 COUPLING_RTOL = 1e-9
-# Newton at the target sigma stops once its relative step is at most this
-# and either no longer shrinks or predicts a next step at rounding, or once
-# its relative residual stays at rounding; an intermediate sigma of the
-# continuation takes one step regardless.
-MARE_STEP_RTOL = 1e-6
-# A continuation trial sits this fraction of the way back from the current
-# gain's stability front to the current sigma.
-MARE_FRONT_RTOL = 0.03
-# Stein solves allowed at the target sigma, from the mirrored-pole start and
-# from each continuation trial; using them all up rejects that start or
-# trial. An intermediate sigma takes exactly one.
+# Stein solves allowed to one Newton run of the Riccati solve, from either
+# start gain; using them all up without an exit fails that run.
 MARE_SOLVES_PER_SIGMA = 50
 # A refutation needs the per-mode intervals of the gain coordinate to miss
 # each other by more than REFUTATION_RTOL times their largest end: Ap may
@@ -328,10 +318,11 @@ def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
 class MareSolution:
     """Stabilizing solution of the modified Riccati equation at ``sigma``.
 
-    ``iterations`` counts the Stein solves spent, those of a failed start at
-    the target and of rejected continuation steps included. ``residual`` is the relative Riccati
-    residual ||MARE(P) - P||_F / ||P||_F. ``K`` is the gain
-    -(B'PB)^-1 B'P Abar of this ``P``, the one the last Newton step formed.
+    ``iterations`` counts the Stein solves spent, those of a failed first
+    start and the one that found the rounding floor included. ``residual``
+    is the relative Riccati residual ||MARE(P) - P||_F / ||P||_F. ``K`` is
+    the gain -(B'PB)^-1 B'P Abar of this ``P``; its Stein operator passed
+    the spectral gate.
     """
 
     P: np.ndarray
@@ -347,43 +338,26 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     The equation is homogeneous of degree one in (P, Q), so the gain
     K = -(B'PB)^-1 B'P Abar does not depend on the scale of Q = q I, and
     Q = I is taken. For single-input B a solution exists exactly when sigma
-    exceeds the critical margin of Abar (any sigma when Abar is Schur
-    stable); below it, Divergence is raised up front. The
-    controllability matrix of (Abar, B) is built once: its rank test raises
-    NotControllable, and it places the poles of both start gains (see
-    _ackermann_gain).
+    exceeds the critical margin sigma_c of Abar (any sigma when Abar is
+    Schur stable); below it, Divergence is raised up front.
 
-    Otherwise P is found by Newton's method (Hewer's policy iteration): for
-    a gain K, solve the linear Stein equation
-    P = sigma (Abar+BK)'P(Abar+BK) + (1-sigma) Abar'P Abar + I, then set
-    K = -(B'PB)^-1 B'P Abar; each step is solved for its increment over the
-    last P. Newton needs a start gain whose Stein operator is Schur stable.
-
-    The first start is at the target itself: K = K_mirror / sigma, where
-    K_mirror keeps the poles of Abar inside the unit circle and mirrors each
-    other pole lam to 1 / conj(lam) (K = 0 when no pole lies outside it, so
-    sigma = 0 needs no division). Writing the random input gain of the MARE as
-    sigma (1 + delta), with delta of mean 0 and variance (1-sigma)/sigma,
-    the Stein operator of K is Schur stable exactly when
-    ||T||_2^2 (1-sigma)/sigma < 1 for T(z) = K_mirror (zI - Abar -
-    B K_mirror)^-1 B. K_mirror attains the least H2 norm over stabilizing
-    gains, ||T||_2^2 = prod |lam_u|^2 - 1 over the poles lam_u on or outside
-    the unit circle, so this start is stabilizing exactly when sigma exceeds
-    the critical margin. Near that margin rounding can still make the
-    spectral gate refuse it, or Newton fail from it; then a continuation in
-    sigma runs instead, its solves counted on top of the start's: at
-    sigma = 1 the deadbeat gain makes the Stein operator nilpotent. Each
-    trial sigma comes from the frontier of the current gain (see
-    _frontier_step): the target itself when the gain stabilizes all the way
-    down to it, else just above the sigma where the gain stops being
-    stabilizing. A trial is accepted only when the current gain's operator
-    has spectral radius below one there and its Newton steps succeed; a
-    rejected trial halves the step toward the current sigma. An
-    intermediate sigma takes one Newton step, whose gain stabilizes at that
-    sigma by Hewer's theorem and is all the next frontier needs. Only the
-    target iterates (see _newton), within MARE_SOLVES_PER_SIGMA solves. A
-    trial short of the target that the step no longer moves off the current
-    sigma in floating point raises Divergence.
+    Newton (see _policy_iteration) needs a start gain whose Stein operator
+    is Schur stable. The first is K_mirror / sigma, where K_mirror keeps the
+    poles of Abar inside the unit circle and mirrors each other pole lam to
+    1 / conj(lam) (K = 0 when sigma_c is 0). Writing the random input gain
+    as sigma (1 + delta), var(delta) = (1-sigma)/sigma, that operator is
+    Schur stable exactly when ||T||_2^2 (1-sigma)/sigma < 1 for
+    T = K_mirror (zI - Abar - B K_mirror)^-1 B = phi_Abar / phi_closed - 1,
+    and ||T||_2^2 = prod |lam_u|^2 - 1 over the poles on or outside the
+    circle, the least over stabilizing gains: so exactly when sigma > sigma_c.
+    A pole on the circle, or within rounding of it, is its own mirror and
+    leaves this start marginal. When Newton fails from it, Newton runs once
+    more from the same poles pulled to modulus at most
+    r = max(0, 2 s^(1/4n) - 1), s = (1-sigma)/(1-sigma_c) < 1: a pulled
+    factor of T + 1 has H-infinity norm at most 2/(1+r) times |lam| or 1,
+    so (1-sigma) ||T + 1||_2^2 <= sqrt(s) < 1, a stabilizing start by a
+    margin. Divergence is raised when both runs fail, or the one run at
+    sigma = 0.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -401,93 +375,96 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
 
     kron_a = _kron_transposed(Abar)
     K = np.zeros((1, n))
-    if critical > 0.0:  # hence sigma > 0; a pole on the unit circle is its own mirror
-        values = np.linalg.eigvals(Abar)
-        mirrored = np.where(np.abs(values) >= 1.0, 1.0 / values.conj(), values)
-        K = _ackermann_gain(Abar, ctrb, np.poly(mirrored).real) / sigma
-    operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
-    solves = 0
-    if _schur_stable(operator):
-        newton, solves = _newton(Abar, B, sigma, None, operator, kron_a, tight=True)
-        if newton is not None:
-            P, K, residual = newton
-            return MareSolution(P, sigma, solves, residual, K)
-
-    P, K = None, _ackermann_gain(Abar, ctrb, np.poly(np.zeros(n)))
-    kron_f = _kron_transposed(Abar + B @ K)
-    current = 1.0
-    step = _frontier_step(kron_f, kron_a, current, sigma, 1.0 - sigma)
-    while True:
-        trial = max(sigma, current - step)
-        if sigma < trial == current:
-            raise Divergence(
-                f"sigma continuation stalled {current - sigma:.3g} above "
-                f"sigma = {sigma:.12g} after {solves} Stein solves",
-                iterations=solves)
-        operator = _stein_operator(kron_f, kron_a, trial)
-        newton = None
-        if _schur_stable(operator):
-            newton, used = _newton(Abar, B, trial, P, operator, kron_a,
-                                   tight=trial == sigma)
-            solves += used
-        if newton is None:
-            step /= 2.0
-            continue
-        P, K, residual = newton
-        if trial == sigma:
-            return MareSolution(P, sigma, solves, residual, K)
-        current = trial
-        kron_f = _kron_transposed(Abar + B @ K)
-        step = _frontier_step(kron_f, kron_a, current, sigma, step)
-
-
-def _frontier_step(kron_f, kron_a, current: float, sigma: float, step: float) -> float:
-    """Distance from ``current`` down to the next trial sigma of the continuation.
-
-    The Stein operator T(s) = s kron_f + (1-s) kron_a of the current gain
-    maps PSD matrices to PSD matrices, so by Krein-Rutman its spectral
-    radius is one of its eigenvalues. T(current) is Schur stable (Hewer's
-    step keeps it so), hence as s falls stability is first lost at the
-    largest s < current where 1 is an eigenvalue of T(s): s = current + 1/mu
-    for the real negative eigenvalues mu of (I - T(current))^-1 (kron_f -
-    kron_a), the front being that of the least mu. Every computed mu with a
-    negative real part counts by that real part: rounding may return the
-    front's mu as a near-real complex pair (a repeated eigenvalue), and a
-    complex mu only moves the front toward ``current``, never past the
-    exact one. I - T(current) is invertible because T(current) is stable,
-    while I - kron_a is singular whenever two eigenvalues of Abar multiply
-    to one. When the front lies below ``sigma`` (or no such mu exists) the
-    step reaches ``sigma``; otherwise it stops MARE_FRONT_RTOL of the way
-    back from the front to ``current``. A failed solve or eigenvalue
-    computation leaves the front unknown, and ``step`` is halved instead.
-    """
-    stein = _stein_operator(kron_f, kron_a, current)
+    if critical > 0.0:  # hence sigma > 0
+        K = _start_gain(Abar, ctrb, sigma, 1.0)
     try:
-        mu = np.linalg.eigvals(np.linalg.solve(np.eye(len(stein)) - stein,
-                                               kron_f - kron_a))
-    except np.linalg.LinAlgError:
-        return step / 2.0
-    mu = mu.real[mu.real < 0.0]  # a near-real pair keeps its real part
-    reach = -1.0 / float(mu.min()) if mu.size else np.inf
-    if reach > current - sigma:
-        return current - sigma
-    return (1.0 - MARE_FRONT_RTOL) * reach
+        return _policy_iteration(Abar, B, sigma, K, kron_a, 0)
+    except Divergence as exc:
+        if sigma == 0.0:
+            raise
+        first = exc
+    radius = max(0.0, 2.0 * ((1.0 - sigma) / (1.0 - critical)) ** (0.25 / n) - 1.0)
+    K = _start_gain(Abar, ctrb, sigma, radius)
+    try:
+        return _policy_iteration(Abar, B, sigma, K, kron_a, first.iterations)
+    except Divergence as exc:
+        raise Divergence(f"{first}; from the pulled start, {exc}",
+                         iterations=exc.iterations) from None
 
 
-def _ackermann_gain(Abar: np.ndarray, ctrb: np.ndarray, poly) -> np.ndarray:
-    """Ackermann gain K giving Abar + BK the characteristic polynomial ``poly``.
+def _start_gain(Abar: np.ndarray, ctrb: np.ndarray, sigma: float, radius: float) -> np.ndarray:
+    """Newton's start gain K / sigma, K placing the poles of Abar + BK.
 
-    For a single-input B, K = -e_n' ctrb^-1 poly(Abar), with poly(Abar)
-    evaluated by Horner's rule. ``poly`` holds the monic coefficients,
-    highest power first, as np.poly returns them; ``ctrb`` is the invertible
+    The poles are those of Abar, each one outside the unit circle mirrored
+    to 1 / conj(lam), then each one above ``radius`` in modulus pulled to it.
+    Ackermann's formula gives K = -e_n' ctrb^-1 poly(Abar) for their monic
+    polynomial, evaluated by Horner's rule; ``ctrb`` is the invertible
     controllability matrix [B, Abar B, ..., Abar^(n-1)B], which the caller
     builds once, for its rank test too.
     """
+    values = np.linalg.eigvals(Abar)
+    placed = np.where(np.abs(values) >= 1.0, 1.0 / values.conj(), values)
+    far = np.abs(placed) > radius
+    placed[far] *= radius / np.abs(placed[far])
     identity = np.eye(len(Abar))
     value = identity
-    for coefficient in poly[1:]:
+    for coefficient in np.poly(placed).real[1:]:
         value = value @ Abar + coefficient * identity
-    return -(np.linalg.solve(ctrb.T, identity[:, -1]) @ value)[None, :]
+    return -(np.linalg.solve(ctrb.T, identity[:, -1]) @ value)[None, :] / sigma
+
+
+def _policy_iteration(Abar, B, sigma: float, K, kron_a, spent: int) -> MareSolution:
+    """Newton's method (Hewer's policy iteration) for the MARE from the gain K.
+
+    Each step solves the Stein equation of K,
+    P = sigma (Abar+BK)'P(Abar+BK) + (1-sigma) Abar'P Abar + I, for its
+    increment over the last P (so the rounding is relative to the
+    increment), then sets K = -(B'PB)^-1 B'P Abar. There are two exits.
+    After the first step, a relative step predicting a next one at machine
+    epsilon under quadratic convergence, step^3 <= eps prev_step^2, returns
+    this iterate. From the third solve on, a residual ||MARE(P) - P||_F not
+    below the last one (not divided by ||P||, which falls along the
+    iteration) marks the rounding floor, and the last iterate is returned.
+    Right after a step that moved P by more than ||P||, neither judges the
+    iterate: the prediction counts that step as 1, and the floor test waits.
+    The returned gain must pass the spectral gate; a refused gain, a
+    singular solve, B'PB <= 0 or MARE_SOLVES_PER_SIGMA solves raise
+    Divergence. ``iterations`` adds the solves to ``spent``.
+    """
+    n = Abar.shape[0]
+    operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
+    identity = np.eye(n * n)
+    eps = np.finfo(float).eps
+    P, defect, residual, prev_step = np.zeros((n, n)), np.eye(n), np.inf, None
+
+    def divergence(reason: str, solves: int) -> Divergence:
+        return Divergence(f"Newton at sigma = {sigma:.12g} stopped after {spent + solves} "
+                          f"Stein solves: {reason}", iterations=spent + solves)
+
+    for solves in range(1, MARE_SOLVES_PER_SIGMA + 1):
+        try:
+            increment = np.linalg.solve(identity - operator, defect.ravel()).reshape(n, n)
+        except np.linalg.LinAlgError:
+            raise divergence("singular Stein equation", solves) from None
+        trial = P + (increment + increment.T) / 2.0
+        trial_defect, trial_K = _riccati_defect(Abar, B, sigma, trial)
+        if trial_K is None:
+            raise divergence("B'PB is not positive", solves)
+        step = float(np.linalg.norm(increment)) / float(np.linalg.norm(trial))
+        trial_residual = float(np.linalg.norm(trial_defect))
+        converged = prev_step is not None and step ** 3 <= eps * min(prev_step, 1.0) ** 2
+        if not converged and solves >= 3 and prev_step <= 1.0 and trial_residual >= residual:
+            break  # the rounding floor: keep P, whose operator is at hand
+        P, defect, K, residual = trial, trial_defect, trial_K, trial_residual
+        operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
+        if converged:
+            break
+        prev_step = step
+    else:
+        raise divergence("no convergence", MARE_SOLVES_PER_SIGMA)
+    if not _schur_stable(operator):
+        raise divergence("the gain is not stabilizing", solves)
+    return MareSolution(P, sigma, spent + solves, residual / float(np.linalg.norm(P)), K)
 
 
 def _kron_transposed(X: np.ndarray) -> np.ndarray:
@@ -508,57 +485,6 @@ def _schur_stable(operator) -> bool:
         return float(np.abs(np.linalg.eigvals(operator)).max()) < 1.0
     except np.linalg.LinAlgError:
         return False
-
-
-def _newton(Abar, B, sigma: float, P, operator, kron_a, tight: bool):
-    """Newton steps at one sigma; returns ((P, K, residual) or None, solves).
-
-    ``operator`` is the Schur-stable Stein operator of the gain K that is
-    optimal for ``P``, or of the start gain when ``P`` is None. Each step
-    solves for the increment D = operator(D) + MARE(P) - P, which equals
-    Hewer's step P_next = operator(P_next) + I but keeps the rounding of the
-    solve relative to the shrinking increment rather than to P. Without
-    ``tight`` (an intermediate sigma) one step is taken; with it (the
-    target), steps go on until the relative step is at most MARE_STEP_RTOL
-    and either no longer shrinks or, converging quadratically, predicts a
-    next step rel_step^3 / prev_step^2 at most machine epsilon. They also
-    stop once two relative Riccati residuals in a row are at rounding, at
-    most n eps (1 + ||Abar||_F^2), and the gain's operator is Schur stable:
-    the last step then started from a solution exact to rounding. Near
-    sigma_c the Stein equation is so badly conditioned that the step itself
-    can stay at a rounding noise of 1e-6 to 1e-4, above MARE_STEP_RTOL.
-    The result is None when a Stein solve is singular, B'PB is not
-    positive, or MARE_SOLVES_PER_SIGMA solves pass without convergence.
-    """
-    n = Abar.shape[0]
-    identity = np.eye(n * n)
-    eps = np.finfo(float).eps
-    rounding = n * eps * (1.0 + float(np.linalg.norm(Abar)) ** 2)
-    if P is None:
-        P, defect = np.zeros((n, n)), np.eye(n)
-    else:
-        defect, _ = _riccati_defect(Abar, B, sigma, P)
-    prev_step, prev_residual = None, np.inf
-    for solves in range(1, MARE_SOLVES_PER_SIGMA + 1):
-        try:
-            increment = np.linalg.solve(identity - operator, defect.ravel()).reshape(n, n)
-        except np.linalg.LinAlgError:
-            return None, solves
-        P = P + (increment + increment.T) / 2.0
-        defect, K = _riccati_defect(Abar, B, sigma, P)
-        if K is None:
-            return None, solves
-        norm_P = float(np.linalg.norm(P))
-        rel_step = float(np.linalg.norm(increment)) / norm_P
-        residual = float(np.linalg.norm(defect)) / norm_P
-        if not tight or prev_step is not None and rel_step <= MARE_STEP_RTOL and (
-                prev_step <= rel_step or rel_step ** 3 <= eps * prev_step ** 2):
-            return (P, K, residual), solves
-        operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
-        if max(prev_residual, residual) <= rounding and _schur_stable(operator):
-            return (P, K, residual), solves
-        prev_step, prev_residual = rel_step, residual
-    return None, MARE_SOLVES_PER_SIGMA
 
 
 def _riccati_defect(Abar, B, sigma: float, P):

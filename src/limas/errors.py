@@ -65,14 +65,14 @@ class NotControllable(LimasError):
 class Divergence(LimasError):
     """The modified Riccati solve found no stabilizing solution at this sigma.
 
-    Raised up front when sigma is at or below the critical margin, and by the
-    sigma continuation once a halved step no longer moves sigma in floating
-    point; the continuation runs only after the start at the target sigma,
-    from the mirrored-pole gain, was refused or failed. For single-input B a
-    stabilizing solution exists at every sigma above the critical margin, so
-    a Divergence raised there is a failure of the solver, not a property of
-    the plant. ``iterations`` counts the Stein solves spent, the failed
-    start's included (0 for the up-front refusal).
+    Raised up front when sigma is at or below the critical margin, and when
+    Newton at sigma fails from both of its start gains: its returned gain is
+    not stabilizing, a Stein solve is singular, B'PB is not positive, or the
+    solve cap is reached. For single-input B a stabilizing solution exists
+    at every sigma above the critical margin, so a Divergence raised there
+    is a failure of the solver, not a property of the plant: close to the
+    margin rounding can defeat Newton. ``iterations`` counts the Stein
+    solves spent (0 for the up-front refusal).
     """
 
     def __init__(self, message: str, iterations: int = 0):

@@ -110,13 +110,13 @@ def test_analyze_text_without_joint_spectrum(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_text_names_the_synthesis_failure(showcase_file, capsys, monkeypatch):
-    def stalled(Abar, B, sigma):
-        raise Divergence("sigma continuation stalled 1e-12 above sigma = 0.5")
+    def failing(Abar, B, sigma):
+        raise Divergence("Newton at sigma = 0.5 stopped after 50 Stein solves: no convergence")
 
-    monkeypatch.setattr(analysis, "solve_mare", stalled)
+    monkeypatch.setattr(analysis, "solve_mare", failing)
     assert main(["analyze", showcase_file]) == 3
     lines = capsys.readouterr().out.splitlines()
-    assert "gain: none (sigma continuation stalled 1e-12 above sigma = 0.5)" in lines
+    assert "gain: none (Newton at sigma = 0.5 stopped after 50 Stein solves: no convergence)" in lines
     assert lines[-1] == "verdict: INCONCLUSIVE"
 
 
