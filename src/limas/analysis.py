@@ -13,11 +13,11 @@ consensus, and synthesizes that gain when its sufficient condition holds:
   against a critical Riccati margin, with gain synthesis through the
   stabilizing solution of a modified algebraic Riccati equation (MARE),
   found by Newton (policy iteration) steps at the target margin sigma from
-  the mirrored-pole gain, which stabilizes there exactly when sigma exceeds
-  its critical value, or, when a pole on or near the unit circle defeats
-  that start, from the same poles pulled inside by a margin. Newton stops
-  once its quadratic convergence, or its Riccati residual, has reached
-  rounding, and the gain it returns must pass a spectral gate,
+  one start gain, which mirrors the unstable poles and pulls every pole
+  inside the unit circle by a margin, so that it stabilizes whenever sigma
+  exceeds its critical value. Newton stops once its quadratic convergence,
+  or its Riccati residual, has reached rounding, and the gain it returns
+  must pass a spectral gate,
 * a necessary (refutation) condition built from per-mode determinants,
 * sharper interval conditions for scalar agent dynamics,
 * direct per-mode spectral-radius verification of any candidate gain.
@@ -60,8 +60,8 @@ from .oracle import verify_gain
 
 # Ap = alpha*A holds when ||Ap - alpha*A||_F <= COUPLING_RTOL * ||A||_F.
 COUPLING_RTOL = 1e-9
-# Stein solves allowed to one Newton run of the Riccati solve, from either
-# start gain; using them all up without an exit fails that run.
+# Stein solves allowed to the one Newton run of the Riccati solve; using them
+# all up without an exit fails it.
 MARE_SOLVES_PER_SIGMA = 50
 # A refutation needs the per-mode intervals of the gain coordinate to miss
 # each other by more than REFUTATION_RTOL times their largest end: Ap may
@@ -241,7 +241,11 @@ def sigma_critical(A, alpha_max: float) -> float:
     Zero when alpha_max * A is Schur stable; otherwise one minus the inverse
     squared product of its eigenvalues on or outside the unit circle.
     """
-    values = eig_general(alpha_max * as_square(A, name="A"))
+    return _critical_margin(eig_general(alpha_max * as_square(A, name="A")))
+
+
+def _critical_margin(values: np.ndarray) -> float:
+    """:func:`sigma_critical` of a matrix with the eigenvalues ``values``."""
     mags = np.abs(values)
     if float(mags.max()) < 1.0:
         return 0.0
@@ -318,11 +322,10 @@ def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
 class MareSolution:
     """Stabilizing solution of the modified Riccati equation at ``sigma``.
 
-    ``iterations`` counts the Stein solves spent, those of a failed first
-    start and the one that found the rounding floor included. ``residual``
-    is the relative Riccati residual ||MARE(P) - P||_F / ||P||_F. ``K`` is
-    the gain -(B'PB)^-1 B'P Abar of this ``P``; its Stein operator passed
-    the spectral gate.
+    ``iterations`` counts the Stein solves spent, the one that found the
+    rounding floor included. ``residual`` is the relative Riccati residual
+    ||MARE(P) - P||_F / ||P||_F. ``K`` is the gain -(B'PB)^-1 B'P Abar of
+    this ``P``; its Stein operator passed the spectral gate.
     """
 
     P: np.ndarray
@@ -341,23 +344,19 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     exceeds the critical margin sigma_c of Abar (any sigma when Abar is
     Schur stable); below it, Divergence is raised up front.
 
-    Newton (see _policy_iteration) needs a start gain whose Stein operator
-    is Schur stable. The first is K_mirror / sigma, where K_mirror keeps the
-    poles of Abar inside the unit circle and mirrors each other pole lam to
-    1 / conj(lam) (K = 0 when sigma_c is 0). Writing the random input gain
-    as sigma (1 + delta), var(delta) = (1-sigma)/sigma, that operator is
-    Schur stable exactly when ||T||_2^2 (1-sigma)/sigma < 1 for
-    T = K_mirror (zI - Abar - B K_mirror)^-1 B = phi_Abar / phi_closed - 1,
-    and ||T||_2^2 = prod |lam_u|^2 - 1 over the poles on or outside the
-    circle, the least over stabilizing gains: so exactly when sigma > sigma_c.
-    A pole on the circle, or within rounding of it, is its own mirror and
-    leaves this start marginal. When Newton fails from it, Newton runs once
-    more from the same poles pulled to modulus at most
-    r = max(0, 2 s^(1/4n) - 1), s = (1-sigma)/(1-sigma_c) < 1: a pulled
-    factor of T + 1 has H-infinity norm at most 2/(1+r) times |lam| or 1,
-    so (1-sigma) ||T + 1||_2^2 <= sqrt(s) < 1, a stabilizing start by a
-    margin. Divergence is raised when both runs fail, or the one run at
-    sigma = 0.
+    Newton (see _policy_iteration) runs once, from K = 0 at sigma = 0 and
+    otherwise from K / sigma, where K keeps the poles of Abar inside the unit
+    circle, mirrors each other pole lam to 1 / conj(lam), and pulls each pole
+    to modulus at most r = max(0, 2 s^(1/4n) - 1), s = (1-sigma)/(1-sigma_c)
+    < 1. Writing the random input gain as sigma (1 + delta),
+    var(delta) = (1-sigma)/sigma, the Stein operator of that start is Schur
+    stable exactly when (1-sigma) ||T + 1||_2^2 < 1 for
+    T = K (zI - Abar - B K)^-1 B = phi_Abar / phi_closed - 1. A pulled factor
+    of T + 1 has H-infinity norm at most 2/(1+r) times |lam| or 1, so
+    (1-sigma) ||T + 1||_2^2 <= sqrt(s) < 1: the start is stabilizing by a
+    margin, also when a pole on the circle, or within rounding of it, would
+    be its own mirror. Divergence is raised when Newton fails. The spectrum
+    of Abar is taken once, for sigma_c and for the start.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -367,42 +366,32 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     ctrb = controllability_matrix(Abar, B)
     if not has_full_row_rank(ctrb):
         raise NotControllable("(Abar, B) fails the controllability rank test")
-    critical = sigma_critical(Abar, 1.0)
+    values = eig_general(Abar)
+    critical = _critical_margin(values)
     if critical > 0.0 and sigma <= critical:
         raise Divergence(
             f"sigma = {sigma:g} is at or below the critical margin {critical:g}",
             iterations=0)
 
-    kron_a = _kron_transposed(Abar)
     K = np.zeros((1, n))
-    if critical > 0.0:  # hence sigma > 0
-        K = _start_gain(Abar, ctrb, sigma, 1.0)
-    try:
-        return _policy_iteration(Abar, B, sigma, K, kron_a, 0)
-    except Divergence as exc:
-        if sigma == 0.0:
-            raise
-        first = exc
-    radius = max(0.0, 2.0 * ((1.0 - sigma) / (1.0 - critical)) ** (0.25 / n) - 1.0)
-    K = _start_gain(Abar, ctrb, sigma, radius)
-    try:
-        return _policy_iteration(Abar, B, sigma, K, kron_a, first.iterations)
-    except Divergence as exc:
-        raise Divergence(f"{first}; from the pulled start, {exc}",
-                         iterations=exc.iterations) from None
+    if sigma > 0.0:
+        radius = max(0.0, 2.0 * ((1.0 - sigma) / (1.0 - critical)) ** (0.25 / n) - 1.0)
+        K = _start_gain(Abar, values, ctrb, sigma, radius)
+    return _policy_iteration(Abar, B, sigma, K)
 
 
-def _start_gain(Abar: np.ndarray, ctrb: np.ndarray, sigma: float, radius: float) -> np.ndarray:
+def _start_gain(Abar: np.ndarray, values: np.ndarray, ctrb: np.ndarray, sigma: float,
+                radius: float) -> np.ndarray:
     """Newton's start gain K / sigma, K placing the poles of Abar + BK.
 
-    The poles are those of Abar, each one outside the unit circle mirrored
-    to 1 / conj(lam), then each one above ``radius`` in modulus pulled to it.
-    Ackermann's formula gives K = -e_n' ctrb^-1 poly(Abar) for their monic
-    polynomial, evaluated by Horner's rule; ``ctrb`` is the invertible
-    controllability matrix [B, Abar B, ..., Abar^(n-1)B], which the caller
-    builds once, for its rank test too.
+    The poles are the eigenvalues ``values`` of Abar, each one outside the
+    unit circle mirrored to 1 / conj(lam), then each one above ``radius`` in
+    modulus pulled to it. Ackermann's formula gives K = -e_n' ctrb^-1
+    poly(Abar) for their monic polynomial, evaluated by Horner's rule;
+    ``ctrb`` is the invertible controllability matrix
+    [B, Abar B, ..., Abar^(n-1)B], which the caller builds once, for its rank
+    test too.
     """
-    values = np.linalg.eigvals(Abar)
     placed = np.where(np.abs(values) >= 1.0, 1.0 / values.conj(), values)
     far = np.abs(placed) > radius
     placed[far] *= radius / np.abs(placed[far])
@@ -413,7 +402,7 @@ def _start_gain(Abar: np.ndarray, ctrb: np.ndarray, sigma: float, radius: float)
     return -(np.linalg.solve(ctrb.T, identity[:, -1]) @ value)[None, :] / sigma
 
 
-def _policy_iteration(Abar, B, sigma: float, K, kron_a, spent: int) -> MareSolution:
+def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
     """Newton's method (Hewer's policy iteration) for the MARE from the gain K.
 
     Each step solves the Stein equation of K,
@@ -429,17 +418,18 @@ def _policy_iteration(Abar, B, sigma: float, K, kron_a, spent: int) -> MareSolut
     iterate: the prediction counts that step as 1, and the floor test waits.
     The returned gain must pass the spectral gate; a refused gain, a
     singular solve, B'PB <= 0 or MARE_SOLVES_PER_SIGMA solves raise
-    Divergence. ``iterations`` adds the solves to ``spent``.
+    Divergence, whose ``iterations`` counts the solves spent.
     """
     n = Abar.shape[0]
+    kron_a = _kron_transposed(Abar)
     operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
     identity = np.eye(n * n)
     eps = np.finfo(float).eps
     P, defect, residual, prev_step = np.zeros((n, n)), np.eye(n), np.inf, None
 
     def divergence(reason: str, solves: int) -> Divergence:
-        return Divergence(f"Newton at sigma = {sigma:.12g} stopped after {spent + solves} "
-                          f"Stein solves: {reason}", iterations=spent + solves)
+        return Divergence(f"Newton at sigma = {sigma:.12g} stopped after {solves} "
+                          f"Stein solves: {reason}", iterations=solves)
 
     for solves in range(1, MARE_SOLVES_PER_SIGMA + 1):
         try:
@@ -464,7 +454,7 @@ def _policy_iteration(Abar, B, sigma: float, K, kron_a, spent: int) -> MareSolut
         raise divergence("no convergence", MARE_SOLVES_PER_SIGMA)
     if not _schur_stable(operator):
         raise divergence("the gain is not stabilizing", solves)
-    return MareSolution(P, sigma, spent + solves, residual / float(np.linalg.norm(P)), K)
+    return MareSolution(P, sigma, solves, residual / float(np.linalg.norm(P)), K)
 
 
 def _kron_transposed(X: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ class Divergence(LimasError):
     """The modified Riccati solve found no stabilizing solution at this sigma.
 
     Raised up front when sigma is at or below the critical margin, and when
-    Newton at sigma fails from both of its start gains: its returned gain is
+    Newton at sigma fails from its start gain: its returned gain is
     not stabilizing, a Stein solve is singular, B'PB is not positive, or the
     solve cap is reached. For single-input B a stabilizing solution exists
     at every sigma above the critical margin, so a Divergence raised there

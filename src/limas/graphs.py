@@ -6,11 +6,12 @@ physical and the communication Laplacian, paired positionally by one
 orthogonal basis that diagonalizes both at once. It exists only for commuting
 Laplacians, and :func:`simultaneous_diagonalize`, which forms it, checks the
 commutator once and hands that check on with the pair or with its refusal.
-The basis has first column 1/sqrt(N) and the others in the deviation basis
-of :func:`limas.linalg.ones_completion`, one Householder reflector. It is
-formed only where the pairing needs it: when the communication Laplacian is
-scalar on the deviations (a complete graph) every such basis pairs the two
-lists, and the pair carries only the eigenvalues.
+That basis is 1/sqrt(N) and a basis V of the deviations from consensus, in
+the coordinates of one Householder reflector
+(:func:`limas.linalg.in_completion_basis`). It is never lifted to the full
+space: the pairing and its gate are read in those coordinates, and when the
+communication Laplacian is scalar on the deviations (a complete graph) every
+such V pairs the two lists and none is formed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotCommuting, ShapeMismatch
-from .linalg import as_square, in_completion_basis, lift_deviation_basis
+from .linalg import as_square, in_completion_basis
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
 COMMUTE_RTOL = 1e-9
@@ -30,8 +31,9 @@ COMMUTE_RTOL = 1e-9
 # within it of a multiple of the identity the reduced Lc counts as scalar, and
 # (relative to ||Lp_red||_F) the reduced Lp on a cluster of Lc's eigenvalues.
 GROUP_RTOL = 1e-8
-# Joint-diagonalization check: ||L phi - phi diag||_F <= OFFDIAG_RTOL * ||L||_F,
-# which for an orthogonal phi is ||phi' L phi - diag||_F.
+# Joint-diagonalization check: ||L_red V - V diag||_F <= OFFDIAG_RTOL * ||L||_F
+# for the deviation basis V, which for the orthogonal lifted basis phi is
+# ||phi' L phi - diag||_F up to rounding.
 OFFDIAG_RTOL = 1e-8
 # Node pairs are keyed as i*N + j in int64, which stays exact up to this N.
 MAX_NODES = 2**31
@@ -204,32 +206,26 @@ def commute_check(Lp, Lc) -> CommuteCheck:
 
 @dataclass(frozen=True, eq=False)
 class SpectralPair:
-    """Joint eigenstructure of two commuting Laplacians.
+    """Joint eigenvalues of two commuting Laplacians.
 
     Entry i of ``lambda_p`` and of ``lambda_c`` are the eigenvalues of the
     physical and of the communication Laplacian on one shared eigenvector,
     entry 0 on the consensus direction 1/sqrt(N). Beyond the leading zeros
-    the lists carry no magnitude ordering. ``phi`` is that orthogonal basis,
-    column i the eigenvector of entry i, or None when
-    :func:`simultaneous_diagonalize` paired a scalar communication Laplacian
-    without forming one. ``commute`` is the commutator check the pair passed
-    in :func:`simultaneous_diagonalize`; a pair built by hand has none. The
-    pair holds read-only copies of its arrays, and compares and hashes by
-    identity.
+    the lists carry no magnitude ordering. ``commute`` is the commutator
+    check the pair passed in :func:`simultaneous_diagonalize`; a pair built
+    by hand has none. The pair holds read-only copies of its arrays, and
+    compares and hashes by identity.
     """
 
-    phi: np.ndarray | None
     lambda_p: np.ndarray
     lambda_c: np.ndarray
     commute: CommuteCheck | None = None
 
     def __post_init__(self):
-        for name in ("phi", "lambda_p", "lambda_c"):
-            value = getattr(self, name)
-            if value is not None:
-                arr = np.array(value, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name in ("lambda_p", "lambda_c"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
@@ -238,17 +234,18 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     Raises NotCommuting when the commutator fails the COMMUTE_RTOL gate;
     :func:`commute_check` is also the one validation of both inputs. The
     communication Laplacian is reduced to the complement of the all-ones
-    direction (a shared kernel vector of any Laplacian) in the basis W of
-    :func:`ones_completion`, as one rank-two update.
+    direction (a shared kernel vector of any Laplacian), in the deviation
+    columns W of one Householder reflector, as one rank-two update
+    (:func:`limas.linalg.in_completion_basis`).
 
     When the reduced communication Laplacian is scalar, ||Lc_red - c I||_F <=
     GROUP_RTOL * ||Lc||_F with c = trace(Lc) / (N - 1) its mean eigenvalue on
     the deviations (a complete graph), every orthonormal basis of the
     deviations diagonalizes it. The pair is then lambda_p, the ascending
     eigvalsh of the physical Laplacian with entry 0 (the consensus mode) set
-    to 0, and lambda_c = [0, c, ..., c]; ``phi`` is None, as no eigenvector is
-    formed. The full-space spectrum skips the reduction's rounding, which
-    reads a two-node graph's 0.2 as 0.19999999999999998. The joint-basis gate
+    to 0, and lambda_c = [0, c, ..., c]; no eigenvector is formed. The
+    full-space spectrum skips the reduction's rounding, which reads a
+    two-node graph's 0.2 as 0.19999999999999998. The joint-basis gate
     holds by construction and is not computed: over the lifted eigenbasis of
     the reduced physical Laplacian its residual is that eigensolve's backward
     error, and over any orthonormal deviation basis the communication
@@ -257,17 +254,19 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     OFFDIAG_RTOL * ||Lc||_F.
 
     Otherwise the physical Laplacian is reduced too, the reduced
-    communication Laplacian is eigendecomposed, its eigenvalues grouped into
-    near-degenerate clusters (within GROUP_RTOL * ||Lc||_F), and the reduced
-    physical Laplacian is diagonalized inside each cluster of more than one
-    eigenvalue on which it is not already scalar (:func:`_rotate_clusters`).
-    Repeated communication eigenvalues are therefore handled exactly where
-    naive pairing would fail. V is lifted once, phi = [1/sqrt(N), W V], as a
-    rank-one update (:func:`lift_deviation_basis`), and the full-space
-    Rayleigh quotients of phi are the paired eigenvalues; raises
-    DegenerateSpectrum when the eigen-residual ||L phi - phi diag||_F, which
-    for an orthogonal phi is the off-diagonal residual of phi' L phi, exceeds
-    OFFDIAG_RTOL * ||L||_F for either Laplacian.
+    communication Laplacian is eigendecomposed, Lc_red = V diag V', its
+    eigenvalues grouped into near-degenerate clusters (within
+    GROUP_RTOL * ||Lc||_F), and the reduced physical Laplacian is
+    diagonalized inside each cluster of more than one eigenvalue on which it
+    is not already scalar (:func:`_rotate_clusters`, which rotates
+    P = Lp_red V with V). Repeated communication eigenvalues are therefore
+    handled exactly where naive pairing would fail. The paired eigenvalues
+    are 0 and the Rayleigh quotients of the columns of V, read from P and
+    Lc_red V; raises DegenerateSpectrum when the eigen-residual
+    ||L_red V - V diag||_F exceeds OFFDIAG_RTOL * ||L||_F for either
+    Laplacian. As W'W = I and 1'L = 0, that residual is
+    ||L phi - phi diag||_F of the lifted basis phi = [1/sqrt(N), W V] up to
+    rounding, the off-diagonal residual of phi' L phi.
     """
     commute = commute_check(Lp, Lc)
     if not commute.ok:
@@ -283,7 +282,7 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
         lambda_p[0] = 0.0
         lambda_c = np.full(N, c)
         lambda_c[0] = 0.0
-        return SpectralPair(None, lambda_p, lambda_c, commute)
+        return SpectralPair(lambda_p, lambda_c, commute)
 
     Lp_red = in_completion_basis(Lp)[1:, 1:]
     wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
@@ -298,46 +297,48 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
         if stop - start > 1:
             starts.setdefault(stop - start, []).append(start)
         start = stop
+    P = Lp_red @ V
     if starts:
-        _rotate_clusters(V, Lp_red, starts)
+        _rotate_clusters(V, P, Lp_red, starts)
 
-    phi = lift_deviation_basis(V)
     paired = []
-    for L, tag in ((Lp, "physical"), (Lc, "communication")):
-        residual = L @ phi
-        lam = np.einsum("ij,ij->j", phi, residual)
-        lam[0] = 0.0
-        residual -= phi * lam
-        norm = float(np.linalg.norm(residual))
+    for LV, L, tag in ((P, Lp, "physical"), (Lc_red @ V, Lc, "communication")):
+        lam = np.einsum("ij,ij->j", V, LV)
+        LV -= V * lam
+        norm = float(np.linalg.norm(LV))
         if norm > OFFDIAG_RTOL * float(np.linalg.norm(L)):
             raise DegenerateSpectrum(
                 f"off-diagonal residual {norm:g} too large "
                 f"for the {tag} Laplacian", commute)
-        paired.append(lam)
+        paired.append(np.concatenate(([0.0], lam)))
 
-    return SpectralPair(phi, *paired, commute)
+    return SpectralPair(*paired, commute)
 
 
-def _rotate_clusters(V: np.ndarray, Lp_red: np.ndarray, starts: dict[int, list[int]]) -> None:
+def _rotate_clusters(V: np.ndarray, P: np.ndarray, Lp_red: np.ndarray,
+                     starts: dict[int, list[int]]) -> None:
     """Diagonalize ``Lp_red`` inside clusters of columns of ``V``, in place.
 
-    ``starts`` maps a cluster size m > 1 to the first columns of the clusters
-    of that size. ``Lp_red @ V`` is formed once, and the clusters of one size
-    are rotated together: their m x m projections and rotations are stacked
-    products and one batched eigensolve. A cluster whose projection lies
-    within GROUP_RTOL * ||Lp_red||_F of its mean diagonal keeps its columns:
-    ``Lp_red`` is scalar there, and a rotation would be set by rounding noise
-    and mix communication eigenvectors that the cluster tolerance let differ.
+    ``P`` is ``Lp_red @ V``, and its cluster columns are rotated with those of
+    ``V``, so that it stays that product. ``starts`` maps a cluster size m > 1
+    to the first columns of the clusters of that size, and the clusters of one
+    size are rotated together: their m x m projections and rotations are
+    stacked products and one batched eigensolve. A cluster whose projection
+    lies within GROUP_RTOL * ||Lp_red||_F of its mean diagonal keeps its
+    columns: ``Lp_red`` is scalar there, and a rotation would be set by
+    rounding noise and mix communication eigenvectors that the cluster
+    tolerance let differ.
     """
-    P = Lp_red @ V
     tol = GROUP_RTOL * float(np.linalg.norm(Lp_red))
     for m, first in starts.items():
         cols = np.add.outer(first, np.arange(m))
         Vg = V[:, cols].transpose(1, 0, 2)
-        proj = Vg.transpose(0, 2, 1) @ P[:, cols].transpose(1, 0, 2)
+        Pg = P[:, cols].transpose(1, 0, 2)
+        proj = Vg.transpose(0, 2, 1) @ Pg
         proj = (proj + proj.transpose(0, 2, 1)) / 2.0
         mean = np.trace(proj, axis1=1, axis2=2) / m
         mixed = np.linalg.norm(proj - mean[:, None, None] * np.eye(m), axis=(1, 2)) > tol
         if mixed.any():
             rot = np.linalg.eigh(proj[mixed])[1]
             V[:, cols[mixed]] = (Vg[mixed] @ rot).transpose(1, 0, 2)
+            P[:, cols[mixed]] = (Pg[mixed] @ rot).transpose(1, 0, 2)

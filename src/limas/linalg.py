@@ -6,11 +6,9 @@ run on stacks of n x n matrices; the routines favor accuracy and
 determinism: symmetric spectra go through ``eigvalsh``, general spectra
 through ``eigvals``, ranks through singular values. Eigenvectors are solved
 only in the joint diagonalization of :mod:`limas.graphs`. The basis of the
-deviations from consensus is one Householder reflector, owned by
-:func:`ones_completion`, which forms it in O(N^2); :func:`in_completion_basis`
-applies it to a matrix from both sides as a rank-n update, without forming it,
-and :func:`lift_deviation_basis` lifts a basis of the deviations back to the
-full space as a rank-one update.
+deviations from consensus is one Householder reflector, never formed:
+:func:`in_completion_basis` applies it to a matrix from both sides as a
+rank-n update.
 """
 
 from __future__ import annotations
@@ -131,25 +129,15 @@ def controllability_margin(M, B) -> float:
     return float(controllability_singular_values(M, B)[-1])
 
 
-def ones_completion(n: int) -> np.ndarray:
-    """Orthogonal basis whose first column is the normalized all-ones vector.
-
-    The basis is the Householder reflector H = I - 2vv'/v'v with
-    v = e_1 + 1/sqrt(n) 1, formed in O(n^2). H maps e_1 to -1/sqrt(n) 1, so
-    its first column is negated, and set to exactly 1/sqrt(n). With this sign
-    v_1 = 1 + 1/sqrt(n) is a sum of two positive numbers and loses no digits
-    to cancellation. The same ``n`` gives the same bits on every call.
-    """
-    if n < 1:
-        raise ShapeMismatch("completion needs n >= 1")
-    v, beta = _reflector(n)
-    Q = np.eye(n) - np.outer(v, beta * v)
-    Q[:, 0] = 1.0 / math.sqrt(n)
-    return Q
-
-
 def _reflector(n: int) -> tuple[np.ndarray, float]:
-    """The vector v = e_1 + 1/sqrt(n) 1 of :func:`ones_completion` and 2/v'v = 1/(1 + 1/sqrt(n))."""
+    """The Householder reflector H = I - beta vv' that maps e_1 to -1/sqrt(n) 1.
+
+    Returns v = e_1 + 1/sqrt(n) 1 and beta = 2/v'v = 1/(1 + 1/sqrt(n)). With
+    this sign v_1 = 1 + 1/sqrt(n) is a sum of two positive numbers and loses
+    no digits to cancellation. The first column of H is -1/sqrt(n) 1, and the
+    others, orthonormal and orthogonal to 1, span the deviations from
+    consensus.
+    """
     s = 1.0 / math.sqrt(n)
     v = np.full(n, s)
     v[0] += 1.0
@@ -157,15 +145,15 @@ def _reflector(n: int) -> tuple[np.ndarray, float]:
 
 
 def in_completion_basis(M, n: int = 1) -> np.ndarray:
-    """H' M H for the reflector H = (I - 2vv'/v'v) (x) I_n of :func:`ones_completion`.
+    """H' M H for H = (I - beta vv') (x) I_n, the reflector of :func:`_reflector`.
 
-    ``M`` is a square matrix of N x N blocks of size n. With
-    psi = ones_completion(N) (x) I_n the result equals psi' M psi except for
-    the sign of its first block row and column, since psi negates the first
-    column of H; the deviation block [n:, n:] is the same. With V = v (x) I_n
-    it is the two-sided rank-n update M - V X - Y V', O((Nn)^2 n) instead of
-    the O((Nn)^3) of two products with psi. The term of V'MV is split evenly
-    between X and Y, which keeps a symmetric M symmetric to rounding.
+    ``M`` is a square matrix of N x N blocks of size n. Its first block row
+    and column are those of the consensus direction -1/sqrt(N) 1 (x) I_n, and
+    the deviation block [n:, n:] is ``M`` in the deviation columns of H. With
+    V = v (x) I_n it is the two-sided rank-n update M - V X - Y V',
+    O((Nn)^2 n) instead of the O((Nn)^3) of two products with H. The term
+    of V'MV is split evenly between X and Y, which keeps a symmetric M
+    symmetric to rounding.
     """
     N = M.shape[0] // n
     v, beta = _reflector(N)
@@ -173,22 +161,3 @@ def in_completion_basis(M, n: int = 1) -> np.ndarray:
     MV = beta * (M @ V)
     G = (0.5 * beta) * (V.T @ MV)
     return M - V @ (beta * (V.T @ M) - G @ V.T) - (MV - V @ G) @ V.T
-
-
-def lift_deviation_basis(V) -> np.ndarray:
-    """[1/sqrt(N), W V] for the deviation basis W of :func:`ones_completion`.
-
-    ``V`` is (N-1) x (N-1), a basis in the coordinates of W = H[:, 1:]. Since
-    v[1:] = s 1 with s = 1/sqrt(N), W V = [0; V] - beta v (s 1'V) is a rank-one
-    update, O(N^2) instead of the O(N^3) product with W. Column 0 is exactly
-    1/sqrt(N); for an orthogonal V the result is orthogonal.
-    """
-    N = V.shape[0] + 1
-    v, beta = _reflector(N)
-    s = 1.0 / math.sqrt(N)
-    phi = np.empty((N, N))
-    phi[:, 0] = s
-    phi[0, 1:] = 0.0
-    phi[1:, 1:] = V
-    phi[:, 1:] -= np.outer(v, (beta * s) * V.sum(axis=0))
-    return phi

@@ -46,9 +46,11 @@ INVARIANCE_RTOL = 1e-8
 def projected_deviation_matrix(Atil, n: int = 1) -> np.ndarray:
     """Restrict a stacked matrix of N blocks of size n to the deviations.
 
-    With psi = ones_completion(N) (x) I_n, returns the block of psi' Atil psi
-    (formed by :func:`in_completion_basis`, without psi) that acts on the
-    complement of the consensus subspace span{1 (x) e_j}.
+    With psi = H (x) I_n for the Householder reflector H = I - beta vv',
+    v = e_1 + 1/sqrt(N) 1, whose first column is the consensus direction
+    -1/sqrt(N) 1, returns the block of psi' Atil psi (formed by
+    :func:`in_completion_basis`, without psi) that acts on the complement of
+    the consensus subspace span{1 (x) e_j}.
     Raises NotDeviationInvariant when Atil moves that subspace out of itself
     by more than the INVARIANCE_RTOL gate, and ShapeMismatch when the size
     of Atil is not a multiple of n.

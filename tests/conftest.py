@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -20,14 +21,13 @@ from limas import (
 from limas.analysis import MareSolution
 from limas.errors import Divergence, NotControllable, ShapeMismatch
 from limas.linalg import (
+    _reflector,
     as_matrix,
     as_square,
     eig_general,
     eig_sym,
     in_completion_basis,
     is_controllable,
-    lift_deviation_basis,
-    ones_completion,
 )
 
 A_SHOWCASE = np.array([[1.0, 2.0], [0.0, 1.5]])
@@ -171,18 +171,60 @@ def spectral_pair(model: LimasModel) -> SpectralPair:
     return simultaneous_diagonalize(model.laplacian_p, model.laplacian_c)
 
 
-def joint_basis(spec: SpectralPair, Lp) -> np.ndarray:
+def ones_completion(n: int) -> np.ndarray:
+    """Orthogonal basis whose first column is the normalized all-ones vector.
+
+    The basis is the Householder reflector H = I - 2vv'/v'v with
+    v = e_1 + 1/sqrt(n) 1, formed in O(n^2). H maps e_1 to -1/sqrt(n) 1, so
+    its first column is negated, and set to exactly 1/sqrt(n). With this sign
+    v_1 = 1 + 1/sqrt(n) is a sum of two positive numbers and loses no digits
+    to cancellation. The same ``n`` gives the same bits on every call.
+    """
+    if n < 1:
+        raise ShapeMismatch("completion needs n >= 1")
+    v, beta = _reflector(n)
+    Q = np.eye(n) - np.outer(v, beta * v)
+    Q[:, 0] = 1.0 / math.sqrt(n)
+    return Q
+
+
+def lift_deviation_basis(V) -> np.ndarray:
+    """[1/sqrt(N), W V] for the deviation basis W of :func:`ones_completion`.
+
+    ``V`` is (N-1) x (N-1), a basis in the coordinates of W = H[:, 1:]. Since
+    v[1:] = s 1 with s = 1/sqrt(N), W V = [0; V] - beta v (s 1'V) is a rank-one
+    update, O(N^2) instead of the O(N^3) product with W. Column 0 is exactly
+    1/sqrt(N); for an orthogonal V the result is orthogonal.
+    """
+    N = V.shape[0] + 1
+    v, beta = _reflector(N)
+    s = 1.0 / math.sqrt(N)
+    phi = np.empty((N, N))
+    phi[:, 0] = s
+    phi[0, 1:] = 0.0
+    phi[1:, 1:] = V
+    phi[:, 1:] -= np.outer(v, (beta * s) * V.sum(axis=0))
+    return phi
+
+
+def joint_basis(spec: SpectralPair, Lp, Lc) -> np.ndarray:
     """An orthogonal basis that diagonalizes both Laplacians of ``spec`` in its order.
 
-    ``spec.phi`` when the pair has one. A pair of a scalar communication
-    Laplacian has none; every orthonormal deviation basis diagonalizes that
-    Laplacian, and the lifted ``eigh`` basis of the reduced ``Lp`` also
-    diagonalizes ``Lp``, its columns ascending as ``spec.lambda_p``.
+    The lifted ``eigh`` basis of the reduced Lp + t Lc, t = sqrt(2) (1 + ||Lp||_F)
+    / (1 + ||Lc||_F): a joint mode (lp, lc) is an eigenvector of it with the
+    eigenvalue lp + t lc, and t keeps distinct joint modes apart. Column i + 1
+    is the one whose rank among those eigenvalues is the rank of
+    lambda_p[i + 1] + t lambda_c[i + 1] among the modes of ``spec``, so the
+    basis follows the pair's order without reading how the pair was formed.
     """
-    if spec.phi is not None:
-        return spec.phi
-    Lp_red = in_completion_basis(as_square(Lp, name="Lp"))[1:, 1:]
-    return lift_deviation_basis(np.linalg.eigh((Lp_red + Lp_red.T) / 2.0)[1])
+    Lp, Lc = as_square(Lp, name="Lp"), as_square(Lc, name="Lc")
+    t = math.sqrt(2.0) * (1.0 + np.linalg.norm(Lp)) / (1.0 + np.linalg.norm(Lc))
+    mixed = in_completion_basis(Lp + t * Lc)[1:, 1:]
+    lifted = lift_deviation_basis(np.linalg.eigh((mixed + mixed.T) / 2.0)[1])
+    basis = lifted.copy()
+    basis[:, 1 + np.argsort(spec.lambda_p[1:] + t * spec.lambda_c[1:], kind="stable")] \
+        = lifted[:, 1:]
+    return basis
 
 
 def modal_deviation_norms(model: LimasModel, spec: SpectralPair, K, x0,
@@ -198,7 +240,7 @@ def modal_deviation_norms(model: LimasModel, spec: SpectralPair, K, x0,
     K = as_matrix(K, rows=1, cols=model.n, name="K")
     modes = (model.A - spec.lambda_p[1:, None, None] * model.Ap
              + spec.lambda_c[1:, None, None] * (model.B @ K))
-    W = joint_basis(spec, model.laplacian_p)[:, 1:]
+    W = joint_basis(spec, model.laplacian_p, model.laplacian_c)[:, 1:]
     z = W.T @ np.asarray(x0, dtype=float).reshape(model.N, model.n)
     norms = np.empty((steps + 1, model.N))
     for t in range(steps + 1):

@@ -26,7 +26,7 @@ from limas import (
     verify_gain,
 )
 from limas.errors import Divergence
-from limas.linalg import eig_sym, ones_completion
+from limas.linalg import eig_sym
 from conftest import (
     A_SHOWCASE,
     commuting_graph_pair,
@@ -35,6 +35,7 @@ from conftest import (
     four_agent_model,
     graph_modes,
     modal_deviation_norms,
+    ones_completion,
     random_scalar_instance,
     spectral_pair,
 )

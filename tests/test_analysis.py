@@ -181,7 +181,7 @@ def test_conditions_share_the_connectivity_floor(showcase_model):
     spec = spectral_pair(showcase_model)
     lam_c = spec.lambda_c.copy()
     lam_c[1] = CONNECTIVITY_FLOOR
-    weak = SpectralPair(spec.phi, spec.lambda_p, lam_c)
+    weak = SpectralPair(spec.lambda_p, lam_c)
     raised = []
     for check in (sufficient_check, necessary_check):
         with pytest.raises(AssumptionViolated) as err:
@@ -219,11 +219,14 @@ def test_solve_mare_scalar_closed_form():
 
 @pytest.mark.parametrize("a, b", [(2.0, 1.0), (-1.5, 0.5), (1.1, -3.0)])
 def test_mirrored_start_scalar_closed_form(monkeypatch, a, b):
-    # for n = 1 the start K = (1/a - a) / (b sigma) puts the start's Stein
-    # operator at 2 - a^2 + (1 - a^2)^2 / (a^2 sigma), below one iff sigma
-    # exceeds sigma_c = 1 - 1/a^2; with the early exit bypassed, solve_mare
-    # forms exactly that operator first on both sides of sigma_c, and Newton
-    # from the unstable start ends in Divergence
+    # for n = 1 the start mirrors the pole a to p = 1/a (keeps it when
+    # |a| < 1), pulls p to modulus at most r = max(0, 2 s^(1/4) - 1),
+    # s = (1 - sigma)/(1 - sigma_c), and takes the gain (p - a)/(b sigma): its
+    # Stein operator is sigma (a + (p - a)/sigma)^2 + (1 - sigma) a^2. That is
+    # below one for every sigma above sigma_c = 1 - 1/a^2, and no gain gets
+    # it below one under sigma_c; with the early exit bypassed there (the
+    # margin read as 0), solve_mare forms exactly that operator first on both
+    # sides of sigma_c, and Newton from the unstable start ends in Divergence
     critical = 1.0 - 1.0 / a ** 2
     starts = []
     stein_operator = analysis._stein_operator
@@ -233,20 +236,44 @@ def test_mirrored_start_scalar_closed_form(monkeypatch, a, b):
         starts.append(operator.item())
         return operator
 
-    monkeypatch.setattr(analysis, "sigma_critical", lambda A, alpha_max: np.finfo(float).tiny)
+    def start_operator(sigma, margin):
+        p = 1.0 / a if abs(a) >= 1.0 else a
+        r = max(0.0, 2.0 * ((1.0 - sigma) / (1.0 - margin)) ** 0.25 - 1.0)
+        p = min(abs(p), r) * np.sign(p)
+        return sigma * (a + (p - a) / sigma) ** 2 + (1.0 - sigma) * a * a
+
     monkeypatch.setattr(analysis, "_stein_operator", recording)
     for sigma in (0.5 * critical, 0.99 * critical, critical + 1e-6, 0.5 + 0.5 * critical, 1.0):
-        radius = 2.0 - a * a + (1.0 - a * a) ** 2 / (a * a * sigma)
         starts.clear()
         if sigma < critical:
-            with pytest.raises(Divergence):
-                solve_mare([[a]], [[b]], sigma)
+            radius = start_operator(sigma, 0.0)
+            with monkeypatch.context() as bypass:
+                bypass.setattr(analysis, "_critical_margin", lambda values: 0.0)
+                with pytest.raises(Divergence):
+                    solve_mare([[a]], [[b]], sigma)
             assert radius > 1.0
         else:
+            radius = start_operator(sigma, critical)
             sol = solve_mare([[a]], [[b]], sigma)
             assert sol.K.item() == pytest.approx(-a / b, rel=1e-12)
             assert radius < 1.0
         assert starts[0] == pytest.approx(radius, rel=1e-12)
+
+
+def test_solve_mare_takes_one_spectrum_of_abar(monkeypatch):
+    # the critical margin and the start gain read one eigvals of the n x n
+    # Abar; every other eigvals call is on an n^2 x n^2 Stein operator
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    solve_mare(A_SHOWCASE, B_SHOWCASE, 0.9)
+    assert calls.count((2, 2)) == 1
+    assert set(calls) <= {(2, 2), (4, 4)}
 
 
 @pytest.mark.parametrize("sigma", [0.76, 0.8, 0.9, 1.0])
@@ -532,7 +559,7 @@ def test_solve_mare_below_critical_property(monkeypatch):
         with pytest.raises(Divergence) as err:
             solve_mare(Abar, B, sigma)
         assert err.value.iterations == 0
-    monkeypatch.setattr(analysis, "sigma_critical", lambda A, alpha_max: 0.0)
+    monkeypatch.setattr(analysis, "_critical_margin", lambda values: 0.0)
     for Abar, B, sigma in instances[:30]:
         with pytest.raises(Divergence) as err:
             solve_mare(Abar, B, sigma)
@@ -541,8 +568,7 @@ def test_solve_mare_below_critical_property(monkeypatch):
 
 def test_solve_mare_counts_a_failed_stein_spectrum_as_unstable(monkeypatch):
     # the eigenvalue solver fails on every 4 x 4 Stein operator (n = 2), so the
-    # gate refuses the gain that Newton returns; the showcase's pole at 1 makes
-    # the first start marginal, and the pulled start converges
+    # gate refuses the gain that Newton converges to from the pulled start
     eigvals = np.linalg.eigvals
 
     def failing_on_stein(M):
@@ -551,9 +577,8 @@ def test_solve_mare_counts_a_failed_stein_spectrum_as_unstable(monkeypatch):
         return eigvals(M)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing_on_stein)
-    with pytest.raises(Divergence, match=r"; from the pulled start, Newton at sigma = 0\.9 "
-                                         r"stopped after \d+ Stein solves: the gain is "
-                                         r"not stabilizing$") as err:
+    with pytest.raises(Divergence, match=r"^Newton at sigma = 0\.9 stopped after \d+ Stein "
+                                         r"solves: the gain is not stabilizing$") as err:
         solve_mare(A_SHOWCASE, B_SHOWCASE, 0.9)
     assert err.value.iterations > 0
 

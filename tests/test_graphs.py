@@ -16,14 +16,14 @@ from limas import (
     simultaneous_diagonalize,
     synthesize_gain,
 )
-from limas.errors import NotCommuting, ShapeMismatch, SynthesisFailed
+from limas.errors import DegenerateSpectrum, NotCommuting, ShapeMismatch, SynthesisFailed
 from limas.graphs import GROUP_RTOL, OFFDIAG_RTOL
-from limas.linalg import ones_completion
 from conftest import (
     commuting_graph_pair,
     count_calls,
     cycle4_graph,
     joint_basis,
+    ones_completion,
     random_connected_graph,
     random_state_matrix,
 )
@@ -218,7 +218,7 @@ def test_simultaneous_diagonalize_two_nodes():
     Lp = laplacian(WeightedGraph(2, [(0, 1, 0.4)]))
     Lc = laplacian(WeightedGraph(2, [(0, 1, 1.3)]))
     pair = simultaneous_diagonalize(Lp, Lc)
-    phi = joint_basis(pair, Lp)
+    phi = joint_basis(pair, Lp, Lc)
     assert np.allclose(phi[:, 0], [1 / np.sqrt(2)] * 2, atol=0.0)
     assert np.allclose(np.abs(phi[:, 1]), [1 / np.sqrt(2)] * 2, atol=1e-12)
     assert np.allclose(pair.lambda_p, [0.0, 0.8], atol=1e-12)
@@ -253,13 +253,14 @@ def test_joint_pairing_on_random_commuting_pairs():
         Lp, Lc = laplacian(gp), laplacian(gc)
         pair = simultaneous_diagonalize(Lp, Lc)
         N = gp.node_count
-        assert np.allclose(pair.phi.T @ pair.phi, np.eye(N), atol=1e-10)
-        assert np.allclose(pair.phi[:, 0], np.ones(N) / np.sqrt(N), atol=0.0)
+        phi = joint_basis(pair, Lp, Lc)
+        assert np.allclose(phi.T @ phi, np.eye(N), atol=1e-10)
+        assert np.allclose(phi[:, 0], np.ones(N) / np.sqrt(N), atol=0.0)
         for L, lam in ((Lp, pair.lambda_p), (Lc, pair.lambda_c)):
             # each column is a shared eigenvector with its paired eigenvalue
             for i in range(N):
-                assert np.linalg.norm(L @ pair.phi[:, i] - lam[i] * pair.phi[:, i]) <= 1e-8
-            off = pair.phi.T @ L @ pair.phi - np.diag(lam)
+                assert np.linalg.norm(L @ phi[:, i] - lam[i] * phi[:, i]) <= 1e-8
+            off = phi.T @ L @ phi - np.diag(lam)
             assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(L)
         assert np.all(pair.lambda_c[1:] > 0.0)
 
@@ -312,7 +313,7 @@ def _assert_joint_basis(pair, Lp, Lc, exact: bool = True):
     # paired list is its Laplacian's spectrum within 64 eps ||L||_2
     N = Lp.shape[0]
     eps = np.finfo(float).eps
-    phi = joint_basis(pair, Lp)
+    phi = joint_basis(pair, Lp, Lc)
     assert np.abs(phi.T @ phi - np.eye(N)).max() <= 64 * eps * N
     assert np.array_equal(phi[:, 0], np.full(N, 1.0 / np.sqrt(N)))
     for L, lam in ((Lp, pair.lambda_p), (Lc, pair.lambda_c)):
@@ -341,8 +342,32 @@ def test_complete_communication_graph_takes_one_eigensolve(monkeypatch):
             values.clear()
             pair = simultaneous_diagonalize(Lp, Lc)
             assert (len(vectors), len(values)) == (0, 1), N
-            assert pair.phi is None
             _assert_joint_basis(pair, Lp, Lc)
+
+
+@pytest.mark.parametrize("delta, refused", [(2e-8, False), (5e-8, True), (1e-7, True)])
+def test_gate_refuses_a_split_that_leaves_the_physical_laplacian_coupled(delta, refused):
+    # in the deviation basis W, Lc is diag(1, 1 + delta, 2, 3) and Lp is
+    # diag(1, 1, 2.5, 4) with 1e-2 at (0, 1) and (1, 0); they commute to
+    # sqrt(2) 1e-2 delta, well inside the commutator gate. Within
+    # GROUP_RTOL ||Lc||_F = 3.9e-8 the eigenvalues 1 and 1 + delta form one
+    # cluster, in which Lp is diagonalized; beyond it the communication
+    # eigenvectors stay, and Lp's residual is its off-diagonal sqrt(2) 1e-2
+    W = ones_completion(5)[:, 1:]
+    R = np.diag([1.0, 1.0, 2.5, 4.0])
+    R[0, 1] = R[1, 0] = 1e-2
+    Lp, Lc = W @ R @ W.T, W @ np.diag([1.0, 1.0 + delta, 2.0, 3.0]) @ W.T
+    assert commute_check(Lp, Lc).ok
+    if refused:
+        with pytest.raises(DegenerateSpectrum, match=r"^off-diagonal residual 0\.0141421 "
+                                                     r"too large for the physical Laplacian$") as err:
+            simultaneous_diagonalize(Lp, Lc)
+        assert err.value.commute == commute_check(Lp, Lc)
+    else:
+        pair = simultaneous_diagonalize(Lp, Lc)
+        assert np.allclose(np.sort(pair.lambda_p), [0.0, 0.99, 1.01, 2.5, 4.0], atol=1e-12)
+        assert np.allclose(np.sort(pair.lambda_c), [0.0, 1.0, 1.0, 2.0, 3.0], atol=1e-7)
+        _assert_joint_basis(pair, Lp, Lc, exact=False)
 
 
 def _kron_sum(La, Lb):
@@ -403,7 +428,6 @@ def test_scalar_test_either_side_gives_a_certified_pair(monkeypatch):
         values.clear()
         pair = simultaneous_diagonalize(Lp, Lc)
         assert (len(vectors), len(values)) == solves, ratio
-        assert (pair.phi is None) == (ratio < 1.0)
         _assert_joint_basis(pair, Lp, Lc, exact=False)
 
 
@@ -421,7 +445,6 @@ def test_cluster_on_which_the_physical_laplacian_is_scalar_keeps_its_basis(N, mo
         calls.clear()
         pair = simultaneous_diagonalize(Lp, Lc)
         assert len(calls) == 1, ratio
-        assert pair.phi is not None
         _assert_joint_basis(pair, Lp, Lc)
 
 
@@ -429,15 +452,14 @@ def test_pair_arrays_are_read_only_copies():
     # both branches hand out frozen arrays, and a pair built by hand copies
     # its inputs instead of freezing the caller's
     Lp = laplacian(cycle4_graph(0.1))
-    for gc, has_phi in ((WeightedGraph.complete(4), False), (cycle4_graph(1.0), True)):
+    for gc in (WeightedGraph.complete(4), cycle4_graph(1.0)):
         pair = simultaneous_diagonalize(Lp, laplacian(gc))
-        assert (pair.phi is not None) == has_phi
-        for arr in [pair.lambda_p, pair.lambda_c] + ([pair.phi] if has_phi else []):
+        for arr in (pair.lambda_p, pair.lambda_c):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
     mine = np.array([0.0, 1.0, 2.0])
-    pair = SpectralPair(None, mine, [0.0, 3.0, 3.0])
+    pair = SpectralPair(mine, [0.0, 3.0, 3.0])
     assert mine.flags.writeable and not pair.lambda_p.flags.writeable
     assert not np.shares_memory(mine, pair.lambda_p)
     assert pair.lambda_c.dtype == float and not pair.lambda_c.flags.writeable
@@ -508,12 +530,11 @@ def test_scalar_branch_matches_an_eigh_reference_pair():
     for model, just_inside in _scalar_branch_models(rng):
         Lp, Lc = model.laplacian_p, model.laplacian_c
         pair = simultaneous_diagonalize(Lp, Lc)
-        assert pair.phi is None
-        phi = joint_basis(pair, Lp)
+        phi = joint_basis(pair, Lp, Lc)
         quotients = [np.einsum("ij,ij->j", phi, L @ phi) for L in (Lp, Lc)]
         for q in quotients:
             q[0] = 0.0
-        reference = SpectralPair(phi, *quotients)
+        reference = SpectralPair(*quotients)
         spectrum = np.linalg.eigvalsh(Lp)
         assert np.abs(np.sort(pair.lambda_p) - spectrum).max() <= 64 * eps * spectrum[-1]
         assert np.abs(pair.lambda_c - reference.lambda_c).max() \

@@ -19,10 +19,15 @@ from limas.linalg import (
     has_rank,
     in_completion_basis,
     is_controllable,
+)
+from conftest import (
+    A_SHOWCASE,
+    B_SHOWCASE,
+    cycle4_graph,
     lift_deviation_basis,
     ones_completion,
+    spectral_radius,
 )
-from conftest import A_SHOWCASE, B_SHOWCASE, cycle4_graph, spectral_radius
 
 
 def test_as_matrix_rejects_non_finite():

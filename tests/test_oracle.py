@@ -18,13 +18,14 @@ from limas import (
 )
 from limas.errors import NotDeviationInvariant, NotScalar, ShapeMismatch
 from limas import oracle
-from limas.linalg import in_completion_basis, ones_completion
+from limas.linalg import in_completion_basis
 from limas.oracle import GRID_BLOCK_FLOATS, scalar_model_grid_search
 from limas.simulator import closed_loop_matrix
 from conftest import (
     cycle4_graph,
     exact_stabilizing_interval,
     four_agent_model,
+    ones_completion,
     random_coupled_model,
     random_scalar_instance,
     spectral_pair,

@@ -54,7 +54,7 @@ def test_closed_loop_congruence_with_modal_radii(showcase_model):
     spec = spectral_pair(showcase_model)
     synth = synthesize_gain(showcase_model, spec)
     M = closed_loop_matrix(showcase_model, synth.K)
-    phi = joint_basis(spec, showcase_model.laplacian_p)
+    phi = joint_basis(spec, showcase_model.laplacian_p, showcase_model.laplacian_c)
     T = np.kron(phi, np.eye(showcase_model.n))
     rotated = T.T @ M @ T
     block = rotated[showcase_model.n:, showcase_model.n:]
