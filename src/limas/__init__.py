@@ -9,7 +9,6 @@ closed-loop simulation.
 """
 
 from .analysis import (
-    AlphaSpectrum,
     AnalysisReport,
     AssumptionCheck,
     LimasModel,
@@ -18,7 +17,6 @@ from .analysis import (
     ScalarResult,
     SufficientResult,
     SynthesisResult,
-    alpha_spectrum,
     analyze,
     check_modal_controllability,
     check_proportional_coupling,
@@ -58,7 +56,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaSpectrum",
     "AnalysisReport",
     "AssumptionCheck",
     "ConvergenceMetrics",
@@ -73,7 +70,6 @@ __all__ = [
     "SynthesisResult",
     "Trajectory",
     "WeightedGraph",
-    "alpha_spectrum",
     "analyze",
     "check_modal_controllability",
     "check_proportional_coupling",

@@ -42,6 +42,7 @@ from .errors import (
 from .graphs import (
     SpectralPair,
     WeightedGraph,
+    _laplacian_spectrum,
     is_connected,
     laplacian,
     simultaneous_diagonalize,
@@ -52,7 +53,6 @@ from .linalg import (
     controllability_matrix,
     controllability_singular_values,
     eig_general,
-    eig_sym,
     has_full_row_rank,
     has_rank,
 )
@@ -158,19 +158,6 @@ class LimasModel:
         return check_proportional_coupling(self)
 
 
-def _laplacian_spectrum(L: np.ndarray) -> np.ndarray:
-    """Read-only ascending Laplacian eigenvalues; entry 0, the consensus mode, is exactly 0.
-
-    A Laplacian has no negative eigenvalue, so a negative one is a rounded
-    zero (a disconnected graph has several) and is read as 0; this keeps
-    the list ascending after entry 0 is set.
-    """
-    values = np.maximum(eig_sym(L), 0.0)
-    values[0] = 0.0
-    values.setflags(write=False)
-    return values
-
-
 def _coupling_residual(A, Ap, alpha: float) -> tuple[float, bool]:
     """||Ap - alpha*A||_F and whether it is within COUPLING_RTOL * ||A||_F."""
     residual = float(np.linalg.norm(Ap - alpha * A))
@@ -216,25 +203,6 @@ def check_proportional_coupling(model: LimasModel) -> tuple[AssumptionCheck, flo
     return AssumptionCheck(holds, residual), (alpha if holds else None)
 
 
-@dataclass(frozen=True)
-class AlphaSpectrum:
-    """Per-mode coupling factors 1 - alpha*lambda for the non-consensus modes."""
-
-    alpha_i: np.ndarray
-    alpha_min: float
-    alpha_max: float
-
-
-def alpha_spectrum(alpha: float, lambda_p) -> AlphaSpectrum:
-    """Coupling factors for the given physical modes (consensus mode excluded)."""
-    modes = np.asarray(lambda_p, dtype=float).ravel()
-    if modes.size == 0:
-        raise EmptyRange("no physical modes supplied")
-    alpha_i = 1.0 - alpha * modes
-    mags = np.abs(alpha_i)
-    return AlphaSpectrum(alpha_i, float(mags.min()), float(mags.max()))
-
-
 def sigma_critical(A, alpha_max: float) -> float:
     """Critical Riccati margin for the scaled state matrix alpha_max * A.
 
@@ -261,6 +229,8 @@ class SufficientResult:
     alpha_i / lambda_cj (``lhs``) against the admissible margin ``rhs``.
     ``k_star`` is the midpoint gain scale and ``sigma_modes`` the per-mode
     Riccati margins it achieves under positional mode pairing.
+    ``alpha_min``/``alpha_max`` are the extremes of |alpha_i|, the coupling
+    factors alpha_i = 1 - alpha * lambda_p_i of the non-consensus modes.
     """
 
     holds: bool
@@ -268,7 +238,8 @@ class SufficientResult:
     lhs: float
     rhs: float
     sigma_c: float
-    alpha: AlphaSpectrum
+    alpha_min: float
+    alpha_max: float
     sigma_modes: np.ndarray
 
 
@@ -300,27 +271,30 @@ def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
     a3, alpha = model.coupling_check
     if not a3.holds:
         raise AssumptionViolated(3, f"coupling residual {a3.residual:g}")
-    asp = alpha_spectrum(alpha, spec.lambda_p[1:])
+    alpha_i = 1.0 - alpha * spec.lambda_p[1:]
+    mags = np.abs(alpha_i)
+    alpha_min, alpha_max = float(mags.min()), float(mags.max())
 
-    if asp.alpha_max == 0.0:
+    if alpha_max == 0.0:
         # Every mode matrix collapses to lambda_c * B K, so K = 0 certifies.
-        return SufficientResult(True, 0.0, 0.0, 0.0, 0.0, asp,
+        return SufficientResult(True, 0.0, 0.0, 0.0, 0.0, alpha_min, alpha_max,
                                 np.zeros_like(lam_c))
 
-    sc = sigma_critical(model.A, asp.alpha_max)
-    ratios = asp.alpha_i[:, None] / lam_c[None, :]
+    sc = sigma_critical(model.A, alpha_max)
+    ratios = alpha_i[:, None] / lam_c[None, :]
     lo, hi = float(ratios.min()), float(ratios.max())
     lhs = ((hi - lo) / 2.0) ** 2
-    rhs = (asp.alpha_min ** 2 - asp.alpha_max ** 2 * sc) / float(lam_c.max()) ** 2
+    rhs = (alpha_min ** 2 - alpha_max ** 2 * sc) / float(lam_c.max()) ** 2
     k_star = (lo + hi) / 2.0
-    sigma_modes = (2.0 * asp.alpha_i * lam_c * k_star
-                   - lam_c ** 2 * k_star ** 2) / asp.alpha_max ** 2
-    return SufficientResult(lhs < rhs, k_star, lhs, rhs, sc, asp, sigma_modes)
+    sigma_modes = (2.0 * alpha_i * lam_c * k_star
+                   - lam_c ** 2 * k_star ** 2) / alpha_max ** 2
+    return SufficientResult(lhs < rhs, k_star, lhs, rhs, sc, alpha_min, alpha_max,
+                            sigma_modes)
 
 
 @dataclass(frozen=True)
 class MareSolution:
-    """Stabilizing solution of the modified Riccati equation at ``sigma``.
+    """Stabilizing solution of the modified Riccati equation at solve_mare's sigma.
 
     ``iterations`` counts the Stein solves spent, the one that found the
     rounding floor included. ``residual`` is the relative Riccati residual
@@ -329,7 +303,6 @@ class MareSolution:
     """
 
     P: np.ndarray
-    sigma: float
     iterations: int
     residual: float
     K: np.ndarray
@@ -454,7 +427,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
         raise divergence("no convergence", MARE_SOLVES_PER_SIGMA)
     if not _schur_stable(operator):
         raise divergence("the gain is not stabilizing", solves)
-    return MareSolution(P, sigma, solves, residual / float(np.linalg.norm(P)), K)
+    return MareSolution(P, solves, residual / float(np.linalg.norm(P)), K)
 
 
 def _kron_transposed(X: np.ndarray) -> np.ndarray:
@@ -528,7 +501,7 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
     if not sufficient.holds:
         raise SynthesisFailed("sufficient condition does not hold")
 
-    alpha_max = sufficient.alpha.alpha_max
+    alpha_max = sufficient.alpha_max
     if alpha_max == 0.0:
         K = np.zeros((1, model.n))
         radii = modal_radii(model, spec, K)
@@ -740,7 +713,7 @@ class AnalysisReport:
             out["sufficient"] = {
                 "holds": s.holds, "lhs": s.lhs, "rhs": s.rhs,
                 "sigma_c": s.sigma_c, "k_star": s.k_star,
-                "alpha_min": s.alpha.alpha_min, "alpha_max": s.alpha.alpha_max,
+                "alpha_min": s.alpha_min, "alpha_max": s.alpha_max,
                 "sigma_modes": [float(v) for v in s.sigma_modes],
             }
         else:

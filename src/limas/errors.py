@@ -9,10 +9,6 @@ class ShapeMismatch(LimasError):
     """Operands have incompatible or unexpected shapes."""
 
 
-class NotSymmetric(LimasError):
-    """A symmetric matrix was required but the input is not symmetric."""
-
-
 class NoConvergence(LimasError):
     """An eigenvalue iteration failed to converge."""
 
@@ -46,9 +42,9 @@ class EmptyRange(LimasError):
 class AssumptionViolated(LimasError):
     """A structural assumption required by an analysis step does not hold.
 
-    ``which`` is 1 (commuting Laplacians), 2 (modal controllability),
-    3 (proportional physical coupling) or 0 for the standing requirement
-    that the communication graph is connected.
+    ``which`` is 2 (modal controllability), 3 (proportional physical
+    coupling) or 0 (a connected communication graph). Assumption 1,
+    commuting Laplacians, is not raised here: :class:`NotCommuting` is.
     """
 
     def __init__(self, which: int, detail: str = ""):

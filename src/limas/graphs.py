@@ -23,17 +23,14 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotCommuting, ShapeMismatch
-from .linalg import as_square, in_completion_basis
+from .linalg import as_square, eig_sym, in_completion_basis
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
 COMMUTE_RTOL = 1e-9
-# Eigenvalue grouping tolerance for joint diagonalization, relative to ||Lc||_F;
-# within it of a multiple of the identity the reduced Lc counts as scalar, and
-# (relative to ||Lp_red||_F) the reduced Lp on a cluster of Lc's eigenvalues.
-GROUP_RTOL = 1e-8
-# Joint-diagonalization check: ||L_red V - V diag||_F <= OFFDIAG_RTOL * ||L||_F
-# for the deviation basis V, which for the orthogonal lifted basis phi is
-# ||phi' L phi - diag||_F up to rounding.
+# The one tolerance of the joint diagonalization, relative to a Frobenius norm:
+# its gate ||L_red V - V diag||_F <= OFFDIAG_RTOL * ||L||_F, the scalar test and
+# the cluster width of the reduced Lc (to ||Lc||_F), and the test that the
+# reduced Lp is already scalar on a cluster (to ||Lp_red||_F).
 OFFDIAG_RTOL = 1e-8
 # Node pairs are keyed as i*N + j in int64, which stays exact up to this N.
 MAX_NODES = 2**31
@@ -160,6 +157,15 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     return L
 
 
+def _laplacian_spectrum(L) -> np.ndarray:
+    """Read-only ascending Laplacian eigenvalues: entry 0, the consensus mode, is exactly 0,
+    and a negative one, a rounded zero of a disconnected graph, reads as 0."""
+    values = np.maximum(eig_sym(L), 0.0)
+    values[0] = 0.0
+    values.setflags(write=False)
+    return values
+
+
 def is_connected(g: WeightedGraph) -> bool:
     """Exact union-find connectivity check; stops at the first edge that connects the graph."""
     parent = list(range(g.node_count))
@@ -239,24 +245,23 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     (:func:`limas.linalg.in_completion_basis`).
 
     When the reduced communication Laplacian is scalar, ||Lc_red - c I||_F <=
-    GROUP_RTOL * ||Lc||_F with c = trace(Lc) / (N - 1) its mean eigenvalue on
+    OFFDIAG_RTOL * ||Lc||_F with c = trace(Lc) / (N - 1) its mean eigenvalue on
     the deviations (a complete graph), every orthonormal basis of the
-    deviations diagonalizes it. The pair is then lambda_p, the ascending
-    eigvalsh of the physical Laplacian with entry 0 (the consensus mode) set
-    to 0, and lambda_c = [0, c, ..., c]; no eigenvector is formed. The
-    full-space spectrum skips the reduction's rounding, which reads a
-    two-node graph's 0.2 as 0.19999999999999998. The joint-basis gate
-    holds by construction and is not computed: over the lifted eigenbasis of
-    the reduced physical Laplacian its residual is that eigensolve's backward
-    error, and over any orthonormal deviation basis the communication
-    residual is ||Lc_red - c I||_F up to the rounding of the consensus
-    column, which the scalar test bounds by GROUP_RTOL * ||Lc||_F <=
-    OFFDIAG_RTOL * ||Lc||_F.
+    deviations diagonalizes it. The pair is then lambda_p, the model's sorted
+    spectrum of the physical Laplacian (:func:`_laplacian_spectrum`), and
+    lambda_c = [0, c, ..., c]; no eigenvector is formed. The full-space
+    spectrum skips the reduction's rounding, which reads a two-node graph's
+    0.2 as 0.19999999999999998. The joint-basis gate holds by construction
+    and is not computed: over the lifted eigenbasis of the reduced physical
+    Laplacian its residual is that eigensolve's backward error, and over any
+    orthonormal deviation basis the communication residual is
+    ||Lc_red - c I||_F up to the rounding of the consensus column, which the
+    scalar test bounds with the gate's own constant.
 
     Otherwise the physical Laplacian is reduced too, the reduced
     communication Laplacian is eigendecomposed, Lc_red = V diag V', its
     eigenvalues grouped into near-degenerate clusters (within
-    GROUP_RTOL * ||Lc||_F), and the reduced physical Laplacian is
+    OFFDIAG_RTOL * ||Lc||_F), and the reduced physical Laplacian is
     diagonalized inside each cluster of more than one eigenvalue on which it
     is not already scalar (:func:`_rotate_clusters`, which rotates
     P = Lp_red V with V). Repeated communication eigenvalues are therefore
@@ -266,7 +271,8 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     ||L_red V - V diag||_F exceeds OFFDIAG_RTOL * ||L||_F for either
     Laplacian. As W'W = I and 1'L = 0, that residual is
     ||L phi - phi diag||_F of the lifted basis phi = [1/sqrt(N), W V] up to
-    rounding, the off-diagonal residual of phi' L phi.
+    rounding, the off-diagonal residual of phi' L phi. After the gate a
+    negative paired value, a rounded zero, reads as 0.
     """
     commute = commute_check(Lp, Lc)
     if not commute.ok:
@@ -275,14 +281,12 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     Lp, Lc = (np.atleast_2d(np.asarray(L, dtype=float)) for L in (Lp, Lc))
     N = Lp.shape[0]
     Lc_red = in_completion_basis(Lc)[1:, 1:]
-    group_tol = GROUP_RTOL * float(np.linalg.norm(Lc))
+    group_tol = OFFDIAG_RTOL * float(np.linalg.norm(Lc))
     c = np.trace(Lc) / max(N - 1, 1)
     if float(np.linalg.norm(Lc_red - c * np.eye(N - 1))) <= group_tol:
-        lambda_p = np.linalg.eigvalsh((Lp + Lp.T) / 2.0)
-        lambda_p[0] = 0.0
         lambda_c = np.full(N, c)
         lambda_c[0] = 0.0
-        return SpectralPair(lambda_p, lambda_c, commute)
+        return SpectralPair(_laplacian_spectrum(Lp), lambda_c, commute)
 
     Lp_red = in_completion_basis(Lp)[1:, 1:]
     wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
@@ -310,7 +314,7 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
             raise DegenerateSpectrum(
                 f"off-diagonal residual {norm:g} too large "
                 f"for the {tag} Laplacian", commute)
-        paired.append(np.concatenate(([0.0], lam)))
+        paired.append(np.maximum(np.concatenate(([0.0], lam)), 0.0))
 
     return SpectralPair(*paired, commute)
 
@@ -324,12 +328,12 @@ def _rotate_clusters(V: np.ndarray, P: np.ndarray, Lp_red: np.ndarray,
     to the first columns of the clusters of that size, and the clusters of one
     size are rotated together: their m x m projections and rotations are
     stacked products and one batched eigensolve. A cluster whose projection
-    lies within GROUP_RTOL * ||Lp_red||_F of its mean diagonal keeps its
+    lies within OFFDIAG_RTOL * ||Lp_red||_F of its mean diagonal keeps its
     columns: ``Lp_red`` is scalar there, and a rotation would be set by
     rounding noise and mix communication eigenvectors that the cluster
     tolerance let differ.
     """
-    tol = GROUP_RTOL * float(np.linalg.norm(Lp_red))
+    tol = OFFDIAG_RTOL * float(np.linalg.norm(Lp_red))
     for m, first in starts.items():
         cols = np.add.outer(first, np.arange(m))
         Vg = V[:, cols].transpose(1, 0, 2)

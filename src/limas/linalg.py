@@ -3,12 +3,12 @@
 Everything operates on plain float64 numpy arrays. Agent dimensions stay
 small (n <= ~10), stacked ones reach N*n ~ 1000, and per-mode quantities
 run on stacks of n x n matrices; the routines favor accuracy and
-determinism: symmetric spectra go through ``eigvalsh``, general spectra
-through ``eigvals``, ranks through singular values. Eigenvectors are solved
-only in the joint diagonalization of :mod:`limas.graphs`. The basis of the
-deviations from consensus is one Householder reflector, never formed:
-:func:`in_completion_basis` applies it to a matrix from both sides as a
-rank-n update.
+determinism: symmetric spectra go through ``eigvalsh`` of (M + M')/2,
+general spectra through ``eigvals``, ranks through singular values.
+Eigenvectors are solved only in the joint diagonalization of
+:mod:`limas.graphs`. The basis of the deviations from consensus is one
+Householder reflector, never formed: :func:`in_completion_basis` applies it
+to a matrix from both sides as a rank-n update.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergence, NotSymmetric, ShapeMismatch
+from .errors import NoConvergence, ShapeMismatch
 
-# Symmetry tolerance, relative to the Frobenius norm of the input.
-SYMMETRY_RTOL = 1e-9
 # Controllability rank threshold is n * sigma_max * RANK_RTOL.
 RANK_RTOL = 1e-12
 
@@ -52,11 +50,9 @@ def as_square(obj, name: str = "matrix") -> np.ndarray:
 
 
 def eig_sym(M) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix."""
+    """Ascending eigenvalues of (M + M')/2, which is M bit for bit when M is
+    symmetric, as every Laplacian :func:`limas.graphs.laplacian` builds is."""
     M = as_square(M)
-    scale = float(np.linalg.norm(M))
-    if float(np.linalg.norm(M - M.T)) > SYMMETRY_RTOL * scale:
-        raise NotSymmetric(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative")
     try:
         return np.linalg.eigvalsh((M + M.T) / 2.0)
     except np.linalg.LinAlgError as exc:

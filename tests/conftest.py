@@ -15,6 +15,7 @@ from limas import (
     LimasModel,
     SpectralPair,
     WeightedGraph,
+    commute_check,
     laplacian,
     simultaneous_diagonalize,
 )
@@ -120,11 +121,17 @@ def random_coupled_model(rng, N: int | None = None, n: int | None = None,
     n = n if n is not None else int(rng.integers(1, 5))
     gp, gc = commuting_graph_pair(rng, N)
     A = random_state_matrix(rng, n)
+    B = random_input(rng, n)
+    alpha = float(rng.uniform(-alpha_scale, alpha_scale))
+    return LimasModel(A, B, gp, gc, alpha=alpha)
+
+
+def random_input(rng, n: int) -> np.ndarray:
+    """Uniform n x 1 input matrix in [-1, 1], redrawn until its norm is at least 0.1."""
     B = rng.uniform(-1.0, 1.0, (n, 1))
     while float(np.linalg.norm(B)) < 0.1:
         B = rng.uniform(-1.0, 1.0, (n, 1))
-    alpha = float(rng.uniform(-alpha_scale, alpha_scale))
-    return LimasModel(A, B, gp, gc, alpha=alpha)
+    return B
 
 
 def random_scalar_instance(rng, N: int | None = None, w_hi: float = 0.5):
@@ -134,6 +141,66 @@ def random_scalar_instance(rng, N: int | None = None, w_hi: float = 0.5):
     gc = random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0)
     a = float(rng.uniform(-2.0, 2.0))
     return a, gp, gc
+
+
+def _non_commuting_graphs(rng, N: int) -> tuple[WeightedGraph, WeightedGraph]:
+    """Two random connected graphs on N nodes, redrawn until their Laplacians do not commute."""
+    while True:
+        gp = random_connected_graph(rng, N)
+        gc = random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0)
+        if not commute_check(laplacian(gp), laplacian(gc)).ok:
+            return gp, gc
+
+
+def _edge_kind_model(rng, k: int) -> LimasModel:
+    """The k-th edge-kind model: no physical edges, a complete communication
+    graph, or alpha = 0 with commuting graphs, in turn; n is 1 to 3."""
+    N, n = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+    A, B = random_state_matrix(rng, n), random_input(rng, n)
+    alpha = float(rng.uniform(-0.25, 0.25))
+    if k % 3 == 0:
+        gp, gc = WeightedGraph(N, []), random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0)
+    elif k % 3 == 1:
+        gp, gc = random_connected_graph(rng, N), WeightedGraph.complete(N, float(rng.uniform(0.2, 1.0)))
+    else:
+        (gp, gc), alpha = commuting_graph_pair(rng, N), 0.0
+    return LimasModel(A, B, gp, gc, alpha=alpha)
+
+
+def verdict_corpus(seed: int = 0, per_class: int = 60) -> dict[str, list[LimasModel]]:
+    """A seeded corpus of ``per_class`` models in each of five classes.
+
+    "scalar": n = 1 with non-commuting Laplacians, Ap = B = 1 (the draws of
+    :func:`random_scalar_instance`); "proportional": commuting Laplacians with
+    Ap = alpha*A, n 1-4 (:func:`random_coupled_model`); "free-ap": commuting
+    Laplacians with a free Ap, n 2-4; "non-commuting": non-commuting
+    Laplacians with Ap = alpha*A, n 2-3; "edge": no physical edges, a complete
+    communication graph and alpha = 0, in turn. The classes draw from one
+    generator in this order, so a class's models depend on the seed only.
+    """
+    rng = np.random.default_rng(seed)
+    corpus: dict[str, list[LimasModel]] = {name: [] for name in (
+        "scalar", "proportional", "free-ap", "non-commuting", "edge")}
+    for _ in range(per_class):
+        a, gp, gc = random_scalar_instance(rng)
+        while commute_check(laplacian(gp), laplacian(gc)).ok:
+            a, gp, gc = random_scalar_instance(rng)
+        corpus["scalar"].append(LimasModel([[a]], [[1.0]], gp, gc, Ap=[[1.0]]))
+    corpus["proportional"] = [random_coupled_model(rng) for _ in range(per_class)]
+    for _ in range(per_class):
+        N, n = int(rng.integers(3, 8)), int(rng.integers(2, 5))
+        gp, gc = commuting_graph_pair(rng, N)
+        A, B = random_state_matrix(rng, n), random_input(rng, n)
+        Ap = rng.uniform(-0.3, 0.3, (n, n))
+        corpus["free-ap"].append(LimasModel(A, B, gp, gc, Ap=Ap))
+    for _ in range(per_class):
+        N, n = int(rng.integers(3, 8)), int(rng.integers(2, 4))
+        gp, gc = _non_commuting_graphs(rng, N)
+        A, B = random_state_matrix(rng, n), random_input(rng, n)
+        corpus["non-commuting"].append(
+            LimasModel(A, B, gp, gc, alpha=float(rng.uniform(-0.25, 0.25))))
+    corpus["edge"] = [_edge_kind_model(rng, k) for k in range(per_class)]
+    return corpus
 
 
 def nonzero_modes(L: np.ndarray) -> np.ndarray:
@@ -380,7 +447,7 @@ def fixed_point_mare(Abar, B, sigma: float) -> MareSolution:
         if diff <= MARE_CONVERGENCE_RTOL * float(np.linalg.norm(P)):
             PB = P_next @ B
             K = -(Abar.T @ PB).T / float((B.T @ PB).item())
-            return MareSolution(P_next, sigma, iteration, diff, K)
+            return MareSolution(P_next, iteration, diff, K)
         P = P_next
     raise Divergence(
         f"no fixed point within {MARE_MAX_ITER} iterations (sigma = {sigma:g})",

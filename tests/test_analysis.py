@@ -12,7 +12,6 @@ from limas import (
     LimasModel,
     SpectralPair,
     WeightedGraph,
-    alpha_spectrum,
     analyze,
     check_proportional_coupling,
     laplacian,
@@ -49,33 +48,8 @@ from conftest import (
     random_state_matrix,
     spectral_pair,
     spectral_radius,
+    verdict_corpus,
 )
-
-
-# --- alpha spectrum ---------------------------------------------------------
-
-def test_alpha_spectrum_showcase():
-    asp = alpha_spectrum(0.3, [0.2, 0.2, 0.4])
-    assert np.allclose(asp.alpha_i, [0.94, 0.94, 0.88], atol=1e-12)
-    assert asp.alpha_min == pytest.approx(0.88, abs=1e-12)
-    assert asp.alpha_max == pytest.approx(0.94, abs=1e-12)
-
-
-def test_alpha_spectrum_decoupled():
-    asp = alpha_spectrum(0.0, [0.5, 1.2, 3.0])
-    assert np.allclose(asp.alpha_i, 1.0)
-    assert asp.alpha_min == asp.alpha_max == 1.0
-
-
-def test_alpha_spectrum_exact_cancellation():
-    asp = alpha_spectrum(5.0, [0.2])
-    assert asp.alpha_i[0] == 0.0
-    assert asp.alpha_min == asp.alpha_max == 0.0
-
-
-def test_alpha_spectrum_rejects_no_modes():
-    with pytest.raises(EmptyRange, match="^no physical modes supplied$"):
-        alpha_spectrum(0.3, [])
 
 
 # --- critical Riccati margin ------------------------------------------------
@@ -108,6 +82,9 @@ def test_sufficient_check_showcase_numbers(showcase_model):
     spec = spectral_pair(showcase_model)
     res = sufficient_check(showcase_model, spec)
     assert res.holds
+    # lambda_p = (0.2, 0.2, 0.4) at alpha = 0.3: the factors 1 - alpha*lambda_p
+    assert res.alpha_min == pytest.approx(0.88, abs=1e-12)
+    assert res.alpha_max == pytest.approx(0.94, abs=1e-12)
     assert res.lhs == pytest.approx(5.625e-05, rel=1e-6)
     assert res.rhs == pytest.approx(0.0209528, rel=1e-4)
     assert res.sigma_c == pytest.approx(0.497007, abs=1e-5)
@@ -123,6 +100,7 @@ def test_sufficient_check_decoupled_complete():
     spec = spectral_pair(model)
     res = sufficient_check(model, spec)
     assert res.holds
+    assert res.alpha_min == res.alpha_max == 1.0
     assert res.lhs == pytest.approx(0.0, abs=1e-15)
     assert res.sigma_c == 0.0
     assert res.rhs > 0.0
@@ -151,6 +129,7 @@ def test_sufficient_check_degenerate_coupling():
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=5.0)
     spec = spectral_pair(model)
     res = sufficient_check(model, spec)
+    assert res.alpha_max == 0.0
     assert res.holds and res.k_star == 0.0
     synth = synthesize_gain(model, spec, sufficient=res)
     assert np.array_equal(synth.K, np.zeros((1, 1)))
@@ -637,7 +616,7 @@ def test_synthesize_gain_showcase(showcase_model):
     P = synth.mare.P
     assert np.min(np.linalg.eigvalsh(P)) > 1e-10 * np.linalg.norm(P)
     suff = sufficient_check(showcase_model, spec)
-    Abar = suff.alpha.alpha_max * showcase_model.A
+    Abar = suff.alpha_max * showcase_model.A
     for sigma_i in suff.sigma_modes:
         assert mare_inequality_margin(Abar, showcase_model.B, sigma_i, P) <= -1e-12
 
@@ -1052,7 +1031,7 @@ def test_synthesized_gain_matches_the_kernel_formula_property():
         model = random_coupled_model(rng)
         spec = spectral_pair(model)
         suff = sufficient_check(model, spec)
-        if not suff.holds or suff.alpha.alpha_max == 0.0:
+        if not suff.holds or suff.alpha_max == 0.0:
             continue
         synth = synthesize_gain(model, spec, sufficient=suff)
         synthesized += 1
@@ -1282,6 +1261,33 @@ def test_disconnected_physical_spectrum_stays_ascending():
         assert 0.0 <= spectrum[1] <= bound
 
 
+def test_paired_spectra_of_disconnected_physical_graphs_share_the_spectrum_rule():
+    # two or three path components round their extra zeros either way; the
+    # pairing reads a negative one as 0, as the model's sorted spectra do. A
+    # complete communication graph pairs with lambda_p itself, and its sum with
+    # the physical graph pairs through the eigenvectors of the general branch
+    paired = 0
+    for N in range(4, 41):
+        for parts in (2, 3):
+            ends = np.linspace(0, N, parts + 1).round().astype(int)
+            path = [(i, i + 1) for lo, hi in zip(ends[:-1], ends[1:]) for i in range(lo, hi - 1)]
+            weights = {edge: 0.1 + 0.01 * k for k, edge in enumerate(path)}
+            gp = WeightedGraph(N, [(i, j, w) for (i, j), w in weights.items()])
+            overlay = WeightedGraph(N, [(i, j, 0.5 + 2.0 * weights.get((i, j), 0.0))
+                                        for i in range(N) for j in range(i + 1, N)])
+            for gc in (WeightedGraph.complete(N), overlay):
+                report = analyze(LimasModel([[0.9, 0.2], [0.0, 1.1]], [[0.0], [1.0]],
+                                            gp, gc, alpha=0.2))
+                if report.lambda_p_paired is None:
+                    continue
+                paired += 1
+                assert min(report.lambda_p_paired) >= 0.0, (N, parts)
+                assert min(report.lambda_c_paired) >= 0.0, (N, parts)
+                if gc is not overlay:
+                    assert report.lambda_p_paired == report.lambda_p, (N, parts)
+    assert paired == 148
+
+
 def test_stacked_mode_quantities_match_per_mode_loops():
     from limas.linalg import determinant
 
@@ -1315,3 +1321,89 @@ def test_analyze_runs_each_assumption_check_once(monkeypatch):
     assert report.assumption_controllability == model.controllability_check
     assert (report.assumption_coupling, report.alpha) == model.coupling_check
     assert model.coupling_check == check_proportional_coupling(model)
+
+
+# --- seeded verdict corpus ---------------------------------------------------------
+
+# The verdict tally of verdict_corpus(seed=0, per_class=60) per class, as
+# (consensusable, inconclusive, not-consensusable). A change that moves
+# coverage shows here and names the models whose verdicts moved.
+CORPUS_TALLY = {
+    "scalar": (25, 28, 7),
+    "proportional": (45, 14, 1),
+    "free-ap": (0, 60, 0),
+    "non-commuting": (0, 60, 0),
+    "edge": (44, 15, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_reports():
+    return {name: [(model, analyze(model)) for model in models]
+            for name, models in verdict_corpus(seed=0, per_class=60).items()}
+
+
+def _rebuilt(model: LimasModel, A=None, B=None, gp=None, gc=None, Ap=None) -> LimasModel:
+    """``model`` with some parts replaced; a declared alpha is kept and sets Ap."""
+    A = model.A if A is None else A
+    if model.alpha is None and Ap is None:
+        Ap = model.Ap
+    return LimasModel(A, model.B if B is None else B, gp or model.gp, gc or model.gc,
+                      Ap=None if model.alpha is not None else Ap, alpha=model.alpha)
+
+
+def _relabelled(g: WeightedGraph, order: np.ndarray) -> WeightedGraph:
+    return WeightedGraph(g.node_count, np.column_stack((order[g.i], order[g.j], g.w)))
+
+
+def _verdict_variants(model: LimasModel, rng) -> dict[str, LimasModel]:
+    """The model after a node relabelling, a similarity of the agent
+    coordinates, B x 1e3 and communication weights x 1e-3."""
+    order = rng.permutation(model.N).astype(float)
+    Q = np.linalg.qr(rng.standard_normal((model.n, model.n)))[0]
+    T = Q * rng.uniform(0.5, 2.0, model.n)
+    T_inv = np.linalg.inv(T)
+    return {
+        "relabel": _rebuilt(model, gp=_relabelled(model.gp, order),
+                            gc=_relabelled(model.gc, order)),
+        "similarity": _rebuilt(model, A=T @ model.A @ T_inv, B=T @ model.B,
+                               Ap=T @ model.Ap @ T_inv),
+        "B x 1e3": _rebuilt(model, B=1e3 * model.B),
+        "Lc x 1e-3": _rebuilt(model, gc=WeightedGraph(
+            model.N, np.column_stack((model.gc.i, model.gc.j, 1e-3 * model.gc.w)))),
+    }
+
+
+def test_verdict_corpus_tally(corpus_reports):
+    tally = {name: tuple(sum(report.verdict == verdict for _, report in reports)
+                         for verdict in ("consensusable", "inconclusive", "not-consensusable"))
+             for name, reports in corpus_reports.items()}
+    assert tally == CORPUS_TALLY
+
+
+def test_verdict_corpus_is_invariant(corpus_reports):
+    # none of these changes the question, so none may change the answer
+    rng = np.random.default_rng(1)
+    moved = [(name, k, variant)
+             for name, reports in corpus_reports.items()
+             for k, (model, report) in enumerate(reports)
+             for variant, other in _verdict_variants(model, rng).items()
+             if analyze(other).verdict != report.verdict]
+    assert moved == []
+
+
+def test_verdict_corpus_is_sound(corpus_reports):
+    # every certificate passes the oracle, and every n = 1 refutation leaves
+    # the exact stabilizing interval of the scalar loop empty
+    refuted = 0
+    for name, reports in corpus_reports.items():
+        for k, (model, report) in enumerate(reports):
+            if report.verdict == "consensusable":
+                assert verify_gain(model, [report.gain]).max_radius < 1.0, (name, k)
+            elif report.verdict == "not-consensusable" and model.n == 1:
+                refuted += 1
+                k_lo, k_hi = exact_stabilizing_interval(
+                    model.A.item(), model.Ap.item() * model.laplacian_p,
+                    abs(model.B.item()) * model.laplacian_c)
+                assert k_lo >= k_hi, (name, k)
+    assert refuted == 7

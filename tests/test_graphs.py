@@ -17,7 +17,7 @@ from limas import (
     synthesize_gain,
 )
 from limas.errors import DegenerateSpectrum, NotCommuting, ShapeMismatch, SynthesisFailed
-from limas.graphs import GROUP_RTOL, OFFDIAG_RTOL
+from limas.graphs import OFFDIAG_RTOL
 from conftest import (
     commuting_graph_pair,
     count_calls,
@@ -350,7 +350,7 @@ def test_gate_refuses_a_split_that_leaves_the_physical_laplacian_coupled(delta, 
     # in the deviation basis W, Lc is diag(1, 1 + delta, 2, 3) and Lp is
     # diag(1, 1, 2.5, 4) with 1e-2 at (0, 1) and (1, 0); they commute to
     # sqrt(2) 1e-2 delta, well inside the commutator gate. Within
-    # GROUP_RTOL ||Lc||_F = 3.9e-8 the eigenvalues 1 and 1 + delta form one
+    # OFFDIAG_RTOL ||Lc||_F = 3.9e-8 the eigenvalues 1 and 1 + delta form one
     # cluster, in which Lp is diagonalized; beyond it the communication
     # eigenvectors stay, and Lp's residual is its off-diagonal sqrt(2) 1e-2
     W = ones_completion(5)[:, 1:]
@@ -400,13 +400,13 @@ def test_clusters_of_several_sizes_rotate_in_one_call(monkeypatch):
 
 def _just_scalar(N: int, bump: WeightedGraph, ratio: float) -> np.ndarray:
     """Unit complete Laplacian plus ``bump``'s, scaled so that ||Lc_red - c I||_F
-    is ``ratio`` times the scalar test's bound GROUP_RTOL ||Lc||_F (to first order)."""
+    is ``ratio`` times the scalar test's bound OFFDIAG_RTOL ||Lc||_F (to first order)."""
     base = laplacian(WeightedGraph.complete(N))
     L = laplacian(bump)
     W = ones_completion(N)[:, 1:]
     reduced = W.T @ L @ W
     spread = np.linalg.norm(reduced - np.trace(reduced) / (N - 1) * np.eye(N - 1))
-    return base + ratio * GROUP_RTOL * np.linalg.norm(base) / spread * L
+    return base + ratio * OFFDIAG_RTOL * np.linalg.norm(base) / spread * L
 
 
 def _star(N: int, weight: float = 1.0) -> WeightedGraph:
@@ -415,7 +415,7 @@ def _star(N: int, weight: float = 1.0) -> WeightedGraph:
 
 def test_scalar_test_either_side_gives_a_certified_pair(monkeypatch):
     # a complete graph plus a small star: ||Lc_red - c I||_F is just inside or
-    # just outside GROUP_RTOL ||Lc||_F; inside, one eigenvalue solve and no
+    # just outside OFFDIAG_RTOL ||Lc||_F; inside, one eigenvalue solve and no
     # eigenvector; outside, the communication Laplacian's own eigensolve, and
     # no rotation, since Lp complete is scalar on every cluster. Lp commutes
     # with both, and both pairs pass the gate
@@ -518,12 +518,11 @@ def _radius_shift_bound(model, pairs, K) -> np.ndarray:
 def test_scalar_branch_matches_an_eigh_reference_pair():
     # the pair without eigenvectors against the pair the scalar branch used to
     # form: the lifted eigh basis of the reduced Lp and the Rayleigh quotients
-    # of both Laplacians over it. The gate holds by construction only while
-    # the scalar test is no wider than the gate. With a complete graph the
+    # of both Laplacians over it. The gate holds by construction, since the
+    # scalar test bounds its residual with the same constant. With a complete graph the
     # radii of the synthesized gain agree to 1e-12; just inside the test the
     # pair's lambda_c is the mean of quotients that spread up to
-    # GROUP_RTOL ||Lc||_F, and the radii move within the Bauer-Fike bound of that
-    assert GROUP_RTOL <= OFFDIAG_RTOL
+    # OFFDIAG_RTOL ||Lc||_F, and the radii move within the Bauer-Fike bound of that
     eps = np.finfo(float).eps
     rng = np.random.default_rng(53)
     synthesized = 0
@@ -538,7 +537,7 @@ def test_scalar_branch_matches_an_eigh_reference_pair():
         spectrum = np.linalg.eigvalsh(Lp)
         assert np.abs(np.sort(pair.lambda_p) - spectrum).max() <= 64 * eps * spectrum[-1]
         assert np.abs(pair.lambda_c - reference.lambda_c).max() \
-            <= GROUP_RTOL * np.linalg.norm(Lc)
+            <= OFFDIAG_RTOL * np.linalg.norm(Lc)
         for L, lam in ((Lp, pair.lambda_p), (Lc, pair.lambda_c)):
             assert np.linalg.norm(L @ phi - phi * lam) <= OFFDIAG_RTOL * np.linalg.norm(L)
         try:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from limas import laplacian
-from limas.errors import NoConvergence, NotSymmetric, ShapeMismatch
+from limas.errors import NoConvergence, ShapeMismatch
 from limas.linalg import (
     RANK_RTOL,
     as_matrix,
@@ -26,6 +26,7 @@ from conftest import (
     cycle4_graph,
     lift_deviation_basis,
     ones_completion,
+    random_connected_graph,
     spectral_radius,
 )
 
@@ -64,9 +65,14 @@ def test_eig_sym_cycle_laplacian():
     assert np.allclose(values, [0.0, 0.2, 0.2, 0.4], atol=1e-9)
 
 
-def test_eig_sym_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
-        eig_sym([[0.0, 1.0], [0.0, 0.0]])
+def test_eig_sym_of_a_laplacian_is_its_eigvalsh():
+    # a Laplacian is symmetric by construction, so eig_sym needs no symmetry
+    # gate: its symmetric part is the Laplacian itself, bit for bit
+    rng = np.random.default_rng(3)
+    for N in (2, 5, 17, 40):
+        L = laplacian(random_connected_graph(rng, N))
+        assert np.array_equal(L, L.T)
+        assert np.array_equal(eig_sym(L), np.linalg.eigvalsh(L))
 
 
 def test_eig_sym_reconstruction_random():

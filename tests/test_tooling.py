@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
 import io
 import json
 import re
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from limas import analyze, cli
@@ -91,6 +94,56 @@ def test_analyze_of_a_complete_communication_graph_forms_no_eigenvectors(monkeyp
     assert calls == []
 
 
+LINALG_KERNELS = ("eigvals", "eigvalsh", "eigh", "svd", "solve", "det")
+
+
+def _kernel_key(name: str, arrays) -> tuple:
+    """(kernel, shapes, sha1 of the bytes) of one call's array arguments."""
+    arrays = [np.ascontiguousarray(a) for a in arrays]
+    digest = hashlib.sha1(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    return name, tuple(a.shape for a in arrays), digest
+
+
+def test_analyze_computes_each_quantity_once(tmp_path, workloads, monkeypatch):
+    # a census of numpy's linalg kernels over one analyze of every benchmark
+    # model kind. Two inputs reach a kernel twice, and no other input does:
+    # on a complete communication graph the model's sorted spectrum and the
+    # scalar pairing both take the eigvalsh of Lp, and each Riccati synthesis
+    # takes the eigvals of alpha_max*A for sigma_c in sufficient_check and
+    # again in solve_mare
+    calls = []
+    for name in LINALG_KERNELS:
+        def recorded(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+            calls.append(_kernel_key(_name, [a for a in args if isinstance(a, np.ndarray)]))
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    kinds = []
+    for workload in ("analyze-ladder", "riccati-near-critical"):
+        workdir = tmp_path / workload
+        workdir.mkdir()
+        kinds += workloads.build(workload, 1, workdir)[0]
+    kinds = [case for case in kinds if (" N=64 " in case.label and "star" not in case.label)
+             or "star N=8 " in case.label or case.label.endswith(" d=0.1")]
+    assert len(kinds) == 13
+    for case in kinds:
+        calls.clear()
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli.main(["analyze", case.model, "--format", "json"])
+        report = json.loads(out.getvalue())
+        model = load_model(case.model)
+        expected = set()
+        if model.gc.i.size == model.N * (model.N - 1) // 2:
+            Lp = model.laplacian_p
+            expected.add(_kernel_key("eigvalsh", [(Lp + Lp.T) / 2.0]))
+        if report["gain"] is not None and report["gain"]["source"] == "riccati":
+            expected.add(_kernel_key("eigvals", [report["sufficient"]["alpha_max"] * model.A]))
+        repeats = {key: count for key, count in Counter(calls).items() if count > 1}
+        assert repeats == dict.fromkeys(expected, 2), case.label
+        if "cycle+cycle" in case.label or "star" in case.label:
+            assert repeats == {}, case.label
+
+
 def test_near_critical_round_solves_ignore_rounding(tmp_path, workloads):
     # seeds 1 and 57 jitter the poles and weights of the same models; once
     # Newton stops where its quadratic convergence reaches rounding, the
@@ -103,6 +156,30 @@ def test_near_critical_round_solves_ignore_rounding(tmp_path, workloads):
         solves.append(sum(case.weight * analyze(load_model(case.model)).mare_iterations
                           for case in cases))
     assert solves[0] == solves[1] <= 650
+
+
+PUBLIC_NAMES = [
+    "AnalysisReport", "AssumptionCheck", "ConvergenceMetrics", "GainVerification",
+    "GridSearchResult", "LimasModel", "MareSolution", "NecessaryResult", "ScalarResult",
+    "SpectralPair", "SufficientResult", "SynthesisResult", "Trajectory", "WeightedGraph",
+    "analyze", "check_modal_controllability", "check_proportional_coupling",
+    "closed_loop_matrix", "commute_check", "convergence_metrics", "initial_state",
+    "is_connected", "laplacian", "load_model", "modal_radii", "model_from_dict",
+    "model_to_dict", "necessary_check", "projected_deviation_matrix", "save_model",
+    "scalar_check", "scalar_grid_search", "sigma_critical", "simulate",
+    "simultaneous_diagonalize", "solve_mare", "sufficient_check", "synthesize_gain",
+    "verify_gain",
+]
+
+
+def test_public_names_are_pinned():
+    # a public name is added only with a reason and removed only as an API
+    # change, so either shows in this list's diff
+    import limas
+
+    assert sorted(limas.__all__) == PUBLIC_NAMES
+    assert len(set(limas.__all__)) == len(limas.__all__)
+    assert [name for name in PUBLIC_NAMES if not hasattr(limas, name)] == []
 
 
 def _subcommand_flags() -> dict[str, list[str]]:
