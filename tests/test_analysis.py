@@ -52,6 +52,32 @@ from conftest import (
 )
 
 
+# --- coupling factors alpha_i = 1 - alpha * lambda_p_i ---------------------
+
+def test_alpha_spectrum_showcase(showcase_model):
+    # lambda_p = (0.2, 0.2, 0.4) at alpha = 0.3
+    res = sufficient_check(showcase_model, spectral_pair(showcase_model))
+    assert res.alpha_min == pytest.approx(0.88, abs=1e-12)
+    assert res.alpha_max == pytest.approx(0.94, abs=1e-12)
+
+
+def test_alpha_spectrum_decoupled():
+    A = np.array([[0.6, 0.3], [0.0, 0.6]])
+    model = LimasModel(A, [[1.0], [1.0]], cycle4_graph(),
+                       WeightedGraph.complete(4), alpha=0.0)
+    res = sufficient_check(model, spectral_pair(model))
+    assert res.alpha_min == res.alpha_max == 1.0
+
+
+def test_alpha_spectrum_exact_cancellation():
+    # lambda_p = 0.2 at alpha = 5: the only coupling factor is exactly 0
+    model = LimasModel([[2.0]], [[1.0]],
+                       WeightedGraph(2, [(0, 1, 0.1)]),
+                       WeightedGraph(2, [(0, 1, 1.0)]), alpha=5.0)
+    res = sufficient_check(model, spectral_pair(model))
+    assert res.alpha_min == res.alpha_max == 0.0
+
+
 # --- critical Riccati margin ------------------------------------------------
 
 def test_sigma_critical_showcase():
@@ -82,9 +108,6 @@ def test_sufficient_check_showcase_numbers(showcase_model):
     spec = spectral_pair(showcase_model)
     res = sufficient_check(showcase_model, spec)
     assert res.holds
-    # lambda_p = (0.2, 0.2, 0.4) at alpha = 0.3: the factors 1 - alpha*lambda_p
-    assert res.alpha_min == pytest.approx(0.88, abs=1e-12)
-    assert res.alpha_max == pytest.approx(0.94, abs=1e-12)
     assert res.lhs == pytest.approx(5.625e-05, rel=1e-6)
     assert res.rhs == pytest.approx(0.0209528, rel=1e-4)
     assert res.sigma_c == pytest.approx(0.497007, abs=1e-5)
@@ -100,7 +123,6 @@ def test_sufficient_check_decoupled_complete():
     spec = spectral_pair(model)
     res = sufficient_check(model, spec)
     assert res.holds
-    assert res.alpha_min == res.alpha_max == 1.0
     assert res.lhs == pytest.approx(0.0, abs=1e-15)
     assert res.sigma_c == 0.0
     assert res.rhs > 0.0
@@ -129,7 +151,6 @@ def test_sufficient_check_degenerate_coupling():
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=5.0)
     spec = spectral_pair(model)
     res = sufficient_check(model, spec)
-    assert res.alpha_max == 0.0
     assert res.holds and res.k_star == 0.0
     synth = synthesize_gain(model, spec, sufficient=res)
     assert np.array_equal(synth.K, np.zeros((1, 1)))
