@@ -40,6 +40,7 @@ from .errors import (
     SynthesisFailed,
 )
 from .graphs import (
+    AssumptionCheck,
     SpectralPair,
     WeightedGraph,
     _laplacian_spectrum,
@@ -81,6 +82,11 @@ class LimasModel:
     ``gp``/``gc`` the physical and communication graphs on N nodes. Pass
     ``alpha`` instead of (or along with) ``Ap`` to declare proportional
     coupling Ap = alpha * A; when both are given they must agree.
+
+    What the conditions read of the plant is computed once, on first access,
+    and kept: the Laplacians, their sorted spectra, their joint spectrum and
+    the controllability and coupling checks. The conditions take the model
+    alone and read these from it.
     """
 
     n: int
@@ -148,6 +154,15 @@ class LimasModel:
         return _laplacian_spectrum(self.laplacian_c)
 
     @cached_property
+    def joint_spectrum(self) -> SpectralPair:
+        """simultaneous_diagonalize of the two Laplacians, computed once.
+
+        A refusal, NotCommuting or DegenerateSpectrum, is not kept: it is
+        computed and raised again on each access.
+        """
+        return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c)
+
+    @cached_property
     def controllability_check(self) -> AssumptionCheck:
         """check_modal_controllability of this model, computed once."""
         return check_modal_controllability(self)
@@ -162,13 +177,6 @@ def _coupling_residual(A, Ap, alpha: float) -> tuple[float, bool]:
     """||Ap - alpha*A||_F and whether it is within COUPLING_RTOL * ||A||_F."""
     residual = float(np.linalg.norm(Ap - alpha * A))
     return residual, residual <= COUPLING_RTOL * float(np.linalg.norm(A))
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    holds: bool
-    residual: float
-    detail: str = ""
 
 
 def check_modal_controllability(model: LimasModel) -> AssumptionCheck:
@@ -259,14 +267,16 @@ def _communication_modes(model: LimasModel, lam_c) -> np.ndarray:
     return lam_c
 
 
-def sufficient_check(model: LimasModel, spec: SpectralPair) -> SufficientResult:
+def sufficient_check(model: LimasModel) -> SufficientResult:
     """Evaluate the sufficient condition and the midpoint gain scale.
 
-    ``spec`` exists only for commuting Laplacians; per-mode controllability
-    and proportional coupling are required too (AssumptionViolated if not).
+    Reads the model's joint_spectrum, so it raises NotCommuting or
+    DegenerateSpectrum without one; per-mode controllability and
+    proportional coupling are required too (AssumptionViolated if not).
     The extremes of alpha_i / lambda_cj range over modes i and j
     independently, while the reported sigma_modes pair modes positionally.
     """
+    spec = model.joint_spectrum
     lam_c = _communication_modes(model, spec.lambda_c[1:])
     a3, alpha = model.coupling_check
     if not a3.holds:
@@ -461,13 +471,15 @@ def _riccati_defect(Abar, B, sigma: float, P):
     return (defect + defect.T) / 2.0, -gain_dir.T / btpb
 
 
-def modal_radii(model: LimasModel, spec: SpectralPair, K) -> np.ndarray:
+def modal_radii(model: LimasModel, K) -> np.ndarray:
     """Spectral radius of every non-consensus mode A - lp*Ap + lc*BK.
 
-    Valid only with the positional mode pairing of a SpectralPair, i.e.
-    under commuting Laplacians. All radii below one certifies consensus.
+    The modes pair positionally in the model's joint_spectrum, which exists
+    only for commuting Laplacians (NotCommuting or DegenerateSpectrum
+    otherwise). All radii below one certifies consensus.
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
+    spec = model.joint_spectrum
     modes = (model.A - spec.lambda_p[1:, None, None] * model.Ap
              + spec.lambda_c[1:, None, None] * (model.B @ K))
     return np.abs(eig_general(modes)).max(axis=1)
@@ -483,7 +495,7 @@ class SynthesisResult:
     modal_radii: np.ndarray
 
 
-def synthesize_gain(model: LimasModel, spec: SpectralPair,
+def synthesize_gain(model: LimasModel,
                     sufficient: SufficientResult | None = None) -> SynthesisResult:
     """Synthesize the common feedback gain under the sufficient condition.
 
@@ -495,22 +507,24 @@ def synthesize_gain(model: LimasModel, spec: SpectralPair,
     The margin is clipped into [0, 1]; one at or below the critical margin
     surfaces as solve_mare's Divergence. A gain that leaves any mode
     unstable is reported as SynthesisFailed, never returned silently.
+    ``sufficient`` is the model's sufficient_check when the caller has it;
+    the radii are read in the model's joint_spectrum.
     """
     if sufficient is None:
-        sufficient = sufficient_check(model, spec)
+        sufficient = sufficient_check(model)
     if not sufficient.holds:
         raise SynthesisFailed("sufficient condition does not hold")
 
     alpha_max = sufficient.alpha_max
     if alpha_max == 0.0:
         K = np.zeros((1, model.n))
-        radii = modal_radii(model, spec, K)
+        radii = modal_radii(model, K)
         return SynthesisResult(K, 0.0, None, radii)
 
     sigma = float(np.clip(np.min(sufficient.sigma_modes), 0.0, 1.0))
     mare = solve_mare(alpha_max * model.A, model.B, sigma)
     K = (sufficient.k_star / alpha_max) * mare.K
-    radii = modal_radii(model, spec, K)
+    radii = modal_radii(model, K)
     if float(radii.max()) >= 1.0:
         raise SynthesisFailed(
             f"synthesized gain leaves a modal radius at {float(radii.max()):g}")
@@ -537,13 +551,14 @@ class NecessaryResult:
     dets: tuple[float, ...]
 
 
-def necessary_check(model: LimasModel, spec: SpectralPair) -> NecessaryResult:
+def necessary_check(model: LimasModel) -> NecessaryResult:
     """Evaluate the determinant-based necessary condition.
 
-    Requires commuting Laplacians (implied by ``spec``) and per-mode
-    controllability, but not proportional coupling. gamma_c is the
-    communication eigenratio lambda_c_max / lambda_c_min over modes, and
-    ``dets`` are the |det M_i| of the mode matrices M_i = A - lp_i*Ap.
+    Requires the model's joint_spectrum (NotCommuting or DegenerateSpectrum
+    without one) and per-mode controllability, but not proportional
+    coupling. gamma_c is the communication eigenratio lambda_c_max /
+    lambda_c_min over modes, and ``dets`` are the |det M_i| of the mode
+    matrices M_i = A - lp_i*Ap.
 
     ``holds`` is False only when no gain can make every mode's determinant
     smaller than one in magnitude. By the matrix determinant lemma,
@@ -557,6 +572,7 @@ def necessary_check(model: LimasModel, spec: SpectralPair) -> NecessaryResult:
     end's magnitude. For n >= 2 without proportional coupling it always
     holds.
     """
+    spec = model.joint_spectrum
     lam_c = _communication_modes(model, spec.lambda_c[1:])
     gamma_c = float(lam_c.max()) / float(lam_c.min())
     modes = model.A - spec.lambda_p[1:, None, None] * model.Ap
@@ -671,17 +687,22 @@ class AnalysisReport:
     consensusable_certified: bool = False
     verdict: str = "inconclusive"
 
-    def certify(self, source: str, K, model: LimasModel, spec: SpectralPair | None,
+    def certify(self, source: str, K, model: LimasModel,
                 radii: np.ndarray | None = None) -> None:
-        """Record gain K from source, checked by its modal radii or, without spec, verify_gain."""
+        """Record gain K from source and check it.
+
+        With a paired spectrum in this report, the check is its modal radii
+        (``radii`` when the caller has them); without one, verify_gain, and
+        the model's joint_spectrum is not read again.
+        """
         self.gain = np.ravel(K).tolist()
         self.gain_source = source
-        if spec is None:
+        if self.lambda_p_paired is None:
             self.certificate_method = "projected-radius"
             self.certified_radius = float(verify_gain(model, K).max_radius)
         else:
             if radii is None:
-                radii = modal_radii(model, spec, K)
+                radii = modal_radii(model, K)
             self.modal_radii = radii.tolist()
             self.certificate_method = "modal-radii"
             self.certified_radius = float(radii.max())
@@ -764,13 +785,14 @@ def analyze(model: LimasModel) -> AnalysisReport:
     conditions, which need no commuting assumption. The verdict follows:
 
     1. The Riccati gain, then the scalar-interval gain. The first gain
-       produced is the one verified: by modal_radii when a SpectralPair
-       exists, by verify_gain otherwise; a radius below one certifies it.
+       produced is the one verified: by modal_radii when the model has a
+       joint_spectrum, by verify_gain otherwise; a radius below one
+       certifies it.
     2. A refutation decides only when no gain was certified.
     """
     spec, error = None, None
     try:
-        spec = simultaneous_diagonalize(model.laplacian_p, model.laplacian_c)
+        spec = model.joint_spectrum
         commute = spec.commute
     except NotCommuting as exc:
         commute = exc.commute
@@ -783,7 +805,7 @@ def analyze(model: LimasModel) -> AnalysisReport:
         alpha=alpha,
         lambda_p=model.spectrum_p.tolist(),
         lambda_c=model.spectrum_c.tolist(),
-        assumption_commuting=AssumptionCheck(commute.ok, commute.residual),
+        assumption_commuting=commute,
         assumption_controllability=model.controllability_check,
         assumption_coupling=coupling,
         sufficient_error=error,
@@ -794,11 +816,11 @@ def analyze(model: LimasModel) -> AnalysisReport:
         report.lambda_p_paired = spec.lambda_p.tolist()
         report.lambda_c_paired = spec.lambda_c.tolist()
         try:
-            report.sufficient = sufficient_check(model, spec)
+            report.sufficient = sufficient_check(model)
         except AssumptionViolated as exc:
             report.sufficient_error = str(exc)
         try:
-            report.necessary = necessary_check(model, spec)
+            report.necessary = necessary_check(model)
         except AssumptionViolated as exc:
             report.necessary_error = str(exc)
 
@@ -815,18 +837,18 @@ def analyze(model: LimasModel) -> AnalysisReport:
 
     if report.sufficient is not None and report.sufficient.holds:
         try:
-            synth = synthesize_gain(model, spec, sufficient=report.sufficient)
+            synth = synthesize_gain(model, sufficient=report.sufficient)
         except (SynthesisFailed, Divergence, NotControllable) as exc:
             report.synthesis_error = str(exc)
         else:
             report.mare_sigma = synth.sigma
             if synth.mare is not None:
                 report.mare_iterations = synth.mare.iterations
-            report.certify("riccati", synth.K, model, spec, synth.modal_radii)
+            report.certify("riccati", synth.K, model, synth.modal_radii)
     if report.gain is None and report.scalar is not None \
             and report.scalar.k_recommended is not None:
         report.certify("scalar-interval", [[report.scalar.k_recommended / model.B.item()]],
-                       model, spec)
+                       model)
 
     if report.consensusable_certified:
         report.verdict = "consensusable"

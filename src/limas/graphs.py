@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -187,13 +187,20 @@ def is_connected(g: WeightedGraph) -> bool:
     return False
 
 
-class CommuteCheck(NamedTuple):
-    ok: bool
+@dataclass(frozen=True)
+class AssumptionCheck:
+    """Whether an assumption holds, the residual it was judged by, and what failed."""
+
+    holds: bool
     residual: float
+    detail: str = ""
 
 
-def commute_check(Lp, Lc) -> CommuteCheck:
+def commute_check(Lp, Lc) -> AssumptionCheck:
     """Frobenius norm of the commutator Lp Lc - Lc Lp against the COMMUTE_RTOL gate.
+
+    Returns the AssumptionCheck of commuting Laplacians: ``holds`` when the
+    norm is at most COMMUTE_RTOL * ||Lp||_F ||Lc||_F, and the norm as ``residual``.
 
     Checks that both are finite square matrices of one size. For symmetric
     inputs (every Laplacian) Lc Lp is the transpose of C = Lp Lc, so one
@@ -207,7 +214,7 @@ def commute_check(Lp, Lc) -> CommuteCheck:
     symmetric = np.array_equal(Lp, Lp.T) and np.array_equal(Lc, Lc.T)
     residual = float(np.linalg.norm(C - (C.T if symmetric else Lc @ Lp)))
     gate = COMMUTE_RTOL * float(np.linalg.norm(Lp)) * float(np.linalg.norm(Lc))
-    return CommuteCheck(residual <= gate, residual)
+    return AssumptionCheck(residual <= gate, residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,13 +226,15 @@ class SpectralPair:
     entry 0 on the consensus direction 1/sqrt(N). Beyond the leading zeros
     the lists carry no magnitude ordering. ``commute`` is the commutator
     check the pair passed in :func:`simultaneous_diagonalize`; a pair built
-    by hand has none. The pair holds read-only copies of its arrays, and
-    compares and hashes by identity.
+    by hand has none. A model's pair is its ``joint_spectrum``, which the
+    conditions of :mod:`limas.analysis` read themselves, so a pair built by
+    hand enters none of them. The pair holds read-only copies of its arrays,
+    and compares and hashes by identity.
     """
 
     lambda_p: np.ndarray
     lambda_c: np.ndarray
-    commute: CommuteCheck | None = None
+    commute: AssumptionCheck | None = None
 
     def __post_init__(self):
         for name in ("lambda_p", "lambda_c"):
@@ -275,7 +284,7 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     negative paired value, a rounded zero, reads as 0.
     """
     commute = commute_check(Lp, Lc)
-    if not commute.ok:
+    if not commute.holds:
         raise NotCommuting(commute)
     # read as commute_check validated them: finite, square, of one size
     Lp, Lc = (np.atleast_2d(np.asarray(L, dtype=float)) for L in (Lp, Lc))

@@ -17,7 +17,6 @@ from limas import (
     WeightedGraph,
     commute_check,
     laplacian,
-    simultaneous_diagonalize,
 )
 from limas.analysis import MareSolution
 from limas.errors import Divergence, NotControllable, ShapeMismatch
@@ -148,7 +147,7 @@ def _non_commuting_graphs(rng, N: int) -> tuple[WeightedGraph, WeightedGraph]:
     while True:
         gp = random_connected_graph(rng, N)
         gc = random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0)
-        if not commute_check(laplacian(gp), laplacian(gc)).ok:
+        if not commute_check(laplacian(gp), laplacian(gc)).holds:
             return gp, gc
 
 
@@ -183,7 +182,7 @@ def verdict_corpus(seed: int = 0, per_class: int = 60) -> dict[str, list[LimasMo
         "scalar", "proportional", "free-ap", "non-commuting", "edge")}
     for _ in range(per_class):
         a, gp, gc = random_scalar_instance(rng)
-        while commute_check(laplacian(gp), laplacian(gc)).ok:
+        while commute_check(laplacian(gp), laplacian(gc)).holds:
             a, gp, gc = random_scalar_instance(rng)
         corpus["scalar"].append(LimasModel([[a]], [[1.0]], gp, gc, Ap=[[1.0]]))
     corpus["proportional"] = [random_coupled_model(rng) for _ in range(per_class)]
@@ -231,11 +230,6 @@ def count_calls(monkeypatch, name: str = "eigh") -> list[int]:
 
     monkeypatch.setattr(np.linalg, name, counting)
     return calls
-
-
-def spectral_pair(model: LimasModel) -> SpectralPair:
-    """Joint eigenstructure of the model's two Laplacians."""
-    return simultaneous_diagonalize(model.laplacian_p, model.laplacian_c)
 
 
 def ones_completion(n: int) -> np.ndarray:
@@ -294,17 +288,17 @@ def joint_basis(spec: SpectralPair, Lp, Lc) -> np.ndarray:
     return basis
 
 
-def modal_deviation_norms(model: LimasModel, spec: SpectralPair, K, x0,
-                          steps: int) -> np.ndarray:
+def modal_deviation_norms(model: LimasModel, K, x0, steps: int) -> np.ndarray:
     """Per-agent deviation norms of a run, iterated mode by mode in the joint basis.
 
-    With X the (N, n) agent states and phi the :func:`joint_basis` of
-    ``spec``, Z = phi' X holds one row per joint mode; row 0 is the consensus
+    With X the (N, n) agent states and phi the :func:`joint_basis` of the
+    model's ``joint_spectrum``, Z = phi' X holds one row per joint mode; row 0 is the consensus
     mode and rows 1.. follow their own blocks A - lp*Ap + lc*BK. The consensus mode never enters the iteration, so
     each step's deviations phi[:, 1:] Z[1:] keep their relative accuracy
     whatever the mean does. Returns a (steps + 1, N) array.
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
+    spec = model.joint_spectrum
     modes = (model.A - spec.lambda_p[1:, None, None] * model.Ap
              + spec.lambda_c[1:, None, None] * (model.B @ K))
     W = joint_basis(spec, model.laplacian_p, model.laplacian_c)[:, 1:]
@@ -351,12 +345,12 @@ def exact_stabilizing_interval(a: float, Lp, Lc) -> tuple[float, float]:
     return float(k_lo), float(k_hi)
 
 
-def jury_lp_margin(model: LimasModel, spec: SpectralPair) -> float:
+def jury_lp_margin(model: LimasModel) -> float:
     """Largest t such that some gain K keeps every Jury inequality of every mode >= t (n = 2).
 
-    Mode i closes as F_i = M_i + lc_i*BK with M_i = A - lp_i*Ap. Its
-    characteristic polynomial z^2 - tr(F_i) z + det(F_i) is Schur stable
-    exactly when 1 - tr + det, 1 + tr + det, 1 - det and 1 + det are all
+    Mode i of the model's joint_spectrum closes as F_i = M_i + lc_i*BK with
+    M_i = A - lp_i*Ap. Its characteristic polynomial z^2 - tr(F_i) z + det(F_i)
+    is Schur stable exactly when 1 - tr + det, 1 + tr + det, 1 - det and 1 + det are all
     positive. Each is affine in K, as tr(F_i) = tr(M_i) + lc_i*KB and
     det(F_i) = det(M_i) + lc_i*K adj(M_i)B. With each row g + hK scaled so
     that ||(g, h)|| = 1, the LP maximizes t subject to g + hK >= t and t <= 1
@@ -366,6 +360,7 @@ def jury_lp_margin(model: LimasModel, spec: SpectralPair) -> float:
     """
     if model.n != 2:
         raise ShapeMismatch(f"the Jury LP here is written for n = 2, got n = {model.n}")
+    spec = model.joint_spectrum
     lc = spec.lambda_c[1:]
     M = model.A - spec.lambda_p[1:, None, None] * model.Ap
     B = model.B.ravel()

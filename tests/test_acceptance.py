@@ -37,7 +37,6 @@ from conftest import (
     modal_deviation_norms,
     ones_completion,
     random_scalar_instance,
-    spectral_pair,
 )
 
 
@@ -167,10 +166,9 @@ def test_A6_block_diagonalization_equivalence():
         Ap = rng.uniform(-0.5, 0.5, (n, n))
         B = rng.uniform(-1.0, 1.0, (n, 1))
         model = LimasModel(A, B, gp, gc, Ap=Ap)
-        spec = spectral_pair(model)
         K = rng.uniform(-1.0, 1.0, (1, n))
         full = verify_gain(model, K).max_radius
-        per_mode = float(modal_radii(model, spec, K).max())
+        per_mode = float(modal_radii(model, K).max())
         assert full == pytest.approx(per_mode, abs=1e-8)
     _report("A6")
 
@@ -211,7 +209,7 @@ def test_A7_simulator_identities():
             x, delta = M @ x, M @ delta
 
         # the consensus block of the joint basis never enters the deviations
-        reference = modal_deviation_norms(model, spectral_pair(model), K, x0, 200)
+        reference = modal_deviation_norms(model, K, x0, 200)
         assert np.all(np.abs(traj.delta_norms - reference).max(axis=1)
                       <= 1e-10 * reference.max(axis=1))
     _report("A7")

@@ -10,7 +10,6 @@ import pytest
 
 from limas import (
     LimasModel,
-    SpectralPair,
     WeightedGraph,
     analyze,
     check_proportional_coupling,
@@ -29,6 +28,7 @@ from limas.errors import (
     AssumptionViolated,
     Divergence,
     EmptyRange,
+    NotCommuting,
     NotControllable,
     SynthesisFailed,
 )
@@ -46,7 +46,6 @@ from conftest import (
     random_coupled_model,
     random_scalar_instance,
     random_state_matrix,
-    spectral_pair,
     spectral_radius,
     verdict_corpus,
 )
@@ -56,7 +55,7 @@ from conftest import (
 
 def test_alpha_spectrum_showcase(showcase_model):
     # lambda_p = (0.2, 0.2, 0.4) at alpha = 0.3
-    res = sufficient_check(showcase_model, spectral_pair(showcase_model))
+    res = sufficient_check(showcase_model)
     assert res.alpha_min == pytest.approx(0.88, abs=1e-12)
     assert res.alpha_max == pytest.approx(0.94, abs=1e-12)
 
@@ -65,7 +64,7 @@ def test_alpha_spectrum_decoupled():
     A = np.array([[0.6, 0.3], [0.0, 0.6]])
     model = LimasModel(A, [[1.0], [1.0]], cycle4_graph(),
                        WeightedGraph.complete(4), alpha=0.0)
-    res = sufficient_check(model, spectral_pair(model))
+    res = sufficient_check(model)
     assert res.alpha_min == res.alpha_max == 1.0
 
 
@@ -74,7 +73,7 @@ def test_alpha_spectrum_exact_cancellation():
     model = LimasModel([[2.0]], [[1.0]],
                        WeightedGraph(2, [(0, 1, 0.1)]),
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=5.0)
-    res = sufficient_check(model, spectral_pair(model))
+    res = sufficient_check(model)
     assert res.alpha_min == res.alpha_max == 0.0
 
 
@@ -105,8 +104,7 @@ def test_sigma_critical_monotone_in_scale():
 # --- sufficient condition ----------------------------------------------------
 
 def test_sufficient_check_showcase_numbers(showcase_model):
-    spec = spectral_pair(showcase_model)
-    res = sufficient_check(showcase_model, spec)
+    res = sufficient_check(showcase_model)
     assert res.holds
     assert res.lhs == pytest.approx(5.625e-05, rel=1e-6)
     assert res.rhs == pytest.approx(0.0209528, rel=1e-4)
@@ -120,8 +118,7 @@ def test_sufficient_check_decoupled_complete():
     A[0, 1] = 0.3
     model = LimasModel(A, [[1.0], [1.0]], cycle4_graph(),
                        WeightedGraph.complete(4), alpha=0.0)
-    spec = spectral_pair(model)
-    res = sufficient_check(model, spec)
+    res = sufficient_check(model)
     assert res.holds
     assert res.lhs == pytest.approx(0.0, abs=1e-15)
     assert res.sigma_c == 0.0
@@ -137,8 +134,7 @@ def test_sufficient_check_negative_rhs_fails():
     A = np.array([[3.0, 1.0], [0.0, 0.3]])
     model = LimasModel(A, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), alpha=3.0)
-    spec = spectral_pair(model)
-    res = sufficient_check(model, spec)
+    res = sufficient_check(model)
     assert res.rhs <= 0.0
     assert not res.holds
 
@@ -149,10 +145,9 @@ def test_sufficient_check_degenerate_coupling():
     model = LimasModel([[2.0]], [[1.0]],
                        WeightedGraph(2, [(0, 1, 0.1)]),
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=5.0)
-    spec = spectral_pair(model)
-    res = sufficient_check(model, spec)
+    res = sufficient_check(model)
     assert res.holds and res.k_star == 0.0
-    synth = synthesize_gain(model, spec, sufficient=res)
+    synth = synthesize_gain(model, sufficient=res)
     assert np.array_equal(synth.K, np.zeros((1, 1)))
     assert np.max(synth.modal_radii) == pytest.approx(0.0, abs=1e-12)
 
@@ -162,37 +157,38 @@ def test_sufficient_check_uncontrollable_mode():
     model = LimasModel(A_SHOWCASE, B_SHOWCASE,
                        WeightedGraph(2, [(0, 1, 0.5)]),
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=1.0)
-    spec = spectral_pair(model)
     with pytest.raises(AssumptionViolated) as err:
-        sufficient_check(model, spec)
+        sufficient_check(model)
     assert err.value.which == 2
 
 
 def test_sufficient_check_nonproportional_coupling():
     model = LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), Ap=[[0.0, 1.0], [0.0, 0.0]])
-    spec = spectral_pair(model)
     with pytest.raises(AssumptionViolated) as err:
-        sufficient_check(model, spec)
+        sufficient_check(model)
     assert err.value.which == 3
 
 
-def test_conditions_share_the_connectivity_floor(showcase_model):
-    spec = spectral_pair(showcase_model)
-    lam_c = spec.lambda_c.copy()
-    lam_c[1] = CONNECTIVITY_FLOOR
-    weak = SpectralPair(spec.lambda_p, lam_c)
+def test_conditions_share_the_connectivity_floor():
+    # a path whose middle edge is 1e-13 of the others: connected, but its
+    # smallest communication mode lies below CONNECTIVITY_FLOOR times the largest
+    weak = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1e-13), (2, 3, 1.0)])
+    model = LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(), weak, alpha=0.3)
+    lam_c = model.joint_spectrum.lambda_c[1:]
+    assert lam_c.min() <= CONNECTIVITY_FLOOR * lam_c.max()
     raised = []
     for check in (sufficient_check, necessary_check):
         with pytest.raises(AssumptionViolated) as err:
-            check(showcase_model, weak)
+            check(model)
         raised.append((err.value.which, str(err.value)))
     assert raised[0] == raised[1] and raised[0][0] == 0
     # the floor is checked before proportional coupling
-    model = LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(),
-                       WeightedGraph.complete(4), Ap=[[0.0, 1.0], [0.0, 0.0]])
+    model = LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(), weak,
+                       Ap=[[0.0, 1.0], [0.0, 0.0]])
+    assert not model.coupling_check[0].holds
     with pytest.raises(AssumptionViolated) as err:
-        sufficient_check(model, weak)
+        sufficient_check(model)
     assert err.value.which == 0
 
 
@@ -583,6 +579,49 @@ def test_solve_mare_counts_a_failed_stein_spectrum_as_unstable(monkeypatch):
     assert err.value.iterations > 0
 
 
+def _cap_newton_at_one_solve(monkeypatch):
+    monkeypatch.setattr(analysis, "MARE_SOLVES_PER_SIGMA", 1)
+
+
+def _fail_the_stein_solve(monkeypatch):
+    # only the n^2 x n^2 Stein system fails; the start gain's n x n solve runs
+    solve = np.linalg.solve
+
+    def failing_on_stein(a, b):
+        if np.shape(a) == (4, 4):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_on_stein)
+
+
+NEWTON_EXITS = [(_cap_newton_at_one_solve, "no convergence"),
+                (_fail_the_stein_solve, "singular Stein equation")]
+
+
+@pytest.mark.parametrize("fail, reason", NEWTON_EXITS)
+def test_solve_mare_names_each_newton_failure(monkeypatch, fail, reason):
+    # halfway between the critical margin and 1 Newton converges when left alone
+    sigma = sigma_critical(A_SHOWCASE, 1.0)
+    sigma += (1.0 - sigma) / 2.0
+    assert solve_mare(A_SHOWCASE, B_SHOWCASE, sigma).iterations > 1
+    fail(monkeypatch)
+    with pytest.raises(Divergence) as err:
+        solve_mare(A_SHOWCASE, B_SHOWCASE, sigma)
+    assert str(err.value) == f"Newton at sigma = {sigma:.12g} stopped after 1 Stein solves: {reason}"
+    assert err.value.iterations == 1
+
+
+@pytest.mark.parametrize("fail, reason", NEWTON_EXITS)
+def test_analyze_reports_each_newton_failure(showcase_model, monkeypatch, fail, reason):
+    fail(monkeypatch)
+    report = analyze(showcase_model)
+    assert report.sufficient.holds
+    assert re.fullmatch(r"Newton at sigma = \S+ stopped after 1 Stein solves: " + reason,
+                        report.synthesis_error)
+    assert report.gain is None and report.verdict != "consensusable"
+
+
 @pytest.mark.parametrize("Abar, B", [(A_SHOWCASE, B_SHOWCASE), ([[2.0]], [[1.0]])])
 def test_solve_mare_just_above_critical_terminates(Abar, B):
     # right at the boundary rounding decides; either outcome is fine, a hang is not
@@ -630,13 +669,12 @@ def test_near_critical_benchmark_model_is_certified(workloads, d, n):
 # --- gain synthesis -----------------------------------------------------------
 
 def test_synthesize_gain_showcase(showcase_model):
-    spec = spectral_pair(showcase_model)
-    synth = synthesize_gain(showcase_model, spec)
+    synth = synthesize_gain(showcase_model)
     assert float(synth.modal_radii.max()) < 1.0
     # returned P solves the strict inequality for every reported mode margin
     P = synth.mare.P
     assert np.min(np.linalg.eigvalsh(P)) > 1e-10 * np.linalg.norm(P)
-    suff = sufficient_check(showcase_model, spec)
+    suff = sufficient_check(showcase_model)
     Abar = suff.alpha_max * showcase_model.A
     for sigma_i in suff.sigma_modes:
         assert mare_inequality_margin(Abar, showcase_model.B, sigma_i, P) <= -1e-12
@@ -646,20 +684,18 @@ def test_synthesize_gain_requires_sufficient():
     A = np.array([[3.0, 1.0], [0.0, 0.3]])
     model = LimasModel(A, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), alpha=3.0)
-    spec = spectral_pair(model)
     with pytest.raises(SynthesisFailed):
-        synthesize_gain(model, spec)
+        synthesize_gain(model)
 
 
 def test_synthesis_margin_at_or_below_critical_is_divergence(showcase_model):
     # the margin is clipped into [0, 1]; solve_mare refuses it up front
-    spec = spectral_pair(showcase_model)
-    suff = sufficient_check(showcase_model, spec)
+    suff = sufficient_check(showcase_model)
     assert suff.sigma_c > 0.0
     for margin in (suff.sigma_c, 0.5 * suff.sigma_c, -1e-17):
         forged = dataclasses.replace(suff, sigma_modes=np.full_like(suff.sigma_modes, margin))
         with pytest.raises(Divergence) as err:
-            synthesize_gain(showcase_model, spec, sufficient=forged)
+            synthesize_gain(showcase_model, sufficient=forged)
         assert err.value.iterations == 0
 
 
@@ -670,15 +706,14 @@ def test_synthesis_soundness_randomized():
     positives = 0
     for _ in range(120):
         model = random_coupled_model(rng, n=int(rng.integers(1, 5)))
-        spec = spectral_pair(model)
         try:
-            res = sufficient_check(model, spec)
+            res = sufficient_check(model)
         except AssumptionViolated:
             continue
         if not res.holds:
             continue
         positives += 1
-        synth = synthesize_gain(model, spec, sufficient=res)
+        synth = synthesize_gain(model, sufficient=res)
         assert float(synth.modal_radii.max()) < 1.0
     assert positives >= 10
 
@@ -686,8 +721,7 @@ def test_synthesis_soundness_randomized():
 # --- necessary condition -------------------------------------------------------
 
 def test_necessary_check_showcase(showcase_model):
-    spec = spectral_pair(showcase_model)
-    res = necessary_check(showcase_model, spec)
+    res = necessary_check(showcase_model)
     assert res.holds
     assert res.gamma_c == pytest.approx(1.0, abs=1e-12)
     assert sorted(res.dets) == pytest.approx([1.1616, 1.3254, 1.3254], rel=1e-9)
@@ -700,8 +734,8 @@ def test_necessary_check_zero_state_matrix():
     Ap = np.array([[0.5, 0.2], [0.1, 0.4]])
     model = LimasModel(np.zeros((2, 2)), B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), Ap=Ap)
-    spec = spectral_pair(model)
-    res = necessary_check(model, spec)
+    spec = model.joint_spectrum
+    res = necessary_check(model)
     lp = np.sort(spec.lambda_p[1:])
     expected = abs(np.linalg.det(Ap)) * abs(res.gamma_c * lp[0]**2 - lp[-1]**2)
     assert res.lhs == pytest.approx(expected, rel=1e-9)
@@ -711,8 +745,7 @@ def test_necessary_check_decoupled_equal_dets():
     gp = cycle4_graph()
     gc = WeightedGraph.complete(4, 0.7)
     model = LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, alpha=0.0)
-    spec = spectral_pair(model)
-    res = necessary_check(model, spec)
+    res = necessary_check(model)
     det_a = abs(np.linalg.det(A_SHOWCASE))
     assert res.det_min == pytest.approx(det_a, rel=1e-12)
     assert res.det_max == pytest.approx(det_a, rel=1e-12)
@@ -723,8 +756,7 @@ def test_necessary_check_skips_coupling_assumption():
     # non-proportional Ap must not block the necessary condition
     model = LimasModel(A_SHOWCASE, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), Ap=[[0.1, 0.2], [0.05, 0.3]])
-    spec = spectral_pair(model)
-    res = necessary_check(model, spec)
+    res = necessary_check(model)
     assert isinstance(res.holds, bool)
 
 
@@ -732,9 +764,8 @@ def test_necessary_check_uncontrollable_mode():
     model = LimasModel(A_SHOWCASE, B_SHOWCASE,
                        WeightedGraph(2, [(0, 1, 0.5)]),
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=1.0)
-    spec = spectral_pair(model)
     with pytest.raises(AssumptionViolated) as err:
-        necessary_check(model, spec)
+        necessary_check(model)
     assert err.value.which == 2
 
 
@@ -744,12 +775,11 @@ def test_necessary_check_keeps_a_stabilizable_coupled_model():
     # interval of c = K adj(A)B nonempty, and K = [1.7, -0.1] stabilizes
     model = LimasModel([[-2.2, -0.5], [-1.3, 1.7]], [[0.0], [1.0]],
                        WeightedGraph.path(3), WeightedGraph.complete(3), alpha=0.3)
-    spec = spectral_pair(model)
-    res = necessary_check(model, spec)
+    res = necessary_check(model)
     assert res.lhs >= res.rhs
     assert res.holds
-    assert max(modal_radii(model, spec, [[1.7, -0.1]])) < 1.0
-    assert jury_lp_margin(model, spec) > 0.0
+    assert max(modal_radii(model, [[1.7, -0.1]])) < 1.0
+    assert jury_lp_margin(model) > 0.0
     assert analyze(model).verdict == "inconclusive"
 
 
@@ -759,7 +789,7 @@ def test_necessary_check_refutes_by_exact_scalar_interval():
     # intervals, while the paper's inequality alone reads lhs 0 < rhs
     gp = gc = WeightedGraph.cycle(5)
     model = LimasModel([[3.0]], [[1.0]], gp, gc, Ap=[[1.0]])
-    res = necessary_check(model, spectral_pair(model))
+    res = necessary_check(model)
     assert res.lhs < res.rhs
     assert not res.holds
     k_lo, k_hi = exact_stabilizing_interval(3.0, laplacian(gp), laplacian(gc))
@@ -772,7 +802,7 @@ def test_necessary_check_without_proportional_coupling_never_refutes():
     # coordinate, so however far apart the determinants are, nothing is refuted
     model = LimasModel([[3.0, 1.0], [0.0, 2.5]], B_SHOWCASE, WeightedGraph.path(4, 5.0),
                        WeightedGraph.complete(4), Ap=[[0.1, 0.2], [0.05, 0.3]])
-    res = necessary_check(model, spectral_pair(model))
+    res = necessary_check(model)
     assert res.lhs >= res.rhs
     assert res.holds
 
@@ -788,11 +818,10 @@ def test_necessary_check_refutes_only_with_room_to_spare(miss, refuted):
     A = np.array([[0.0, 1.0], [-d, 0.0]])
     model = LimasModel(A, [[0.0], [1.0]], WeightedGraph.path(3), WeightedGraph.complete(3),
                        Ap=0.1 * A + 1e-10 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-    spec = spectral_pair(model)
     assert check_proportional_coupling(model)[0].residual > 0.0
-    assert necessary_check(model, spec).holds is not refuted
+    assert necessary_check(model).holds is not refuted
     if refuted:
-        assert jury_lp_margin(model, spec) < 0.0
+        assert jury_lp_margin(model) < 0.0
 
 
 def test_refutations_are_infeasible_for_the_jury_lp():
@@ -811,7 +840,7 @@ def test_refutations_are_infeasible_for_the_jury_lp():
         report = analyze(model)
         if report.verdict == "inconclusive":
             continue
-        margin = jury_lp_margin(model, spectral_pair(model))
+        margin = jury_lp_margin(model)
         if report.verdict == "not-consensusable":
             refuted += 1
             assert margin <= 1e-9
@@ -869,26 +898,24 @@ def test_scalar_check_input_checks():
 
 def test_modal_radii_decoupled_zero_gain():
     model = four_agent_model(alpha=0.0)
-    spec = spectral_pair(model)
-    radii = modal_radii(model, spec, np.zeros((1, 2)))
+    radii = modal_radii(model, np.zeros((1, 2)))
     assert np.allclose(radii, 1.5, atol=1e-12)  # spectral radius of A
 
 
 def test_modal_radii_scalar_formula():
     model = LimasModel([[0.9]], [[1.0]], cycle4_graph(),
                        WeightedGraph.complete(4), alpha=1.0)
-    spec = spectral_pair(model)
+    spec = model.joint_spectrum
     k = -0.1
-    radii = modal_radii(model, spec, [[k]])
+    radii = modal_radii(model, [[k]])
     expected = [abs(0.9 - lp * 0.9 + lc * k)
                 for lp, lc in zip(spec.lambda_p[1:], spec.lambda_c[1:])]
     assert np.allclose(radii, expected, atol=1e-12)
 
 
 def test_modal_radii_showcase_certificate(showcase_model):
-    spec = spectral_pair(showcase_model)
-    synth = synthesize_gain(showcase_model, spec)
-    radii = modal_radii(showcase_model, spec, synth.K)
+    synth = synthesize_gain(showcase_model)
+    radii = modal_radii(showcase_model, synth.K)
     assert np.allclose(radii, synth.modal_radii, atol=1e-12)
     assert float(radii.max()) < 1.0
 
@@ -998,11 +1025,10 @@ def test_analyze_records_degenerate_gain_kernel(showcase_model, monkeypatch):
 
 
 def test_synthesize_gain_refuses_a_gain_its_radii_do_not_certify(showcase_model, monkeypatch):
-    spec = spectral_pair(showcase_model)
     monkeypatch.setattr(analysis, "modal_radii",
-                        lambda model, spec, K: np.array([0.5, 1.5, 0.5]))
+                        lambda model, K: np.array([0.5, 1.5, 0.5]))
     with pytest.raises(SynthesisFailed, match="^synthesized gain leaves a modal radius at 1.5$"):
-        synthesize_gain(showcase_model, spec)
+        synthesize_gain(showcase_model)
 
 
 def test_analyze_records_degenerate_spectrum(monkeypatch):
@@ -1033,11 +1059,10 @@ def test_synthesize_gain_single_mode_midpoint_placement():
     # one deviation mode: the midpoint gain scale cancels it exactly
     model = LimasModel([[1.3]], [[2.0]], WeightedGraph(2, [(0, 1, 0.3)]),
                        WeightedGraph(2, [(0, 1, 0.8)]), alpha=0.5)
-    spec = spectral_pair(model)
-    res = sufficient_check(model, spec)
+    res = sufficient_check(model)
     assert res.holds
     assert res.k_star == pytest.approx(0.7 / 1.6, rel=1e-12)
-    synth = synthesize_gain(model, spec, sufficient=res)
+    synth = synthesize_gain(model, sufficient=res)
     assert float(synth.modal_radii.max()) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -1050,11 +1075,10 @@ def test_synthesized_gain_matches_the_kernel_formula_property():
     synthesized = 0
     while synthesized < 300:
         model = random_coupled_model(rng)
-        spec = spectral_pair(model)
-        suff = sufficient_check(model, spec)
+        suff = sufficient_check(model)
         if not suff.holds or suff.alpha_max == 0.0:
             continue
-        synth = synthesize_gain(model, spec, sufficient=suff)
+        synth = synthesize_gain(model, sufficient=suff)
         synthesized += 1
         P, B, A = synth.mare.P, model.B, model.A
         btpb = float((B.T @ P @ B).item())
@@ -1198,7 +1222,7 @@ def test_analyze_scalar_interval_gain_certified_by_modal_radii():
     assert report.sufficient is not None and not report.sufficient.holds
     assert report.gain_source == "scalar-interval"
     assert report.certificate_method == "modal-radii"
-    radii = modal_radii(model, spectral_pair(model), [report.gain])
+    radii = modal_radii(model, [report.gain])
     assert report.modal_radii == radii.tolist()
     assert report.certified_radius == float(radii.max())
     assert report.verdict == "consensusable"
@@ -1315,13 +1339,13 @@ def test_stacked_mode_quantities_match_per_mode_loops():
     rng = np.random.default_rng(29)
     for _ in range(10):
         model = random_coupled_model(rng)
-        spec = spectral_pair(model)
+        spec = model.joint_spectrum
         K = rng.standard_normal((1, model.n))
         modes = [(model.A - lp * model.Ap, lc * (model.B @ K))
                  for lp, lc in zip(spec.lambda_p[1:], spec.lambda_c[1:])]
-        radii = modal_radii(model, spec, K)
+        radii = modal_radii(model, K)
         assert radii.tolist() == [spectral_radius(M + BK) for M, BK in modes]
-        dets = necessary_check(model, spec).dets
+        dets = necessary_check(model).dets
         assert dets == tuple(abs(determinant(M)) for M, _ in modes)
 
 
@@ -1336,12 +1360,43 @@ def test_analyze_runs_each_assumption_check_once(monkeypatch):
     model = four_agent_model()
     report = analyze(model)
     assert report.sufficient is not None and report.necessary is not None
-    sufficient_check(model, spectral_pair(model))
-    necessary_check(model, spectral_pair(model))
+    sufficient_check(model)
+    necessary_check(model)
     assert calls == {"check_modal_controllability": 1, "check_proportional_coupling": 1}
     assert report.assumption_controllability == model.controllability_check
     assert (report.assumption_coupling, report.alpha) == model.coupling_check
     assert model.coupling_check == check_proportional_coupling(model)
+
+
+def test_each_model_diagonalizes_its_laplacians_once(monkeypatch):
+    # analyze and the four conditions read the model's one joint spectrum; a
+    # refusal is not kept, so each access on path+star raises it anew
+    calls = {"simultaneous_diagonalize": 0, "commute_check": 0}
+    for module, name in ((analysis, "simultaneous_diagonalize"), (graphs, "commute_check")):
+        def counted(Lp, Lc, _stage=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _stage(Lp, Lc)
+        monkeypatch.setattr(module, name, counted)
+    model = four_agent_model()
+    report = analyze(model)
+    assert report.certificate_method == "modal-radii"
+    sufficient_check(model)
+    necessary_check(model)
+    synthesize_gain(model)
+    modal_radii(model, [report.gain])
+    assert calls == {"simultaneous_diagonalize": 1, "commute_check": 1}
+
+    calls.update(dict.fromkeys(calls, 0))
+    star = WeightedGraph(8, [(0, k, 1.0) for k in range(1, 8)])
+    model = LimasModel([[1.1]], [[1.0]], WeightedGraph.path(8, 0.1), star, alpha=0.3)
+    report = analyze(model)
+    assert report.certificate_method == "projected-radius"
+    assert calls == {"simultaneous_diagonalize": 1, "commute_check": 1}
+    for condition in (sufficient_check, necessary_check, synthesize_gain,
+                      lambda m: modal_radii(m, [report.gain])):
+        with pytest.raises(NotCommuting):
+            condition(model)
+    assert calls == {"simultaneous_diagonalize": 5, "commute_check": 5}
 
 
 # --- seeded verdict corpus ---------------------------------------------------------

@@ -538,7 +538,7 @@ def test_simulate_names_the_radius_of_an_uncertified_gain(tmp_path, capsys, monk
     }
     path = tmp_path / "scalar.json"
     path.write_text(json.dumps(data))
-    monkeypatch.setattr(analysis, "modal_radii", lambda model, spec, K: np.array([1.5]))
+    monkeypatch.setattr(analysis, "modal_radii", lambda model, K: np.array([1.5]))
     csv_path = tmp_path / "traj.csv"
     assert main(["simulate", str(path), "--out-csv", str(csv_path)]) == 1
     captured = capsys.readouterr()

@@ -28,7 +28,6 @@ from conftest import (
     ones_completion,
     random_coupled_model,
     random_scalar_instance,
-    spectral_pair,
 )
 
 
@@ -375,8 +374,7 @@ def test_grid_search_input_checks():
 
 def test_verify_gain_agrees_with_modal_radii(showcase_model):
     from limas import synthesize_gain
-    spec = spectral_pair(showcase_model)
-    synth = synthesize_gain(showcase_model, spec)
+    synth = synthesize_gain(showcase_model)
     check = verify_gain(showcase_model, synth.K)
     assert check.stable
     assert check.max_radius == pytest.approx(float(synth.modal_radii.max()), abs=1e-8)
@@ -402,9 +400,8 @@ def test_verify_gain_matches_modal_radii_on_random_models():
     rng = np.random.default_rng(41)
     for _ in range(20):
         model = random_coupled_model(rng, n=int(rng.integers(1, 4)))
-        spec = spectral_pair(model)
         K = rng.uniform(-1.0, 1.0, (1, model.n))
-        radii = modal_radii(model, spec, K)
+        radii = modal_radii(model, K)
         check = verify_gain(model, K)
         assert check.max_radius == pytest.approx(float(radii.max()), abs=1e-8)
 

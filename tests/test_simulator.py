@@ -26,7 +26,6 @@ from conftest import (
     joint_basis,
     modal_deviation_norms,
     random_coupled_model,
-    spectral_pair,
 )
 
 
@@ -51,8 +50,8 @@ def test_closed_loop_decoupled_zero_gain_is_block_diagonal():
 
 def test_closed_loop_congruence_with_modal_radii(showcase_model):
     # rotating by the joint basis block-diagonalizes the deviation dynamics
-    spec = spectral_pair(showcase_model)
-    synth = synthesize_gain(showcase_model, spec)
+    spec = showcase_model.joint_spectrum
+    synth = synthesize_gain(showcase_model)
     M = closed_loop_matrix(showcase_model, synth.K)
     phi = joint_basis(spec, showcase_model.laplacian_p, showcase_model.laplacian_c)
     T = np.kron(phi, np.eye(showcase_model.n))
@@ -99,8 +98,7 @@ def test_simulate_stable_decoupled_converges():
 
 
 def test_simulate_showcase_settles(showcase_model):
-    spec = spectral_pair(showcase_model)
-    synth = synthesize_gain(showcase_model, spec)
+    synth = synthesize_gain(showcase_model)
     x0 = initial_state(showcase_model, 42)
     assert x0.min() >= 0.0 and x0.max() <= 10.0
     traj = simulate(showcase_model, synth.K, x0, 300)
@@ -169,18 +167,17 @@ def test_simulate_first_transformed_block_stays_zero():
         K = rng.uniform(-0.5, 0.5, (1, model.n))
         x0 = rng.uniform(0.0, 10.0, model.N * model.n)
         traj = simulate(model, K, x0, 80)
-        reference = modal_deviation_norms(model, spectral_pair(model), K, x0, 80)
+        reference = modal_deviation_norms(model, K, x0, 80)
         assert _relative_step_error(traj.delta_norms, reference) <= 1e-10
 
 
 def test_simulate_showcase_tracks_modal_reference(showcase_model):
     # eig A = {1, 1.5}: the mean grows like 1.5^t while the deviations decay at
     # the certified radius, and neither is lost in the other
-    spec = spectral_pair(showcase_model)
-    synth = synthesize_gain(showcase_model, spec)
+    synth = synthesize_gain(showcase_model)
     x0 = initial_state(showcase_model, 42)
     traj = simulate(showcase_model, synth.K, x0, 300)
-    reference = modal_deviation_norms(showcase_model, spec, synth.K, x0, 300)
+    reference = modal_deviation_norms(showcase_model, synth.K, x0, 300)
     assert _relative_step_error(traj.delta_norms, reference) <= 1e-10
     rate = convergence_metrics(traj).rate
     assert rate == pytest.approx(float(synth.modal_radii.max()), abs=1e-6)
@@ -217,8 +214,7 @@ def test_convergence_metrics_pure_geometric():
 
 
 def test_convergence_metrics_showcase_rate(showcase_model):
-    spec = spectral_pair(showcase_model)
-    synth = synthesize_gain(showcase_model, spec)
+    synth = synthesize_gain(showcase_model)
     x0 = initial_state(showcase_model, 42)
     traj = simulate(showcase_model, synth.K, x0, 20)
     metrics = convergence_metrics(traj)

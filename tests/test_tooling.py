@@ -182,6 +182,28 @@ def test_public_names_are_pinned():
     assert [name for name in PUBLIC_NAMES if not hasattr(limas, name)] == []
 
 
+def test_no_public_callable_takes_a_spectral_pair():
+    # a model owns its joint spectrum, so no pair can be passed beside a model
+    # it does not belong to; simultaneous_diagonalize only returns one
+    import limas
+
+    callables = []
+    for name in limas.__all__:
+        obj = getattr(limas, name)
+        if inspect.isclass(obj):
+            callables += [(name, obj)] + [(f"{name}.{attr}", member)
+                                          for attr, member in vars(obj).items()
+                                          if inspect.isfunction(member) and not attr.startswith("_")]
+        elif callable(obj):
+            callables.append((name, obj))
+    assert ("AnalysisReport.certify", limas.AnalysisReport.certify) in callables
+    taking = [f"{name}({param.name})" for name, obj in callables
+              for param in inspect.signature(obj).parameters.values()
+              if "SpectralPair" in str(param.annotation)]
+    assert taking == []
+    assert "SpectralPair" in str(inspect.signature(limas.simultaneous_diagonalize).return_annotation)
+
+
 def _subcommand_flags() -> dict[str, list[str]]:
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
