@@ -34,7 +34,6 @@ from .graphs import (
     commute_check,
     is_connected,
     laplacian,
-    simultaneous_diagonalize,
 )
 from .model_io import load_model, model_from_dict, model_to_dict, save_model
 from .oracle import (
@@ -90,7 +89,6 @@ __all__ = [
     "scalar_grid_search",
     "sigma_critical",
     "simulate",
-    "simultaneous_diagonalize",
     "solve_mare",
     "sufficient_check",
     "synthesize_gain",

@@ -33,10 +33,10 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     Divergence,
-    EmptyRange,
     DegenerateSpectrum,
     NotCommuting,
     NotControllable,
+    NotScalar,
     SynthesisFailed,
 )
 from .graphs import (
@@ -44,6 +44,7 @@ from .graphs import (
     SpectralPair,
     WeightedGraph,
     _laplacian_spectrum,
+    commute_check,
     is_connected,
     laplacian,
     simultaneous_diagonalize,
@@ -85,8 +86,8 @@ class LimasModel:
 
     What the conditions read of the plant is computed once, on first access,
     and kept: the Laplacians, their sorted spectra, their joint spectrum and
-    the controllability and coupling checks. The conditions take the model
-    alone and read these from it.
+    the commute, controllability and coupling checks. The conditions take
+    the model alone and read these from it.
     """
 
     n: int
@@ -154,13 +155,24 @@ class LimasModel:
         return _laplacian_spectrum(self.laplacian_c)
 
     @cached_property
-    def joint_spectrum(self) -> SpectralPair:
-        """simultaneous_diagonalize of the two Laplacians, computed once.
+    def commute_check(self) -> AssumptionCheck:
+        """commute_check of the two Laplacians, computed once."""
+        return commute_check(self.laplacian_p, self.laplacian_c)
 
-        A refusal, NotCommuting or DegenerateSpectrum, is not kept: it is
-        computed and raised again on each access.
+    @cached_property
+    def joint_spectrum(self) -> SpectralPair:
+        """The paired eigenvalues of the two Laplacians, computed once.
+
+        Raises NotCommuting when commute_check fails; otherwise pairs them
+        with graphs.simultaneous_diagonalize, which may raise
+        DegenerateSpectrum. A refusal is not kept: each access raises it
+        again, NotCommuting from the cached check and DegenerateSpectrum by
+        pairing anew.
         """
-        return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c)
+        commute = self.commute_check
+        if not commute.holds:
+            raise NotCommuting(f"commutator residual {commute.residual:g} exceeds tolerance")
+        return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c, self.spectrum_p)
 
     @cached_property
     def controllability_check(self) -> AssumptionCheck:
@@ -611,21 +623,22 @@ class ScalarResult:
     delta_p: float
 
 
-def scalar_check(a: float, lambda_p, lambda_c) -> ScalarResult:
-    """Evaluate the scalar consensusability conditions.
+def scalar_check(model: LimasModel) -> ScalarResult:
+    """Evaluate the scalar consensusability conditions of an n = 1 model.
 
-    ``lambda_p`` and ``lambda_c`` are the non-consensus mode eigenvalues of
-    the physical and communication Laplacians (one structural zero already
-    removed from each). No commuting assumption is needed; only spectral
-    extremes enter.
+    Raises NotScalar for n != 1, then AssumptionViolated as every condition
+    does: 2 without per-mode controllability (b = 0), 0 when a communication
+    mode is at or below CONNECTIVITY_FLOOR times the largest. Each mode is
+    a - lp + lc * k in a normal form: a = A, the physical modes
+    lp = Ap * spectrum_p[1:], the communication modes lc = spectrum_c[1:]
+    and the gain k = B * K, so the gain intervals are those of B * K. No
+    commuting assumption is needed; only spectral extremes enter.
     """
-    lp = np.asarray(lambda_p, dtype=float).ravel()
-    lc = np.asarray(lambda_c, dtype=float).ravel()
-    if lp.size == 0 or lc.size == 0:
-        raise EmptyRange("scalar conditions need at least one mode per graph")
-    if float(lc.min()) <= 0.0:
-        raise ValueError("communication modes must be strictly positive")
-    a = float(a)
+    if model.n != 1:
+        raise NotScalar(f"scalar conditions need n = 1, got n = {model.n}")
+    lc = _communication_modes(model, model.spectrum_c[1:])
+    a = model.A.item()
+    lp = model.Ap.item() * model.spectrum_p[1:]
     lp_min, lp_max = float(lp.min()), float(lp.max())
     lc_min, lc_max = float(lc.min()), float(lc.max())
     gamma_c = lc_max / lc_min
@@ -692,8 +705,9 @@ class AnalysisReport:
         """Record gain K from source and check it.
 
         With a paired spectrum in this report, the check is its modal radii
-        (``radii`` when the caller has them); without one, verify_gain, and
-        the model's joint_spectrum is not read again.
+        (``radii`` when the caller has them). Without one, when the model's
+        commute_check failed or its pairing was refused, the check is
+        verify_gain, and the model's joint_spectrum is not read.
         """
         self.gain = np.ravel(K).tolist()
         self.gain_source = source
@@ -790,15 +804,15 @@ def analyze(model: LimasModel) -> AnalysisReport:
        certifies it.
     2. A refutation decides only when no gain was certified.
     """
+    commute = model.commute_check
     spec, error = None, None
-    try:
-        spec = model.joint_spectrum
-        commute = spec.commute
-    except NotCommuting as exc:
-        commute = exc.commute
+    if not commute.holds:
         error = f"Laplacians do not commute (residual {commute.residual:g})"
-    except DegenerateSpectrum as exc:
-        commute, error = exc.commute, str(exc)
+    else:
+        try:
+            spec = model.joint_spectrum
+        except DegenerateSpectrum as exc:
+            error = str(exc)
     coupling, alpha = model.coupling_check
     report = AnalysisReport(
         n=model.n, N=model.N,
@@ -825,13 +839,9 @@ def analyze(model: LimasModel) -> AnalysisReport:
             report.necessary_error = str(exc)
 
     if model.n == 1 and model.B.item() != 0.0:
-        # Scalar normal form: coupling strength folds into the physical
-        # modes and b into the gain, leaving a unit input coefficient. With
-        # b != 0 every mode is controllable, so only the connectivity floor refuses.
+        # With b != 0 every mode is controllable, so only the connectivity floor refuses.
         try:
-            report.scalar = scalar_check(model.A.item(),
-                                         model.Ap.item() * model.spectrum_p[1:],
-                                         _communication_modes(model, model.spectrum_c[1:]))
+            report.scalar = scalar_check(model)
         except AssumptionViolated as exc:
             report.synthesis_error = str(exc)
 

@@ -16,27 +16,13 @@ class NoConvergence(LimasError):
 class NotCommuting(LimasError):
     """The two Laplacians do not commute within tolerance.
 
-    ``commute`` is the failed commutator check, with its residual.
+    Raised by ``LimasModel.joint_spectrum`` when the model's commute_check
+    fails; that check, with its residual, is ``model.commute_check``.
     """
-
-    def __init__(self, commute):
-        self.commute = commute
-        super().__init__(f"commutator residual {commute.residual:g} exceeds tolerance")
 
 
 class DegenerateSpectrum(LimasError):
-    """Joint diagonalization failed its residual check.
-
-    ``commute`` is the commutator check the Laplacians passed before it.
-    """
-
-    def __init__(self, message: str, commute):
-        self.commute = commute
-        super().__init__(message)
-
-
-class EmptyRange(LimasError):
-    """An extremum was requested over an empty index range."""
+    """Joint diagonalization failed its residual check."""
 
 
 class AssumptionViolated(LimasError):

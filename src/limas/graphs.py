@@ -4,10 +4,11 @@
 central object downstream is the :class:`SpectralPair`: the eigenvalues of the
 physical and the communication Laplacian, paired positionally by one
 orthogonal basis that diagonalizes both at once. It exists only for commuting
-Laplacians, and :func:`simultaneous_diagonalize`, which forms it, checks the
-commutator once and hands that check on with the pair or with its refusal.
-That basis is 1/sqrt(N) and a basis V of the deviations from consensus, in
-the coordinates of one Householder reflector
+Laplacians: a model's ``joint_spectrum`` reads the model's cached
+:func:`commute_check` first, and only then pairs the two with the internal
+:func:`simultaneous_diagonalize`, which assumes that check passed. That
+basis is 1/sqrt(N) and a basis V of the deviations from consensus, in the
+coordinates of one Householder reflector
 (:func:`limas.linalg.in_completion_basis`). It is never lifted to the full
 space: the pairing and its gate are read in those coordinates, and when the
 communication Laplacian is scalar on the deviations (a complete graph) every
@@ -22,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotCommuting, ShapeMismatch
+from .errors import DegenerateSpectrum, ShapeMismatch
 from .linalg import as_square, eig_sym, in_completion_basis
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
@@ -224,17 +225,14 @@ class SpectralPair:
     Entry i of ``lambda_p`` and of ``lambda_c`` are the eigenvalues of the
     physical and of the communication Laplacian on one shared eigenvector,
     entry 0 on the consensus direction 1/sqrt(N). Beyond the leading zeros
-    the lists carry no magnitude ordering. ``commute`` is the commutator
-    check the pair passed in :func:`simultaneous_diagonalize`; a pair built
-    by hand has none. A model's pair is its ``joint_spectrum``, which the
-    conditions of :mod:`limas.analysis` read themselves, so a pair built by
-    hand enters none of them. The pair holds read-only copies of its arrays,
-    and compares and hashes by identity.
+    the lists carry no magnitude ordering. A model's pair is its
+    ``joint_spectrum``, which the conditions of :mod:`limas.analysis` read
+    themselves, so a pair built by hand enters none of them. The pair holds
+    read-only copies of its arrays, and compares and hashes by identity.
     """
 
     lambda_p: np.ndarray
     lambda_c: np.ndarray
-    commute: AssumptionCheck | None = None
 
     def __post_init__(self):
         for name in ("lambda_p", "lambda_c"):
@@ -243,11 +241,17 @@ class SpectralPair:
             object.__setattr__(self, name, arr)
 
 
-def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
+def simultaneous_diagonalize(Lp: np.ndarray, Lc: np.ndarray,
+                             spectrum_p: np.ndarray) -> SpectralPair:
     """Jointly diagonalize two commuting Laplacians.
 
-    Raises NotCommuting when the commutator fails the COMMUTE_RTOL gate;
-    :func:`commute_check` is also the one validation of both inputs. The
+    Internal: ``LimasModel.joint_spectrum`` calls it. The precondition is
+    that ``Lp`` and ``Lc`` are float Laplacians of one size that pass
+    :func:`commute_check`, which is also their one validation, and that
+    ``spectrum_p`` is Lp's sorted spectrum (:func:`_laplacian_spectrum`).
+    Neither is checked here: a pair far from commuting fails the joint-basis
+    gate below, but the scalar branch computes no gate, and a pair just
+    outside the commutator gate can pass the joint-basis one. The
     communication Laplacian is reduced to the complement of the all-ones
     direction (a shared kernel vector of any Laplacian), in the deviation
     columns W of one Householder reflector, as one rank-two update
@@ -256,10 +260,9 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     When the reduced communication Laplacian is scalar, ||Lc_red - c I||_F <=
     OFFDIAG_RTOL * ||Lc||_F with c = trace(Lc) / (N - 1) its mean eigenvalue on
     the deviations (a complete graph), every orthonormal basis of the
-    deviations diagonalizes it. The pair is then lambda_p, the model's sorted
-    spectrum of the physical Laplacian (:func:`_laplacian_spectrum`), and
-    lambda_c = [0, c, ..., c]; no eigenvector is formed. The full-space
-    spectrum skips the reduction's rounding, which reads a two-node graph's
+    deviations diagonalizes it. The pair is then ``spectrum_p`` as given and
+    lambda_c = [0, c, ..., c]; nothing is solved. The full-space spectrum
+    skips the reduction's rounding, which reads a two-node graph's
     0.2 as 0.19999999999999998. The joint-basis gate holds by construction
     and is not computed: over the lifted eigenbasis of the reduced physical
     Laplacian its residual is that eigensolve's backward error, and over any
@@ -283,11 +286,6 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     rounding, the off-diagonal residual of phi' L phi. After the gate a
     negative paired value, a rounded zero, reads as 0.
     """
-    commute = commute_check(Lp, Lc)
-    if not commute.holds:
-        raise NotCommuting(commute)
-    # read as commute_check validated them: finite, square, of one size
-    Lp, Lc = (np.atleast_2d(np.asarray(L, dtype=float)) for L in (Lp, Lc))
     N = Lp.shape[0]
     Lc_red = in_completion_basis(Lc)[1:, 1:]
     group_tol = OFFDIAG_RTOL * float(np.linalg.norm(Lc))
@@ -295,7 +293,7 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
     if float(np.linalg.norm(Lc_red - c * np.eye(N - 1))) <= group_tol:
         lambda_c = np.full(N, c)
         lambda_c[0] = 0.0
-        return SpectralPair(_laplacian_spectrum(Lp), lambda_c, commute)
+        return SpectralPair(spectrum_p, lambda_c)
 
     Lp_red = in_completion_basis(Lp)[1:, 1:]
     wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
@@ -321,11 +319,10 @@ def simultaneous_diagonalize(Lp, Lc) -> SpectralPair:
         norm = float(np.linalg.norm(LV))
         if norm > OFFDIAG_RTOL * float(np.linalg.norm(L)):
             raise DegenerateSpectrum(
-                f"off-diagonal residual {norm:g} too large "
-                f"for the {tag} Laplacian", commute)
+                f"off-diagonal residual {norm:g} too large for the {tag} Laplacian")
         paired.append(np.maximum(np.concatenate(([0.0], lam)), 0.0))
 
-    return SpectralPair(*paired, commute)
+    return SpectralPair(*paired)
 
 
 def _rotate_clusters(V: np.ndarray, P: np.ndarray, Lp_red: np.ndarray,

@@ -142,6 +142,12 @@ def random_scalar_instance(rng, N: int | None = None, w_hi: float = 0.5):
     return a, gp, gc
 
 
+def unit_scalar_model(a: float, gp: WeightedGraph, gc: WeightedGraph) -> LimasModel:
+    """The scalar agent a with ap = b = 1: its physical and communication modes
+    are the Laplacian eigenvalues of gp and gc, and its gain is the normalized one."""
+    return LimasModel([[a]], [[1.0]], gp, gc, Ap=[[1.0]])
+
+
 def _non_commuting_graphs(rng, N: int) -> tuple[WeightedGraph, WeightedGraph]:
     """Two random connected graphs on N nodes, redrawn until their Laplacians do not commute."""
     while True:
@@ -184,7 +190,7 @@ def verdict_corpus(seed: int = 0, per_class: int = 60) -> dict[str, list[LimasMo
         a, gp, gc = random_scalar_instance(rng)
         while commute_check(laplacian(gp), laplacian(gc)).holds:
             a, gp, gc = random_scalar_instance(rng)
-        corpus["scalar"].append(LimasModel([[a]], [[1.0]], gp, gc, Ap=[[1.0]]))
+        corpus["scalar"].append(unit_scalar_model(a, gp, gc))
     corpus["proportional"] = [random_coupled_model(rng) for _ in range(per_class)]
     for _ in range(per_class):
         N, n = int(rng.integers(3, 8)), int(rng.integers(2, 5))
@@ -200,15 +206,6 @@ def verdict_corpus(seed: int = 0, per_class: int = 60) -> dict[str, list[LimasMo
             LimasModel(A, B, gp, gc, alpha=float(rng.uniform(-0.25, 0.25))))
     corpus["edge"] = [_edge_kind_model(rng, k) for k in range(per_class)]
     return corpus
-
-
-def nonzero_modes(L: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues with the structural zero removed."""
-    return np.linalg.eigvalsh(L)[1:]
-
-
-def graph_modes(g: WeightedGraph) -> np.ndarray:
-    return nonzero_modes(laplacian(g))
 
 
 def spectral_radius(M) -> float:

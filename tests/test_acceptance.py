@@ -17,7 +17,6 @@ from limas import (
     analyze,
     convergence_metrics,
     initial_state,
-    laplacian,
     modal_radii,
     scalar_check,
     sigma_critical,
@@ -33,10 +32,10 @@ from conftest import (
     deviation,
     exact_stabilizing_interval,
     four_agent_model,
-    graph_modes,
     modal_deviation_norms,
     ones_completion,
     random_scalar_instance,
+    unit_scalar_model,
 )
 
 
@@ -96,20 +95,16 @@ def _interior_points(lo: float, hi: float, count: int = 100) -> np.ndarray:
 
 def _scalar_instances(seed: int, count: int):
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        a, gp, gc = random_scalar_instance(rng)
-        out.append((a, laplacian(gp), laplacian(gc),
-                    graph_modes(gp), graph_modes(gc)))
-    return out
+    return [unit_scalar_model(*random_scalar_instance(rng)) for _ in range(count)]
 
 
 def test_A4_scalar_sufficiency_property():
     start = time.perf_counter()
     instances = _scalar_instances(2024, 200)
     conditioned = 0
-    for a, Lp, Lc, lp, lc in instances:
-        res = scalar_check(a, lp, lc)
+    for model in instances:
+        a, Lp, Lc = model.A.item(), model.laplacian_p, model.laplacian_c
+        res = scalar_check(model)
         intervals = []
         if res.c1:
             intervals.append((max(res.k_plus[0], 0.0), res.k_plus[1]))
@@ -139,19 +134,18 @@ def test_A5_scalar_necessity_property():
     # adversarial batch: heavier physical weights push the mode spread up
     rng = np.random.default_rng(777)
     for _ in range(50):
-        a, gp, gc = random_scalar_instance(rng, w_hi=2.5)
-        instances.append((a, laplacian(gp), laplacian(gc),
-                          graph_modes(gp), graph_modes(gc)))
-    spreads = [lp.max() - lp.min() for *_na, lp, _lc in instances[200:]]
+        instances.append(unit_scalar_model(*random_scalar_instance(rng, w_hi=2.5)))
+    spreads = [model.spectrum_p[-1] - model.spectrum_p[1] for model in instances[200:]]
     assert max(spreads) > 2.0
 
     checked = 0
-    for a, Lp, Lc, lp, lc in instances:
-        k_lo, k_hi = exact_stabilizing_interval(a, Lp, Lc)
+    for model in instances:
+        k_lo, k_hi = exact_stabilizing_interval(model.A.item(), model.laplacian_p,
+                                                model.laplacian_c)
         if k_lo >= k_hi:
             continue
         checked += 1
-        assert scalar_check(a, lp, lc).necessary
+        assert scalar_check(model).necessary
     assert checked >= 50
     _report(f"A5 ({checked} stabilizable instances, 0 counterexamples)")
 

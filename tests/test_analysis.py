@@ -27,9 +27,9 @@ from limas.analysis import CONNECTIVITY_FLOOR, COUPLING_RTOL
 from limas.errors import (
     AssumptionViolated,
     Divergence,
-    EmptyRange,
     NotCommuting,
     NotControllable,
+    NotScalar,
     SynthesisFailed,
 )
 from limas.model_io import load_model, model_from_dict
@@ -47,6 +47,7 @@ from conftest import (
     random_scalar_instance,
     random_state_matrix,
     spectral_radius,
+    unit_scalar_model,
     verdict_corpus,
 )
 
@@ -852,8 +853,17 @@ def test_refutations_are_infeasible_for_the_jury_lp():
 
 # --- scalar conditions ----------------------------------------------------------
 
+def opposite_edges_k4(x: float, y: float, z: float) -> WeightedGraph:
+    """K4 with weight x on edges 01 and 23, y on 02 and 13, z on 03 and 12 (a zero
+    weight drops the pair). The vectors of +-1 that sum to 0 are its eigenvectors,
+    with the Laplacian eigenvalues 2(y + z), 2(x + z) and 2(x + y)."""
+    edges = [(0, 1, x), (2, 3, x), (0, 2, y), (1, 3, y), (0, 3, z), (1, 2, z)]
+    return WeightedGraph(4, [edge for edge in edges if edge[2] > 0.0])
+
+
 def test_scalar_check_path_example():
-    res = scalar_check(1.2, [0.0, 0.0], [1.0, 3.0])
+    # no physical edges, and a unit path for communication: modes 1 and 3
+    res = scalar_check(unit_scalar_model(1.2, WeightedGraph(3, []), WeightedGraph.path(3)))
     assert not res.c1
     assert res.c2
     assert res.k_minus[0] == pytest.approx(-2.2 / 3.0, rel=1e-12)
@@ -866,32 +876,42 @@ def test_scalar_check_path_example():
 
 
 def test_scalar_check_stable_decoupled():
-    res = scalar_check(0.5, [0.0, 0.0, 0.0], [0.8, 1.0, 1.4])
+    # communication modes 0.8, 1.0 and 1.4
+    gc = opposite_edges_k4(0.4, 0.3, 0.1)
+    assert np.allclose(np.linalg.eigvalsh(laplacian(gc)), [0.0, 0.8, 1.0, 1.4], atol=1e-12)
+    res = scalar_check(unit_scalar_model(0.5, WeightedGraph(4, []), gc))
     assert res.c1
     assert res.k_plus[0] < 0.0 < res.k_plus[1]
     assert res.necessary
 
 
 def test_scalar_check_wide_physical_spread():
-    # a physical spread of two or more defeats both interval conditions
-    res = scalar_check(0.0, [0.5, 2.6], [1.0, 3.0])
+    # a physical spread of two or more defeats both interval conditions:
+    # physical modes 0.5, 2.5 and 2.6, communication modes 1, 2 and 3
+    gp, gc = opposite_edges_k4(1.15, 0.15, 0.1), opposite_edges_k4(0.5, 0.0, 1.0)
+    assert np.allclose(np.linalg.eigvalsh(laplacian(gp)), [0.0, 0.5, 2.5, 2.6], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(laplacian(gc)), [0.0, 1.0, 2.0, 3.0], atol=1e-12)
+    res = scalar_check(unit_scalar_model(0.0, gp, gc))
     assert not res.c1 and not res.c2
-    res = scalar_check(2.0, [0.5, 2.6], [1.0, 3.0])
+    res = scalar_check(unit_scalar_model(2.0, gp, gc))
     assert not res.c1 and not res.c2
 
 
 def test_scalar_check_necessary_failure():
-    res = scalar_check(0.0, [5.0, 15.0], [3.0, 3.0])
+    # physical modes 5 and 15 against a communication eigenratio of one
+    res = scalar_check(unit_scalar_model(0.0, WeightedGraph.path(3, 5.0),
+                                         WeightedGraph.complete(3)))
     assert not res.necessary
 
 
 def test_scalar_check_input_checks():
-    with pytest.raises(EmptyRange, match="^scalar conditions need at least one mode per graph$"):
-        scalar_check(1.0, [0.2], [])
-    with pytest.raises(EmptyRange, match="^scalar conditions need at least one mode per graph$"):
-        scalar_check(1.0, [], [0.5])
-    with pytest.raises(ValueError, match="^communication modes must be strictly positive$"):
-        scalar_check(1.0, [0.2], [0.0, 0.5])
+    # the scalar conditions refuse what every condition refuses, and n >= 2
+    gp, gc = WeightedGraph.path(3), WeightedGraph.complete(3)
+    with pytest.raises(NotScalar, match="^scalar conditions need n = 1, got n = 2$"):
+        scalar_check(LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, alpha=0.3))
+    with pytest.raises(AssumptionViolated) as err:
+        scalar_check(LimasModel([[1.2]], [[0.0]], gp, gc, alpha=0.1))
+    assert err.value.which == 2
 
 
 # --- modal radii -----------------------------------------------------------------
@@ -1165,6 +1185,32 @@ def test_scalar_conditions_share_the_connectivity_floor(weight):
     assert report.synthesis_error == \
         "assumption 0 violated: communication graph effectively disconnected"
     assert report.verdict == "inconclusive"
+    # called directly, the scalar conditions refuse it too, and so a mode of
+    # 1e-13, above the spectrum's rounding but below the floor
+    above_rounding = LimasModel([[1.2]], [[1.0]], WeightedGraph.path(4, 0.1),
+                                WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1e-13), (2, 3, 1.0)]),
+                                alpha=0.1)
+    assert above_rounding.spectrum_c[1] > bound
+    for weak in (model, above_rounding):
+        with pytest.raises(AssumptionViolated) as err:
+            scalar_check(weak)
+        assert (err.value.which, str(err.value)) == (0, report.synthesis_error)
+
+
+def test_analyze_scalar_model_without_input():
+    # b = 0 leaves every mode uncontrollable: both conditions carry the
+    # assumption-2 error, and the scalar conditions are not run, so the
+    # report has no gain and no gain error
+    model = LimasModel([[1.2]], [[0.0]], WeightedGraph.path(3, 0.1),
+                       WeightedGraph.complete(3), alpha=0.1)
+    report = analyze(model)
+    assert report.scalar is None
+    out = report.to_dict()
+    assert out["gain"] is None and out["scalar"] is None
+    assert model.controllability_check.detail.startswith("uncontrollable at physical modes [0.1, ")
+    error = f"assumption 2 violated: {model.controllability_check.detail}"
+    assert (out["sufficient"], out["necessary"]) == ({"error": error}, {"error": error})
+    assert report.verdict == "inconclusive"
 
 
 def test_no_report_is_both_certified_and_refuted():
@@ -1369,14 +1415,15 @@ def test_analyze_runs_each_assumption_check_once(monkeypatch):
 
 
 def test_each_model_diagonalizes_its_laplacians_once(monkeypatch):
-    # analyze and the four conditions read the model's one joint spectrum; a
-    # refusal is not kept, so each access on path+star raises it anew
+    # analyze and the four conditions read the model's one joint spectrum and
+    # its one commute check; on path+star each access raises NotCommuting
+    # anew from that cached check, and nothing is paired
     calls = {"simultaneous_diagonalize": 0, "commute_check": 0}
-    for module, name in ((analysis, "simultaneous_diagonalize"), (graphs, "commute_check")):
-        def counted(Lp, Lc, _stage=getattr(module, name), _name=name):
+    for name in calls:
+        def counted(*args, _stage=getattr(analysis, name), _name=name):
             calls[_name] += 1
-            return _stage(Lp, Lc)
-        monkeypatch.setattr(module, name, counted)
+            return _stage(*args)
+        monkeypatch.setattr(analysis, name, counted)
     model = four_agent_model()
     report = analyze(model)
     assert report.certificate_method == "modal-radii"
@@ -1391,12 +1438,13 @@ def test_each_model_diagonalizes_its_laplacians_once(monkeypatch):
     model = LimasModel([[1.1]], [[1.0]], WeightedGraph.path(8, 0.1), star, alpha=0.3)
     report = analyze(model)
     assert report.certificate_method == "projected-radius"
-    assert calls == {"simultaneous_diagonalize": 1, "commute_check": 1}
+    assert report.assumption_commuting is model.commute_check
+    assert calls == {"simultaneous_diagonalize": 0, "commute_check": 1}
     for condition in (sufficient_check, necessary_check, synthesize_gain,
                       lambda m: modal_radii(m, [report.gain])):
         with pytest.raises(NotCommuting):
             condition(model)
-    assert calls == {"simultaneous_diagonalize": 5, "commute_check": 5}
+    assert calls == {"simultaneous_diagonalize": 0, "commute_check": 1}
 
 
 # --- seeded verdict corpus ---------------------------------------------------------

@@ -14,12 +14,12 @@ from limas import (
     is_connected,
     laplacian,
     modal_radii,
-    simultaneous_diagonalize,
     synthesize_gain,
 )
 from limas.errors import DegenerateSpectrum, NotCommuting, ShapeMismatch, SynthesisFailed
-from limas.graphs import OFFDIAG_RTOL
+from limas.graphs import OFFDIAG_RTOL, _laplacian_spectrum, simultaneous_diagonalize
 from conftest import (
+    _non_commuting_graphs,
     commuting_graph_pair,
     count_calls,
     cycle4_graph,
@@ -215,10 +215,16 @@ def test_commute_gate_is_free_of_weight_scale():
         assert not commute_check(path, star).holds
 
 
+def pair_of(Lp, Lc) -> SpectralPair:
+    """The internal pairing as a model calls it: after the commute check, with Lp's spectrum."""
+    assert commute_check(Lp, Lc).holds
+    return simultaneous_diagonalize(Lp, Lc, _laplacian_spectrum(Lp))
+
+
 def test_simultaneous_diagonalize_two_nodes():
     Lp = laplacian(WeightedGraph(2, [(0, 1, 0.4)]))
     Lc = laplacian(WeightedGraph(2, [(0, 1, 1.3)]))
-    pair = simultaneous_diagonalize(Lp, Lc)
+    pair = pair_of(Lp, Lc)
     phi = joint_basis(pair, Lp, Lc)
     assert np.allclose(phi[:, 0], [1 / np.sqrt(2)] * 2, atol=0.0)
     assert np.allclose(np.abs(phi[:, 1]), [1 / np.sqrt(2)] * 2, atol=1e-12)
@@ -227,8 +233,7 @@ def test_simultaneous_diagonalize_two_nodes():
 
 
 def test_simultaneous_diagonalize_showcase_pair():
-    pair = simultaneous_diagonalize(laplacian(cycle4_graph(0.1)),
-                                    laplacian(WeightedGraph.complete(4)))
+    pair = pair_of(laplacian(cycle4_graph(0.1)), laplacian(WeightedGraph.complete(4)))
     assert pair.lambda_p[0] == 0.0 and pair.lambda_c[0] == 0.0
     assert np.allclose(sorted(pair.lambda_p[1:]), [0.2, 0.2, 0.4], atol=1e-9)
     assert np.allclose(sorted(pair.lambda_c[1:]), [4.0, 4.0, 4.0], atol=1e-9)
@@ -236,15 +241,27 @@ def test_simultaneous_diagonalize_showcase_pair():
 
 def test_simultaneous_diagonalize_identical_inputs():
     L = laplacian(random_connected_graph(np.random.default_rng(9), 5))
-    pair = simultaneous_diagonalize(L, L)
+    pair = pair_of(L, L)
     assert np.allclose(pair.lambda_p, pair.lambda_c, atol=1e-10)
 
 
-def test_simultaneous_diagonalize_rejects_non_commuting():
-    path = laplacian(WeightedGraph.path(3))
-    star = laplacian(WeightedGraph(3, [(0, 1, 1.0), (0, 2, 3.0)]))
-    with pytest.raises(NotCommuting):
-        simultaneous_diagonalize(path, star)
+def _non_commuting_pairs():
+    """Path + star at N 3, 8 and 64, then 100 seeded random non-commuting pairs on 3 to 8 nodes."""
+    for N in (3, 8, 64):
+        yield WeightedGraph.path(N), _star(N)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        yield _non_commuting_graphs(rng, int(rng.integers(3, 9)))
+
+
+def test_pairing_gate_refuses_non_commuting_laplacians():
+    # the pairing checks no commutator: its joint-basis gate refuses these
+    # pairs by itself, and the model refuses them before it pairs
+    for gp, gc in _non_commuting_pairs():
+        Lp, Lc = laplacian(gp), laplacian(gc)
+        assert not commute_check(Lp, Lc).holds
+        with pytest.raises(DegenerateSpectrum, match="^off-diagonal residual "):
+            simultaneous_diagonalize(Lp, Lc, _laplacian_spectrum(Lp))
 
 
 def test_joint_pairing_on_random_commuting_pairs():
@@ -252,7 +269,7 @@ def test_joint_pairing_on_random_commuting_pairs():
     for _ in range(25):
         gp, gc = commuting_graph_pair(rng, int(rng.integers(3, 9)))
         Lp, Lc = laplacian(gp), laplacian(gc)
-        pair = simultaneous_diagonalize(Lp, Lc)
+        pair = pair_of(Lp, Lc)
         N = gp.node_count
         phi = joint_basis(pair, Lp, Lc)
         assert np.allclose(phi.T @ phi, np.eye(N), atol=1e-10)
@@ -288,24 +305,28 @@ def test_paired_spectra_match_eigvalsh_on_commuting_pairs():
         for _ in range(2 if N > 64 else 4):
             gp, gc = (makers[int(rng.integers(0, 3))](rng, N) for _ in range(2))
             Lp, Lc = laplacian(gp), laplacian(gc)
-            pair = simultaneous_diagonalize(Lp, Lc)
+            pair = pair_of(Lp, Lc)
             for L, lam in ((Lp, pair.lambda_p), (Lc, pair.lambda_c)):
                 assert lam[0] == 0.0
                 spectrum = np.linalg.eigvalsh(L)
                 assert np.abs(np.sort(lam) - spectrum).max() <= 64 * eps * spectrum[-1], N
 
 
-def test_simultaneous_diagonalize_carries_its_commute_check():
-    # the one commutator check travels with the pair and with the refusals
-    Lp = laplacian(cycle4_graph(0.1))
-    Lc = laplacian(WeightedGraph.complete(4))
-    assert simultaneous_diagonalize(Lp, Lc).commute == commute_check(Lp, Lc)
-    path = laplacian(WeightedGraph.path(3))
-    star = laplacian(WeightedGraph(3, [(0, 1, 1.0), (0, 2, 3.0)]))
-    with pytest.raises(NotCommuting) as err:
-        simultaneous_diagonalize(path, star)
-    assert err.value.commute == commute_check(path, star)
-    assert str(err.value) == f"commutator residual {err.value.commute.residual:g} exceeds tolerance"
+def test_model_owns_its_commute_check():
+    # the model's cached check is the one commutator check; a failed one
+    # refuses the joint spectrum with its residual
+    commuting = LimasModel([[1.1]], [[1.0]], cycle4_graph(0.1), WeightedGraph.complete(4),
+                           alpha=0.3)
+    assert commuting.commute_check == commute_check(commuting.laplacian_p,
+                                                    commuting.laplacian_c)
+    assert commuting.commute_check.holds
+    for gp, gc in _non_commuting_pairs():
+        model = LimasModel([[1.1]], [[1.0]], gp, gc, alpha=0.3)
+        check = model.commute_check
+        assert check == commute_check(model.laplacian_p, model.laplacian_c)
+        with pytest.raises(NotCommuting) as err:
+            model.joint_spectrum
+        assert str(err.value) == f"commutator residual {check.residual:g} exceeds tolerance"
 
 
 def _assert_joint_basis(pair, Lp, Lc, exact: bool = True):
@@ -328,8 +349,9 @@ def _assert_joint_basis(pair, Lp, Lc, exact: bool = True):
 
 def test_complete_communication_graph_takes_one_eigensolve(monkeypatch):
     # a complete communication graph is scalar on the deviations: every basis
-    # diagonalizes it, so the physical Laplacian's eigenvalues are the only
-    # solve, and no eigenvector is formed
+    # diagonalizes it, so the physical Laplacian's sorted eigenvalues, which
+    # the pairing is given and reuses, are the only solve, and no eigenvector
+    # is formed
     rng = np.random.default_rng(41)
     makers = (_circulant,
               lambda rng, N: WeightedGraph.cycle(N, float(rng.uniform(0.1, 3.0))),
@@ -341,8 +363,9 @@ def test_complete_communication_graph_takes_one_eigensolve(monkeypatch):
             Lp = laplacian(make(rng, N))
             vectors.clear()
             values.clear()
-            pair = simultaneous_diagonalize(Lp, Lc)
+            pair = pair_of(Lp, Lc)
             assert (len(vectors), len(values)) == (0, 1), N
+            assert np.array_equal(pair.lambda_p, _laplacian_spectrum(Lp))
             _assert_joint_basis(pair, Lp, Lc)
 
 
@@ -361,11 +384,10 @@ def test_gate_refuses_a_split_that_leaves_the_physical_laplacian_coupled(delta, 
     assert commute_check(Lp, Lc).holds
     if refused:
         with pytest.raises(DegenerateSpectrum, match=r"^off-diagonal residual 0\.0141421 "
-                                                     r"too large for the physical Laplacian$") as err:
-            simultaneous_diagonalize(Lp, Lc)
-        assert err.value.commute == commute_check(Lp, Lc)
+                                                     r"too large for the physical Laplacian$"):
+            pair_of(Lp, Lc)
     else:
-        pair = simultaneous_diagonalize(Lp, Lc)
+        pair = pair_of(Lp, Lc)
         assert np.allclose(np.sort(pair.lambda_p), [0.0, 0.99, 1.01, 2.5, 4.0], atol=1e-12)
         assert np.allclose(np.sort(pair.lambda_c), [0.0, 1.0, 1.0, 2.0, 3.0], atol=1e-7)
         _assert_joint_basis(pair, Lp, Lc, exact=False)
@@ -394,7 +416,7 @@ def test_clusters_of_several_sizes_rotate_in_one_call(monkeypatch):
     for Lp, Lc, eigensolves in cases:
         assert commute_check(Lp, Lc).holds
         calls.clear()
-        pair = simultaneous_diagonalize(Lp, Lc)
+        pair = pair_of(Lp, Lc)
         assert len(calls) == eigensolves
         _assert_joint_basis(pair, Lp, Lc)
 
@@ -416,18 +438,20 @@ def _star(N: int, weight: float = 1.0) -> WeightedGraph:
 
 def test_scalar_test_either_side_gives_a_certified_pair(monkeypatch):
     # a complete graph plus a small star: ||Lc_red - c I||_F is just inside or
-    # just outside OFFDIAG_RTOL ||Lc||_F; inside, one eigenvalue solve and no
-    # eigenvector; outside, the communication Laplacian's own eigensolve, and
-    # no rotation, since Lp complete is scalar on every cluster. Lp commutes
-    # with both, and both pairs pass the gate
+    # just outside OFFDIAG_RTOL ||Lc||_F; inside, no solve, as the pair reuses
+    # the physical spectrum it is given; outside, the communication
+    # Laplacian's own eigensolve, and no rotation, since Lp complete is scalar
+    # on every cluster. Lp commutes with both, and both pairs pass the gate
     N = 16
     Lp = laplacian(WeightedGraph.complete(N, 0.7))
+    spectrum = _laplacian_spectrum(Lp)
     vectors, values = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
-    for ratio, solves in ((0.9, (0, 1)), (1.1, (1, 0))):
+    for ratio, solves in ((0.9, (0, 0)), (1.1, (1, 0))):
         Lc = _just_scalar(N, _star(N), ratio)
+        assert commute_check(Lp, Lc).holds
         vectors.clear()
         values.clear()
-        pair = simultaneous_diagonalize(Lp, Lc)
+        pair = simultaneous_diagonalize(Lp, Lc, spectrum)
         assert (len(vectors), len(values)) == solves, ratio
         _assert_joint_basis(pair, Lp, Lc, exact=False)
 
@@ -444,7 +468,7 @@ def test_cluster_on_which_the_physical_laplacian_is_scalar_keeps_its_basis(N, mo
     for ratio in (1.1, 1.2, 1.3, 1.5, 3.0, 10.0):
         Lc = _just_scalar(N, WeightedGraph.cycle(N), ratio)
         calls.clear()
-        pair = simultaneous_diagonalize(Lp, Lc)
+        pair = pair_of(Lp, Lc)
         assert len(calls) == 1, ratio
         _assert_joint_basis(pair, Lp, Lc)
 
@@ -454,7 +478,7 @@ def test_pair_arrays_are_read_only_copies():
     # its inputs instead of freezing the caller's
     Lp = laplacian(cycle4_graph(0.1))
     for gc in (WeightedGraph.complete(4), cycle4_graph(1.0)):
-        pair = simultaneous_diagonalize(Lp, laplacian(gc))
+        pair = pair_of(Lp, laplacian(gc))
         for arr in (pair.lambda_p, pair.lambda_c):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -470,7 +494,7 @@ def test_pairs_compare_and_hash_by_identity():
     # the arrays of a pair have no truth value, so two pairs of the same
     # Laplacians are distinct objects rather than an error to compare
     Lp, Lc = laplacian(cycle4_graph(0.1)), laplacian(cycle4_graph(1.0))
-    first, second = simultaneous_diagonalize(Lp, Lc), simultaneous_diagonalize(Lp, Lc)
+    first, second = pair_of(Lp, Lc), pair_of(Lp, Lc)
     assert first == first and first != second
     assert len({first, first, second}) == 2
 

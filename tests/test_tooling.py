@@ -106,11 +106,9 @@ def _kernel_key(name: str, arrays) -> tuple:
 
 def test_analyze_computes_each_quantity_once(tmp_path, workloads, monkeypatch):
     # a census of numpy's linalg kernels over one analyze of every benchmark
-    # model kind. Two inputs reach a kernel twice, and no other input does:
-    # on a complete communication graph the model's sorted spectrum and the
-    # scalar pairing both take the eigvalsh of Lp, and each Riccati synthesis
-    # takes the eigvals of alpha_max*A for sigma_c in sufficient_check and
-    # again in solve_mare
+    # model kind. One input reaches a kernel twice, and no other input does:
+    # each Riccati synthesis takes the eigvals of alpha_max*A for sigma_c in
+    # sufficient_check and again in solve_mare
     calls = []
     for name in LINALG_KERNELS:
         def recorded(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
@@ -133,9 +131,6 @@ def test_analyze_computes_each_quantity_once(tmp_path, workloads, monkeypatch):
         report = json.loads(out.getvalue())
         model = load_model(case.model)
         expected = set()
-        if model.gc.i.size == model.N * (model.N - 1) // 2:
-            Lp = model.laplacian_p
-            expected.add(_kernel_key("eigvalsh", [(Lp + Lp.T) / 2.0]))
         if report["gain"] is not None and report["gain"]["source"] == "riccati":
             expected.add(_kernel_key("eigvals", [report["sufficient"]["alpha_max"] * model.A]))
         repeats = {key: count for key, count in Counter(calls).items() if count > 1}
@@ -167,8 +162,7 @@ PUBLIC_NAMES = [
     "is_connected", "laplacian", "load_model", "modal_radii", "model_from_dict",
     "model_to_dict", "necessary_check", "projected_deviation_matrix", "save_model",
     "scalar_check", "scalar_grid_search", "sigma_critical", "simulate",
-    "simultaneous_diagonalize", "solve_mare", "sufficient_check", "synthesize_gain",
-    "verify_gain",
+    "solve_mare", "sufficient_check", "synthesize_gain", "verify_gain",
 ]
 
 
@@ -183,8 +177,9 @@ def test_public_names_are_pinned():
 
 
 def test_no_public_callable_takes_a_spectral_pair():
-    # a model owns its joint spectrum, so no pair can be passed beside a model
-    # it does not belong to; simultaneous_diagonalize only returns one
+    # a model owns its joint spectrum and its sorted spectra, so no pair and
+    # no spectrum can be passed beside a model it does not belong to; the
+    # model's joint_spectrum only returns one
     import limas
 
     callables = []
@@ -199,9 +194,12 @@ def test_no_public_callable_takes_a_spectral_pair():
     assert ("AnalysisReport.certify", limas.AnalysisReport.certify) in callables
     taking = [f"{name}({param.name})" for name, obj in callables
               for param in inspect.signature(obj).parameters.values()
-              if "SpectralPair" in str(param.annotation)]
+              if "SpectralPair" in str(param.annotation)
+              # the records that report spectra hold them as fields; no function takes one
+              or (param.name in ("lambda_p", "lambda_c") and not inspect.isclass(obj))]
     assert taking == []
-    assert "SpectralPair" in str(inspect.signature(limas.simultaneous_diagonalize).return_annotation)
+    assert "SpectralPair" in str(
+        inspect.signature(limas.LimasModel.joint_spectrum.func).return_annotation)
 
 
 def _subcommand_flags() -> dict[str, list[str]]:
