@@ -123,26 +123,25 @@ class LimasModel:
             raise ValueError("physical and communication graphs disagree on node count")
         if not is_connected(gc):
             raise ValueError("communication graph must be connected")
-        # own copies, frozen, so the model never aliases caller arrays
-        A, Ap, B = A.copy(), Ap.copy(), B.copy()
-        for arr in (A, Ap, B):
-            arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", gp.node_count)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "Ap", Ap)
-        object.__setattr__(self, "B", B)
+        # own copies, frozen, so the model never aliases caller arrays
+        object.__setattr__(self, "A", _frozen(A.copy()))
+        object.__setattr__(self, "Ap", _frozen(Ap.copy()))
+        object.__setattr__(self, "B", _frozen(B.copy()))
         object.__setattr__(self, "gp", gp)
         object.__setattr__(self, "gc", gc)
         object.__setattr__(self, "alpha", None if alpha is None else float(alpha))
 
     @cached_property
     def laplacian_p(self) -> np.ndarray:
-        return laplacian(self.gp)
+        """The physical Laplacian, read-only."""
+        return _frozen(laplacian(self.gp))
 
     @cached_property
     def laplacian_c(self) -> np.ndarray:
-        return laplacian(self.gc)
+        """The communication Laplacian, read-only."""
+        return _frozen(laplacian(self.gc))
 
     @cached_property
     def spectrum_p(self) -> np.ndarray:
@@ -183,6 +182,12 @@ class LimasModel:
     def coupling_check(self) -> tuple[AssumptionCheck, float | None]:
         """check_proportional_coupling of this model, computed once."""
         return check_proportional_coupling(self)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _coupling_residual(A, Ap, alpha: float) -> tuple[float, bool]:
@@ -707,7 +712,9 @@ class AnalysisReport:
         With a paired spectrum in this report, the check is its modal radii
         (``radii`` when the caller has them). Without one, when the model's
         commute_check failed or its pairing was refused, the check is
-        verify_gain, and the model's joint_spectrum is not read.
+        verify_gain, and the model's joint_spectrum is not read. A radius
+        below one certifies only when :func:`_rounding_refusal` finds it
+        clear of rounding; when it does not, ``synthesis_error`` says why.
         """
         self.gain = np.ravel(K).tolist()
         self.gain_source = source
@@ -720,7 +727,10 @@ class AnalysisReport:
             self.modal_radii = radii.tolist()
             self.certificate_method = "modal-radii"
             self.certified_radius = float(radii.max())
-        self.consensusable_certified = self.certified_radius < 1.0
+        refusal = _rounding_refusal(model, self.gain, self.certified_radius)
+        if refusal is not None:
+            self.synthesis_error = refusal
+        self.consensusable_certified = self.certified_radius < 1.0 and refusal is None
 
     def to_dict(self) -> dict:
         def check(c: AssumptionCheck) -> dict:
@@ -783,11 +793,40 @@ class AnalysisReport:
         if self.certificate_method is not None:
             out["certificate"] = {"method": self.certificate_method,
                                   "max_radius": self.certified_radius}
+            if self.certified_radius < 1.0 and not self.consensusable_certified:
+                out["certificate"]["detail"] = self.synthesis_error
         else:
             out["certificate"] = None
         out["consensusable_certified"] = self.consensusable_certified
         out["verdict"] = self.verdict
         return out
+
+
+def _rounding_refusal(model: LimasModel, K, radius: float) -> str | None:
+    """Why a computed radius below one certifies nothing, or None when it certifies.
+
+    For n = 1 the deviation loop a I - ap Lp + bk Lc is symmetric, so by
+    Weyl's inequality a perturbation E of it, or of a Laplacian whose
+    spectrum gives its modes, moves each eigenvalue by at most ||E||_2. The
+    radius certifies when radius + delta < 1 for the rounding model
+    delta = 4 N eps s, where the term scale s = |a| + lp_max |ap| +
+    lc_max |bk| bounds the 2-norm of each term of the loop and of each of its
+    modes. Both checks form the loop from these terms and solve an N x N
+    eigenproblem: modal_radii through the Laplacian spectra and verify_gain
+    through the reflector update and the dense eigensolve of the projected
+    loop, whose inner products have length N. When the terms cancel, as
+    with |a| beyond 1e15, delta reaches 1 and nothing is certified. For
+    n >= 2 no bound is applied yet, and a radius not below one needs no
+    refusal: both return None.
+    """
+    if model.n != 1 or not radius < 1.0:
+        return None
+    scale = (abs(model.A.item()) + float(model.spectrum_p[-1]) * abs(model.Ap.item())
+             + float(model.spectrum_c[-1]) * abs(model.B.item() * float(np.ravel(K)[0])))
+    bound = 4.0 * model.N * np.finfo(float).eps * scale
+    if radius + bound < 1.0:
+        return None
+    return f"not certified: rounding can move the radius by up to {bound:.3g}"
 
 
 def analyze(model: LimasModel) -> AnalysisReport:

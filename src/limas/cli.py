@@ -115,9 +115,11 @@ def render_text(report: analysis.AnalysisReport) -> str:
             f"modal radii: {_fmt_list(report.modal_radii)}  "
             f"(max {max(report.modal_radii):.6g})")
     if report.certificate_method is not None:
+        refused = report.certified_radius < 1.0 and not report.consensusable_certified
         lines.append(
             f"certificate: {report.certificate_method}, "
-            f"max radius {report.certified_radius:.6g}")
+            f"max radius {report.certified_radius:.6g}"
+            + (f"  ({report.synthesis_error})" if refused else ""))
     lines.append(f"verdict: {report.verdict.upper()}")
     return "\n".join(lines)
 
@@ -317,6 +319,8 @@ def cmd_simulate(args) -> int:
                 reason = "a necessary condition fails, so no gain reaches consensus"
             elif report.gain is not None:
                 reason = f"{report.certificate_method} radius {report.certified_radius:g}"
+                if report.certified_radius < 1.0:
+                    reason += f", {report.synthesis_error}"
             else:
                 reason = (report.synthesis_error or report.sufficient_error
                           or "sufficient condition does not hold")

@@ -149,11 +149,28 @@ def in_completion_basis(M, n: int = 1) -> np.ndarray:
     V = v (x) I_n it is the two-sided rank-n update M - V X - Y V',
     O((Nn)^2 n) instead of the O((Nn)^3) of two products with H. The term
     of V'MV is split evenly between X and Y, which keeps a symmetric M
-    symmetric to rounding.
+    symmetric to rounding. The update runs on a copy, so ``M`` is not
+    written; see :func:`_into_completion_basis`.
+    """
+    return _into_completion_basis(np.array(M, dtype=float), n)
+
+
+def _into_completion_basis(M: np.ndarray, n: int) -> np.ndarray:
+    """:func:`in_completion_basis` of the float array ``M``, written over ``M``.
+
+    Returns ``M``. X and Y are read from ``M`` first; then V X and Y V' are
+    formed in turn in one product buffer and subtracted in place, in the
+    order of M - V X - Y V', so the result is bit for bit that expression's
+    while the peak is ``M`` and the buffer, two arrays of its size.
     """
     N = M.shape[0] // n
     v, beta = _reflector(N)
     V = (v[:, None, None] * np.eye(n)).reshape(N * n, n)
     MV = beta * (M @ V)
     G = (0.5 * beta) * (V.T @ MV)
-    return M - V @ (beta * (V.T @ M) - G @ V.T) - (MV - V @ G) @ V.T
+    X = beta * (V.T @ M) - G @ V.T
+    Y = MV - V @ G
+    product = V @ X
+    M -= product
+    M -= np.matmul(Y, V.T, out=product)
+    return M

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NotDeviationInvariant, NotScalar, ShapeMismatch
-from .linalg import as_square, eig_general, in_completion_basis
+from .linalg import _into_completion_basis, as_square, eig_general
 from .simulator import closed_loop_matrix
 
 if TYPE_CHECKING:
@@ -49,8 +49,9 @@ def projected_deviation_matrix(Atil, n: int = 1) -> np.ndarray:
     With psi = H (x) I_n for the Householder reflector H = I - beta vv',
     v = e_1 + 1/sqrt(N) 1, whose first column is the consensus direction
     -1/sqrt(N) 1, returns the block of psi' Atil psi (formed by
-    :func:`in_completion_basis`, without psi) that acts on the complement of
-    the consensus subspace span{1 (x) e_j}.
+    :func:`limas.linalg.in_completion_basis`, without psi) that acts on the
+    complement of the consensus subspace span{1 (x) e_j}. It works on a
+    copy, so ``Atil`` is not written.
     Raises NotDeviationInvariant when Atil moves that subspace out of itself
     by more than the INVARIANCE_RTOL gate, and ShapeMismatch when the size
     of Atil is not a multiple of n.
@@ -58,9 +59,19 @@ def projected_deviation_matrix(Atil, n: int = 1) -> np.ndarray:
     Atil = as_square(Atil, name="Atil")
     if n < 1 or Atil.shape[0] % n:
         raise ShapeMismatch(f"Atil of size {Atil.shape[0]} is not made of {n} x {n} blocks")
+    return _deviation_block(Atil.copy(order="K"), n)
+
+
+def _deviation_block(Atil: np.ndarray, n: int) -> np.ndarray:
+    """:func:`projected_deviation_matrix` of ``Atil``, which it overwrites.
+
+    ||Atil||_F is read for the gate before the reflector update runs in
+    place, and the result is a view into ``Atil``.
+    """
     N = Atil.shape[0] // n
-    moved = in_completion_basis(Atil, n)
-    if np.sqrt(N) * np.linalg.norm(moved[n:, :n]) > INVARIANCE_RTOL * np.linalg.norm(Atil):
+    scale = np.linalg.norm(Atil)
+    moved = _into_completion_basis(Atil, n)
+    if np.sqrt(N) * np.linalg.norm(moved[n:, :n]) > INVARIANCE_RTOL * scale:
         raise NotDeviationInvariant(
             "the consensus subspace is not invariant under this matrix")
     return moved[n:, n:]
@@ -176,9 +187,13 @@ def verify_gain(model: LimasModel, K) -> GainVerification:
 
     Projects out the consensus subspace span{ones (x) e_j} of the assembled
     closed-loop matrix and checks the restricted spectral radius. Works for
-    any model; commuting Laplacians are not required.
+    any model; commuting Laplacians are not required. The projection of
+    :func:`projected_deviation_matrix` runs in place on the loop it has
+    just built, so the peak is two (Nn)^2 arrays: the loop with the
+    update's product buffer, then with the eigensolver's own copy of its
+    deviation block.
     """
-    restricted = projected_deviation_matrix(closed_loop_matrix(model, K), model.n)
+    restricted = _deviation_block(closed_loop_matrix(model, K), model.n)
     radius = float(np.max(np.abs(eig_general(restricted))))
     return GainVerification(radius < 1.0, radius)
 

@@ -31,11 +31,29 @@ FLAT_SLOPE = -1e-12
 
 
 def closed_loop_matrix(model: LimasModel, K) -> np.ndarray:
-    """Kronecker assembly of the stacked closed-loop update matrix."""
+    """The stacked closed-loop update matrix I_N (x) A - Lp (x) Ap + Lc (x) BK.
+
+    The loop is filled in one (N, n, N, n) array with I_N (x) A: blocks
+    0 * A off the diagonal, signed zeros as np.kron forms them, and A on it.
+    The other two Kronecker products are the broadcast products np.kron
+    forms, written in turn into one scratch array that is subtracted and
+    added in place. The entries are bit for bit those of the np.kron
+    expression, and the peak is two (Nn)^2 arrays instead of three.
+    """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
-    return (np.kron(np.eye(model.N), model.A)
-            - np.kron(model.laplacian_p, model.Ap)
-            + np.kron(model.laplacian_c, model.B @ K))
+    N, n = model.N, model.n
+    loop = np.empty((N, n, N, n))
+    np.multiply(0.0, model.A[None, :, None, :], out=loop)
+    diagonal = np.arange(N)
+    loop[diagonal, :, diagonal, :] = model.A
+    term = np.empty_like(loop)
+
+    def kron(L, X, out):
+        return np.multiply(L[:, None, :, None], X[None, :, None, :], out=out)
+
+    loop -= kron(model.laplacian_p, model.Ap, term)
+    loop += kron(model.laplacian_c, model.B @ K, term)
+    return loop.reshape(N * n, N * n)
 
 
 @dataclass

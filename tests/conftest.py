@@ -208,6 +208,34 @@ def verdict_corpus(seed: int = 0, per_class: int = 60) -> dict[str, list[LimasMo
     return corpus
 
 
+def signed_entries(rng, shape, shift: int) -> np.ndarray:
+    """Entries of random size in [0.5, 2] whose signs run -, 0, + along the
+    flat index, from the sign of ``shift`` % 3 in that order: three
+    consecutive shifts give every entry each sign once."""
+    signs = np.array([-1.0, 0.0, 1.0])[(np.arange(math.prod(shape)) + shift) % 3]
+    return (signs * rng.uniform(0.5, 2.0, signs.size)).reshape(shape)
+
+
+def kron_closed_loop(model: LimasModel, K) -> np.ndarray:
+    """The stacked closed loop as the np.kron expression that defines it,
+    the bitwise reference of limas.simulator.closed_loop_matrix."""
+    K = as_matrix(K, rows=1, cols=model.n, name="K")
+    return (np.kron(np.eye(model.N), model.A)
+            - np.kron(model.laplacian_p, model.Ap)
+            + np.kron(model.laplacian_c, model.B @ K))
+
+
+def copying_completion_basis(M, n: int = 1) -> np.ndarray:
+    """The rank-n reflector update of limas.linalg.in_completion_basis as one
+    expression that copies at each step, its bitwise reference."""
+    N = M.shape[0] // n
+    v, beta = _reflector(N)
+    V = (v[:, None, None] * np.eye(n)).reshape(N * n, n)
+    MV = beta * (M @ V)
+    G = (0.5 * beta) * (V.T @ MV)
+    return M - V @ (beta * (V.T @ M) - G @ V.T) - (MV - V @ G) @ V.T
+
+
 def spectral_radius(M) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
     values = eig_general(M)

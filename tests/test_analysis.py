@@ -1276,6 +1276,45 @@ def test_analyze_scalar_interval_gain_certified_by_modal_radii():
         pytest.approx(report.certified_radius, abs=1e-9)
 
 
+# (A, B, alpha, physical weight) of three n = 1, N = 2 models of a magnitude
+# fuzz, each with one communication edge of weight 1.0: their scalar-interval
+# gain reads modal radius 0.0, the rounding of a mode whose terms cancel
+ROUNDING_FUZZ = {
+    "m1200": (2.4221544028079082e+17, -0.7627102069246722,
+              -0.4558835096655697, 0.011123941571518354),
+    "m535": (-7.770361772764689e+52, -0.6882257637161541,
+             0.16687112022732287, 0.031484340192645746),
+    "m1180": (-7.444235249821268e+63, -0.48498141898110864,
+              -0.4481586404627794, 0.8300176295877113),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_FUZZ))
+def test_a_radius_within_its_rounding_bound_of_one_certifies_nothing(name):
+    from fractions import Fraction
+
+    from limas.cli import render_text
+
+    a, b, alpha, weight = ROUNDING_FUZZ[name]
+    model = LimasModel([[a]], [[b]], WeightedGraph(2, [(0, 1, weight)]),
+                       WeightedGraph(2, [(0, 1, 1.0)]), alpha=alpha)
+    report = analyze(model)
+    assert (report.gain_source, report.certificate_method) == ("scalar-interval", "modal-radii")
+    assert report.certified_radius == 0.0
+    # in exact arithmetic on the float inputs the one deviation mode
+    # a - 2w ap + 2 b k is outside the unit circle, and the referee agrees
+    k = report.gain[0]
+    mode = (Fraction(a) - 2 * Fraction(weight) * Fraction(model.Ap.item())
+            + 2 * Fraction(b) * Fraction(k))
+    assert abs(mode) > 1
+    assert verify_gain(model, [report.gain]).max_radius > 1.0
+    assert not report.consensusable_certified
+    assert report.verdict == "inconclusive"
+    assert report.synthesis_error.startswith("not certified: rounding can move the radius by up to ")
+    assert report.to_dict()["certificate"]["detail"] == report.synthesis_error
+    assert f"max radius 0  ({report.synthesis_error})" in render_text(report)
+
+
 def test_report_dict_names_the_failed_assumption():
     # Ap = A at the physical mode 1 zeroes the mode matrix
     model = LimasModel(A_SHOWCASE, B_SHOWCASE, WeightedGraph(2, [(0, 1, 0.5)]),
@@ -1309,6 +1348,34 @@ def test_modal_controllability_matches_per_mode_tests():
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=1.0)
     check = check_modal_controllability(model)
     assert not check.holds and "[1.0]" in check.detail
+
+
+def test_model_laplacians_are_read_only_and_no_kernel_writes_its_arguments():
+    from limas import commute_check, projected_deviation_matrix
+    from limas.linalg import in_completion_basis
+    from limas.oracle import scalar_grid_search
+    from limas.simulator import closed_loop_matrix, simulate
+
+    rng = np.random.default_rng(29)
+    model = random_coupled_model(rng, N=6, n=2)
+    for L in (model.laplacian_p, model.laplacian_c):
+        with pytest.raises(ValueError):
+            L[0, 0] = 1.0
+    # writeable arguments, so that a write would land instead of raising
+    K = rng.uniform(-1.0, 1.0, (1, 2))
+    x0 = rng.uniform(0.0, 10.0, 12)
+    Lp, Lc = np.array(model.laplacian_p), np.array(model.laplacian_c)
+    loop = closed_loop_matrix(model, K)
+    arguments = (K, x0, Lp, Lc, loop)
+    before = [arr.tobytes() for arr in arguments]
+    closed_loop_matrix(model, K)
+    simulate(model, K, x0, 20)
+    verify_gain(model, K)
+    projected_deviation_matrix(loop, 2)
+    in_completion_basis(loop, 2)
+    commute_check(Lp, Lc)
+    scalar_grid_search(0.9, Lp, Lc, count=101)
+    assert [arr.tobytes() for arr in arguments] == before
 
 
 # Entries i >= 1 of the model spectra lie within this many eps * ||L||_2 of
@@ -1517,13 +1584,19 @@ def test_verdict_corpus_is_invariant(corpus_reports):
 
 
 def test_verdict_corpus_is_sound(corpus_reports):
-    # every certificate passes the oracle, and every n = 1 refutation leaves
+    # every certificate passes the oracle (n = 1: clear of the rounding bound
+    # on both paths), and every n = 1 refutation leaves
     # the exact stabilizing interval of the scalar loop empty
     refuted = 0
     for name, reports in corpus_reports.items():
         for k, (model, report) in enumerate(reports):
             if report.verdict == "consensusable":
-                assert verify_gain(model, [report.gain]).max_radius < 1.0, (name, k)
+                radius = verify_gain(model, [report.gain]).max_radius
+                assert radius < 1.0, (name, k)
+                if model.n == 1:
+                    # both radii clear one by more than the rounding bound
+                    for r in (report.certified_radius, radius):
+                        assert analysis._rounding_refusal(model, report.gain, r) is None, (name, k)
             elif report.verdict == "not-consensusable" and model.n == 1:
                 refuted += 1
                 k_lo, k_hi = exact_stabilizing_interval(

@@ -22,12 +22,18 @@ from limas.linalg import in_completion_basis
 from limas.oracle import GRID_BLOCK_FLOATS, scalar_model_grid_search
 from limas.simulator import closed_loop_matrix
 from conftest import (
+    copying_completion_basis,
     cycle4_graph,
     exact_stabilizing_interval,
     four_agent_model,
+    kron_closed_loop,
     ones_completion,
+    random_connected_graph,
     random_coupled_model,
+    random_input,
     random_scalar_instance,
+    random_state_matrix,
+    signed_entries,
 )
 
 
@@ -79,6 +85,29 @@ def test_projected_blocks_match_inline_projection():
             assert out.shape == expected.shape
             assert out.tobytes() == in_completion_basis(M, n)[n:, n:].tobytes()
             assert np.abs(out - expected).max() <= 4 * model.N * n * eps * np.linalg.norm(M, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [2, 5, 17, 40])
+def test_closed_loop_and_projection_match_the_copying_references(N, n):
+    # the one-buffer assembly and the in-place reflector update give the bits
+    # of the np.kron expression and of the copying update, signed zeros
+    # included; each entry of A, Ap, B and K is negative, zero and positive
+    # in one of the three draws
+    rng = np.random.default_rng([N, n])
+    for shift in range(3):
+        gp = random_connected_graph(rng, N)
+        gc = random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0)
+        model = LimasModel(signed_entries(rng, (n, n), shift), signed_entries(rng, (n, 1), shift + 1),
+                           gp, gc, Ap=signed_entries(rng, (n, n), shift + 2))
+        K = signed_entries(rng, (1, n), shift)
+        loop = kron_closed_loop(model, K)
+        assert closed_loop_matrix(model, K).tobytes() == loop.tobytes()
+        moved = copying_completion_basis(loop, n)
+        assert in_completion_basis(loop, n).tobytes() == moved.tobytes()
+        assert projected_deviation_matrix(loop, n).tobytes() == moved[n:, n:].tobytes()
+        radius = float(np.max(np.abs(np.linalg.eigvals(moved[n:, n:]))))
+        assert verify_gain(model, K).max_radius == radius
 
 
 def test_verify_gain_radius_matches_the_dense_projection():
@@ -249,6 +278,27 @@ def test_grid_search_holds_one_stack():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * one_stack
+
+
+@pytest.mark.parametrize("N, n", [(512, 1), (128, 4)])
+def test_referee_holds_two_stacked_arrays(N, n):
+    # at Nn = 512 the assembly peaks at the loop and one scratch array, and
+    # verify_gain at the loop and the projection's product buffer (the
+    # eigensolver's copy is LAPACK's, not traced): below 2.5 loops
+    rng = np.random.default_rng(73)
+    model = LimasModel(random_state_matrix(rng, n), random_input(rng, n),
+                       WeightedGraph.cycle(N, 0.3), WeightedGraph.path(N), alpha=0.2)
+    K = rng.uniform(-1.0, 1.0, (1, n))
+    model.laplacian_p, model.laplacian_c  # cached before the trace
+    one_loop = (N * n) ** 2 * 8
+    for check in (closed_loop_matrix, verify_gain):
+        tracemalloc.start()
+        try:
+            check(model, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * one_loop, check.__name__
 
 
 def test_grid_search_memory_is_bounded_by_the_block():
