@@ -191,7 +191,8 @@ def verify_gain(model: LimasModel, K) -> GainVerification:
     :func:`projected_deviation_matrix` runs in place on the loop it has
     just built, so the peak is two (Nn)^2 arrays: the loop with the
     update's product buffer, then with the eigensolver's own copy of its
-    deviation block.
+    deviation block. The assembly's N x N scratch array is freed before
+    the projection starts.
     """
     restricted = _deviation_block(closed_loop_matrix(model, K), model.n)
     radius = float(np.max(np.abs(eig_general(restricted))))

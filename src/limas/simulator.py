@@ -33,26 +33,28 @@ FLAT_SLOPE = -1e-12
 def closed_loop_matrix(model: LimasModel, K) -> np.ndarray:
     """The stacked closed-loop update matrix I_N (x) A - Lp (x) Ap + Lc (x) BK.
 
-    The loop is filled in one (N, n, N, n) array with I_N (x) A: blocks
-    0 * A off the diagonal, signed zeros as np.kron forms them, and A on it.
-    The other two Kronecker products are the broadcast products np.kron
-    forms, written in turn into one scratch array that is subtracted and
-    added in place. The entries are bit for bit those of the np.kron
-    expression, and the peak is two (Nn)^2 arrays instead of three.
+    The loop is one (N, n, N, n) array, filled one (a, b) block at a time so
+    that every numpy call runs along an N-long axis: the block loop[:, a, :, b]
+    gets 0 * A[a, b] (the signed zero np.kron forms off the diagonal), then
+    A[a, b] on its diagonal, then Lp * Ap[a, b] is subtracted and
+    Lc * BK[a, b] added through one N x N scratch array. The entries are bit
+    for bit those of the np.kron expression, and the peak is the loop and
+    that scratch array.
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
     N, n = model.N, model.n
+    A, Ap, BK = model.A, model.Ap, model.B @ K
+    Lp, Lc = model.laplacian_p, model.laplacian_c
     loop = np.empty((N, n, N, n))
-    np.multiply(0.0, model.A[None, :, None, :], out=loop)
     diagonal = np.arange(N)
-    loop[diagonal, :, diagonal, :] = model.A
-    term = np.empty_like(loop)
-
-    def kron(L, X, out):
-        return np.multiply(L[:, None, :, None], X[None, :, None, :], out=out)
-
-    loop -= kron(model.laplacian_p, model.Ap, term)
-    loop += kron(model.laplacian_c, model.B @ K, term)
+    term = np.empty((N, N))
+    for a in range(n):
+        for b in range(n):
+            block = loop[:, a, :, b]
+            block.fill(0.0 * A[a, b])
+            block[diagonal, diagonal] = A[a, b]
+            block -= np.multiply(Lp, Ap[a, b], out=term)
+            block += np.multiply(Lc, BK[a, b], out=term)
     return loop.reshape(N * n, N * n)
 
 
@@ -77,6 +79,10 @@ def initial_state(model: LimasModel, seed: int) -> np.ndarray:
 def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     """Iterate the consensus mean and the stacked deviation for ``steps`` updates.
 
+    The deviation update is the :func:`closed_loop_matrix` buffer with A/N
+    subtracted from every block in place, and the per-agent norms scale each
+    agent by a power of two; both run one entry of A or one state component
+    at a time, so each numpy call spans N blocks or N agents, not n entries.
     Raises Overflow with the first step at which an entry of the mean or of
     the deviation is not within OVERFLOW_GUARD in magnitude (nan included),
     which signals an unstable loop. The steps are judged after the run.
@@ -92,8 +98,12 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
 
     A = model.A
     D = closed_loop_matrix(model, K)
-    # D = M - (11'/N) (x) A: every (i, j) block of M loses A/N, in place
-    D.reshape(N, n, N, n)[...] -= A[None, :, None, :] / N
+    # D = M - (11'/N) (x) A: every (i, j) block of M loses A/N, in place,
+    # one entry of A at a time over all N^2 blocks
+    blocks = D.reshape(N, n, N, n)
+    for a in range(n):
+        for b in range(n):
+            blocks[:, a, :, b] -= A[a, b] / N
     mean = x.reshape(N, n).mean(axis=0)
     d = (x.reshape(N, n) - mean).ravel()
     xbar = np.empty((steps + 1, n))
@@ -114,11 +124,25 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
 
     # each agent's block is scaled by the power of two of its largest entry, an
     # exact operation, so squaring a deviation below 1e-154 cannot underflow
-    blocks = deviations.reshape(steps + 1, N, n)
-    exponent = np.frexp(np.abs(blocks).max(axis=2))[1]
-    delta_norms = np.ldexp(np.linalg.norm(np.ldexp(blocks, -exponent[..., None]), axis=2),
-                           exponent)
+    scaled, exponent = _scaled_by_largest_entry(deviations.reshape(steps + 1, N, n))
+    delta_norms = np.ldexp(np.linalg.norm(scaled, axis=2), exponent)
     return Trajectory(delta_norms, xbar)
+
+
+def _scaled_by_largest_entry(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each block blocks[t, i] times 2^-e and e, the frexp exponent of its
+    largest |entry|; the maximum and the scaling run one component at a time.
+    Its temporaries are freed on return, so they are gone before the
+    caller's norm squares the scaled blocks into one more array of their size."""
+    largest = np.abs(blocks[..., 0])
+    for j in range(1, blocks.shape[2]):
+        np.maximum(largest, np.abs(blocks[..., j]), out=largest)
+    exponent = np.frexp(largest)[1]
+    shift = -exponent
+    scaled = np.empty_like(blocks)
+    for j in range(blocks.shape[2]):
+        np.ldexp(blocks[..., j], shift, out=scaled[..., j])
+    return scaled, exponent
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,26 @@ def kron_closed_loop(model: LimasModel, K) -> np.ndarray:
             + np.kron(model.laplacian_c, model.B @ K))
 
 
+def broadcast_deviation_loop(model: LimasModel, K) -> np.ndarray:
+    """M - (11'/N) (x) A for the stacked loop M, with A/N broadcast over every
+    block in one subtraction, the bitwise reference of the deviation update
+    of limas.simulator.simulate."""
+    N, n = model.N, model.n
+    D = kron_closed_loop(model, K)
+    D.reshape(N, n, N, n)[...] -= model.A[None, :, None, :] / N
+    return D
+
+
+def broadcast_agent_norms(deviations, N: int, n: int) -> np.ndarray:
+    """Per-agent norms of stacked deviation rows, each agent's block scaled by
+    the power of two of its largest entry in broadcast passes, the bitwise
+    reference of the norms of limas.simulator.simulate."""
+    blocks = deviations.reshape(-1, N, n)
+    exponent = np.frexp(np.abs(blocks).max(axis=2))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(blocks, -exponent[..., None]), axis=2),
+                    exponent)
+
+
 def copying_completion_basis(M, n: int = 1) -> np.ndarray:
     """The rank-n reflector update of limas.linalg.in_completion_basis as one
     expression that copies at each step, its bitwise reference."""

@@ -21,9 +21,12 @@ from limas import (
 from limas.errors import Overflow, ShapeMismatch
 from limas.simulator import ConvergenceMetrics
 from conftest import (
+    broadcast_agent_norms,
+    broadcast_deviation_loop,
     deviation,
     four_agent_model,
     joint_basis,
+    kron_closed_loop,
     modal_deviation_norms,
     random_coupled_model,
 )
@@ -267,7 +270,7 @@ def _summaries_loop_reference(model: LimasModel, K, x0, steps: int):
     """Per-step mean of the stacked iteration x+ = Mx and its size max|x|, and
     the deviation norms of the centred iteration d+ = M d - mean(M d)."""
     N, n = model.N, model.n
-    M = closed_loop_matrix(model, K)
+    M = kron_closed_loop(model, K)
     xbar, scale = np.empty((steps + 1, n)), np.empty(steps + 1)
     delta_norms = np.empty((steps + 1, N))
     x, d = x0, deviation(x0, N, n)
@@ -292,3 +295,44 @@ def test_simulate_summaries_match_loop_reference(N, n):
         # the stacked mean is exact up to rounding on the state's scale
         assert np.all(np.abs(traj.xbar - xbar).max(axis=1) <= 1e-12 * scale)
         assert _relative_step_error(traj.delta_norms, delta_norms) <= 1e-10
+
+
+def _paired_state(rng, N: int, n: int, scales) -> np.ndarray:
+    """Agent 0 at zero and the others in adjacent pairs +p, -p (the last agent
+    at zero when N is even): the mean is exactly zero, so agent 0 starts at
+    exactly zero deviation. Pair k has entries of size scales[k % len(scales)]."""
+    x = np.zeros((N, n))
+    for k, i in enumerate(range(1, N - 1, 2)):
+        p = scales[k % len(scales)] * rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        x[i], x[i + 1] = p, -p
+    return x.ravel()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("N", [2, 5, 17])
+def test_simulate_matches_the_broadcast_passes_bit_for_bit(N, n):
+    # the consensus shift and the power-of-two scaled per-agent norms give the
+    # bytes of the broadcast expressions, sign bits included; n = 9 is past the
+    # eight terms numpy sums in order before its pairwise reduction. States
+    # near 1e-160 would underflow when squared unscaled; the large ones are
+    # 1e80, since 1e160 is past OVERFLOW_GUARD
+    rng = np.random.default_rng([N, n, 7])
+    steps = 12
+    for _ in range(2):
+        model = random_coupled_model(rng, N=N, n=n, alpha_scale=0.1)
+        K = rng.uniform(-0.2, 0.2, (1, n))
+        D = broadcast_deviation_loop(model, K)
+        states = [_paired_state(rng, N, n, (1e-160,)), _paired_state(rng, N, n, (1e80,)),
+                  _paired_state(rng, N, n, (1e-160, 1e80, 1.0)),
+                  rng.uniform(-1.0, 1.0, N * n) * 1e-160 + 1e-150]
+        for x0 in states:
+            traj = simulate(model, K, x0, steps)
+            mean = x0.reshape(N, n).mean(axis=0)
+            d = (x0.reshape(N, n) - mean).ravel()
+            xbar, deviations = np.empty((steps + 1, n)), np.empty((steps + 1, N * n))
+            xbar[0], deviations[0] = mean, d
+            for t in range(1, steps + 1):
+                d, mean = D @ d, model.A @ mean
+                xbar[t], deviations[t] = mean, d
+            assert traj.xbar.tobytes() == xbar.tobytes()
+            assert traj.delta_norms.tobytes() == broadcast_agent_norms(deviations, N, n).tobytes()
