@@ -359,8 +359,8 @@ def cmd_oracle(args) -> int:
             "max_radius": res.max_radius,
         }
     else:
-        result = oracle.scalar_model_grid_search(model, lo=args.lo, hi=args.hi,
-                                                 count=args.count)
+        result = oracle.scalar_grid_search(model, lo=args.lo, hi=args.hi,
+                                           count=args.count)
         out = {
             "mode": "grid",
             "grid": {"lo": result.lo, "hi": result.hi, "count": result.count},

@@ -170,6 +170,7 @@ def load_model(path) -> LimasModel:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    del raw  # the text is not held while the model is built
     return model_from_dict(data)
 
 

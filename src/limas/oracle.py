@@ -4,7 +4,9 @@ Nothing here reuses the condition logic from :mod:`limas.analysis`: gains
 are judged by projecting the stacked closed loop onto the orthogonal
 complement of the consensus subspace and reading off the spectral radius
 directly. That projection needs no commuting assumption, which is what
-makes it a fair referee. Every verdict goes through the one projection,
+makes it a fair referee. Both judges, :func:`verify_gain` and
+:func:`scalar_grid_search`, take the model alone, build their own matrices
+and project them in place through the one projection of
 :func:`projected_deviation_matrix`, and so through its invariance gate.
 The scalar gain grid leaves no point unjudged: each grid point is either
 evaluated or excluded by a proven lower bound on its radius, a bound that
@@ -36,7 +38,8 @@ GRID_BLOCK_FLOATS = 2**20
 # A grid point is excluded without an eigensolve when the Lipschitz lower
 # bound on its radius, less GRID_PRUNE_RTOL * (||base||_F + max(|lo|, |hi|)
 # * ||step||_F), still exceeds 1 and the smallest coarse radius. The slack
-# is far above the rounding of forming a grid matrix and of eigvalsh.
+# is far above the rounding of forming a grid matrix, of eigvalsh and of the
+# computed ||step||_2.
 GRID_PRUNE_RTOL = 1e-8
 # Invariance gate: sqrt(N) times the block of Atil moving the consensus subspace
 # out of itself is <= INVARIANCE_RTOL * ||Atil||_F (n = 1: ||Atil 1 - mean 1||).
@@ -98,42 +101,41 @@ class GridSearchResult:
         if ks.size == 0:
             return []
         spacing = (self.hi - self.lo) / (self.count - 1)
-        intervals = []
-        start = prev = ks[0]
-        for k in ks[1:]:
-            if k - prev > 1.5 * spacing:
-                intervals.append((float(start), float(prev)))
-                start = k
-            prev = k
-        intervals.append((float(start), float(prev)))
-        return intervals
+        cut = np.flatnonzero(np.diff(ks) > 1.5 * spacing)
+        return list(zip(ks[np.append(0, cut + 1)].tolist(),
+                        ks[np.append(cut, ks.size - 1)].tolist()))
 
 
-def scalar_grid_search(a: float, Lp, Lc, lo: float = GRID_LO,
-                       hi: float = GRID_HI, count: int = GRID_COUNT) -> GridSearchResult:
-    """Scan scalar gains k, testing a*I - Lp + k*Lc on the deviation subspace.
+def scalar_grid_search(model: LimasModel, lo: float = GRID_LO, hi: float = GRID_HI,
+                       count: int = GRID_COUNT) -> GridSearchResult:
+    """Scan scalar gains k, testing the loop a*I - ap*Lp + k*b*Lc of a model with n = 1.
 
-    Raises NotDeviationInvariant unless a*I - Lp and Lc keep the all-ones
-    vector invariant. The projected matrices M(k) = base + k*step are
-    symmetric, so the radius r(k) = ||M(k)||_2 is Lipschitz in k with
-    constant ||step||_2 <= ||step||_F. A coarse pass evaluates every
+    Raises NotScalar unless n = 1, and NotDeviationInvariant unless
+    a*I - ap*Lp and b*Lc keep the all-ones vector invariant. The projected
+    matrices M(k) = base + k*step are symmetric, so the radius
+    r(k) = ||M(k)||_2 is Lipschitz in k with constant ||step||_2, the
+    largest |eigenvalue| of step. A coarse pass evaluates every
     isqrt(count)-th point and the last. Between coarse neighbours k1 < k2
-    every radius is at least (r(k1) + r(k2) - (k2 - k1)*||step||_F) / 2; a
+    every radius is at least (r(k1) + r(k2) - (k2 - k1)*||step||_2) / 2; a
     gap whose bound, less the GRID_PRUNE_RTOL slack, exceeds max(1, smallest
     coarse radius) holds no stabilizing point and no minimum, so it is
-    skipped, and every other gap is evaluated in full. The result is bit for
-    bit that of evaluating every point.
+    skipped, and every other gap is evaluated in full. eigvalsh returns
+    ||step||_2 to within a small multiple of N*eps*||step||_2, which moves
+    the bound by at most max(|lo|, |hi|) times that. The slack's step term,
+    GRID_PRUNE_RTOL*max(|lo|, |hi|)*||step||_F, covers it for any N far
+    below GRID_PRUNE_RTOL/eps (about 4.5e7), as the slack covers the
+    rounding of the radii. The result is bit for bit that of evaluating
+    every point.
     """
-    Lp = as_square(Lp, name="Lp")
-    Lc = as_square(Lc, name="Lc")
-    if Lp.shape != Lc.shape:
-        raise ShapeMismatch(f"Laplacians differ in size: {Lp.shape} vs {Lc.shape}")
+    if model.n != 1:
+        raise NotScalar(f"grid search needs n = 1, got n = {model.n}")
     if count < 2:
         raise ValueError(f"grid needs at least 2 points, got {count}")
     if not -np.inf < lo < hi < np.inf:
         raise ValueError(f"grid bounds must be finite with lo < hi, got lo = {lo}, hi = {hi}")
-    base = projected_deviation_matrix(float(a) * np.eye(Lp.shape[0]) - Lp)
-    step = projected_deviation_matrix(Lc)
+    a, ap, b = model.A.item(), model.Ap.item(), model.B.item()
+    base = _deviation_block(a * np.eye(model.N) - ap * model.laplacian_p, 1)
+    step = _deviation_block(b * model.laplacian_c, 1)
     base = (base + base.T) / 2.0
     step = (step + step.T) / 2.0
 
@@ -142,8 +144,9 @@ def scalar_grid_search(a: float, Lp, Lc, lo: float = GRID_LO,
     coarse = np.unique(np.append(np.arange(0, count, math.isqrt(count)), count - 1))
     radii[coarse] = _radii(ks[coarse], base, step)
 
-    lipschitz = np.linalg.norm(step)
-    slack = GRID_PRUNE_RTOL * (np.linalg.norm(base) + max(abs(lo), abs(hi)) * lipschitz)
+    lipschitz = np.max(np.abs(np.linalg.eigvalsh(step)))
+    slack = GRID_PRUNE_RTOL * (np.linalg.norm(base)
+                               + max(abs(lo), abs(hi)) * np.linalg.norm(step))
     bound = (radii[coarse[:-1]] + radii[coarse[1:]]
              - np.diff(ks[coarse]) * lipschitz) / 2.0 - slack
     # a NaN radius makes tau NaN, which excludes nothing
@@ -197,17 +200,3 @@ def verify_gain(model: LimasModel, K) -> GainVerification:
     restricted = _deviation_block(closed_loop_matrix(model, K), model.n)
     radius = float(np.max(np.abs(eig_general(restricted))))
     return GainVerification(radius < 1.0, radius)
-
-
-def scalar_model_grid_search(model: LimasModel, lo: float = GRID_LO,
-                             hi: float = GRID_HI,
-                             count: int = GRID_COUNT) -> GridSearchResult:
-    """Grid search on a model with scalar agent dynamics (n must be 1)."""
-    if model.n != 1:
-        raise NotScalar(f"grid search needs n = 1, got n = {model.n}")
-    a = float(model.A.item())
-    b = float(model.B.item())
-    ap = float(model.Ap.item())
-    # With n = 1 the stacked loop is a*I - ap*Lp + b*k*Lc; fold b and ap in.
-    return scalar_grid_search(a, ap * model.laplacian_p,
-                              b * model.laplacian_c, lo=lo, hi=hi, count=count)

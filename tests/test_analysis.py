@@ -1374,7 +1374,7 @@ def test_model_laplacians_are_read_only_and_no_kernel_writes_its_arguments():
     projected_deviation_matrix(loop, 2)
     in_completion_basis(loop, 2)
     commute_check(Lp, Lc)
-    scalar_grid_search(0.9, Lp, Lc, count=101)
+    scalar_grid_search(LimasModel([[0.9]], [[1.0]], model.gp, model.gc, Ap=[[1.0]]), count=101)
     assert [arr.tobytes() for arr in arguments] == before
 
 

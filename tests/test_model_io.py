@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from limas import model_from_dict, model_to_dict
-from limas import WeightedGraph
+from limas import LimasModel, WeightedGraph, model_from_dict, model_to_dict
 from limas.errors import SchemaError
 from limas.model_io import _graph, gain_from_file, load_model, save_model
 
@@ -58,6 +58,36 @@ def test_save_and_load(tmp_path):
     again = load_model(path)
     assert np.array_equal(model.A, again.A)
     assert again.gc.edges == model.gc.edges
+
+
+def test_load_model_drops_the_text_before_it_builds_the_model(tmp_path):
+    # the N = 256 complete file: load_model peaks at the larger of the parse
+    # (text and document) and the build (document and model), not at the
+    # text plus the build
+    rng = np.random.default_rng(11)
+    N = 256
+    gc = WeightedGraph(N, [(i, j, float(rng.uniform(0.1, 1.0)))
+                           for i in range(N) for j in range(i + 1, N)])
+    path = tmp_path / "complete.json"
+    save_model(LimasModel([[0.5, 0.1], [0.0, 1.2]], [[0.0], [1.0]],
+                          WeightedGraph.cycle(N, 0.1), gc, alpha=0.3), path)
+    tracemalloc.start()
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        _, parse_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        model_from_dict(data)
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del data
+    tracemalloc.start()
+    try:
+        load_model(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 1.02 * max(parse_peak, build_peak)
 
 
 def test_missing_field():

@@ -19,7 +19,7 @@ from limas import (
 from limas.errors import NotDeviationInvariant, NotScalar, ShapeMismatch
 from limas import oracle
 from limas.linalg import in_completion_basis
-from limas.oracle import GRID_BLOCK_FLOATS, scalar_model_grid_search
+from limas.oracle import GRID_BLOCK_FLOATS
 from limas.simulator import closed_loop_matrix
 from conftest import (
     copying_completion_basis,
@@ -164,11 +164,23 @@ def test_projection_is_completion_independent():
         assert np.allclose(spectrum_default, spectrum_other, atol=1e-9)
 
 
+def _scalar_model(a, gp, gc, b=1.0, ap=1.0):
+    """The n = 1 model a, b, ap on gp and gc: its grid scans a*I - ap*Lp + k*b*Lc."""
+    return LimasModel([[a]], [[b]], gp, gc, Ap=[[ap]])
+
+
+def _grid_matrices(model):
+    """Symmetrized base and step of the scan, folded and projected as it does."""
+    a, ap, b = model.A.item(), model.Ap.item(), model.B.item()
+    base = projected_deviation_matrix(a * np.eye(model.N) - ap * model.laplacian_p)
+    step = projected_deviation_matrix(b * model.laplacian_c)
+    return (base + base.T) / 2.0, (step + step.T) / 2.0
+
+
 def test_grid_search_interval_example():
     # unstable scalar agents on a path: the stabilizing run sits in (-0.733, -0.2)
-    result = scalar_grid_search(1.2, np.zeros((3, 3)),
-                                laplacian(WeightedGraph.path(3)),
-                                lo=-2.0, hi=2.0, count=4001)
+    model = _scalar_model(1.2, WeightedGraph(3, []), WeightedGraph.path(3))
+    result = scalar_grid_search(model, lo=-2.0, hi=2.0, count=4001)
     intervals = result.stabilizing_intervals()
     assert len(intervals) == 1
     lo, hi = intervals[0]
@@ -184,19 +196,45 @@ def test_stabilizing_intervals_split_at_a_gap():
     result = oracle.GridSearchResult(-2.0, 2.0, 9, np.array([-2.0, -1.5, -1.0, 0.5, 1.0, 2.0]),
                                      -1.5, 0.2)
     assert result.stabilizing_intervals() == [(-2.0, -1.0), (0.5, 1.0), (2.0, 2.0)]
+    assert all(type(end) is float for run in result.stabilizing_intervals() for end in run)
+
+
+def _loop_intervals(result):
+    """The point-by-point walk over stabilizing_k that stabilizing_intervals replaces."""
+    ks = result.stabilizing_k
+    if ks.size == 0:
+        return []
+    spacing = (result.hi - result.lo) / (result.count - 1)
+    intervals = []
+    start = prev = ks[0]
+    for k in ks[1:]:
+        if k - prev > 1.5 * spacing:
+            intervals.append((float(start), float(prev)))
+            start = k
+        prev = k
+    intervals.append((float(start), float(prev)))
+    return intervals
+
+
+def test_stabilizing_intervals_match_the_point_by_point_walk():
+    rng = np.random.default_rng(103)
+    for count in (2, 3, 101, 4001):
+        ks = np.linspace(-20.0, 20.0, count)
+        for share in (0.0, 0.1, 0.5, 0.9, 1.0):
+            stabilizing = ks[rng.random(count) < share]
+            result = oracle.GridSearchResult(-20.0, 20.0, count, stabilizing, 0.0, 0.5)
+            assert result.stabilizing_intervals() == _loop_intervals(result)
 
 
 def test_grid_search_stable_origin():
-    result = scalar_grid_search(0.5, np.zeros((4, 4)),
-                                laplacian(WeightedGraph.complete(4, 0.3)),
-                                lo=-1.0, hi=1.0, count=2001)
+    model = _scalar_model(0.5, WeightedGraph(4, []), WeightedGraph.complete(4, 0.3))
+    result = scalar_grid_search(model, lo=-1.0, hi=1.0, count=2001)
     assert 0.0 in result.stabilizing_k
 
 
 def test_grid_search_respects_grid_order():
-    res = scalar_grid_search(0.5, np.zeros((3, 3)),
-                             laplacian(WeightedGraph.path(3)),
-                             lo=-1.0, hi=1.0, count=201)
+    model = _scalar_model(0.5, WeightedGraph(3, []), WeightedGraph.path(3))
+    res = scalar_grid_search(model, lo=-1.0, hi=1.0, count=201)
     assert np.all(np.diff(res.stabilizing_k) > 0)
 
 
@@ -206,10 +244,10 @@ def test_grid_search_matches_exact_stabilizing_interval():
     rng = np.random.default_rng(2024)
     non_empty = 0
     for _ in range(12):
-        a, gp, gc = random_scalar_instance(rng)
-        Lp, Lc = laplacian(gp), laplacian(gc)
-        k_lo, k_hi = exact_stabilizing_interval(a, Lp, Lc)
-        result = scalar_grid_search(a, Lp, Lc)
+        model = _scalar_model(*random_scalar_instance(rng))
+        k_lo, k_hi = exact_stabilizing_interval(model.A.item(), model.laplacian_p,
+                                                model.laplacian_c)
+        result = scalar_grid_search(model)
         runs = result.stabilizing_intervals()
         if k_lo >= k_hi:
             assert runs == []
@@ -241,13 +279,12 @@ def test_grid_search_matches_two_array_formula(N):
     rng = np.random.default_rng(61 + N)
     for _ in range(3):
         a, gp, gc = random_scalar_instance(rng, N=N)
-        Lp, Lc = laplacian(gp), laplacian(gc)
-        result = scalar_grid_search(a, Lp, Lc, lo=-3.0, hi=3.0, count=601)
+        model = _scalar_model(a, gp, gc)
+        Lp, Lc = model.laplacian_p, model.laplacian_c
+        result = scalar_grid_search(model, lo=-3.0, hi=3.0, count=601)
         ks = np.linspace(-3.0, 3.0, 601)
         # same projections: the one-stack build is the same arithmetic, bit for bit
-        base = projected_deviation_matrix(a * np.eye(N) - Lp)
-        step = projected_deviation_matrix(Lc)
-        radii = _two_array_grid((base + base.T) / 2.0, (step + step.T) / 2.0, ks)
+        radii = _two_array_grid(*_grid_matrices(model), ks)
         assert result.stabilizing_k.tobytes() == ks[radii < 1.0].tobytes()
         best = int(np.argmin(radii))
         assert (result.best_k, result.best_radius) == (ks[best], radii[best])
@@ -257,23 +294,14 @@ def test_grid_search_matches_two_array_formula(N):
                            * (abs(a) + np.linalg.norm(Lp) + 3.0 * np.linalg.norm(Lc)))
 
 
-def test_grid_search_rejects_non_invariant_input():
-    Lc = laplacian(WeightedGraph.path(3))
-    with pytest.raises(NotDeviationInvariant):
-        scalar_grid_search(1.2, np.zeros((3, 3)), Lc + np.diag([0.0, 0.0, 0.1]), count=11)
-    with pytest.raises(NotDeviationInvariant):
-        scalar_grid_search(1.2, np.diag([0.0, 0.0, 0.1]), Lc, count=11)
-
-
 def test_grid_search_holds_one_stack():
     # the N = 16 grid of 4001 points peaks below 1.5 stacks of 15 x 15 matrices
     rng = np.random.default_rng(67)
-    a, gp, gc = random_scalar_instance(rng, N=16)
-    Lp, Lc = laplacian(gp), laplacian(gc)
+    model = _scalar_model(*random_scalar_instance(rng, N=16))
     one_stack = 4001 * 15 * 15 * 8
     tracemalloc.start()
     try:
-        scalar_grid_search(a, Lp, Lc, count=4001)
+        scalar_grid_search(model, count=4001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -314,11 +342,10 @@ def test_grid_search_memory_is_bounded_by_the_block():
     # the N = 16 grid of 40 001 points would be a 72 MB stack; it holds one
     # block of GRID_BLOCK_FLOATS floats plus a few floats per grid point
     rng = np.random.default_rng(67)
-    a, gp, gc = random_scalar_instance(rng, N=16)
-    Lp, Lc = laplacian(gp), laplacian(gc)
+    model = _scalar_model(*random_scalar_instance(rng, N=16))
     tracemalloc.start()
     try:
-        scalar_grid_search(a, Lp, Lc, count=40_001)
+        scalar_grid_search(model, count=40_001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -328,20 +355,17 @@ def test_grid_search_memory_is_bounded_by_the_block():
 def test_grid_search_blocks_do_not_change_the_result(monkeypatch):
     # blocks of 7 points, the last one short, match one block for the whole grid
     rng = np.random.default_rng(71)
-    a, gp, gc = random_scalar_instance(rng, N=6)
-    Lp, Lc = laplacian(gp), laplacian(gc)
-    whole = scalar_grid_search(a, Lp, Lc, lo=-3.0, hi=3.0, count=601)
+    model = _scalar_model(*random_scalar_instance(rng, N=6))
+    whole = scalar_grid_search(model, lo=-3.0, hi=3.0, count=601)
     monkeypatch.setattr(oracle, "GRID_BLOCK_FLOATS", 7 * 5 * 5)
-    blocked = scalar_grid_search(a, Lp, Lc, lo=-3.0, hi=3.0, count=601)
+    blocked = scalar_grid_search(model, lo=-3.0, hi=3.0, count=601)
     assert np.array_equal(blocked.stabilizing_k, whole.stabilizing_k)
     assert (blocked.best_k, blocked.best_radius) == (whole.best_k, whole.best_radius)
 
 
-def _exhaustive_grid_search(a, Lp, Lc, count):
+def _exhaustive_grid_search(model, count):
     """(stabilizing_k, best_k, best_radius) with an eigensolve at every grid point."""
-    base = projected_deviation_matrix(a * np.eye(Lp.shape[0]) - Lp)
-    step = projected_deviation_matrix(Lc)
-    base, step = (base + base.T) / 2.0, (step + step.T) / 2.0
+    base, step = _grid_matrices(model)
     ks = np.linspace(oracle.GRID_LO, oracle.GRID_HI, count)
     radii = np.concatenate([_two_array_grid(base, step, ks[i:i + 4096])
                             for i in range(0, count, 4096)])
@@ -349,9 +373,9 @@ def _exhaustive_grid_search(a, Lp, Lc, count):
     return ks[radii < 1.0], ks[best], radii[best]
 
 
-def _assert_matches_exhaustive(a, Lp, Lc, count):
-    result = scalar_grid_search(a, Lp, Lc, count=count)
-    stabilizing_k, best_k, best_radius = _exhaustive_grid_search(a, Lp, Lc, count)
+def _assert_matches_exhaustive(model, count):
+    result = scalar_grid_search(model, count=count)
+    stabilizing_k, best_k, best_radius = _exhaustive_grid_search(model, count)
     assert result.stabilizing_k.tobytes() == stabilizing_k.tobytes()
     assert (result.best_k, result.best_radius) == (best_k, best_radius)
 
@@ -364,18 +388,31 @@ def test_pruned_grid_matches_exhaustive_scan():
         a, gp, gc = random_scalar_instance(rng)
         b = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, 1.15))
         count = int(rng.choice([2, 3, 101, 4001, 40_001]))
-        _assert_matches_exhaustive(a, laplacian(gp), b * laplacian(gc), count)
+        _assert_matches_exhaustive(_scalar_model(a, gp, gc, b), count)
 
 
 def test_pruned_grid_matches_exhaustive_scan_where_the_bound_is_tight():
-    # N = 2 leaves one deviation mode, r(k) = |base + k*step| with
-    # ||step||_F = ||step||_2, so the bound is attained on each linear piece
-    # and coarse points land near the ends of the stabilizing interval
+    # N = 2 leaves one deviation mode, r(k) = |base + k*step|, so the bound
+    # is attained on each linear piece and coarse points land near the ends
+    # of the stabilizing interval
     rng = np.random.default_rng(97)
     for _ in range(30):
-        Lp = laplacian(WeightedGraph(2, [(0, 1, float(rng.uniform(0.05, 0.5)))]))
-        Lc = laplacian(WeightedGraph(2, [(0, 1, float(rng.uniform(0.1, 1.0)))]))
-        _assert_matches_exhaustive(float(rng.uniform(-2.0, 2.0)), Lp, Lc, 40_001)
+        gp = WeightedGraph(2, [(0, 1, float(rng.uniform(0.05, 0.5)))])
+        gc = WeightedGraph(2, [(0, 1, float(rng.uniform(0.1, 1.0)))])
+        _assert_matches_exhaustive(_scalar_model(float(rng.uniform(-2.0, 2.0)), gp, gc), 40_001)
+
+
+def test_pruned_grid_matches_exhaustive_scan_on_a_complete_communication_graph():
+    # a complete communication graph makes step a multiple of I, where
+    # ||step||_F = sqrt(N - 1) * ||step||_2 is largest; every eigenvalue moves
+    # with slope ||step||_2, so the bound is attained on each linear piece
+    rng = np.random.default_rng(101)
+    for sign in (1.0, -1.0):
+        for _ in range(4):
+            a, gp, _ = random_scalar_instance(rng, N=32)
+            b = sign * float(rng.uniform(0.005, 0.1))
+            gc = WeightedGraph.complete(32, float(rng.uniform(0.1, 1.0)))
+            _assert_matches_exhaustive(_scalar_model(a, gp, gc, b), 4001)
 
 
 @pytest.mark.parametrize("case", ["zero step", "zero Lp", "tiny step", "huge scale", "flat"])
@@ -383,23 +420,21 @@ def test_pruned_grid_matches_exhaustive_scan_on_degenerate_input(case):
     rng = np.random.default_rng(89)
     for _ in range(3):
         a, gp, gc = random_scalar_instance(rng)
-        Lp, Lc = laplacian(gp), laplacian(gc)
-        if case == "zero step":
-            Lc = np.zeros_like(Lc)
-        elif case == "zero Lp":
-            Lp = np.zeros_like(Lp)
-        elif case == "tiny step":
-            Lc = 1e-12 * Lc
-        elif case == "huge scale":
-            a, Lp, Lc = 1e9 * a, 1e9 * Lp, 1e9 * Lc
-        else:  # every radius is zero: the whole grid stabilizes
-            a, Lp, Lc = 0.0, np.zeros_like(Lp), np.zeros_like(Lc)
-        _assert_matches_exhaustive(a, Lp, Lc, 4001)
+        edgeless = WeightedGraph(gp.node_count, [])
+        model = {
+            "zero step": _scalar_model(a, gp, gc, b=0.0),
+            "zero Lp": _scalar_model(a, edgeless, gc),
+            "tiny step": _scalar_model(a, gp, gc, b=1e-12),
+            "huge scale": _scalar_model(1e9 * a, gp, gc, b=1e9, ap=1e9),
+            # every radius is zero: the whole grid stabilizes
+            "flat": _scalar_model(0.0, edgeless, gc, b=0.0),
+        }[case]
+        _assert_matches_exhaustive(model, 4001)
 
 
 def test_pruned_grid_evaluates_few_points(monkeypatch):
     # the default 40 001-point grid of an N = 16 cycle + complete model
-    # needs under 2 000 eigensolves
+    # needs under 800 eigensolves
     model = LimasModel([[1.1]], [[1.0]], WeightedGraph.cycle(16, 0.1),
                        WeightedGraph.complete(16, 1.0), alpha=0.3)
     solved = []
@@ -410,25 +445,23 @@ def test_pruned_grid_evaluates_few_points(monkeypatch):
         return eigvalsh(stack)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    result = scalar_model_grid_search(model)
+    result = scalar_grid_search(model)
     assert result.stabilizing_k.size > 0
-    assert 0 < sum(solved) <= 2000
+    assert 0 < sum(solved) <= 800
 
 
 @pytest.mark.parametrize("lo, hi", [(5.0, -5.0), (1.0, 1.0), (np.nan, 1.0), (-1.0, np.nan),
                                     (-np.inf, 1.0), (-1.0, np.inf)])
 def test_grid_search_rejects_bad_bounds(lo, hi):
+    model = _scalar_model(1.2, WeightedGraph(3, []), WeightedGraph.path(3))
     with pytest.raises(ValueError, match="grid bounds must be finite with lo < hi"):
-        scalar_grid_search(1.2, np.zeros((3, 3)), laplacian(WeightedGraph.path(3)),
-                           lo=lo, hi=hi, count=201)
+        scalar_grid_search(model, lo=lo, hi=hi, count=201)
 
 
 def test_grid_search_input_checks():
-    path = laplacian(WeightedGraph.path(3))
-    with pytest.raises(ShapeMismatch, match=r"^Laplacians differ in size: \(3, 3\) vs \(4, 4\)$"):
-        scalar_grid_search(1.2, path, laplacian(WeightedGraph.path(4)))
+    model = _scalar_model(1.2, WeightedGraph.path(3), WeightedGraph.path(3))
     with pytest.raises(ValueError, match="^grid needs at least 2 points, got 1$"):
-        scalar_grid_search(1.2, path, path, count=1)
+        scalar_grid_search(model, count=1)
 
 
 def test_verify_gain_agrees_with_modal_radii(showcase_model):
@@ -466,8 +499,8 @@ def test_verify_gain_matches_modal_radii_on_random_models():
 
 
 def test_scalar_model_grid_search_requires_n1(showcase_model):
-    with pytest.raises(NotScalar):
-        scalar_model_grid_search(showcase_model)
+    with pytest.raises(NotScalar, match="^grid search needs n = 1, got n = 2$"):
+        scalar_grid_search(showcase_model)
 
 
 def test_scalar_model_grid_search_folds_coefficients():
@@ -476,8 +509,8 @@ def test_scalar_model_grid_search_folds_coefficients():
     gc = WeightedGraph.complete(3)
     m1 = LimasModel([[1.2]], [[1.0]], gp, gc, alpha=0.0)
     m2 = LimasModel([[1.2]], [[2.0]], gp, gc, alpha=0.0)
-    r1 = scalar_model_grid_search(m1, lo=-1.0, hi=1.0, count=4001)
-    r2 = scalar_model_grid_search(m2, lo=-1.0, hi=1.0, count=4001)
+    r1 = scalar_grid_search(m1, lo=-1.0, hi=1.0, count=4001)
+    r2 = scalar_grid_search(m2, lo=-1.0, hi=1.0, count=4001)
     iv1 = r1.stabilizing_intervals()
     iv2 = r2.stabilizing_intervals()
     assert len(iv1) == 1 and len(iv2) == 1

@@ -202,6 +202,16 @@ def test_no_public_callable_takes_a_spectral_pair():
         inspect.signature(limas.LimasModel.joint_spectrum.func).return_annotation)
 
 
+def test_the_oracle_judges_take_the_model_first():
+    # each judge builds its matrices from a validated model, so no raw
+    # matrix reaches it from a model it does not belong to
+    from limas import oracle
+
+    for judge in (oracle.verify_gain, oracle.scalar_grid_search):
+        first = next(iter(inspect.signature(judge).parameters.values()))
+        assert (first.name, first.annotation) == ("model", "LimasModel"), judge.__name__
+
+
 def _subcommand_flags() -> dict[str, list[str]]:
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
