@@ -18,12 +18,9 @@ from .analysis import (
     SufficientResult,
     SynthesisResult,
     analyze,
-    check_modal_controllability,
-    check_proportional_coupling,
     modal_radii,
     necessary_check,
     scalar_check,
-    sigma_critical,
     solve_mare,
     sufficient_check,
     synthesize_gain,
@@ -31,7 +28,6 @@ from .analysis import (
 from .graphs import (
     SpectralPair,
     WeightedGraph,
-    commute_check,
     is_connected,
     laplacian,
 )
@@ -70,10 +66,7 @@ __all__ = [
     "Trajectory",
     "WeightedGraph",
     "analyze",
-    "check_modal_controllability",
-    "check_proportional_coupling",
     "closed_loop_matrix",
-    "commute_check",
     "convergence_metrics",
     "initial_state",
     "is_connected",
@@ -87,7 +80,6 @@ __all__ = [
     "save_model",
     "scalar_check",
     "scalar_grid_search",
-    "sigma_critical",
     "simulate",
     "solve_mare",
     "sufficient_check",

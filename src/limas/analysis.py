@@ -8,7 +8,7 @@ This module decides whether one common gain can drive all agents to
 consensus, and synthesizes that gain when its sufficient condition holds:
 
 * assumption checks (commuting Laplacians, per-mode controllability,
-  proportional physical coupling),
+  proportional physical coupling), each a cached property of the model,
 * a sufficient condition comparing the spread of per-mode gain targets
   against a critical Riccati margin, with gain synthesis through the
   stabilizing solution of a modified algebraic Riccati equation (MARE),
@@ -21,6 +21,9 @@ consensus, and synthesizes that gain when its sufficient condition holds:
 * a necessary (refutation) condition built from per-mode determinants,
 * sharper interval conditions for scalar agent dynamics,
 * direct per-mode spectral-radius verification of any candidate gain.
+
+Each public check takes the model (and a gain) alone, so nothing computed
+from one model reaches another; only :func:`analyze` writes a certificate.
 """
 
 from __future__ import annotations
@@ -180,8 +183,15 @@ class LimasModel:
 
     @cached_property
     def coupling_check(self) -> tuple[AssumptionCheck, float | None]:
-        """check_proportional_coupling of this model, computed once."""
-        return check_proportional_coupling(self)
+        """Is Ap proportional to A? The check and the ratio used, computed once: a declared
+        ratio as-is, else the fit <Ap, A> / <A, A>; the residual is ||Ap - alpha*A||_F."""
+        if self.alpha is not None:
+            alpha = self.alpha
+        else:
+            denom = float(np.sum(self.A * self.A))
+            alpha = float(np.sum(self.Ap * self.A)) / denom if denom > 0.0 else 0.0
+        residual, holds = _coupling_residual(self.A, self.Ap, alpha)
+        return AssumptionCheck(holds, residual), (alpha if holds else None)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -213,32 +223,9 @@ def check_modal_controllability(model: LimasModel) -> AssumptionCheck:
     return AssumptionCheck(True, margin)
 
 
-def check_proportional_coupling(model: LimasModel) -> tuple[AssumptionCheck, float | None]:
-    """Is Ap proportional to A? Returns the check and the ratio used.
-
-    A declared ratio is taken as-is; otherwise the best Frobenius fit
-    <Ap, A> / <A, A> is tried. The residual is ||Ap - alpha*A||_F.
-    """
-    if model.alpha is not None:
-        alpha = model.alpha
-    else:
-        denom = float(np.sum(model.A * model.A))
-        alpha = float(np.sum(model.Ap * model.A)) / denom if denom > 0.0 else 0.0
-    residual, holds = _coupling_residual(model.A, model.Ap, alpha)
-    return AssumptionCheck(holds, residual), (alpha if holds else None)
-
-
-def sigma_critical(A, alpha_max: float) -> float:
-    """Critical Riccati margin for the scaled state matrix alpha_max * A.
-
-    Zero when alpha_max * A is Schur stable; otherwise one minus the inverse
-    squared product of its eigenvalues on or outside the unit circle.
-    """
-    return _critical_margin(eig_general(alpha_max * as_square(A, name="A")))
-
-
 def _critical_margin(values: np.ndarray) -> float:
-    """:func:`sigma_critical` of a matrix with the eigenvalues ``values``."""
+    """Critical Riccati margin of a matrix with the eigenvalues ``values``: zero when it is
+    Schur stable, else one minus the inverse squared product of those with modulus >= 1."""
     mags = np.abs(values)
     if float(mags.max()) < 1.0:
         return 0.0
@@ -292,6 +279,8 @@ def sufficient_check(model: LimasModel) -> SufficientResult:
     proportional coupling are required too (AssumptionViolated if not).
     The extremes of alpha_i / lambda_cj range over modes i and j
     independently, while the reported sigma_modes pair modes positionally.
+    A term beyond the float range is inf (or 0 by underflow), and ``holds``
+    needs lhs, rhs and every sigma mode finite.
     """
     spec = model.joint_spectrum
     lam_c = _communication_modes(model, spec.lambda_c[1:])
@@ -307,16 +296,28 @@ def sufficient_check(model: LimasModel) -> SufficientResult:
         return SufficientResult(True, 0.0, 0.0, 0.0, 0.0, alpha_min, alpha_max,
                                 np.zeros_like(lam_c))
 
-    sc = sigma_critical(model.A, alpha_max)
-    ratios = alpha_i[:, None] / lam_c[None, :]
-    lo, hi = float(ratios.min()), float(ratios.max())
-    lhs = ((hi - lo) / 2.0) ** 2
-    rhs = (alpha_min ** 2 - alpha_max ** 2 * sc) / float(lam_c.max()) ** 2
-    k_star = (lo + hi) / 2.0
-    sigma_modes = (2.0 * alpha_i * lam_c * k_star
-                   - lam_c ** 2 * k_star ** 2) / alpha_max ** 2
-    return SufficientResult(lhs < rhs, k_star, lhs, rhs, sc, alpha_min, alpha_max,
+    sc = _critical_margin(eig_general(alpha_max * model.A))
+    with np.errstate(all="ignore"):
+        ratios = alpha_i[:, None] / lam_c[None, :]
+        lo, hi = float(ratios.min()), float(ratios.max())
+        lhs = _square((hi - lo) / 2.0)
+        rhs = float(np.divide(_square(alpha_min) - _square(alpha_max) * sc,
+                              _square(float(lam_c.max()))))
+        k_star = (lo + hi) / 2.0
+        sigma_modes = (2.0 * alpha_i * lam_c * k_star
+                       - lam_c ** 2 * _square(k_star)) / _square(alpha_max)
+    holds = bool(lhs < rhs and np.isfinite([lhs, rhs, *sigma_modes]).all())
+    return SufficientResult(holds, k_star, lhs, rhs, sc, alpha_min, alpha_max,
                             sigma_modes)
+
+
+def _square(x: float) -> float:
+    """x ** 2 by Python's float power (libm pow, which differs from x * x in the
+    last bit for some x), or inf where that overflows; an underflow gives 0."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return np.inf
 
 
 @dataclass(frozen=True)
@@ -392,7 +393,8 @@ def _start_gain(Abar: np.ndarray, values: np.ndarray, ctrb: np.ndarray, sigma: f
     [B, Abar B, ..., Abar^(n-1)B], which the caller builds once, for its rank
     test too.
     """
-    placed = np.where(np.abs(values) >= 1.0, 1.0 / values.conj(), values)
+    placed, outside = values.copy(), np.abs(values) >= 1.0
+    placed[outside] = 1.0 / values[outside].conj()
     far = np.abs(placed) > radius
     placed[far] *= radius / np.abs(placed[far])
     identity = np.eye(len(Abar))
@@ -512,9 +514,8 @@ class SynthesisResult:
     modal_radii: np.ndarray
 
 
-def synthesize_gain(model: LimasModel,
-                    sufficient: SufficientResult | None = None) -> SynthesisResult:
-    """Synthesize the common feedback gain under the sufficient condition.
+def synthesize_gain(model: LimasModel) -> SynthesisResult:
+    """Synthesize the common feedback gain under the model's sufficient condition.
 
     Solves the modified Riccati equation for the worst-case scaled state
     matrix at the smallest per-mode margin achieved by the midpoint gain
@@ -523,12 +524,14 @@ def synthesize_gain(model: LimasModel,
     -(B'PB)^-1 B'P Abar that solve_mare returns, so it is not formed again.
     The margin is clipped into [0, 1]; one at or below the critical margin
     surfaces as solve_mare's Divergence. A gain that leaves any mode
-    unstable is reported as SynthesisFailed, never returned silently.
-    ``sufficient`` is the model's sufficient_check when the caller has it;
-    the radii are read in the model's joint_spectrum.
+    unstable is reported as SynthesisFailed, never returned silently. The
+    radii are read in the model's joint_spectrum.
     """
-    if sufficient is None:
-        sufficient = sufficient_check(model)
+    return _synthesize(model, sufficient_check(model))
+
+
+def _synthesize(model: LimasModel, sufficient: SufficientResult) -> SynthesisResult:
+    """synthesize_gain from the model's own sufficient_check ``sufficient``."""
     if not sufficient.holds:
         raise SynthesisFailed("sufficient condition does not hold")
 
@@ -705,13 +708,13 @@ class AnalysisReport:
     consensusable_certified: bool = False
     verdict: str = "inconclusive"
 
-    def certify(self, source: str, K, model: LimasModel,
-                radii: np.ndarray | None = None) -> None:
-        """Record gain K from source and check it.
+    def _certify(self, source: str, K, model: LimasModel,
+                 radii: np.ndarray | None = None) -> None:
+        """Record gain K from source and check it; only :func:`analyze` calls this.
 
         With a paired spectrum in this report, the check is its modal radii
-        (``radii`` when the caller has them). Without one, when the model's
-        commute_check failed or its pairing was refused, the check is
+        (``radii`` when analyze has just computed them). Without one, when the
+        model's commute_check failed or its pairing was refused, the check is
         verify_gain, and the model's joint_spectrum is not read. A radius
         below one certifies only when :func:`_rounding_refusal` finds it
         clear of rounding; when it does not, ``synthesis_error`` says why.
@@ -886,18 +889,18 @@ def analyze(model: LimasModel) -> AnalysisReport:
 
     if report.sufficient is not None and report.sufficient.holds:
         try:
-            synth = synthesize_gain(model, sufficient=report.sufficient)
+            synth = _synthesize(model, report.sufficient)
         except (SynthesisFailed, Divergence, NotControllable) as exc:
             report.synthesis_error = str(exc)
         else:
             report.mare_sigma = synth.sigma
             if synth.mare is not None:
                 report.mare_iterations = synth.mare.iterations
-            report.certify("riccati", synth.K, model, synth.modal_radii)
+            report._certify("riccati", synth.K, model, synth.modal_radii)
     if report.gain is None and report.scalar is not None \
             and report.scalar.k_recommended is not None:
-        report.certify("scalar-interval", [[report.scalar.k_recommended / model.B.item()]],
-                       model)
+        report._certify("scalar-interval", [[report.scalar.k_recommended / model.B.item()]],
+                        model)
 
     if report.consensusable_certified:
         report.verdict = "consensusable"

@@ -5,10 +5,11 @@ central object downstream is the :class:`SpectralPair`: the eigenvalues of the
 physical and the communication Laplacian, paired positionally by one
 orthogonal basis that diagonalizes both at once. It exists only for commuting
 Laplacians: a model's ``joint_spectrum`` reads the model's cached
-:func:`commute_check` first, and only then pairs the two with the internal
-:func:`simultaneous_diagonalize`, which assumes that check passed. That
-basis is 1/sqrt(N) and a basis V of the deviations from consensus, in the
-coordinates of one Householder reflector
+``commute_check`` first, and only then pairs the two with
+:func:`simultaneous_diagonalize`, which assumes that check passed. Both module
+functions are internal, and their caller is the model, which owns the two
+Laplacians. That basis is 1/sqrt(N) and a basis V of the deviations from
+consensus, in the coordinates of one Householder reflector
 (:func:`limas.linalg.in_completion_basis`). It is never lifted to the full
 space: the pairing and its gate are read in those coordinates, and when the
 communication Laplacian is scalar on the deviations (a complete graph) every
@@ -23,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, ShapeMismatch
+from .errors import DegenerateSpectrum
 from .linalg import as_square, eig_sym, in_completion_basis
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
@@ -200,20 +201,18 @@ class AssumptionCheck:
 def commute_check(Lp, Lc) -> AssumptionCheck:
     """Frobenius norm of the commutator Lp Lc - Lc Lp against the COMMUTE_RTOL gate.
 
-    Returns the AssumptionCheck of commuting Laplacians: ``holds`` when the
-    norm is at most COMMUTE_RTOL * ||Lp||_F ||Lc||_F, and the norm as ``residual``.
+    Internal: ``LimasModel.commute_check`` calls it. Returns the
+    AssumptionCheck of commuting Laplacians: ``holds`` when the norm is at
+    most COMMUTE_RTOL * ||Lp||_F ||Lc||_F, and the norm as ``residual``.
 
-    Checks that both are finite square matrices of one size. For symmetric
-    inputs (every Laplacian) Lc Lp is the transpose of C = Lp Lc, so one
-    product gives the commutator C - C'; other inputs take the second product.
+    The precondition, which the model guarantees, is two symmetric
+    Laplacians of one size; only their finiteness and squareness are
+    checked. Lc Lp is the transpose of C = Lp Lc, so the commutator is C - C'.
     """
     Lp = as_square(Lp, name="Lp")
     Lc = as_square(Lc, name="Lc")
-    if Lp.shape != Lc.shape:
-        raise ShapeMismatch(f"Laplacians differ in size: {Lp.shape} vs {Lc.shape}")
     C = Lp @ Lc
-    symmetric = np.array_equal(Lp, Lp.T) and np.array_equal(Lc, Lc.T)
-    residual = float(np.linalg.norm(C - (C.T if symmetric else Lc @ Lp)))
+    residual = float(np.linalg.norm(C - C.T))
     gate = COMMUTE_RTOL * float(np.linalg.norm(Lp)) * float(np.linalg.norm(Lc))
     return AssumptionCheck(residual <= gate, residual)
 

@@ -15,10 +15,10 @@ from limas import (
     LimasModel,
     SpectralPair,
     WeightedGraph,
-    commute_check,
     laplacian,
 )
-from limas.analysis import MareSolution
+from limas.analysis import MareSolution, _critical_margin
+from limas.graphs import commute_check
 from limas.errors import Divergence, NotControllable, ShapeMismatch
 from limas.linalg import (
     _reflector,
@@ -32,6 +32,11 @@ from limas.linalg import (
 
 A_SHOWCASE = np.array([[1.0, 2.0], [0.0, 1.5]])
 B_SHOWCASE = np.array([[0.0], [1.0]])
+
+
+def sigma_critical(A, scale: float) -> float:
+    """The critical Riccati margin of scale * A, as sufficient_check reads it."""
+    return _critical_margin(eig_general(scale * as_square(A)))
 
 
 def cycle4_graph(weight: float = 0.1) -> WeightedGraph:

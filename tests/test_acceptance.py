@@ -19,15 +19,14 @@ from limas import (
     initial_state,
     modal_radii,
     scalar_check,
-    sigma_critical,
     simulate,
     solve_mare,
+    sufficient_check,
     verify_gain,
 )
 from limas.errors import Divergence
 from limas.linalg import eig_sym
 from conftest import (
-    A_SHOWCASE,
     commuting_graph_pair,
     deviation,
     exact_stabilizing_interval,
@@ -71,7 +70,8 @@ def test_A1_showcase_reproduction():
 
 
 def test_A2_critical_margin_value():
-    assert sigma_critical(A_SHOWCASE, 0.94) == pytest.approx(0.49697, abs=1e-4)
+    # the showcase's alpha_max is 0.94
+    assert sufficient_check(four_agent_model()).sigma_c == pytest.approx(0.49697, abs=1e-4)
     _report("A2")
 
 

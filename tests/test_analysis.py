@@ -12,12 +12,10 @@ from limas import (
     LimasModel,
     WeightedGraph,
     analyze,
-    check_proportional_coupling,
     laplacian,
     modal_radii,
     necessary_check,
     scalar_check,
-    sigma_critical,
     solve_mare,
     sufficient_check,
     synthesize_gain,
@@ -46,6 +44,7 @@ from conftest import (
     random_coupled_model,
     random_scalar_instance,
     random_state_matrix,
+    sigma_critical,
     spectral_radius,
     unit_scalar_model,
     verdict_corpus,
@@ -148,7 +147,7 @@ def test_sufficient_check_degenerate_coupling():
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=5.0)
     res = sufficient_check(model)
     assert res.holds and res.k_star == 0.0
-    synth = synthesize_gain(model, sufficient=res)
+    synth = synthesize_gain(model)
     assert np.array_equal(synth.K, np.zeros((1, 1)))
     assert np.max(synth.modal_radii) == pytest.approx(0.0, abs=1e-12)
 
@@ -681,6 +680,15 @@ def test_synthesize_gain_showcase(showcase_model):
         assert mare_inequality_margin(Abar, showcase_model.B, sigma_i, P) <= -1e-12
 
 
+def test_plants_with_a_pole_at_zero_synthesize_without_warnings():
+    # the start gain mirrors only the poles outside the unit circle, so an
+    # exact zero pole is never inverted (under the suite's warnings-as-errors)
+    for A in ([[0.0, 1.0], [0.0, 0.0]], [[1.2, 1.0], [0.0, 0.0]]):
+        report = analyze(LimasModel(A, B_SHOWCASE, cycle4_graph(),
+                                    WeightedGraph.complete(4), alpha=0.3))
+        assert report.gain_source == "riccati" and report.verdict == "consensusable"
+
+
 def test_synthesize_gain_requires_sufficient():
     A = np.array([[3.0, 1.0], [0.0, 0.3]])
     model = LimasModel(A, B_SHOWCASE, cycle4_graph(),
@@ -696,7 +704,7 @@ def test_synthesis_margin_at_or_below_critical_is_divergence(showcase_model):
     for margin in (suff.sigma_c, 0.5 * suff.sigma_c, -1e-17):
         forged = dataclasses.replace(suff, sigma_modes=np.full_like(suff.sigma_modes, margin))
         with pytest.raises(Divergence) as err:
-            synthesize_gain(showcase_model, sufficient=forged)
+            analysis._synthesize(showcase_model, forged)
         assert err.value.iterations == 0
 
 
@@ -714,7 +722,7 @@ def test_synthesis_soundness_randomized():
         if not res.holds:
             continue
         positives += 1
-        synth = synthesize_gain(model, sufficient=res)
+        synth = synthesize_gain(model)
         assert float(synth.modal_radii.max()) < 1.0
     assert positives >= 10
 
@@ -819,7 +827,7 @@ def test_necessary_check_refutes_only_with_room_to_spare(miss, refuted):
     A = np.array([[0.0, 1.0], [-d, 0.0]])
     model = LimasModel(A, [[0.0], [1.0]], WeightedGraph.path(3), WeightedGraph.complete(3),
                        Ap=0.1 * A + 1e-10 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert check_proportional_coupling(model)[0].residual > 0.0
+    assert model.coupling_check[0].residual > 0.0
     assert necessary_check(model).holds is not refuted
     if refuted:
         assert jury_lp_margin(model) < 0.0
@@ -979,11 +987,11 @@ def test_coupling_gate_is_one_rule():
         gate = COUPLING_RTOL * float(np.linalg.norm(A))
         for scale, holds in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
             Ap = 0.3 * A + scale * gate * drift
-            fitted, _ = check_proportional_coupling(LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap))
+            fitted, _ = LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap).coupling_check
             assert fitted.holds == holds
             if holds:
                 model = LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
-                assert check_proportional_coupling(model)[0].holds
+                assert model.coupling_check[0].holds
             else:
                 with pytest.raises(ValueError, match="disagree"):
                     LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
@@ -996,7 +1004,7 @@ def test_coupling_gate_is_free_of_scale():
     for c in (1.0, 1e-6, 1e-12):
         A = c * A_SHOWCASE
         Ap = 0.3 * A + 100.0 * c * drift
-        check, fitted = check_proportional_coupling(LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap))
+        check, fitted = LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap).coupling_check
         assert not check.holds and fitted is None
         with pytest.raises(ValueError, match="disagree"):
             LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
@@ -1082,7 +1090,7 @@ def test_synthesize_gain_single_mode_midpoint_placement():
     res = sufficient_check(model)
     assert res.holds
     assert res.k_star == pytest.approx(0.7 / 1.6, rel=1e-12)
-    synth = synthesize_gain(model, sufficient=res)
+    synth = synthesize_gain(model)
     assert float(synth.modal_radii.max()) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -1098,7 +1106,7 @@ def test_synthesized_gain_matches_the_kernel_formula_property():
         suff = sufficient_check(model)
         if not suff.holds or suff.alpha_max == 0.0:
             continue
-        synth = synthesize_gain(model, sufficient=suff)
+        synth = synthesize_gain(model)
         synthesized += 1
         P, B, A = synth.mare.P, model.B, model.A
         btpb = float((B.T @ P @ B).item())
@@ -1331,7 +1339,7 @@ def test_report_dict_names_the_failed_assumption():
 # --- cached per-model quantities -------------------------------------------------
 
 def test_modal_controllability_matches_per_mode_tests():
-    from limas import check_modal_controllability
+    from limas.analysis import check_modal_controllability
     from limas.linalg import controllability_margin, is_controllable
 
     rng = np.random.default_rng(17)
@@ -1351,7 +1359,8 @@ def test_modal_controllability_matches_per_mode_tests():
 
 
 def test_model_laplacians_are_read_only_and_no_kernel_writes_its_arguments():
-    from limas import commute_check, projected_deviation_matrix
+    from limas import projected_deviation_matrix
+    from limas.graphs import commute_check
     from limas.linalg import in_completion_basis
     from limas.oracle import scalar_grid_search
     from limas.simulator import closed_loop_matrix, simulate
@@ -1384,7 +1393,7 @@ SPECTRUM_EPS_BOUND = 32.0
 
 
 def test_model_spectra_are_eigenvalues_with_an_exact_consensus_mode():
-    from limas import check_modal_controllability
+    from limas.analysis import check_modal_controllability
 
     rng = np.random.default_rng(43)
     eps = np.finfo(float).eps
@@ -1463,22 +1472,24 @@ def test_stacked_mode_quantities_match_per_mode_loops():
 
 
 def test_analyze_runs_each_assumption_check_once(monkeypatch):
-    # analyze, sufficient_check and necessary_check share the model's cached checks
-    calls = {"check_modal_controllability": 0, "check_proportional_coupling": 0}
-    for name in calls:
-        def counted(model, _check=getattr(analysis, name), _name=name):
-            calls[_name] += 1
-            return _check(model)
-        monkeypatch.setattr(analysis, name, counted)
+    # analyze, sufficient_check, necessary_check and synthesize_gain share the
+    # model's cached checks: the controllability check runs once, and the
+    # coupling residual once past the model's own Ap/alpha agreement check
     model = four_agent_model()
+    calls = {"check_modal_controllability": 0, "_coupling_residual": 0}
+    for name in calls:
+        def counted(*args, _check=getattr(analysis, name), _name=name):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(analysis, name, counted)
     report = analyze(model)
     assert report.sufficient is not None and report.necessary is not None
     sufficient_check(model)
     necessary_check(model)
-    assert calls == {"check_modal_controllability": 1, "check_proportional_coupling": 1}
-    assert report.assumption_controllability == model.controllability_check
+    synthesize_gain(model)
+    assert calls == {"check_modal_controllability": 1, "_coupling_residual": 1}
+    assert report.assumption_controllability is model.controllability_check
     assert (report.assumption_coupling, report.alpha) == model.coupling_check
-    assert model.coupling_check == check_proportional_coupling(model)
 
 
 def test_each_model_diagonalizes_its_laplacians_once(monkeypatch):

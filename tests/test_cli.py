@@ -285,6 +285,26 @@ def test_analyze_inconclusive_exits_three(tmp_path, capsys):
     assert report["verdict"] == "inconclusive"
 
 
+def test_sufficient_terms_beyond_the_float_range_are_inconclusive(tmp_path, capsys):
+    # communication modes near 1e-160 and 1e-200 put the squared gain spread
+    # beyond the float range: it reads as inf, the condition fails and the
+    # report stays valid JSON, where no gain is certified
+    data = json.loads(SHOWCASE_PATH.read_text())
+    for scale in (1e-160, 1e-200):
+        for edge in data["communication_edges"]:
+            edge["weight"] = scale
+        path = tmp_path / f"scaled-{scale:g}.json"
+        path.write_text(json.dumps(data))
+        code = main(["analyze", str(path), "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert report["sufficient"]["holds"] is False
+        assert report["sufficient"]["lhs"] == np.inf
+        assert report["gain"] is None and report["verdict"] == "inconclusive"
+        assert main(["analyze", str(path)]) == 3
+        assert "sufficient condition: does not hold (lhs inf" in capsys.readouterr().out
+
+
 def test_analyze_output_is_deterministic(showcase_file, tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     main(["analyze", showcase_file, "--out", str(out1)])

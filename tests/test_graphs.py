@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from limas import (
-    AssumptionCheck,
     LimasModel,
     SpectralPair,
     WeightedGraph,
-    commute_check,
     is_connected,
     laplacian,
     modal_radii,
     synthesize_gain,
 )
-from limas.errors import DegenerateSpectrum, NotCommuting, ShapeMismatch, SynthesisFailed
-from limas.graphs import OFFDIAG_RTOL, _laplacian_spectrum, simultaneous_diagonalize
+from limas.errors import DegenerateSpectrum, NotCommuting, SynthesisFailed
+from limas.graphs import OFFDIAG_RTOL, _laplacian_spectrum, commute_check, simultaneous_diagonalize
 from conftest import (
     _non_commuting_graphs,
     commuting_graph_pair,
@@ -183,11 +181,6 @@ def test_is_connected_matches_full_union_find():
         assert is_connected(WeightedGraph(N, edges)) == expected
         seen.add((form, expected))
     assert seen == {(0, False), (0, True), (1, False), (2, True)}
-
-
-def test_commute_check_rejects_size_mismatch():
-    with pytest.raises(ShapeMismatch, match=r"^Laplacians differ in size: \(2, 2\) vs \(3, 3\)$"):
-        commute_check(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 def test_commute_scaled_and_complete():
@@ -579,17 +572,6 @@ def test_scalar_branch_matches_an_eigh_reference_pair():
         else:
             assert moved.max() <= 1e-12
     assert synthesized >= 8
-
-
-def test_commute_check_reads_one_product_only_for_symmetric_inputs():
-    # (Lp Lc)' = Lc Lp needs symmetric inputs: for these two the product Lp Lc
-    # is symmetric, but they do not commute
-    Lp = np.array([[1.0, 1.0], [0.0, 1.0]])
-    check = commute_check(Lp, Lp.T)
-    assert not check.holds
-    assert check.residual == np.sqrt(2.0)
-    # and a non-symmetric pair that commutes, whose product is not symmetric
-    assert commute_check(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)) == AssumptionCheck(True, 0.0)
 
 
 def test_laplacian_matches_edge_loop_bitwise():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -157,11 +158,10 @@ PUBLIC_NAMES = [
     "AnalysisReport", "AssumptionCheck", "ConvergenceMetrics", "GainVerification",
     "GridSearchResult", "LimasModel", "MareSolution", "NecessaryResult", "ScalarResult",
     "SpectralPair", "SufficientResult", "SynthesisResult", "Trajectory", "WeightedGraph",
-    "analyze", "check_modal_controllability", "check_proportional_coupling",
-    "closed_loop_matrix", "commute_check", "convergence_metrics", "initial_state",
+    "analyze", "closed_loop_matrix", "convergence_metrics", "initial_state",
     "is_connected", "laplacian", "load_model", "modal_radii", "model_from_dict",
     "model_to_dict", "necessary_check", "projected_deviation_matrix", "save_model",
-    "scalar_check", "scalar_grid_search", "sigma_critical", "simulate",
+    "scalar_check", "scalar_grid_search", "simulate",
     "solve_mare", "sufficient_check", "synthesize_gain", "verify_gain",
 ]
 
@@ -176,28 +176,42 @@ def test_public_names_are_pinned():
     assert [name for name in PUBLIC_NAMES if not hasattr(limas, name)] == []
 
 
-def test_no_public_callable_takes_a_spectral_pair():
-    # a model owns its joint spectrum and its sorted spectra, so no pair and
-    # no spectrum can be passed beside a model it does not belong to; the
-    # model's joint_spectrum only returns one
+# What a model's checks compute from it, by type and by parameter name. A
+# public callable that took one could be handed a value of another model.
+MODEL_VALUE_TYPES = ("SpectralPair", "SufficientResult", "NecessaryResult", "ScalarResult",
+                     "SynthesisResult")
+MODEL_VALUE_PARAMS = ("radii", "sufficient", "spec", "lambda_p", "lambda_c")
+
+
+def test_no_public_callable_takes_a_value_computed_from_a_model():
+    # a model owns its spectra and its checks, and analyze alone certifies a
+    # gain, so every public check, synthesis and report takes the model (and a
+    # gain) alone. A record's constructor, whose parameters are its fields, is
+    # exempt: the report and the results hold these values
     import limas
 
     callables = []
     for name in limas.__all__:
         obj = getattr(limas, name)
         if inspect.isclass(obj):
-            callables += [(name, obj)] + [(f"{name}.{attr}", member)
-                                          for attr, member in vars(obj).items()
-                                          if inspect.isfunction(member) and not attr.startswith("_")]
+            record = dataclasses.is_dataclass(obj) and list(inspect.signature(obj).parameters) \
+                == [field.name for field in dataclasses.fields(obj)]
+            callables += [] if record else [(name, obj)]
+            callables += [(f"{name}.{attr}", member) for attr, member in vars(obj).items()
+                          if inspect.isfunction(member) and not attr.startswith("_")]
         elif callable(obj):
             callables.append((name, obj))
-    assert ("AnalysisReport.certify", limas.AnalysisReport.certify) in callables
+    assert ("LimasModel", limas.LimasModel) in callables
+    assert ("AnalysisReport.to_dict", limas.AnalysisReport.to_dict) in callables
     taking = [f"{name}({param.name})" for name, obj in callables
               for param in inspect.signature(obj).parameters.values()
-              if "SpectralPair" in str(param.annotation)
-              # the records that report spectra hold them as fields; no function takes one
-              or (param.name in ("lambda_p", "lambda_c") and not inspect.isclass(obj))]
+              if param.name in MODEL_VALUE_PARAMS
+              or any(kind in str(param.annotation) for kind in MODEL_VALUE_TYPES)]
     assert taking == []
+    # the report's one public method reads it; none writes a certificate or verdict
+    assert [attr for attr, member in vars(limas.AnalysisReport).items()
+            if inspect.isfunction(member) and not attr.startswith("_")] == ["to_dict"]
+    assert list(inspect.signature(limas.synthesize_gain).parameters) == ["model"]
     assert "SpectralPair" in str(
         inspect.signature(limas.LimasModel.joint_spectrum.func).return_annotation)
 
