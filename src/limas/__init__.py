@@ -16,14 +16,12 @@ from .analysis import (
     NecessaryResult,
     ScalarResult,
     SufficientResult,
-    SynthesisResult,
     analyze,
     modal_radii,
     necessary_check,
     scalar_check,
     solve_mare,
     sufficient_check,
-    synthesize_gain,
 )
 from .graphs import (
     SpectralPair,
@@ -62,7 +60,6 @@ __all__ = [
     "ScalarResult",
     "SpectralPair",
     "SufficientResult",
-    "SynthesisResult",
     "Trajectory",
     "WeightedGraph",
     "analyze",
@@ -83,6 +80,5 @@ __all__ = [
     "simulate",
     "solve_mare",
     "sufficient_check",
-    "synthesize_gain",
     "verify_gain",
 ]

@@ -23,7 +23,8 @@ consensus, and synthesizes that gain when its sufficient condition holds:
 * direct per-mode spectral-radius verification of any candidate gain.
 
 Each public check takes the model (and a gain) alone, so nothing computed
-from one model reaches another; only :func:`analyze` writes a certificate.
+from one model reaches another; only :func:`analyze` synthesizes the Riccati
+gain and writes a certificate.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .oracle import verify_gain
 COUPLING_RTOL = 1e-9
 # Stein solves allowed to the one Newton run of the Riccati solve; using them
 # all up without an exit fails it.
-MARE_SOLVES_PER_SIGMA = 50
+MARE_SOLVES = 50
 # A refutation needs the per-mode intervals of the gain coordinate to miss
 # each other by more than REFUTATION_RTOL times their largest end: Ap may
 # differ from alpha*A by the coupling gate, and the determinants round.
@@ -165,15 +166,15 @@ class LimasModel:
     def joint_spectrum(self) -> SpectralPair:
         """The paired eigenvalues of the two Laplacians, computed once.
 
-        Raises NotCommuting when commute_check fails; otherwise pairs them
-        with graphs.simultaneous_diagonalize, which may raise
-        DegenerateSpectrum. A refusal is not kept: each access raises it
-        again, NotCommuting from the cached check and DegenerateSpectrum by
-        pairing anew.
+        Raises NotCommuting ("Laplacians do not commute (residual ...)")
+        when commute_check fails; otherwise pairs them with
+        graphs.simultaneous_diagonalize, which may raise DegenerateSpectrum.
+        A refusal is not kept: each access raises it again, NotCommuting
+        from the cached check and DegenerateSpectrum by pairing anew.
         """
         commute = self.commute_check
         if not commute.holds:
-            raise NotCommuting(f"commutator residual {commute.residual:g} exceeds tolerance")
+            raise NotCommuting(f"Laplacians do not commute (residual {commute.residual:g})")
         return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c, self.spectrum_p)
 
     @cached_property
@@ -419,7 +420,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
     Right after a step that moved P by more than ||P||, neither judges the
     iterate: the prediction counts that step as 1, and the floor test waits.
     The returned gain must pass the spectral gate; a refused gain, a
-    singular solve, B'PB <= 0 or MARE_SOLVES_PER_SIGMA solves raise
+    singular solve, B'PB <= 0 or MARE_SOLVES solves raise
     Divergence, whose ``iterations`` counts the solves spent.
     """
     n = Abar.shape[0]
@@ -433,7 +434,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
         return Divergence(f"Newton at sigma = {sigma:.12g} stopped after {solves} "
                           f"Stein solves: {reason}", iterations=solves)
 
-    for solves in range(1, MARE_SOLVES_PER_SIGMA + 1):
+    for solves in range(1, MARE_SOLVES + 1):
         try:
             increment = np.linalg.solve(identity - operator, defect.ravel()).reshape(n, n)
         except np.linalg.LinAlgError:
@@ -453,7 +454,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
             break
         prev_step = step
     else:
-        raise divergence("no convergence", MARE_SOLVES_PER_SIGMA)
+        raise divergence("no convergence", MARE_SOLVES)
     if not _schur_stable(operator):
         raise divergence("the gain is not stabilizing", solves)
     return MareSolution(P, solves, residual / float(np.linalg.norm(P)), K)
@@ -504,42 +505,24 @@ def modal_radii(model: LimasModel, K) -> np.ndarray:
     return np.abs(eig_general(modes)).max(axis=1)
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
-    """A synthesized gain with the diagnostics that produced and verified it."""
+def _synthesize(model: LimasModel, sufficient: SufficientResult
+                ) -> tuple[np.ndarray, float, MareSolution | None, np.ndarray]:
+    """The Riccati gain K of analyze, with its sigma, MARE solution and modal radii.
 
-    K: np.ndarray
-    sigma: float
-    mare: MareSolution | None
-    modal_radii: np.ndarray
-
-
-def synthesize_gain(model: LimasModel) -> SynthesisResult:
-    """Synthesize the common feedback gain under the model's sufficient condition.
-
-    Solves the modified Riccati equation for the worst-case scaled state
-    matrix at the smallest per-mode margin achieved by the midpoint gain
-    scale, forms K = -k* (B'PB)^-1 B'PA, and verifies every modal radius.
-    With Abar = alpha_max * A that gain is (k* / alpha_max) times the gain
-    -(B'PB)^-1 B'P Abar that solve_mare returns, so it is not formed again.
-    The margin is clipped into [0, 1]; one at or below the critical margin
-    surfaces as solve_mare's Divergence. A gain that leaves any mode
-    unstable is reported as SynthesisFailed, never returned silently. The
-    radii are read in the model's joint_spectrum.
+    ``sufficient`` is the model's own sufficient_check, and it holds. Solves
+    the modified Riccati equation for the worst-case scaled state matrix at
+    the smallest per-mode margin achieved by the midpoint gain scale and
+    forms K = -k* (B'PB)^-1 B'PA. With Abar = alpha_max * A that gain is
+    (k* / alpha_max) times the gain -(B'PB)^-1 B'P Abar that solve_mare
+    returns, so it is not formed again. The margin is clipped into [0, 1];
+    one at or below the critical margin surfaces as solve_mare's Divergence.
+    A gain with a modal radius not below one raises SynthesisFailed. With
+    alpha_max = 0 the gain is K = 0, and no MARE is solved.
     """
-    return _synthesize(model, sufficient_check(model))
-
-
-def _synthesize(model: LimasModel, sufficient: SufficientResult) -> SynthesisResult:
-    """synthesize_gain from the model's own sufficient_check ``sufficient``."""
-    if not sufficient.holds:
-        raise SynthesisFailed("sufficient condition does not hold")
-
     alpha_max = sufficient.alpha_max
     if alpha_max == 0.0:
         K = np.zeros((1, model.n))
-        radii = modal_radii(model, K)
-        return SynthesisResult(K, 0.0, None, radii)
+        return K, 0.0, None, modal_radii(model, K)
 
     sigma = float(np.clip(np.min(sufficient.sigma_modes), 0.0, 1.0))
     mare = solve_mare(alpha_max * model.A, model.B, sigma)
@@ -548,7 +531,7 @@ def _synthesize(model: LimasModel, sufficient: SufficientResult) -> SynthesisRes
     if float(radii.max()) >= 1.0:
         raise SynthesisFailed(
             f"synthesized gain leaves a modal radius at {float(radii.max()):g}")
-    return SynthesisResult(K, sigma, mare, radii)
+    return K, sigma, mare, radii
 
 
 @dataclass(frozen=True)
@@ -676,8 +659,10 @@ def scalar_check(model: LimasModel) -> ScalarResult:
 class AnalysisReport:
     """Everything a consensusability run decided, plus the raw numbers.
 
-    ``consensusable_certified`` is True only when a gain was produced and
-    every verified deviation-mode radius is strictly below one.
+    ``consensusable_certified`` is True only when a gain was produced,
+    every verified deviation-mode radius is strictly below one, and for
+    n = 1 the largest one is below one by more than the rounding bound of
+    :func:`_rounding_refusal`.
     ``verdict`` is "consensusable", "not-consensusable" (necessary
     condition refuted) or "inconclusive".
     """
@@ -843,25 +828,22 @@ def analyze(model: LimasModel) -> AnalysisReport:
     1. The Riccati gain, then the scalar-interval gain. The first gain
        produced is the one verified: by modal_radii when the model has a
        joint_spectrum, by verify_gain otherwise; a radius below one
-       certifies it.
+       certifies it when it is also clear of rounding (see
+       :func:`_rounding_refusal`, which refuses only for n = 1).
     2. A refutation decides only when no gain was certified.
     """
-    commute = model.commute_check
     spec, error = None, None
-    if not commute.holds:
-        error = f"Laplacians do not commute (residual {commute.residual:g})"
-    else:
-        try:
-            spec = model.joint_spectrum
-        except DegenerateSpectrum as exc:
-            error = str(exc)
+    try:
+        spec = model.joint_spectrum
+    except (NotCommuting, DegenerateSpectrum) as exc:
+        error = str(exc)
     coupling, alpha = model.coupling_check
     report = AnalysisReport(
         n=model.n, N=model.N,
         alpha=alpha,
         lambda_p=model.spectrum_p.tolist(),
         lambda_c=model.spectrum_c.tolist(),
-        assumption_commuting=commute,
+        assumption_commuting=model.commute_check,
         assumption_controllability=model.controllability_check,
         assumption_coupling=coupling,
         sufficient_error=error,
@@ -889,14 +871,14 @@ def analyze(model: LimasModel) -> AnalysisReport:
 
     if report.sufficient is not None and report.sufficient.holds:
         try:
-            synth = _synthesize(model, report.sufficient)
+            K, sigma, mare, radii = _synthesize(model, report.sufficient)
         except (SynthesisFailed, Divergence, NotControllable) as exc:
             report.synthesis_error = str(exc)
         else:
-            report.mare_sigma = synth.sigma
-            if synth.mare is not None:
-                report.mare_iterations = synth.mare.iterations
-            report._certify("riccati", synth.K, model, synth.modal_radii)
+            report.mare_sigma = sigma
+            if mare is not None:
+                report.mare_iterations = mare.iterations
+            report._certify("riccati", K, model, radii)
     if report.gain is None and report.scalar is not None \
             and report.scalar.k_recommended is not None:
         report._certify("scalar-interval", [[report.scalar.k_recommended / model.B.item()]],

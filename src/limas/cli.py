@@ -60,8 +60,8 @@ _POW10_MIN, _POW10_MAX = 16 - 309, 16 + 325
 _SPLITTER = 2.0**27 + 1.0  # Dekker's split of a double into two 26-bit halves
 
 
-def _fmt_list(values, digits: int = 6) -> str:
-    return "[" + ", ".join(f"{v:.{digits}g}" for v in values) + "]"
+def _fmt_list(values) -> str:
+    return "[" + ", ".join(f"{v:.6g}" for v in values) + "]"
 
 
 def render_text(report: analysis.AnalysisReport) -> str:

@@ -17,7 +17,8 @@ class NotCommuting(LimasError):
     """The two Laplacians do not commute within tolerance.
 
     Raised by ``LimasModel.joint_spectrum`` when the model's commute_check
-    fails; that check, with its residual, is ``model.commute_check``.
+    fails, as "Laplacians do not commute (residual ...)"; that check, with
+    its residual, is ``model.commute_check``.
     """
 
 
@@ -33,11 +34,10 @@ class AssumptionViolated(LimasError):
     commuting Laplacians, is not raised here: :class:`NotCommuting` is.
     """
 
-    def __init__(self, which: int, detail: str = ""):
+    def __init__(self, which: int, detail: str):
         self.which = which
         self.detail = detail
-        super().__init__(f"assumption {which} violated: {detail}" if detail
-                         else f"assumption {which} violated")
+        super().__init__(f"assumption {which} violated: {detail}")
 
 
 class NotControllable(LimasError):
@@ -69,10 +69,9 @@ class SynthesisFailed(LimasError):
 class Overflow(LimasError):
     """A simulated state exceeded the magnitude guard (instability)."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(
-            message or f"state overflow at step {step} (closed loop is unstable)")
+        super().__init__(f"state overflow at step {step} (closed loop is unstable)")
 
 
 class NotDeviationInvariant(LimasError):

@@ -33,6 +33,18 @@ from limas.linalg import (
 A_SHOWCASE = np.array([[1.0, 2.0], [0.0, 1.5]])
 B_SHOWCASE = np.array([[0.0], [1.0]])
 
+# (A, B, alpha, physical weight) of three n = 1, N = 2 models of a magnitude
+# fuzz, each with one communication edge of weight 1.0: their scalar-interval
+# gain reads modal radius 0.0, the rounding of a mode whose terms cancel
+ROUNDING_FUZZ = {
+    "m1200": (2.4221544028079082e+17, -0.7627102069246722,
+              -0.4558835096655697, 0.011123941571518354),
+    "m535": (-7.770361772764689e+52, -0.6882257637161541,
+             0.16687112022732287, 0.031484340192645746),
+    "m1180": (-7.444235249821268e+63, -0.48498141898110864,
+              -0.4481586404627794, 0.8300176295877113),
+}
+
 
 def sigma_critical(A, scale: float) -> float:
     """The critical Riccati margin of scale * A, as sufficient_check reads it."""

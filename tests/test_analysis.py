@@ -18,7 +18,6 @@ from limas import (
     scalar_check,
     solve_mare,
     sufficient_check,
-    synthesize_gain,
 )
 from limas import analysis, graphs, verify_gain
 from limas.analysis import CONNECTIVITY_FLOOR, COUPLING_RTOL
@@ -28,12 +27,12 @@ from limas.errors import (
     NotCommuting,
     NotControllable,
     NotScalar,
-    SynthesisFailed,
 )
 from limas.model_io import load_model, model_from_dict
 from conftest import (
     A_SHOWCASE,
     B_SHOWCASE,
+    ROUNDING_FUZZ,
     cycle4_graph,
     fixed_point_mare,
     exact_stabilizing_interval,
@@ -147,9 +146,11 @@ def test_sufficient_check_degenerate_coupling():
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=5.0)
     res = sufficient_check(model)
     assert res.holds and res.k_star == 0.0
-    synth = synthesize_gain(model)
-    assert np.array_equal(synth.K, np.zeros((1, 1)))
-    assert np.max(synth.modal_radii) == pytest.approx(0.0, abs=1e-12)
+    # the Riccati gain is K = 0, at sigma = 0 and without a MARE solve
+    report = analyze(model)
+    assert (report.gain_source, report.gain) == ("riccati", [0.0])
+    assert report.mare_sigma == 0.0 and report.mare_iterations is None
+    assert max(report.modal_radii) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sufficient_check_uncontrollable_mode():
@@ -476,7 +477,7 @@ def test_solve_mare_returns_only_a_stabilizing_gain(seed, index):
     try:
         sol = solve_mare(Abar, B, sigma)
     except Divergence as exc:
-        assert 0 < exc.iterations <= analysis.MARE_SOLVES_PER_SIGMA
+        assert 0 < exc.iterations <= analysis.MARE_SOLVES
         return
     F = Abar + B @ sol.K
     stein = sigma * np.kron(F.T, F.T) + (1.0 - sigma) * np.kron(Abar.T, Abar.T)
@@ -580,7 +581,7 @@ def test_solve_mare_counts_a_failed_stein_spectrum_as_unstable(monkeypatch):
 
 
 def _cap_newton_at_one_solve(monkeypatch):
-    monkeypatch.setattr(analysis, "MARE_SOLVES_PER_SIGMA", 1)
+    monkeypatch.setattr(analysis, "MARE_SOLVES", 1)
 
 
 def _fail_the_stein_solve(monkeypatch):
@@ -668,14 +669,17 @@ def test_near_critical_benchmark_model_is_certified(workloads, d, n):
 
 # --- gain synthesis -----------------------------------------------------------
 
-def test_synthesize_gain_showcase(showcase_model):
-    synth = synthesize_gain(showcase_model)
-    assert float(synth.modal_radii.max()) < 1.0
-    # returned P solves the strict inequality for every reported mode margin
-    P = synth.mare.P
-    assert np.min(np.linalg.eigvalsh(P)) > 1e-10 * np.linalg.norm(P)
-    suff = sufficient_check(showcase_model)
+def test_riccati_gain_showcase(showcase_model):
+    report = analyze(showcase_model)
+    assert report.gain_source == "riccati" and max(report.modal_radii) < 1.0
+    # the P of the recorded sigma solves the strict inequality for every
+    # reported mode margin
+    suff = report.sufficient
     Abar = suff.alpha_max * showcase_model.A
+    mare = solve_mare(Abar, showcase_model.B, report.mare_sigma)
+    assert mare.iterations == report.mare_iterations
+    P = mare.P
+    assert np.min(np.linalg.eigvalsh(P)) > 1e-10 * np.linalg.norm(P)
     for sigma_i in suff.sigma_modes:
         assert mare_inequality_margin(Abar, showcase_model.B, sigma_i, P) <= -1e-12
 
@@ -689,12 +693,14 @@ def test_plants_with_a_pole_at_zero_synthesize_without_warnings():
         assert report.gain_source == "riccati" and report.verdict == "consensusable"
 
 
-def test_synthesize_gain_requires_sufficient():
+def test_no_riccati_gain_without_the_sufficient_condition():
     A = np.array([[3.0, 1.0], [0.0, 0.3]])
     model = LimasModel(A, B_SHOWCASE, cycle4_graph(),
                        WeightedGraph.complete(4), alpha=3.0)
-    with pytest.raises(SynthesisFailed):
-        synthesize_gain(model)
+    report = analyze(model)
+    assert not report.sufficient.holds
+    assert report.gain is None and report.synthesis_error is None
+    assert report.mare_sigma is None and report.mare_iterations is None
 
 
 def test_synthesis_margin_at_or_below_critical_is_divergence(showcase_model):
@@ -709,21 +715,21 @@ def test_synthesis_margin_at_or_below_critical_is_divergence(showcase_model):
 
 
 def test_synthesis_soundness_randomized():
-    # whenever synthesis returns, every mode is verified stable; and the
-    # sufficient verdict always leads to a successful synthesis
+    # the sufficient verdict always leads to a Riccati gain, and every mode
+    # of that gain is verified stable
     rng = np.random.default_rng(31)
     positives = 0
     for _ in range(120):
         model = random_coupled_model(rng, n=int(rng.integers(1, 5)))
-        try:
-            res = sufficient_check(model)
-        except AssumptionViolated:
+        report = analyze(model)
+        if report.sufficient is None:
+            assert report.sufficient_error.startswith("assumption ")
             continue
-        if not res.holds:
+        if not report.sufficient.holds:
             continue
         positives += 1
-        synth = synthesize_gain(model)
-        assert float(synth.modal_radii.max()) < 1.0
+        assert report.gain_source == "riccati"
+        assert max(report.modal_radii) < 1.0
     assert positives >= 10
 
 
@@ -942,9 +948,9 @@ def test_modal_radii_scalar_formula():
 
 
 def test_modal_radii_showcase_certificate(showcase_model):
-    synth = synthesize_gain(showcase_model)
-    radii = modal_radii(showcase_model, synth.K)
-    assert np.allclose(radii, synth.modal_radii, atol=1e-12)
+    report = analyze(showcase_model)
+    radii = modal_radii(showcase_model, [report.gain])
+    assert np.allclose(radii, report.modal_radii, atol=1e-12)
     assert float(radii.max()) < 1.0
 
 
@@ -1052,11 +1058,13 @@ def test_analyze_records_degenerate_gain_kernel(showcase_model, monkeypatch):
     assert report.gain is None and report.verdict == "inconclusive"
 
 
-def test_synthesize_gain_refuses_a_gain_its_radii_do_not_certify(showcase_model, monkeypatch):
+def test_analyze_refuses_a_riccati_gain_its_radii_do_not_certify(showcase_model, monkeypatch):
     monkeypatch.setattr(analysis, "modal_radii",
                         lambda model, K: np.array([0.5, 1.5, 0.5]))
-    with pytest.raises(SynthesisFailed, match="^synthesized gain leaves a modal radius at 1.5$"):
-        synthesize_gain(showcase_model)
+    report = analyze(showcase_model)
+    assert report.synthesis_error == "synthesized gain leaves a modal radius at 1.5"
+    assert report.gain is None and report.mare_sigma is None
+    assert report.verdict == "inconclusive"
 
 
 def test_analyze_records_degenerate_spectrum(monkeypatch):
@@ -1083,38 +1091,41 @@ def test_analyze_showcase_with_projector_style_communication():
     assert report.verdict == "consensusable"
 
 
-def test_synthesize_gain_single_mode_midpoint_placement():
+def test_riccati_gain_single_mode_midpoint_placement():
     # one deviation mode: the midpoint gain scale cancels it exactly
     model = LimasModel([[1.3]], [[2.0]], WeightedGraph(2, [(0, 1, 0.3)]),
                        WeightedGraph(2, [(0, 1, 0.8)]), alpha=0.5)
     res = sufficient_check(model)
     assert res.holds
     assert res.k_star == pytest.approx(0.7 / 1.6, rel=1e-12)
-    synth = synthesize_gain(model)
-    assert float(synth.modal_radii.max()) == pytest.approx(0.0, abs=1e-9)
+    report = analyze(model)
+    assert report.gain_source == "riccati"
+    assert max(report.modal_radii) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_synthesized_gain_matches_the_kernel_formula_property():
     # K = (k* / alpha_max) * mare.K equals -k* (B'PB)^-1 B'PA of the same P up
     # to rounding: both round B'PA and B'PB, and the rounding of B'PB weighs
-    # ||P|| B'B / B'PB more
+    # ||P|| B'B / B'PB more. The P is solve_mare's at analyze's recorded sigma
     eps = np.finfo(float).eps
     rng = np.random.default_rng(0)
     synthesized = 0
     while synthesized < 300:
         model = random_coupled_model(rng)
-        suff = sufficient_check(model)
+        report = analyze(model)
+        suff = report.sufficient
         if not suff.holds or suff.alpha_max == 0.0:
             continue
-        synth = synthesize_gain(model)
+        assert report.gain_source == "riccati"
         synthesized += 1
-        P, B, A = synth.mare.P, model.B, model.A
+        B, A = model.B, model.A
+        P = solve_mare(suff.alpha_max * A, B, report.mare_sigma).P
         btpb = float((B.T @ P @ B).item())
         reference = -suff.k_star * (B.T @ P @ A) / btpb
         norm_b, norm_p = np.linalg.norm(B, 2), np.linalg.norm(P, 2)
         bound = 4.0 * eps * abs(suff.k_star) * norm_b * norm_p * np.linalg.norm(A, 2) \
             / btpb * (1.0 + norm_p * norm_b ** 2 / btpb)
-        assert np.linalg.norm(synth.K - reference, 2) <= bound
+        assert np.linalg.norm(np.array([report.gain]) - reference, 2) <= bound
 
 
 def test_analyze_fitted_alpha_without_declaration():
@@ -1282,19 +1293,6 @@ def test_analyze_scalar_interval_gain_certified_by_modal_radii():
     assert report.verdict == "consensusable"
     assert verify_gain(model, [report.gain]).max_radius == \
         pytest.approx(report.certified_radius, abs=1e-9)
-
-
-# (A, B, alpha, physical weight) of three n = 1, N = 2 models of a magnitude
-# fuzz, each with one communication edge of weight 1.0: their scalar-interval
-# gain reads modal radius 0.0, the rounding of a mode whose terms cancel
-ROUNDING_FUZZ = {
-    "m1200": (2.4221544028079082e+17, -0.7627102069246722,
-              -0.4558835096655697, 0.011123941571518354),
-    "m535": (-7.770361772764689e+52, -0.6882257637161541,
-             0.16687112022732287, 0.031484340192645746),
-    "m1180": (-7.444235249821268e+63, -0.48498141898110864,
-              -0.4481586404627794, 0.8300176295877113),
-}
 
 
 @pytest.mark.parametrize("name", sorted(ROUNDING_FUZZ))
@@ -1472,7 +1470,7 @@ def test_stacked_mode_quantities_match_per_mode_loops():
 
 
 def test_analyze_runs_each_assumption_check_once(monkeypatch):
-    # analyze, sufficient_check, necessary_check and synthesize_gain share the
+    # analyze, run twice, sufficient_check and necessary_check share the
     # model's cached checks: the controllability check runs once, and the
     # coupling residual once past the model's own Ap/alpha agreement check
     model = four_agent_model()
@@ -1486,14 +1484,14 @@ def test_analyze_runs_each_assumption_check_once(monkeypatch):
     assert report.sufficient is not None and report.necessary is not None
     sufficient_check(model)
     necessary_check(model)
-    synthesize_gain(model)
+    analyze(model)
     assert calls == {"check_modal_controllability": 1, "_coupling_residual": 1}
     assert report.assumption_controllability is model.controllability_check
     assert (report.assumption_coupling, report.alpha) == model.coupling_check
 
 
 def test_each_model_diagonalizes_its_laplacians_once(monkeypatch):
-    # analyze and the four conditions read the model's one joint spectrum and
+    # analyze and the three conditions read the model's one joint spectrum and
     # its one commute check; on path+star each access raises NotCommuting
     # anew from that cached check, and nothing is paired
     calls = {"simultaneous_diagonalize": 0, "commute_check": 0}
@@ -1507,8 +1505,8 @@ def test_each_model_diagonalizes_its_laplacians_once(monkeypatch):
     assert report.certificate_method == "modal-radii"
     sufficient_check(model)
     necessary_check(model)
-    synthesize_gain(model)
     modal_radii(model, [report.gain])
+    analyze(model)
     assert calls == {"simultaneous_diagonalize": 1, "commute_check": 1}
 
     calls.update(dict.fromkeys(calls, 0))
@@ -1518,10 +1516,11 @@ def test_each_model_diagonalizes_its_laplacians_once(monkeypatch):
     assert report.certificate_method == "projected-radius"
     assert report.assumption_commuting is model.commute_check
     assert calls == {"simultaneous_diagonalize": 0, "commute_check": 1}
-    for condition in (sufficient_check, necessary_check, synthesize_gain,
+    for condition in (sufficient_check, necessary_check,
                       lambda m: modal_radii(m, [report.gain])):
         with pytest.raises(NotCommuting):
             condition(model)
+    analyze(model)
     assert calls == {"simultaneous_diagonalize": 0, "commute_check": 1}
 
 

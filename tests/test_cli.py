@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limas import (LimasModel, analysis, analyze, cli, convergence_metrics, graphs,
-                   initial_state, simulate)
+from limas import (LimasModel, WeightedGraph, analysis, analyze, cli, convergence_metrics,
+                   graphs, initial_state, simulate)
 from limas.errors import Divergence
 from limas.cli import main
 from limas.model_io import load_model, save_model
 from conftest import (
+    ROUNDING_FUZZ,
     commuting_graph_pair,
     cycle4_graph,
     four_agent_model,
@@ -563,6 +564,21 @@ def test_simulate_names_the_radius_of_an_uncertified_gain(tmp_path, capsys, monk
     assert main(["simulate", str(path), "--out-csv", str(csv_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: automatic gain synthesis failed: modal-radii radius 1.5\n"
+    assert captured.out == ""
+    assert not csv_path.exists()
+
+
+def test_simulate_names_the_rounding_refusal_of_an_uncertified_gain(tmp_path, capsys):
+    # the scalar-interval gain reads radius 0, but the mode's terms cancel, so
+    # rounding can move that radius past one and nothing is certified
+    a, b, alpha, weight = ROUNDING_FUZZ["m1200"]
+    path, csv_path = tmp_path / "m1200.json", tmp_path / "traj.csv"
+    save_model(LimasModel([[a]], [[b]], WeightedGraph(2, [(0, 1, weight)]),
+                          WeightedGraph(2, [(0, 1, 1.0)]), alpha=alpha), path)
+    assert main(["simulate", str(path), "--out-csv", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: automatic gain synthesis failed: modal-radii radius 0, "
+                            "not certified: rounding can move the radius by up to 869\n")
     assert captured.out == ""
     assert not csv_path.exists()
 

@@ -10,6 +10,7 @@ import pytest
 from limas import (
     LimasModel,
     WeightedGraph,
+    analyze,
     laplacian,
     modal_radii,
     projected_deviation_matrix,
@@ -465,11 +466,10 @@ def test_grid_search_input_checks():
 
 
 def test_verify_gain_agrees_with_modal_radii(showcase_model):
-    from limas import synthesize_gain
-    synth = synthesize_gain(showcase_model)
-    check = verify_gain(showcase_model, synth.K)
+    report = analyze(showcase_model)
+    check = verify_gain(showcase_model, [report.gain])
     assert check.stable
-    assert check.max_radius == pytest.approx(float(synth.modal_radii.max()), abs=1e-8)
+    assert check.max_radius == pytest.approx(max(report.modal_radii), abs=1e-8)
 
 
 def test_verify_gain_flags_unstable_zero_gain():

@@ -11,12 +11,12 @@ from limas import (
     LimasModel,
     Trajectory,
     WeightedGraph,
+    analyze,
     closed_loop_matrix,
     convergence_metrics,
     initial_state,
     modal_radii,
     simulate,
-    synthesize_gain,
 )
 from limas.errors import Overflow, ShapeMismatch
 from limas.simulator import ConvergenceMetrics
@@ -54,14 +54,15 @@ def test_closed_loop_decoupled_zero_gain_is_block_diagonal():
 def test_closed_loop_congruence_with_modal_radii(showcase_model):
     # rotating by the joint basis block-diagonalizes the deviation dynamics
     spec = showcase_model.joint_spectrum
-    synth = synthesize_gain(showcase_model)
-    M = closed_loop_matrix(showcase_model, synth.K)
+    report = analyze(showcase_model)
+    K = np.array([report.gain])
+    M = closed_loop_matrix(showcase_model, K)
     phi = joint_basis(spec, showcase_model.laplacian_p, showcase_model.laplacian_c)
     T = np.kron(phi, np.eye(showcase_model.n))
     rotated = T.T @ M @ T
     block = rotated[showcase_model.n:, showcase_model.n:]
     rho = np.max(np.abs(np.linalg.eigvals(block)))
-    assert rho == pytest.approx(float(synth.modal_radii.max()), abs=1e-8)
+    assert rho == pytest.approx(max(report.modal_radii), abs=1e-8)
 
 
 def test_deviation_examples():
@@ -101,14 +102,15 @@ def test_simulate_stable_decoupled_converges():
 
 
 def test_simulate_showcase_settles(showcase_model):
-    synth = synthesize_gain(showcase_model)
+    report = analyze(showcase_model)
+    K = np.array([report.gain])
     x0 = initial_state(showcase_model, 42)
     assert x0.min() >= 0.0 and x0.max() <= 10.0
-    traj = simulate(showcase_model, synth.K, x0, 300)
+    traj = simulate(showcase_model, K, x0, 300)
     metrics = convergence_metrics(traj)
     assert metrics.settling_step is not None and metrics.settling_step <= 300
     # the deviation decays no slower than the worst mode predicts
-    rho = float(synth.modal_radii.max())
+    rho = max(report.modal_radii)
     d0 = np.linalg.norm(traj.delta_norms[0])
     predicted = next(t for t in range(301) if d0 * rho**t < 1e-3)
     assert metrics.settling_step <= predicted + 50
@@ -177,13 +179,14 @@ def test_simulate_first_transformed_block_stays_zero():
 def test_simulate_showcase_tracks_modal_reference(showcase_model):
     # eig A = {1, 1.5}: the mean grows like 1.5^t while the deviations decay at
     # the certified radius, and neither is lost in the other
-    synth = synthesize_gain(showcase_model)
+    report = analyze(showcase_model)
+    K = np.array([report.gain])
     x0 = initial_state(showcase_model, 42)
-    traj = simulate(showcase_model, synth.K, x0, 300)
-    reference = modal_deviation_norms(showcase_model, synth.K, x0, 300)
+    traj = simulate(showcase_model, K, x0, 300)
+    reference = modal_deviation_norms(showcase_model, K, x0, 300)
     assert _relative_step_error(traj.delta_norms, reference) <= 1e-10
     rate = convergence_metrics(traj).rate
-    assert rate == pytest.approx(float(synth.modal_radii.max()), abs=1e-6)
+    assert rate == pytest.approx(max(report.modal_radii), abs=1e-6)
     assert traj.delta_norms[100].max() < 1e-30
 
 
@@ -217,11 +220,12 @@ def test_convergence_metrics_pure_geometric():
 
 
 def test_convergence_metrics_showcase_rate(showcase_model):
-    synth = synthesize_gain(showcase_model)
+    report = analyze(showcase_model)
+    K = np.array([report.gain])
     x0 = initial_state(showcase_model, 42)
-    traj = simulate(showcase_model, synth.K, x0, 20)
+    traj = simulate(showcase_model, K, x0, 20)
     metrics = convergence_metrics(traj)
-    assert metrics.rate == pytest.approx(float(synth.modal_radii.max()), abs=0.05)
+    assert metrics.rate == pytest.approx(max(report.modal_radii), abs=0.05)
 
 
 def test_convergence_metrics_constant_deviation_flags_no_decay():

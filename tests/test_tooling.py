@@ -157,12 +157,12 @@ def test_near_critical_round_solves_ignore_rounding(tmp_path, workloads):
 PUBLIC_NAMES = [
     "AnalysisReport", "AssumptionCheck", "ConvergenceMetrics", "GainVerification",
     "GridSearchResult", "LimasModel", "MareSolution", "NecessaryResult", "ScalarResult",
-    "SpectralPair", "SufficientResult", "SynthesisResult", "Trajectory", "WeightedGraph",
+    "SpectralPair", "SufficientResult", "Trajectory", "WeightedGraph",
     "analyze", "closed_loop_matrix", "convergence_metrics", "initial_state",
     "is_connected", "laplacian", "load_model", "modal_radii", "model_from_dict",
     "model_to_dict", "necessary_check", "projected_deviation_matrix", "save_model",
     "scalar_check", "scalar_grid_search", "simulate",
-    "solve_mare", "sufficient_check", "synthesize_gain", "verify_gain",
+    "solve_mare", "sufficient_check", "verify_gain",
 ]
 
 
@@ -178,8 +178,7 @@ def test_public_names_are_pinned():
 
 # What a model's checks compute from it, by type and by parameter name. A
 # public callable that took one could be handed a value of another model.
-MODEL_VALUE_TYPES = ("SpectralPair", "SufficientResult", "NecessaryResult", "ScalarResult",
-                     "SynthesisResult")
+MODEL_VALUE_TYPES = ("SpectralPair", "SufficientResult", "NecessaryResult", "ScalarResult")
 MODEL_VALUE_PARAMS = ("radii", "sufficient", "spec", "lambda_p", "lambda_c")
 
 
@@ -211,7 +210,6 @@ def test_no_public_callable_takes_a_value_computed_from_a_model():
     # the report's one public method reads it; none writes a certificate or verdict
     assert [attr for attr, member in vars(limas.AnalysisReport).items()
             if inspect.isfunction(member) and not attr.startswith("_")] == ["to_dict"]
-    assert list(inspect.signature(limas.synthesize_gain).parameters) == ["model"]
     assert "SpectralPair" in str(
         inspect.signature(limas.LimasModel.joint_spectrum.func).return_annotation)
 
