@@ -17,7 +17,7 @@ consensus, and synthesizes that gain when its sufficient condition holds:
   inside the unit circle by a margin, so that it stabilizes whenever sigma
   exceeds its critical value. Newton stops once its quadratic convergence,
   or its Riccati residual, has reached rounding, and the gain it returns
-  must pass a spectral gate,
+  must pass a spectral gate of its Stein operator,
 * a necessary (refutation) condition built from per-mode determinants,
 * sharper interval conditions for scalar agent dynamics,
 * direct per-mode spectral-radius verification of any candidate gain.
@@ -41,7 +41,6 @@ from .errors import (
     NotCommuting,
     NotControllable,
     NotScalar,
-    SynthesisFailed,
 )
 from .graphs import (
     AssumptionCheck,
@@ -506,8 +505,8 @@ def modal_radii(model: LimasModel, K) -> np.ndarray:
 
 
 def _synthesize(model: LimasModel, sufficient: SufficientResult
-                ) -> tuple[np.ndarray, float, MareSolution | None, np.ndarray]:
-    """The Riccati gain K of analyze, with its sigma, MARE solution and modal radii.
+                ) -> tuple[np.ndarray, float, MareSolution | None]:
+    """The Riccati gain K of analyze, with its sigma and MARE solution; it judges nothing.
 
     ``sufficient`` is the model's own sufficient_check, and it holds. Solves
     the modified Riccati equation for the worst-case scaled state matrix at
@@ -516,22 +515,16 @@ def _synthesize(model: LimasModel, sufficient: SufficientResult
     (k* / alpha_max) times the gain -(B'PB)^-1 B'P Abar that solve_mare
     returns, so it is not formed again. The margin is clipped into [0, 1];
     one at or below the critical margin surfaces as solve_mare's Divergence.
-    A gain with a modal radius not below one raises SynthesisFailed. With
-    alpha_max = 0 the gain is K = 0, and no MARE is solved.
+    With alpha_max = 0 the gain is K = 0, and no MARE is solved. Whether K
+    certifies is for AnalysisReport._certify to say.
     """
     alpha_max = sufficient.alpha_max
     if alpha_max == 0.0:
-        K = np.zeros((1, model.n))
-        return K, 0.0, None, modal_radii(model, K)
+        return np.zeros((1, model.n)), 0.0, None
 
     sigma = float(np.clip(np.min(sufficient.sigma_modes), 0.0, 1.0))
     mare = solve_mare(alpha_max * model.A, model.B, sigma)
-    K = (sufficient.k_star / alpha_max) * mare.K
-    radii = modal_radii(model, K)
-    if float(radii.max()) >= 1.0:
-        raise SynthesisFailed(
-            f"synthesized gain leaves a modal radius at {float(radii.max()):g}")
-    return K, sigma, mare, radii
+    return (sufficient.k_star / alpha_max) * mare.K, sigma, mare
 
 
 @dataclass(frozen=True)
@@ -693,16 +686,17 @@ class AnalysisReport:
     consensusable_certified: bool = False
     verdict: str = "inconclusive"
 
-    def _certify(self, source: str, K, model: LimasModel,
-                 radii: np.ndarray | None = None) -> None:
-        """Record gain K from source and check it; only :func:`analyze` calls this.
+    def _certify(self, source: str, K, model: LimasModel) -> None:
+        """Record gain K from source and judge it: the one place a gain is judged,
+        which only :func:`analyze` calls, once, on the first gain it produces.
 
-        With a paired spectrum in this report, the check is its modal radii
-        (``radii`` when analyze has just computed them). Without one, when the
-        model's commute_check failed or its pairing was refused, the check is
-        verify_gain, and the model's joint_spectrum is not read. A radius
-        below one certifies only when :func:`_rounding_refusal` finds it
-        clear of rounding; when it does not, ``synthesis_error`` says why.
+        With a paired spectrum in this report, the check is its modal radii.
+        Without one, when the model's commute_check failed or its pairing was
+        refused, the check is verify_gain, and the model's joint_spectrum is
+        not read. A radius below one certifies only when
+        :func:`_rounding_refusal` finds it clear of rounding; when it does
+        not, ``synthesis_error`` says why. A radius not below one is recorded
+        as it is, and certifies nothing.
         """
         self.gain = np.ravel(K).tolist()
         self.gain_source = source
@@ -710,8 +704,7 @@ class AnalysisReport:
             self.certificate_method = "projected-radius"
             self.certified_radius = float(verify_gain(model, K).max_radius)
         else:
-            if radii is None:
-                radii = modal_radii(model, K)
+            radii = modal_radii(model, K)
             self.modal_radii = radii.tolist()
             self.certificate_method = "modal-radii"
             self.certified_radius = float(radii.max())
@@ -826,10 +819,12 @@ def analyze(model: LimasModel) -> AnalysisReport:
     conditions, which need no commuting assumption. The verdict follows:
 
     1. The Riccati gain, then the scalar-interval gain. The first gain
-       produced is the one verified: by modal_radii when the model has a
-       joint_spectrum, by verify_gain otherwise; a radius below one
-       certifies it when it is also clear of rounding (see
-       :func:`_rounding_refusal`, which refuses only for n = 1).
+       produced is the one judged, once, by AnalysisReport._certify: by
+       modal_radii when the model has a joint_spectrum, by verify_gain
+       otherwise; a radius below one certifies it when it is also clear of
+       rounding (see :func:`_rounding_refusal`, which refuses only for
+       n = 1). The Riccati gain is produced unless its solve fails
+       (Divergence or NotControllable, recorded as ``synthesis_error``).
     2. A refutation decides only when no gain was certified.
     """
     spec, error = None, None
@@ -871,14 +866,14 @@ def analyze(model: LimasModel) -> AnalysisReport:
 
     if report.sufficient is not None and report.sufficient.holds:
         try:
-            K, sigma, mare, radii = _synthesize(model, report.sufficient)
-        except (SynthesisFailed, Divergence, NotControllable) as exc:
+            K, sigma, mare = _synthesize(model, report.sufficient)
+        except (Divergence, NotControllable) as exc:
             report.synthesis_error = str(exc)
         else:
             report.mare_sigma = sigma
             if mare is not None:
                 report.mare_iterations = mare.iterations
-            report._certify("riccati", K, model, radii)
+            report._certify("riccati", K, model)
     if report.gain is None and report.scalar is not None \
             and report.scalar.k_recommended is not None:
         report._certify("scalar-interval", [[report.scalar.k_recommended / model.B.item()]],

@@ -63,7 +63,7 @@ class Divergence(LimasError):
 
 
 class SynthesisFailed(LimasError):
-    """Gain synthesis could not produce a verified stabilizing gain."""
+    """Raised by ``limas simulate`` when ``analyze`` certifies no gain."""
 
 
 class Overflow(LimasError):

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +446,105 @@ def jury_lp_margin(model: LimasModel) -> float:
     if not feasible.any():
         raise ValueError("the Jury LP has no feasible vertex")
     return float(x[feasible, 2].max())
+
+
+def _fractions(values) -> np.ndarray:
+    """An object array of the exact values of a float array."""
+    values = np.asarray(values, dtype=float)
+    return np.array([Fraction(float(x)) for x in values.ravel()],
+                    dtype=object).reshape(values.shape)
+
+
+def _exact_laplacian(g: WeightedGraph) -> np.ndarray:
+    """The Laplacian of ``g`` in exact arithmetic on its float weights."""
+    L = np.full((g.node_count, g.node_count), Fraction(0), dtype=object)
+    for i, j, w in zip(g.i.tolist(), g.j.tolist(), _fractions(g.w)):
+        L[i, j] -= w
+        L[j, i] -= w
+        L[i, i] += w
+        L[j, j] += w
+    return L
+
+
+def _exact_quotient_loop(model: LimasModel, K) -> np.ndarray:
+    """The deviation loop D M E of the stacked loop M = I (x) A - Lp (x) Ap + Lc (x) BK,
+    exactly, as an object array of Fractions.
+
+    D = [I, -1] (x) I_n takes each agent's state minus the last one's, and
+    E = [I; 0] (x) I_n is its right inverse. The consensus subspace, the
+    kernel of D, is invariant under M, so D M = (D M E) D and the deviations
+    follow D M E. Every float input is read as its exact dyadic value.
+    """
+    K = as_matrix(K, rows=1, cols=model.n, name="K")
+    # the block rows of D L E for a Laplacian L: each row minus the last one
+    Dp, Dc = (L[:-1, :-1] - L[-1, :-1] for L in map(_exact_laplacian, (model.gp, model.gc)))
+    identity = np.eye(model.N - 1, dtype=int).astype(object)
+    return (np.kron(identity, _fractions(model.A)) - np.kron(Dp, _fractions(model.Ap))
+            + np.kron(Dc, _fractions(model.B) @ _fractions(K)))
+
+
+def _dyadic_integers(values) -> tuple[np.ndarray, int]:
+    """(X, scale) with ``values`` = X / scale exactly: X an object array of
+    Python integers and scale a power of two. ``values`` holds floats or
+    Fractions with power-of-two denominators."""
+    ratios = [Fraction(x).as_integer_ratio() for x in np.ravel(values)]
+    scale = max((q for _, q in ratios), default=1)
+    X = np.array([p * (scale // q) for p, q in ratios], dtype=object)
+    return X.reshape(np.shape(values)), scale
+
+
+def _leading_minor_signs(X) -> list[int]:
+    """Signs of the leading principal minors of an integer matrix by Bareiss
+    elimination, up to and including the first zero one (none follow it)."""
+    a = np.array(X, dtype=object)
+    signs, prev = [], 1
+    for k in range(a.shape[0]):
+        pivot = a[k, k]
+        signs.append((pivot > 0) - (pivot < 0))
+        if pivot == 0:
+            break
+        # fraction-free step: each division is exact
+        a[k + 1:, k + 1:] = (a[k + 1:, k + 1:] * pivot
+                             - np.outer(a[k + 1:, k], a[k, k + 1:])) // prev
+        prev = pivot
+    return signs
+
+
+def exact_schur_verdict(model: LimasModel, K) -> str | None:
+    """"stable", "unstable" or None (undecided): whether the deviations of the
+    closed loop of gain K decay, decided exactly, with numpy and Python integers.
+
+    P solves the Stein equation P - L'PL = I of the :func:`_exact_quotient_loop`
+    L in float, by one Kronecker solve. Q = P - L'PL is then formed exactly
+    for this float P, and the signs of the leading minors of Q and P are read
+    by Bareiss elimination. With Q positive definite, P positive definite
+    means that L is Schur stable (Lyapunov), and a negative leading minor of
+    P that it is not: for a Schur stable L the one solution of P - L'PL = Q
+    is the positive definite sum of L'^k Q L^k. Anything else, a singular
+    Stein equation included, is undecided: rounding can make the answer
+    None but never wrong.
+    """
+    loop = _exact_quotient_loop(model, K)
+    M, scale = _dyadic_integers(loop)
+    L = np.array([float(x) for x in loop.ravel()]).reshape(loop.shape)
+    m = L.shape[0]
+    try:
+        P = np.linalg.solve(np.eye(m * m) - np.kron(L.T, L.T),
+                            np.eye(m).ravel()).reshape(m, m)
+    except np.linalg.LinAlgError:
+        return None
+    P = (P + P.T) / 2.0
+    if not np.isfinite(P).all():
+        return None
+    P_int, _ = _dyadic_integers(P)
+    # scale^2 (P - L'PL) times the scale of P, a positive multiple of Q
+    Q = scale * scale * P_int - M.T @ P_int @ M
+    if _leading_minor_signs(Q) != [1] * m:
+        return None
+    signs = _leading_minor_signs(P_int)
+    if signs == [1] * m:
+        return "stable"
+    return "unstable" if -1 in signs else None
 
 
 def mare_inequality_margin(Abar, B, sigma: float, P) -> float:

@@ -35,6 +35,7 @@ from conftest import (
     ROUNDING_FUZZ,
     cycle4_graph,
     fixed_point_mare,
+    exact_schur_verdict,
     exact_stabilizing_interval,
     four_agent_model,
     jury_lp_margin,
@@ -1058,12 +1059,18 @@ def test_analyze_records_degenerate_gain_kernel(showcase_model, monkeypatch):
     assert report.gain is None and report.verdict == "inconclusive"
 
 
-def test_analyze_refuses_a_riccati_gain_its_radii_do_not_certify(showcase_model, monkeypatch):
+def test_analyze_reports_a_riccati_gain_its_radii_do_not_certify_as_uncertified(
+        showcase_model, monkeypatch):
+    # _certify judges the Riccati gain like any other: it is kept and reported
     monkeypatch.setattr(analysis, "modal_radii",
                         lambda model, K: np.array([0.5, 1.5, 0.5]))
     report = analyze(showcase_model)
-    assert report.synthesis_error == "synthesized gain leaves a modal radius at 1.5"
-    assert report.gain is None and report.mare_sigma is None
+    assert report.gain is not None and report.gain_source == "riccati"
+    assert report.mare_sigma is not None
+    assert report.certificate_method == "modal-radii"
+    assert report.certified_radius == 1.5 and report.modal_radii == [0.5, 1.5, 0.5]
+    assert not report.consensusable_certified
+    assert report.synthesis_error is None
     assert report.verdict == "inconclusive"
 
 
@@ -1308,11 +1315,12 @@ def test_a_radius_within_its_rounding_bound_of_one_certifies_nothing(name):
     assert (report.gain_source, report.certificate_method) == ("scalar-interval", "modal-radii")
     assert report.certified_radius == 0.0
     # in exact arithmetic on the float inputs the one deviation mode
-    # a - 2w ap + 2 b k is outside the unit circle, and the referee agrees
+    # a - 2w ap + 2 b k is outside the unit circle, and both referees agree
     k = report.gain[0]
     mode = (Fraction(a) - 2 * Fraction(weight) * Fraction(model.Ap.item())
             + 2 * Fraction(b) * Fraction(k))
     assert abs(mode) > 1
+    assert exact_schur_verdict(model, [report.gain]) == "unstable"
     assert verify_gain(model, [report.gain]).max_radius > 1.0
     assert not report.consensusable_certified
     assert report.verdict == "inconclusive"
@@ -1594,13 +1602,14 @@ def test_verdict_corpus_is_invariant(corpus_reports):
 
 
 def test_verdict_corpus_is_sound(corpus_reports):
-    # every certificate passes the oracle (n = 1: clear of the rounding bound
-    # on both paths), and every n = 1 refutation leaves
-    # the exact stabilizing interval of the scalar loop empty
+    # every certificate is stable for the exact referee and passes the oracle
+    # (n = 1: clear of the rounding bound on both paths), and every n = 1
+    # refutation leaves the exact stabilizing interval of the scalar loop empty
     refuted = 0
     for name, reports in corpus_reports.items():
         for k, (model, report) in enumerate(reports):
             if report.verdict == "consensusable":
+                assert exact_schur_verdict(model, [report.gain]) == "stable", (name, k)
                 radius = verify_gain(model, [report.gain]).max_radius
                 assert radius < 1.0, (name, k)
                 if model.n == 1:
@@ -1614,3 +1623,68 @@ def test_verdict_corpus_is_sound(corpus_reports):
                     abs(model.B.item()) * model.laplacian_c)
                 assert k_lo >= k_hi, (name, k)
     assert refuted == 7
+
+
+# --- the exact referee --------------------------------------------------------------
+
+# (A, B, physical weight, alpha, gain, modal radius) of two N = 2, n = 2 draws
+# whose Riccati gains certify though the exact loop is unstable: the mode
+# cancels terms of about 1e15 down to O(1), so its computed radius means nothing
+FALSE_N2_CERTIFICATES = {
+    1373: ([[987651508444403.2, 1137537988925897.0],
+            [670549124024540.9, -361956843032710.7]],
+           [0.3379501619411569, -0.38300536135419305],
+           0.9700412345162663, 0.5154420061837022,
+           [-196.44729796559696, -139.8075162911196], 0.724),
+    2096: ([[283718032827185.8, -185677354993546.34],
+            [200005657168730.25, -63112312935290.086]],
+           [-0.6227695530400859, -0.06907595451655246],
+           0.7864666208151176, 0.6357548899874573,
+           [1879.5014390488668, -1367.803370775896], 0.753),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(FALSE_N2_CERTIFICATES))
+def test_exact_referee_finds_the_n2_false_certificates_unstable(draw):
+    # documents an open defect: modal_radii reads these loops well inside the circle
+    A, B, weight, alpha, K, radius = FALSE_N2_CERTIFICATES[draw]
+    model = LimasModel(A, np.array(B)[:, None], WeightedGraph(2, [(0, 1, weight)]),
+                       WeightedGraph(2, [(0, 1, 1.0)]), alpha=alpha)
+    assert float(modal_radii(model, [K]).max()) == pytest.approx(radius, abs=5e-4)
+    assert exact_schur_verdict(model, [K]) == "unstable"
+
+
+def test_exact_referee_leaves_a_loop_on_the_circle_undecided():
+    # with alpha = 0 and K = 0 the one deviation mode is A, a quarter turn
+    rotation = LimasModel([[0.0, -1.0], [1.0, 0.0]], [[0.0], [1.0]],
+                          WeightedGraph(2, [(0, 1, 0.5)]), WeightedGraph(2, [(0, 1, 1.0)]),
+                          alpha=0.0)
+    assert exact_schur_verdict(rotation, [[0.0, 0.0]]) is None
+
+
+def test_exact_referee_agrees_with_an_exact_jury_test():
+    # N = 2: the one deviation mode is A - 2w Ap + 2c BK; its characteristic
+    # polynomial z^2 - tr z + det is Schur stable exactly when |det| < 1 and
+    # 1 -+ tr + det > 0 (n = 2), and |A - 2w Ap + 2c BK| < 1 when n = 1
+    from fractions import Fraction
+
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for _ in range(40):
+        n = int(rng.integers(1, 3))
+        A, Ap = rng.uniform(-1.5, 1.5, (n, n)), rng.uniform(-0.5, 0.5, (n, n))
+        B, K = rng.uniform(-1.0, 1.0, (n, 1)), rng.uniform(-2.0, 2.0, (1, n))
+        w, c = rng.uniform(0.1, 1.0, 2)
+        model = LimasModel(A, B, WeightedGraph(2, [(0, 1, w)]),
+                           WeightedGraph(2, [(0, 1, c)]), Ap=Ap)
+        exact = np.vectorize(Fraction, otypes=[object])
+        mode = exact(A) - 2 * Fraction(w) * exact(Ap) + 2 * Fraction(c) * (exact(B) @ exact(K))
+        if n == 1:
+            stable = abs(mode[0, 0]) < 1
+        else:
+            tr = mode[0, 0] + mode[1, 1]
+            det = mode[0, 0] * mode[1, 1] - mode[0, 1] * mode[1, 0]
+            stable = abs(det) < 1 and 1 - tr + det > 0 and 1 + tr + det > 0
+        verdicts.append(exact_schur_verdict(model, K))
+        assert verdicts[-1] == ("stable" if stable else "unstable")
+    assert {"stable", "unstable"} <= set(verdicts)

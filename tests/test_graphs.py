@@ -560,9 +560,7 @@ def test_scalar_branch_matches_an_eigh_reference_pair():
             assert np.linalg.norm(L @ phi - phi * lam) <= OFFDIAG_RTOL * np.linalg.norm(L)
         report = analyze(model)
         if report.gain_source != "riccati":
-            # no Riccati gain: the condition fails or the gain fails its radius gate
-            assert not report.sufficient.holds \
-                or report.synthesis_error.startswith("synthesized gain leaves")
+            assert not report.sufficient.holds
             continue
         K = np.array([report.gain])
         synthesized += 1

@@ -498,12 +498,12 @@ def test_verify_gain_matches_modal_radii_on_random_models():
         assert check.max_radius == pytest.approx(float(radii.max()), abs=1e-8)
 
 
-def test_scalar_model_grid_search_requires_n1(showcase_model):
+def test_scalar_grid_search_requires_n1(showcase_model):
     with pytest.raises(NotScalar, match="^grid search needs n = 1, got n = 2$"):
         scalar_grid_search(showcase_model)
 
 
-def test_scalar_model_grid_search_folds_coefficients():
+def test_scalar_grid_search_folds_coefficients():
     # b = 2 doubles the communication term, halving stabilizing gains
     gp = WeightedGraph(3, [(0, 1, 0.2), (1, 2, 0.2), (0, 2, 0.2)])
     gc = WeightedGraph.complete(3)

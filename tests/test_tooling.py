@@ -373,3 +373,50 @@ def test_referee_modules_do_not_import_the_condition_logic():
              if _imports_analysis((ROOT / "src" / "limas" / f"{name}.py").read_text(
                  encoding="utf-8"))]
     assert found == []
+
+
+JUDGES = {"modal_radii", "verify_gain", "_rounding_refusal"}
+
+
+def _judge_callers(tree: ast.Module) -> set[str]:
+    """Qualified names of the functions of ``tree`` that call one of JUDGES."""
+    callers = set()
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in JUDGES:
+                    callers.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return callers
+
+
+def test_only_certify_judges_a_gain():
+    # one rule judges every gain analyze produces, Riccati or scalar-interval,
+    # so no synthesis step may run a judge of its own or drop a gain it dislikes
+    tree = ast.parse((ROOT / "src" / "limas" / "analysis.py").read_text(encoding="utf-8"))
+    assert _judge_callers(tree) == {"AnalysisReport._certify"}
+    synthesis_failed = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.Raise, ast.ImportFrom))
+        and any(getattr(sub, "id", None) == "SynthesisFailed"
+                or getattr(sub, "name", None) == "SynthesisFailed" for sub in ast.walk(node))]
+    assert synthesis_failed == []
+
+
+def test_output_digest_repeats():
+    # tools/output_digest.py hashes each benchmark case's outputs; the same
+    # inputs must give the same lines, whatever ran before them
+    digest = _load_benchmark_module(ROOT / "tools" / "output_digest.py", "limas_output_digest")
+    first = digest.workload_lines("riccati-near-critical", 1)
+    assert len(first) == 12
+    assert all(re.fullmatch(r"[0-9a-f]{64}  analyze near-critical n=\d d=\S+", line)
+               for line in first)
+    assert digest.workload_lines("riccati-near-critical", 1) == first
