@@ -115,26 +115,25 @@ class LimasModel:
         if Ap is None:
             Ap = alpha * A
         Ap = as_matrix(Ap, rows=n, cols=n, name="Ap")
-        if alpha is not None:
-            drift, agrees = _coupling_residual(A, Ap, alpha)
-            if not agrees:
-                raise ValueError(
-                    f"Ap and alpha disagree: ||Ap - alpha*A|| = {drift:g}")
+        object.__setattr__(self, "n", n)
+        # own copies, frozen, so the model never aliases caller arrays
+        object.__setattr__(self, "A", _frozen(A.copy()))
+        object.__setattr__(self, "Ap", _frozen(Ap.copy()))
+        object.__setattr__(self, "B", _frozen(B.copy()))
+        object.__setattr__(self, "alpha", None if alpha is None else float(alpha))
+        # a declared ratio is judged by the coupling check that analysis reads
+        coupling = self.coupling_check[0] if alpha is not None else None
+        if coupling is not None and not coupling.holds:
+            raise ValueError(f"Ap and alpha disagree: ||Ap - alpha*A|| = {coupling.residual:g}")
         if not isinstance(gp, WeightedGraph) or not isinstance(gc, WeightedGraph):
             raise ValueError("gp and gc must be WeightedGraph instances")
         if gp.node_count != gc.node_count:
             raise ValueError("physical and communication graphs disagree on node count")
         if not is_connected(gc):
             raise ValueError("communication graph must be connected")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", gp.node_count)
-        # own copies, frozen, so the model never aliases caller arrays
-        object.__setattr__(self, "A", _frozen(A.copy()))
-        object.__setattr__(self, "Ap", _frozen(Ap.copy()))
-        object.__setattr__(self, "B", _frozen(B.copy()))
         object.__setattr__(self, "gp", gp)
         object.__setattr__(self, "gc", gc)
-        object.__setattr__(self, "alpha", None if alpha is None else float(alpha))
 
     @cached_property
     def laplacian_p(self) -> np.ndarray:
@@ -190,7 +189,8 @@ class LimasModel:
         else:
             denom = float(np.sum(self.A * self.A))
             alpha = float(np.sum(self.Ap * self.A)) / denom if denom > 0.0 else 0.0
-        residual, holds = _coupling_residual(self.A, self.Ap, alpha)
+        residual = float(np.linalg.norm(self.Ap - alpha * self.A))
+        holds = residual <= COUPLING_RTOL * float(np.linalg.norm(self.A))
         return AssumptionCheck(holds, residual), (alpha if holds else None)
 
 
@@ -198,12 +198,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr``, made read-only."""
     arr.setflags(write=False)
     return arr
-
-
-def _coupling_residual(A, Ap, alpha: float) -> tuple[float, bool]:
-    """||Ap - alpha*A||_F and whether it is within COUPLING_RTOL * ||A||_F."""
-    residual = float(np.linalg.norm(Ap - alpha * A))
-    return residual, residual <= COUPLING_RTOL * float(np.linalg.norm(A))
 
 
 def check_modal_controllability(model: LimasModel) -> AssumptionCheck:
@@ -442,12 +436,13 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
         trial_defect, trial_K = _riccati_defect(Abar, B, sigma, trial)
         if trial_K is None:
             raise divergence("B'PB is not positive", solves)
-        step = float(np.linalg.norm(increment)) / float(np.linalg.norm(trial))
+        trial_norm = float(np.linalg.norm(trial))
+        step = float(np.linalg.norm(increment)) / trial_norm
         trial_residual = float(np.linalg.norm(trial_defect))
         converged = prev_step is not None and step ** 3 <= eps * min(prev_step, 1.0) ** 2
         if not converged and solves >= 3 and prev_step <= 1.0 and trial_residual >= residual:
             break  # the rounding floor: keep P, whose operator is at hand
-        P, defect, K, residual = trial, trial_defect, trial_K, trial_residual
+        P, defect, K, residual, P_norm = trial, trial_defect, trial_K, trial_residual, trial_norm
         operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
         if converged:
             break
@@ -456,7 +451,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
         raise divergence("no convergence", MARE_SOLVES)
     if not _schur_stable(operator):
         raise divergence("the gain is not stabilizing", solves)
-    return MareSolution(P, solves, residual / float(np.linalg.norm(P)), K)
+    return MareSolution(P, solves, residual / P_norm, K)
 
 
 def _kron_transposed(X: np.ndarray) -> np.ndarray:

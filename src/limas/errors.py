@@ -67,11 +67,11 @@ class SynthesisFailed(LimasError):
 
 
 class Overflow(LimasError):
-    """A simulated state exceeded the magnitude guard (instability)."""
+    """A simulated entry is nan or past max / (N n), where a reported norm could overflow."""
 
     def __init__(self, step: int):
         self.step = step
-        super().__init__(f"state overflow at step {step} (closed loop is unstable)")
+        super().__init__(f"state overflow at step {step}")
 
 
 class NotDeviationInvariant(LimasError):

@@ -8,7 +8,8 @@ d = x - 1 (x) xbar follows d+ = (M - (11'/N) (x) A) d with M the stacked
 matrix. That update maps every vector into the deviation subspace, so the
 rounding of one step that leaks into the consensus direction is removed by
 the next step instead of growing with the mean. The deviations therefore
-stay accurate while the mean grows or decays.
+stay accurate while the mean grows or decays, and a run stops only where a
+number it reports would leave the float range.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .linalg import as_matrix
 if TYPE_CHECKING:
     from .analysis import LimasModel
 
-OVERFLOW_GUARD = 1e100
 SETTLING_THRESHOLD = 1e-3
 # A fitted log-slope at or above this is fp noise around zero: no decay.
 FLAT_SLOPE = -1e-12
@@ -84,8 +84,11 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     agent by a power of two; both run one entry of A or one state component
     at a time, so each numpy call spans N blocks or N agents, not n entries.
     Raises Overflow with the first step at which an entry of the mean or of
-    the deviation is not within OVERFLOW_GUARD in magnitude (nan included),
-    which signals an unstable loop. The steps are judged after the run.
+    the deviation is beyond max / (N n) in magnitude, max the largest
+    float, or nan. Within that bound every per-agent norm (at most sqrt(n)
+    times it) and every per-step total that convergence_metrics fits (at
+    most max / sqrt(N n)) is finite, so a run that stays in range
+    completes, growing or not. The steps are judged after the run.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -116,9 +119,10 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
             mean = A @ mean
             xbar[t], deviations[t] = mean, d
     # a nan propagates through max and min and fails the comparisons
+    bound = np.finfo(float).max / (N * n)
     within = np.ones(steps + 1, dtype=bool)
     for part in (deviations, xbar):
-        within &= (part.max(axis=1) <= OVERFLOW_GUARD) & (part.min(axis=1) >= -OVERFLOW_GUARD)
+        within &= (part.max(axis=1) <= bound) & (part.min(axis=1) >= -bound)
     if not within.all():
         raise Overflow(int(np.argmin(within)))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -33,6 +34,7 @@ from conftest import (
     A_SHOWCASE,
     B_SHOWCASE,
     ROUNDING_FUZZ,
+    _non_commuting_graphs,
     cycle4_graph,
     fixed_point_mare,
     exact_schur_verdict,
@@ -42,6 +44,7 @@ from conftest import (
     mare_inequality_margin,
     random_connected_graph,
     random_coupled_model,
+    random_input,
     random_scalar_instance,
     random_state_matrix,
     sigma_critical,
@@ -1480,20 +1483,33 @@ def test_stacked_mode_quantities_match_per_mode_loops():
 def test_analyze_runs_each_assumption_check_once(monkeypatch):
     # analyze, run twice, sufficient_check and necessary_check share the
     # model's cached checks: the controllability check runs once, and the
-    # coupling residual once past the model's own Ap/alpha agreement check
+    # coupling check once per model, the construction's agreement check of
+    # the declared alpha included
+    calls = {"check_modal_controllability": 0, "coupling_check": 0}
+    check = analysis.check_modal_controllability
+
+    def counted_check(model):
+        calls["check_modal_controllability"] += 1
+        return check(model)
+
+    coupling = LimasModel.coupling_check.func
+
+    def counted_coupling(model):
+        calls["coupling_check"] += 1
+        return coupling(model)
+
+    counted_property = functools.cached_property(counted_coupling)
+    counted_property.__set_name__(LimasModel, "coupling_check")
+    monkeypatch.setattr(analysis, "check_modal_controllability", counted_check)
+    monkeypatch.setattr(LimasModel, "coupling_check", counted_property)
     model = four_agent_model()
-    calls = {"check_modal_controllability": 0, "_coupling_residual": 0}
-    for name in calls:
-        def counted(*args, _check=getattr(analysis, name), _name=name):
-            calls[_name] += 1
-            return _check(*args)
-        monkeypatch.setattr(analysis, name, counted)
+    assert model.alpha is not None and calls["coupling_check"] == 1
     report = analyze(model)
     assert report.sufficient is not None and report.necessary is not None
     sufficient_check(model)
     necessary_check(model)
     analyze(model)
-    assert calls == {"check_modal_controllability": 1, "_coupling_residual": 1}
+    assert calls == {"check_modal_controllability": 1, "coupling_check": 1}
     assert report.assumption_controllability is model.controllability_check
     assert (report.assumption_coupling, report.alpha) == model.coupling_check
 
@@ -1660,6 +1676,26 @@ def test_exact_referee_leaves_a_loop_on_the_circle_undecided():
                           WeightedGraph(2, [(0, 1, 0.5)]), WeightedGraph(2, [(0, 1, 1.0)]),
                           alpha=0.0)
     assert exact_schur_verdict(rotation, [[0.0, 0.0]]) is None
+
+
+def test_exact_referee_agrees_with_verify_gain_on_random_gains():
+    # non-commuting pairs, so the loop has no modes to split it: random gains
+    # whose float radius is at least 1e-3 from one, where rounding cannot
+    # move it across
+    rng = np.random.default_rng(7)
+    verdicts = []
+    while len(verdicts) < 40:
+        N, n = int(rng.integers(3, 8)), int(rng.integers(2, 4))
+        gp, gc = _non_commuting_graphs(rng, N)
+        model = LimasModel(random_state_matrix(rng, n), random_input(rng, n), gp, gc,
+                           alpha=float(rng.uniform(-0.25, 0.25)))
+        K = rng.uniform(-1.0, 1.0, (1, n))
+        check = verify_gain(model, K)
+        if abs(check.max_radius - 1.0) < 1e-3:
+            continue
+        verdicts.append(exact_schur_verdict(model, K))
+        assert verdicts[-1] == ("stable" if check.stable else "unstable")
+    assert {"stable", "unstable"} == set(verdicts)
 
 
 def test_exact_referee_agrees_with_an_exact_jury_test():

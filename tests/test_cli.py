@@ -348,8 +348,8 @@ def test_simulate_deterministic_csv(showcase_file, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_simulate_with_gain_file_overflow(tmp_path, capsys):
-    # an unstable decoupled loop with zero gain must report the overflow step
+def _unstable_pair_files(tmp_path) -> tuple[str, str]:
+    """A decoupled pair of agents x+ = 2x with the zero gain: a growing loop."""
     data = {
         "schema_version": "1", "n": 1, "N": 2,
         "A": [2.0], "B": [1.0], "alpha": 0.0,
@@ -360,10 +360,71 @@ def test_simulate_with_gain_file_overflow(tmp_path, capsys):
     model_path.write_text(json.dumps(data))
     gain_path = tmp_path / "gain.json"
     gain_path.write_text('{"K": [0.0]}')
-    code = main(["simulate", str(model_path), "--gain", str(gain_path),
-                 "--steps", "500", "--out-csv", str(tmp_path / "t.csv")])
+    return str(model_path), str(gain_path)
+
+
+def test_simulate_with_gain_file_reports_no_decay_of_a_growing_run(tmp_path, capsys):
+    # growth within the float range is a run, judged by the decay fit
+    model_path, gain_path = _unstable_pair_files(tmp_path)
+    csv_path = tmp_path / "t.csv"
+    code = main(["simulate", model_path, "--gain", gain_path,
+                 "--steps", "500", "--out-csv", str(csv_path)])
+    assert code == 0
+    assert "decay rate 2, settled below 0.001: never [no decay]" in capsys.readouterr().out
+    assert len(csv_path.read_text().splitlines()) == 502
+
+
+def test_simulate_with_gain_file_overflow(tmp_path, capsys):
+    # the mean and deviations double each step; the run stops at the first step
+    # with an entry beyond max / (N n), and the step before it completes
+    model_path, gain_path = _unstable_pair_files(tmp_path)
+    csv_path = tmp_path / "t.csv"
+    code = main(["simulate", model_path, "--gain", gain_path,
+                 "--steps", "1100", "--out-csv", str(csv_path)])
     assert code == 1
-    assert "overflow at step" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: state overflow at step 1021\n"
+    assert not csv_path.exists()
+    assert main(["simulate", model_path, "--gain", gain_path,
+                 "--steps", "1020", "--out-csv", str(csv_path)]) == 0
+    last = [float(v) for v in csv_path.read_text().splitlines()[-1].split(",")]
+    assert max(abs(v) for v in last[1:]) <= np.finfo(float).max / 2
+    assert 2 * max(abs(v) for v in last[1:]) > np.finfo(float).max / 2
+
+
+def test_simulate_showcase_completes_while_its_mean_grows(showcase_file, tmp_path, capsys):
+    # the certified deviations decay at radius 0.41164 while the mean grows
+    # with A's eigenvalue 1.5; the run completes
+    csv_path = tmp_path / "t.csv"
+    assert main(["simulate", showcase_file, "--steps", "600",
+                 "--out-csv", str(csv_path)]) == 0
+    assert "decay rate 0.41164," in capsys.readouterr().out
+    header, *_, last = csv_path.read_text().splitlines()
+    xbar_1 = float(last.split(",")[header.split(",").index("xbar_1")])
+    assert xbar_1 == pytest.approx(1.3e107, rel=0.01)
+
+
+def test_simulate_names_the_sufficient_condition_that_fails(tmp_path, capsys):
+    # the ladder's n = 4 companion plant on an N = 8 cycle pair: the
+    # sufficient condition fails and the necessary one holds, with no error
+    poles = (1.2, 1.1, 0.5, -0.3)
+    A = np.eye(4, k=1)
+    A[-1, :] = -np.poly(poles)[:0:-1]
+    N = 8
+    cycle = [(i, (i + 1) % N) for i in range(N)]
+    model = LimasModel(A, np.eye(4)[:, 3:], WeightedGraph(N, [(i, j, 0.1) for i, j in cycle]),
+                       WeightedGraph(N, [(i, j, 1.0) for i, j in cycle]), alpha=0.3)
+    report = analyze(model)
+    assert (report.verdict, report.sufficient.holds, report.necessary.holds) == \
+        ("inconclusive", False, True)
+    assert (report.sufficient_error, report.synthesis_error) == (None, None)
+    path, csv_path = tmp_path / "ladder.json", tmp_path / "traj.csv"
+    save_model(model, path)
+    assert main(["simulate", str(path), "--out-csv", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: automatic gain synthesis failed: "
+                            "sufficient condition does not hold\n")
+    assert captured.out == ""
+    assert not csv_path.exists()
 
 
 def test_oracle_grid_interval(tmp_path, capsys):

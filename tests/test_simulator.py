@@ -126,34 +126,75 @@ def test_simulate_consensus_initial_state_stays_at_zero_deviation():
     assert np.allclose(traj.xbar[-1], expected, rtol=1e-12, atol=0.0)
 
 
-def test_overflow_guard_judges_mean_and_deviation():
-    # powers of two are exact, so each run stops at the first step past the guard
+def test_overflow_bound_judges_mean_and_deviation():
+    # powers of two are exact, so each run stops at the first step with an
+    # entry beyond max / (N n): an entry m 2^e, 0.5 <= m < 1, passes it at
+    # step 1024 - e; the step before is still within it and completes
     model = LimasModel([[2.0]], [[1.0]], pair_graph(0.1), pair_graph(1.0), alpha=0.0)
-    for x0, step in (([5.0, 5.0], 330), ([1.0, -1.0], 333)):
+    bound = np.finfo(float).max / 2
+    for x0, step in (([5.0, 5.0], 1021), ([1.0, -1.0], 1023)):
         with pytest.raises(Overflow) as err:
-            simulate(model, [[0.0]], x0, 500)
+            simulate(model, [[0.0]], x0, 1100)
         assert err.value.step == step
+        assert str(err.value) == f"state overflow at step {step}"
+        # n = 1, so the agent norms are the deviation entries' magnitudes
+        traj = simulate(model, [[0.0]], x0, step - 1)
+        largest = max(np.abs(traj.xbar[-1]).max(), traj.delta_norms[-1].max())
+        assert largest <= bound < 2 * largest
 
 
-def test_overflow_past_the_guard_names_its_first_step_without_warnings():
-    # the run goes on past the guard to inf (step 6) and nan (step 7); the
-    # first row beyond OVERFLOW_GUARD is still the one reported, and the
-    # overflow inside the loop raises no RuntimeWarning
+def test_overflow_past_the_bound_names_its_first_step_without_warnings():
+    # the mean reaches 1.6e308 at step 5, finite but beyond max / (N n) =
+    # max / 4, then inf (step 6) and nan (step 7); the first row beyond the
+    # bound is the one reported, and the overflow inside the loop raises no
+    # RuntimeWarning
     model = LimasModel([[1e60, 1e60], [1e60, -1e60]], [[0.0], [1.0]],
                        pair_graph(0.1), pair_graph(1.0), alpha=0.0)
+    x0 = [1e7, 1e7, 3e7, 3e7]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Overflow) as err:
-            simulate(model, [[0.0, 0.0]], [1.0, 1.0, 3.0, 3.0], 10)
-    assert err.value.step == 2
+            simulate(model, [[0.0, 0.0]], x0, 10)
+        traj = simulate(model, [[0.0, 0.0]], x0, 4)
+    assert err.value.step == 5
+    assert np.isfinite(traj.xbar).all() and np.isfinite(traj.delta_norms).all()
 
 
 def test_simulate_unstable_overflows():
+    # growth is not an overflow: within the float range the run completes and
+    # the decay fit judges it; the mean 3 = 0.75 * 2^2 and the deviations
+    # +-2 pass max / (N n) at step 1024 - 2
     model = LimasModel([[2.0]], [[1.0]], pair_graph(0.1), pair_graph(1.0),
                        alpha=0.0)
+    traj = simulate(model, [[0.0]], [5.0, 1.0], 500)
+    assert traj.xbar[-1, 0] == 3.0 * 2.0 ** 500
+    assert traj.delta_norms[-1].tolist() == [2.0 ** 501] * 2
+    metrics = convergence_metrics(traj)
+    assert metrics.no_decay and metrics.rate == pytest.approx(2.0)
     with pytest.raises(Overflow) as err:
-        simulate(model, [[0.0]], [5.0, 1.0], 500)
-    assert 0 < err.value.step <= 500
+        simulate(model, [[0.0]], [5.0, 1.0], 1100)
+    assert err.value.step == 1022
+
+
+@pytest.mark.parametrize("steps", range(1014, 1024))
+def test_simulate_at_the_bound_warns_nothing_and_stops_at_one_step(steps):
+    # N = 64 agents that double, one state each: the mean and the deviations
+    # stay finite up to the bound max / (N n), and so do the norms, the
+    # per-step totals and the fit; every run completes or stops at step 1016
+    N = 64
+    model = LimasModel([[2.0]], [[1.0]], WeightedGraph(N, []),
+                       WeightedGraph(N, [(i, (i + 1) % N, 1.0) for i in range(N)]),
+                       alpha=0.0)
+    x0 = initial_state(model, 42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            traj = simulate(model, [[0.0]], x0, steps)
+        except Overflow as err:
+            assert (err.step, steps >= 1016) == (1016, True)
+        else:
+            assert convergence_metrics(traj).no_decay
+            assert steps < 1016
 
 
 def _relative_step_error(delta_norms: np.ndarray, reference: np.ndarray) -> float:
@@ -318,16 +359,16 @@ def test_simulate_matches_the_broadcast_passes_bit_for_bit(N, n):
     # the consensus shift and the power-of-two scaled per-agent norms give the
     # bytes of the broadcast expressions, sign bits included; n = 9 is past the
     # eight terms numpy sums in order before its pairwise reduction. States
-    # near 1e-160 would underflow when squared unscaled; the large ones are
-    # 1e80, since 1e160 is past OVERFLOW_GUARD
+    # near 1e-160 would underflow when squared unscaled, and near 1e160
+    # would overflow
     rng = np.random.default_rng([N, n, 7])
     steps = 12
     for _ in range(2):
         model = random_coupled_model(rng, N=N, n=n, alpha_scale=0.1)
         K = rng.uniform(-0.2, 0.2, (1, n))
         D = broadcast_deviation_loop(model, K)
-        states = [_paired_state(rng, N, n, (1e-160,)), _paired_state(rng, N, n, (1e80,)),
-                  _paired_state(rng, N, n, (1e-160, 1e80, 1.0)),
+        states = [_paired_state(rng, N, n, (1e-160,)), _paired_state(rng, N, n, (1e160,)),
+                  _paired_state(rng, N, n, (1e-160, 1e160, 1.0)),
                   rng.uniform(-1.0, 1.0, N * n) * 1e-160 + 1e-150]
         for x0 in states:
             traj = simulate(model, K, x0, steps)
