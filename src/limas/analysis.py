@@ -350,8 +350,9 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     of T + 1 has H-infinity norm at most 2/(1+r) times |lam| or 1, so
     (1-sigma) ||T + 1||_2^2 <= sqrt(s) < 1: the start is stabilizing by a
     margin, also when a pole on the circle, or within rounding of it, would
-    be its own mirror. Divergence is raised when Newton fails. The spectrum
-    of Abar is taken once, for sigma_c and for the start.
+    be its own mirror. Divergence is raised when that start is beyond the
+    float range (B near the smallest float) and when Newton fails. The
+    spectrum of Abar is taken once, for sigma_c and for the start.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -371,7 +372,10 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     K = np.zeros((1, n))
     if sigma > 0.0:
         radius = max(0.0, 2.0 * ((1.0 - sigma) / (1.0 - critical)) ** (0.25 / n) - 1.0)
-        K = _start_gain(Abar, values, ctrb, sigma, radius)
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = _start_gain(Abar, values, ctrb, sigma, radius)
+        if not np.isfinite(K).all():
+            raise Divergence("the start gain is beyond the float range", iterations=0)
     return _policy_iteration(Abar, B, sigma, K)
 
 
@@ -691,8 +695,12 @@ class AnalysisReport:
         not read. A radius below one certifies only when
         :func:`_rounding_refusal` finds it clear of rounding; when it does
         not, ``synthesis_error`` says why. A radius not below one is recorded
-        as it is, and certifies nothing.
+        as it is, and certifies nothing. A gain beyond the float range is not
+        recorded, and ``synthesis_error`` says so.
         """
+        if not np.isfinite(K).all():
+            self.synthesis_error = f"the {source} gain is beyond the float range"
+            return
         self.gain = np.ravel(K).tolist()
         self.gain_source = source
         if self.lambda_p_paired is None:

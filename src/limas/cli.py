@@ -10,7 +10,9 @@ Exit codes for ``analyze``: 0 the model is certified consensusable (a gain
 was produced and verified), 2 certified not consensusable (the necessary
 condition fails), 3 inconclusive, 1 input or validation error. The other
 subcommands use 0 for success and 1 for errors. Identical inputs and seeds
-produce byte-identical JSON and CSV outputs.
+produce byte-identical JSON and CSV outputs on one numpy/BLAS build at one
+BLAS thread count; the count can move last digits (36 of the 123 benchmark
+cases between one and two OpenBLAS threads), never a verdict.
 """
 
 from __future__ import annotations
@@ -376,7 +378,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="limas",
         description="Consensusability analysis, gain synthesis and simulation "
@@ -405,14 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main, built on its first call; parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # the handler is looked up by name at each call, so a rebound
     # cmd_* attribute of this module is the one that runs
     handler = globals()[f"cmd_{args.command}"]

@@ -47,14 +47,14 @@ class NotControllable(LimasError):
 class Divergence(LimasError):
     """The modified Riccati solve found no stabilizing solution at this sigma.
 
-    Raised up front when sigma is at or below the critical margin, and when
-    Newton at sigma fails from its start gain: its returned gain is
-    not stabilizing, a Stein solve is singular, B'PB is not positive, or the
-    solve cap is reached. For single-input B a stabilizing solution exists
-    at every sigma above the critical margin, so a Divergence raised there
-    is a failure of the solver, not a property of the plant: close to the
-    margin rounding can defeat Newton. ``iterations`` counts the Stein
-    solves spent (0 for the up-front refusal).
+    Raised up front when sigma is at or below the critical margin or the
+    start gain is beyond the float range, and when Newton at sigma fails from
+    its start gain: its returned gain is not stabilizing, a Stein solve is
+    singular, B'PB is not positive, or the solve cap is reached. For
+    single-input B a stabilizing solution exists at every sigma above the
+    critical margin, so a Divergence raised there is a failure of the solver
+    or the float range, not of the plant: near the margin rounding can defeat
+    Newton. ``iterations`` counts the Stein solves (0 for up-front refusals).
     """
 
     def __init__(self, message: str, iterations: int = 0):

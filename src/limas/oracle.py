@@ -6,8 +6,8 @@ complement of the consensus subspace and reading off the spectral radius
 directly. That projection needs no commuting assumption, which is what
 makes it a fair referee. Both judges, :func:`verify_gain` and
 :func:`scalar_grid_search`, take the model alone, build their own matrices
-and project them in place through the one projection of
-:func:`projected_deviation_matrix`, and so through its invariance gate.
+and project them in place through one projection and its invariance gate;
+:func:`projected_deviation_matrix` returns the matrix verify_gain judges.
 The scalar gain grid leaves no point unjudged: each grid point is either
 evaluated or excluded by a proven lower bound on its radius, a bound that
 keeps the result identical to evaluating every point.
@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NotDeviationInvariant, NotScalar, ShapeMismatch
-from .linalg import _into_completion_basis, as_square, eig_general
+from .errors import NotDeviationInvariant, NotScalar
+from .linalg import _into_completion_basis, eig_general
 from .simulator import closed_loop_matrix
 
 if TYPE_CHECKING:
@@ -46,30 +46,24 @@ GRID_PRUNE_RTOL = 1e-8
 INVARIANCE_RTOL = 1e-8
 
 
-def projected_deviation_matrix(Atil, n: int = 1) -> np.ndarray:
-    """Restrict a stacked matrix of N blocks of size n to the deviations.
+def projected_deviation_matrix(model: LimasModel, K) -> np.ndarray:
+    """The deviation block of the closed loop of ``model`` under gain ``K``,
+    the matrix whose spectral radius :func:`verify_gain` reads. The loop is
+    projected in place, through the invariance gate of :func:`_deviation_block`."""
+    return _deviation_block(closed_loop_matrix(model, K), model.n)
+
+
+def _deviation_block(Atil: np.ndarray, n: int) -> np.ndarray:
+    """Restrict a stacked matrix of blocks of size n to the deviations, in place.
 
     With psi = H (x) I_n for the Householder reflector H = I - beta vv',
     v = e_1 + 1/sqrt(N) 1, whose first column is the consensus direction
     -1/sqrt(N) 1, returns the block of psi' Atil psi (formed by
     :func:`limas.linalg.in_completion_basis`, without psi) that acts on the
-    complement of the consensus subspace span{1 (x) e_j}. It works on a
-    copy, so ``Atil`` is not written.
+    complement of the consensus subspace span{1 (x) e_j}, as a view into the
+    overwritten ``Atil``, whose ||Atil||_F is read first, for the gate.
     Raises NotDeviationInvariant when Atil moves that subspace out of itself
-    by more than the INVARIANCE_RTOL gate, and ShapeMismatch when the size
-    of Atil is not a multiple of n.
-    """
-    Atil = as_square(Atil, name="Atil")
-    if n < 1 or Atil.shape[0] % n:
-        raise ShapeMismatch(f"Atil of size {Atil.shape[0]} is not made of {n} x {n} blocks")
-    return _deviation_block(Atil.copy(order="K"), n)
-
-
-def _deviation_block(Atil: np.ndarray, n: int) -> np.ndarray:
-    """:func:`projected_deviation_matrix` of ``Atil``, which it overwrites.
-
-    ||Atil||_F is read for the gate before the reflector update runs in
-    place, and the result is a view into ``Atil``.
+    by more than the INVARIANCE_RTOL gate.
     """
     N = Atil.shape[0] // n
     scale = np.linalg.norm(Atil)
@@ -190,13 +184,12 @@ def verify_gain(model: LimasModel, K) -> GainVerification:
 
     Projects out the consensus subspace span{ones (x) e_j} of the assembled
     closed-loop matrix and checks the restricted spectral radius. Works for
-    any model; commuting Laplacians are not required. The projection of
-    :func:`projected_deviation_matrix` runs in place on the loop it has
-    just built, so the peak is two (Nn)^2 arrays: the loop with the
-    update's product buffer, then with the eigensolver's own copy of its
-    deviation block. The assembly's N x N scratch array is freed before
-    the projection starts.
+    any model; commuting Laplacians are not required. The radius is that of
+    :func:`projected_deviation_matrix`, whose projection runs in place on
+    the loop it has just built, so the peak is two (Nn)^2 arrays: the loop
+    with the update's product buffer, then with the eigensolver's own copy
+    of its deviation block. The assembly's N x N scratch array is freed
+    before the projection starts.
     """
-    restricted = _deviation_block(closed_loop_matrix(model, K), model.n)
-    radius = float(np.max(np.abs(eig_general(restricted))))
+    radius = float(np.max(np.abs(eig_general(projected_deviation_matrix(model, K)))))
     return GainVerification(radius < 1.0, radius)

@@ -17,6 +17,7 @@ from limas import (
     SpectralPair,
     WeightedGraph,
     laplacian,
+    oracle,
 )
 from limas.analysis import MareSolution, _critical_margin
 from limas.graphs import commute_check
@@ -272,6 +273,12 @@ def copying_completion_basis(M, n: int = 1) -> np.ndarray:
     MV = beta * (M @ V)
     G = (0.5 * beta) * (V.T @ MV)
     return M - V @ (beta * (V.T @ M) - G @ V.T) - (MV - V @ G) @ V.T
+
+
+def project(Atil, n: int = 1) -> np.ndarray:
+    """A raw stacked matrix of blocks of size n restricted to the deviations by
+    the oracle's projection kernel, on a fresh copy, so ``Atil`` is not written."""
+    return oracle._deviation_block(np.array(Atil, dtype=float), n)
 
 
 def spectral_radius(M) -> float:

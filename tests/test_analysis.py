@@ -707,6 +707,17 @@ def test_no_riccati_gain_without_the_sufficient_condition():
     assert report.mare_sigma is None and report.mare_iterations is None
 
 
+def test_a_start_gain_beyond_the_float_range_is_divergence():
+    # B near the smallest subnormal puts Ackermann's start gain beyond the
+    # float range; solve_mare refuses it without a warning (they are errors here)
+    model = LimasModel([[0.5, 0.1], [0.0, 0.4]], [[0.0], [1e-320]], WeightedGraph.path(3, 0.1),
+                       WeightedGraph.complete(3, 1.0), alpha=0.1)
+    report = analyze(model)
+    assert report.sufficient.holds
+    assert report.synthesis_error == "the start gain is beyond the float range"
+    assert report.gain is None and report.verdict == "inconclusive"
+
+
 def test_synthesis_margin_at_or_below_critical_is_divergence(showcase_model):
     # the margin is clipped into [0, 1]; solve_mare refuses it up front
     suff = sufficient_check(showcase_model)
@@ -1389,7 +1400,7 @@ def test_model_laplacians_are_read_only_and_no_kernel_writes_its_arguments():
     closed_loop_matrix(model, K)
     simulate(model, K, x0, 20)
     verify_gain(model, K)
-    projected_deviation_matrix(loop, 2)
+    projected_deviation_matrix(model, K)
     in_completion_basis(loop, 2)
     commute_check(Lp, Lc)
     scalar_grid_search(LimasModel([[0.9]], [[1.0]], model.gp, model.gc, Ap=[[1.0]]), count=101)

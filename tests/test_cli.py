@@ -306,6 +306,18 @@ def test_sufficient_terms_beyond_the_float_range_are_inconclusive(tmp_path, caps
         assert "sufficient condition: does not hold (lhs inf" in capsys.readouterr().out
 
 
+def test_a_gain_beyond_the_float_range_is_inconclusive(tmp_path, capsys):
+    # b = 1e-320 puts k_recommended / b beyond the float range: no gain, no error
+    model = LimasModel([[0.5]], [[1e-320]], WeightedGraph.path(3, 0.1),
+                       WeightedGraph.complete(3, 1.0), alpha=0.1)
+    path = tmp_path / "tiny-b.json"
+    save_model(model, path)
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "gain: none (the scalar-interval gain is beyond the float range)\n" in captured.out
+    assert captured.err == ""
+
+
 def test_analyze_output_is_deterministic(showcase_file, tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     main(["analyze", showcase_file, "--out", str(out1)])

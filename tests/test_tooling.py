@@ -215,11 +215,13 @@ def test_no_public_callable_takes_a_value_computed_from_a_model():
 
 
 def test_the_oracle_judges_take_the_model_first():
-    # each judge builds its matrices from a validated model, so no raw
-    # matrix reaches it from a model it does not belong to
+    # each judge, and the projection verify_gain judges, builds its matrices
+    # from a validated model, so no raw matrix reaches it from a model it
+    # does not belong to
     from limas import oracle
 
-    for judge in (oracle.verify_gain, oracle.scalar_grid_search):
+    for judge in (oracle.verify_gain, oracle.scalar_grid_search,
+                  oracle.projected_deviation_matrix):
         first = next(iter(inspect.signature(judge).parameters.values()))
         assert (first.name, first.annotation) == ("model", "LimasModel"), judge.__name__
 
