@@ -504,8 +504,8 @@ def modal_radii(model: LimasModel, K) -> np.ndarray:
 
 
 def _synthesize(model: LimasModel, sufficient: SufficientResult
-                ) -> tuple[np.ndarray, float, MareSolution | None]:
-    """The Riccati gain K of analyze, with its sigma and MARE solution; it judges nothing.
+                ) -> tuple[np.ndarray, float, int | None]:
+    """The Riccati gain K of analyze, with its sigma and Stein solve count; it judges nothing.
 
     ``sufficient`` is the model's own sufficient_check, and it holds. Solves
     the modified Riccati equation for the worst-case scaled state matrix at
@@ -514,8 +514,8 @@ def _synthesize(model: LimasModel, sufficient: SufficientResult
     (k* / alpha_max) times the gain -(B'PB)^-1 B'P Abar that solve_mare
     returns, so it is not formed again. The margin is clipped into [0, 1];
     one at or below the critical margin surfaces as solve_mare's Divergence.
-    With alpha_max = 0 the gain is K = 0, and no MARE is solved. Whether K
-    certifies is for AnalysisReport._certify to say.
+    With alpha_max = 0 the gain is K = 0, and no MARE is solved. Whether K,
+    which may be beyond the float range, certifies is for _certify to say.
     """
     alpha_max = sufficient.alpha_max
     if alpha_max == 0.0:
@@ -523,7 +523,8 @@ def _synthesize(model: LimasModel, sufficient: SufficientResult
 
     sigma = float(np.clip(np.min(sufficient.sigma_modes), 0.0, 1.0))
     mare = solve_mare(alpha_max * model.A, model.B, sigma)
-    return (sufficient.k_star / alpha_max) * mare.K, sigma, mare
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (sufficient.k_star / alpha_max) * mare.K, sigma, mare.iterations
 
 
 @dataclass(frozen=True)
@@ -654,7 +655,10 @@ class AnalysisReport:
     ``consensusable_certified`` is True only when a gain was produced,
     every verified deviation-mode radius is strictly below one, and for
     n = 1 the largest one is below one by more than the rounding bound of
-    :func:`_rounding_refusal`.
+    :func:`_rounding_refusal`; ``certificate_detail`` holds that bound's refusal.
+    ``synthesis_error`` says why no gain was recorded, one reason per failed
+    attempt in attempt order. Only :meth:`_certify` writes the gain record;
+    ``mare_sigma`` and ``mare_iterations`` accompany a Riccati gain only.
     ``verdict`` is "consensusable", "not-consensusable" (necessary
     condition refuted) or "inconclusive".
     """
@@ -682,27 +686,31 @@ class AnalysisReport:
     modal_radii: list[float] | None = None
     certificate_method: str | None = None
     certified_radius: float | None = None
+    certificate_detail: str | None = None
     consensusable_certified: bool = False
     verdict: str = "inconclusive"
 
-    def _certify(self, source: str, K, model: LimasModel) -> None:
-        """Record gain K from source and judge it: the one place a gain is judged,
-        which only :func:`analyze` calls, once, on the first gain it produces.
+    def _certify(self, source: str, model: LimasModel, K, sigma=None, iterations=None) -> None:
+        """Record gain K from source, with the sigma and Stein solve count of a
+        Riccati gain, and judge it: the one writer of the gain record, which
+        only :func:`analyze` calls, on each gain it produces until one is recorded.
 
         With a paired spectrum in this report, the check is its modal radii.
         Without one, when the model's commute_check failed or its pairing was
         refused, the check is verify_gain, and the model's joint_spectrum is
         not read. A radius below one certifies only when
         :func:`_rounding_refusal` finds it clear of rounding; when it does
-        not, ``synthesis_error`` says why. A radius not below one is recorded
-        as it is, and certifies nothing. A gain beyond the float range is not
-        recorded, and ``synthesis_error`` says so.
+        not, ``certificate_detail`` says why. A radius not below one is
+        recorded as it is, and certifies nothing. A gain beyond the float
+        range is not recorded; ``synthesis_error`` appends that reason.
         """
         if not np.isfinite(K).all():
-            self.synthesis_error = f"the {source} gain is beyond the float range"
+            reason = f"the {source} gain is beyond the float range"
+            self.synthesis_error = "; ".join(filter(None, (self.synthesis_error, reason)))
             return
         self.gain = np.ravel(K).tolist()
         self.gain_source = source
+        self.mare_sigma, self.mare_iterations = sigma, iterations
         if self.lambda_p_paired is None:
             self.certificate_method = "projected-radius"
             self.certified_radius = float(verify_gain(model, K).max_radius)
@@ -711,10 +719,8 @@ class AnalysisReport:
             self.modal_radii = radii.tolist()
             self.certificate_method = "modal-radii"
             self.certified_radius = float(radii.max())
-        refusal = _rounding_refusal(model, self.gain, self.certified_radius)
-        if refusal is not None:
-            self.synthesis_error = refusal
-        self.consensusable_certified = self.certified_radius < 1.0 and refusal is None
+        self.certificate_detail = _rounding_refusal(model, self.gain, self.certified_radius)
+        self.consensusable_certified = self.certified_radius < 1.0 and not self.certificate_detail
 
     def to_dict(self) -> dict:
         def check(c: AssumptionCheck) -> dict:
@@ -777,8 +783,8 @@ class AnalysisReport:
         if self.certificate_method is not None:
             out["certificate"] = {"method": self.certificate_method,
                                   "max_radius": self.certified_radius}
-            if self.certified_radius < 1.0 and not self.consensusable_certified:
-                out["certificate"]["detail"] = self.synthesis_error
+            if self.certificate_detail is not None:
+                out["certificate"]["detail"] = self.certificate_detail
         else:
             out["certificate"] = None
         out["consensusable_certified"] = self.consensusable_certified
@@ -822,12 +828,13 @@ def analyze(model: LimasModel) -> AnalysisReport:
     conditions, which need no commuting assumption. The verdict follows:
 
     1. The Riccati gain, then the scalar-interval gain. The first gain
-       produced is the one judged, once, by AnalysisReport._certify: by
+       AnalysisReport._certify records is the one judged, once: by
        modal_radii when the model has a joint_spectrum, by verify_gain
        otherwise; a radius below one certifies it when it is also clear of
        rounding (see :func:`_rounding_refusal`, which refuses only for
-       n = 1). The Riccati gain is produced unless its solve fails
-       (Divergence or NotControllable, recorded as ``synthesis_error``).
+       n = 1, with its reason in ``certificate_detail``). The Riccati gain
+       is produced unless its solve fails (Divergence or NotControllable);
+       ``synthesis_error`` gives why each attempt recorded no gain, in order.
     2. A refutation decides only when no gain was certified.
     """
     spec, error = None, None
@@ -869,18 +876,13 @@ def analyze(model: LimasModel) -> AnalysisReport:
 
     if report.sufficient is not None and report.sufficient.holds:
         try:
-            K, sigma, mare = _synthesize(model, report.sufficient)
+            report._certify("riccati", model, *_synthesize(model, report.sufficient))
         except (Divergence, NotControllable) as exc:
             report.synthesis_error = str(exc)
-        else:
-            report.mare_sigma = sigma
-            if mare is not None:
-                report.mare_iterations = mare.iterations
-            report._certify("riccati", K, model)
     if report.gain is None and report.scalar is not None \
             and report.scalar.k_recommended is not None:
-        report._certify("scalar-interval", [[report.scalar.k_recommended / model.B.item()]],
-                        model)
+        report._certify("scalar-interval", model,
+                        [[report.scalar.k_recommended / model.B.item()]])
 
     if report.consensusable_certified:
         report.verdict = "consensusable"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import re
 
 import numpy as np
@@ -707,6 +708,19 @@ def test_no_riccati_gain_without_the_sufficient_condition():
     assert report.mare_sigma is None and report.mare_iterations is None
 
 
+def test_the_riccati_sigma_accompanies_only_a_riccati_gain():
+    # with B and the communication weight near 1e-154 the Riccati gain's
+    # scaling can leave the float range; that gain is then not recorded, and
+    # neither are its sigma and solve count. No warning is raised (they are
+    # errors here)
+    powers = [float(f"1e{x}") for x in range(-158, -149)]
+    for a, b, weight in itertools.product((0.5, 0.99, 3.0), powers, powers):
+        report = analyze(LimasModel([[a]], [[b]], WeightedGraph(3, []),
+                                    WeightedGraph.complete(3, weight), alpha=0.0))
+        assert (report.mare_sigma is not None) == (report.gain_source == "riccati"), \
+            (a, b, weight)
+
+
 def test_a_start_gain_beyond_the_float_range_is_divergence():
     # B near the smallest subnormal puts Ackermann's start gain beyond the
     # float range; solve_mare refuses it without a warning (they are errors here)
@@ -1338,9 +1352,11 @@ def test_a_radius_within_its_rounding_bound_of_one_certifies_nothing(name):
     assert verify_gain(model, [report.gain]).max_radius > 1.0
     assert not report.consensusable_certified
     assert report.verdict == "inconclusive"
-    assert report.synthesis_error.startswith("not certified: rounding can move the radius by up to ")
-    assert report.to_dict()["certificate"]["detail"] == report.synthesis_error
-    assert f"max radius 0  ({report.synthesis_error})" in render_text(report)
+    assert report.certificate_detail.startswith(
+        "not certified: rounding can move the radius by up to ")
+    assert report.synthesis_error is None
+    assert report.to_dict()["certificate"]["detail"] == report.certificate_detail
+    assert f"max radius 0  ({report.certificate_detail})" in render_text(report)
 
 
 def test_report_dict_names_the_failed_assumption():

@@ -307,15 +307,42 @@ def test_sufficient_terms_beyond_the_float_range_are_inconclusive(tmp_path, caps
 
 
 def test_a_gain_beyond_the_float_range_is_inconclusive(tmp_path, capsys):
-    # b = 1e-320 puts k_recommended / b beyond the float range: no gain, no error
-    model = LimasModel([[0.5]], [[1e-320]], WeightedGraph.path(3, 0.1),
-                       WeightedGraph.complete(3, 1.0), alpha=0.1)
-    path = tmp_path / "tiny-b.json"
-    save_model(model, path)
-    assert main(["analyze", str(path)]) == 3
+    # b = 1e-320 puts the start gain and k_recommended / b beyond the float
+    # range, and b = 1e-158 with weight 1e-152 both gains: no gain, no error,
+    # and the line names each attempt's reason in attempt order
+    cases = {
+        "start": (LimasModel([[0.5]], [[1e-320]], WeightedGraph.path(3, 0.1),
+                             WeightedGraph.complete(3, 1.0), alpha=0.1),
+                  "the start gain is beyond the float range"),
+        "riccati": (LimasModel([[0.5]], [[1e-158]], WeightedGraph(3, []),
+                               WeightedGraph.complete(3, 1e-152), alpha=0.0),
+                    "the riccati gain is beyond the float range"),
+    }
+    for name, (model, first) in cases.items():
+        path = tmp_path / f"{name}.json"
+        save_model(model, path)
+        assert main(["analyze", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert (f"gain: none ({first}; the scalar-interval gain is beyond the float range)\n"
+                in captured.out)
+        assert captured.err == ""
+
+
+def test_a_riccati_gain_beyond_the_float_range_leaves_no_record(tmp_path, capsys):
+    # with weight 5e-152 the Riccati gain's scaling overflows without a warning
+    # (they are errors here) and is not recorded, so the scalar-interval gain
+    # is recorded without the Riccati sigma and solve count
+    path = tmp_path / "tiny-weight.json"
+    save_model(LimasModel([[0.5]], [[1e-158]], WeightedGraph(3, []),
+                          WeightedGraph.complete(3, 5e-152), alpha=0.0), path)
+    assert main(["analyze", str(path), "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert "gain: none (the scalar-interval gain is beyond the float range)\n" in captured.out
     assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["gain"] == {"K": [1.6666666666666666e+308], "source": "scalar-interval",
+                              "sigma": None, "mare_iterations": None}
+    assert report["certificate"] == {"method": "modal-radii", "max_radius": 0.75}
+    assert report["verdict"] == "consensusable"
 
 
 def test_analyze_output_is_deterministic(showcase_file, tmp_path):

@@ -378,26 +378,49 @@ def test_referee_modules_do_not_import_the_condition_logic():
 
 
 JUDGES = {"modal_radii", "verify_gain", "_rounding_refusal"}
+# the fields of AnalysisReport that record a gain and its certificate
+GAIN_RECORD = {"gain", "gain_source", "mare_sigma", "mare_iterations", "modal_radii",
+               "certificate_method", "certified_radius", "certificate_detail",
+               "consensusable_certified"}
 
 
-def _judge_callers(tree: ast.Module) -> set[str]:
-    """Qualified names of the functions of ``tree`` that call one of JUDGES."""
-    callers = set()
+def _scopes_where(tree: ast.Module, match) -> set[str]:
+    """Qualified names of the functions of ``tree`` holding a node that ``match`` accepts."""
+    scopes = set()
 
     def visit(node, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if name in JUDGES:
-                    callers.add(scope or "<module>")
+            if match(child):
+                scopes.add(scope or "<module>")
             visit(child, scope)
 
     visit(tree, "")
-    return callers
+    return scopes
+
+
+def _judge_callers(tree: ast.Module) -> set[str]:
+    """Qualified names of the functions of ``tree`` that call one of JUDGES."""
+    def judges(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) in JUDGES
+
+    return _scopes_where(tree, judges)
+
+
+def _gain_record_writers(tree: ast.Module) -> set[str]:
+    """Qualified names of the functions of ``tree`` that assign a GAIN_RECORD attribute."""
+    def writes(node) -> bool:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        return any(isinstance(sub, ast.Attribute) and sub.attr in GAIN_RECORD
+                   for target in targets for sub in ast.walk(target))
+
+    return _scopes_where(tree, writes)
 
 
 def test_only_certify_judges_a_gain():
@@ -411,6 +434,15 @@ def test_only_certify_judges_a_gain():
         and any(getattr(sub, "id", None) == "SynthesisFailed"
                 or getattr(sub, "name", None) == "SynthesisFailed" for sub in ast.walk(node))]
     assert synthesis_failed == []
+
+
+def test_only_certify_writes_the_gain_record():
+    # a gain is recorded with its own sigma, solve count and certificate, so no
+    # other function may write one of them before or after the judge runs
+    tree = ast.parse((ROOT / "src" / "limas" / "analysis.py").read_text(encoding="utf-8"))
+    assert _gain_record_writers(tree) == {"AnalysisReport._certify"}
+    assert _gain_record_writers(ast.parse("def f(r):\n    r.x, r.mare_sigma = 1, 2\n")) == {"f"}
+    assert _gain_record_writers(ast.parse("def f(r):\n    r.verdict = 1\n")) == set()
 
 
 def test_output_digest_repeats():
