@@ -29,6 +29,7 @@ gain and writes a certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +42,7 @@ from .errors import (
     NotCommuting,
     NotControllable,
     NotScalar,
+    ShapeMismatch,
 )
 from .graphs import (
     AssumptionCheck,
@@ -106,12 +108,13 @@ class LimasModel:
                  Ap=None, alpha: float | None = None):
         A = as_matrix(A, name="A")
         n = A.shape[0]
-        A = as_matrix(A, rows=n, cols=n, name="A")
+        if A.shape[1] != n:
+            raise ShapeMismatch(f"A must have {n} columns, got {A.shape[1]}")
         B = as_matrix(B, rows=n, cols=1, name="B")
         if Ap is None and alpha is None:
             raise ValueError("provide Ap, alpha, or both")
-        if alpha is not None and not np.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha}")
+        if alpha is not None:
+            alpha = _finite_alpha(alpha)
         if Ap is None:
             Ap = alpha * A
         Ap = as_matrix(Ap, rows=n, cols=n, name="Ap")
@@ -120,7 +123,7 @@ class LimasModel:
         object.__setattr__(self, "A", _frozen(A.copy()))
         object.__setattr__(self, "Ap", _frozen(Ap.copy()))
         object.__setattr__(self, "B", _frozen(B.copy()))
-        object.__setattr__(self, "alpha", None if alpha is None else float(alpha))
+        object.__setattr__(self, "alpha", alpha)
         # a declared ratio is judged by the coupling check that analysis reads
         coupling = self.coupling_check[0] if alpha is not None else None
         if coupling is not None and not coupling.holds:
@@ -194,6 +197,17 @@ class LimasModel:
         return AssumptionCheck(holds, residual), (alpha if holds else None)
 
 
+def _finite_alpha(alpha) -> float:
+    """``alpha`` as a float; ValueError when it is not a finite number."""
+    try:
+        value = float(alpha)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return value
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr``, made read-only."""
     arr.setflags(write=False)
@@ -237,6 +251,9 @@ class SufficientResult:
     Riccati margins it achieves under positional mode pairing.
     ``alpha_min``/``alpha_max`` are the extremes of |alpha_i|, the coupling
     factors alpha_i = 1 - alpha * lambda_p_i of the non-consensus modes.
+    ``spectrum`` holds the eigenvalues of alpha_max * A that ``sigma_c`` was
+    taken from, for solve_mare to reuse (None when alpha_max = 0); the
+    report does not print it.
     """
 
     holds: bool
@@ -247,6 +264,7 @@ class SufficientResult:
     alpha_min: float
     alpha_max: float
     sigma_modes: np.ndarray
+    spectrum: np.ndarray | None = None
 
 
 def _communication_modes(model: LimasModel, lam_c) -> np.ndarray:
@@ -290,7 +308,8 @@ def sufficient_check(model: LimasModel) -> SufficientResult:
         return SufficientResult(True, 0.0, 0.0, 0.0, 0.0, alpha_min, alpha_max,
                                 np.zeros_like(lam_c))
 
-    sc = _critical_margin(eig_general(alpha_max * model.A))
+    spectrum = eig_general(alpha_max * model.A)
+    sc = _critical_margin(spectrum)
     with np.errstate(all="ignore"):
         ratios = alpha_i[:, None] / lam_c[None, :]
         lo, hi = float(ratios.min()), float(ratios.max())
@@ -300,9 +319,10 @@ def sufficient_check(model: LimasModel) -> SufficientResult:
         k_star = (lo + hi) / 2.0
         sigma_modes = (2.0 * alpha_i * lam_c * k_star
                        - lam_c ** 2 * _square(k_star)) / _square(alpha_max)
-    holds = bool(lhs < rhs and np.isfinite([lhs, rhs, *sigma_modes]).all())
+    holds = bool(lhs < rhs and math.isfinite(lhs) and math.isfinite(rhs)
+                 and np.isfinite(sigma_modes).all())
     return SufficientResult(holds, k_star, lhs, rhs, sc, alpha_min, alpha_max,
-                            sigma_modes)
+                            sigma_modes, spectrum)
 
 
 def _square(x: float) -> float:
@@ -330,7 +350,7 @@ class MareSolution:
     K: np.ndarray
 
 
-def solve_mare(Abar, B, sigma: float) -> MareSolution:
+def solve_mare(Abar, B, sigma: float, *, spectrum=None) -> MareSolution:
     """Solve P = Abar'P Abar - sigma * Abar'PB (B'PB)^-1 B'P Abar + I.
 
     The equation is homogeneous of degree one in (P, Q), so the gain
@@ -352,7 +372,9 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     margin, also when a pole on the circle, or within rounding of it, would
     be its own mirror. Divergence is raised when that start is beyond the
     float range (B near the smallest float) and when Newton fails. The
-    spectrum of Abar is taken once, for sigma_c and for the start.
+    spectrum of Abar is taken once, for sigma_c and for the start; a caller
+    that holds it already passes it as ``spectrum``, and the solution is the
+    same bit for bit.
     """
     Abar = as_square(Abar, name="Abar")
     n = Abar.shape[0]
@@ -362,7 +384,7 @@ def solve_mare(Abar, B, sigma: float) -> MareSolution:
     ctrb = controllability_matrix(Abar, B)
     if not has_full_row_rank(ctrb):
         raise NotControllable("(Abar, B) fails the controllability rank test")
-    values = eig_general(Abar)
+    values = eig_general(Abar) if spectrum is None else spectrum
     critical = _critical_margin(values)
     if critical > 0.0 and sigma <= critical:
         raise Divergence(
@@ -421,11 +443,11 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
     Divergence, whose ``iterations`` counts the solves spent.
     """
     n = Abar.shape[0]
-    kron_a = _kron_transposed(Abar)
-    operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
-    identity = np.eye(n * n)
+    open_loop = (1.0 - sigma) * _kron_transposed(Abar)
+    operator = _stein_operator(_kron_transposed(Abar + B @ K), open_loop, sigma)
+    identity, eye = np.eye(n * n), np.eye(n)
     eps = np.finfo(float).eps
-    P, defect, residual, prev_step = np.zeros((n, n)), np.eye(n), np.inf, None
+    P, defect, residual, prev_step = np.zeros((n, n)), eye, np.inf, None
 
     def divergence(reason: str, solves: int) -> Divergence:
         return Divergence(f"Newton at sigma = {sigma:.12g} stopped after {solves} "
@@ -437,7 +459,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
         except np.linalg.LinAlgError:
             raise divergence("singular Stein equation", solves) from None
         trial = P + (increment + increment.T) / 2.0
-        trial_defect, trial_K = _riccati_defect(Abar, B, sigma, trial)
+        trial_defect, trial_K = _riccati_defect(Abar, B, sigma, trial, eye)
         if trial_K is None:
             raise divergence("B'PB is not positive", solves)
         trial_norm = float(np.linalg.norm(trial))
@@ -447,7 +469,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
         if not converged and solves >= 3 and prev_step <= 1.0 and trial_residual >= residual:
             break  # the rounding floor: keep P, whose operator is at hand
         P, defect, K, residual, P_norm = trial, trial_defect, trial_K, trial_residual, trial_norm
-        operator = _stein_operator(_kron_transposed(Abar + B @ K), kron_a, sigma)
+        operator = _stein_operator(_kron_transposed(Abar + B @ K), open_loop, sigma)
         if converged:
             break
         prev_step = step
@@ -464,10 +486,11 @@ def _kron_transposed(X: np.ndarray) -> np.ndarray:
     return (X.T[:, None, :, None] * X.T[None, :, None, :]).reshape(n * n, n * n)
 
 
-def _stein_operator(kron_f, kron_a, sigma: float) -> np.ndarray:
+def _stein_operator(kron_f, open_loop, sigma: float) -> np.ndarray:
     """The map P -> sigma F'PF + (1-sigma) Abar'P Abar on row-major vec(P), from
-    kron_f = kron(F', F') of the closed loop F = Abar + BK and kron_a = kron(Abar', Abar')."""
-    return sigma * kron_f + (1.0 - sigma) * kron_a
+    kron_f = kron(F', F') of the closed loop F = Abar + BK and the term
+    open_loop = (1-sigma) kron(Abar', Abar'), which one Newton run forms once."""
+    return sigma * kron_f + open_loop
 
 
 def _schur_stable(operator) -> bool:
@@ -478,14 +501,15 @@ def _schur_stable(operator) -> bool:
         return False
 
 
-def _riccati_defect(Abar, B, sigma: float, P):
-    """MARE(P) - P and the gain K = -(B'PB)^-1 B'P Abar; K is None unless B'PB > 0."""
+def _riccati_defect(Abar, B, sigma: float, P, eye):
+    """MARE(P) - P and the gain K = -(B'PB)^-1 B'P Abar, with ``eye`` the identity
+    of P's size; K is None unless B'PB > 0."""
     PB = P @ B
     btpb = float((B.T @ PB).item())
     if not btpb > 0.0:
         return None, None
     gain_dir = Abar.T @ PB
-    defect = Abar.T @ P @ Abar - sigma * (gain_dir @ gain_dir.T) / btpb + np.eye(len(P)) - P
+    defect = Abar.T @ P @ Abar - sigma * (gain_dir @ gain_dir.T) / btpb + eye - P
     return (defect + defect.T) / 2.0, -gain_dir.T / btpb
 
 
@@ -510,7 +534,8 @@ def _synthesize(model: LimasModel, sufficient: SufficientResult
     ``sufficient`` is the model's own sufficient_check, and it holds. Solves
     the modified Riccati equation for the worst-case scaled state matrix at
     the smallest per-mode margin achieved by the midpoint gain scale and
-    forms K = -k* (B'PB)^-1 B'PA. With Abar = alpha_max * A that gain is
+    forms K = -k* (B'PB)^-1 B'PA; the spectrum of Abar = alpha_max * A is
+    the one sufficient_check took for sigma_c. With that Abar the gain is
     (k* / alpha_max) times the gain -(B'PB)^-1 B'P Abar that solve_mare
     returns, so it is not formed again. The margin is clipped into [0, 1];
     one at or below the critical margin surfaces as solve_mare's Divergence.
@@ -522,7 +547,7 @@ def _synthesize(model: LimasModel, sufficient: SufficientResult
         return np.zeros((1, model.n)), 0.0, None
 
     sigma = float(np.clip(np.min(sufficient.sigma_modes), 0.0, 1.0))
-    mare = solve_mare(alpha_max * model.A, model.B, sigma)
+    mare = solve_mare(alpha_max * model.A, model.B, sigma, spectrum=sufficient.spectrum)
     with np.errstate(over="ignore", invalid="ignore"):
         return (sufficient.k_star / alpha_max) * mare.K, sigma, mare.iterations
 

@@ -37,7 +37,7 @@ def as_matrix(obj, rows: int | None = None, cols: int | None = None,
         raise ShapeMismatch(f"{name} must have {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
         raise ShapeMismatch(f"{name} must have {cols} columns, got {M.shape[1]}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -77,21 +77,22 @@ def determinant(M) -> float:
     return float(np.linalg.det(as_square(M)))
 
 
-def controllability_matrix(M, B) -> np.ndarray:
-    """[B, MB, ..., M^(n-1)B] for one n x n ``M``, or one per matrix of a stack (..., n, n)."""
+def controllability_matrix(M, B: np.ndarray) -> np.ndarray:
+    """[B, MB, ..., M^(n-1)B] for one n x n ``M``, or one per matrix of a stack (..., n, n).
+
+    ``B`` is a float array of n rows that the caller validated, as
+    :func:`as_matrix` does; it is not validated again here.
+    """
     M = np.asarray(M, dtype=float)
-    n = M.shape[-1]
-    B = as_matrix(B, name="B")
-    if B.shape[0] != n:
-        raise ShapeMismatch(f"B must have {n} rows, got {B.shape[0]}")
-    blocks = [np.broadcast_to(B, M.shape[:-2] + B.shape)]
-    for _ in range(n - 1):
+    blocks = [B if M.ndim == 2 else np.broadcast_to(B, M.shape[:-2] + B.shape)]
+    for _ in range(M.shape[-1] - 1):
         blocks.append(M @ blocks[-1])
     return np.concatenate(blocks, axis=-1)
 
 
-def controllability_singular_values(M, B) -> np.ndarray:
-    """Descending singular values of :func:`controllability_matrix`, one row per stacked matrix."""
+def controllability_singular_values(M, B: np.ndarray) -> np.ndarray:
+    """Descending singular values of :func:`controllability_matrix`, one row per stacked
+    matrix; ``B`` is validated by the caller, as there."""
     return np.linalg.svd(controllability_matrix(M, B), compute_uv=False)
 
 
@@ -112,7 +113,8 @@ def has_full_row_rank(C) -> bool:
 
 def is_controllable(M, B) -> bool:
     """Kalman rank test: [B, MB, ..., M^(n-1)B] must have full row rank."""
-    return has_full_row_rank(controllability_matrix(as_square(M, name="M"), B))
+    M = as_square(M, name="M")
+    return has_full_row_rank(controllability_matrix(M, as_matrix(B, rows=len(M), name="B")))
 
 
 def controllability_margin(M, B) -> float:
@@ -122,7 +124,7 @@ def controllability_margin(M, B) -> float:
     :func:`has_rank` decides the rank.
     """
     M = as_square(M, name="M")
-    return float(controllability_singular_values(M, B)[-1])
+    return float(controllability_singular_values(M, as_matrix(B, rows=len(M), name="B"))[-1])
 
 
 def _reflector(n: int) -> tuple[np.ndarray, float]:

@@ -8,6 +8,7 @@ Schema version "1". Matrices are flat row-major arrays. Node indices are
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -33,7 +34,7 @@ def _real(v, name: str) -> float:
         v = float(v)
     except OverflowError:
         raise SchemaError(f"'{name}' is too large for a float") from None
-    _require(np.isfinite(v), f"'{name}' must be finite")
+    _require(math.isfinite(v), f"'{name}' must be finite")
     return v
 
 

@@ -30,6 +30,7 @@ from limas.errors import (
     NotControllable,
     NotScalar,
 )
+from limas.linalg import eig_general
 from limas.model_io import load_model, model_from_dict
 from conftest import (
     A_SHOWCASE,
@@ -387,6 +388,44 @@ def _near_critical_sweep(count: int):
         B = rng.standard_normal((n, 1))
         sc = sigma_critical(A, 1.0)
         yield A, B, sc + (1.0 - sc) * 10.0 ** float(rng.uniform(-6.0, 0.0))
+
+
+def _mare_outcome(Abar, B, sigma, **kwargs):
+    """solve_mare's P, K, residual and solve count, or its Divergence text and count."""
+    try:
+        sol = solve_mare(Abar, B, sigma, **kwargs)
+    except Divergence as exc:
+        return str(exc), exc.iterations
+    return sol.P.tobytes(), sol.K.tobytes(), sol.residual, sol.iterations
+
+
+def _assert_spectrum_is_shared(Abar, B, sigma):
+    spectrum = eig_general(Abar)
+    assert _mare_outcome(Abar, B, sigma, spectrum=spectrum) == _mare_outcome(Abar, B, sigma)
+
+
+def test_solve_mare_takes_the_spectrum_it_would_compute(tmp_path, workloads):
+    # a spectrum passed in is the one solve_mare computes without it, so the
+    # outcome is the same bit for bit: on the near-critical benchmark models
+    # of seeds 1-3, at the sigma analyze solves them at and with the spectrum
+    # sufficient_check kept; on the showcase plant at sigmas below, at and
+    # above its critical margin; and on the first sweep plants
+    for seed in (1, 2, 3):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        for case in workloads.build("riccati-near-critical", seed, workdir)[0]:
+            model = load_model(case.model)
+            suff = sufficient_check(model)
+            Abar = suff.alpha_max * model.A
+            sigma = float(np.clip(np.min(suff.sigma_modes), 0.0, 1.0))
+            assert suff.spectrum.tobytes() == eig_general(Abar).tobytes()
+            _assert_spectrum_is_shared(Abar, model.B, sigma)
+    critical = sigma_critical(A_SHOWCASE, 1.0)
+    for sigma in (0.0, critical / 2.0, critical, critical * (1.0 + 1e-13),
+                  (1.0 + critical) / 2.0, 0.9, 1.0):
+        _assert_spectrum_is_shared(A_SHOWCASE, B_SHOWCASE, sigma)
+    for Abar, B, sigma in _near_critical_sweep(300):
+        _assert_spectrum_is_shared(Abar, B, sigma)
 
 
 # Sweep plants (by draw index) on which solve_mare raises Divergence: Newton
@@ -1055,6 +1094,18 @@ def test_model_rejects_non_finite_alpha():
             LimasModel([[1.1]], [[1.0]], g, g, alpha=alpha)
 
 
+def test_model_rejects_a_non_numeric_alpha():
+    # alpha is converted once, and what does not convert is refused like a
+    # non-finite alpha, not by a TypeError out of numpy or float()
+    g = WeightedGraph(2, [(0, 1, 1.0)])
+    for alpha in ("x", [0.3], {}):
+        message = "^" + re.escape(f"alpha must be finite, got {alpha}") + "$"
+        with pytest.raises(ValueError, match=message):
+            LimasModel([[1.1]], [[1.0]], g, g, Ap=[[0.1]], alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            LimasModel([[1.1]], [[1.0]], g, g, alpha=alpha)
+
+
 def test_analyze_showcase_certifies(showcase_model):
     report = analyze(showcase_model)
     assert report.verdict == "consensusable"
@@ -1078,7 +1129,7 @@ def test_analyze_is_free_of_b_scale(showcase_model):
 
 def test_analyze_records_degenerate_gain_kernel(showcase_model, monkeypatch):
     # a Riccati solve that fails leaves the report without a gain and names why
-    def failing(Abar, B, sigma):
+    def failing(Abar, B, sigma, *, spectrum=None):
         raise Divergence("Newton at sigma = 0.5 stopped after 50 Stein solves: no convergence")
 
     monkeypatch.setattr(analysis, "solve_mare", failing)
@@ -1212,7 +1263,7 @@ def test_analyze_verifies_the_riccati_gain_before_the_scalar_interval_gain():
 
 
 def test_analyze_falls_back_to_the_scalar_interval_gain(monkeypatch):
-    def failing(Abar, B, sigma):
+    def failing(Abar, B, sigma, *, spectrum=None):
         raise Divergence("Newton at sigma = 0.5 stopped after 50 Stein solves: no convergence")
 
     monkeypatch.setattr(analysis, "solve_mare", failing)

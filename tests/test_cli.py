@@ -111,7 +111,7 @@ def test_analyze_text_without_joint_spectrum(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_text_names_the_synthesis_failure(showcase_file, capsys, monkeypatch):
-    def failing(Abar, B, sigma):
+    def failing(Abar, B, sigma, *, spectrum=None):
         raise Divergence("Newton at sigma = 0.5 stopped after 50 Stein solves: no convergence")
 
     monkeypatch.setattr(analysis, "solve_mare", failing)

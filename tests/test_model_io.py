@@ -134,6 +134,35 @@ def test_nan_in_file_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field, index, message", [
+    ("A", 1, "'A[1]' must be finite"),
+    ("B", 0, "'B[0]' must be finite"),
+    ("Ap", 3, "'Ap[3]' must be finite"),
+    ("alpha", None, "'alpha' must be finite"),
+    ("K", 1, "'K[1]' must be finite"),
+])
+def test_non_finite_json_literals_are_named(tmp_path, literal, field, index, message):
+    # Python's json module reads these literals as floats; each is refused
+    # with the field and entry that hold it
+    value = json.loads(literal)
+    data = {"K": [0.5, -0.25]} if field == "K" else showcase_dict()
+    if field == "Ap":
+        data["Ap"] = [0.3, 0.6, 0.0, 0.45]
+    if index is None:
+        data[field] = value
+    else:
+        data[field][index] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert literal in path.read_text()
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+        if field == "K":
+            gain_from_file(path, 2)
+        else:
+            load_model(path)
+
+
 def test_unreadable_or_malformed_model_file(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(SchemaError, match="^" + re.escape(f"cannot read model file {missing}: ")):
