@@ -90,9 +90,9 @@ class LimasModel:
     coupling Ap = alpha * A; when both are given they must agree.
 
     What the conditions read of the plant is computed once, on first access,
-    and kept: the Laplacians, their sorted spectra, their joint spectrum and
-    the commute, controllability and coupling checks. The conditions take
-    the model alone and read these from it.
+    and kept: the Laplacians, their Frobenius norms, their sorted spectra,
+    their joint spectrum and the commute, controllability and coupling
+    checks. The conditions take the model alone and read these from it.
     """
 
     n: int
@@ -141,12 +141,26 @@ class LimasModel:
     @cached_property
     def laplacian_p(self) -> np.ndarray:
         """The physical Laplacian, read-only."""
-        return _frozen(laplacian(self.gp))
+        return self._laplacian(self.gp, "Lp")
 
     @cached_property
     def laplacian_c(self) -> np.ndarray:
         """The communication Laplacian, read-only."""
-        return _frozen(laplacian(self.gc))
+        return self._laplacian(self.gc, "Lc")
+
+    @staticmethod
+    def _laplacian(g: WeightedGraph, name: str) -> np.ndarray:
+        """The read-only Laplacian of ``g``; ValueError ("{name} contains non-finite
+        entries") when the total weight of a node overflows: the others are edge weights."""
+        L = laplacian(g)
+        if not np.isfinite(L.diagonal()).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        return _frozen(L)
+
+    @cached_property
+    def _norms(self) -> tuple[float, float]:
+        """||Lp||_F and ||Lc||_F, which the pair checks of :mod:`limas.graphs` read."""
+        return float(np.linalg.norm(self.laplacian_p)), float(np.linalg.norm(self.laplacian_c))
 
     @cached_property
     def spectrum_p(self) -> np.ndarray:
@@ -161,7 +175,7 @@ class LimasModel:
     @cached_property
     def commute_check(self) -> AssumptionCheck:
         """commute_check of the two Laplacians, computed once."""
-        return commute_check(self.laplacian_p, self.laplacian_c)
+        return commute_check(self)
 
     @cached_property
     def joint_spectrum(self) -> SpectralPair:
@@ -176,7 +190,7 @@ class LimasModel:
         commute = self.commute_check
         if not commute.holds:
             raise NotCommuting(f"Laplacians do not commute (residual {commute.residual:g})")
-        return simultaneous_diagonalize(self.laplacian_p, self.laplacian_c, self.spectrum_p)
+        return simultaneous_diagonalize(self)
 
     @cached_property
     def controllability_check(self) -> AssumptionCheck:

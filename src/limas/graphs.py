@@ -4,12 +4,11 @@
 central object downstream is the :class:`SpectralPair`: the eigenvalues of the
 physical and the communication Laplacian, paired positionally by one
 orthogonal basis that diagonalizes both at once. It exists only for commuting
-Laplacians: a model's ``joint_spectrum`` reads the model's cached
-``commute_check`` first, and only then pairs the two with
-:func:`simultaneous_diagonalize`, which assumes that check passed. Both module
-functions are internal, and their caller is the model, which owns the two
-Laplacians. That basis is 1/sqrt(N) and a basis V of the deviations from
-consensus, in the coordinates of one Householder reflector
+Laplacians: a model's ``joint_spectrum`` reads its cached ``commute_check``
+first, and only then pairs the two with :func:`simultaneous_diagonalize`.
+Both functions are internal and take the model, which builds and checks the
+Laplacians and keeps their norms. That basis is 1/sqrt(N) and a basis V of
+the deviations from consensus, in the coordinates of one Householder reflector
 (:func:`limas.linalg.in_completion_basis`). It is never lifted to the full
 space: the pairing and its gate are read in those coordinates, and when the
 communication Laplacian is scalar on the deviations (a complete graph) every
@@ -20,12 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .linalg import as_square, eig_sym, in_completion_basis
+from .linalg import eig_sym, in_completion_basis
+
+if TYPE_CHECKING:
+    from .analysis import LimasModel
 
 # Commutator gate: ||Lp Lc - Lc Lp||_F <= COMMUTE_RTOL * ||Lp||_F ||Lc||_F.
 COMMUTE_RTOL = 1e-9
@@ -198,23 +200,14 @@ class AssumptionCheck:
     detail: str = ""
 
 
-def commute_check(Lp, Lc) -> AssumptionCheck:
-    """Frobenius norm of the commutator Lp Lc - Lc Lp against the COMMUTE_RTOL gate.
-
-    Internal: ``LimasModel.commute_check`` calls it. Returns the
-    AssumptionCheck of commuting Laplacians: ``holds`` when the norm is at
-    most COMMUTE_RTOL * ||Lp||_F ||Lc||_F, and the norm as ``residual``.
-
-    The precondition, which the model guarantees, is two symmetric
-    Laplacians of one size; only their finiteness and squareness are
-    checked. Lc Lp is the transpose of C = Lp Lc, so the commutator is C - C'.
-    """
-    Lp = as_square(Lp, name="Lp")
-    Lc = as_square(Lc, name="Lc")
-    C = Lp @ Lc
+def commute_check(model: LimasModel) -> AssumptionCheck:
+    """Do a model's Laplacians commute? ``holds`` when ||Lp Lc - Lc Lp||_F, the
+    ``residual``, is at most COMMUTE_RTOL * ||Lp||_F ||Lc||_F; Lc Lp is the
+    transpose of C = Lp Lc. Internal: ``LimasModel.commute_check`` calls it."""
+    norm_p, norm_c = model._norms
+    C = model.laplacian_p @ model.laplacian_c
     residual = float(np.linalg.norm(C - C.T))
-    gate = COMMUTE_RTOL * float(np.linalg.norm(Lp)) * float(np.linalg.norm(Lc))
-    return AssumptionCheck(residual <= gate, residual)
+    return AssumptionCheck(residual <= COMMUTE_RTOL * norm_p * norm_c, residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,59 +233,45 @@ class SpectralPair:
             object.__setattr__(self, name, arr)
 
 
-def simultaneous_diagonalize(Lp: np.ndarray, Lc: np.ndarray,
-                             spectrum_p: np.ndarray) -> SpectralPair:
-    """Jointly diagonalize two commuting Laplacians.
+def simultaneous_diagonalize(model: LimasModel) -> SpectralPair:
+    """Jointly diagonalize a model's Laplacians.
 
-    Internal: ``LimasModel.joint_spectrum`` calls it. The precondition is
-    that ``Lp`` and ``Lc`` are float Laplacians of one size that pass
-    :func:`commute_check`, which is also their one validation, and that
-    ``spectrum_p`` is Lp's sorted spectrum (:func:`_laplacian_spectrum`).
-    Neither is checked here: a pair far from commuting fails the joint-basis
-    gate below, but the scalar branch computes no gate, and a pair just
-    outside the commutator gate can pass the joint-basis one. The
-    communication Laplacian is reduced to the complement of the all-ones
-    direction (a shared kernel vector of any Laplacian), in the deviation
-    columns W of one Householder reflector, as one rank-two update
-    (:func:`limas.linalg.in_completion_basis`).
+    Internal: ``LimasModel.joint_spectrum`` calls it once the model's
+    :func:`commute_check` passed, which is not repeated here: a pair far from
+    commuting fails the joint-basis gate below, but the scalar branch has no
+    gate, and a pair just outside the commutator gate can pass this one. Lc
+    is reduced to the deviations from consensus, the columns W of one
+    Householder reflector (:func:`limas.linalg.in_completion_basis`).
 
-    When the reduced communication Laplacian is scalar, ||Lc_red - c I||_F <=
-    OFFDIAG_RTOL * ||Lc||_F with c = trace(Lc) / (N - 1) its mean eigenvalue on
-    the deviations (a complete graph), every orthonormal basis of the
-    deviations diagonalizes it. The pair is then ``spectrum_p`` as given and
-    lambda_c = [0, c, ..., c]; nothing is solved. The full-space spectrum
-    skips the reduction's rounding, which reads a two-node graph's
-    0.2 as 0.19999999999999998. The joint-basis gate holds by construction
-    and is not computed: over the lifted eigenbasis of the reduced physical
-    Laplacian its residual is that eigensolve's backward error, and over any
-    orthonormal deviation basis the communication residual is
-    ||Lc_red - c I||_F up to the rounding of the consensus column, which the
-    scalar test bounds with the gate's own constant.
+    When Lc_red is scalar, ||Lc_red - c I||_F <= OFFDIAG_RTOL * ||Lc||_F with
+    c = trace(Lc) / (N - 1) (a complete graph), every deviation basis
+    diagonalizes it. The pair is then the model's ``spectrum_p``, free of the
+    reduction's rounding, and lambda_c = [0, c, ..., c]; nothing is solved.
+    The gate holds by construction: over the eigenbasis of Lp_red the
+    physical residual is that eigensolve's backward error, and over any
+    deviation basis the communication residual is ||Lc_red - c I||_F up to
+    the rounding of the consensus column, which the scalar test bounds.
 
-    Otherwise the physical Laplacian is reduced too, the reduced
-    communication Laplacian is eigendecomposed, Lc_red = V diag V', its
-    eigenvalues grouped into near-degenerate clusters (within
-    OFFDIAG_RTOL * ||Lc||_F), and the reduced physical Laplacian is
-    diagonalized inside each cluster of more than one eigenvalue on which it
-    is not already scalar (:func:`_rotate_clusters`, which rotates
-    P = Lp_red V with V). Repeated communication eigenvalues are therefore
-    handled exactly where naive pairing would fail. The paired eigenvalues
-    are 0 and the Rayleigh quotients of the columns of V, read from P and
-    Lc_red V; raises DegenerateSpectrum when the eigen-residual
+    Otherwise Lp is reduced too, Lc_red = V diag V' is eigendecomposed, its
+    eigenvalues are grouped into clusters within OFFDIAG_RTOL * ||Lc||_F,
+    and Lp_red is diagonalized inside each cluster of more than one
+    eigenvalue on which it is not already scalar (:func:`_rotate_clusters`).
+    The paired eigenvalues are 0 and the Rayleigh quotients of the columns
+    of V. DegenerateSpectrum is raised when the eigen-residual
     ||L_red V - V diag||_F exceeds OFFDIAG_RTOL * ||L||_F for either
-    Laplacian. As W'W = I and 1'L = 0, that residual is
-    ||L phi - phi diag||_F of the lifted basis phi = [1/sqrt(N), W V] up to
-    rounding, the off-diagonal residual of phi' L phi. After the gate a
-    negative paired value, a rounded zero, reads as 0.
+    Laplacian; as W'W = I and 1'L = 0 it is, up to rounding, the
+    off-diagonal residual of phi' L phi for phi = [1/sqrt(N), W V]. After
+    the gate a negative paired value, a rounded zero, reads as 0.
     """
-    N = Lp.shape[0]
+    N, Lp, Lc = model.N, model.laplacian_p, model.laplacian_c
+    norm_p, norm_c = model._norms
     Lc_red = in_completion_basis(Lc)[1:, 1:]
-    group_tol = OFFDIAG_RTOL * float(np.linalg.norm(Lc))
-    c = np.trace(Lc) / max(N - 1, 1)
+    group_tol = OFFDIAG_RTOL * norm_c
+    c = np.trace(Lc) / (N - 1)
     if float(np.linalg.norm(Lc_red - c * np.eye(N - 1))) <= group_tol:
         lambda_c = np.full(N, c)
         lambda_c[0] = 0.0
-        return SpectralPair(spectrum_p, lambda_c)
+        return SpectralPair(model.spectrum_p, lambda_c)
 
     Lp_red = in_completion_basis(Lp)[1:, 1:]
     wc, V = np.linalg.eigh((Lc_red + Lc_red.T) / 2.0)
@@ -312,11 +291,11 @@ def simultaneous_diagonalize(Lp: np.ndarray, Lc: np.ndarray,
         _rotate_clusters(V, P, Lp_red, starts)
 
     paired = []
-    for LV, L, tag in ((P, Lp, "physical"), (Lc_red @ V, Lc, "communication")):
+    for LV, scale, tag in ((P, norm_p, "physical"), (Lc_red @ V, norm_c, "communication")):
         lam = np.einsum("ij,ij->j", V, LV)
         LV -= V * lam
         norm = float(np.linalg.norm(LV))
-        if norm > OFFDIAG_RTOL * float(np.linalg.norm(L)):
+        if norm > OFFDIAG_RTOL * scale:
             raise DegenerateSpectrum(
                 f"off-diagonal residual {norm:g} too large for the {tag} Laplacian")
         paired.append(np.maximum(np.concatenate(([0.0], lam)), 0.0))

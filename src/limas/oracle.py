@@ -62,12 +62,16 @@ def _deviation_block(Atil: np.ndarray, n: int) -> np.ndarray:
     :func:`limas.linalg.in_completion_basis`, without psi) that acts on the
     complement of the consensus subspace span{1 (x) e_j}, as a view into the
     overwritten ``Atil``, whose ||Atil||_F is read first, for the gate.
-    Raises NotDeviationInvariant when Atil moves that subspace out of itself
-    by more than the INVARIANCE_RTOL gate.
+    Raises ValueError when the block or the gate's has a non-finite entry,
+    and NotDeviationInvariant when Atil moves that subspace out of itself by
+    more than the INVARIANCE_RTOL gate.
     """
     N = Atil.shape[0] // n
-    scale = np.linalg.norm(Atil)
-    moved = _into_completion_basis(Atil, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(Atil)
+        moved = _into_completion_basis(Atil, n)
+    if not np.isfinite(moved[n:]).all():
+        raise ValueError("the projected deviation matrix contains non-finite entries")
     if np.sqrt(N) * np.linalg.norm(moved[n:, :n]) > INVARIANCE_RTOL * scale:
         raise NotDeviationInvariant(
             "the consensus subspace is not invariant under this matrix")

@@ -20,7 +20,6 @@ from limas import (
     oracle,
 )
 from limas.analysis import MareSolution, _critical_margin
-from limas.graphs import commute_check
 from limas.errors import Divergence, NotControllable, ShapeMismatch
 from limas.linalg import (
     _reflector,
@@ -161,6 +160,23 @@ def random_scalar_instance(rng, N: int | None = None, w_hi: float = 0.5):
     return a, gp, gc
 
 
+def laplacian_model(Lp, Lc) -> LimasModel:
+    """A model whose Laplacians are the arrays ``Lp`` and ``Lc`` themselves.
+
+    The pair checks of limas.graphs take a model; this hands them square
+    matrices of one size with the all-ones vector in their kernel, some of
+    which no weighted graph builds. The plant is a placeholder (n = 1, an
+    empty physical graph, a communication path), and the arrays, neither
+    copied nor frozen, take the place of its cached Laplacians, so that its
+    norms and spectra are those of the arrays, computed on first access.
+    """
+    Lp, Lc = np.asarray(Lp, dtype=float), np.asarray(Lc, dtype=float)
+    N = len(Lp)
+    model = LimasModel([[1.0]], [[1.0]], WeightedGraph(N, []), WeightedGraph.path(N), alpha=0.0)
+    vars(model).update(laplacian_p=Lp, laplacian_c=Lc)
+    return model
+
+
 def unit_scalar_model(a: float, gp: WeightedGraph, gc: WeightedGraph) -> LimasModel:
     """The scalar agent a with ap = b = 1: its physical and communication modes
     are the Laplacian eigenvalues of gp and gc, and its gain is the normalized one."""
@@ -172,7 +188,7 @@ def _non_commuting_graphs(rng, N: int) -> tuple[WeightedGraph, WeightedGraph]:
     while True:
         gp = random_connected_graph(rng, N)
         gc = random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0)
-        if not commute_check(laplacian(gp), laplacian(gc)).holds:
+        if not unit_scalar_model(0.0, gp, gc).commute_check.holds:
             return gp, gc
 
 
@@ -206,10 +222,10 @@ def verdict_corpus(seed: int = 0, per_class: int = 60) -> dict[str, list[LimasMo
     corpus: dict[str, list[LimasModel]] = {name: [] for name in (
         "scalar", "proportional", "free-ap", "non-commuting", "edge")}
     for _ in range(per_class):
-        a, gp, gc = random_scalar_instance(rng)
-        while commute_check(laplacian(gp), laplacian(gc)).holds:
-            a, gp, gc = random_scalar_instance(rng)
-        corpus["scalar"].append(unit_scalar_model(a, gp, gc))
+        model = unit_scalar_model(*random_scalar_instance(rng))
+        while model.commute_check.holds:
+            model = unit_scalar_model(*random_scalar_instance(rng))
+        corpus["scalar"].append(model)
     corpus["proportional"] = [random_coupled_model(rng) for _ in range(per_class)]
     for _ in range(per_class):
         N, n = int(rng.integers(3, 8)), int(rng.integers(2, 5))

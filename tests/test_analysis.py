@@ -43,6 +43,7 @@ from conftest import (
     exact_stabilizing_interval,
     four_agent_model,
     jury_lp_margin,
+    laplacian_model,
     mare_inequality_margin,
     random_connected_graph,
     random_coupled_model,
@@ -1469,7 +1470,7 @@ def test_model_laplacians_are_read_only_and_no_kernel_writes_its_arguments():
     verify_gain(model, K)
     projected_deviation_matrix(model, K)
     in_completion_basis(loop, 2)
-    commute_check(Lp, Lc)
+    commute_check(laplacian_model(Lp, Lc))
     scalar_grid_search(LimasModel([[0.9]], [[1.0]], model.gp, model.gc, Ap=[[1.0]]), count=101)
     assert [arr.tobytes() for arr in arguments] == before
 

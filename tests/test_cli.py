@@ -526,6 +526,62 @@ def test_oracle_grid_rejects_bad_bounds(tmp_path, capsys):
         assert "error: grid bounds must be finite with lo < hi" in captured.err
 
 
+def _path_pair_files(tmp_path, physical_weight: float, **plant) -> tuple[str, str]:
+    """A model file on two 3-node paths, communication weight 1 and the given
+    physical one, with n = 1, B = 1 and ``plant`` (A, alpha, Ap), and a gain file K = 0.5."""
+    edges = [{"i": 1, "j": 2}, {"i": 2, "j": 3}]
+    data = {"schema_version": "1", "n": 1, "N": 3, "B": [1.0],
+            **{key: [value] if key != "alpha" else value for key, value in plant.items()},
+            "physical_edges": [dict(edge, weight=physical_weight) for edge in edges],
+            "communication_edges": [dict(edge, weight=1.0) for edge in edges]}
+    model_path, gain_path = tmp_path / "model.json", tmp_path / "gain.json"
+    model_path.write_text(json.dumps(data))
+    gain_path.write_text(json.dumps({"K": [0.5]}))
+    return str(model_path), str(gain_path)
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "oracle", "oracle --gain"])
+def test_a_laplacian_beyond_the_float_range_is_refused_by_every_command(
+        command, tmp_path, capsys):
+    # the middle node's total weight 3e308 overflows. The model refuses its
+    # Laplacian where it builds it, so every command refuses it alike, with no
+    # warning (they are errors here), no output and no CSV
+    model_path, gain_path = _path_pair_files(tmp_path, 1.5e308, A=1.1, alpha=0.3)
+    csv_path = tmp_path / "t.csv"
+    argv = {"analyze": ["analyze", model_path],
+            "simulate": ["simulate", model_path, "--gain", gain_path,
+                         "--out-csv", str(csv_path)],
+            "oracle": ["oracle", model_path, "--count", "101"],
+            "oracle --gain": ["oracle", model_path, "--gain", gain_path]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: Lp contains non-finite entries\n")
+    assert not csv_path.exists()
+
+
+def test_the_oracle_refuses_a_projection_beyond_the_float_range(tmp_path, capsys):
+    # A = 1e308 leaves the Laplacians finite, but the projection of the loop
+    # overflows; the oracle refuses it before any eigensolve instead of
+    # printing "best_radius": NaN. With Ap in place of alpha nothing warns
+    model_path, gain_path = _path_pair_files(tmp_path, 1.0, A=1e308, Ap=3e307)
+    for extra in (["--count", "101"], ["--gain", gain_path]):
+        assert main(["oracle", model_path, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the projected deviation matrix contains non-finite entries\n"
+    # a declared alpha = 0.3 warns as the model is built (||A||_F overflows),
+    # so that file runs in its own process, where a warning is no error
+    model_path, _ = _path_pair_files(tmp_path, 1.0, A=1e308, alpha=0.3)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "limas.cli", "oracle", model_path],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.endswith(
+        "error: the projected deviation matrix contains non-finite entries\n")
+
+
 def test_oracle_verify_mode(showcase_file, tmp_path, capsys):
     gain_path = tmp_path / "gain.json"
     gain_path.write_text('{"K": [0.0, -0.3412]}')

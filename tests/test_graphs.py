@@ -22,6 +22,7 @@ from conftest import (
     count_calls,
     cycle4_graph,
     joint_basis,
+    laplacian_model,
     ones_completion,
     random_connected_graph,
     random_state_matrix,
@@ -185,16 +186,16 @@ def test_is_connected_matches_full_union_find():
 
 def test_commute_scaled_and_complete():
     Lc = laplacian(cycle4_graph(0.3))
-    assert commute_check(3.0 * Lc, Lc).holds
+    assert commute_check(laplacian_model(3.0 * Lc, Lc)).holds
     any_graph = random_connected_graph(np.random.default_rng(1), 4)
-    assert commute_check(laplacian(any_graph),
-                         laplacian(WeightedGraph.complete(4, 0.7))).holds
+    assert commute_check(laplacian_model(laplacian(any_graph),
+                                         laplacian(WeightedGraph.complete(4, 0.7)))).holds
 
 
 def test_commute_check_negative():
     path = laplacian(WeightedGraph.path(3))
     star = laplacian(WeightedGraph(3, [(0, 1, 1.0), (0, 2, 3.0)]))
-    check = commute_check(path, star)
+    check = commute_check(laplacian_model(path, star))
     assert not check.holds
     assert check.residual > 1e-3
 
@@ -205,13 +206,15 @@ def test_commute_gate_is_free_of_weight_scale():
     for w in (1.0, 1e-3, 1e-5, 1e-9):
         path = laplacian(WeightedGraph.path(8, w))
         star = laplacian(WeightedGraph(8, [(0, k, w) for k in range(1, 8)]))
-        assert not commute_check(path, star).holds
+        assert not commute_check(laplacian_model(path, star)).holds
 
 
 def pair_of(Lp, Lc) -> SpectralPair:
-    """The internal pairing as a model calls it: after the commute check, with Lp's spectrum."""
-    assert commute_check(Lp, Lc).holds
-    return simultaneous_diagonalize(Lp, Lc, _laplacian_spectrum(Lp))
+    """The internal pairing of a model of these Laplacians, as the model runs it:
+    after the commute check."""
+    model = laplacian_model(Lp, Lc)
+    assert commute_check(model).holds
+    return simultaneous_diagonalize(model)
 
 
 def test_simultaneous_diagonalize_two_nodes():
@@ -251,10 +254,10 @@ def test_pairing_gate_refuses_non_commuting_laplacians():
     # the pairing checks no commutator: its joint-basis gate refuses these
     # pairs by itself, and the model refuses them before it pairs
     for gp, gc in _non_commuting_pairs():
-        Lp, Lc = laplacian(gp), laplacian(gc)
-        assert not commute_check(Lp, Lc).holds
+        model = laplacian_model(laplacian(gp), laplacian(gc))
+        assert not commute_check(model).holds
         with pytest.raises(DegenerateSpectrum, match="^off-diagonal residual "):
-            simultaneous_diagonalize(Lp, Lc, _laplacian_spectrum(Lp))
+            simultaneous_diagonalize(model)
 
 
 def test_joint_pairing_on_random_commuting_pairs():
@@ -310,13 +313,12 @@ def test_model_owns_its_commute_check():
     # refuses the joint spectrum with its residual
     commuting = LimasModel([[1.1]], [[1.0]], cycle4_graph(0.1), WeightedGraph.complete(4),
                            alpha=0.3)
-    assert commuting.commute_check == commute_check(commuting.laplacian_p,
-                                                    commuting.laplacian_c)
+    assert commuting.commute_check == commute_check(commuting)
     assert commuting.commute_check.holds
     for gp, gc in _non_commuting_pairs():
         model = LimasModel([[1.1]], [[1.0]], gp, gc, alpha=0.3)
         check = model.commute_check
-        assert check == commute_check(model.laplacian_p, model.laplacian_c)
+        assert check == commute_check(model)
         with pytest.raises(NotCommuting) as err:
             model.joint_spectrum
         assert str(err.value) == f"Laplacians do not commute (residual {check.residual:g})"
@@ -374,7 +376,7 @@ def test_gate_refuses_a_split_that_leaves_the_physical_laplacian_coupled(delta, 
     R = np.diag([1.0, 1.0, 2.5, 4.0])
     R[0, 1] = R[1, 0] = 1e-2
     Lp, Lc = W @ R @ W.T, W @ np.diag([1.0, 1.0 + delta, 2.0, 3.0]) @ W.T
-    assert commute_check(Lp, Lc).holds
+    assert commute_check(laplacian_model(Lp, Lc)).holds
     if refused:
         with pytest.raises(DegenerateSpectrum, match=r"^off-diagonal residual 0\.0141421 "
                                                      r"too large for the physical Laplacian$"):
@@ -407,7 +409,7 @@ def test_clusters_of_several_sizes_rotate_in_one_call(monkeypatch):
              (laplacian(WeightedGraph.cycle(8, 0.2)), laplacian(bipartite), 1 + 1))
     calls = count_calls(monkeypatch)
     for Lp, Lc, eigensolves in cases:
-        assert commute_check(Lp, Lc).holds
+        assert commute_check(laplacian_model(Lp, Lc)).holds
         calls.clear()
         pair = pair_of(Lp, Lc)
         assert len(calls) == eigensolves
@@ -441,10 +443,13 @@ def test_scalar_test_either_side_gives_a_certified_pair(monkeypatch):
     vectors, values = count_calls(monkeypatch, "eigh"), count_calls(monkeypatch, "eigvalsh")
     for ratio, solves in ((0.9, (0, 0)), (1.1, (1, 0))):
         Lc = _just_scalar(N, _star(N), ratio)
-        assert commute_check(Lp, Lc).holds
+        model = laplacian_model(Lp, Lc)
+        assert commute_check(model).holds
+        # the physical spectrum, solved before the count
+        assert np.array_equal(model.spectrum_p, spectrum)
         vectors.clear()
         values.clear()
-        pair = simultaneous_diagonalize(Lp, Lc, spectrum)
+        pair = simultaneous_diagonalize(model)
         assert (len(vectors), len(values)) == solves, ratio
         _assert_joint_basis(pair, Lp, Lc, exact=False)
 

@@ -107,11 +107,13 @@ def _kernel_key(name: str, arrays) -> tuple:
 
 def test_analyze_computes_each_quantity_once(tmp_path, workloads, monkeypatch):
     # a census of numpy's linalg kernels over one analyze of every benchmark
-    # model kind: no input reaches a kernel twice
-    calls = []
-    for name in LINALG_KERNELS:
-        def recorded(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
-            calls.append(_kernel_key(_name, [a for a in args if isinstance(a, np.ndarray)]))
+    # model kind: no input reaches a kernel twice, and no N x N input, such as
+    # a Laplacian, is normed twice. Small inputs of equal bytes, such as zero
+    # 2 x 2 matrices, are normed more than once by right
+    calls, norms = [], []
+    for name, seen in [(name, calls) for name in LINALG_KERNELS] + [("norm", norms)]:
+        def recorded(*args, _name=name, _seen=seen, _kernel=getattr(np.linalg, name), **kwargs):
+            _seen.append(_kernel_key(_name, [a for a in args if isinstance(a, np.ndarray)]))
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recorded)
     kinds = []
@@ -123,11 +125,15 @@ def test_analyze_computes_each_quantity_once(tmp_path, workloads, monkeypatch):
              or "star N=8 " in case.label or case.label.endswith(" d=0.1")]
     assert len(kinds) == 13
     for case in kinds:
+        N = load_model(case.model).N
         calls.clear()
-        out = io.StringIO()
+        norms.clear()
         with redirect_stdout(io.StringIO()):
             cli.main(["analyze", case.model, "--format", "json"])
         repeats = {key: count for key, count in Counter(calls).items() if count > 1}
+        assert repeats == {}, case.label
+        repeats = {key: count for key, count in Counter(norms).items()
+                   if count > 1 and key[1] == ((N, N),)}
         assert repeats == {}, case.label
 
 
@@ -392,15 +398,15 @@ def _scopes_where(tree: ast.Module, match) -> set[str]:
     return scopes
 
 
-def _judge_callers(tree: ast.Module) -> set[str]:
-    """Qualified names of the functions of ``tree`` that call one of JUDGES."""
-    def judges(node) -> bool:
+def _callers(tree: ast.Module, names: set[str]) -> set[str]:
+    """Qualified names of the functions of ``tree`` that call a function named in ``names``."""
+    def calls(node) -> bool:
         if not isinstance(node, ast.Call):
             return False
         func = node.func
-        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) in JUDGES
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) in names
 
-    return _scopes_where(tree, judges)
+    return _scopes_where(tree, calls)
 
 
 def _gain_record_writers(tree: ast.Module) -> set[str]:
@@ -418,7 +424,7 @@ def test_only_certify_judges_a_gain():
     # one rule judges every gain analyze produces, Riccati or scalar-interval,
     # so no synthesis step may run a judge of its own or drop a gain it dislikes
     tree = ast.parse((ROOT / "src" / "limas" / "analysis.py").read_text(encoding="utf-8"))
-    assert _judge_callers(tree) == {"AnalysisReport._certify"}
+    assert _callers(tree, JUDGES) == {"AnalysisReport._certify"}
     synthesis_failed = [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, (ast.Raise, ast.ImportFrom))
@@ -434,6 +440,26 @@ def test_only_certify_writes_the_gain_record():
     assert _gain_record_writers(tree) == {"AnalysisReport._certify"}
     assert _gain_record_writers(ast.parse("def f(r):\n    r.x, r.mare_sigma = 1, 2\n")) == {"f"}
     assert _gain_record_writers(ast.parse("def f(r):\n    r.verdict = 1\n")) == set()
+
+
+# the functions of limas.graphs that build a model's Laplacians or check them as a pair
+LAPLACIAN_BUILDERS = {"laplacian", "commute_check", "simultaneous_diagonalize"}
+
+
+def test_only_the_model_builds_and_pairs_its_laplacians():
+    # the model builds each Laplacian once, refuses one beyond the float range
+    # there and keeps its norm, so nothing else in the package may build one or
+    # run a pair check on arrays it did not get from the model
+    callers = {f"{path.stem}.{scope}" for path in SOURCES
+               for scope in _callers(ast.parse(path.read_text(encoding="utf-8")),
+                                     LAPLACIAN_BUILDERS)}
+    assert callers == {"analysis.LimasModel._laplacian", "analysis.LimasModel.commute_check",
+                       "analysis.LimasModel.joint_spectrum"}
+    # reading the cached check is no call
+    assert _callers(ast.parse("def f(m):\n    return m.commute_check\n"), LAPLACIAN_BUILDERS) \
+        == set()
+    assert _callers(ast.parse("def f(g):\n    return graphs.laplacian(g)\n"),
+                    LAPLACIAN_BUILDERS) == {"f"}
 
 
 def test_output_digest_repeats():
