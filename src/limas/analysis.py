@@ -200,15 +200,37 @@ class LimasModel:
     @cached_property
     def coupling_check(self) -> tuple[AssumptionCheck, float | None]:
         """Is Ap proportional to A? The check and the ratio used, computed once: a declared
-        ratio as-is, else the fit <Ap, A> / <A, A>; the residual is ||Ap - alpha*A||_F."""
+        ratio as-is, else the fit <Ap, A> / <A, A>; the residual is ||Ap - alpha*A||_F.
+
+        The fit and the gate read A and Ap times 2^-e, e the frexp exponent
+        of their largest |entry|, and the residual's norm scales Ap - alpha*A
+        by its own largest entry. Both scalings are exact: at normal range
+        every bit is kept, while near the float maximum <A, A> and ||A|| no
+        longer overflow (a gate of inf held for any residual) and near the
+        minimum the residual's squares no longer underflow. The residual is
+        reported at the model's scale, inf only beyond the float range.
+        """
+        e = _largest_exponent(self.A, self.Ap)
+        A, Ap = np.ldexp(self.A, -e), np.ldexp(self.Ap, -e)
         if self.alpha is not None:
             alpha = self.alpha
         else:
-            denom = float(np.sum(self.A * self.A))
-            alpha = float(np.sum(self.Ap * self.A)) / denom if denom > 0.0 else 0.0
-        residual = float(np.linalg.norm(self.Ap - alpha * self.A))
-        holds = residual <= COUPLING_RTOL * float(np.linalg.norm(self.A))
+            denom = float(np.sum(A * A))
+            alpha = float(np.sum(Ap * A)) / denom if denom > 0.0 else 0.0
+        deviation = Ap - alpha * A
+        f = _largest_exponent(deviation)
+        size = np.linalg.norm(np.ldexp(deviation, -f))
+        # the residual passes the float maximum only for a declared alpha near
+        # it; it then reads inf and fails the gate
+        with np.errstate(over="ignore"):
+            holds = bool(np.ldexp(size, f) <= COUPLING_RTOL * np.linalg.norm(A))
+            residual = float(np.ldexp(size, f + e))
         return AssumptionCheck(holds, residual), (alpha if holds else None)
+
+
+def _largest_exponent(*arrays: np.ndarray) -> int:
+    """The frexp exponent of the largest |entry| of the arrays, 0 when all are zero."""
+    return math.frexp(max([float(np.abs(a).max()) for a in arrays]))[1]
 
 
 def _finite_alpha(alpha) -> float:

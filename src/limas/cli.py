@@ -48,9 +48,12 @@ _VERDICT_EXIT = {
 }
 
 # The trajectory CSV is formatted in blocks of this many cells, or of one row
-# when a row is longer, so the writer's temporaries (about 450 bytes a cell,
-# under 1 MB a block) do not grow with the table.
-CSV_BLOCK_CELLS = 2**11
+# when a row is longer, so the writer's temporaries (about 430 bytes a cell,
+# 3.5 MB a block) do not grow with the table. Each block pays about 80 numpy
+# calls and one write; 2^13 and 2^14 were the fastest of 2^11-2^15 on
+# N = 64-256 tables, 2^13 with half the temporaries, and the N = 256
+# simulate run itself peaks at about 7 MB.
+CSV_BLOCK_CELLS = 2**13
 # A cell whose scaled value Y lies within this of a rounding tie (fraction 1/2)
 # is formatted by Python's '%.17g'. It must exceed the error of the computed
 # fraction: 1e17 * 2^-104 for Y (see _scaled) plus 2^-53 for taking the
@@ -167,7 +170,8 @@ def _layout_table() -> tuple[np.ndarray, ...]:
     its digits 2-17 in bytes 0-15, then digit 1, '-', '.', '0' (16-19), 'e',
     '+', '-' and the exponent's three digits (20-25), its separator (26) and a
     NUL byte (27). For each key (layout, s, negative) the pattern lists the
-    alphabet bytes of the cell's text and separator, padded with NUL.
+    alphabet bytes of the cell's text and separator, padded with NUL, as
+    np.intp offsets, so that the cell's row offset adds to them in place.
     Layouts 0-20 are the fixed form of exponent X = layout - 4, and 21-24 the
     exponent form with a negative exponent (even) or three exponent digits
     (23 and 24); s is the count of significant digits.
@@ -185,7 +189,7 @@ def _layout_table() -> tuple[np.ndarray, ...]:
 
     minus, dot, zero, e, plus, e_minus, sep, nul = 17, 18, 19, 20, 21, 22, 26, 27
     digit = lambda k: 16 if k == 0 else k - 1  # the byte of digit k + 1
-    patterns = np.full((25 * 18 * 2, 25), nul, dtype=np.uint8)
+    patterns = np.full((25 * 18 * 2, 25), nul, dtype=np.intp)
     for layout in range(25):
         for s in range(1, 18):
             frac = [digit(k) for k in range(1, s)]
@@ -225,6 +229,12 @@ def _scaled(f: np.ndarray, p: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np
     lo = b - (hi - a)
     scale = ((e + E + 1023) << 52).view(np.float64)
     return hi * scale, lo * scale
+
+
+def _divmod(v: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod(v, unit), by numpy's fast division by a scalar."""
+    q = v // unit
+    return q, v - q * unit
 
 
 def _less(hi: np.ndarray, lo: np.ndarray, bound: float) -> np.ndarray:
@@ -270,10 +280,10 @@ def _format_cells(x: np.ndarray, sep: np.ndarray) -> bytes:
     X += carry
 
     groups, trailing, head, exp_head, exp_tail, patterns = _layout_table()
-    lead, rest = np.divmod(D, 10**16)
-    g1, rest = np.divmod(rest, 10**12)
-    g2, rest = np.divmod(rest, 10**8)
-    g3, g4 = np.divmod(rest, 10**4)
+    lead, rest = _divmod(D, 10**16)
+    g1, rest = _divmod(rest, 10**12)
+    g2, rest = _divmod(rest, 10**8)
+    g3, g4 = _divmod(rest, 10**4)
     s = 17 - trailing[g4]
     short = np.flatnonzero(g4 == 0)
     if short.size:
@@ -288,7 +298,8 @@ def _format_cells(x: np.ndarray, sep: np.ndarray) -> bytes:
     alphabet[:, 5] = exp_head[expo]
     alphabet[:, 6] = exp_tail[expo] | (sep.astype("<u4") << 16)
     layout = np.where((X >= -4) & (X < 17), X + 4, 21 + (X < 0) + 2 * (expo >= 100))
-    index = patterns[(layout * 18 + s) * 2 + (x < 0)] + np.arange(0, 28 * n, 28)[:, None]
+    index = np.take(patterns, (layout * 18 + s) * 2 + (x < 0), axis=0)
+    index += np.arange(0, 28 * n, 28)[:, None]
     out = np.take(alphabet.view(np.uint8).ravel(), index)
     for k in np.flatnonzero(~fast).tolist():
         cell = ("%.17g" % x[k]).encode("ascii") + bytes((sep[k],))

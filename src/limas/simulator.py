@@ -80,9 +80,10 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     """Iterate the consensus mean and the stacked deviation for ``steps`` updates.
 
     The deviation update is the :func:`closed_loop_matrix` buffer with A/N
-    subtracted from every block in place, and the per-agent norms scale each
-    agent by a power of two; both run one entry of A or one state component
-    at a time, so each numpy call spans N blocks or N agents, not n entries.
+    subtracted from every block in place, one entry of A at a time. The
+    per-agent norms scale each agent by a power of two, then square and sum
+    one state component at a time, in the order of numpy's own reduction.
+    So each numpy call spans N blocks or N agents, not n entries.
     Raises Overflow with the first step at which an entry of the mean or of
     the deviation is beyond max / (N n) in magnitude, max the largest
     float, or nan. Within that bound every per-agent norm (at most sqrt(n)
@@ -126,27 +127,57 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     if not within.all():
         raise Overflow(int(np.argmin(within)))
 
-    # each agent's block is scaled by the power of two of its largest entry, an
-    # exact operation, so squaring a deviation below 1e-154 cannot underflow
-    scaled, exponent = _scaled_by_largest_entry(deviations.reshape(steps + 1, N, n))
-    delta_norms = np.ldexp(np.linalg.norm(scaled, axis=2), exponent)
-    return Trajectory(delta_norms, xbar)
+    return Trajectory(_agent_norms(deviations.reshape(steps + 1, N, n)), xbar)
 
 
-def _scaled_by_largest_entry(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each block blocks[t, i] times 2^-e and e, the frexp exponent of its
-    largest |entry|; the maximum and the scaling run one component at a time.
-    Its temporaries are freed on return, so they are gone before the
-    caller's norm squares the scaled blocks into one more array of their size."""
+def _agent_norms(blocks: np.ndarray) -> np.ndarray:
+    """The 2-norm of each block blocks[t, i], one component at a time.
+
+    Each block is scaled by 2^-e, e the frexp exponent of its largest
+    |entry|, an exact operation, so squaring a deviation below 1e-154
+    cannot underflow. The squares are summed in the order of numpy's own
+    reduction (_pairwise_sum) and the root is scaled back by 2^e, so each
+    norm has the bits of np.linalg.norm of the scaled block."""
+    T, N, n = blocks.shape
     largest = np.abs(blocks[..., 0])
-    for j in range(1, blocks.shape[2]):
+    for j in range(1, n):
         np.maximum(largest, np.abs(blocks[..., j]), out=largest)
     exponent = np.frexp(largest)[1]
     shift = -exponent
-    scaled = np.empty_like(blocks)
-    for j in range(blocks.shape[2]):
-        np.ldexp(blocks[..., j], shift, out=scaled[..., j])
-    return scaled, exponent
+    squares = np.empty((n, T, N))
+    for j in range(n):
+        np.ldexp(blocks[..., j], shift, out=squares[j])
+    np.square(squares, out=squares)
+    total = _pairwise_sum(squares, 0, n)
+    return np.ldexp(np.sqrt(total, out=total), exponent)
+
+
+def _pairwise_sum(terms: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """terms[lo] + ... + terms[lo + count - 1], summed in place into terms[lo]
+    in the order numpy's pairwise summation takes along a reduced axis: in
+    index order below 8 terms; up to 128, eight running sums over blocks of
+    eight, joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest in order;
+    beyond that, the two halves, the first a multiple of 8 long, each alone."""
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        total = _pairwise_sum(terms, lo, half)
+        total += _pairwise_sum(terms, lo + half, count - half)
+        return total
+    total = terms[lo]
+    if count < 8:
+        for k in range(lo + 1, lo + count):
+            total += terms[k]
+        return total
+    blocked = count - count % 8
+    for start in range(lo + 8, lo + blocked, 8):
+        terms[lo:lo + 8] += terms[start:start + 8]
+    sums = terms[lo:lo + 8]
+    sums[0::2] += sums[1::2]
+    sums[0::4] += sums[2::4]
+    total += sums[4]
+    for k in range(lo + blocked, lo + count):
+        total += terms[k]
+    return total
 
 
 @dataclass(frozen=True)

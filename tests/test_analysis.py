@@ -1085,6 +1085,33 @@ def test_coupling_gate_is_free_of_scale():
             LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
 
 
+def test_coupling_gate_holds_its_ground_near_the_float_limits():
+    # ||A||_F overflows for A = diag(1e308, 1e308), though A is finite; the fit
+    # and the gate read A and Ap scaled by a power of two, so they neither
+    # overflow nor warn (warnings are errors in this suite)
+    A = np.diag([1e308, 1e308])
+    gp = gc = WeightedGraph.path(3)
+    Ap = np.array([[0.0, 5.0], [7.0, 0.0]])
+    with pytest.raises(ValueError, match="^Ap and alpha disagree: .* = 4.24264e\\+307$"):
+        LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap, alpha=0.3)
+    # the fit is 0, and ||Ap|| = sqrt(74) is far below 1e-9 ||A||: the gate holds
+    check, fitted = LimasModel(A, B_SHOWCASE, gp, gc, Ap=Ap).coupling_check
+    assert check.holds and fitted == 0.0 and check.residual == np.sqrt(74.0)
+    # an Ap of A's own size orthogonal to it fails, its residual at the float maximum
+    check, fitted = LimasModel(A, B_SHOWCASE, gp, gc, Ap=A[::-1]).coupling_check
+    assert not check.holds and fitted is None and check.residual == np.hypot(1e308, 1e308)
+    # a relative drift fails alike at unit scale, near the float maximum, where
+    # <A, A> overflows, and near the minimum, where the squares underflow
+    drift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    residuals = []
+    for c in (1.0, 1e300, 1e-300):
+        A = c * A_SHOWCASE
+        check, fitted = LimasModel(A, B_SHOWCASE, gp, gc, Ap=0.3 * A + c * drift).coupling_check
+        assert not check.holds and fitted is None
+        residuals.append(check.residual / c)
+    assert residuals == pytest.approx([residuals[0]] * 3)
+
+
 def test_model_rejects_non_finite_alpha():
     # with Ap given, NaN would pass the drift check, since nan > tol is False
     g = WeightedGraph(2, [(0, 1, 1.0)])

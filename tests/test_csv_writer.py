@@ -1,7 +1,8 @@
-"""The simulate CSV writer against Python's '%.17g', byte for byte."""
+"""The simulate CSV writer against Python's '%.17g', byte for byte, and its peak memory."""
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -82,3 +83,20 @@ def test_table_over_several_blocks_matches_savetxt(block_cells, tmp_path, monkey
     np.savetxt(reference, table, fmt=["%d"] + ["%.17g"] * (cols - 1), delimiter=",",
                header=header, comments="")
     assert ours.read_bytes() == reference.read_bytes()
+
+
+def test_writer_memory_stays_bounded(tmp_path):
+    # a 301 x 259 table, the N = 256, n = 2 simulate of 300 steps: at 2^13
+    # cells a block the traced peak was 3.54 MB (0.81 MB at 2^11, 7.19 MB at
+    # 2^14, 34.3 MB at 2^17); the bound is that peak plus 25 %
+    rng = np.random.default_rng(259)
+    table = np.column_stack((np.arange(301), rng.uniform(-1.0, 1.0, (301, 258))
+                             * np.exp(rng.uniform(-40.0, 40.0, (301, 258)))))
+    cli._pow10_table(), cli._layout_table()  # built before the trace
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "table.csv", "header", table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 3.54e6

@@ -19,7 +19,7 @@ from limas import (
     simulate,
 )
 from limas.errors import Overflow, ShapeMismatch
-from limas.simulator import ConvergenceMetrics
+from limas.simulator import ConvergenceMetrics, _agent_norms
 from conftest import (
     broadcast_agent_norms,
     broadcast_deviation_loop,
@@ -342,6 +342,16 @@ def test_simulate_summaries_match_loop_reference(N, n):
         assert _relative_step_error(traj.delta_norms, delta_norms) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 17, 127, 128, 129, 136, 300])
+def test_agent_norms_sum_in_the_order_of_numpy(n):
+    # one component at a time, the squares are summed in the order of numpy's
+    # pairwise reduction: its blocks of eight and, past 128 terms, its halves
+    rng = np.random.default_rng(n)
+    deviations = rng.choice([-1.0, 1.0], (6, 3 * n)) * np.exp(rng.uniform(-40.0, 40.0, (6, 3 * n)))
+    norms = _agent_norms(deviations.reshape(6, 3, n))
+    assert norms.tobytes() == broadcast_agent_norms(deviations, 3, n).tobytes()
+
+
 def _paired_state(rng, N: int, n: int, scales) -> np.ndarray:
     """Agent 0 at zero and the others in adjacent pairs +p, -p (the last agent
     at zero when N is even): the mean is exactly zero, so agent 0 starts at
@@ -353,12 +363,12 @@ def _paired_state(rng, N: int, n: int, scales) -> np.ndarray:
     return x.ravel()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9])
 @pytest.mark.parametrize("N", [2, 5, 17])
 def test_simulate_matches_the_broadcast_passes_bit_for_bit(N, n):
     # the consensus shift and the power-of-two scaled per-agent norms give the
-    # bytes of the broadcast expressions, sign bits included; n = 9 is past the
-    # eight terms numpy sums in order before its pairwise reduction. States
+    # bytes of the broadcast expressions, sign bits included; numpy sums up to
+    # seven terms in order and from n = 8 on pairwise. States
     # near 1e-160 would underflow when squared unscaled, and near 1e160
     # would overflow
     rng = np.random.default_rng([N, n, 7])
