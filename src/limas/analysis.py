@@ -24,7 +24,11 @@ consensus, and synthesizes that gain when its sufficient condition holds:
 
 Each public check takes the model (and a gain) alone, so nothing computed
 from one model reaches another; only :func:`analyze` synthesizes the Riccati
-gain and writes a certificate.
+gain and writes a certificate. The sufficient and necessary conditions and
+the modal radii share one cached stack of the model's paired deviation
+modes: mode i is (A - lp_i*Ap) + lc_i*B*K for the joint eigenvalues lp_i and
+lc_i. The controllability and scalar checks read the sorted spectra instead,
+as they need no commuting Laplacians.
 """
 
 from __future__ import annotations
@@ -91,8 +95,9 @@ class LimasModel:
 
     What the conditions read of the plant is computed once, on first access,
     and kept: the Laplacians, their Frobenius norms, their sorted spectra,
-    their joint spectrum and the commute, controllability and coupling
-    checks. The conditions take the model alone and read these from it.
+    their joint spectrum, the paired deviation modes and the commute,
+    controllability and coupling checks. The conditions take the model alone
+    and read these from it.
     """
 
     n: int
@@ -116,7 +121,9 @@ class LimasModel:
         if alpha is not None:
             alpha = _finite_alpha(alpha)
         if Ap is None:
-            Ap = alpha * A
+            # an overflow is for as_matrix to refuse, not for numpy to warn of
+            with np.errstate(over="ignore"):
+                Ap = alpha * A
         Ap = as_matrix(Ap, rows=n, cols=n, name="Ap")
         object.__setattr__(self, "n", n)
         # own copies, frozen, so the model never aliases caller arrays
@@ -125,9 +132,9 @@ class LimasModel:
         object.__setattr__(self, "B", _frozen(B.copy()))
         object.__setattr__(self, "alpha", alpha)
         # a declared ratio is judged by the coupling check that analysis reads
-        coupling = self.coupling_check[0] if alpha is not None else None
-        if coupling is not None and not coupling.holds:
-            raise ValueError(f"Ap and alpha disagree: ||Ap - alpha*A|| = {coupling.residual:g}")
+        if alpha is not None and not self.coupling_check[0].holds:
+            raise ValueError("Ap and alpha disagree: "
+                             f"||Ap - alpha*A|| = {self.coupling_check[0].residual:g}")
         if not isinstance(gp, WeightedGraph) or not isinstance(gc, WeightedGraph):
             raise ValueError("gp and gc must be WeightedGraph instances")
         if gp.node_count != gc.node_count:
@@ -191,6 +198,19 @@ class LimasModel:
         if not commute.holds:
             raise NotCommuting(f"Laplacians do not commute (residual {commute.residual:g})")
         return simultaneous_diagonalize(self)
+
+    @cached_property
+    def _deviation_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The paired deviation modes that the conditions read, computed once.
+
+        (lambda_p, lambda_c, open_loop): the joint_spectrum entries 1: and the
+        read-only stack of open-loop mode matrices A - lambda_p[i] * Ap. Under a
+        gain K, mode i is open_loop[i] + lambda_c[i] * B K. Raises what
+        joint_spectrum raises.
+        """
+        spec = self.joint_spectrum
+        lambda_p, lambda_c = spec.lambda_p[1:], spec.lambda_c[1:]
+        return lambda_p, lambda_c, _frozen(self.A - lambda_p[:, None, None] * self.Ap)
 
     @cached_property
     def controllability_check(self) -> AssumptionCheck:
@@ -322,20 +342,20 @@ def _communication_modes(model: LimasModel, lam_c) -> np.ndarray:
 def sufficient_check(model: LimasModel) -> SufficientResult:
     """Evaluate the sufficient condition and the midpoint gain scale.
 
-    Reads the model's joint_spectrum, so it raises NotCommuting or
-    DegenerateSpectrum without one; per-mode controllability and
+    Reads the model's paired deviation modes, so it raises NotCommuting or
+    DegenerateSpectrum without a joint_spectrum; per-mode controllability and
     proportional coupling are required too (AssumptionViolated if not).
     The extremes of alpha_i / lambda_cj range over modes i and j
     independently, while the reported sigma_modes pair modes positionally.
     A term beyond the float range is inf (or 0 by underflow), and ``holds``
     needs lhs, rhs and every sigma mode finite.
     """
-    spec = model.joint_spectrum
-    lam_c = _communication_modes(model, spec.lambda_c[1:])
+    lam_p, lam_c, _ = model._deviation_modes
+    lam_c = _communication_modes(model, lam_c)
     a3, alpha = model.coupling_check
     if not a3.holds:
         raise AssumptionViolated(3, f"coupling residual {a3.residual:g}")
-    alpha_i = 1.0 - alpha * spec.lambda_p[1:]
+    alpha_i = 1.0 - alpha * lam_p
     mags = np.abs(alpha_i)
     alpha_min, alpha_max = float(mags.min()), float(mags.max())
 
@@ -552,15 +572,13 @@ def _riccati_defect(Abar, B, sigma: float, P, eye):
 def modal_radii(model: LimasModel, K) -> np.ndarray:
     """Spectral radius of every non-consensus mode A - lp*Ap + lc*BK.
 
-    The modes pair positionally in the model's joint_spectrum, which exists
-    only for commuting Laplacians (NotCommuting or DegenerateSpectrum
-    otherwise). All radii below one certifies consensus.
+    The modes are the model's paired deviation modes, which exist only for
+    commuting Laplacians (NotCommuting or DegenerateSpectrum otherwise). All
+    radii below one certifies consensus.
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
-    spec = model.joint_spectrum
-    modes = (model.A - spec.lambda_p[1:, None, None] * model.Ap
-             + spec.lambda_c[1:, None, None] * (model.B @ K))
-    return np.abs(eig_general(modes)).max(axis=1)
+    _, lam_c, open_loop = model._deviation_modes
+    return np.abs(eig_general(open_loop + lam_c[:, None, None] * (model.B @ K))).max(axis=1)
 
 
 def _synthesize(model: LimasModel, sufficient: SufficientResult
@@ -611,11 +629,11 @@ class NecessaryResult:
 def necessary_check(model: LimasModel) -> NecessaryResult:
     """Evaluate the determinant-based necessary condition.
 
-    Requires the model's joint_spectrum (NotCommuting or DegenerateSpectrum
-    without one) and per-mode controllability, but not proportional
-    coupling. gamma_c is the communication eigenratio lambda_c_max /
-    lambda_c_min over modes, and ``dets`` are the |det M_i| of the mode
-    matrices M_i = A - lp_i*Ap.
+    Requires the model's paired deviation modes (NotCommuting or
+    DegenerateSpectrum without a joint_spectrum) and per-mode
+    controllability, but not proportional coupling. gamma_c is the
+    communication eigenratio lambda_c_max / lambda_c_min over modes, and
+    ``dets`` are the |det M_i| of the open-loop mode matrices M_i = A - lp_i*Ap.
 
     ``holds`` is False only when no gain can make every mode's determinant
     smaller than one in magnitude. By the matrix determinant lemma,
@@ -629,11 +647,10 @@ def necessary_check(model: LimasModel) -> NecessaryResult:
     end's magnitude. For n >= 2 without proportional coupling it always
     holds.
     """
-    spec = model.joint_spectrum
-    lam_c = _communication_modes(model, spec.lambda_c[1:])
+    lam_p, lam_c, open_loop = model._deviation_modes
+    lam_c = _communication_modes(model, lam_c)
     gamma_c = float(lam_c.max()) / float(lam_c.min())
-    modes = model.A - spec.lambda_p[1:, None, None] * model.Ap
-    signed = np.linalg.det(modes)
+    signed = np.linalg.det(open_loop)
     dets = tuple(np.abs(signed).tolist())
     det_min, det_max = min(dets), max(dets)
     lhs = abs(gamma_c * det_min - det_max)
@@ -641,7 +658,7 @@ def necessary_check(model: LimasModel) -> NecessaryResult:
     holds = True
     alpha = 0.0 if model.n == 1 else model.coupling_check[1]
     if alpha is not None:
-        slopes = lam_c * (1.0 - alpha * spec.lambda_p[1:]) ** (model.n - 1)
+        slopes = lam_c * (1.0 - alpha * lam_p) ** (model.n - 1)
         ends = (np.array([[-1.0], [1.0]]) - signed) / slopes
         gap = ends.min(axis=0).max() - ends.max(axis=0).min()
         holds = bool(gap <= REFUTATION_RTOL * np.abs(ends).max())

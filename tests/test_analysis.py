@@ -1042,6 +1042,10 @@ def test_model_input_checks():
     with pytest.raises(ValueError,
                        match="^physical and communication graphs disagree on node count$"):
         LimasModel(A_SHOWCASE, B_SHOWCASE, gp, WeightedGraph.complete(5), alpha=0.3)
+    # Ap = alpha * A overflows; as_matrix refuses it, and numpy warns of nothing
+    # (warnings are errors in this suite)
+    with pytest.raises(ValueError, match="^Ap contains non-finite entries$"):
+        LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc, alpha=1e308)
 
 
 def test_model_alpha_consistency():
@@ -1485,6 +1489,9 @@ def test_model_laplacians_are_read_only_and_no_kernel_writes_its_arguments():
     for L in (model.laplacian_p, model.laplacian_c):
         with pytest.raises(ValueError):
             L[0, 0] = 1.0
+    open_loop = model._deviation_modes[2]
+    with pytest.raises(ValueError):
+        open_loop[0, 0, 0] = 1.0
     # writeable arguments, so that a write would land instead of raising
     K = rng.uniform(-1.0, 1.0, (1, 2))
     x0 = rng.uniform(0.0, 10.0, 12)

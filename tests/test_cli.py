@@ -562,24 +562,31 @@ def test_a_laplacian_beyond_the_float_range_is_refused_by_every_command(
 def test_the_oracle_refuses_a_projection_beyond_the_float_range(tmp_path, capsys):
     # A = 1e308 leaves the Laplacians finite, but the projection of the loop
     # overflows; the oracle refuses it before any eigensolve instead of
-    # printing "best_radius": NaN. With Ap in place of alpha nothing warns
-    model_path, gain_path = _path_pair_files(tmp_path, 1.0, A=1e308, Ap=3e307)
-    for extra in (["--count", "101"], ["--gain", gain_path]):
-        assert main(["oracle", model_path, *extra]) == 1
+    # printing "best_radius": NaN. Neither Ap nor a declared alpha warns
+    for plant in ({"Ap": 3e307}, {"alpha": 0.3}):
+        model_path, gain_path = _path_pair_files(tmp_path, 1.0, A=1e308, **plant)
+        for extra in (["--count", "101"], ["--gain", gain_path]):
+            assert main(["oracle", model_path, *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == \
+                "error: the projected deviation matrix contains non-finite entries\n"
+
+
+def test_a_declared_ratio_beyond_the_float_range_is_refused_by_every_command(
+        tmp_path, capsys):
+    # Ap = alpha * A overflows as the model is built; every command refuses it
+    # with one error line, and numpy warns of nothing (warnings are errors here)
+    model_path, gain_path = _path_pair_files(tmp_path, 1.0, A=4.0, alpha=1e308)
+    csv_path = tmp_path / "t.csv"
+    for argv in (["analyze", model_path],
+                 ["simulate", model_path, "--gain", gain_path, "--out-csv", str(csv_path)],
+                 ["oracle", model_path, "--count", "101"],
+                 ["oracle", model_path, "--gain", gain_path]):
+        assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: the projected deviation matrix contains non-finite entries\n"
-    # a declared alpha = 0.3 warns as the model is built (||A||_F overflows),
-    # so that file runs in its own process, where a warning is no error
-    model_path, _ = _path_pair_files(tmp_path, 1.0, A=1e308, alpha=0.3)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "limas.cli", "oracle", model_path],
-                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert (run.returncode, run.stdout) == (1, "")
-    assert run.stderr.endswith(
-        "error: the projected deviation matrix contains non-finite entries\n")
+        assert (captured.out, captured.err) == ("", "error: Ap contains non-finite entries\n")
+    assert not csv_path.exists()
 
 
 def test_oracle_verify_mode(showcase_file, tmp_path, capsys):

@@ -176,7 +176,7 @@ def test_public_names_are_pinned():
 # What a model's checks compute from it, by type and by parameter name. A
 # public callable that took one could be handed a value of another model.
 MODEL_VALUE_TYPES = ("SpectralPair", "SufficientResult", "NecessaryResult", "ScalarResult")
-MODEL_VALUE_PARAMS = ("radii", "sufficient", "spec", "lambda_p", "lambda_c")
+MODEL_VALUE_PARAMS = ("radii", "sufficient", "spec", "lambda_p", "lambda_c", "open_loop")
 
 
 def test_no_public_callable_takes_a_value_computed_from_a_model():
@@ -460,6 +460,27 @@ def test_only_the_model_builds_and_pairs_its_laplacians():
         == set()
     assert _callers(ast.parse("def f(g):\n    return graphs.laplacian(g)\n"),
                     LAPLACIAN_BUILDERS) == {"f"}
+
+
+def _attribute_readers(tree: ast.Module, attr: str) -> set[str]:
+    """Qualified names of the functions of ``tree`` that read an attribute named ``attr``."""
+    return _scopes_where(tree, lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == attr and isinstance(node.ctx, ast.Load))
+
+
+def test_the_conditions_read_one_stack_of_paired_modes():
+    # the model pairs its deviation modes and forms A - lp*Ap once; the
+    # conditions read that owner, and only analyze reads the full paired
+    # lists for its report, so no condition slices or forms them anew
+    tree = ast.parse((ROOT / "src" / "limas" / "analysis.py").read_text(encoding="utf-8"))
+    assert _attribute_readers(tree, "joint_spectrum") == {"LimasModel._deviation_modes",
+                                                          "analyze"}
+    assert _attribute_readers(tree, "_deviation_modes") == {"sufficient_check",
+                                                            "necessary_check", "modal_radii"}
+    assert _attribute_readers(ast.parse("def f(m):\n    return m.joint_spectrum.lambda_p\n"),
+                              "joint_spectrum") == {"f"}
+    assert _attribute_readers(ast.parse("def f(m):\n    m.joint_spectrum = 1\n"),
+                              "joint_spectrum") == set()
 
 
 def test_output_digest_repeats():
