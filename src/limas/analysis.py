@@ -578,7 +578,10 @@ def modal_radii(model: LimasModel, K) -> np.ndarray:
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
     _, lam_c, open_loop = model._deviation_modes
-    return np.abs(eig_general(open_loop + lam_c[:, None, None] * (model.B @ K))).max(axis=1)
+    # a gain beyond the float range gives inf entries, which eig_general refuses
+    with np.errstate(over="ignore"):
+        modes = open_loop + lam_c[:, None, None] * (model.B @ K)
+    return np.abs(eig_general(modes)).max(axis=1)
 
 
 def _synthesize(model: LimasModel, sufficient: SufficientResult

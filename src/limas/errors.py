@@ -10,7 +10,7 @@ class ShapeMismatch(LimasError):
 
 
 class NoConvergence(LimasError):
-    """An eigenvalue iteration failed to converge."""
+    """An eigenvalue or singular value iteration failed to converge."""
 
 
 class NotCommuting(LimasError):

@@ -93,7 +93,15 @@ def controllability_matrix(M, B: np.ndarray) -> np.ndarray:
 def controllability_singular_values(M, B: np.ndarray) -> np.ndarray:
     """Descending singular values of :func:`controllability_matrix`, one row per stacked
     matrix; ``B`` is validated by the caller, as there."""
-    return np.linalg.svd(controllability_matrix(M, B), compute_uv=False)
+    return _singular_values(controllability_matrix(M, B))
+
+
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """Descending singular values of ``M``, or of each matrix of a stack."""
+    try:
+        return np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def has_rank(sv: np.ndarray, n: int) -> np.bool_ | np.ndarray:
@@ -108,7 +116,7 @@ def has_rank(sv: np.ndarray, n: int) -> np.bool_ | np.ndarray:
 
 def has_full_row_rank(C) -> bool:
     """Does the n x m matrix ``C`` have rank n, by :func:`has_rank` on its singular values?"""
-    return bool(has_rank(np.linalg.svd(C, compute_uv=False), C.shape[0]))
+    return bool(has_rank(_singular_values(C), C.shape[0]))
 
 
 def is_controllable(M, B) -> bool:

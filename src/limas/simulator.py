@@ -43,18 +43,21 @@ def closed_loop_matrix(model: LimasModel, K) -> np.ndarray:
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
     N, n = model.N, model.n
-    A, Ap, BK = model.A, model.Ap, model.B @ K
-    Lp, Lc = model.laplacian_p, model.laplacian_c
+    A, Ap, Lp, Lc = model.A, model.Ap, model.laplacian_p, model.laplacian_c
     loop = np.empty((N, n, N, n))
     diagonal = np.arange(N)
     term = np.empty((N, N))
-    for a in range(n):
-        for b in range(n):
-            block = loop[:, a, :, b]
-            block.fill(0.0 * A[a, b])
-            block[diagonal, diagonal] = A[a, b]
-            block -= np.multiply(Lp, Ap[a, b], out=term)
-            block += np.multiply(Lc, BK[a, b], out=term)
+    # a gain beyond the float range gives inf and nan entries, which the
+    # callers refuse: simulate by its Overflow, the oracle by its gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        BK = model.B @ K
+        for a in range(n):
+            for b in range(n):
+                block = loop[:, a, :, b]
+                block.fill(0.0 * A[a, b])
+                block[diagonal, diagonal] = A[a, b]
+                block -= np.multiply(Lp, Ap[a, b], out=term)
+                block += np.multiply(Lc, BK[a, b], out=term)
     return loop.reshape(N * n, N * n)
 
 
@@ -80,10 +83,10 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     """Iterate the consensus mean and the stacked deviation for ``steps`` updates.
 
     The deviation update is the :func:`closed_loop_matrix` buffer with A/N
-    subtracted from every block in place, one entry of A at a time. The
-    per-agent norms scale each agent by a power of two, then square and sum
-    one state component at a time, in the order of numpy's own reduction.
-    So each numpy call spans N blocks or N agents, not n entries.
+    subtracted from every block in place, one entry of A at a time, so each
+    numpy call spans N blocks, not n entries. The per-agent norms scale
+    each agent by a power of two and have the bits of np.linalg.norm of the
+    scaled agent; see :func:`_agent_norms`.
     Raises Overflow with the first step at which an entry of the mean or of
     the deviation is beyond max / (N n) in magnitude, max the largest
     float, or nan. Within that bound every per-agent norm (at most sqrt(n)
@@ -131,53 +134,32 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
 
 
 def _agent_norms(blocks: np.ndarray) -> np.ndarray:
-    """The 2-norm of each block blocks[t, i], one component at a time.
+    """The 2-norm of each block blocks[t, i], with the bits of np.linalg.norm.
 
     Each block is scaled by 2^-e, e the frexp exponent of its largest
     |entry|, an exact operation, so squaring a deviation below 1e-154
-    cannot underflow. The squares are summed in the order of numpy's own
-    reduction (_pairwise_sum) and the root is scaled back by 2^e, so each
-    norm has the bits of np.linalg.norm of the scaled block."""
+    cannot underflow, and the root is scaled back by 2^e. numpy sums fewer
+    than eight terms along a reduced axis in index order, and more in its
+    own pairwise blocks, so below n = 8 the squares are summed one
+    component at a time, each numpy call spanning T N agents; from n = 8 on
+    the scaled blocks go to np.linalg.norm itself."""
     T, N, n = blocks.shape
     largest = np.abs(blocks[..., 0])
     for j in range(1, n):
         np.maximum(largest, np.abs(blocks[..., j]), out=largest)
     exponent = np.frexp(largest)[1]
+    if n >= 8:
+        return np.ldexp(np.linalg.norm(np.ldexp(blocks, -exponent[..., None]), axis=2),
+                        exponent)
     shift = -exponent
     squares = np.empty((n, T, N))
     for j in range(n):
         np.ldexp(blocks[..., j], shift, out=squares[j])
     np.square(squares, out=squares)
-    total = _pairwise_sum(squares, 0, n)
+    total = squares[0]
+    for j in range(1, n):
+        total += squares[j]
     return np.ldexp(np.sqrt(total, out=total), exponent)
-
-
-def _pairwise_sum(terms: np.ndarray, lo: int, count: int) -> np.ndarray:
-    """terms[lo] + ... + terms[lo + count - 1], summed in place into terms[lo]
-    in the order numpy's pairwise summation takes along a reduced axis: in
-    index order below 8 terms; up to 128, eight running sums over blocks of
-    eight, joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest in order;
-    beyond that, the two halves, the first a multiple of 8 long, each alone."""
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        total = _pairwise_sum(terms, lo, half)
-        total += _pairwise_sum(terms, lo + half, count - half)
-        return total
-    total = terms[lo]
-    if count < 8:
-        for k in range(lo + 1, lo + count):
-            total += terms[k]
-        return total
-    blocked = count - count % 8
-    for start in range(lo + 8, lo + blocked, 8):
-        terms[lo:lo + 8] += terms[start:start + 8]
-    sums = terms[lo:lo + 8]
-    sums[0::2] += sums[1::2]
-    sums[0::4] += sums[2::4]
-    total += sums[4]
-    for k in range(lo + blocked, lo + count):
-        total += terms[k]
-    return total
 
 
 @dataclass(frozen=True)

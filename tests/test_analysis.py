@@ -26,6 +26,7 @@ from limas.analysis import CONNECTIVITY_FLOOR, COUPLING_RTOL
 from limas.errors import (
     AssumptionViolated,
     Divergence,
+    NoConvergence,
     NotCommuting,
     NotControllable,
     NotScalar,
@@ -1003,6 +1004,26 @@ def test_modal_radii_decoupled_zero_gain():
     model = four_agent_model(alpha=0.0)
     radii = modal_radii(model, np.zeros((1, 2)))
     assert np.allclose(radii, 1.5, atol=1e-12)  # spectral radius of A
+
+
+def test_modal_radii_refuse_a_gain_beyond_the_float_range_without_a_warning():
+    # the modes of K = 1e308 overflow to inf, which eig_general refuses; numpy
+    # warns of nothing (warnings are errors here)
+    with pytest.raises(NoConvergence):
+        modal_radii(four_agent_model(), [[1e308, 1e308]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_svd_that_does_not_converge_is_no_convergence():
+    # the Krylov matrix of 1e200 * triu(ones(4)) overflows (numpy warns of it),
+    # and LAPACK's SVD of it fails; both the controllability check and the
+    # MARE's stabilizability check raise a LimasError, not numpy's LinAlgError
+    A, B = 1e200 * np.triu(np.ones((4, 4))), np.ones((4, 1))
+    model = LimasModel(A, B, WeightedGraph.path(3), WeightedGraph.complete(3), alpha=0.25)
+    with pytest.raises(NoConvergence, match="^SVD did not converge$"):
+        analyze(model)
+    with pytest.raises(NoConvergence, match="^SVD did not converge$"):
+        solve_mare(A, B, 0.5)
 
 
 def test_modal_radii_scalar_formula():

@@ -589,6 +589,25 @@ def test_a_declared_ratio_beyond_the_float_range_is_refused_by_every_command(
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("command, error", [
+    ("oracle", "the projected deviation matrix contains non-finite entries"),
+    ("simulate", "state overflow at step 1")], ids=["oracle", "simulate"])
+def test_a_gain_beyond_the_float_range_is_refused_without_a_warning(
+        command, error, showcase_file, tmp_path, capsys):
+    # the loop of K = 1e308 overflows as it is formed; the oracle's gate and
+    # simulate's Overflow refuse it with one error line, and numpy warns of
+    # nothing (warnings are errors here)
+    gain_path, csv_path = tmp_path / "gain.json", tmp_path / "t.csv"
+    gain_path.write_text('{"K": [1e308, 1e308]}')
+    argv = {"oracle": ["oracle", showcase_file, "--gain", str(gain_path)],
+            "simulate": ["simulate", showcase_file, "--gain", str(gain_path),
+                         "--out-csv", str(csv_path)]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert not csv_path.exists()
+
+
 def test_oracle_verify_mode(showcase_file, tmp_path, capsys):
     gain_path = tmp_path / "gain.json"
     gain_path.write_text('{"K": [0.0, -0.3412]}')
