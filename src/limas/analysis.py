@@ -46,7 +46,6 @@ from .errors import (
     NotCommuting,
     NotControllable,
     NotScalar,
-    ShapeMismatch,
 )
 from .graphs import (
     AssumptionCheck,
@@ -111,10 +110,8 @@ class LimasModel:
 
     def __init__(self, A, B, gp: WeightedGraph, gc: WeightedGraph,
                  Ap=None, alpha: float | None = None):
-        A = as_matrix(A, name="A")
+        A = as_square(A, name="A")
         n = A.shape[0]
-        if A.shape[1] != n:
-            raise ShapeMismatch(f"A must have {n} columns, got {A.shape[1]}")
         B = as_matrix(B, rows=n, cols=1, name="B")
         if Ap is None and alpha is None:
             raise ValueError("provide Ap, alpha, or both")

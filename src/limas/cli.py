@@ -60,8 +60,8 @@ CSV_BLOCK_CELLS = 2**13
 # fraction, about 5.0e-15 together.
 CSV_TIE_MARGIN = 1e-12
 # Exponents p of the table 10^p: 16 - X for the decimal exponents X of
-# float64 (-324 to 308), and one beyond at each end for the correction of X.
-_POW10_MIN, _POW10_MAX = 16 - 309, 16 + 325
+# float64 (-324 to 308).
+_POW10_MIN, _POW10_MAX = 16 - 308, 16 + 324
 _SPLITTER = 2.0**27 + 1.0  # Dekker's split of a double into two 26-bit halves
 
 
@@ -237,21 +237,18 @@ def _divmod(v: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
     return q, v - q * unit
 
 
-def _less(hi: np.ndarray, lo: np.ndarray, bound: float) -> np.ndarray:
-    """Where hi + lo < bound, for |lo| at most half an ulp of hi, without rounding."""
-    return (hi < bound) | ((hi == bound) & (lo < 0))
-
-
 def _format_cells(x: np.ndarray, sep: np.ndarray) -> bytes:
     """The bytes of '%.17g' % v followed by its separator, for each v in x.
 
     For finite nonzero v, Y = |v| * 10^(16 - X) with X = floor(log10|v|)
     lies in [1e16, 1e17), and %.17g prints the digits of D = round(Y) (ties
-    to even) at exponent X, or 1e16 at X + 1 when D = 1e17. Y is formed as a
-    double-double (_scaled); X comes from log10 and is corrected by one where
-    Y falls outside. Where the computed fraction of Y is within
-    CSV_TIE_MARGIN of 1/2, where a correction is not enough, and for zero,
-    infinity and NaN, the cell is formatted by Python's '%.17g'. So every
+    to even) at exponent X. Y is formed as a double-double hi + lo
+    (_scaled), X from log10. Where hi lies strictly inside (1e16, 1e17),
+    hi + lo lies within [1e16 + 1, 1e17 - 8] (the ulp of hi is 2 to 16 and
+    |lo| at most half of it) and Y within 5e-15 of it, so X is the true
+    exponent and D < 1e17. Every other cell is formatted by Python's
+    '%.17g': one whose hi falls outside, one whose computed fraction of Y
+    lies within CSV_TIE_MARGIN of 1/2, and zero, infinity and NaN. So every
     cell is exact, not close.
     """
     n = x.size
@@ -260,24 +257,10 @@ def _format_cells(x: np.ndarray, sep: np.ndarray) -> bytes:
     f, e = np.frexp(mag)
     X = np.floor(np.log10(mag)).astype(np.int64)
     hi, lo = _scaled(f, 16 - X, e)
-    # A Y within its error of 1e16 or 1e17 may land on either side, and
-    # either side prints the same: D then rounds to the power of ten.
-    high = ~_less(hi, lo, 1e17)
-    moved = np.flatnonzero(_less(hi, lo, 1e16) | high)
-    if moved.size:
-        X[moved] += np.where(high[moved], 1, -1)
-        hi[moved], lo[moved] = _scaled(f[moved], 16 - X[moved], e[moved])
-        hi_m, lo_m = hi[moved], lo[moved]
-        stuck = moved[_less(hi_m, lo_m, 1e16) | ~_less(hi_m, lo_m, 1e17)]
-        fast[stuck] = False
-        hi[stuck], lo[stuck] = 1e16, 0.0
     whole = np.floor(lo)
     frac = lo - whole
-    fast &= np.abs(frac - 0.5) > CSV_TIE_MARGIN
+    fast &= (hi > 1e16) & (hi < 1e17) & (np.abs(frac - 0.5) > CSV_TIE_MARGIN)
     D = hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    carry = D == 10**17
-    D[carry] = 10**16
-    X += carry
 
     groups, trailing, head, exp_head, exp_tail, patterns = _layout_table()
     lead, rest = _divmod(D, 10**16)

@@ -30,6 +30,7 @@ from limas.errors import (
     NotCommuting,
     NotControllable,
     NotScalar,
+    ShapeMismatch,
 )
 from limas.linalg import eig_general
 from limas.model_io import load_model, model_from_dict
@@ -1026,6 +1027,20 @@ def test_an_svd_that_does_not_converge_is_no_convergence():
         solve_mare(A, B, 0.5)
 
 
+_SCALE_OF_A = pytest.mark.xfail(strict=True, reason="open item 26 of ROADMAP.md: the Krylov "
+                                                  "rank test depends on the scale of A")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, *(pytest.param(scale, marks=_SCALE_OF_A)
+                                               for scale in (1e4, 1e20, 1e200, 1e-100, 1e-200))])
+def test_modal_controllability_does_not_depend_on_the_scale_of_a(scale):
+    # the modes (1 - alpha * lambda_p) * scale * A of path(3) are nonzero
+    # multiples of A, and (c A, B) is controllable for every c != 0
+    A, B = scale * np.triu(np.ones((4, 4))), np.ones((4, 1))
+    model = LimasModel(A, B, WeightedGraph.path(3), WeightedGraph.complete(3), alpha=0.25)
+    assert model.controllability_check.holds
+
+
 def test_modal_radii_scalar_formula():
     model = LimasModel([[0.9]], [[1.0]], cycle4_graph(),
                        WeightedGraph.complete(4), alpha=1.0)
@@ -1056,6 +1071,8 @@ def test_model_input_checks():
     gp, gc = cycle4_graph(), WeightedGraph.complete(4)
     with pytest.raises(ValueError, match="^provide Ap, alpha, or both$"):
         LimasModel(A_SHOWCASE, B_SHOWCASE, gp, gc)
+    with pytest.raises(ShapeMismatch, match="^A must be square, got 1x2$"):
+        LimasModel([[1.0, 2.0]], B_SHOWCASE, gp, gc, alpha=0.3)
     with pytest.raises(ValueError, match="^gp and gc must be WeightedGraph instances$"):
         LimasModel(A_SHOWCASE, B_SHOWCASE, laplacian(gp), gc, alpha=0.3)
     with pytest.raises(ValueError, match="^gp and gc must be WeightedGraph instances$"):
@@ -1802,6 +1819,18 @@ def test_exact_referee_finds_the_n2_false_certificates_unstable(draw):
                        WeightedGraph(2, [(0, 1, 1.0)]), alpha=alpha)
     assert float(modal_radii(model, [K]).max()) == pytest.approx(radius, abs=5e-4)
     assert exact_schur_verdict(model, [K]) == "unstable"
+
+
+@pytest.mark.xfail(strict=True, reason="open item 17 of ROADMAP.md: no rounding bound "
+                                       "refuses an n >= 2 certificate yet")
+@pytest.mark.parametrize("draw", sorted(FALSE_N2_CERTIFICATES))
+def test_analyze_does_not_certify_the_n2_false_certificates(draw):
+    A, B, weight, alpha, _, _ = FALSE_N2_CERTIFICATES[draw]
+    model = LimasModel(A, np.array(B)[:, None], WeightedGraph(2, [(0, 1, weight)]),
+                       WeightedGraph(2, [(0, 1, 1.0)]), alpha=alpha)
+    report = analyze(model)
+    assert report.verdict == "inconclusive"
+    assert report.certificate_detail
 
 
 def test_exact_referee_leaves_a_loop_on_the_circle_undecided():
