@@ -8,11 +8,12 @@ reason.
 
 Exit codes for ``analyze``: 0 the model is certified consensusable (a gain
 was produced and verified), 2 certified not consensusable (the necessary
-condition fails), 3 inconclusive, 1 input or validation error. The other
-subcommands use 0 for success and 1 for errors. Identical inputs and seeds
-produce byte-identical JSON and CSV outputs on one numpy/BLAS build at one
-BLAS thread count; the count can move last digits (36 of the 123 benchmark
-cases between one and two OpenBLAS threads), never a verdict.
+condition fails), 3 inconclusive, 1 input or validation error, a command
+line argparse rejects included. The other subcommands use 0 for success and
+1 for errors. Identical inputs and seeds produce byte-identical JSON and CSV
+outputs on one numpy/BLAS build at one BLAS thread count; the count can move
+last digits (36 of the 123 benchmark cases between one and two OpenBLAS
+threads), never a verdict.
 """
 
 from __future__ import annotations
@@ -371,10 +372,19 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit with EXIT_ERROR, not 2, which
+    analyze gives to a refutation; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of main, built on its first call; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="limas",
         description="Consensusability analysis, gain synthesis and simulation "
                     "for interconnected multi-agent systems.")

@@ -160,19 +160,22 @@ def model_to_dict(model: LimasModel) -> dict:
     return data
 
 
-def load_model(path) -> LimasModel:
-    """Load and validate a JSON model file."""
+def _read_json(path, kind: str):
+    """The JSON document of a file read as strict UTF-8; a file that cannot be
+    read, decoded or parsed (nesting or integers beyond Python's limits too)
+    is a SchemaError naming it."""
     path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
+        return json.loads(path.read_bytes().decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
-    del raw  # the text is not held while the model is built
-    return model_from_dict(data)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SchemaError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def load_model(path) -> LimasModel:
+    """Load and validate a JSON model file."""
+    return model_from_dict(_read_json(path, "model"))
 
 
 def save_model(model: LimasModel, path) -> None:
@@ -182,10 +185,6 @@ def save_model(model: LimasModel, path) -> None:
 
 def gain_from_file(path, n: int) -> np.ndarray:
     """Read a gain row from a JSON file of the form {"K": [k1, ..., kn]}."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read gain file {path}: {exc}") from exc
+    data = _read_json(path, "gain")
     _require(isinstance(data, dict) and "K" in data, "gain file must contain 'K'")
     return np.array(_real_array(data["K"], n, "K")).reshape(1, n)

@@ -47,6 +47,16 @@ ROUNDING_FUZZ = {
 }
 
 
+# contents that json.loads cannot turn into a document: bytes that are not
+# UTF-8, an integer literal past Python's 4 300-digit limit and nesting past
+# the recursion limit
+UNREADABLE_CONTENTS = {
+    "not-utf8": b"\xff\xfe{}",
+    "long-integer": b"9" * 5000,
+    "deep-nesting": b"[" * 100_000,
+}
+
+
 def sigma_critical(A, scale: float) -> float:
     """The critical Riccati margin of scale * A, as sufficient_check reads it."""
     return _critical_margin(eig_general(scale * as_square(A)))

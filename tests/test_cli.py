@@ -19,6 +19,7 @@ from limas.cli import main
 from limas.model_io import load_model, save_model
 from conftest import (
     ROUNDING_FUZZ,
+    UNREADABLE_CONTENTS,
     commuting_graph_pair,
     cycle4_graph,
     four_agent_model,
@@ -161,6 +162,47 @@ def test_analyze_unreadable_model_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("content", UNREADABLE_CONTENTS.values(), ids=UNREADABLE_CONTENTS)
+@pytest.mark.parametrize("command", ["analyze", "simulate", "oracle"])
+def test_a_file_json_cannot_read_exits_one_naming_it(showcase_file, tmp_path, capsys,
+                                                     command, content):
+    # analyze reads it as the model, simulate and oracle as the gain
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if command == "analyze":
+        argv, kind = ["analyze", str(bad)], "model"
+    else:
+        argv, kind = [command, showcase_file, "--gain", str(bad)], "gain"
+    if command == "simulate":
+        argv += ["--out-csv", str(tmp_path / "traj.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {kind} file {bad}: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_usage_errors_exit_one(showcase_file, tmp_path, capsys):
+    # 2 is analyze's refutation, so a command line argparse rejects must not read as one
+    for argv in (["analyze"],
+                 ["analyze", showcase_file, "--format", "yaml"],
+                 ["simulate", showcase_file, "--steps", "x",
+                  "--out-csv", str(tmp_path / "traj.csv")],
+                 ["analyze", showcase_file, "--no-such-flag"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err and captured.err.startswith("usage: limas")
+    for argv in (["--help"], ["analyze", "--help"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: limas")
 
 
 def _soundness_model(rng, k: int) -> LimasModel:
@@ -373,7 +415,7 @@ def test_simulate_has_no_threshold_flag(showcase_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["simulate", showcase_file, "--threshold", "1e-3",
               "--out-csv", str(tmp_path / "traj.csv")])
-    assert err.value.code == 2
+    assert err.value.code == 1
     assert "unrecognized arguments: --threshold" in capsys.readouterr().err
     assert not (tmp_path / "traj.csv").exists()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ import pytest
 from limas import LimasModel, WeightedGraph, model_from_dict, model_to_dict
 from limas.errors import SchemaError
 from limas.model_io import _graph, gain_from_file, load_model, save_model
+from conftest import UNREADABLE_CONTENTS
+
+SHOWCASE_PATH = Path(__file__).resolve().parent.parent / "models" / "four_agent_cycle.json"
 
 
 def showcase_dict() -> dict:
@@ -174,6 +178,38 @@ def test_unreadable_or_malformed_model_file(tmp_path):
         load_model(broken)
 
 
+@pytest.mark.parametrize("content", UNREADABLE_CONTENTS.values(), ids=UNREADABLE_CONTENTS)
+@pytest.mark.parametrize("kind", ["model", "gain"])
+def test_a_file_json_cannot_read_is_a_schema_error_naming_it(tmp_path, kind, content):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match="^" + re.escape(f"cannot read {kind} file {path}: ")):
+        if kind == "model":
+            load_model(path)
+        else:
+            gain_from_file(path, 2)
+
+
+def test_line_endings_do_not_change_the_model(tmp_path):
+    # CR and LF are both JSON whitespace, so the bytes are parsed as they are
+    original = SHOWCASE_PATH.read_bytes()
+    assert b"\r" not in original and original.count(b"\n") > 1
+    model = load_model(SHOWCASE_PATH)
+    for ending in (b"\r\n", b"\r"):
+        twin = tmp_path / "twin.json"
+        twin.write_bytes(original.replace(b"\n", ending))
+        again = load_model(twin)
+        for name in ("A", "Ap", "B"):
+            assert np.array_equal(getattr(again, name), getattr(model, name))
+        assert again.alpha == model.alpha
+        assert again.gp.edges == model.gp.edges
+        assert again.gc.edges == model.gc.edges
+    # only LF counts as a line end in a JSON error, so a CR-only file is one line
+    twin.write_bytes(b'{"n": 1,\r  "N": }')
+    with pytest.raises(SchemaError, match="^" + re.escape(f"invalid JSON in {twin}: line 1: ")):
+        load_model(twin)
+
+
 def test_requires_ap_or_alpha():
     data = showcase_dict()
     del data["alpha"]
@@ -262,11 +298,13 @@ def test_gain_file(tmp_path):
     path.write_text('{"K": [1.0]}')
     with pytest.raises(SchemaError):
         gain_from_file(path, 2)
-    for bad, text in ((tmp_path / "missing-gain.json", None), (path, '{"K": ')):
-        if text is not None:
-            bad.write_text(text)
-        with pytest.raises(SchemaError, match="^" + re.escape(f"cannot read gain file {bad}: ")):
-            gain_from_file(bad, 2)
+    # a gain file reads like a model file: unreadable, or not JSON
+    missing = tmp_path / "missing-gain.json"
+    with pytest.raises(SchemaError, match="^" + re.escape(f"cannot read gain file {missing}: ")):
+        gain_from_file(missing, 2)
+    path.write_text('{"K": ')
+    with pytest.raises(SchemaError, match="^" + re.escape(f"invalid JSON in {path}: line 1: ")):
+        gain_from_file(path, 2)
 
 
 def _reference_graph(raw, N: int, name: str) -> WeightedGraph:

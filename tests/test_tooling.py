@@ -454,6 +454,19 @@ def test_only_certify_judges_a_gain():
     assert synthesis_failed == []
 
 
+# the calls that read a file or parse JSON
+READERS = {"loads", "load", "read_text", "read_bytes"}
+
+
+def test_one_function_reads_model_and_gain_files():
+    # every file limas reads goes through one reader, so every file it cannot
+    # read, decode or parse is the same SchemaError naming it
+    found = {f"{source.stem}.{name}" for source in sorted((ROOT / "src" / "limas").glob("*.py"))
+             for name in _callers(ast.parse(source.read_text(encoding="utf-8")), READERS)}
+    assert found == {"model_io._read_json"}
+    assert _callers(ast.parse("def f(p):\n    return json.load(open(p))\n"), READERS) == {"f"}
+
+
 def test_only_certify_writes_the_gain_record():
     # a gain is recorded with its own sigma, solve count and certificate, so no
     # other function may write one of them before or after the judge runs
