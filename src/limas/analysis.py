@@ -43,6 +43,7 @@ from .errors import (
     AssumptionViolated,
     Divergence,
     DegenerateSpectrum,
+    NoConvergence,
     NotCommuting,
     NotControllable,
     NotScalar,
@@ -60,10 +61,8 @@ from .graphs import (
 from .linalg import (
     as_matrix,
     as_square,
-    controllability_matrix,
-    controllability_singular_values,
+    controllability,
     eig_general,
-    has_full_row_rank,
     has_rank,
 )
 from .oracle import verify_gain
@@ -207,7 +206,9 @@ class LimasModel:
         """
         spec = self.joint_spectrum
         lambda_p, lambda_c = spec.lambda_p[1:], spec.lambda_c[1:]
-        return lambda_p, lambda_c, _frozen(self.A - lambda_p[:, None, None] * self.Ap)
+        # a mode beyond the float range is inf, which the conditions read as such
+        with np.errstate(over="ignore"):
+            return lambda_p, lambda_c, _frozen(self.A - lambda_p[:, None, None] * self.Ap)
 
     @cached_property
     def controllability_check(self) -> AssumptionCheck:
@@ -274,8 +275,9 @@ def check_modal_controllability(model: LimasModel) -> AssumptionCheck:
     removed; pairing with communication modes is irrelevant here. The
     residual is the smallest controllability-matrix singular value seen.
     """
-    modes = model.A - model.spectrum_p[1:, None, None] * model.Ap
-    sv = controllability_singular_values(modes, model.B)
+    with np.errstate(over="ignore"):
+        modes = model.A - model.spectrum_p[1:, None, None] * model.Ap
+    _, sv = controllability(modes, model.B)
     margin = float(sv[:, -1].min())
     failures = [float(lam) for lam in model.spectrum_p[1:][~has_rank(sv, model.n)]]
     if failures:
@@ -345,7 +347,8 @@ def sufficient_check(model: LimasModel) -> SufficientResult:
     The extremes of alpha_i / lambda_cj range over modes i and j
     independently, while the reported sigma_modes pair modes positionally.
     A term beyond the float range is inf (or 0 by underflow), and ``holds``
-    needs lhs, rhs and every sigma mode finite.
+    needs lhs, rhs and every sigma mode finite. An alpha_max * A beyond the
+    float range has no spectrum to take: NoConvergence names it.
     """
     lam_p, lam_c, _ = model._deviation_modes
     lam_c = _communication_modes(model, lam_c)
@@ -361,7 +364,11 @@ def sufficient_check(model: LimasModel) -> SufficientResult:
         return SufficientResult(True, 0.0, 0.0, 0.0, 0.0, alpha_min, alpha_max,
                                 np.zeros_like(lam_c))
 
-    spectrum = eig_general(alpha_max * model.A)
+    with np.errstate(over="ignore"):
+        Abar = alpha_max * model.A
+    if not np.isfinite(Abar).all():
+        raise NoConvergence(f"alpha_max * A is beyond the float range (alpha_max = {alpha_max:g})")
+    spectrum = eig_general(Abar)
     sc = _critical_margin(spectrum)
     with np.errstate(all="ignore"):
         ratios = alpha_i[:, None] / lam_c[None, :]
@@ -434,8 +441,8 @@ def solve_mare(Abar, B, sigma: float, *, spectrum=None) -> MareSolution:
     B = as_matrix(B, rows=n, cols=1, name="B")
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
-    ctrb = controllability_matrix(Abar, B)
-    if not has_full_row_rank(ctrb):
+    ctrb, sv = controllability(Abar, B)
+    if not has_rank(sv, n):
         raise NotControllable("(Abar, B) fails the controllability rank test")
     values = eig_general(Abar) if spectrum is None else spectrum
     critical = _critical_margin(values)
@@ -497,7 +504,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
     """
     n = Abar.shape[0]
     open_loop = (1.0 - sigma) * _kron_transposed(Abar)
-    operator = _stein_operator(_kron_transposed(Abar + B @ K), open_loop, sigma)
+    operator = sigma * _kron_transposed(Abar + B @ K) + open_loop
     identity, eye = np.eye(n * n), np.eye(n)
     eps = np.finfo(float).eps
     P, defect, residual, prev_step = np.zeros((n, n)), eye, np.inf, None
@@ -522,7 +529,7 @@ def _policy_iteration(Abar, B, sigma: float, K) -> MareSolution:
         if not converged and solves >= 3 and prev_step <= 1.0 and trial_residual >= residual:
             break  # the rounding floor: keep P, whose operator is at hand
         P, defect, K, residual, P_norm = trial, trial_defect, trial_K, trial_residual, trial_norm
-        operator = _stein_operator(_kron_transposed(Abar + B @ K), open_loop, sigma)
+        operator = sigma * _kron_transposed(Abar + B @ K) + open_loop
         if converged:
             break
         prev_step = step
@@ -537,13 +544,6 @@ def _kron_transposed(X: np.ndarray) -> np.ndarray:
     """kron(X', X'), the map P -> X'PX on row-major vec(P), by one broadcast product."""
     n = X.shape[0]
     return (X.T[:, None, :, None] * X.T[None, :, None, :]).reshape(n * n, n * n)
-
-
-def _stein_operator(kron_f, open_loop, sigma: float) -> np.ndarray:
-    """The map P -> sigma F'PF + (1-sigma) Abar'P Abar on row-major vec(P), from
-    kron_f = kron(F', F') of the closed loop F = Abar + BK and the term
-    open_loop = (1-sigma) kron(Abar', Abar'), which one Newton run forms once."""
-    return sigma * kron_f + open_loop
 
 
 def _schur_stable(operator) -> bool:
@@ -660,8 +660,10 @@ def necessary_check(model: LimasModel) -> NecessaryResult:
     if alpha is not None:
         slopes = lam_c * (1.0 - alpha * lam_p) ** (model.n - 1)
         ends = (np.array([[-1.0], [1.0]]) - signed) / slopes
-        gap = ends.min(axis=0).max() - ends.max(axis=0).min()
-        holds = bool(gap <= REFUTATION_RTOL * np.abs(ends).max())
+        with np.errstate(invalid="ignore"):
+            gap = ends.min(axis=0).max() - ends.max(axis=0).min()
+        # a gap of NaN, from modes beyond the float range, refutes nothing
+        holds = not bool(gap > REFUTATION_RTOL * np.abs(ends).max())
     return NecessaryResult(holds, gamma_c, det_min, det_max, lhs, rhs, dets)
 
 
@@ -700,7 +702,8 @@ def scalar_check(model: LimasModel) -> ScalarResult:
         raise NotScalar(f"scalar conditions need n = 1, got n = {model.n}")
     lc = _communication_modes(model, model.spectrum_c[1:])
     a = model.A.item()
-    lp = model.Ap.item() * model.spectrum_p[1:]
+    with np.errstate(over="ignore"):
+        lp = model.Ap.item() * model.spectrum_p[1:]
     lp_min, lp_max = float(lp.min()), float(lp.max())
     lc_min, lc_max = float(lc.min()), float(lc.max())
     gamma_c = lc_max / lc_min
@@ -721,7 +724,8 @@ def scalar_check(model: LimasModel) -> ScalarResult:
         k_recommended = (k_minus[0] + min(k_minus[1], 0.0)) / 2.0
 
     dists = np.abs(a - lp)
-    necessary = abs(gamma_c * float(dists.min()) - float(dists.max())) < gamma_c + 1.0
+    # NaN, from modes beyond the float range, refutes nothing
+    necessary = not abs(gamma_c * float(dists.min()) - float(dists.max())) >= gamma_c + 1.0
     return ScalarResult(c1, c2, k_plus, k_minus, k_recommended, necessary,
                         gamma_c, delta_p)
 
@@ -938,7 +942,7 @@ def analyze(model: LimasModel) -> AnalysisReport:
         report.lambda_c_paired = spec.lambda_c.tolist()
         try:
             report.sufficient = sufficient_check(model)
-        except AssumptionViolated as exc:
+        except (AssumptionViolated, NoConvergence) as exc:
             report.sufficient_error = str(exc)
         try:
             report.necessary = necessary_check(model)

@@ -10,7 +10,8 @@ class ShapeMismatch(LimasError):
 
 
 class NoConvergence(LimasError):
-    """An eigenvalue or singular value iteration failed to converge."""
+    """An eigenvalue or singular value iteration failed to converge, or its
+    matrix is beyond the float range."""
 
 
 class NotCommuting(LimasError):

@@ -4,7 +4,9 @@ Everything operates on plain float64 numpy arrays. Agent dimensions stay
 small (n <= ~10), stacked ones reach N*n ~ 1000, and per-mode quantities
 run on stacks of n x n matrices; the routines favor accuracy and
 determinism: symmetric spectra go through ``eigvalsh`` of (M + M')/2,
-general spectra through ``eigvals``, ranks through singular values.
+general spectra through ``eigvals``. Controllability has one owner:
+:func:`controllability` builds the Krylov matrix of one matrix or of a stack
+and takes its singular values, and :func:`has_rank` judges their rank.
 Eigenvectors are solved only in the joint diagonalization of
 :mod:`limas.graphs`. The basis of the deviations from consensus is one
 Householder reflector, never formed: :func:`in_completion_basis` applies it
@@ -77,29 +79,21 @@ def determinant(M) -> float:
     return float(np.linalg.det(as_square(M)))
 
 
-def controllability_matrix(M, B: np.ndarray) -> np.ndarray:
-    """[B, MB, ..., M^(n-1)B] for one n x n ``M``, or one per matrix of a stack (..., n, n).
+def controllability(M, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Krylov matrix C = [B, MB, ..., M^(n-1)B] and its descending singular values.
 
-    ``B`` is a float array of n rows that the caller validated, as
-    :func:`as_matrix` does; it is not validated again here.
+    ``M`` is one n x n matrix, or a stack (..., n, n) that gives one C and one
+    row of singular values per matrix; :func:`has_rank` judges them. ``B`` is
+    a float array of n rows that the caller validated, as :func:`as_matrix`
+    does; it is not validated again here.
     """
     M = np.asarray(M, dtype=float)
-    blocks = [B if M.ndim == 2 else np.broadcast_to(B, M.shape[:-2] + B.shape)]
+    blocks = [np.broadcast_to(B, M.shape[:-2] + B.shape)]
     for _ in range(M.shape[-1] - 1):
         blocks.append(M @ blocks[-1])
-    return np.concatenate(blocks, axis=-1)
-
-
-def controllability_singular_values(M, B: np.ndarray) -> np.ndarray:
-    """Descending singular values of :func:`controllability_matrix`, one row per stacked
-    matrix; ``B`` is validated by the caller, as there."""
-    return _singular_values(controllability_matrix(M, B))
-
-
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    """Descending singular values of ``M``, or of each matrix of a stack."""
+    C = np.concatenate(blocks, axis=-1)
     try:
-        return np.linalg.svd(M, compute_uv=False)
+        return C, np.linalg.svd(C, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 
@@ -109,20 +103,15 @@ def has_rank(sv: np.ndarray, n: int) -> np.bool_ | np.ndarray:
 
     A singular value counts when it exceeds ``n * sigma_max * RANK_RTOL``.
     ``sv`` is one row (the result is a bool) or a stack of rows, as
-    :func:`controllability_singular_values` returns them (one bool per row).
+    :func:`controllability` returns them (one bool per row).
     """
     return np.count_nonzero(sv > n * sv[..., :1] * RANK_RTOL, axis=-1) == n
-
-
-def has_full_row_rank(C) -> bool:
-    """Does the n x m matrix ``C`` have rank n, by :func:`has_rank` on its singular values?"""
-    return bool(has_rank(_singular_values(C), C.shape[0]))
 
 
 def is_controllable(M, B) -> bool:
     """Kalman rank test: [B, MB, ..., M^(n-1)B] must have full row rank."""
     M = as_square(M, name="M")
-    return has_full_row_rank(controllability_matrix(M, as_matrix(B, rows=len(M), name="B")))
+    return bool(has_rank(controllability(M, as_matrix(B, rows=len(M), name="B"))[1], len(M)))
 
 
 def controllability_margin(M, B) -> float:
@@ -132,7 +121,7 @@ def controllability_margin(M, B) -> float:
     :func:`has_rank` decides the rank.
     """
     M = as_square(M, name="M")
-    return float(controllability_singular_values(M, as_matrix(B, rows=len(M), name="B"))[-1])
+    return float(controllability(M, as_matrix(B, rows=len(M), name="B"))[1][-1])
 
 
 def _reflector(n: int) -> tuple[np.ndarray, float]:

@@ -188,7 +188,8 @@ def convergence_metrics(traj: Trajectory) -> ConvergenceMetrics:
     """
     # each step is scaled by the power of two of its largest agent norm, as
     # simulate scales each agent, so the squares of small norms cannot underflow
-    exponent = np.frexp(traj.delta_norms.max(axis=1))[1]
+    worst = traj.delta_norms.max(axis=1)
+    exponent = np.frexp(worst)[1]
     total = np.ldexp(np.linalg.norm(np.ldexp(traj.delta_norms, -exponent[:, None]), axis=1),
                      exponent)
     T = total.size - 1
@@ -196,7 +197,7 @@ def convergence_metrics(traj: Trajectory) -> ConvergenceMetrics:
         raise ValueError("need at least 10 steps to fit a decay rate")
 
     settling_step = None
-    below = np.nonzero(traj.delta_norms.max(axis=1) < SETTLING_THRESHOLD)[0]
+    below = np.nonzero(worst < SETTLING_THRESHOLD)[0]
     if below.size:
         settling_step = int(below[0])
 

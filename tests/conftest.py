@@ -75,6 +75,16 @@ def four_agent_model(alpha: float = 0.3, gc: WeightedGraph | None = None) -> Lim
                       alpha=alpha)
 
 
+def overflowing_modes_model(physical: str) -> LimasModel:
+    """a = 1e308, b = 1 and ap = 0.3 a on N = 4 with a unit complete communication
+    graph, and a complete or cycle physical graph of weight 100: every deviation
+    mode a - lp*ap is beyond the float range. On complete(4) each is about
+    -1.19e310, and a gain of about 2.98e309 zeroes them all (consensusable in
+    exact arithmetic)."""
+    gp = getattr(WeightedGraph, physical)(4, 100.0)
+    return LimasModel([[1e308]], [[1.0]], gp, WeightedGraph.complete(4), alpha=0.3)
+
+
 @pytest.fixture
 def showcase_model() -> LimasModel:
     return four_agent_model()

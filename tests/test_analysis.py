@@ -47,6 +47,7 @@ from conftest import (
     jury_lp_margin,
     laplacian_model,
     mare_inequality_margin,
+    overflowing_modes_model,
     random_connected_graph,
     random_coupled_model,
     random_input,
@@ -231,39 +232,38 @@ def test_mirrored_start_scalar_closed_form(monkeypatch, a, b):
     # Stein operator is sigma (a + (p - a)/sigma)^2 + (1 - sigma) a^2. That is
     # below one for every sigma above sigma_c = 1 - 1/a^2, and no gain gets
     # it below one under sigma_c; with the early exit bypassed there (the
-    # margin read as 0), solve_mare forms exactly that operator first on both
-    # sides of sigma_c, and Newton from the unstable start ends in Divergence
+    # margin read as 0), solve_mare starts Newton from exactly that gain on
+    # both sides of sigma_c, and Newton from the unstable start ends in Divergence
     critical = 1.0 - 1.0 / a ** 2
     starts = []
-    stein_operator = analysis._stein_operator
+    start_gain = analysis._start_gain
 
-    def recording(kron_f, kron_a, sigma):
-        operator = stein_operator(kron_f, kron_a, sigma)
-        starts.append(operator.item())
-        return operator
+    def recording(*args):
+        K = start_gain(*args)
+        starts.append(K.item())
+        return K
 
-    def start_operator(sigma, margin):
+    def placed(sigma, margin):
         p = 1.0 / a if abs(a) >= 1.0 else a
         r = max(0.0, 2.0 * ((1.0 - sigma) / (1.0 - margin)) ** 0.25 - 1.0)
-        p = min(abs(p), r) * np.sign(p)
-        return sigma * (a + (p - a) / sigma) ** 2 + (1.0 - sigma) * a * a
+        return min(abs(p), r) * np.sign(p)
 
-    monkeypatch.setattr(analysis, "_stein_operator", recording)
+    monkeypatch.setattr(analysis, "_start_gain", recording)
     for sigma in (0.5 * critical, 0.99 * critical, critical + 1e-6, 0.5 + 0.5 * critical, 1.0):
         starts.clear()
+        p = placed(sigma, 0.0 if sigma < critical else critical)
+        radius = sigma * (a + (p - a) / sigma) ** 2 + (1.0 - sigma) * a * a
         if sigma < critical:
-            radius = start_operator(sigma, 0.0)
             with monkeypatch.context() as bypass:
                 bypass.setattr(analysis, "_critical_margin", lambda values: 0.0)
                 with pytest.raises(Divergence):
                     solve_mare([[a]], [[b]], sigma)
             assert radius > 1.0
         else:
-            radius = start_operator(sigma, critical)
             sol = solve_mare([[a]], [[b]], sigma)
             assert sol.K.item() == pytest.approx(-a / b, rel=1e-12)
             assert radius < 1.0
-        assert starts[0] == pytest.approx(radius, rel=1e-12)
+        assert starts == [pytest.approx((p - a) / (b * sigma), rel=1e-12)]
 
 
 def test_solve_mare_takes_one_spectrum_of_abar(monkeypatch):
@@ -997,6 +997,22 @@ def test_scalar_check_input_checks():
     with pytest.raises(AssumptionViolated) as err:
         scalar_check(LimasModel([[1.2]], [[0.0]], gp, gc, alpha=0.1))
     assert err.value.which == 2
+
+
+@pytest.mark.parametrize("physical", ["complete", "cycle"])
+def test_modes_beyond_the_float_range_refute_nothing(physical):
+    # the modes read inf, so the determinant gap and the scalar distances are
+    # NaN, and a NaN refutes nothing; alpha_max * A = 119e308 overflows too, and
+    # the sufficient check names it. numpy warns of nothing (warnings are errors)
+    model = overflowing_modes_model(physical)
+    assert necessary_check(model).holds
+    assert scalar_check(model).necessary
+    reason = "alpha_max * A is beyond the float range (alpha_max = 119)"
+    with pytest.raises(NoConvergence, match=f"^{re.escape(reason)}$"):
+        sufficient_check(model)
+    report = analyze(model)
+    assert report.sufficient_error == reason
+    assert report.gain is None and report.verdict == "inconclusive"
 
 
 # --- modal radii -----------------------------------------------------------------

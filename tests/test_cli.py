@@ -23,6 +23,7 @@ from conftest import (
     commuting_graph_pair,
     cycle4_graph,
     four_agent_model,
+    overflowing_modes_model,
     random_connected_graph,
     random_state_matrix,
 )
@@ -346,6 +347,22 @@ def test_sufficient_terms_beyond_the_float_range_are_inconclusive(tmp_path, caps
         assert report["gain"] is None and report["verdict"] == "inconclusive"
         assert main(["analyze", str(path)]) == 3
         assert "sufficient condition: does not hold (lhs inf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("physical", ["complete", "cycle"])
+def test_modes_beyond_the_float_range_are_inconclusive(tmp_path, capsys, physical):
+    # every deviation mode 1e308 - lp * 3e307 is beyond the float range: no
+    # condition decides, no warning reaches stderr, and analyze exits 3
+    path = tmp_path / "overflowing-modes.json"
+    save_model(overflowing_modes_model(physical), path)
+    assert main(["analyze", str(path), "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["sufficient"] == {
+        "error": "alpha_max * A is beyond the float range (alpha_max = 119)"}
+    assert report["necessary"]["holds"] is True and report["scalar"]["necessary"] is True
+    assert report["verdict"] == "inconclusive"
 
 
 def test_a_gain_beyond_the_float_range_is_inconclusive(tmp_path, capsys):

@@ -11,8 +11,8 @@ from limas.linalg import (
     RANK_RTOL,
     as_matrix,
     as_square,
+    controllability,
     controllability_margin,
-    controllability_singular_values,
     determinant,
     eig_general,
     eig_sym,
@@ -277,8 +277,10 @@ def test_controllability_singular_values_stack_matches_single():
     for n in (1, 2, 3, 4):
         stack = rng.standard_normal((7, n, n))
         B = rng.standard_normal((n, 1))
-        sv = controllability_singular_values(stack, B)
+        sv = controllability(stack, B)[1]
         assert sv.shape == (7, n)
         for M, row in zip(stack, sv):
-            assert np.array_equal(row, controllability_singular_values(M, B))
+            assert np.array_equal(row, controllability(M, B)[1])
             assert float(row[-1]) == controllability_margin(M, B)
+            # one builder serves both: a 2-D M and its 1-stack give the same C
+            assert np.array_equal(controllability(M, B)[0], controllability(M[None], B)[0][0])

@@ -517,6 +517,28 @@ def test_the_conditions_read_one_stack_of_paired_modes():
                               "joint_spectrum") == set()
 
 
+def test_one_function_builds_and_measures_every_controllability_matrix():
+    # the Kalman rank test has one owner, so scaling the Krylov matrix or
+    # replacing it lands in one place: linalg.controllability is the one SVD,
+    # linalg.has_rank the one reader of the rank threshold, and both the
+    # assumption check and the Riccati solve reach the test through them
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+    def callers(names: set[str]) -> set[str]:
+        return {f"{stem}.{scope}" for stem, tree in trees.items()
+                for scope in _callers(tree, names)}
+
+    def reads_rank_rtol(node) -> bool:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name == "RANK_RTOL" and isinstance(node.ctx, ast.Load)
+
+    assert callers({"svd"}) == {"linalg.controllability"}
+    assert {f"{stem}.{scope}" for stem, tree in trees.items()
+            for scope in _scopes_where(tree, reads_rank_rtol)} == {"linalg.has_rank"}
+    assert {"analysis.check_modal_controllability", "analysis.solve_mare"} \
+        <= callers({"controllability"})
+
+
 def test_output_digest_repeats():
     # tools/output_digest.py hashes each benchmark case's outputs; the same
     # inputs must give the same lines, whatever ran before them
