@@ -98,10 +98,11 @@ def render_text(report: analysis.AnalysisReport) -> str:
         lines.append(f"sufficient condition: unavailable ({report.sufficient_error})")
     if report.necessary is not None:
         c = report.necessary
+        # a nan lhs is neither below nor at or above rhs
+        relation = "<" if c.lhs < c.rhs else ">=" if c.lhs >= c.rhs else "vs"
         lines.append(
             f"necessary condition: {'holds' if c.holds else 'FAILS'} "
-            f"(gamma_c {c.gamma_c:.6g}, lhs {c.lhs:.6g} {'<' if c.lhs < c.rhs else '>='} "
-            f"rhs {c.rhs:.6g})")
+            f"(gamma_c {c.gamma_c:.6g}, lhs {c.lhs:.6g} {relation} rhs {c.rhs:.6g})")
     else:
         lines.append(f"necessary condition: unavailable ({report.necessary_error})")
     if report.scalar is not None:

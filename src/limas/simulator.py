@@ -10,6 +10,12 @@ rounding of one step that leaks into the consensus direction is removed by
 the next step instead of growing with the mean. The deviations therefore
 stay accurate while the mean grows or decays, and a run stops only where a
 number it reports would leave the float range.
+
+Up to STACKED_LOOP_BYTES of it, and always at n = 1, the deviation update
+is one dense (Nn)^2 matrix. Beyond, the agents' deviations X, one row
+each, step by the same update in Kronecker form,
+X+ = X A' - Lp X Ap' + Lc X (BK)' - 1 (A mean X)', which reads the two
+N x N Laplacians instead.
 """
 
 from __future__ import annotations
@@ -28,6 +34,19 @@ if TYPE_CHECKING:
 SETTLING_THRESHOLD = 1e-3
 # A fitted log-slope at or above this is fp noise around zero: no decay.
 FLAT_SLOPE = -1e-12
+# simulate steps through the stacked (Nn)^2 deviation update while it holds
+# at most this many bytes; beyond, at n >= 2, through the two Laplacians,
+# 2 N^2 entries against (Nn)^2 a step (at n = 1 that is more, so n = 1
+# always stays stacked). Medians of 40 interleaved 300-step simulate calls,
+# stacked / Laplacians in ms, on a 2-vCPU Xeon guest with 2 MiB of L2 a core:
+#   n = 2   N = 128 (0.50 MiB)  4.60 / 5.32   N = 181 (1.00 MiB)  6.20 / 6.08
+#           N = 200 (1.22 MiB)  8.46 / 7.14   N = 256 (2.00 MiB) 16.58 / 10.32
+#   n = 3   N =  86 (0.51 MiB)  3.74 / 4.21   N = 107 (0.79 MiB)  5.72 / 4.99
+#   n = 4   N =  56 (0.38 MiB)  2.96 / 3.19   N =  64 (0.50 MiB)  3.48 / 3.44
+#           N =  80 (0.78 MiB)  4.82 / 3.86   N = 128 (2.00 MiB) 17.64 / 5.79
+# The crossover lies near 1 MiB at n = 2 and at 0.5-0.75 MiB at n = 3 and
+# 4; once the loop outgrows L2 the stacked steps slow down about twofold.
+STACKED_LOOP_BYTES = 2**20
 
 
 def closed_loop_matrix(model: LimasModel, K) -> np.ndarray:
@@ -82,11 +101,12 @@ def initial_state(model: LimasModel, seed: int) -> np.ndarray:
 def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     """Iterate the consensus mean and the stacked deviation for ``steps`` updates.
 
-    The deviation update is the :func:`closed_loop_matrix` buffer with A/N
-    subtracted from every block in place, one entry of A at a time, so each
-    numpy call spans N blocks, not n entries. The per-agent norms scale
-    each agent by a power of two and have the bits of np.linalg.norm of the
-    scaled agent; see :func:`_agent_norms`.
+    The deviations step through the stacked update, :func:`_deviation_loop`,
+    while its (Nn)^2 floats fit in STACKED_LOOP_BYTES or n = 1, and through
+    the two Laplacians, :func:`_step_by_laplacians`, otherwise; the two
+    agree to rounding. The per-agent norms scale each agent by a power of
+    two and have the bits of np.linalg.norm of the scaled agent; see
+    :func:`_agent_norms`.
     Raises Overflow with the first step at which an entry of the mean or of
     the deviation is beyond max / (N n) in magnitude, max the largest
     float, or nan. Within that bound every per-agent norm (at most sqrt(n)
@@ -104,13 +124,8 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
         raise ValueError("x0 contains non-finite entries")
 
     A = model.A
-    D = closed_loop_matrix(model, K)
-    # D = M - (11'/N) (x) A: every (i, j) block of M loses A/N, in place,
-    # one entry of A at a time over all N^2 blocks
-    blocks = D.reshape(N, n, N, n)
-    for a in range(n):
-        for b in range(n):
-            blocks[:, a, :, b] -= A[a, b] / N
+    stacked = n == 1 or (N * n) ** 2 * 8 <= STACKED_LOOP_BYTES
+    D = _deviation_loop(model, K) if stacked else None
     mean = x.reshape(N, n).mean(axis=0)
     d = (x.reshape(N, n) - mean).ravel()
     xbar = np.empty((steps + 1, n))
@@ -118,10 +133,16 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     xbar[0], deviations[0] = mean, d
     # an unstable run may overflow to inf and nan; the rows are judged below
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, steps + 1):
-            d = D @ d
-            mean = A @ mean
-            xbar[t], deviations[t] = mean, d
+        if stacked:
+            for t in range(1, steps + 1):
+                d = D @ d
+                mean = A @ mean
+                xbar[t], deviations[t] = mean, d
+        else:
+            _step_by_laplacians(model, K, deviations.reshape(steps + 1, N, n))
+            for t in range(1, steps + 1):
+                mean = A @ mean
+                xbar[t] = mean
     # a nan propagates through max and min and fails the comparisons
     bound = np.finfo(float).max / (N * n)
     within = np.ones(steps + 1, dtype=bool)
@@ -131,6 +152,43 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
         raise Overflow(int(np.argmin(within)))
 
     return Trajectory(_agent_norms(deviations.reshape(steps + 1, N, n)), xbar)
+
+
+def _deviation_loop(model: LimasModel, K) -> np.ndarray:
+    """The stacked deviation update M - (11'/N) (x) A, formed in the
+    :func:`closed_loop_matrix` buffer."""
+    N, n, A = model.N, model.n, model.A
+    D = closed_loop_matrix(model, K)
+    # every (i, j) block of M loses A/N, in place, one entry of A at a
+    # time, so each numpy call spans all N^2 blocks
+    blocks = D.reshape(N, n, N, n)
+    for a in range(n):
+        for b in range(n):
+            blocks[:, a, :, b] -= A[a, b] / N
+    return D
+
+
+def _step_by_laplacians(model: LimasModel, K, X: np.ndarray) -> None:
+    """Fill X[1:] by X+ = X A' - Lp X Ap' + Lc X (BK)' - 1 (A mean X)' from X[0].
+
+    X[t] holds the deviations of step t, one agent a row, so X[t] is the
+    stacked deviation d. Each step forms X A', -X Ap' and X (BK)' in one
+    product, applies [Lp | Lc] to the last two in a second, straight into
+    X[t], and adds X A' less its mean over the agents, which is (A mean X)'.
+    Its largest array is [Lp | Lc], 2 N^2 floats, not the (Nn)^2 loop.
+    """
+    K = as_matrix(K, rows=1, cols=model.n, name="K")
+    N, n, A = model.N, model.n, model.A
+    laplacians = np.hstack((model.laplacian_p, model.laplacian_c))
+    factors = np.stack((A.T, -model.Ap.T, (model.B @ K).T))
+    terms = np.empty((3, N, n))
+    coupled = terms[1:].reshape(2 * N, n)
+    share = np.full(N, 1.0 / N)
+    for t in range(1, len(X)):
+        np.matmul(X[t - 1], factors, out=terms)
+        np.matmul(laplacians, coupled, out=X[t])
+        X[t] += terms[0]
+        X[t] -= share @ terms[0]
 
 
 def _agent_norms(blocks: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from limas.linalg import (
     in_completion_basis,
     is_controllable,
 )
+from limas.simulator import STACKED_LOOP_BYTES
 
 A_SHOWCASE = np.array([[1.0, 2.0], [0.0, 1.5]])
 B_SHOWCASE = np.array([[0.0], [1.0]])
@@ -55,6 +57,15 @@ UNREADABLE_CONTENTS = {
     "long-integer": b"9" * 5000,
     "deep-nesting": b"[" * 100_000,
 }
+
+# The largest N n whose stacked loop, (N n)^2 floats, simulate still steps
+# through; beyond it, at n >= 2, simulate steps through the two Laplacians.
+STACKED_SIZE = math.isqrt(STACKED_LOOP_BYTES // 8)
+
+
+def laplacian_agents(n: int) -> int:
+    """The fewest agents of n states each that simulate steps through the Laplacians."""
+    return STACKED_SIZE // n + 1
 
 
 def sigma_critical(A, scale: float) -> float:
@@ -152,15 +163,33 @@ def random_state_matrix(rng, n: int, rho_lo: float = 0.3,
 
 
 def random_coupled_model(rng, N: int | None = None, n: int | None = None,
-                         alpha_scale: float = 0.25) -> LimasModel:
-    """Random model with commuting graphs and proportional coupling."""
+                         alpha_scale: float = 0.25, commuting: bool = True) -> LimasModel:
+    """Random model with proportional coupling, on commuting graphs unless
+    ``commuting`` is False, then on two independent random connected graphs."""
     N = N if N is not None else int(rng.integers(3, 8))
     n = n if n is not None else int(rng.integers(1, 5))
-    gp, gc = commuting_graph_pair(rng, N)
+    gp, gc = commuting_graph_pair(rng, N) if commuting else \
+        (random_connected_graph(rng, N), random_connected_graph(rng, N, w_lo=0.1, w_hi=1.0))
     A = random_state_matrix(rng, n)
     B = random_input(rng, n)
     alpha = float(rng.uniform(-alpha_scale, alpha_scale))
     return LimasModel(A, B, gp, gc, alpha=alpha)
+
+
+def traced_peak_in_loops(check, N: int, n: int) -> float:
+    """Peak traced memory of check(model, K), in stacked loops of (Nn)^2 floats."""
+    rng = np.random.default_rng(73)
+    model = LimasModel(random_state_matrix(rng, n), random_input(rng, n),
+                       WeightedGraph.cycle(N, 0.3), WeightedGraph.path(N), alpha=0.2)
+    K = rng.uniform(-1.0, 1.0, (1, n))
+    model.laplacian_p, model.laplacian_c  # cached before the trace
+    tracemalloc.start()
+    try:
+        check(model, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / ((N * n) ** 2 * 8)
 
 
 def random_input(rng, n: int) -> np.ndarray:

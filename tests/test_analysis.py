@@ -45,6 +45,7 @@ from conftest import (
     exact_stabilizing_interval,
     four_agent_model,
     jury_lp_margin,
+    laplacian_agents,
     laplacian_model,
     mare_inequality_margin,
     overflowing_modes_model,
@@ -1536,7 +1537,7 @@ def test_model_laplacians_are_read_only_and_no_kernel_writes_its_arguments():
     from limas.graphs import commute_check
     from limas.linalg import in_completion_basis
     from limas.oracle import scalar_grid_search
-    from limas.simulator import closed_loop_matrix, simulate
+    from limas.simulator import closed_loop_matrix, initial_state, simulate
 
     rng = np.random.default_rng(29)
     model = random_coupled_model(rng, N=6, n=2)
@@ -1551,10 +1552,14 @@ def test_model_laplacians_are_read_only_and_no_kernel_writes_its_arguments():
     x0 = rng.uniform(0.0, 10.0, 12)
     Lp, Lc = np.array(model.laplacian_p), np.array(model.laplacian_c)
     loop = closed_loop_matrix(model, K)
-    arguments = (K, x0, Lp, Lc, loop)
+    # a model whose loop is beyond STACKED_LOOP_BYTES steps through its Laplacians
+    large = random_coupled_model(rng, N=laplacian_agents(2), n=2)
+    x0_large = initial_state(large, 1)
+    arguments = (K, x0, Lp, Lc, loop, x0_large)
     before = [arr.tobytes() for arr in arguments]
     closed_loop_matrix(model, K)
     simulate(model, K, x0, 20)
+    simulate(large, K, x0_large, 20)
     verify_gain(model, K)
     projected_deviation_matrix(model, K)
     in_completion_basis(loop, 2)

@@ -363,6 +363,10 @@ def test_modes_beyond_the_float_range_are_inconclusive(tmp_path, capsys, physica
         "error": "alpha_max * A is beyond the float range (alpha_max = 119)"}
     assert report["necessary"]["holds"] is True and report["scalar"]["necessary"] is True
     assert report["verdict"] == "inconclusive"
+    # the nan lhs is neither below rhs nor at or above it
+    assert main(["analyze", str(path), "--format", "text"]) == 3
+    text = capsys.readouterr().out
+    assert "necessary condition: holds (gamma_c 1, lhs nan vs rhs 2)\n" in text
 
 
 def test_a_gain_beyond_the_float_range_is_inconclusive(tmp_path, capsys):

@@ -32,10 +32,9 @@ from conftest import (
     project,
     random_connected_graph,
     random_coupled_model,
-    random_input,
     random_scalar_instance,
-    random_state_matrix,
     signed_entries,
+    traced_peak_in_loops,
 )
 
 
@@ -309,26 +308,10 @@ def test_grid_search_holds_one_stack():
     assert peak < 1.5 * one_stack
 
 
-def _traced_peak_in_loops(check, N: int, n: int) -> float:
-    """Peak traced memory of check(model, K), in stacked loops of (Nn)^2 floats."""
-    rng = np.random.default_rng(73)
-    model = LimasModel(random_state_matrix(rng, n), random_input(rng, n),
-                       WeightedGraph.cycle(N, 0.3), WeightedGraph.path(N), alpha=0.2)
-    K = rng.uniform(-1.0, 1.0, (1, n))
-    model.laplacian_p, model.laplacian_c  # cached before the trace
-    tracemalloc.start()
-    try:
-        check(model, K)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / ((N * n) ** 2 * 8)
-
-
 @pytest.mark.parametrize("N, n", [(256, 2), (128, 4)])
 def test_closed_loop_holds_one_stacked_array(N, n):
     # the assembly peaks at the loop and one N x N scratch array, 1/n^2 of it
-    assert _traced_peak_in_loops(closed_loop_matrix, N, n) < 1.5
+    assert traced_peak_in_loops(closed_loop_matrix, N, n) < 1.5
 
 
 @pytest.mark.parametrize("N, n", [(512, 1), (128, 4)])
@@ -336,7 +319,7 @@ def test_referee_holds_two_stacked_arrays(N, n):
     # verify_gain peaks at the loop and the projection's product buffer (the
     # eigensolver's copy is LAPACK's, not traced); at n = 1 the assembly's
     # N x N scratch array is a loop too: below 2.5 loops
-    assert _traced_peak_in_loops(verify_gain, N, n) < 2.5
+    assert traced_peak_in_loops(verify_gain, N, n) < 2.5
 
 
 def test_grid_search_memory_is_bounded_by_the_block():

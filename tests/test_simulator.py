@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -21,14 +22,19 @@ from limas import (
 from limas.errors import Overflow, ShapeMismatch
 from limas.simulator import ConvergenceMetrics, _agent_norms
 from conftest import (
+    A_SHOWCASE,
+    B_SHOWCASE,
+    STACKED_SIZE,
     broadcast_agent_norms,
     broadcast_deviation_loop,
     deviation,
     four_agent_model,
     joint_basis,
     kron_closed_loop,
+    laplacian_agents,
     modal_deviation_norms,
     random_coupled_model,
+    traced_peak_in_loops,
 )
 
 
@@ -364,14 +370,15 @@ def _paired_state(rng, N: int, n: int, scales) -> np.ndarray:
     return x.ravel()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9])
-@pytest.mark.parametrize("N", [2, 5, 17])
+@pytest.mark.parametrize("N, n", [*itertools.product([2, 5, 17], [1, 2, 3, 4, 7, 8, 9]),
+                                  (STACKED_SIZE // 2, 2), (STACKED_SIZE + 1, 1)])
 def test_simulate_matches_the_broadcast_passes_bit_for_bit(N, n):
     # the consensus shift and the power-of-two scaled per-agent norms give the
     # bytes of the broadcast expressions, sign bits included; numpy sums up to
     # seven terms in order and from n = 8 on pairwise. States
     # near 1e-160 would underflow when squared unscaled, and near 1e160
-    # would overflow
+    # would overflow. The largest stacked loop at n = 2 keeps these bytes, and
+    # so does a larger one at n = 1, which never steps through the Laplacians
     rng = np.random.default_rng([N, n, 7])
     steps = 12
     for _ in range(2):
@@ -392,3 +399,110 @@ def test_simulate_matches_the_broadcast_passes_bit_for_bit(N, n):
                 xbar[t], deviations[t] = mean, d
             assert traj.xbar.tobytes() == xbar.tobytes()
             assert traj.delta_norms.tobytes() == broadcast_agent_norms(deviations, N, n).tobytes()
+
+
+@pytest.mark.parametrize("commuting", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_laplacian_steps_match_the_references(n, commuting):
+    # beyond STACKED_LOOP_BYTES the deviations step through Lp and Lc; they
+    # follow the stacked iteration, and on commuting graphs the modal one,
+    # within 1e-10 of each step's largest norm, and the mean keeps its bits
+    rng = np.random.default_rng([n, commuting])
+    N = laplacian_agents(n)
+    model = random_coupled_model(rng, N=N, n=n, commuting=commuting)
+    K = rng.uniform(-0.5, 0.5, (1, n))
+    x0 = rng.uniform(-10.0, 10.0, N * n)
+    traj = simulate(model, K, x0, 40)
+    xbar, scale, delta_norms = _summaries_loop_reference(model, K, x0, 40)
+    assert np.all(np.abs(traj.xbar - xbar).max(axis=1) <= 1e-12 * scale)
+    assert _relative_step_error(traj.delta_norms, delta_norms) <= 1e-10
+    if commuting:
+        reference = modal_deviation_norms(model, K, x0, 40)
+        assert _relative_step_error(traj.delta_norms, reference) <= 1e-10
+    mean = x0.reshape(N, n).mean(axis=0)
+    for t in range(41):
+        assert traj.xbar[t].tobytes() == mean.tobytes()
+        mean = model.A @ mean
+
+
+def test_laplacian_steps_keep_the_deviations_apart_from_a_growing_mean():
+    # the showcase plant on a cycle and a complete graph, with the gain that
+    # places A + B K0 at 0.1 and 0.2 on every mode: the mean grows like
+    # 1.5^t while the deviations decay, and the consensus shift keeps the
+    # rounding that leaks into the mean out of them
+    N = laplacian_agents(2)
+    model = LimasModel(A_SHOWCASE, B_SHOWCASE, WeightedGraph.cycle(N, 0.1),
+                       WeightedGraph.complete(N), alpha=0.3)
+    K = np.array([[-0.36, -2.2]]) / N
+    assert max(modal_radii(model, K)) < 0.5
+    x0 = initial_state(model, 42)
+    traj = simulate(model, K, x0, 300)
+    reference = modal_deviation_norms(model, K, x0, 300)
+    assert _relative_step_error(traj.delta_norms, reference) <= 1e-10
+    assert traj.delta_norms[-1].max() < 1e-80 and np.abs(traj.xbar[-1]).max() > 1e50
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_laplacian_steps_overflow_where_the_stacked_loop_does(n):
+    # A = 3 I plus a little, small coupling and gain: every deviation mode
+    # grows at least twice per step, so the step at which the stacked
+    # iteration first has an entry beyond max / (N n) is the one reported;
+    # the agents start in pairs +p, -p, so the mean is exactly zero throughout
+    rng = np.random.default_rng(n)
+    N = laplacian_agents(n)
+    model = random_coupled_model(rng, N=N, n=n, alpha_scale=0.002)
+    model = LimasModel(3.0 * np.eye(n) + 0.1 * model.A, model.B, model.gp, model.gc,
+                       alpha=model.alpha)
+    K = rng.uniform(-1e-3, 1e-3, (1, n))
+    x0 = _paired_state(rng, N, n, (1.0,))
+    M = closed_loop_matrix(model, K)
+    bound = np.finfo(float).max / (N * n)
+    d, largest = x0, [np.abs(x0).max()]
+    while largest[-1] <= bound:
+        d = deviation(M @ d, N, n)
+        largest.append(np.abs(d).max())
+    step = len(largest) - 1
+    assert min(b / a for a, b in itertools.pairwise(largest)) >= 2.0
+    # no rounding of the two paths can move the crossing by a step
+    assert largest[-2] < (1.0 - 1e-6) * bound and largest[-1] > (1.0 + 1e-6) * bound
+    with pytest.raises(Overflow) as err:
+        simulate(model, K, x0, step + 20)
+    assert err.value.step == step
+    assert not simulate(model, K, x0, step - 1).xbar.any()
+
+
+def test_laplacian_steps_check_their_inputs_as_the_stacked_loop_does():
+    # the same errors and texts on both sides of STACKED_LOOP_BYTES
+    rng = np.random.default_rng(5)
+    models = [random_coupled_model(rng, N=N, n=2) for N in (5, laplacian_agents(2))]
+    for model in models:
+        x0 = initial_state(model, 1)
+        Nn = model.N * model.n
+        with pytest.raises(ShapeMismatch, match="^K must have 2 columns, got 3$"):
+            simulate(model, [[0.1, 0.2, 0.3]], x0, 10)
+        with pytest.raises(ShapeMismatch, match="^K must have 1 rows, got 2$"):
+            simulate(model, [[0.1, 0.2], [0.3, 0.4]], x0, 10)
+        with pytest.raises(ValueError, match="^K contains non-finite entries$"):
+            simulate(model, [[0.1, np.inf]], x0, 10)
+        with pytest.raises(ShapeMismatch,
+                           match=f"^x0 length {Nn - 1} does not match N\\*n = {Nn}$"):
+            simulate(model, [[0.1, 0.2]], x0[1:], 10)
+        x0[3] = np.nan
+        with pytest.raises(ValueError, match="^x0 contains non-finite entries$"):
+            simulate(model, [[0.1, 0.2]], x0, 10)
+
+
+def _ten_steps(model: LimasModel, K) -> Trajectory:
+    return simulate(model, K, initial_state(model, 1), 10)
+
+
+@pytest.mark.parametrize("N, n", [(laplacian_agents(2), 2), (256, 2), (laplacian_agents(4), 4)])
+def test_laplacian_steps_hold_less_than_one_stacked_loop(N, n):
+    # beyond STACKED_LOOP_BYTES simulate keeps [Lp | Lc], 2 / n^2 of a loop,
+    # and (N, n) arrays; it never forms the (N n)^2 loop
+    assert traced_peak_in_loops(_ten_steps, N, n) < 1.0
+
+
+def test_the_largest_stacked_loop_is_formed():
+    # at and below STACKED_LOOP_BYTES simulate steps through the stacked loop
+    assert traced_peak_in_loops(_ten_steps, STACKED_SIZE // 2, 2) >= 1.0
