@@ -306,9 +306,10 @@ class SufficientResult:
     Riccati margins it achieves under positional mode pairing.
     ``alpha_min``/``alpha_max`` are the extremes of |alpha_i|, the coupling
     factors alpha_i = 1 - alpha * lambda_p_i of the non-consensus modes.
-    ``spectrum`` holds the eigenvalues of alpha_max * A that ``sigma_c`` was
-    taken from, for solve_mare to reuse (None when alpha_max = 0); the
-    report does not print it.
+    ``Abar`` is the read-only alpha_max * A that sufficient_check formed and
+    checked finite, and ``spectrum`` its eigenvalues, which ``sigma_c`` was
+    taken from; _synthesize hands both to solve_mare, so neither is formed
+    again (both None when alpha_max = 0). The report prints neither.
     """
 
     holds: bool
@@ -319,6 +320,7 @@ class SufficientResult:
     alpha_min: float
     alpha_max: float
     sigma_modes: np.ndarray
+    Abar: np.ndarray | None = None
     spectrum: np.ndarray | None = None
 
 
@@ -346,9 +348,10 @@ def sufficient_check(model: LimasModel) -> SufficientResult:
     proportional coupling are required too (AssumptionViolated if not).
     The extremes of alpha_i / lambda_cj range over modes i and j
     independently, while the reported sigma_modes pair modes positionally.
-    A term beyond the float range is inf (or 0 by underflow), and ``holds``
-    needs lhs, rhs and every sigma mode finite. An alpha_max * A beyond the
-    float range has no spectrum to take: NoConvergence names it.
+    Each square is a plain product, the correctly rounded square; one
+    beyond the float range is inf (or 0 by underflow), and ``holds`` needs
+    lhs, rhs and every sigma mode finite. An alpha_max * A beyond the float
+    range has no spectrum to take: NoConvergence names it.
     """
     lam_p, lam_c, _ = model._deviation_modes
     lam_c = _communication_modes(model, lam_c)
@@ -368,30 +371,24 @@ def sufficient_check(model: LimasModel) -> SufficientResult:
         Abar = alpha_max * model.A
     if not np.isfinite(Abar).all():
         raise NoConvergence(f"alpha_max * A is beyond the float range (alpha_max = {alpha_max:g})")
+    Abar.flags.writeable = False
     spectrum = eig_general(Abar)
     sc = _critical_margin(spectrum)
     with np.errstate(all="ignore"):
         ratios = alpha_i[:, None] / lam_c[None, :]
         lo, hi = float(ratios.min()), float(ratios.max())
-        lhs = _square((hi - lo) / 2.0)
-        rhs = float(np.divide(_square(alpha_min) - _square(alpha_max) * sc,
-                              _square(float(lam_c.max()))))
+        half = (hi - lo) / 2.0
+        lhs = half * half
+        lam_max = float(lam_c.max())
+        rhs = float(np.divide(alpha_min * alpha_min - alpha_max * alpha_max * sc,
+                              lam_max * lam_max))
         k_star = (lo + hi) / 2.0
         sigma_modes = (2.0 * alpha_i * lam_c * k_star
-                       - lam_c ** 2 * _square(k_star)) / _square(alpha_max)
+                       - lam_c ** 2 * (k_star * k_star)) / (alpha_max * alpha_max)
     holds = bool(lhs < rhs and math.isfinite(lhs) and math.isfinite(rhs)
                  and np.isfinite(sigma_modes).all())
     return SufficientResult(holds, k_star, lhs, rhs, sc, alpha_min, alpha_max,
-                            sigma_modes, spectrum)
-
-
-def _square(x: float) -> float:
-    """x ** 2 by Python's float power (libm pow, which differs from x * x in the
-    last bit for some x), or inf where that overflows; an underflow gives 0."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return np.inf
+                            sigma_modes, Abar, spectrum)
 
 
 @dataclass(frozen=True)
@@ -588,8 +585,9 @@ def _synthesize(model: LimasModel, sufficient: SufficientResult
     ``sufficient`` is the model's own sufficient_check, and it holds. Solves
     the modified Riccati equation for the worst-case scaled state matrix at
     the smallest per-mode margin achieved by the midpoint gain scale and
-    forms K = -k* (B'PB)^-1 B'PA; the spectrum of Abar = alpha_max * A is
-    the one sufficient_check took for sigma_c. With that Abar the gain is
+    forms K = -k* (B'PB)^-1 B'PA; Abar = alpha_max * A and its spectrum are
+    the ones sufficient_check formed, checked and took sigma_c from, so the
+    spectrum solve_mare reads belongs to the matrix it solves with. The gain is
     (k* / alpha_max) times the gain -(B'PB)^-1 B'P Abar that solve_mare
     returns, so it is not formed again. The margin is clipped into [0, 1];
     one at or below the critical margin surfaces as solve_mare's Divergence.
@@ -601,7 +599,7 @@ def _synthesize(model: LimasModel, sufficient: SufficientResult
         return np.zeros((1, model.n)), 0.0, None
 
     sigma = float(np.clip(np.min(sufficient.sigma_modes), 0.0, 1.0))
-    mare = solve_mare(alpha_max * model.A, model.B, sigma, spectrum=sufficient.spectrum)
+    mare = solve_mare(sufficient.Abar, model.B, sigma, spectrum=sufficient.spectrum)
     with np.errstate(over="ignore", invalid="ignore"):
         return (sufficient.k_star / alpha_max) * mare.K, sigma, mare.iterations
 

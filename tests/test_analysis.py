@@ -139,6 +139,53 @@ def test_sufficient_check_decoupled_complete():
     assert report.mare_sigma == 1.0
 
 
+@pytest.mark.parametrize("seed, kind, index, term", [
+    (0, "proportional", 97, "lhs"),
+    (3, "proportional", 2, "rhs"),
+])
+def test_sufficient_terms_are_correctly_rounded_squares(seed, kind, index, term):
+    # each square is a product, the correctly rounded square; on these corpus
+    # draws libm's x ** 2 lands one ulp away from it (the draws depend on
+    # per_class, so the corpus is built with 300)
+    model = verdict_corpus(seed, per_class=300)[kind][index]
+    res = sufficient_check(model)
+    lam_p, lam_c, _ = model._deviation_modes
+    ratios = (1.0 - model.coupling_check[1] * lam_p)[:, None] / lam_c[None, :]
+    lo, hi = float(ratios.min()), float(ratios.max())
+    half, lam_max = (hi - lo) / 2.0, float(lam_c.max())
+    if term == "lhs":
+        product, power = half * half, half ** 2
+    else:
+        margin = res.alpha_max * res.alpha_max * res.sigma_c
+        product = (res.alpha_min * res.alpha_min - margin) / (lam_max * lam_max)
+        power = (res.alpha_min ** 2 - res.alpha_max ** 2 * res.sigma_c) / lam_max ** 2
+    assert product != power
+    assert getattr(res, term) == product
+
+
+def test_the_riccati_solve_takes_the_abar_the_condition_checked(
+        tmp_path, workloads, showcase_model, monkeypatch):
+    # _synthesize hands solve_mare the read-only alpha_max * A that
+    # sufficient_check formed, checked finite and took the spectrum of, so the
+    # product is formed once and the spectrum belongs to the matrix beside it
+    solve, seen = analysis.solve_mare, []
+
+    def recording(Abar, B, sigma, *, spectrum=None):
+        seen.append((Abar, spectrum))
+        return solve(Abar, B, sigma, spectrum=spectrum)
+
+    monkeypatch.setattr(analysis, "solve_mare", recording)
+    cases = workloads.build("riccati-near-critical", 1, tmp_path)[0]
+    for model in [load_model(case.model) for case in cases] + [showcase_model]:
+        seen.clear()
+        report = analyze(model)
+        assert len(seen) == 1
+        Abar, spectrum = seen[0]
+        assert Abar is report.sufficient.Abar and not Abar.flags.writeable
+        assert spectrum is report.sufficient.spectrum
+        assert Abar.tobytes() == (report.sufficient.alpha_max * model.A).tobytes()
+
+
 def test_sufficient_check_negative_rhs_fails():
     # strong coupling spread plus a hard instability makes the bound vacuous
     A = np.array([[3.0, 1.0], [0.0, 0.3]])
