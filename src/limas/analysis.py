@@ -334,7 +334,6 @@ def _communication_modes(model: LimasModel, lam_c) -> np.ndarray:
     a2 = model.controllability_check
     if not a2.holds:
         raise AssumptionViolated(2, a2.detail)
-    lam_c = np.asarray(lam_c, dtype=float)
     if float(lam_c.min()) <= CONNECTIVITY_FLOOR * float(lam_c.max()):
         raise AssumptionViolated(0, "communication graph effectively disconnected")
     return lam_c

@@ -3,8 +3,8 @@
 Everything operates on plain float64 numpy arrays. Agent dimensions stay
 small (n <= ~10), stacked ones reach N*n ~ 1000, and per-mode quantities
 run on stacks of n x n matrices; the routines favor accuracy and
-determinism: symmetric spectra go through ``eigvalsh`` of (M + M')/2,
-general spectra through ``eigvals``. Controllability has one owner:
+determinism: symmetric spectra go through ``eigvalsh``, general spectra
+through ``eigvals``. Controllability has one owner:
 :func:`controllability` builds the Krylov matrix of one matrix or of a stack
 and takes its singular values, and :func:`has_rank` judges their rank.
 Eigenvectors are solved only in the joint diagonalization of
@@ -52,11 +52,11 @@ def as_square(obj, name: str = "matrix") -> np.ndarray:
 
 
 def eig_sym(M) -> np.ndarray:
-    """Ascending eigenvalues of (M + M')/2, which is M bit for bit when M is
-    symmetric, as every Laplacian :func:`limas.graphs.laplacian` builds is."""
+    """Ascending eigenvalues of a symmetric M, as every Laplacian
+    :func:`limas.graphs.laplacian` builds is; eigvalsh reads one triangle."""
     M = as_square(M)
     try:
-        return np.linalg.eigvalsh((M + M.T) / 2.0)
+        return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 

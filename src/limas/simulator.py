@@ -15,7 +15,9 @@ Up to STACKED_LOOP_BYTES of it, and always at n = 1, the deviation update
 is one dense (Nn)^2 matrix. Beyond, the agents' deviations X, one row
 each, step by the same update in Kronecker form,
 X+ = X A' - Lp X Ap' + Lc X (BK)' - 1 (A mean X)', which reads the two
-N x N Laplacians instead.
+N x N Laplacians instead. Each path is a stepper that forms its operator,
+steps the deviations of every step in place and returns them, so the
+operator is gone before the norms are taken.
 """
 
 from __future__ import annotations
@@ -93,7 +95,12 @@ class Trajectory:
 
 
 def initial_state(model: LimasModel, seed: int) -> np.ndarray:
-    """Seeded initial state, uniform on [0, 10); identical seeds give identical states."""
+    """Seeded initial state, uniform on [0, 10); identical seeds give identical states.
+
+    Raises ValueError naming a negative seed, which numpy's generator refuses.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 10.0, size=model.N * model.n)
 
@@ -101,12 +108,14 @@ def initial_state(model: LimasModel, seed: int) -> np.ndarray:
 def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     """Iterate the consensus mean and the stacked deviation for ``steps`` updates.
 
-    The deviations step through the stacked update, :func:`_deviation_loop`,
+    The deviations step through the stacked loop, :func:`_step_stacked`,
     while its (Nn)^2 floats fit in STACKED_LOOP_BYTES or n = 1, and through
     the two Laplacians, :func:`_step_by_laplacians`, otherwise; the two
-    agree to rounding. The per-agent norms scale each agent by a power of
-    two and have the bits of np.linalg.norm of the scaled agent; see
-    :func:`_agent_norms`.
+    steppers take the same arguments, return the rows of every step and
+    agree to rounding, and the stacked loop is freed before the norms. The
+    mean steps here, one product a step. The per-agent norms scale each
+    agent by a power of two and have the bits of np.linalg.norm of the
+    scaled agent; see :func:`_agent_norms`.
     Raises Overflow with the first step at which an entry of the mean or of
     the deviation is beyond max / (N n) in magnitude, max the largest
     float, or nan. Within that bound every per-agent norm (at most sqrt(n)
@@ -123,26 +132,15 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
 
-    A = model.A
     stacked = n == 1 or (N * n) ** 2 * 8 <= STACKED_LOOP_BYTES
-    D = _deviation_loop(model, K) if stacked else None
-    mean = x.reshape(N, n).mean(axis=0)
-    d = (x.reshape(N, n) - mean).ravel()
+    step = _step_stacked if stacked else _step_by_laplacians
     xbar = np.empty((steps + 1, n))
-    deviations = np.empty((steps + 1, N * n))
-    xbar[0], deviations[0] = mean, d
+    xbar[0] = x.reshape(N, n).mean(axis=0)
     # an unstable run may overflow to inf and nan; the rows are judged below
     with np.errstate(over="ignore", invalid="ignore"):
-        if stacked:
-            for t in range(1, steps + 1):
-                d = D @ d
-                mean = A @ mean
-                xbar[t], deviations[t] = mean, d
-        else:
-            _step_by_laplacians(model, K, deviations.reshape(steps + 1, N, n))
-            for t in range(1, steps + 1):
-                mean = A @ mean
-                xbar[t] = mean
+        deviations = step(model, K, (x.reshape(N, n) - xbar[0]).ravel(), steps)
+        for t in range(1, steps + 1):
+            np.matmul(model.A, xbar[t - 1], out=xbar[t])
     # a nan propagates through max and min and fails the comparisons
     bound = np.finfo(float).max / (N * n)
     within = np.ones(steps + 1, dtype=bool)
@@ -154,27 +152,34 @@ def simulate(model: LimasModel, K, x0, steps: int) -> Trajectory:
     return Trajectory(_agent_norms(deviations.reshape(steps + 1, N, n)), xbar)
 
 
-def _deviation_loop(model: LimasModel, K) -> np.ndarray:
-    """The stacked deviation update M - (11'/N) (x) A, formed in the
-    :func:`closed_loop_matrix` buffer."""
+def _step_stacked(model: LimasModel, K, d0: np.ndarray, steps: int) -> np.ndarray:
+    """Rows d0, d1, ..., d_steps of d+ = (M - (11'/N) (x) A) d, the stacked loop.
+
+    The loop is formed in the :func:`closed_loop_matrix` buffer: every
+    (i, j) block of M loses A/N in place, one entry of A at a time, so each
+    numpy call spans all N^2 blocks. Each step is one product into its row,
+    and the (Nn)^2 loop is freed when the rows are returned.
+    """
     N, n, A = model.N, model.n, model.A
     D = closed_loop_matrix(model, K)
-    # every (i, j) block of M loses A/N, in place, one entry of A at a
-    # time, so each numpy call spans all N^2 blocks
     blocks = D.reshape(N, n, N, n)
     for a in range(n):
         for b in range(n):
             blocks[:, a, :, b] -= A[a, b] / N
-    return D
+    rows = np.empty((steps + 1, N * n))
+    rows[0] = d0
+    for t in range(1, steps + 1):
+        np.matmul(D, rows[t - 1], out=rows[t])
+    return rows
 
 
-def _step_by_laplacians(model: LimasModel, K, X: np.ndarray) -> None:
-    """Fill X[1:] by X+ = X A' - Lp X Ap' + Lc X (BK)' - 1 (A mean X)' from X[0].
+def _step_by_laplacians(model: LimasModel, K, d0: np.ndarray, steps: int) -> np.ndarray:
+    """Rows d0, d1, ..., d_steps of X+ = X A' - Lp X Ap' + Lc X (BK)' - 1 (A mean X)'.
 
-    X[t] holds the deviations of step t, one agent a row, so X[t] is the
-    stacked deviation d. Each step forms X A', -X Ap' and X (BK)' in one
-    product, applies [Lp | Lc] to the last two in a second, straight into
-    X[t], and adds X A' less its mean over the agents, which is (A mean X)'.
+    Row t, read as an (N, n) array X, holds the deviations of step t, one
+    agent a row. Each step forms X A', -X Ap' and X (BK)' in one product,
+    applies [Lp | Lc] to the last two in a second, straight into the next
+    row, and adds X A' less its mean over the agents, which is (A mean X)'.
     Its largest array is [Lp | Lc], 2 N^2 floats, not the (Nn)^2 loop.
     """
     K = as_matrix(K, rows=1, cols=model.n, name="K")
@@ -184,11 +189,15 @@ def _step_by_laplacians(model: LimasModel, K, X: np.ndarray) -> None:
     terms = np.empty((3, N, n))
     coupled = terms[1:].reshape(2 * N, n)
     share = np.full(N, 1.0 / N)
-    for t in range(1, len(X)):
+    rows = np.empty((steps + 1, N * n))
+    rows[0] = d0
+    X = rows.reshape(steps + 1, N, n)
+    for t in range(1, steps + 1):
         np.matmul(X[t - 1], factors, out=terms)
         np.matmul(laplacians, coupled, out=X[t])
         X[t] += terms[0]
         X[t] -= share @ terms[0]
+    return rows
 
 
 def _agent_norms(blocks: np.ndarray) -> np.ndarray:

@@ -960,3 +960,13 @@ def test_unwritable_output_path_is_an_error(showcase_file, tmp_path, capsys):
         assert captured.err.startswith("error: ")
         assert str(missing) in captured.err
         assert captured.out == ""
+
+
+def test_simulate_names_a_negative_seed(showcase_file, tmp_path, capsys):
+    csv_path = tmp_path / "traj.csv"
+    code = main(["simulate", showcase_file, "--seed", "-1", "--out-csv", str(csv_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+    assert not csv_path.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from limas import (
     initial_state,
     modal_radii,
     simulate,
+    simulator,
 )
 from limas.errors import Overflow, ShapeMismatch
 from limas.simulator import ConvergenceMetrics, _agent_norms
@@ -317,6 +319,11 @@ def test_initial_state_reproducible(showcase_model):
     assert not np.array_equal(a, initial_state(showcase_model, 124))
 
 
+def test_initial_state_names_a_negative_seed(showcase_model):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        initial_state(showcase_model, -1)
+
+
 def _summaries_loop_reference(model: LimasModel, K, x0, steps: int):
     """Per-step mean of the stacked iteration x+ = Mx and its size max|x|, and
     the deviation norms of the centred iteration d+ = M d - mean(M d)."""
@@ -506,3 +513,18 @@ def test_laplacian_steps_hold_less_than_one_stacked_loop(N, n):
 def test_the_largest_stacked_loop_is_formed():
     # at and below STACKED_LOOP_BYTES simulate steps through the stacked loop
     assert traced_peak_in_loops(_ten_steps, STACKED_SIZE // 2, 2) >= 1.0
+
+
+@pytest.mark.parametrize("N, n", [(STACKED_SIZE // 2, 2), (40, 1), (16, 4)])
+def test_the_stacked_loop_is_freed_before_the_norms(N, n, monkeypatch):
+    # the stepper returns the rows of every step and drops its (N n)^2 loop,
+    # so besides those rows the norms find less than half a loop traced
+    held = []
+
+    def norms(blocks):
+        held.append(tracemalloc.get_traced_memory()[0] - blocks.nbytes)
+        return _agent_norms(blocks)
+
+    monkeypatch.setattr(simulator, "_agent_norms", norms)
+    traced_peak_in_loops(_ten_steps, N, n)
+    assert len(held) == 1 and held[0] < (N * n) ** 2 * 8 / 2
